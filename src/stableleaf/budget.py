@@ -118,7 +118,8 @@ def first_tube_exit(
     return None
 
 
-def _reference_orbit(m: MapModel, z: Point2, nsteps: int) -> list[Point2]:
+def reference_orbit(m: MapModel, z: Point2, nsteps: int) -> list[Point2]:
+    """The orbit z, phi(z), ..., phi^nsteps(z); raises OrbitEscapeError on escape."""
     pts = [Point2(float(z[0]), float(z[1]))]
     x, y = pts[0]
     for j in range(nsteps):
@@ -153,7 +154,7 @@ def sample_neighborhood(
         raise IndexError("k must be >= 1")
     if n < 1:
         raise IndexError("n must be >= 1")
-    ref = _reference_orbit(m, z, max(k - 1, 0))
+    ref = reference_orbit(m, z, max(k - 1, 0))
     draws = _box_draws(z, sched.radius(0), n, seed)
     accepted = [p for p in draws if first_tube_exit(m, ref, p, sched, k - 1) is None]
     if not accepted:
@@ -213,7 +214,7 @@ def estimate_budget(
     """
     if kmax < 2:
         raise IndexError("kmax must be >= 2")
-    ref = _reference_orbit(m, z, kmax - 1)
+    ref = reference_orbit(m, z, kmax - 1)
     draws = _box_draws(z, sched.radius(0), n, seed)
 
     km1 = kmax + 1
@@ -356,7 +357,6 @@ INFEASIBLE = "INFEASIBLE"
 @dataclass(frozen=True)
 class StarReport:
     terms: np.ndarray
-    partial_sums: np.ndarray
     tail_ratio: Optional[float]
     verdict: str
     truncated_at: int
@@ -371,7 +371,6 @@ def check_condition_star(b: HyperbolicityBudget) -> StarReport:
     verdict is heuristic: a finite computation cannot certify an infinite sum.
     """
     terms = b.star_terms[1:]  # series starts at k = 1
-    sums = b.star_partial_sums
     window = terms[-min(5, len(terms)):] if len(terms) else terms
     ratio: Optional[float] = None
     verdict = INCONCLUSIVE
@@ -384,9 +383,7 @@ def check_condition_star(b: HyperbolicityBudget) -> StarReport:
     elif len(window) >= 1 and np.all(window == 0.0):
         ratio = 0.0
         verdict = SUMMABLE_HEURISTIC
-    return StarReport(
-        terms=terms, partial_sums=sums, tail_ratio=ratio, verdict=verdict, truncated_at=b.kmax,
-    )
+    return StarReport(terms=terms, tail_ratio=ratio, verdict=verdict, truncated_at=b.kmax)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from . import fixedpoint as fp_mod
 from . import leaf as leaf_mod
 from .budget import EpsilonSchedule, check_condition_double_star, check_condition_star, estimate_budget
 from .cocycle import build_orbit_cocycle
-from .directions import direction_field_derivative
+from .directions import field_lipschitz
 from .errors import NotConvergedError, NumericalError, ValidationError
 from .maps import Point2, make_map
 from .reports import emit_json, emit_leaf_csv
@@ -153,9 +153,7 @@ def _cmd_budget(ns, out_dir: str) -> int:
 
 def _choose_eps(ns, m, z, sched, b):
     dstar = check_condition_double_star(b, sched)
-    coc = build_orbit_cocycle(m, z, ns.kmax)
-    hstep = 1e-4 * max(1.0, math.hypot(z[0], z[1]))
-    L = direction_field_derivative(m, coc, ns.kmax, hstep, budget=b)[0]
+    L = field_lipschitz(m, build_orbit_cocycle(m, z, ns.kmax), ns.kmax, budget=b)
     eps = leaf_mod.choose_epsilon(b, dstar.gamma_required, L, sched)
     return eps, L
 
@@ -182,7 +180,7 @@ def _convergence_payload(m, ns, report) -> dict:
         "map": m.name, "params": m.params, "seed": ns.seed,
         "k0": report.k0, "kmax": report.kmax, "ks": report.ks,
         "d_k": report.d_k, "gronwall_bound": report.gronwall_bound,
-        "omega_k": report.omega_k, "tube_ok": report.tube_ok,
+        "tube_ok": report.tube_ok,
         "restricted": report.restricted,
         "eps_chosen": report.eps_chosen, "L_used": report.L_used,
         "tol": report.tol, "converged": report.converged,

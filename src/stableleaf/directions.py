@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .cocycle import OrbitCocycle, _contract_angle, singular_values
+from .cocycle import CONFORMAL_TOL, OrbitCocycle, _contract_angle, singular_values
 from .errors import BoundViolationError, ConformalError, StencilEscapeError
 from .errors import DomainError, NonFiniteError
 from .maps import MapModel, Mat2, Point2
@@ -27,11 +27,6 @@ class DerivativeBoundCoefficients:
     gap_sq: float = 1597.0        # coefficient of (p q)^2 delta_{k+1}
     gap_fifth: float = 40.0       # coefficient of (p q)^5 delta_k
     gap_cubic: float = 40.0       # coefficient of (p q)^3 q^2 p~ gamma*_{k+1}
-    theta_num: float = 2048.0 / 9.0
-    pushed_sq: float = 8.0
-    pushed_lin: float = 8.0
-    ef_deriv: float = 2057.0 / 9.0
-    h_deriv: float = 2066.0 / 9.0
 
 
 ANGLE_COEFFS = DerivativeBoundCoefficients()
@@ -76,7 +71,7 @@ def contracted_theta_fast(m: MapModel, x: float, y: float, k: int) -> tuple[floa
     r = math.hypot(a * a + c * c - b * b - d * d, 2.0 * (a * b + c * d))
     f = math.sqrt(0.5 * (s + r))
     e = abs(a * d - b * c) / f if f > 0.0 else 0.0
-    if f == 0.0 or 1.0 - e / f < 1e-12:
+    if f == 0.0 or 1.0 - e / f < CONFORMAL_TOL:
         raise ConformalError(f"order-{k} product conformal to round-off at ({x}, {y})")
     return _contract_angle(a, b, c, d), e, f
 
@@ -85,7 +80,7 @@ def contracted_direction(c: OrbitCocycle, k: int) -> DirectionSample:
     """Most contracted direction of Dphi^k at the cocycle base point."""
     if not 1 <= k <= c.kmax:
         raise IndexError(f"k={k} out of range 1..{c.kmax}")
-    if c.H[k] >= 1.0 - 1e-12:
+    if c.H[k] >= 1.0 - CONFORMAL_TOL:
         raise ConformalError(f"H_{k} = {c.H[k]} too close to 1; direction undefined")
     a, b, cc, d = c.products[k]
     th = _contract_angle(a, b, cc, d)
@@ -164,7 +159,7 @@ def _theta_series(m: MapModel, x: float, y: float, kmax: int) -> list[float]:
         )
         x, y = ev(x, y)
         e, f = singular_values(Mat2(a, b, c, d))
-        if f == 0.0 or 1.0 - e / f < 1e-12:
+        if f == 0.0 or 1.0 - e / f < CONFORMAL_TOL:
             raise ConformalError(f"order-{k + 1} product conformal along the stencil sweep")
         out.append(_contract_angle(a, b, c, d))
     return out
@@ -233,3 +228,9 @@ def direction_field_derivative(
                 + cf.gap_cubic * pq ** 3 * budget.q[j] ** 2 * budget.pt[j] * budget.gamma_star[j + 1]
             )
     return l_meas, l_bound
+
+
+def field_lipschitz(m: MapModel, c: OrbitCocycle, k: int, budget=None) -> float:
+    """Measured L of the order-k field at the cocycle base point z, FD step 1e-4*max(1, |z|)."""
+    h = 1e-4 * max(1.0, math.hypot(c.z0[0], c.z0[1]))
+    return direction_field_derivative(m, c, k, h, budget=budget)[0]

@@ -74,6 +74,10 @@ class NotConvergedError(NumericalError):
         self.report = report
 
 
+class DegenerateLeafError(NumericalError):
+    """A leaf has too few grid nodes to measure distances along it."""
+
+
 class StencilEscapeError(NumericalError):
     """A finite-difference stencil point left the region where directions exist."""
 

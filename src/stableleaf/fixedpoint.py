@@ -20,10 +20,10 @@ from .budget import (
     check_condition_star,
     estimate_budget,
     first_tube_exit,
-    _reference_orbit,
+    reference_orbit,
 )
 from .cocycle import build_orbit_cocycle, distortion_bounds
-from .directions import angle_distance, direction_field_derivative
+from .directions import angle_distance, field_lipschitz
 from .errors import (
     BadParamsError,
     DomainError,
@@ -216,7 +216,7 @@ def regular_growth_check(
     k_det = 1.0
     raw_ok = True
     used = 0
-    ref = _reference_orbit(m, fp.p, kmax - 1)
+    ref = reference_orbit(m, fp.p, kmax - 1)
     for p in uniq:
         exit_j = first_tube_exit(m, ref, p, sched, kmax - 1)
         level = kmax if exit_j is None else exit_j
@@ -339,8 +339,7 @@ def verify_fixed_point_theorem(
     dstar = check_condition_double_star(b, sched)
 
     coc = _stage("cocycle", build_orbit_cocycle, m, fp.p, kmax)
-    hstep = 1e-4 * max(1.0, math.hypot(fp.p[0], fp.p[1]))
-    L = _stage("direction-derivative", direction_field_derivative, m, coc, kmax, hstep, budget=b)[0]
+    L = _stage("direction-derivative", field_lipschitz, m, coc, kmax, budget=b)
 
     eps = _stage("choose-epsilon", choose_epsilon, b, dstar.gamma_required, L, sched)
     conv = _stage(

@@ -16,11 +16,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .budget import EpsilonSchedule, HyperbolicityBudget, _reference_orbit, first_tube_exit
+from .budget import EpsilonSchedule, HyperbolicityBudget, first_tube_exit, reference_orbit
 from .cocycle import build_orbit_cocycle
-from .directions import _signed_gap, contracted_theta_fast, direction_field_derivative
+from .directions import _signed_gap, contracted_theta_fast, field_lipschitz
 from .errors import (
     ConformalError,
+    DegenerateLeafError,
     DomainError,
     NoFeasibleEpsilonError,
     NonFiniteError,
@@ -41,7 +42,7 @@ _PROBE_STREAM = 3
 class LeafCurve:
     """Arclength samples (t, p, theta) of one finite-time leaf.
 
-    t runs ascending over the untruncated range; samples[center_index]
+    t runs ascending over the untruncated range; the node at center_index
     is exactly z0. theta is the tangent angle unwrapped mod pi from the
     center outward, so adjacent samples never jump by more than pi/2.
     """
@@ -59,14 +60,6 @@ class LeafCurve:
     truncated_pos: bool
     grid_points: int
     limit: bool = False
-
-    def points(self) -> list[Point2]:
-        return [Point2(x, y) for x, y in zip(self.xs, self.ys)]
-
-    def samples(self):
-        """Ordered (t, point, theta) triples along the leaf."""
-        for t, x, y, th in zip(self.t, self.xs, self.ys, self.thetas):
-            yield float(t), Point2(float(x), float(y)), float(th)
 
     def tangent_lipschitz(self) -> float:
         """Max |d theta / d t| over the grid (Lipschitz estimate of the tangent)."""
@@ -195,30 +188,40 @@ def integrate_leaf(
 # -- epsilon selection --------------------------------------------------------
 
 
-def _hull_contains(points: list[Point2], queries: list[tuple[float, float]]) -> bool:
-    """All queries inside the convex hull of points (bounding box on degenerate input)."""
-    if len(points) < 3:
-        return _bbox_contains(points, queries)
-    try:
-        from scipy.spatial import ConvexHull, QhullError
+def convex_hull_halfplanes(points) -> np.ndarray:
+    """Edge half-planes [nx, ny, offset] of the convex hull of 2-D points.
 
-        hull = ConvexHull(np.asarray(points, dtype=float))
-    except QhullError:
-        return _bbox_contains(points, queries)
-    eqs = hull.equations  # rows: [nx, ny, offset], inside iff n.p + offset <= 0
-    for qx, qy in queries:
-        if np.any(eqs[:, 0] * qx + eqs[:, 1] * qy + eqs[:, 2] > 1e-12):
-            return False
-    return True
+    Andrew's monotone chain (A. M. Andrew, Inf. Proc. Letters 9, 1979), with
+    unit outward normals: q is inside iff nx*qx + ny*qy + offset <= 0 on every
+    row. A set without interior (fewer than 3 distinct points, or all
+    collinear) has no rows.
+    """
+    pts = sorted(set(map(tuple, points)))
+
+    def turns_left(o, a, p):
+        return (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) > 0.0
+
+    ring = []  # lower chain, then upper chain: counter-clockwise
+    for seq in (pts, pts[::-1]):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and not turns_left(chain[-2], chain[-1], p):
+                chain.pop()
+            chain.append(p)
+        ring += chain[:-1]
+    if len(ring) < 3:
+        return np.empty((0, 3))
+    v = np.array(ring)
+    e = np.roll(v, -1, axis=0) - v
+    n = np.column_stack([e[:, 1], -e[:, 0]]) / np.hypot(e[:, 0], e[:, 1])[:, None]
+    return np.column_stack([n, -np.sum(n * v, axis=1)])
 
 
-def _bbox_contains(points: list[Point2], queries) -> bool:
-    if not points:
-        return False
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    xlo, xhi, ylo, yhi = min(xs), max(xs), min(ys), max(ys)
-    return all(xlo <= qx <= xhi and ylo <= qy <= yhi for qx, qy in queries)
+def hull_contains(halfplanes: np.ndarray, queries) -> bool:
+    """All queries inside the hull given by its half-planes, to 1e-12; False for an empty hull."""
+    q = np.asarray(queries, dtype=float)
+    side = q[:, :1] * halfplanes[:, 0] + q[:, 1:] * halfplanes[:, 1] + halfplanes[:, 2]
+    return len(halfplanes) > 0 and not np.any(side > 1e-12)
 
 
 def choose_epsilon(
@@ -232,18 +235,18 @@ def choose_epsilon(
 
     Constraints: eps * gamma < 1, exp(eps * L) < 2, and the tube pre-check
     that the square of radius eps + omega_k around z stays inside the hull of
-    the stored order-k0 sample for every computed k >= k0. Budgets without
-    stored samples skip the pre-check (the containment proper is re-tested
-    during the Cauchy iteration).
+    the stored order-k0 sample for every computed k >= k0. A sample hull
+    without interior contains no square, so it rejects every rung. Budgets
+    without stored samples skip the pre-check (the containment proper is
+    re-tested during the Cauchy iteration).
     """
     if b.k0 is None:
         raise NoFeasibleEpsilonError("budget has no k0; hyperbolicity never stabilized")
     k0 = b.k0
     xi_tail = b.xi[k0:] if k0 < len(b.xi) else np.array([0.0])
     xi_max = float(np.max(xi_tail)) if len(xi_tail) else 0.0
-    hull_pts = list(b.samples.get(k0, [])) if b.samples else []
-    if hull_pts:
-        hull_pts.append(b.z)
+    k0_sample = list(b.samples.get(k0, [])) if b.samples else []
+    hull = convex_hull_halfplanes(k0_sample + [b.z]) if k0_sample else None
     zx, zy = b.z
     eps0 = sched.radius(0)
     for mexp in range(ladder_depth + 1):
@@ -252,10 +255,10 @@ def choose_epsilon(
             continue
         if not math.exp(eps * L) < 2.0:
             continue
-        if hull_pts:
+        if hull is not None:
             r = eps + eps * math.exp(eps * L) * xi_max
             corners = [(zx - r, zy - r), (zx - r, zy + r), (zx + r, zy - r), (zx + r, zy + r)]
-            if not _hull_contains(hull_pts, corners):
+            if not hull_contains(hull, corners):
                 continue
         return eps
     raise NoFeasibleEpsilonError(
@@ -279,7 +282,6 @@ class ConvergenceReport:
     ks: list[int]
     d_k: np.ndarray
     gronwall_bound: np.ndarray
-    omega_k: np.ndarray
     tube_ok: list[bool]
     restricted: list[bool]
     converged: bool
@@ -288,7 +290,10 @@ class ConvergenceReport:
 
 
 def _leaf_distance(a: LeafCurve, bcurve: LeafCurve) -> tuple[float, bool]:
-    """Max pointwise distance at matched t over the common grid range."""
+    """Max pointwise distance at matched t over the common grid range.
+
+    Fewer than 2 common nodes span no arc, so the distance is +inf.
+    """
     lo = -min(a.center_index, bcurve.center_index)
     hi = min(len(a.t) - a.center_index, len(bcurve.t) - bcurve.center_index)
     ia, ib = a.center_index, bcurve.center_index
@@ -297,6 +302,8 @@ def _leaf_distance(a: LeafCurve, bcurve: LeafCurve) -> tuple[float, bool]:
     dx = a.xs[sl_a] - bcurve.xs[sl_b]
     dy = a.ys[sl_a] - bcurve.ys[sl_b]
     restricted = (hi - lo) < a.grid_points
+    if hi - lo < 2:
+        return math.inf, restricted
     return float(np.max(np.hypot(dx, dy))), restricted
 
 
@@ -327,13 +334,11 @@ def cauchy_iterate(
     if kmax <= k0:
         raise IndexError(f"kmax={kmax} must exceed k0={k0}")
     if L is None:
-        coc = build_orbit_cocycle(m, z, kmax)
-        hstep = 1e-4 * max(1.0, math.hypot(z[0], z[1]))
-        L = direction_field_derivative(m, coc, kmax, hstep, budget=b)[0]
+        L = field_lipschitz(m, build_orbit_cocycle(m, z, kmax), kmax, budget=b)
 
     leaves = {k: integrate_leaf(m, z, k, eps, h=h, grid_points=grid_points) for k in range(k0, kmax + 1)}
 
-    ref = _reference_orbit(m, z, kmax - 1)
+    ref = reference_orbit(m, z, kmax - 1)
     ks = list(range(k0, kmax))
     d_k = np.empty(len(ks))
     bounds = np.empty(len(ks))
@@ -365,14 +370,14 @@ def cauchy_iterate(
 
     limit = leaves[kmax]
     limit.limit = True
-    converged = bool(len(d_k) and d_k[-1] < tol)
+    converged = bool(d_k[-1] < tol)
     report = ConvergenceReport(
         k0=k0, kmax=kmax, eps_chosen=eps, L_used=L, tol=tol,
-        ks=ks, d_k=d_k, gronwall_bound=bounds, omega_k=bounds.copy(),
+        ks=ks, d_k=d_k, gronwall_bound=bounds,
         tube_ok=tube_ok, restricted=restricted, converged=converged, limit=limit,
     )
     if not converged:
-        raise NotConvergedError(kmax, float(d_k[-1]) if len(d_k) else math.inf, report=report)
+        raise NotConvergedError(kmax, float(d_k[-1]), report=report)
     return report
 
 
@@ -413,7 +418,7 @@ def contraction_check(
     rng = SplitRng(seed).substream(_PAIR_STREAM)
     npts = len(leaf.t)
     if npts < 2:
-        raise IndexError("leaf has fewer than 2 grid points")
+        raise DegenerateLeafError("leaf has fewer than 2 grid points")
     max_ratio = np.zeros(n + 1)
     widest_ratio = np.zeros(n + 1)
     widest_d0 = 0.0
@@ -485,7 +490,7 @@ def uniqueness_probe(
     integration error. Distances to the leaf are measured against the grid
     polyline vertices.
     """
-    ref = _reference_orbit(m, z, kmax)
+    ref = reference_orbit(m, z, kmax)
     rng = SplitRng(seed).substream(_PROBE_STREAM)
     zx, zy = float(z[0]), float(z[1])
     r0 = sched.radius(0)

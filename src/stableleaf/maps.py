@@ -68,17 +68,9 @@ class SecondDeriv(NamedTuple):
     t2xy: float
     t2yy: float
 
-    def entry(self, i: int, j: int, k: int) -> float:
-        """t[i][j][k] with i the component and j,k the differentiation axes (0=x, 1=y)."""
-        row = (self.t1xx, self.t1xy, self.t1yy) if i == 0 else (self.t2xx, self.t2xy, self.t2yy)
-        return row[j + k]
-
-    def max_abs_entry(self) -> float:
-        return max(abs(v) for v in self)
-
     def norm(self) -> float:
         """Adopted tensor norm: 2 * max |entry| (upper bound of the bilinear operator norm)."""
-        return 2.0 * self.max_abs_entry()
+        return 2.0 * max(abs(v) for v in self)
 
 
 def _symmetrize(t1xx, t1xy, t1yx, t1yy, t2xx, t2xy, t2yx, t2yy) -> SecondDeriv:
@@ -209,11 +201,6 @@ class MapModel:
         if not (all(math.isfinite(v) for v in t) and all(math.isfinite(v) for v in g)):
             raise NonFiniteError(f"second derivative data of '{self.name}' non-finite at ({x}, {y})")
         return t, Point2(*g)
-
-    def hess_norm_xy(self, x: float, y: float) -> float:
-        """||D^2 phi|| at (x, y) under the adopted 2*max|entry| norm."""
-        t, _ = self.second_derivative_data(Point2(x, y))
-        return t.norm()
 
 
 # -- built-in families -------------------------------------------------------

@@ -30,7 +30,7 @@ from stableleaf import (
     uniqueness_probe,
     verify_fixed_point_theorem,
 )
-from stableleaf.budget import SAMPLE_SLACK, _reference_orbit
+from stableleaf.budget import SAMPLE_SLACK, reference_orbit
 from stableleaf.cli import run_command
 from stableleaf.directions import angle_distance, contracted_theta_fast
 from stableleaf.leaf import rk4_streamline
@@ -176,7 +176,7 @@ def test_criterion_3_identity_suite():
 
 def neighborhood_points_near_leaf(m, z, sched, k, want, seed, trans_width):
     """Exact order-k neighborhood members proposed along the order-k leaf."""
-    ref = _reference_orbit(m, z, max(k - 1, 0))
+    ref = reference_orbit(m, z, max(k - 1, 0))
     guide = integrate_leaf(m, z, k, 0.25 * sched.radius(0), h=None, grid_points=65)
     rng = SplitRng(seed).substream(k)
     pts = []
@@ -320,7 +320,7 @@ def test_criterion_8_fixed_point_suite():
 def test_criterion_9_uniqueness():
     eta, kmax = 0.1, 16
     m, z, sched, b, eps, conv = linear_pipeline(eta=eta, kmax=kmax)
-    ref = _reference_orbit(m, z, kmax)
+    ref = reference_orbit(m, z, kmax)
     for delta in (1e-2, 1e-3, 1e-4):
         j = first_tube_exit(m, ref, Point2(0.0, delta), sched, kmax)
         expected = math.ceil(math.log2(eta / delta))

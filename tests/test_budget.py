@@ -16,7 +16,7 @@ from stableleaf import (
     make_map,
     sample_neighborhood,
 )
-from stableleaf.budget import INCONCLUSIVE, INFEASIBLE, SUMMABLE_HEURISTIC, _reference_orbit
+from stableleaf.budget import INCONCLUSIVE, INFEASIBLE, SUMMABLE_HEURISTIC, reference_orbit
 from stableleaf.errors import BadParamsError, EmptySampleError
 from stableleaf.maps import MapModel
 
@@ -98,7 +98,7 @@ def test_empty_sample_error(henon_map):
 
 def test_tube_membership_helpers(linear_map):
     sched = EpsilonSchedule.constant(0.1)
-    ref = _reference_orbit(linear_map, Point2(0, 0), 10)
+    ref = reference_orbit(linear_map, Point2(0, 0), 10)
     assert in_orbit_tube(linear_map, ref, Point2(0.05, 0.001), sched, 4)
     assert not in_orbit_tube(linear_map, ref, Point2(0.05, 0.09), sched, 4)
     assert first_tube_exit(linear_map, ref, Point2(0.2, 0.0), sched, 10) == 0

@@ -26,10 +26,6 @@ from test_cocycle import random_mat
 
 def test_coefficients_pinned():
     assert (ANGLE_COEFFS.gap_sq, ANGLE_COEFFS.gap_fifth, ANGLE_COEFFS.gap_cubic) == (1597.0, 40.0, 40.0)
-    assert ANGLE_COEFFS.theta_num == 2048.0 / 9.0
-    assert (ANGLE_COEFFS.pushed_sq, ANGLE_COEFFS.pushed_lin) == (8.0, 8.0)
-    assert ANGLE_COEFFS.ef_deriv == 2057.0 / 9.0
-    assert ANGLE_COEFFS.h_deriv == 2066.0 / 9.0
 
 
 def test_fold_and_distance():

@@ -17,8 +17,8 @@ from stableleaf import (
 )
 from stableleaf.budget import SAMPLE_SLACK, HyperbolicityBudget
 from stableleaf.directions import direction_field_derivative
-from stableleaf.errors import NoFeasibleEpsilonError, NotConvergedError
-from stableleaf.leaf import rk4_streamline
+from stableleaf.errors import DegenerateLeafError, NoFeasibleEpsilonError, NotConvergedError, NumericalError
+from stableleaf.leaf import convex_hull_halfplanes, hull_contains, rk4_streamline
 
 
 def synthetic_budget(k0=2, kmax=8, eps0=1.0, xi_value=0.0):
@@ -81,6 +81,40 @@ def test_choose_epsilon_linear_reverify(linear_map):
     assert eps > 0.0
     assert eps * rep.gamma_required < 1.0
     assert math.exp(eps * L) < 2.0
+
+
+def test_hull_halfplanes_square():
+    pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.5), (0.5, 0.0), (1.0, 1.0)]
+    hp = convex_hull_halfplanes(pts)
+    assert hp.shape == (4, 3)  # the interior, edge and duplicate points add no edge
+    assert np.allclose(np.hypot(hp[:, 0], hp[:, 1]), 1.0)
+    for corner in pts[:4]:
+        assert np.max(hp[:, :2] @ corner + hp[:, 2]) == pytest.approx(0.0, abs=1e-15)
+    assert hull_contains(hp, [(0.5, 0.5), (0.0, 0.0), (1.0, 0.3)])
+    assert not hull_contains(hp, [(0.5, 0.5), (1.0 + 1e-9, 0.5)])
+
+
+@pytest.mark.parametrize("pts", [
+    [],
+    [(0.2, 0.3)],
+    [(0.2, 0.3)] * 4,
+    [(-1.0, -1.0), (1.0, 1.0)],
+    [(-1.0, -1.0), (0.0, 0.0), (1.0, 1.0), (0.5, 0.5), (0.0, 0.0)],
+    [(0.0, 2.0), (0.0, -1.0), (0.0, 0.5)],
+])
+def test_hull_without_interior_contains_no_square(pts):
+    hp = convex_hull_halfplanes(pts)
+    assert hp.shape == (0, 3)
+    assert not hull_contains(hp, [(0.0, 0.0), (1e-3, 1e-3), (0.0, 1e-3), (1e-3, 0.0)])
+
+
+def test_choose_epsilon_collinear_sample_rejects_every_rung():
+    # a diagonal sample through z has a bounding box holding every rung's
+    # square, but no interior, so the pre-check must reject all of them
+    b = synthetic_budget(eps0=1.0)
+    b.samples = {b.k0: [Point2(-1.0, -1.0), Point2(0.5, 0.5), Point2(1.0, 1.0)]}
+    with pytest.raises(NoFeasibleEpsilonError):
+        choose_epsilon(b, gamma=0.0, L=0.0, sched=EpsilonSchedule.constant(1.0))
 
 
 def test_integrate_leaf_linear_exact(linear_map):
@@ -227,6 +261,21 @@ def test_cauchy_not_converged_carries_report(henon_map):
     assert err.last_distance == err.report.d_k[-1]
 
 
+def test_cauchy_degenerate_leaves_not_converged(linear_map):
+    # every leaf stops at its centre node: the first RK4 stage leaves the box
+    sched = EpsilonSchedule.constant(0.1)
+    b = estimate_budget(linear_map, Point2(0, 0), sched, kmax=6, n=50, seed=1)
+    with pytest.raises(NotConvergedError) as exc:
+        cauchy_iterate(linear_map, Point2(0, 0), b, sched, 1e300, 6, 1e-8, L=0.0)
+    rep = exc.value.report
+    assert len(rep.limit.t) == 1
+    assert not rep.converged
+    assert np.all(np.isinf(rep.d_k))
+    with pytest.raises(DegenerateLeafError) as err:
+        contraction_check(linear_map, rep.limit, b, n=4, pairs=8, seed=1)
+    assert isinstance(err.value, NumericalError)
+
+
 def test_contraction_linear_exact(linear_map):
     # kmax well past the checked orders so the truncated gamma_tilde tail is
     # close to its limit (11/3) 2^-n
@@ -262,10 +311,10 @@ def test_uniqueness_probe_linear(linear_map):
 def test_uniqueness_probe_henon_off_leaf(henon_map):
     z = Point2(0.6313544770895252, 0.18940634312685756)
     sched = EpsilonSchedule.constant(0.05)
-    from stableleaf.budget import SAMPLE_SLACK, _reference_orbit
+    from stableleaf.budget import SAMPLE_SLACK, reference_orbit
     from stableleaf import first_tube_exit
 
-    ref = _reference_orbit(henon_map, z, 12)
+    ref = reference_orbit(henon_map, z, 12)
     leaf = integrate_leaf(henon_map, z, 10, 0.01)
     th = leaf.thetas[leaf.center_index]
     off = Point2(z.x - 1e-3 * math.sin(th), z.y + 1e-3 * math.cos(th))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from stableleaf import Point2, SplitRng, make_map
 from stableleaf.errors import BadParamsError, DomainError, NonFiniteError, UnknownMapError
-from stableleaf.maps import MapModel, SecondDeriv
+from stableleaf.maps import MapModel
 
 
 def fd_jacobian(m, x, y, h=1e-6):
@@ -74,13 +74,6 @@ def test_fd_second_derivative_oracle(henon_map, perturbed_map):
         t, _ = fd.second_derivative_data(p)
         for name, val in expect.items():
             assert getattr(t, name) == pytest.approx(val, abs=1e-5)
-
-
-def test_second_deriv_symmetry_exact():
-    # symmetrization holds exactly even for a deliberately asymmetric source
-    t = SecondDeriv(1.0, 0.25, -2.0, 0.5, 3.0, 4.0)
-    assert t.entry(0, 0, 1) == t.entry(0, 1, 0)
-    assert t.entry(1, 0, 1) == t.entry(1, 1, 0)
 
 
 def test_henon_constant_determinant(henon_map):

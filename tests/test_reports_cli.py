@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stableleaf
 from stableleaf.cli import run_command
 from stableleaf.leaf import LeafCurve
 from stableleaf.maps import Point2
@@ -132,6 +134,36 @@ def test_cli_numerical_failure_writes_partial(tmp_path, capsys):
     assert (out / "convergence.json").exists()
     conv = json.loads((out / "convergence.json").read_text())
     assert conv["converged"] is False
+
+
+def run_python(*argv):
+    """Run a fresh interpreter on argv with the tested stableleaf sources on its path."""
+    src = str(Path(stableleaf.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def test_cli_degenerate_leaf_exits_numerical(tmp_path):
+    # eps0 = 1e300 truncates every leaf to its centre node: no leaf arc is
+    # compared, so the run is not converged and exits 3 without a traceback
+    res = run_python(
+        "-m", "stableleaf", "converge", "--map", "linear", "--lambda-s", "0.5", "--lambda-u", "2",
+        "--eps0", "1e300", "--out-dir", str(tmp_path),
+    )
+    assert res.returncode == 3
+    assert "Traceback" not in res.stderr
+    assert json.loads((tmp_path / "convergence.json").read_text())["converged"] is False
+
+
+def test_cli_converge_never_imports_scipy(tmp_path):
+    code = (
+        "import sys\n"
+        "from stableleaf.cli import run_command\n"
+        f"rc = run_command({CONVERGE_ARGS + ['--out-dir', str(tmp_path)]!r})\n"
+        "print(rc, any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))\n"
+    )
+    res = run_python("-c", code)
+    assert res.stdout.split() == ["0", "False"], res.stderr
 
 
 def test_cli_budget_and_leaf_subcommands(tmp_path):
