@@ -119,14 +119,14 @@ def first_tube_exit(
 
 
 def reference_orbit(m: MapModel, z: Point2, nsteps: int) -> list[Point2]:
-    """The orbit z, phi(z), ..., phi^nsteps(z); raises OrbitEscapeError on escape."""
+    """The orbit z, phi(z), ..., phi^nsteps(z); OrbitEscapeError(j, z_j) if phi fails at z_j."""
     pts = [Point2(float(z[0]), float(z[1]))]
     x, y = pts[0]
     for j in range(nsteps):
         try:
             x, y = m.eval_xy(x, y)
         except (DomainError, NonFiniteError):
-            raise OrbitEscapeError(j + 1, Point2(x, y))
+            raise OrbitEscapeError(j, Point2(x, y))
         pts.append(Point2(x, y))
     return pts
 

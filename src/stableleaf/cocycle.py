@@ -133,31 +133,60 @@ class OrbitCocycle:
         return out
 
 
-def build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
-    """Walk the orbit kmax steps, collecting derivatives and growth quantities.
+def orbit_sweep(m: MapModel, x: float, y: float, k: int) -> tuple[list, list, list]:
+    """(orbit, steps, prods) of the k-step sweep from z_0 = (x, y), as plain tuples.
 
-    Raises OrbitEscapeError(j) if phi^j(z0) leaves the domain and
-    SingularStepError if any one-step derivative is singular.
+    orbit[j] = z_j and prods[j] = Dphi^j(z_0) for j = 0..k (prods[0] = I),
+    steps[j] = Dphi(z_j) for j < k. Step j checks z_j with ``m.in_domain`` and
+    Dphi(z_j), z_{j+1} for finiteness, raising OrbitEscapeError(j, z_j) on a
+    failure; z_k gets no domain check. m.raw_eval and m.raw_jac (else the
+    central-difference m.fd_jac) are read on every call.
+    """
+    ev = m.raw_eval
+    jac = m.raw_jac if m.raw_jac is not None else m.fd_jac
+    in_domain = m.in_domain
+    isfinite = math.isfinite
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    orbit = [(x, y)]
+    steps = []
+    prods = [(a, b, c, d)]
+    for j in range(k):
+        if not in_domain(x, y):
+            raise OrbitEscapeError(j, Point2(x, y))
+        s = j11, j12, j21, j22 = jac(x, y)
+        nx, ny = ev(x, y)
+        if not (isfinite(j11) and isfinite(j12) and isfinite(j21) and isfinite(j22)
+                and isfinite(nx) and isfinite(ny)):
+            raise OrbitEscapeError(j, Point2(x, y))
+        a, b, c, d = (
+            j11 * a + j12 * c,
+            j11 * b + j12 * d,
+            j21 * a + j22 * c,
+            j21 * b + j22 * d,
+        )
+        x, y = nx, ny
+        orbit.append((x, y))
+        steps.append(s)
+        prods.append((a, b, c, d))
+    return orbit, steps, prods
+
+
+def build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
+    """Sweep the orbit kmax steps, collecting derivatives and growth quantities.
+
+    Raises OrbitEscapeError(j) if the sweep fails at z_j or z_kmax leaves the
+    domain, and SingularStepError if any one-step derivative is singular.
     """
     if kmax < 1:
         raise IndexError("kmax must be >= 1")
-    x, y = float(z0[0]), float(z0[1])
-    orbit = [Point2(x, y)]
-    steps: list[Mat2] = []
-    eval_xy, jac_xy = m.eval_xy, m.jac_xy
-    for j in range(kmax + 1):
-        try:
-            steps.append(Mat2(*jac_xy(x, y)))
-        except (DomainError, NonFiniteError):
-            raise OrbitEscapeError(j, Point2(x, y))
-        if j < kmax:
-            try:
-                x, y = eval_xy(x, y)
-            except (DomainError, NonFiniteError):
-                raise OrbitEscapeError(j, Point2(x, y))
-            if not m.in_domain(x, y):
-                raise OrbitEscapeError(j + 1, Point2(x, y))
-            orbit.append(Point2(x, y))
+    orbit_xy, steps_xy, prods_xy = orbit_sweep(m, float(z0[0]), float(z0[1]), kmax)
+    orbit = [Point2(*p) for p in orbit_xy]
+    try:
+        steps_xy.append(m.jac_xy(*orbit[kmax]))
+    except (DomainError, NonFiniteError):
+        raise OrbitEscapeError(kmax, orbit[kmax])
+    steps = [Mat2(*s) for s in steps_xy]
+    prods = [Mat2(*p) for p in prods_xy]
 
     n = kmax + 1
     E = np.empty(n)
@@ -169,13 +198,8 @@ def build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
     Dd = np.empty(n)
     Ddt = np.empty(n)
     E[0] = F[0] = H[0] = 1.0
-
-    prods = [IDENTITY]
-    acc = IDENTITY
     for k in range(1, n):
-        acc = steps[k - 1].mul(acc)
-        prods.append(acc)
-        e, f = singular_values(acc)
+        e, f = singular_values(prods[k])
         E[k], F[k] = e, f
         H[k] = e / f if f > 0 else math.nan
 

@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .cocycle import CONFORMAL_TOL, OrbitCocycle, _contract_angle, singular_values
-from .errors import BoundViolationError, ConformalError, StencilEscapeError
-from .errors import DomainError, NonFiniteError
-from .maps import MapModel, Mat2, Point2
+from .cocycle import CONFORMAL_TOL, OrbitCocycle, _contract_angle, orbit_sweep, singular_values
+from .errors import BoundViolationError, ConformalError, OrbitEscapeError, StencilEscapeError
+from .maps import MapModel, Point2
 
 PI = math.pi
 
@@ -53,27 +52,17 @@ class DirectionSample:
     f: tuple[float, float]
 
 
+def _contracted_theta(p, k: int, at) -> tuple[float, float, float]:
+    """(theta_contract, E, F) of the order-k product p; ConformalError if E = F to round-off."""
+    e, f = singular_values(p)
+    if f == 0.0 or 1.0 - e / f < CONFORMAL_TOL:
+        raise ConformalError(f"order-{k} product conformal to round-off at {at}")
+    return _contract_angle(*p), e, f
+
+
 def contracted_theta_fast(m: MapModel, x: float, y: float, k: int) -> tuple[float, float, float]:
     """(theta_contract, E_k, F_k) of Dphi^k at (x, y); hot path for leaf tracing."""
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    jac = m.jac_xy
-    ev = m.eval_xy
-    for _ in range(k):
-        j11, j12, j21, j22 = jac(x, y)
-        a, b, c, d = (
-            j11 * a + j12 * c,
-            j11 * b + j12 * d,
-            j21 * a + j22 * c,
-            j21 * b + j22 * d,
-        )
-        x, y = ev(x, y)
-    s = a * a + b * b + c * c + d * d
-    r = math.hypot(a * a + c * c - b * b - d * d, 2.0 * (a * b + c * d))
-    f = math.sqrt(0.5 * (s + r))
-    e = abs(a * d - b * c) / f if f > 0.0 else 0.0
-    if f == 0.0 or 1.0 - e / f < CONFORMAL_TOL:
-        raise ConformalError(f"order-{k} product conformal to round-off at ({x}, {y})")
-    return _contract_angle(a, b, c, d), e, f
+    return _contracted_theta(orbit_sweep(m, x, y, k)[2][k], k, (x, y))
 
 
 def contracted_direction(c: OrbitCocycle, k: int) -> DirectionSample:
@@ -129,40 +118,18 @@ def pushforward_contraction(c: OrbitCocycle, k: int, j: int) -> tuple[float, flo
     """
     if not 1 <= j <= k <= c.kmax:
         raise IndexError(f"need 1 <= j <= k <= kmax, got j={j}, k={k}")
-    e = contracted_direction(c, k).e
-    vx, vy = c.products[j].apply(e[0], e[1])
+    thetas = [contracted_direction(c, i).theta for i in range(j, k + 1)]
+    vx, vy = c.products[j].apply(math.cos(thetas[-1]), math.sin(thetas[-1]))
     norm = math.hypot(vx, vy)
     gaps = 0.0
-    for i in range(j, k):
-        gaps += angle_gap(c, i).phi
+    for i in range(k - j):
+        gaps += angle_distance(thetas[i], thetas[i + 1])
     bound = c.E[j] + c.F[j] * gaps
     if norm > bound * (1.0 + 1e-9) + 1e-300:
         raise BoundViolationError(
             f"pushforward norm {norm} exceeds envelope {bound} at (k={k}, j={j})"
         )
     return norm, bound
-
-
-def _theta_series(m: MapModel, x: float, y: float, kmax: int) -> list[float]:
-    """theta_contract of Dphi^k at (x, y) for k = 1..kmax, from one product sweep."""
-    out = []
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    jac = m.jac_xy
-    ev = m.eval_xy
-    for k in range(kmax):
-        j11, j12, j21, j22 = jac(x, y)
-        a, b, c, d = (
-            j11 * a + j12 * c,
-            j11 * b + j12 * d,
-            j21 * a + j22 * c,
-            j21 * b + j22 * d,
-        )
-        x, y = ev(x, y)
-        e, f = singular_values(Mat2(a, b, c, d))
-        if f == 0.0 or 1.0 - e / f < CONFORMAL_TOL:
-            raise ConformalError(f"order-{k + 1} product conformal along the stencil sweep")
-        out.append(_contract_angle(a, b, c, d))
-    return out
 
 
 def _signed_gap(base: float, other: float) -> float:
@@ -193,13 +160,19 @@ def direction_field_derivative(
     """
     if not 1 <= k <= c.kmax:
         raise IndexError(f"k={k} out of range 1..{c.kmax}")
+
+    def thetas(x, y):
+        # theta_contract of Dphi^j at (x, y) for j = 1..k, from one sweep
+        prods = orbit_sweep(m, x, y, k)[2]
+        return [_contracted_theta(prods[j], j, (x, y))[0] for j in range(1, k + 1)]
+
     x0, y0 = c.z0
+    center = thetas(x0, y0)  # a failure at the base point raises as itself
     stencil = [(x0 + h, y0), (x0 - h, y0), (x0, y0 + h), (x0, y0 - h)]
     try:
-        series = [_theta_series(m, sx, sy, k) for sx, sy in stencil]
-    except (DomainError, NonFiniteError, ConformalError) as exc:
+        series = [thetas(sx, sy) for sx, sy in stencil]
+    except (OrbitEscapeError, ConformalError) as exc:
         raise StencilEscapeError(f"stencil point left the valid region: {exc}") from exc
-    center = _theta_series(m, x0, y0, k)
 
     inv2h = 0.5 / h
 

@@ -30,6 +30,7 @@ from .errors import (
     NoFixedPointError,
     NonFiniteError,
     NotHyperbolicError,
+    NumericalError,
     SpectralSlackError,
 )
 from .leaf import (
@@ -169,6 +170,7 @@ class GrowthReport:
     K_det_grad: float
     raw_ok: bool
     points_used: int
+    points_skipped: int          # sample points whose cocycle failed numerically
     kmax: int
     seed: int
 
@@ -215,7 +217,7 @@ def regular_growth_check(
     k_d2 = 1.0
     k_det = 1.0
     raw_ok = True
-    used = 0
+    used = skipped = 0
     ref = reference_orbit(m, fp.p, kmax - 1)
     for p in uniq:
         exit_j = first_tube_exit(m, ref, p, sched, kmax - 1)
@@ -224,7 +226,8 @@ def regular_growth_check(
             continue
         try:
             coc = build_orbit_cocycle(m, p, level)
-        except Exception:
+        except NumericalError:
+            skipped += 1
             continue
         used += 1
         sum_f = 1.0  # F_0
@@ -258,7 +261,7 @@ def regular_growth_check(
     return GrowthReport(
         K_fit=k_fit, K_upper_F=k_upper_f, K_lower_E=k_lower_e, K_sum_F=k_sum_f,
         K_tail_product=k_tail, K_sum_H=k_sum_h, K_second_deriv=k_d2, K_det_grad=k_det,
-        raw_ok=raw_ok, points_used=used, kmax=kmax, seed=seed,
+        raw_ok=raw_ok, points_used=used, points_skipped=skipped, kmax=kmax, seed=seed,
     )
 
 

@@ -22,9 +22,7 @@ from .directions import _signed_gap, contracted_theta_fast, field_lipschitz
 from .errors import (
     ConformalError,
     DegenerateLeafError,
-    DomainError,
     NoFeasibleEpsilonError,
-    NonFiniteError,
     NotConvergedError,
     OrbitEscapeError,
 )
@@ -102,14 +100,14 @@ def rk4_streamline(
                 k2x, k2y = fld(x + 0.5 * h * k1x, y + 0.5 * h * k1y, k1x, k1y)
                 k3x, k3y = fld(x + 0.5 * h * k2x, y + 0.5 * h * k2y, k2x, k2y)
                 k4x, k4y = fld(x + h * k3x, y + h * k3y, k3x, k3y)
-            except (DomainError, ConformalError, NonFiniteError, OrbitEscapeError):
+            except (ConformalError, OrbitEscapeError):
                 return xs, ys, ths, True
             x += sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
             y += sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
             ux, uy = k4x, k4y
         try:
             tx, ty = fld(x, y, ux, uy)
-        except (DomainError, ConformalError, NonFiniteError, OrbitEscapeError):
+        except (ConformalError, OrbitEscapeError):
             return xs, ys, ths, True
         ux, uy = tx, ty
         xs.append(x)
@@ -141,7 +139,7 @@ def integrate_leaf(
 
     grid_points must be odd (a center node plus symmetric sides). h is snapped
     to an integer number of steps per grid cell, at least one, so steps never
-    straddle recording nodes. A ConformalError or DomainError at z itself
+    straddle recording nodes. A ConformalError or OrbitEscapeError at z itself
     propagates; mid-trace failures truncate the corresponding side and set its
     flag.
     """
@@ -289,8 +287,8 @@ class ConvergenceReport:
     C_fit: Optional[float] = None
 
 
-def _leaf_distance(a: LeafCurve, bcurve: LeafCurve) -> tuple[float, bool]:
-    """Max pointwise distance at matched t over the common grid range.
+def _leaf_distance(a: LeafCurve, bcurve: LeafCurve) -> tuple[float, int]:
+    """Max pointwise distance at matched t over the common grid range, and its node count.
 
     Fewer than 2 common nodes span no arc, so the distance is +inf.
     """
@@ -301,10 +299,9 @@ def _leaf_distance(a: LeafCurve, bcurve: LeafCurve) -> tuple[float, bool]:
     sl_b = slice(ib + lo, ib + hi)
     dx = a.xs[sl_a] - bcurve.xs[sl_b]
     dy = a.ys[sl_a] - bcurve.ys[sl_b]
-    restricted = (hi - lo) < a.grid_points
     if hi - lo < 2:
-        return math.inf, restricted
-    return float(np.max(np.hypot(dx, dy))), restricted
+        return math.inf, hi - lo
+    return float(np.max(np.hypot(dx, dy))), hi - lo
 
 
 def cauchy_iterate(
@@ -346,9 +343,9 @@ def cauchy_iterate(
     tube_ok = []
     egl = math.exp(L * eps)
     for i, k in enumerate(ks):
-        d, restr = _leaf_distance(leaves[k], leaves[k + 1])
+        d, shared = _leaf_distance(leaves[k], leaves[k + 1])
         d_k[i] = d
-        restricted.append(restr)
+        restricted.append(shared < grid_points)
         xi_k = float(b.xi[k]) if k < len(b.xi) else math.inf
         bounds[i] = eps * xi_k * egl
 
@@ -377,7 +374,8 @@ def cauchy_iterate(
         tube_ok=tube_ok, restricted=restricted, converged=converged, limit=limit,
     )
     if not converged:
-        raise NotConvergedError(kmax, float(d_k[-1]), report=report)
+        why = f"order-{kmax - 1}/{kmax} leaves share {shared} of {grid_points} nodes" if shared < 2 else ""
+        raise NotConvergedError(kmax, float(d_k[-1]), report=report, why=why)
     return report
 
 

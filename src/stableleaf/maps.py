@@ -127,23 +127,24 @@ class MapModel:
 
     # -- first derivative ---------------------------------------------------
 
+    def fd_jac(self, x: float, y: float) -> tuple[float, float, float, float]:
+        """Central-difference Jacobian of raw_eval at (x, y); unchecked."""
+        h = JAC_STEP * max(1.0, math.hypot(x, y))
+        fxp = self.raw_eval(x + h, y)
+        fxm = self.raw_eval(x - h, y)
+        fyp = self.raw_eval(x, y + h)
+        fym = self.raw_eval(x, y - h)
+        inv2h = 0.5 / h
+        return (
+            (fxp[0] - fxm[0]) * inv2h,
+            (fyp[0] - fym[0]) * inv2h,
+            (fxp[1] - fxm[1]) * inv2h,
+            (fyp[1] - fym[1]) * inv2h,
+        )
+
     def jac_xy(self, x: float, y: float) -> tuple[float, float, float, float]:
         self._check_domain(x, y)
-        if self.raw_jac is not None:
-            j = self.raw_jac(x, y)
-        else:
-            h = JAC_STEP * max(1.0, math.hypot(x, y))
-            fxp = self.raw_eval(x + h, y)
-            fxm = self.raw_eval(x - h, y)
-            fyp = self.raw_eval(x, y + h)
-            fym = self.raw_eval(x, y - h)
-            inv2h = 0.5 / h
-            j = (
-                (fxp[0] - fxm[0]) * inv2h,
-                (fyp[0] - fym[0]) * inv2h,
-                (fxp[1] - fxm[1]) * inv2h,
-                (fyp[1] - fym[1]) * inv2h,
-            )
+        j = self.raw_jac(x, y) if self.raw_jac is not None else self.fd_jac(x, y)
         if not all(math.isfinite(v) for v in j):
             raise NonFiniteError(f"Jacobian of '{self.name}' non-finite at ({x}, {y})")
         return j
@@ -182,17 +183,11 @@ class MapModel:
         if self.raw_det_grad is not None:
             g = self.raw_det_grad(x, y)
         else:
+            jac = self.raw_jac if self.raw_jac is not None else self.fd_jac
+
             def det_at(px, py):
-                if self.raw_jac is not None:
-                    j = self.raw_jac(px, py)
-                    return j[0] * j[3] - j[1] * j[2]
-                hj = JAC_STEP * max(1.0, math.hypot(px, py))
-                i2 = 0.5 / hj
-                a = (self.raw_eval(px + hj, py)[0] - self.raw_eval(px - hj, py)[0]) * i2
-                b = (self.raw_eval(px, py + hj)[0] - self.raw_eval(px, py - hj)[0]) * i2
-                c = (self.raw_eval(px + hj, py)[1] - self.raw_eval(px - hj, py)[1]) * i2
-                d = (self.raw_eval(px, py + hj)[1] - self.raw_eval(px, py - hj)[1]) * i2
-                return a * d - b * c
+                j = jac(px, py)
+                return j[0] * j[3] - j[1] * j[2]
 
             g = (
                 (det_at(x + h, y) - det_at(x - h, y)) * 0.5 / h,

@@ -17,7 +17,7 @@ from stableleaf import (
     sample_neighborhood,
 )
 from stableleaf.budget import INCONCLUSIVE, INFEASIBLE, SUMMABLE_HEURISTIC, reference_orbit
-from stableleaf.errors import BadParamsError, EmptySampleError
+from stableleaf.errors import BadParamsError, EmptySampleError, OrbitEscapeError
 from stableleaf.maps import MapModel
 
 
@@ -105,6 +105,19 @@ def test_tube_membership_helpers(linear_map):
     assert first_tube_exit(linear_map, ref, Point2(0.05, 0.0), sched, 10) is None
     # off-axis probe exits when 2^j * dy > eps
     assert first_tube_exit(linear_map, ref, Point2(0.0, 0.01), sched, 10) == 4
+
+
+def test_reference_orbit_reports_the_escaping_iterate(linear_map, henon_map):
+    # z itself is outside the box: the orbit fails at step 0, at z
+    with pytest.raises(OrbitEscapeError) as exc:
+        reference_orbit(linear_map, Point2(100.0, 100.0), 3)
+    assert exc.value.step == 0
+    assert exc.value.point == Point2(100.0, 100.0)
+    # (2.5, 0) maps to (-7.75, 0.75), outside the box: step 1
+    with pytest.raises(OrbitEscapeError) as exc:
+        reference_orbit(henon_map, Point2(2.5, 0.0), 3)
+    assert exc.value.step == 1
+    assert exc.value.point == Point2(1.0 - 1.4 * 6.25, 0.75)
 
 
 def test_budget_linear_closed_forms(linear_map):

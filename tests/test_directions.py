@@ -200,8 +200,9 @@ def test_direction_field_derivative_henon(henon_map):
 
 
 def test_stencil_escape(henon_map):
-    # base point adjacent to the domain box edge: the stencil leaves it
-    z = Point2(4.9999999, 0.0)
+    # base point adjacent to the domain box edge, with its own orbit inside the
+    # box for 3 steps: the stencil point (2, 5.0009999) leaves it
+    z = Point2(2.0, 4.9999999)
     coc = build_orbit_cocycle(henon_map, Point2(0.1, 0.0), 3)
     coc.z0 = z
     with pytest.raises(StencilEscapeError):

@@ -152,7 +152,18 @@ def test_cli_degenerate_leaf_exits_numerical(tmp_path):
     )
     assert res.returncode == 3
     assert "Traceback" not in res.stderr
+    assert "order-11/12 leaves share 1 of 257 nodes" in res.stderr
     assert json.loads((tmp_path / "convergence.json").read_text())["converged"] is False
+
+
+def test_cli_conformal_base_point_is_not_a_stencil_escape(tmp_path, capsys):
+    # lambda_s = lambda_u = 1: every product is the identity, conformal at z itself
+    rc = run_command(["leaf", "--map", "linear", "--lambda-s", "1", "--lambda-u", "1",
+                      "--samples", "50", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "order-1 product conformal to round-off at (0.0, 0.0)" in err
+    assert "stencil" not in err
 
 
 def test_cli_converge_never_imports_scipy(tmp_path):
