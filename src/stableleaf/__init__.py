@@ -8,13 +8,10 @@ the quantitative hyperbolicity bounds that make the leaf sequence Cauchy.
 from .budget import (
     EpsilonSchedule,
     HyperbolicityBudget,
-    NeighborhoodSample,
     check_condition_double_star,
     check_condition_star,
     estimate_budget,
     first_tube_exit,
-    in_orbit_tube,
-    sample_neighborhood,
 )
 from .cocycle import OrbitCocycle, SingularFrame, build_orbit_cocycle, distortion_bounds, singular_frame
 from .directions import (

@@ -10,7 +10,7 @@ iterates j >= 1 are tested with the Euclidean norm. Draws depend only on
 subset of the accepted set for k.
 
 Budget maxima taken over a finite sample understate the true suprema; every
-downstream assertion that consumes them carries an explicit slack factor and
+downstream assertion that consumes them carries a stated slack factor and
 the condition verdicts are labeled heuristic.
 """
 
@@ -22,50 +22,29 @@ from typing import Optional
 
 import numpy as np
 
-from .cocycle import build_orbit_cocycle, distortion_bounds
-from .errors import (
-    BadParamsError,
-    DomainError,
-    EmptySampleError,
-    NonFiniteError,
-    OrbitEscapeError,
-    SingularStepError,
-)
+from .cocycle import build_orbit_cocycle, distortion_bounds, series_term
+from .errors import BadParamsError, DomainError, NonFiniteError, OrbitEscapeError, SingularStepError
 from .maps import MapModel, Point2
 from .rng import SplitRng
 
 NEIGHBORHOOD_STREAM = 0  # fixed substream tag for box draws
 SAMPLE_SLACK = 1.05      # stated slack for assertions against sampled maxima
 DEFAULT_SAMPLES = 2000
+LADDER_DEPTH = 40        # the epsilon ladder runs eps0 * 2^-m for m = 0..LADDER_DEPTH
 
 
 @dataclass(frozen=True)
 class EpsilonSchedule:
-    """Non-increasing positive tube radii eps_j.
-
-    Either generated as eps0 * decay^j (decay in (0, 1]) or given explicitly.
-    """
+    """Non-increasing positive tube radii eps_j = eps0 * decay^j, decay in (0, 1]."""
 
     eps0: float
     decay: float = 1.0
-    explicit: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
-        if self.explicit is not None:
-            vals = self.explicit
-            if len(vals) == 0:
-                raise BadParamsError("empty epsilon schedule")
-            for j, v in enumerate(vals):
-                if not (v > 0.0 and math.isfinite(v)):
-                    raise BadParamsError(f"eps_{j} must be positive and finite, got {v}")
-                if j > 0 and v > vals[j - 1]:
-                    raise BadParamsError(f"schedule must be non-increasing, eps_{j}={v} > eps_{j-1}={vals[j-1]}")
-            object.__setattr__(self, "eps0", float(vals[0]))
-        else:
-            if not (self.eps0 > 0.0 and math.isfinite(self.eps0)):
-                raise BadParamsError(f"eps0 must be positive and finite, got {self.eps0}")
-            if not (0.0 < self.decay <= 1.0):
-                raise BadParamsError(f"decay must be in (0, 1], got {self.decay}")
+        if not (self.eps0 > 0.0 and math.isfinite(self.eps0)):
+            raise BadParamsError(f"eps0 must be positive and finite, got {self.eps0}")
+        if not (0.0 < self.decay <= 1.0):
+            raise BadParamsError(f"decay must be in (0, 1], got {self.decay}")
 
     @classmethod
     def constant(cls, eta: float) -> "EpsilonSchedule":
@@ -75,22 +54,8 @@ class EpsilonSchedule:
     def from_decay(cls, eps0: float, decay: float) -> "EpsilonSchedule":
         return cls(eps0=eps0, decay=decay)
 
-    @classmethod
-    def from_list(cls, values) -> "EpsilonSchedule":
-        vals = tuple(float(v) for v in values)
-        return cls(eps0=vals[0] if vals else 0.0, decay=1.0, explicit=vals)
-
     def radius(self, j: int) -> float:
-        if self.explicit is not None:
-            if j >= len(self.explicit):
-                return self.explicit[-1]
-            return self.explicit[j]
         return self.eps0 * self.decay ** j
-
-
-def in_orbit_tube(m: MapModel, ref_orbit: list[Point2], x: Point2, sched: EpsilonSchedule, k: int) -> bool:
-    """Whether x belongs to the order-k neighborhood of the reference orbit."""
-    return first_tube_exit(m, ref_orbit, x, sched, k - 1) is None
 
 
 def first_tube_exit(
@@ -137,31 +102,6 @@ def _box_draws(z: Point2, eps0: float, n: int, seed: int) -> list[Point2]:
     return [Point2(*rng.point_in_box(cx, cy, eps0)) for _ in range(n)]
 
 
-@dataclass(frozen=True)
-class NeighborhoodSample:
-    k: int
-    points: list[Point2]
-    seed: int
-    requested: int
-    accepted: int
-
-
-def sample_neighborhood(
-    m: MapModel, z: Point2, sched: EpsilonSchedule, k: int, n: int, seed: int
-) -> NeighborhoodSample:
-    """Seeded rejection sample of the order-k neighborhood of z."""
-    if k < 1:
-        raise IndexError("k must be >= 1")
-    if n < 1:
-        raise IndexError("n must be >= 1")
-    ref = reference_orbit(m, z, max(k - 1, 0))
-    draws = _box_draws(z, sched.radius(0), n, seed)
-    accepted = [p for p in draws if first_tube_exit(m, ref, p, sched, k - 1) is None]
-    if not accepted:
-        raise EmptySampleError(k)
-    return NeighborhoodSample(k=k, points=accepted, seed=seed, requested=n, accepted=len(accepted))
-
-
 @dataclass
 class HyperbolicityBudget:
     """Sampled suprema of the per-order growth/distortion sequences.
@@ -193,7 +133,6 @@ class HyperbolicityBudget:
     gamma_required_argmax: Optional[tuple[int, int]]
     samples: dict = field(repr=False, default_factory=dict)
     accepted_counts: dict = field(default_factory=dict)
-    include_center: bool = True
 
 
 def estimate_budget(
@@ -203,17 +142,15 @@ def estimate_budget(
     kmax: int,
     n: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    include_center: bool = True,
 ) -> HyperbolicityBudget:
     """Estimate all budget sequences over sampled neighborhoods of z.
 
-    With include_center (default) the reference point itself, which belongs to
-    every neighborhood exactly, joins each level; without it an empty level
-    raises EmptySampleError. Orbit escapes of sample points demote the point to
-    the deepest level it reached.
+    The reference point itself, which belongs to every neighborhood exactly,
+    joins each level. Orbit escapes of sample points demote the point to the
+    deepest level it reached.
     """
     if kmax < 2:
-        raise IndexError("kmax must be >= 2")
+        raise BadParamsError(f"kmax must be >= 2, got {kmax}")
     ref = reference_orbit(m, z, kmax - 1)
     draws = _box_draws(z, sched.radius(0), n, seed)
 
@@ -273,18 +210,12 @@ def estimate_budget(
             samples[k].append(d)
         absorb(coc, level)
 
-    if include_center:
-        center_coc = build_orbit_cocycle(m, z, kmax)
-        absorb(center_coc, kmax)
-    else:
-        for k in range(1, km1):
-            if counts[k] == 0:
-                raise EmptySampleError(k)
+    absorb(build_orbit_cocycle(m, z, kmax), kmax)
 
     terms = np.full(kmax, math.inf)
     xi = np.full(kmax, math.inf)
     for k in range(kmax):
-        t = p[k] * q[k] * gamma[k + 1]
+        t = series_term(p[k], q[k], gamma[k + 1])
         terms[k] = t
         if t < 1.0:
             xi[k] = t / (1.0 - t)
@@ -312,12 +243,12 @@ def estimate_budget(
 
     star_terms = np.zeros(kmax)
     for k in range(kmax):
-        pq = p[k] * q[k]
+        pq = series_term(p[k], q[k])
         star_terms[k] = (
             terms[k]
-            + pt[k] * q[k] ** 5 * p[k] ** 3 * gamma_star[k + 1]
-            + pq ** 5 * delta[k]
-            + pq ** 2 * delta[k + 1]
+            + series_term(pt[k], (q[k], 5), (p[k], 3), gamma_star[k + 1])
+            + series_term((pq, 5), delta[k])
+            + series_term((pq, 2), delta[k + 1])
         )
     star_partial_sums = np.cumsum(star_terms[1:]) if kmax > 1 else np.zeros(0)
 
@@ -329,12 +260,15 @@ def estimate_budget(
         fmax=fmax, terms=terms, xi=xi, gamma_tilde=gamma_tilde,
         star_terms=star_terms, star_partial_sums=star_partial_sums,
         k0=k0, gamma_required=gamma_required, gamma_required_argmax=argmax,
-        samples=samples, accepted_counts=counts, include_center=include_center,
+        samples=samples, accepted_counts=counts,
     )
 
 
 def _gamma_required(k0, kmax, gamma_tilde, fmax, terms, sched) -> tuple[float, Optional[tuple[int, int]]]:
-    """Double max of (gamma_tilde_j + 4 Fmax_j * terms_k)/eps_j over k0 <= j <= k <= kmax-1."""
+    """Double max of (gamma_tilde_j + 4 Fmax_j * terms_k)/eps_j over k0 <= j <= k <= kmax-1.
+
+    A radius eps_j that underflows to 0 needs an infinite Gamma.
+    """
     if k0 is None or k0 > kmax - 1:
         return math.inf, None
     best = 0.0
@@ -342,7 +276,8 @@ def _gamma_required(k0, kmax, gamma_tilde, fmax, terms, sched) -> tuple[float, O
     for k in range(k0, kmax):
         for j in range(k0, k + 1):
             lhs = gamma_tilde[j] + 4.0 * fmax[j] * terms[k]
-            ratio = lhs / sched.radius(j)
+            radius = sched.radius(j)
+            ratio = lhs / radius if radius > 0.0 else math.inf
             if ratio > best:
                 best = ratio
                 argmax = (j, k)
@@ -359,7 +294,6 @@ class StarReport:
     terms: np.ndarray
     tail_ratio: Optional[float]
     verdict: str
-    truncated_at: int
 
 
 def check_condition_star(b: HyperbolicityBudget) -> StarReport:
@@ -383,7 +317,7 @@ def check_condition_star(b: HyperbolicityBudget) -> StarReport:
     elif len(window) >= 1 and np.all(window == 0.0):
         ratio = 0.0
         verdict = SUMMABLE_HEURISTIC
-    return StarReport(terms=terms, tail_ratio=ratio, verdict=verdict, truncated_at=b.kmax)
+    return StarReport(terms=terms, tail_ratio=ratio, verdict=verdict)
 
 
 @dataclass(frozen=True)
@@ -391,9 +325,7 @@ class DoubleStarReport:
     gamma_required: float
     argmax_j: Optional[int]
     argmax_k: Optional[int]
-    k0: Optional[int]
     verdict: str
-    truncated_at: int
 
 
 def check_condition_double_star(b: HyperbolicityBudget, sched: EpsilonSchedule) -> DoubleStarReport:
@@ -405,13 +337,11 @@ def check_condition_double_star(b: HyperbolicityBudget, sched: EpsilonSchedule) 
     eps * gamma_required < 1.
     """
     gamma_required, argmax = _gamma_required(b.k0, b.kmax, b.gamma_tilde, b.fmax, b.terms, sched)
-    ladder_min = sched.radius(0) * 2.0 ** -40
+    ladder_min = sched.radius(0) * 2.0 ** -LADDER_DEPTH
     verdict = INFEASIBLE if (not math.isfinite(gamma_required) or ladder_min * gamma_required >= 1.0) else "FEASIBLE"
     return DoubleStarReport(
         gamma_required=gamma_required,
         argmax_j=argmax[0] if argmax else None,
         argmax_k=argmax[1] if argmax else None,
-        k0=b.k0,
         verdict=verdict,
-        truncated_at=b.kmax,
     )

@@ -58,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--h", type=float, default=None, help="leaf integration step override")
-        p.add_argument("--delta", type=float, default=None, help="spectral slack for fixedpoint")
         p.add_argument("--out-dir", default=".")
         p.add_argument("--config", default=None, help="key=value file; keys map 1:1 to flags")
     return ap
@@ -153,7 +152,7 @@ def _cmd_budget(ns, out_dir: str) -> int:
 
 def _choose_eps(ns, m, z, sched, b):
     dstar = check_condition_double_star(b, sched)
-    L = field_lipschitz(m, build_orbit_cocycle(m, z, ns.kmax), ns.kmax, budget=b)
+    L = field_lipschitz(m, build_orbit_cocycle(m, z, ns.kmax), ns.kmax)
     eps = leaf_mod.choose_epsilon(b, dstar.gamma_required, L, sched)
     return eps, L
 
@@ -192,14 +191,14 @@ def _cmd_converge(ns, out_dir: str) -> int:
     m, z, sched, b = _pipeline_common(ns)
     eps, L = _choose_eps(ns, m, z, sched, b)
     try:
-        report = leaf_mod.cauchy_iterate(m, z, b, sched, eps, ns.kmax, ns.tol, h=ns.h, L=L)
+        report = leaf_mod.cauchy_iterate(m, z, b, sched, eps, ns.kmax, ns.tol, L=L, h=ns.h)
     except NotConvergedError as exc:
         if exc.report is not None:
             emit_json(_convergence_payload(m, ns, exc.report), os.path.join(out_dir, "convergence.json"))
             emit_leaf_csv(exc.report.limit, os.path.join(out_dir, "leaf.csv"), k_override=-1)
         raise
     contraction = leaf_mod.contraction_check(
-        m, report.limit, b, n=min(ns.kmax, (b.k0 or 1) + 10), pairs=64, seed=ns.seed
+        m, report.limit, b, n=leaf_mod.contraction_fit_top(b, ns.kmax), seed=ns.seed
     )
     report.C_fit = contraction.C_fit
     emit_json(_convergence_payload(m, ns, report), os.path.join(out_dir, "convergence.json"))
@@ -210,7 +209,7 @@ def _cmd_converge(ns, out_dir: str) -> int:
 def _cmd_fixedpoint(ns, out_dir: str) -> int:
     m = _build_map(ns)
     guess = _parse_point(ns.z)
-    fp = fp_mod.eigen_split(m, guess, eta=ns.eps0, delta=ns.delta)
+    fp = fp_mod.eigen_split(m, guess, eta=ns.eps0)
     report = fp_mod.verify_fixed_point_theorem(
         m, fp, eta=ns.eps0, kmax=ns.kmax, seed=ns.seed, n=ns.samples, tol=ns.tol, h=ns.h
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConformalError, OrbitEscapeError, SingularMatrixError, SingularStepError
+from .errors import BadParamsError, ConformalError, OrbitEscapeError, SingularMatrixError, SingularStepError
 from .errors import DomainError, NonFiniteError
 from .maps import IDENTITY, MapModel, Mat2, Point2
 
@@ -41,6 +41,25 @@ def singular_values(m: Mat2) -> tuple[float, float]:
         return 0.0, 0.0
     e = abs(det) / f
     return e, f
+
+
+def series_term(*factors) -> float:
+    """Product of nonnegative series factors, a power x**n written as (x, n).
+
+    A term with an exactly zero factor is 0, also where another factor
+    overflows to +inf; a term whose nonzero factors overflow is +inf, so inf*0
+    never turns a term into NaN. Python floats keep overflow silent.
+    """
+    powers = [f if isinstance(f, tuple) else (f, 1) for f in factors]
+    if any(x == 0.0 for x, _ in powers):
+        return 0.0
+    out = 1.0
+    for x, n in powers:
+        try:
+            out *= float(x) ** n if n != 1 else float(x)
+        except OverflowError:  # float ** raises where float * gives inf
+            out = math.inf
+    return out
 
 
 @dataclass(frozen=True)
@@ -63,7 +82,7 @@ def _contract_angle(a: float, b: float, c: float, d: float) -> float:
     qa = a * b + c * d
     qb = a * a + c * c - b * b - d * d
     th = 0.5 * math.atan2(2.0 * qa, qb)  # the *expanded* stationary branch
-    # resolve the branch pair {th, th + pi/2} by explicit norm evaluation
+    # resolve the branch pair {th, th + pi/2} by evaluating both norms
     ct, st = math.cos(th), math.sin(th)
     n1 = (a * ct + b * st) ** 2 + (c * ct + d * st) ** 2
     n2 = (-a * st + b * ct) ** 2 + (-c * st + d * ct) ** 2
@@ -122,7 +141,7 @@ class OrbitCocycle:
         if k in self._tails:
             return self._tails[k]
         if not 1 <= k <= self.kmax:
-            raise IndexError(f"k={k} out of range 1..{self.kmax}")
+            raise BadParamsError(f"k={k} out of range 1..{self.kmax}")
         out = [0.0] * k
         t = IDENTITY
         out[k - 1] = 1.0
@@ -175,10 +194,11 @@ def build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
     """Sweep the orbit kmax steps, collecting derivatives and growth quantities.
 
     Raises OrbitEscapeError(j) if the sweep fails at z_j or z_kmax leaves the
-    domain, and SingularStepError if any one-step derivative is singular.
+    domain, and SingularStepError if a product Dphi^k underflows to zero or
+    any one-step derivative is singular.
     """
     if kmax < 1:
-        raise IndexError("kmax must be >= 1")
+        raise BadParamsError(f"kmax must be >= 1, got {kmax}")
     orbit_xy, steps_xy, prods_xy = orbit_sweep(m, float(z0[0]), float(z0[1]), kmax)
     orbit = [Point2(*p) for p in orbit_xy]
     try:
@@ -200,8 +220,10 @@ def build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
     E[0] = F[0] = H[0] = 1.0
     for k in range(1, n):
         e, f = singular_values(prods[k])
+        if f == 0.0:
+            raise SingularStepError(f"order-{k} product Dphi^{k} underflows to zero at {tuple(orbit[0])}")
         E[k], F[k] = e, f
-        H[k] = e / f if f > 0 else math.nan
+        H[k] = e / f
 
     for j in range(n):
         sj = steps[j]
@@ -232,7 +254,7 @@ def distortion_bounds(c: OrbitCocycle, k: int) -> tuple[float, float]:
     H_k ||D^2 phi^k|| / ||Dphi^k||; d2_rhs bounds ||D(det Dphi^k)|| / ||Dphi^k||^2.
     """
     if not 1 <= k <= c.kmax:
-        raise IndexError(f"k={k} out of range 1..{c.kmax}")
+        raise BadParamsError(f"k={k} out of range 1..{c.kmax}")
     tails = c.tail_norms(k)
     s1 = 0.0
     s2 = 0.0

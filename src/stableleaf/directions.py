@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .cocycle import CONFORMAL_TOL, OrbitCocycle, _contract_angle, orbit_sweep, singular_values
-from .errors import BoundViolationError, ConformalError, OrbitEscapeError, StencilEscapeError
+from .cocycle import CONFORMAL_TOL, OrbitCocycle, _contract_angle, orbit_sweep, series_term, singular_values
+from .errors import BadParamsError, BoundViolationError, ConformalError, OrbitEscapeError, StencilEscapeError
 from .maps import MapModel, Point2
 
 PI = math.pi
@@ -68,7 +68,7 @@ def contracted_theta_fast(m: MapModel, x: float, y: float, k: int) -> tuple[floa
 def contracted_direction(c: OrbitCocycle, k: int) -> DirectionSample:
     """Most contracted direction of Dphi^k at the cocycle base point."""
     if not 1 <= k <= c.kmax:
-        raise IndexError(f"k={k} out of range 1..{c.kmax}")
+        raise BadParamsError(f"k={k} out of range 1..{c.kmax}")
     if c.H[k] >= 1.0 - CONFORMAL_TOL:
         raise ConformalError(f"H_{k} = {c.H[k]} too close to 1; direction undefined")
     a, b, cc, d = c.products[k]
@@ -97,7 +97,7 @@ def angle_gap(c: OrbitCocycle, k: int, budget=None) -> AngleGapRecord:
     bound = +inf rather than raising.
     """
     if not 1 <= k <= c.kmax - 1:
-        raise IndexError(f"k={k} needs orders k and k+1 within 1..{c.kmax}")
+        raise BadParamsError(f"k={k} needs orders k and k+1 within 1..{c.kmax}")
     th_k = contracted_direction(c, k).theta
     th_k1 = contracted_direction(c, k + 1).theta
     phi = angle_distance(th_k, th_k1)
@@ -117,7 +117,7 @@ def pushforward_contraction(c: OrbitCocycle, k: int, j: int) -> tuple[float, flo
     inequality fails beyond round-off slack.
     """
     if not 1 <= j <= k <= c.kmax:
-        raise IndexError(f"need 1 <= j <= k <= kmax, got j={j}, k={k}")
+        raise BadParamsError(f"need 1 <= j <= k <= kmax, got j={j}, k={k}")
     thetas = [contracted_direction(c, i).theta for i in range(j, k + 1)]
     vx, vy = c.products[j].apply(math.cos(thetas[-1]), math.sin(thetas[-1]))
     norm = math.hypot(vx, vy)
@@ -159,7 +159,7 @@ def direction_field_derivative(
     reported; nothing is asserted, since sampled maxima understate suprema.
     """
     if not 1 <= k <= c.kmax:
-        raise IndexError(f"k={k} out of range 1..{c.kmax}")
+        raise BadParamsError(f"k={k} out of range 1..{c.kmax}")
 
     def thetas(x, y):
         # theta_contract of Dphi^j at (x, y) for j = 1..k, from one sweep
@@ -194,16 +194,16 @@ def direction_field_derivative(
         top = min(k, budget.kmax - 1)
         l_bound = 0.0
         for j in range(1, top + 1):
-            pq = budget.p[j] * budget.q[j]
+            pq = series_term(budget.p[j], budget.q[j])
             l_bound += (
-                cf.gap_sq * pq * pq * budget.delta[j + 1]
-                + cf.gap_fifth * pq ** 5 * budget.delta[j]
-                + cf.gap_cubic * pq ** 3 * budget.q[j] ** 2 * budget.pt[j] * budget.gamma_star[j + 1]
+                series_term(cf.gap_sq, pq, pq, budget.delta[j + 1])
+                + series_term(cf.gap_fifth, (pq, 5), budget.delta[j])
+                + series_term(cf.gap_cubic, (pq, 3), (budget.q[j], 2), budget.pt[j], budget.gamma_star[j + 1])
             )
     return l_meas, l_bound
 
 
-def field_lipschitz(m: MapModel, c: OrbitCocycle, k: int, budget=None) -> float:
+def field_lipschitz(m: MapModel, c: OrbitCocycle, k: int) -> float:
     """Measured L of the order-k field at the cocycle base point z, FD step 1e-4*max(1, |z|)."""
     h = 1e-4 * max(1.0, math.hypot(c.z0[0], c.z0[1]))
-    return direction_field_derivative(m, c, k, h, budget=budget)[0]
+    return direction_field_derivative(m, c, k, h)[0]

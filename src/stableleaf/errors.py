@@ -54,12 +54,6 @@ class ConformalError(NumericalError):
     """E and F coincide to round-off; the contracted direction is undefined."""
 
 
-class EmptySampleError(NumericalError):
-    def __init__(self, k: int):
-        super().__init__(f"no sample points accepted into the order-{k} neighborhood")
-        self.k = k
-
-
 class NoFeasibleEpsilonError(NumericalError):
     pass
 

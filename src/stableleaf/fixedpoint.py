@@ -15,7 +15,6 @@ import numpy as np
 
 from .budget import (
     EpsilonSchedule,
-    HyperbolicityBudget,
     check_condition_double_star,
     check_condition_star,
     estimate_budget,
@@ -40,12 +39,15 @@ from .leaf import (
     cauchy_iterate,
     choose_epsilon,
     contraction_check,
+    contraction_fit_top,
     uniqueness_probe,
 )
 from .maps import MapModel, Point2
 
 UNIT_CIRCLE_TOL = 1e-9
 NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 100
+UNIQUENESS_PROBES = 200
 K_FIT_CAP = 1e6
 
 
@@ -76,23 +78,18 @@ def _eigenvector(j11, j12, j21, j22, lam) -> tuple[float, float]:
     return vx, vy
 
 
-def eigen_split(
-    m: MapModel,
-    guess: Point2,
-    eta: float = 0.05,
-    delta: Optional[float] = None,
-    max_iter: int = 100,
-) -> FixedPointData:
+def eigen_split(m: MapModel, guess: Point2, eta: float = 0.05) -> FixedPointData:
     """Locate a hyperbolic saddle near guess and split its eigendata.
 
     Newton iteration p <- p - (Dphi(p) - I)^-1 (phi(p) - p), damped on residual
-    growth, to residual 1e-12. Refuses eigenvalues within 1e-9 of the unit
-    circle (NotHyperbolicError) and non-saddle spectra.
+    growth, to residual 1e-12 within NEWTON_MAX_ITER steps. Refuses eigenvalues
+    within 1e-9 of the unit circle (NotHyperbolicError) and non-saddle spectra.
+    The spectral slack delta is 0.05 * (|lambda_u| - 1).
     """
     x, y = float(guess[0]), float(guess[1])
     fx, fy = m.eval_xy(x, y)
     res = math.hypot(fx - x, fy - y)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if res <= NEWTON_TOL:
             break
         j11, j12, j21, j22 = m.jac_xy(x, y)
@@ -139,8 +136,6 @@ def eigen_split(
     ls, lu = (l1, l2) if abs(l1) < abs(l2) else (l2, l1)
     if not (0.0 < abs(ls) < 1.0 < abs(lu)):
         raise NotHyperbolicError(f"not a saddle: |eigenvalues| = {abs(ls)}, {abs(lu)}")
-    if delta is None:
-        delta = 0.05 * (abs(lu) - 1.0)
     return FixedPointData(
         p=Point2(x, y),
         lambda_s=ls,
@@ -148,7 +143,7 @@ def eigen_split(
         Es=_eigenvector(j11, j12, j21, j22, ls),
         Eu=_eigenvector(j11, j12, j21, j22, lu),
         eta=eta,
-        delta=delta,
+        delta=0.05 * (abs(lu) - 1.0),
     )
 
 
@@ -189,7 +184,7 @@ def regular_growth_check(
     inequality fails (F_j >= (|lu|-d)^j or E_j <= (|ls|+d)^j) or when the
     fitted K exceeds 1e6.
     """
-    if sched.decay != 1.0 or sched.explicit is not None:
+    if sched.decay != 1.0:
         raise BadParamsError("regular growth check requires a constant schedule eps_j = eta")
     lu = abs(fp.lambda_u)
     ls = abs(fp.lambda_s)
@@ -318,10 +313,7 @@ def verify_fixed_point_theorem(
     seed: int,
     n: int = 2000,
     tol: float = 1e-8,
-    grid_points: int = 257,
     h: Optional[float] = None,
-    pairs: int = 64,
-    probes: int = 200,
 ) -> TheoremReport:
     """Run the full pipeline at the fixed point and report the four conclusions.
 
@@ -342,19 +334,16 @@ def verify_fixed_point_theorem(
     dstar = check_condition_double_star(b, sched)
 
     coc = _stage("cocycle", build_orbit_cocycle, m, fp.p, kmax)
-    L = _stage("direction-derivative", field_lipschitz, m, coc, kmax, budget=b)
+    L = _stage("direction-derivative", field_lipschitz, m, coc, kmax)
 
     eps = _stage("choose-epsilon", choose_epsilon, b, dstar.gamma_required, L, sched)
-    conv = _stage(
-        "cauchy-iterate", cauchy_iterate, m, fp.p, b, sched, eps, kmax, tol,
-        h=h, grid_points=grid_points, L=L,
-    )
+    conv = _stage("cauchy-iterate", cauchy_iterate, m, fp.p, b, sched, eps, kmax, tol, L=L, h=h)
     limit = conv.limit
 
-    fit_top = min(kmax, (b.k0 or 1) + 10)
-    contraction = _stage("contraction", contraction_check, m, limit, b, n=fit_top, pairs=pairs, seed=seed)
+    fit_top = contraction_fit_top(b, kmax)
+    contraction = _stage("contraction", contraction_check, m, limit, b, n=fit_top, seed=seed)
     conv.C_fit = contraction.C_fit
-    uniq = _stage("uniqueness", uniqueness_probe, m, fp.p, sched, limit, kmax, probes=probes, seed=seed)
+    uniq = _stage("uniqueness", uniqueness_probe, m, fp.p, sched, limit, kmax, probes=UNIQUENESS_PROBES, seed=seed)
 
     # (1) tangency at p against the stable eigenvector
     th_leaf = float(limit.thetas[limit.center_index])
@@ -391,7 +380,7 @@ def verify_fixed_point_theorem(
         tangency_error=tangency, length_pos=len_pos, length_neg=len_neg,
         full_length=full, fitted_rate=rate, rate_deviation=rate_dev,
         uniqueness_survivors=uniq.survivors, uniqueness_on_leaf_exits=uniq.on_leaf_exits,
-        probe_count=probes, convergence=conv, contraction=contraction, uniqueness=uniq,
+        probe_count=UNIQUENESS_PROBES, convergence=conv, contraction=contraction, uniqueness=uniq,
         minidistortion_ok=_minidistortion_ok(coc),
         k0_ok=b.k0 is not None and all(b.terms[k] < 0.5 for k in range(b.k0 - 1, b.kmax)),
     )

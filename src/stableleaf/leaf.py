@@ -16,10 +16,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .budget import EpsilonSchedule, HyperbolicityBudget, first_tube_exit, reference_orbit
-from .cocycle import build_orbit_cocycle
-from .directions import _signed_gap, contracted_theta_fast, field_lipschitz
+from .budget import LADDER_DEPTH, EpsilonSchedule, HyperbolicityBudget, first_tube_exit, reference_orbit
+from .directions import _signed_gap, contracted_theta_fast
 from .errors import (
+    BadParamsError,
     ConformalError,
     DegenerateLeafError,
     NoFeasibleEpsilonError,
@@ -31,6 +31,9 @@ from .rng import SplitRng
 
 DEFAULT_GRID = 257
 DEFAULT_STEP_DIV = 512  # default h = eps / 512
+TUBE_STRIDE = 4         # tube containment displaces every 4th leaf node (plus the ends)
+CONTRACTION_PAIRS = 64  # leaf point pairs sampled by the contraction check
+CONTRACTION_ORDERS = 10  # the contraction fit runs up to 10 orders past k0
 
 _PAIR_STREAM = 2
 _PROBE_STREAM = 3
@@ -57,7 +60,6 @@ class LeafCurve:
     truncated_neg: bool
     truncated_pos: bool
     grid_points: int
-    limit: bool = False
 
     def tangent_lipschitz(self) -> float:
         """Max |d theta / d t| over the grid (Lipschitz estimate of the tangent)."""
@@ -144,9 +146,9 @@ def integrate_leaf(
     flag.
     """
     if grid_points < 3 or grid_points % 2 == 0:
-        raise IndexError("grid_points must be odd and >= 3")
+        raise BadParamsError(f"grid_points must be odd and >= 3, got {grid_points}")
     if eps <= 0.0:
-        raise IndexError("eps must be positive")
+        raise BadParamsError(f"eps must be positive, got {eps}")
     zx, zy = float(z[0]), float(z[1])
     n_side = (grid_points - 1) // 2
     spacing = eps / n_side
@@ -227,7 +229,6 @@ def choose_epsilon(
     gamma: float,
     L: float,
     sched: EpsilonSchedule,
-    ladder_depth: int = 40,
 ) -> float:
     """Largest dyadic eps = eps0 * 2^-m satisfying the leaf-length constraints.
 
@@ -247,11 +248,11 @@ def choose_epsilon(
     hull = convex_hull_halfplanes(k0_sample + [b.z]) if k0_sample else None
     zx, zy = b.z
     eps0 = sched.radius(0)
-    for mexp in range(ladder_depth + 1):
+    for mexp in range(LADDER_DEPTH + 1):
         eps = eps0 * 2.0 ** -mexp
         if not eps * gamma < 1.0:
             continue
-        if not math.exp(eps * L) < 2.0:
+        if not (eps * L < 1.0 and math.exp(eps * L) < 2.0):  # exp(1) > 2, and exp cannot overflow
             continue
         if hull is not None:
             r = eps + eps * math.exp(eps * L) * xi_max
@@ -260,7 +261,7 @@ def choose_epsilon(
                 continue
         return eps
     raise NoFeasibleEpsilonError(
-        f"no feasible eps on the dyadic ladder eps0*2^-m, m <= {ladder_depth} "
+        f"no feasible eps on the dyadic ladder eps0*2^-m, m <= {LADDER_DEPTH} "
         f"(gamma={gamma:.3e}, L={L:.3e})"
     )
 
@@ -312,14 +313,13 @@ def cauchy_iterate(
     eps: float,
     kmax: int,
     tol: float,
+    L: float,
     h: Optional[float] = None,
-    grid_points: int = DEFAULT_GRID,
-    L: Optional[float] = None,
-    tube_stride: int = 4,
 ) -> ConvergenceReport:
     """Integrate leaves for k = k0..kmax and verify the Gronwall Cauchy bounds.
 
-    Tube containment is checked by displacing every tube_stride-th grid node
+    L is the direction-field Lipschitz constant of the Gronwall envelope.
+    Tube containment is checked by displacing every TUBE_STRIDE-th grid node
     (plus the endpoints) of the order-k leaf by +/- omega_k along the expanded
     direction and testing membership in the order-(k+1) orbit tube. Raises
     NotConvergedError (carrying the partial report) when the last comparison
@@ -329,11 +329,9 @@ def cauchy_iterate(
         raise NoFeasibleEpsilonError("budget has no k0")
     k0 = b.k0
     if kmax <= k0:
-        raise IndexError(f"kmax={kmax} must exceed k0={k0}")
-    if L is None:
-        L = field_lipschitz(m, build_orbit_cocycle(m, z, kmax), kmax, budget=b)
+        raise BadParamsError(f"kmax={kmax} must exceed k0={k0}")
 
-    leaves = {k: integrate_leaf(m, z, k, eps, h=h, grid_points=grid_points) for k in range(k0, kmax + 1)}
+    leaves = {k: integrate_leaf(m, z, k, eps, h=h) for k in range(k0, kmax + 1)}
 
     ref = reference_orbit(m, z, kmax - 1)
     ks = list(range(k0, kmax))
@@ -345,14 +343,14 @@ def cauchy_iterate(
     for i, k in enumerate(ks):
         d, shared = _leaf_distance(leaves[k], leaves[k + 1])
         d_k[i] = d
-        restricted.append(shared < grid_points)
+        restricted.append(shared < DEFAULT_GRID)
         xi_k = float(b.xi[k]) if k < len(b.xi) else math.inf
         bounds[i] = eps * xi_k * egl
 
         leafk = leaves[k]
         omega = bounds[i]
         ok = True
-        idxs = set(range(0, len(leafk.t), tube_stride)) | {0, len(leafk.t) - 1}
+        idxs = set(range(0, len(leafk.t), TUBE_STRIDE)) | {0, len(leafk.t) - 1}
         for idx in sorted(idxs):
             fx, fy = -math.sin(leafk.thetas[idx]), math.cos(leafk.thetas[idx])
             px, py = leafk.xs[idx], leafk.ys[idx]
@@ -365,16 +363,14 @@ def cauchy_iterate(
                 break
         tube_ok.append(ok)
 
-    limit = leaves[kmax]
-    limit.limit = True
     converged = bool(d_k[-1] < tol)
     report = ConvergenceReport(
         k0=k0, kmax=kmax, eps_chosen=eps, L_used=L, tol=tol,
         ks=ks, d_k=d_k, gronwall_bound=bounds,
-        tube_ok=tube_ok, restricted=restricted, converged=converged, limit=limit,
+        tube_ok=tube_ok, restricted=restricted, converged=converged, limit=leaves[kmax],
     )
     if not converged:
-        why = f"order-{kmax - 1}/{kmax} leaves share {shared} of {grid_points} nodes" if shared < 2 else ""
+        why = f"order-{kmax - 1}/{kmax} leaves share {shared} of {DEFAULT_GRID} nodes" if shared < 2 else ""
         raise NotConvergedError(kmax, float(d_k[-1]), report=report, why=why)
     return report
 
@@ -385,13 +381,16 @@ def cauchy_iterate(
 @dataclass
 class ContractionReport:
     n: int
-    orders: list[int]
     max_ratio: np.ndarray        # per order, max over sampled pairs
     widest_ratio: np.ndarray     # per order, ratio of the widest sampled pair
     gamma_tilde: np.ndarray      # budget envelope per order
     C_fit: float
-    pairs: int
     seed: int
+
+
+def contraction_fit_top(b: HyperbolicityBudget, kmax: int) -> int:
+    """Last order n of the contraction fit: CONTRACTION_ORDERS past k0, at most kmax."""
+    return min(kmax, (b.k0 or 1) + CONTRACTION_ORDERS)
 
 
 def contraction_check(
@@ -399,20 +398,19 @@ def contraction_check(
     leaf: LeafCurve,
     b: HyperbolicityBudget,
     n: int,
-    pairs: int,
     seed: int,
 ) -> ContractionReport:
     """Forward-image distance ratios of leaf point pairs against gamma_tilde.
 
-    For each sampled pair (t1, t2) the ratio |phi^n'(z_t1) - phi^n'(z_t2)| /
-    |z_t1 - z_t2| is recorded for n' = 0..n; C_fit is the max over
-    n' >= max(k0, 1) of max_ratio / gamma_tilde. The widest pair's ratio
-    sequence is kept separately: rate fits use it because round-off injected
-    along the orbit amplifies in the expanded direction and floors the ratios
-    of narrowly separated pairs first.
+    For each of CONTRACTION_PAIRS sampled pairs (t1, t2) the ratio
+    |phi^n'(z_t1) - phi^n'(z_t2)| / |z_t1 - z_t2| is recorded for n' = 0..n;
+    C_fit is the max over n' >= max(k0, 1) of max_ratio / gamma_tilde. The
+    widest pair's ratio sequence is kept separately: rate fits use it because
+    round-off injected along the orbit amplifies in the expanded direction and
+    floors the ratios of narrowly separated pairs first.
     """
     if n > b.kmax:
-        raise IndexError(f"n={n} exceeds the budget range kmax={b.kmax}")
+        raise BadParamsError(f"n={n} exceeds the budget range kmax={b.kmax}")
     rng = SplitRng(seed).substream(_PAIR_STREAM)
     npts = len(leaf.t)
     if npts < 2:
@@ -421,7 +419,7 @@ def contraction_check(
     widest_ratio = np.zeros(n + 1)
     widest_d0 = 0.0
     ev = m.eval_xy
-    for _ in range(pairs):
+    for _ in range(CONTRACTION_PAIRS):
         i = rng.randint(npts)
         j = rng.randint(npts)
         while j == i:
@@ -448,8 +446,7 @@ def contraction_check(
         if gt[order] > 0.0:
             cfit = max(cfit, max_ratio[order] / gt[order])
     return ContractionReport(
-        n=n, orders=list(range(n + 1)), max_ratio=max_ratio, widest_ratio=widest_ratio,
-        gamma_tilde=gt, C_fit=cfit, pairs=pairs, seed=seed,
+        n=n, max_ratio=max_ratio, widest_ratio=widest_ratio, gamma_tilde=gt, C_fit=cfit, seed=seed,
     )
 
 

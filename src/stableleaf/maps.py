@@ -14,7 +14,7 @@ pure, so they are safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .errors import BadParamsError, DomainError, NonFiniteError, UnknownMapError
@@ -122,9 +122,6 @@ class MapModel:
             raise NonFiniteError(f"map '{self.name}' returned non-finite value at ({x}, {y})")
         return fx, fy
 
-    def evaluate(self, p: Point2) -> Point2:
-        return Point2(*self.eval_xy(p[0], p[1]))
-
     # -- first derivative ---------------------------------------------------
 
     def fd_jac(self, x: float, y: float) -> tuple[float, float, float, float]:
@@ -148,9 +145,6 @@ class MapModel:
         if not all(math.isfinite(v) for v in j):
             raise NonFiniteError(f"Jacobian of '{self.name}' non-finite at ({x}, {y})")
         return j
-
-    def jacobian(self, p: Point2) -> Mat2:
-        return Mat2(*self.jac_xy(p[0], p[1]))
 
     # -- second derivative ----------------------------------------------------
 
@@ -250,19 +244,15 @@ def _henon(a: float, b: float, box) -> MapModel:
     )
 
 
-def make_map(name: str, require_hyperbolic: bool = False, box=DEFAULT_BOX, **params) -> MapModel:
+def make_map(name: str, box=DEFAULT_BOX, **params) -> MapModel:
     """Build one of the built-in maps; unknown names raise UnknownMapError."""
     if name == "linear":
         ls, lu = _require(params, "lambda_s", "lambda_u")
-        if require_hyperbolic and (abs(ls) >= 1.0 or abs(lu) <= 1.0):
-            raise BadParamsError(f"linear map not hyperbolic: |lambda_s|={abs(ls)}, |lambda_u|={abs(lu)}")
         if ls == 0.0 or lu == 0.0:
             raise BadParamsError("linear map must be invertible (nonzero eigenvalues)")
         return _linear(ls, lu, box)
     if name == "perturbed":
         ls, lu, c = _require(params, "lambda_s", "lambda_u", "c")
-        if require_hyperbolic and (abs(ls) >= 1.0 or abs(lu) <= 1.0):
-            raise BadParamsError(f"perturbed map not hyperbolic: |lambda_s|={abs(ls)}, |lambda_u|={abs(lu)}")
         if ls == 0.0 or lu == 0.0:
             raise BadParamsError("perturbed map needs nonzero lambda_s, lambda_u")
         return _perturbed(ls, lu, c, box)

@@ -112,13 +112,3 @@ def emit_leaf_csv(leaf, path, k_override=None) -> None:
     text = "\n".join(leaf_csv_lines(leaf, k_override)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-def emit_report(report: Any, path) -> None:
-    """Write any report: leaf curves as CSV, everything else as canonical JSON."""
-    from .leaf import LeafCurve
-
-    if isinstance(report, LeafCurve):
-        emit_leaf_csv(report, path, k_override=-1 if report.limit else None)
-    else:
-        emit_json(report, path)

@@ -78,7 +78,7 @@ def test_criterion_1_linear_end_to_end():
     limit = conv.limit
     assert np.max(np.abs(limit.ys)) <= 1e-9
     assert abs(limit.thetas[limit.center_index]) <= 1e-10
-    cr = contraction_check(m, limit, b, n=12, pairs=64, seed=7)
+    cr = contraction_check(m, limit, b, n=12, seed=7)
     for n in range(13):
         assert abs(cr.max_ratio[n] - 0.5 ** n) <= 1e-9 * 0.5 ** n
     elapsed = time.perf_counter() - t0

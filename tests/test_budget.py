@@ -12,12 +12,10 @@ from stableleaf import (
     check_condition_star,
     estimate_budget,
     first_tube_exit,
-    in_orbit_tube,
     make_map,
-    sample_neighborhood,
 )
 from stableleaf.budget import INCONCLUSIVE, INFEASIBLE, SUMMABLE_HEURISTIC, reference_orbit
-from stableleaf.errors import BadParamsError, EmptySampleError, OrbitEscapeError
+from stableleaf.errors import BadParamsError, OrbitEscapeError
 from stableleaf.maps import MapModel
 
 
@@ -36,11 +34,6 @@ def rotationlike_map():
 def test_schedule_validation():
     s = EpsilonSchedule.from_decay(0.1, 0.5)
     assert s.radius(0) == 0.1 and s.radius(2) == 0.025
-    EpsilonSchedule.from_list([0.1, 0.1, 0.05])
-    with pytest.raises(BadParamsError):
-        EpsilonSchedule.from_list([0.1, 0.2])
-    with pytest.raises(BadParamsError):
-        EpsilonSchedule.from_list([0.1, -0.05])
     with pytest.raises(BadParamsError):
         EpsilonSchedule.from_decay(0.1, 1.5)
     with pytest.raises(BadParamsError):
@@ -51,56 +44,56 @@ def test_schedule_validation():
 
 def test_sample_k1_accepts_all(linear_map):
     sched = EpsilonSchedule.constant(0.1)
-    s = sample_neighborhood(linear_map, Point2(0, 0), sched, k=1, n=500, seed=9)
-    assert s.accepted == s.requested == 500
-    assert len(s.points) == 500
+    b = estimate_budget(linear_map, Point2(0, 0), sched, kmax=2, n=500, seed=9)
+    assert b.accepted_counts[1] == b.n == 500
+    assert len(b.samples[1]) == 500
 
 
 def test_sample_determinism(henon_map):
     sched = EpsilonSchedule.constant(0.05)
     z = Point2(0.63, 0.19)
-    a = sample_neighborhood(henon_map, z, sched, k=3, n=400, seed=42)
-    b = sample_neighborhood(henon_map, z, sched, k=3, n=400, seed=42)
-    assert a.points == b.points
-    c = sample_neighborhood(henon_map, z, sched, k=3, n=400, seed=43)
-    assert a.points != c.points
+    a = estimate_budget(henon_map, z, sched, kmax=3, n=400, seed=42)
+    b = estimate_budget(henon_map, z, sched, kmax=3, n=400, seed=42)
+    assert a.samples[3] == b.samples[3]
+    assert a.accepted_counts == b.accepted_counts
+    c = estimate_budget(henon_map, z, sched, kmax=3, n=400, seed=43)
+    assert a.samples[3] != c.samples[3]
 
 
 def test_sample_nesting(linear_map, henon_map):
     sched = EpsilonSchedule.constant(0.1)
     for m, z in ((linear_map, Point2(0, 0)), (henon_map, Point2(0.63, 0.19))):
-        prev = None
-        for k in range(1, 6):
-            s = sample_neighborhood(m, z, sched, k=k, n=600, seed=5)
-            pts = set(s.points)
-            if prev is not None:
-                assert pts <= prev
-            prev = pts
+        b = estimate_budget(m, z, sched, kmax=5, n=600, seed=5)
+        for k in range(1, 5):
+            assert set(b.samples[k + 1]) <= set(b.samples[k])
+            assert b.accepted_counts[k] == len(b.samples[k])
 
 
 def test_linear_acceptance_region_thins(linear_map):
     # exact order-k region for the linear map pinches in y like lu^-(k-1)
     sched = EpsilonSchedule.constant(0.1)
     k = 5
-    s = sample_neighborhood(linear_map, Point2(0, 0), sched, k=k, n=4000, seed=11)
-    ymax = max(abs(p.y) for p in s.points)
+    b = estimate_budget(linear_map, Point2(0, 0), sched, kmax=k, n=4000, seed=11)
+    ymax = max(abs(p.y) for p in b.samples[k])
     cap = 0.1 * 2.0 ** -(k - 1)
     assert ymax <= cap
     assert ymax >= 0.8 * cap  # the sample actually fills the thin box
 
 
-def test_empty_sample_error(henon_map):
-    sched = EpsilonSchedule.constant(0.05)
-    with pytest.raises(EmptySampleError) as exc:
-        sample_neighborhood(henon_map, Point2(0.63, 0.19), sched, k=12, n=5, seed=3)
-    assert exc.value.k == 12
+def test_underflowing_radius_needs_infinite_gamma(linear_map):
+    # eps_2 = 0.1 * (1e-300)^2 underflows to 0: no finite Gamma fits a zero-radius tube
+    sched = EpsilonSchedule.from_decay(0.1, 1e-300)
+    assert sched.radius(2) == 0.0
+    b = estimate_budget(linear_map, Point2(0, 0), sched, kmax=4, n=20, seed=1)
+    assert b.gamma_required == math.inf
+    assert check_condition_double_star(b, sched).verdict == INFEASIBLE
 
 
 def test_tube_membership_helpers(linear_map):
     sched = EpsilonSchedule.constant(0.1)
     ref = reference_orbit(linear_map, Point2(0, 0), 10)
-    assert in_orbit_tube(linear_map, ref, Point2(0.05, 0.001), sched, 4)
-    assert not in_orbit_tube(linear_map, ref, Point2(0.05, 0.09), sched, 4)
+    assert first_tube_exit(linear_map, ref, Point2(0.05, 0.001), sched, 3) is None
+    assert first_tube_exit(linear_map, ref, Point2(0.05, 0.09), sched, 3) is not None
     assert first_tube_exit(linear_map, ref, Point2(0.2, 0.0), sched, 10) == 0
     assert first_tube_exit(linear_map, ref, Point2(0.05, 0.0), sched, 10) is None
     # off-axis probe exits when 2^j * dy > eps
@@ -216,12 +209,6 @@ def test_double_star_zero_budget(linear_map):
     b.fmax[:] = 0.0
     rep = check_condition_double_star(b, sched)
     assert rep.gamma_required == 0.0
-
-
-def test_budget_without_center_raises(linear_map):
-    sched = EpsilonSchedule.constant(0.1)
-    with pytest.raises(EmptySampleError):
-        estimate_budget(linear_map, Point2(0, 0), sched, kmax=16, n=30, seed=9, include_center=False)
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stableleaf import Mat2, Point2, SplitRng, build_orbit_cocycle, distortion_bounds, singular_frame
+from stableleaf import Mat2, Point2, SplitRng, build_orbit_cocycle, distortion_bounds, make_map, singular_frame
 from stableleaf.cocycle import singular_values
 from stableleaf.errors import ConformalError, OrbitEscapeError, SingularMatrixError, SingularStepError
 from stableleaf.maps import MapModel
@@ -213,6 +213,16 @@ def test_orbit_escape_and_singular_step(henon_map):
     )
     with pytest.raises(SingularStepError):
         build_orbit_cocycle(pinch, Point2(0.0, 0.5), 2)
+
+
+def test_product_underflow_is_a_singular_step():
+    # every step is invertible, but the squared entries of Dphi^2 =
+    # diag(1e-260, 4e-260) underflow, so its singular values read 0 and
+    # E_2/F_2 and the distortion bounds would be 0/0
+    m = make_map("linear", lambda_s=1e-130, lambda_u=2e-130)
+    assert build_orbit_cocycle(m, Point2(0.0, 0.0), 1).F[1] == 2e-130
+    with pytest.raises(SingularStepError, match="order-2 product"):
+        build_orbit_cocycle(m, Point2(0.0, 0.0), 3)
 
 
 @settings(max_examples=200, deadline=None)

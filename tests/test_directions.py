@@ -13,10 +13,11 @@ from stableleaf import (
     contracted_direction,
     direction_field_derivative,
     fold_angle,
+    make_map,
     pushforward_contraction,
 )
 from stableleaf.directions import ANGLE_COEFFS, contracted_theta_fast
-from stableleaf.errors import ConformalError, StencilEscapeError
+from stableleaf.errors import BadParamsError, ConformalError, StencilEscapeError, ValidationError
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -197,6 +198,41 @@ def test_direction_field_derivative_henon(henon_map):
     l_meas, l_bound = direction_field_derivative(henon_map, c, 4, 1e-4, budget=b)
     assert math.isfinite(l_meas) and l_meas > 0.0
     assert math.isfinite(l_bound) and l_bound > 0.0
+
+
+def test_field_derivative_bound_overflow_beside_zero():
+    # q = 1/E_1 = 5e167 overflows (p q)^5 and (p q)^2, while p~ and delta are 0:
+    # each such term is 0, where inf * 0 used to make the bound NaN
+    import stableleaf.budget as bm
+
+    m = make_map("linear", lambda_s=0.5, lambda_u=2e-168)
+    b = bm.estimate_budget(m, Point2(0, 0), bm.EpsilonSchedule.constant(0.1), kmax=4, n=20, seed=1)
+    assert b.q[1] == 5e167 and not b.pt.any() and not b.delta.any()
+    c = build_orbit_cocycle(m, Point2(0, 0), 4)
+    l_meas, l_bound = direction_field_derivative(m, c, 3, 1e-4, budget=b)
+    assert math.isfinite(l_meas)
+    assert l_bound == 0.0
+
+
+def test_k_range_errors_are_bad_params(linear_map):
+    import stableleaf.budget as bm
+    from stableleaf import distortion_bounds
+
+    c = build_orbit_cocycle(linear_map, Point2(0.1, 0.01), 4)
+    calls = [
+        lambda: c.tail_norms(5),
+        lambda: distortion_bounds(c, 0),
+        lambda: contracted_direction(c, 5),
+        lambda: angle_gap(c, 4),
+        lambda: pushforward_contraction(c, 2, 3),
+        lambda: direction_field_derivative(linear_map, c, 5, 1e-4),
+        lambda: build_orbit_cocycle(linear_map, Point2(0, 0), 0),
+        lambda: bm.estimate_budget(linear_map, Point2(0, 0), bm.EpsilonSchedule.constant(0.1), kmax=1),
+    ]
+    for call in calls:
+        with pytest.raises(BadParamsError) as exc:
+            call()
+        assert isinstance(exc.value, ValidationError)
 
 
 def test_stencil_escape(henon_map):

@@ -16,8 +16,8 @@ from stableleaf import (
     uniqueness_probe,
 )
 from stableleaf.budget import SAMPLE_SLACK, HyperbolicityBudget
-from stableleaf.directions import direction_field_derivative
-from stableleaf.errors import DegenerateLeafError, NoFeasibleEpsilonError, NotConvergedError, NumericalError
+from stableleaf.directions import direction_field_derivative, field_lipschitz
+from stableleaf.errors import BadParamsError, DegenerateLeafError, NoFeasibleEpsilonError, NotConvergedError, NumericalError
 from stableleaf.leaf import convex_hull_halfplanes, hull_contains, rk4_streamline
 
 
@@ -55,6 +55,13 @@ def test_choose_epsilon_infeasible():
     sched = EpsilonSchedule.constant(1.0)
     with pytest.raises(NoFeasibleEpsilonError):
         choose_epsilon(b, gamma=math.inf, L=0.0, sched=sched)
+
+
+def test_choose_epsilon_huge_eps_l_is_infeasible():
+    # eps * L = 1e300 at the top rung: exp(eps * L) would overflow
+    b = synthetic_budget()
+    with pytest.raises(NoFeasibleEpsilonError):
+        choose_epsilon(b, gamma=0.0, L=1e300, sched=EpsilonSchedule.constant(1.0))
 
 
 def test_choose_epsilon_hull_precheck_bites(linear_map):
@@ -128,16 +135,16 @@ def test_integrate_leaf_linear_exact(linear_map):
 
 
 def test_integrate_leaf_validation(linear_map):
-    with pytest.raises(IndexError):
+    with pytest.raises(BadParamsError):
         integrate_leaf(linear_map, Point2(0, 0), 3, 0.1, grid_points=64)  # even
-    with pytest.raises(IndexError):
+    with pytest.raises(BadParamsError):
         integrate_leaf(linear_map, Point2(0, 0), 3, -0.1)
 
 
 def test_cauchy_validation(linear_map):
     sched = EpsilonSchedule.constant(0.1)
     b = estimate_budget(linear_map, Point2(0, 0), sched, kmax=6, n=50, seed=1)
-    with pytest.raises(IndexError):
+    with pytest.raises(BadParamsError):
         cauchy_iterate(linear_map, Point2(0, 0), b, sched, 0.01, b.k0, 1e-6, L=0.0)
 
 
@@ -216,7 +223,6 @@ def test_cauchy_linear_identical_leaves(linear_map):
     assert conv.converged
     assert all(conv.tube_ok)
     assert not any(conv.restricted)
-    assert conv.limit.limit
 
 
 def test_cauchy_perturbed_gronwall(perturbed_map):
@@ -253,8 +259,9 @@ def test_cauchy_not_converged_carries_report(henon_map):
     z = Point2(0.6313544770895252, 0.18940634312685756)
     sched = EpsilonSchedule.constant(0.05)
     b = estimate_budget(henon_map, z, sched, kmax=6, n=300, seed=7)
+    L = field_lipschitz(henon_map, build_orbit_cocycle(henon_map, z, 6), 6)
     with pytest.raises(NotConvergedError) as exc:
-        cauchy_iterate(henon_map, z, b, sched, 0.01, 6, tol=1e-300)
+        cauchy_iterate(henon_map, z, b, sched, 0.01, 6, tol=1e-300, L=L)
     err = exc.value
     assert err.report is not None
     assert len(err.report.d_k) == len(err.report.ks)
@@ -272,7 +279,7 @@ def test_cauchy_degenerate_leaves_not_converged(linear_map):
     assert not rep.converged
     assert np.all(np.isinf(rep.d_k))
     with pytest.raises(DegenerateLeafError) as err:
-        contraction_check(linear_map, rep.limit, b, n=4, pairs=8, seed=1)
+        contraction_check(linear_map, rep.limit, b, n=4, seed=1)
     assert isinstance(err.value, NumericalError)
 
 
@@ -280,7 +287,7 @@ def test_contraction_linear_exact(linear_map):
     # kmax well past the checked orders so the truncated gamma_tilde tail is
     # close to its limit (11/3) 2^-n
     b, sched, eps, conv = _linear_pipeline(linear_map, kmax=16)
-    cr = contraction_check(linear_map, conv.limit, b, n=10, pairs=48, seed=2)
+    cr = contraction_check(linear_map, conv.limit, b, n=10, seed=2)
     assert cr.max_ratio[0] == 1.0
     for n in range(11):
         assert cr.max_ratio[n] == pytest.approx(0.5 ** n, rel=1e-12)
@@ -291,8 +298,8 @@ def test_contraction_linear_exact(linear_map):
 
 def test_contraction_rejects_deep_n(linear_map):
     b, sched, eps, conv = _linear_pipeline(linear_map)
-    with pytest.raises(IndexError):
-        contraction_check(linear_map, conv.limit, b, n=b.kmax + 1, pairs=8, seed=1)
+    with pytest.raises(BadParamsError):
+        contraction_check(linear_map, conv.limit, b, n=b.kmax + 1, seed=1)
 
 
 def test_uniqueness_probe_linear(linear_map):

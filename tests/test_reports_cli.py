@@ -217,14 +217,51 @@ def test_cli_config_file(tmp_path):
     assert (out / "budget.json").exists()
 
 
-def test_emit_report_dispatch(tmp_path):
-    from stableleaf.reports import emit_report
+def test_cli_delta_flag_removed(tmp_path, capsys):
+    # --delta drove no computation; the flag and the config key are rejected
+    args = ["fixedpoint", "--map", "linear", "--lambda-s", "0.5", "--lambda-u", "2", "--out-dir", str(tmp_path)]
+    assert run_command(args + ["--delta", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "--delta" in err and "Traceback" not in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("map=linear\nlambda-s=0.5\nlambda-u=2\ndelta=5\n")
+    assert run_command(["fixedpoint", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "--delta" in err and "Traceback" not in err
+    assert not (tmp_path / "fixedpoint.json").exists()
 
-    leaf = tiny_leaf()
-    emit_report(leaf, tmp_path / "leaf.csv")
-    assert (tmp_path / "leaf.csv").read_text().splitlines()[0] == "t,x,y,theta,k"
-    emit_report({"a": 1.5}, tmp_path / "r.json")
-    assert json.loads((tmp_path / "r.json").read_text()) == {"a": 1.5}
+
+def test_cli_overflowing_star_terms_stay_finite(tmp_path):
+    # q = 1/E = 5e167 overflows q^5 beside p~ = delta = 0, and gamma_k = 0 for
+    # k >= 2: every (*) term past k = 0 is exactly 0, not inf * 0 = NaN
+    rc = run_command(["budget", "--map", "linear", "--lambda-s", "0.5", "--lambda-u=2e-168",
+                      "--out-dir", str(tmp_path)])
+    assert rc == 0
+    rep = json.loads((tmp_path / "budget.json").read_text())
+    assert all(math.isfinite(t) for t in rep["star_terms"])
+    assert rep["star_terms"][1:] == [0.0] * (len(rep["star_terms"]) - 1)
+    assert rep["star_verdict"] == "SUMMABLE_HEURISTIC"
+
+
+def test_cli_underflowing_product_exits_numerical(tmp_path, capsys):
+    # Dphi^2 at the base point underflows to the zero matrix
+    tiny = "5.633351377464542e-131"
+    rc = run_command(["leaf", "--map", "perturbed", f"--lambda-s={tiny}", f"--lambda-u={tiny}", f"--c={tiny}",
+                      "--z=0.021236870351144965,-0.1715702845708269", "--eps0=0.445558497450236",
+                      "--decay=0.7260566776114386", "--kmax=5", "--samples=16", "--seed=2097153",
+                      "--out-dir", str(tmp_path)])
+    assert rc == 3
+    assert "order-2 product Dphi^2 underflows to zero" in capsys.readouterr().err
+
+
+def test_cli_epsilon_ladder_with_huge_eps_l(tmp_path, capsys):
+    # eps0 = 1e300 puts eps * L far past the range of exp on the top rungs
+    rc = run_command(["fixedpoint", "--map", "henon", "--a=1.7299327359653565", "--b=0.8238968049670701",
+                      "--z=-0.42226108498514403,0.05374399616018577", "--eps0=1e300",
+                      "--decay=0.130614464372712", "--kmax=4", "--samples=39", "--seed=1277108571",
+                      "--out-dir", str(tmp_path)])
+    assert rc == 3
+    assert "no feasible eps" in capsys.readouterr().err
 
 
 def test_cli_config_unknown_key(tmp_path, capsys):
