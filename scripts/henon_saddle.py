@@ -10,6 +10,7 @@ import math
 
 from stableleaf import Point2, eigen_split, make_map, verify_fixed_point_theorem
 from stableleaf.cli import run_command
+from stableleaf.fixedpoint import UNIQUENESS_PROBES
 
 
 def main():
@@ -31,8 +32,8 @@ def main():
           f"(eps = {rep.eps}, full = {rep.full_length})")
     print(f"(3) contraction rate: {rep.fitted_rate:.6f} vs ln|lambda_s| = "
           f"{math.log(abs(fp.lambda_s)):.6f} (dev {rep.rate_deviation:.3e})")
-    print(f"(4) uniqueness: {rep.uniqueness_survivors}/{rep.probe_count} box probes survive; "
-          f"{rep.uniqueness_on_leaf_exits} leaf points exit")
+    print(f"(4) uniqueness: {rep.uniqueness.survivors}/{UNIQUENESS_PROBES} box probes survive; "
+          f"{rep.uniqueness.on_leaf_exits} leaf points exit")
 
     code = run_command([
         "fixedpoint", "--map", "henon", "--a", "1.4", "--b", "0.3",

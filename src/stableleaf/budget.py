@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cocycle import build_orbit_cocycle, distortion_bounds, series_term
+from .cocycle import OrbitCocycle, build_orbit_cocycle, distortion_bounds, series_term
 from .errors import BadParamsError, DomainError, NonFiniteError, OrbitEscapeError, SingularStepError
 from .maps import MapModel, Point2
 from .rng import SplitRng
@@ -49,10 +49,6 @@ class EpsilonSchedule:
     @classmethod
     def constant(cls, eta: float) -> "EpsilonSchedule":
         return cls(eps0=eta, decay=1.0)
-
-    @classmethod
-    def from_decay(cls, eps0: float, decay: float) -> "EpsilonSchedule":
-        return cls(eps0=eps0, decay=decay)
 
     def radius(self, j: int) -> float:
         return self.eps0 * self.decay ** j
@@ -109,6 +105,7 @@ class HyperbolicityBudget:
     Arrays are indexed by k = 0..kmax with identity-cocycle conventions at 0
     (gamma_0 = gamma*_0 = fmax_0 = 1, delta_0 = 0). terms[k] = p_k q_k gamma_{k+1}
     and xi[k] = terms[k]/(1-terms[k]) exist for k = 0..kmax-1 (+inf past 1).
+    cocycle is the order-kmax cocycle at z itself.
     """
 
     z: Point2
@@ -129,8 +126,7 @@ class HyperbolicityBudget:
     star_terms: np.ndarray
     star_partial_sums: np.ndarray
     k0: Optional[int]
-    gamma_required: float
-    gamma_required_argmax: Optional[tuple[int, int]]
+    cocycle: OrbitCocycle = field(repr=False)
     samples: dict = field(repr=False, default_factory=dict)
     accepted_counts: dict = field(default_factory=dict)
 
@@ -210,7 +206,8 @@ def estimate_budget(
             samples[k].append(d)
         absorb(coc, level)
 
-    absorb(build_orbit_cocycle(m, z, kmax), kmax)
+    center = build_orbit_cocycle(m, z, kmax)
+    absorb(center, kmax)
 
     terms = np.full(kmax, math.inf)
     xi = np.full(kmax, math.inf)
@@ -225,21 +222,15 @@ def estimate_budget(
     for k in range(kmax):
         if not terms[k] < 0.5:
             last_bad = k
-    k0: Optional[int] = last_bad + 2
-    if k0 > kmax - 1:
-        k0 = None if last_bad == kmax - 1 else k0
-    if k0 is not None and k0 < 1:
-        k0 = 1
+    k0 = None if last_bad == kmax - 1 else last_bad + 2
 
-    gamma_tilde = np.zeros(km1)
     tail = 0.0
-    # tail sums run down from kmax-1 (truncation index = kmax)
+    # tail sums run down from kmax-1 (truncation index = kmax, where the tail is 0)
     tails = np.zeros(km1)
     for k in range(kmax - 1, -1, -1):
         tail += terms[k]
         tails[k] = tail
-    for k in range(km1):
-        gamma_tilde[k] = gamma_star[k] + 2.0 * fmax[k] * (tails[k] if k < km1 - 1 else 0.0)
+    gamma_tilde = gamma_star + 2.0 * fmax * tails
 
     star_terms = np.zeros(kmax)
     for k in range(kmax):
@@ -252,36 +243,13 @@ def estimate_budget(
         )
     star_partial_sums = np.cumsum(star_terms[1:]) if kmax > 1 else np.zeros(0)
 
-    gamma_required, argmax = _gamma_required(k0, kmax, gamma_tilde, fmax, terms, sched)
-
     return HyperbolicityBudget(
         z=Point2(*z), kmax=kmax, n=n, seed=seed, eps0=sched.radius(0),
         p=p, q=q, pt=pt, gamma=gamma, gamma_star=gamma_star, delta=delta,
         fmax=fmax, terms=terms, xi=xi, gamma_tilde=gamma_tilde,
         star_terms=star_terms, star_partial_sums=star_partial_sums,
-        k0=k0, gamma_required=gamma_required, gamma_required_argmax=argmax,
-        samples=samples, accepted_counts=counts,
+        k0=k0, cocycle=center, samples=samples, accepted_counts=counts,
     )
-
-
-def _gamma_required(k0, kmax, gamma_tilde, fmax, terms, sched) -> tuple[float, Optional[tuple[int, int]]]:
-    """Double max of (gamma_tilde_j + 4 Fmax_j * terms_k)/eps_j over k0 <= j <= k <= kmax-1.
-
-    A radius eps_j that underflows to 0 needs an infinite Gamma.
-    """
-    if k0 is None or k0 > kmax - 1:
-        return math.inf, None
-    best = 0.0
-    argmax = None
-    for k in range(k0, kmax):
-        for j in range(k0, k + 1):
-            lhs = gamma_tilde[j] + 4.0 * fmax[j] * terms[k]
-            radius = sched.radius(j)
-            ratio = lhs / radius if radius > 0.0 else math.inf
-            if ratio > best:
-                best = ratio
-                argmax = (j, k)
-    return best, argmax
 
 
 SUMMABLE_HEURISTIC = "SUMMABLE_HEURISTIC"
@@ -332,11 +300,20 @@ def check_condition_double_star(b: HyperbolicityBudget, sched: EpsilonSchedule) 
     """Minimal Gamma comparing the contraction envelope against the schedule.
 
     gamma_required = max over k0 <= j <= k <= kmax-1 of
-    (gamma_tilde_j + 4 Fmax_j p_k q_k gamma_{k+1}) / eps_j. INFEASIBLE when
-    even the bottom of the dyadic epsilon ladder cannot satisfy
-    eps * gamma_required < 1.
+    (gamma_tilde_j + 4 Fmax_j p_k q_k gamma_{k+1}) / eps_j, +inf without such
+    a (j, k) or where a radius eps_j underflows to 0. INFEASIBLE when even the
+    bottom of the dyadic epsilon ladder cannot satisfy eps * gamma_required < 1.
     """
-    gamma_required, argmax = _gamma_required(b.k0, b.kmax, b.gamma_tilde, b.fmax, b.terms, sched)
+    gamma_required, argmax = math.inf, None
+    if b.k0 is not None and b.k0 <= b.kmax - 1:
+        gamma_required = 0.0
+        for k in range(b.k0, b.kmax):
+            for j in range(b.k0, k + 1):
+                lhs = b.gamma_tilde[j] + 4.0 * b.fmax[j] * b.terms[k]
+                radius = sched.radius(j)
+                ratio = lhs / radius if radius > 0.0 else math.inf
+                if ratio > gamma_required:
+                    gamma_required, argmax = ratio, (j, k)
     ladder_min = sched.radius(0) * 2.0 ** -LADDER_DEPTH
     verdict = INFEASIBLE if (not math.isfinite(gamma_required) or ladder_min * gamma_required >= 1.0) else "FEASIBLE"
     return DoubleStarReport(

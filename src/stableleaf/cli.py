@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: budget, leaf, converge, fixedpoint. Exit codes: 0 success,
-2 validation error, 3 numerical failure (a partial report is still written
-when one exists). All randomness flows from --seed, so identical invocations
-produce byte-identical artifacts.
+2 validation error, 3 numerical failure, which names its pipeline stage (a
+partial report is still written when one exists). All randomness flows from
+--seed, so identical invocations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -13,13 +13,10 @@ import math
 import os
 import sys
 
-from . import budget as budget_mod
 from . import fixedpoint as fp_mod
-from . import leaf as leaf_mod
-from .budget import EpsilonSchedule, check_condition_double_star, check_condition_star, estimate_budget
-from .cocycle import build_orbit_cocycle
-from .directions import field_lipschitz
+from .budget import DEFAULT_SAMPLES, EpsilonSchedule, check_condition_double_star, check_condition_star, estimate_budget
 from .errors import NotConvergedError, NumericalError, ValidationError
+from .leaf import budget_to_epsilon, integrate_leaf, iterate_to_contraction, staged
 from .maps import Point2, make_map
 from .reports import emit_json, emit_leaf_csv
 
@@ -54,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps0", type=float, default=0.1)
         p.add_argument("--decay", type=float, default=1.0)
         p.add_argument("--kmax", type=int, default=12)
-        p.add_argument("--samples", type=int, default=budget_mod.DEFAULT_SAMPLES)
+        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--h", type=float, default=None, help="leaf integration step override")
@@ -113,16 +110,13 @@ def _build_map(ns):
     return make_map(ns.map, **params)
 
 
-def _pipeline_common(ns):
-    m = _build_map(ns)
-    z = _parse_point(ns.z)
-    sched = EpsilonSchedule.from_decay(ns.eps0, ns.decay)
-    b = estimate_budget(m, z, sched, ns.kmax, n=ns.samples, seed=ns.seed)
-    return m, z, sched, b
+def _inputs(ns):
+    return _build_map(ns), _parse_point(ns.z), EpsilonSchedule(ns.eps0, ns.decay)
 
 
 def _cmd_budget(ns, out_dir: str) -> int:
-    m, z, sched, b = _pipeline_common(ns)
+    m, z, sched = _inputs(ns)
+    b = staged("budget", estimate_budget, m, z, sched, ns.kmax, n=ns.samples, seed=ns.seed)
     star = check_condition_star(b)
     dstar = check_condition_double_star(b, sched)
     emit_json(
@@ -150,17 +144,10 @@ def _cmd_budget(ns, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _choose_eps(ns, m, z, sched, b):
-    dstar = check_condition_double_star(b, sched)
-    L = field_lipschitz(m, build_orbit_cocycle(m, z, ns.kmax), ns.kmax)
-    eps = leaf_mod.choose_epsilon(b, dstar.gamma_required, L, sched)
-    return eps, L
-
-
 def _cmd_leaf(ns, out_dir: str) -> int:
-    m, z, sched, b = _pipeline_common(ns)
-    eps, L = _choose_eps(ns, m, z, sched, b)
-    curve = leaf_mod.integrate_leaf(m, z, ns.kmax, eps, h=ns.h)
+    m, z, sched = _inputs(ns)
+    _, _, L, eps = budget_to_epsilon(m, z, sched, ns.kmax, ns.samples, ns.seed)
+    curve = staged("integrate-leaf", integrate_leaf, m, z, ns.kmax, eps, h=ns.h)
     emit_leaf_csv(curve, os.path.join(out_dir, "leaf.csv"))
     emit_json(
         {
@@ -174,7 +161,7 @@ def _cmd_leaf(ns, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _convergence_payload(m, ns, report) -> dict:
+def _convergence_payload(m, ns, report, c_fit) -> dict:
     return {
         "map": m.name, "params": m.params, "seed": ns.seed,
         "k0": report.k0, "kmax": report.kmax, "ks": report.ks,
@@ -183,33 +170,28 @@ def _convergence_payload(m, ns, report) -> dict:
         "restricted": report.restricted,
         "eps_chosen": report.eps_chosen, "L_used": report.L_used,
         "tol": report.tol, "converged": report.converged,
-        "C_fit": report.C_fit,
+        "C_fit": c_fit,
     }
 
 
 def _cmd_converge(ns, out_dir: str) -> int:
-    m, z, sched, b = _pipeline_common(ns)
-    eps, L = _choose_eps(ns, m, z, sched, b)
+    m, z, sched = _inputs(ns)
+    b, _, L, eps = budget_to_epsilon(m, z, sched, ns.kmax, ns.samples, ns.seed)
     try:
-        report = leaf_mod.cauchy_iterate(m, z, b, sched, eps, ns.kmax, ns.tol, L=L, h=ns.h)
+        report, contraction = iterate_to_contraction(m, z, b, sched, eps, L, ns.kmax, ns.tol, ns.seed, h=ns.h)
     except NotConvergedError as exc:
         if exc.report is not None:
-            emit_json(_convergence_payload(m, ns, exc.report), os.path.join(out_dir, "convergence.json"))
+            emit_json(_convergence_payload(m, ns, exc.report, None), os.path.join(out_dir, "convergence.json"))
             emit_leaf_csv(exc.report.limit, os.path.join(out_dir, "leaf.csv"), k_override=-1)
         raise
-    contraction = leaf_mod.contraction_check(
-        m, report.limit, b, n=leaf_mod.contraction_fit_top(b, ns.kmax), seed=ns.seed
-    )
-    report.C_fit = contraction.C_fit
-    emit_json(_convergence_payload(m, ns, report), os.path.join(out_dir, "convergence.json"))
+    emit_json(_convergence_payload(m, ns, report, contraction.C_fit), os.path.join(out_dir, "convergence.json"))
     emit_leaf_csv(report.limit, os.path.join(out_dir, "leaf.csv"), k_override=-1)
     return EXIT_OK
 
 
 def _cmd_fixedpoint(ns, out_dir: str) -> int:
     m = _build_map(ns)
-    guess = _parse_point(ns.z)
-    fp = fp_mod.eigen_split(m, guess, eta=ns.eps0)
+    fp = staged("eigen-split", fp_mod.eigen_split, m, _parse_point(ns.z))
     report = fp_mod.verify_fixed_point_theorem(
         m, fp, eta=ns.eps0, kmax=ns.kmax, seed=ns.seed, n=ns.samples, tol=ns.tol, h=ns.h
     )
@@ -222,7 +204,7 @@ def _cmd_fixedpoint(ns, out_dir: str) -> int:
             "eta": report.eta, "delta": report.fp.delta, "kmax": report.kmax,
             "star_verdict": report.star_verdict,
             "gamma_required": report.gamma_required,
-            "eps": report.eps, "L_used": report.L_used,
+            "eps": report.eps, "L_used": report.convergence.L_used,
             "conclusion_1_tangency": {
                 "tangency_error_rad": report.tangency_error,
             },
@@ -237,9 +219,9 @@ def _cmd_fixedpoint(ns, out_dir: str) -> int:
                 "C_fit": report.contraction.C_fit,
             },
             "conclusion_4_uniqueness": {
-                "probes": report.probe_count,
-                "survivors": report.uniqueness_survivors,
-                "on_leaf_exits": report.uniqueness_on_leaf_exits,
+                "probes": fp_mod.UNIQUENESS_PROBES,
+                "survivors": report.uniqueness.survivors,
+                "on_leaf_exits": report.uniqueness.on_leaf_exits,
             },
             "minidistortion_ok": report.minidistortion_ok,
             "k0_ok": report.k0_ok,
@@ -282,8 +264,7 @@ def run_command(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:
-        stage = getattr(exc, "stage", None)
-        label = f" [stage: {stage}]" if stage else ""
+        label = f" [stage: {exc.stage}]" if exc.stage else ""
         print(f"numerical failure{label}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

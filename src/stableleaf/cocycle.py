@@ -27,20 +27,32 @@ from .errors import DomainError, NonFiniteError
 from .maps import IDENTITY, MapModel, Mat2, Point2
 
 CONFORMAL_TOL = 1e-12  # below this 1 - E/F, the direction equation is round-off
+_SQUARES_SAFE = 2.0 ** 509  # entries up to this keep 8 * entry^2 below the float range
 
 
 def singular_values(m: Mat2) -> tuple[float, float]:
-    """(E, F) = (min, max) singular value; no conformality check."""
+    """(E, F) = (min, max) singular value; no conformality check.
+
+    Where the squared entries of a finite m overflow, F (and E, where det
+    overflows too) comes from m scaled by 2^-ex into [-1, 1], so every result
+    the unscaled formula gives finite keeps its bits. A value past the float
+    range is +inf.
+    """
     a, b, c, d = m
     s = a * a + b * b + c * c + d * d
     det = a * d - b * c
     r = math.hypot(a * a + c * c - b * b - d * d, 2.0 * (a * b + c * d))
-    f2 = 0.5 * (s + r)
-    f = math.sqrt(f2)
+    f = math.sqrt(0.5 * (s + r))
+    if not math.isfinite(f) and all(map(math.isfinite, m)):
+        ex = math.frexp(max(map(abs, m)))[1]
+        e_s, f_s = singular_values([math.ldexp(v, -ex) for v in m])
+        # ldexp raises OverflowError where a float product gives +inf
+        f = math.ldexp(f_s, ex - 1) * 2.0
+        if not math.isfinite(det):
+            return math.ldexp(e_s, ex - 1) * 2.0, f
     if f == 0.0:
         return 0.0, 0.0
-    e = abs(det) / f
-    return e, f
+    return abs(det) / f, f
 
 
 def series_term(*factors) -> float:
@@ -79,6 +91,10 @@ class SingularFrame:
 
 def _contract_angle(a: float, b: float, c: float, d: float) -> float:
     """Angle in [0, pi) minimizing ||M v(theta)||; assumes E < F strictly."""
+    if abs(a) > _SQUARES_SAFE or abs(b) > _SQUARES_SAFE or abs(c) > _SQUARES_SAFE or abs(d) > _SQUARES_SAFE:
+        # a power-of-two scale keeps the angle and the squares below finite
+        ex = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+        a, b, c, d = (math.ldexp(v, -ex) for v in (a, b, c, d))
     qa = a * b + c * d
     qb = a * a + c * c - b * b - d * d
     th = 0.5 * math.atan2(2.0 * qa, qb)  # the *expanded* stationary branch
@@ -195,7 +211,7 @@ def build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
 
     Raises OrbitEscapeError(j) if the sweep fails at z_j or z_kmax leaves the
     domain, and SingularStepError if a product Dphi^k underflows to zero or
-    any one-step derivative is singular.
+    overflows, or any one-step derivative is singular.
     """
     if kmax < 1:
         raise BadParamsError(f"kmax must be >= 1, got {kmax}")
@@ -220,6 +236,8 @@ def build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
     E[0] = F[0] = H[0] = 1.0
     for k in range(1, n):
         e, f = singular_values(prods[k])
+        if not math.isfinite(f):
+            raise SingularStepError(f"order-{k} product Dphi^{k} overflows at {tuple(orbit[0])}")
         if f == 0.0:
             raise SingularStepError(f"order-{k} product Dphi^{k} underflows to zero at {tuple(orbit[0])}")
         E[k], F[k] = e, f
@@ -256,11 +274,16 @@ def distortion_bounds(c: OrbitCocycle, k: int) -> tuple[float, float]:
     if not 1 <= k <= c.kmax:
         raise BadParamsError(f"k={k} out of range 1..{c.kmax}")
     tails = c.tail_norms(k)
+    F, Pt, Dd, Ddt = c.F.tolist(), c.Pt.tolist(), c.Dd.tolist(), c.Ddt.tolist()
+    # Python floats overflow to +inf silently; a NaN can only be 0 * inf, a
+    # term with an exactly zero factor, which is 0
     s1 = 0.0
     s2 = 0.0
     for j in range(k):
-        fj = c.F[j]
-        s1 += c.Pt[j] * tails[j] * fj * fj
-        s2 += (c.Ddt[j] / c.Dd[j]) * fj
-    ek, fk = c.E[k], c.F[k]
-    return (ek / (fk * fk)) * s1, (ek / fk) * s2
+        fj = F[j]
+        t = Pt[j] * tails[j] * fj * fj
+        s1 += t if t == t else 0.0
+        s2 += (Ddt[j] / Dd[j]) * fj
+    ek, fk = float(c.E[k]), F[k]
+    d1 = (ek / (fk * fk)) * s1
+    return (d1 if d1 == d1 else 0.0), (ek / fk) * s2

@@ -22,7 +22,12 @@ class BadParamsError(ValidationError):
 
 
 class NumericalError(StableLeafError):
-    """A computation failed for numerical/dynamical reasons."""
+    """A computation failed for numerical/dynamical reasons.
+
+    stage names the pipeline stage that failed, once ``leaf.staged`` has seen it.
+    """
+
+    stage = None
 
 
 class DomainError(NumericalError):

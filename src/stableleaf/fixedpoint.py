@@ -8,21 +8,14 @@ exponential contraction rate, and uniqueness of the surviving set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .budget import (
-    EpsilonSchedule,
-    check_condition_double_star,
-    check_condition_star,
-    estimate_budget,
-    first_tube_exit,
-    reference_orbit,
-)
+from .budget import EpsilonSchedule, check_condition_star, estimate_budget, first_tube_exit, reference_orbit
 from .cocycle import build_orbit_cocycle, distortion_bounds
-from .directions import angle_distance, field_lipschitz
+from .directions import angle_distance
 from .errors import (
     BadParamsError,
     DomainError,
@@ -36,10 +29,9 @@ from .leaf import (
     ContractionReport,
     ConvergenceReport,
     UniquenessReport,
-    cauchy_iterate,
-    choose_epsilon,
-    contraction_check,
-    contraction_fit_top,
+    budget_to_epsilon,
+    iterate_to_contraction,
+    staged,
     uniqueness_probe,
 )
 from .maps import MapModel, Point2
@@ -58,9 +50,7 @@ class FixedPointData:
     lambda_u: float
     Es: tuple[float, float]
     Eu: tuple[float, float]
-    eta: float
     delta: float
-    K_fit: Optional[float] = None
 
 
 def _eigenvector(j11, j12, j21, j22, lam) -> tuple[float, float]:
@@ -78,7 +68,7 @@ def _eigenvector(j11, j12, j21, j22, lam) -> tuple[float, float]:
     return vx, vy
 
 
-def eigen_split(m: MapModel, guess: Point2, eta: float = 0.05) -> FixedPointData:
+def eigen_split(m: MapModel, guess: Point2) -> FixedPointData:
     """Locate a hyperbolic saddle near guess and split its eigendata.
 
     Newton iteration p <- p - (Dphi(p) - I)^-1 (phi(p) - p), damped on residual
@@ -142,7 +132,6 @@ def eigen_split(m: MapModel, guess: Point2, eta: float = 0.05) -> FixedPointData
         lambda_u=lu,
         Es=_eigenvector(j11, j12, j21, j22, ls),
         Eu=_eigenvector(j11, j12, j21, j22, lu),
-        eta=eta,
         delta=0.05 * (abs(lu) - 1.0),
     )
 
@@ -272,7 +261,6 @@ class TheoremReport:
     star_verdict: str
     gamma_required: float
     eps: float
-    L_used: float
     converged: bool
     tangency_error: float        # (1) angle between limit tangent at p and Es
     length_pos: float            # (2) arclength reached on each side
@@ -280,12 +268,9 @@ class TheoremReport:
     full_length: bool
     fitted_rate: float           # (3) log-linear contraction rate
     rate_deviation: float        #     |fitted_rate - ln|lambda_s||
-    uniqueness_survivors: int    # (4)
-    uniqueness_on_leaf_exits: int
-    probe_count: int
     convergence: ConvergenceReport = None
     contraction: ContractionReport = None
-    uniqueness: UniquenessReport = None
+    uniqueness: UniquenessReport = None  # (4)
     minidistortion_ok: bool = True
     k0_ok: bool = True
 
@@ -317,33 +302,13 @@ def verify_fixed_point_theorem(
 ) -> TheoremReport:
     """Run the full pipeline at the fixed point and report the four conclusions.
 
-    Pipeline errors propagate annotated with a .stage attribute naming the
-    stage that failed.
+    A NumericalError propagates with .stage naming the stage that failed.
     """
-    def _stage(name, fn, *args, **kw):
-        try:
-            return fn(*args, **kw)
-        except Exception as exc:
-            if not hasattr(exc, "stage"):
-                exc.stage = name
-            raise
-
     sched = EpsilonSchedule.constant(eta)
-    b = _stage("budget", estimate_budget, m, fp.p, sched, kmax, n=n, seed=seed)
-    star = check_condition_star(b)
-    dstar = check_condition_double_star(b, sched)
-
-    coc = _stage("cocycle", build_orbit_cocycle, m, fp.p, kmax)
-    L = _stage("direction-derivative", field_lipschitz, m, coc, kmax)
-
-    eps = _stage("choose-epsilon", choose_epsilon, b, dstar.gamma_required, L, sched)
-    conv = _stage("cauchy-iterate", cauchy_iterate, m, fp.p, b, sched, eps, kmax, tol, L=L, h=h)
+    b, gamma, L, eps = budget_to_epsilon(m, fp.p, sched, kmax, n, seed)
+    conv, contraction = iterate_to_contraction(m, fp.p, b, sched, eps, L, kmax, tol, seed, h=h)
     limit = conv.limit
-
-    fit_top = contraction_fit_top(b, kmax)
-    contraction = _stage("contraction", contraction_check, m, limit, b, n=fit_top, seed=seed)
-    conv.C_fit = contraction.C_fit
-    uniq = _stage("uniqueness", uniqueness_probe, m, fp.p, sched, limit, kmax, probes=UNIQUENESS_PROBES, seed=seed)
+    uniq = staged("uniqueness", uniqueness_probe, m, fp.p, sched, limit, kmax, probes=UNIQUENESS_PROBES, seed=seed)
 
     # (1) tangency at p against the stable eigenvector
     th_leaf = float(limit.thetas[limit.center_index])
@@ -355,10 +320,10 @@ def verify_fixed_point_theorem(
     len_pos = float(limit.t[-1] - limit.t[limit.center_index])
     full = (not limit.truncated_neg) and (not limit.truncated_pos)
 
-    # (3) least-squares slope of the widest pair's log ratio over n = k0..fit_top,
+    # (3) least-squares slope of the widest pair's log ratio over n = k0..contraction.n,
     # truncated where the sequence stops decreasing (round-off floor)
-    start = max(b.k0 or 1, 1)
-    vals = contraction.widest_ratio[start: fit_top + 1]
+    start = b.k0
+    vals = contraction.widest_ratio[start:]
     top = len(vals)
     for i in range(1, len(vals)):
         if not vals[i] < vals[i - 1]:
@@ -374,13 +339,12 @@ def verify_fixed_point_theorem(
     rate_dev = abs(rate - math.log(abs(fp.lambda_s)))
 
     return TheoremReport(
-        map_name=m.name, fp=replace(fp, eta=eta), eta=eta, kmax=kmax, seed=seed,
-        star_verdict=star.verdict, gamma_required=dstar.gamma_required,
-        eps=eps, L_used=L, converged=conv.converged,
+        map_name=m.name, fp=fp, eta=eta, kmax=kmax, seed=seed,
+        star_verdict=check_condition_star(b).verdict, gamma_required=gamma,
+        eps=eps, converged=conv.converged,
         tangency_error=tangency, length_pos=len_pos, length_neg=len_neg,
         full_length=full, fitted_rate=rate, rate_deviation=rate_dev,
-        uniqueness_survivors=uniq.survivors, uniqueness_on_leaf_exits=uniq.on_leaf_exits,
-        probe_count=UNIQUENESS_PROBES, convergence=conv, contraction=contraction, uniqueness=uniq,
-        minidistortion_ok=_minidistortion_ok(coc),
-        k0_ok=b.k0 is not None and all(b.terms[k] < 0.5 for k in range(b.k0 - 1, b.kmax)),
+        convergence=conv, contraction=contraction, uniqueness=uniq,
+        minidistortion_ok=_minidistortion_ok(b.cocycle),
+        k0_ok=all(b.terms[k] < 0.5 for k in range(b.k0 - 1, b.kmax)),
     )

@@ -6,6 +6,9 @@ uniform t-grid over [-eps, eps]. Integration is classical fixed-step RK4
 (default h = eps/512) with orientation continuity enforced by sign-flipping
 the field against the previous tangent; leaves of consecutive orders are
 compared at matched arclength on a shared grid.
+
+budget_to_epsilon and iterate_to_contraction run the pipeline stages in
+order, each through staged(), which names the stage a NumericalError came from.
 """
 
 from __future__ import annotations
@@ -16,14 +19,23 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .budget import LADDER_DEPTH, EpsilonSchedule, HyperbolicityBudget, first_tube_exit, reference_orbit
-from .directions import _signed_gap, contracted_theta_fast
+from .budget import (
+    LADDER_DEPTH,
+    EpsilonSchedule,
+    HyperbolicityBudget,
+    check_condition_double_star,
+    estimate_budget,
+    first_tube_exit,
+    reference_orbit,
+)
+from .directions import _signed_gap, contracted_theta_fast, field_lipschitz
 from .errors import (
     BadParamsError,
     ConformalError,
     DegenerateLeafError,
     NoFeasibleEpsilonError,
     NotConvergedError,
+    NumericalError,
     OrbitEscapeError,
 )
 from .maps import MapModel, Point2
@@ -243,7 +255,7 @@ def choose_epsilon(
         raise NoFeasibleEpsilonError("budget has no k0; hyperbolicity never stabilized")
     k0 = b.k0
     xi_tail = b.xi[k0:] if k0 < len(b.xi) else np.array([0.0])
-    xi_max = float(np.max(xi_tail)) if len(xi_tail) else 0.0
+    xi_max = float(np.max(xi_tail))
     k0_sample = list(b.samples.get(k0, [])) if b.samples else []
     hull = convex_hull_halfplanes(k0_sample + [b.z]) if k0_sample else None
     zx, zy = b.z
@@ -285,7 +297,6 @@ class ConvergenceReport:
     restricted: list[bool]
     converged: bool
     limit: LeafCurve
-    C_fit: Optional[float] = None
 
 
 def _leaf_distance(a: LeafCurve, bcurve: LeafCurve) -> tuple[float, int]:
@@ -388,11 +399,6 @@ class ContractionReport:
     seed: int
 
 
-def contraction_fit_top(b: HyperbolicityBudget, kmax: int) -> int:
-    """Last order n of the contraction fit: CONTRACTION_ORDERS past k0, at most kmax."""
-    return min(kmax, (b.k0 or 1) + CONTRACTION_ORDERS)
-
-
 def contraction_check(
     m: MapModel,
     leaf: LeafCurve,
@@ -440,7 +446,7 @@ def contraction_check(
             widest_d0 = d0
             widest_ratio = track
     gt = b.gamma_tilde[: n + 1].copy()
-    start = max(b.k0 if b.k0 is not None else 1, 1)
+    start = b.k0 or 1
     cfit = 0.0
     for order in range(start, n + 1):
         if gt[order] > 0.0:
@@ -509,3 +515,44 @@ def uniqueness_probe(
         kmax=kmax, probes=records, on_leaf_checked=checked, on_leaf_exits=on_exits,
         survivors=survivors,
     )
+
+
+# -- the staged pipeline ------------------------------------------------------
+
+
+def staged(name: str, fn, *args, **kw):
+    """fn(*args, **kw), tagging a NumericalError that names no stage yet with name."""
+    try:
+        return fn(*args, **kw)
+    except NumericalError as exc:
+        if exc.stage is None:
+            exc.stage = name
+        raise
+
+
+def budget_to_epsilon(
+    m: MapModel, z: Point2, sched: EpsilonSchedule, kmax: int, n: int, seed: int
+) -> tuple[HyperbolicityBudget, float, float, float]:
+    """Stages budget -> (**) -> L -> eps at z; returns (budget, Gamma, L, eps).
+
+    L is measured on the budget's own order-kmax cocycle at z.
+    """
+    b = staged("budget", estimate_budget, m, z, sched, kmax, n=n, seed=seed)
+    gamma = staged("double-star", check_condition_double_star, b, sched).gamma_required
+    L = staged("direction-derivative", field_lipschitz, m, b.cocycle, kmax)
+    eps = staged("choose-epsilon", choose_epsilon, b, gamma, L, sched)
+    return b, gamma, L, eps
+
+
+def iterate_to_contraction(
+    m: MapModel, z: Point2, b: HyperbolicityBudget, sched: EpsilonSchedule, eps: float, L: float,
+    kmax: int, tol: float, seed: int, h: Optional[float] = None,
+) -> tuple[ConvergenceReport, ContractionReport]:
+    """Stages Cauchy iteration -> contraction on the limit leaf.
+
+    The contraction fit runs up to CONTRACTION_ORDERS past k0, at most kmax.
+    A NotConvergedError carries the partial ConvergenceReport.
+    """
+    conv = staged("cauchy-iterate", cauchy_iterate, m, z, b, sched, eps, kmax, tol, L=L, h=h)
+    n = min(kmax, b.k0 + CONTRACTION_ORDERS)
+    return conv, staged("contraction", contraction_check, m, conv.limit, b, n=n, seed=seed)

@@ -73,10 +73,6 @@ class SecondDeriv(NamedTuple):
         return 2.0 * max(abs(v) for v in self)
 
 
-def _symmetrize(t1xx, t1xy, t1yx, t1yy, t2xx, t2xy, t2yx, t2yy) -> SecondDeriv:
-    return SecondDeriv(t1xx, 0.5 * (t1xy + t1yx), t1yy, t2xx, 0.5 * (t2xy + t2yx), t2yy)
-
-
 @dataclass(frozen=True)
 class MapModel:
     """A planar map with derivative access and optional singular-set guard.
@@ -166,12 +162,12 @@ class MapModel:
             fmp = self.raw_eval(x - h, y + h)
             fmm = self.raw_eval(x - h, y - h)
             ih2 = 1.0 / (h * h)
-            mixed1 = (fpp[0] - fpm[0] - fmp[0] + fmm[0]) * 0.25 * ih2
-            mixed2 = (fpp[1] - fpm[1] - fmp[1] + fmm[1]) * 0.25 * ih2
-            t = _symmetrize(
-                (fxp[0] - 2 * f0[0] + fxm[0]) * ih2, mixed1, mixed1,
+            t = SecondDeriv(
+                (fxp[0] - 2 * f0[0] + fxm[0]) * ih2,
+                (fpp[0] - fpm[0] - fmp[0] + fmm[0]) * 0.25 * ih2,
                 (fyp[0] - 2 * f0[0] + fym[0]) * ih2,
-                (fxp[1] - 2 * f0[1] + fxm[1]) * ih2, mixed2, mixed2,
+                (fxp[1] - 2 * f0[1] + fxm[1]) * ih2,
+                (fpp[1] - fpm[1] - fmp[1] + fmm[1]) * 0.25 * ih2,
                 (fyp[1] - 2 * f0[1] + fym[1]) * ih2,
             )
         if self.raw_det_grad is not None:

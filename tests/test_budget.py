@@ -32,14 +32,14 @@ def rotationlike_map():
 
 
 def test_schedule_validation():
-    s = EpsilonSchedule.from_decay(0.1, 0.5)
+    s = EpsilonSchedule(0.1, 0.5)
     assert s.radius(0) == 0.1 and s.radius(2) == 0.025
     with pytest.raises(BadParamsError):
-        EpsilonSchedule.from_decay(0.1, 1.5)
+        EpsilonSchedule(0.1, 1.5)
     with pytest.raises(BadParamsError):
-        EpsilonSchedule.from_decay(0.1, 0.0)
+        EpsilonSchedule(0.1, 0.0)
     with pytest.raises(BadParamsError):
-        EpsilonSchedule.from_decay(-1.0, 0.5)
+        EpsilonSchedule(-1.0, 0.5)
 
 
 def test_sample_k1_accepts_all(linear_map):
@@ -82,11 +82,12 @@ def test_linear_acceptance_region_thins(linear_map):
 
 def test_underflowing_radius_needs_infinite_gamma(linear_map):
     # eps_2 = 0.1 * (1e-300)^2 underflows to 0: no finite Gamma fits a zero-radius tube
-    sched = EpsilonSchedule.from_decay(0.1, 1e-300)
+    sched = EpsilonSchedule(0.1, 1e-300)
     assert sched.radius(2) == 0.0
     b = estimate_budget(linear_map, Point2(0, 0), sched, kmax=4, n=20, seed=1)
-    assert b.gamma_required == math.inf
-    assert check_condition_double_star(b, sched).verdict == INFEASIBLE
+    dstar = check_condition_double_star(b, sched)
+    assert dstar.gamma_required == math.inf
+    assert dstar.verdict == INFEASIBLE
 
 
 def test_tube_membership_helpers(linear_map):
@@ -194,7 +195,7 @@ def test_double_star_linear_constant(linear_map):
 
 
 def test_double_star_decaying_schedule_infeasible(linear_map):
-    sched = EpsilonSchedule.from_decay(0.1, 0.25)
+    sched = EpsilonSchedule(0.1, 0.25)
     b = estimate_budget(linear_map, Point2(0, 0), sched, kmax=40, n=40, seed=7)
     rep = check_condition_double_star(b, sched)
     # the ratio grows like 2^j: the bottom of the dyadic ladder cannot satisfy it

@@ -24,6 +24,13 @@ def number(draw, lo: float, hi: float) -> str:
     return repr(draw(st.floats(lo, hi)))
 
 
+def eigenvalue(draw, lo: float, hi: float) -> str:
+    """A lambda flag value: one time in ten of magnitude 1e100..1e160, whose squares overflow."""
+    if draw(st.integers(0, 9)) == 0:
+        return repr(draw(st.sampled_from((1.0, -1.0))) * 10.0 ** draw(st.floats(100.0, 160.0)))
+    return number(draw, lo, hi)
+
+
 @st.composite
 def cli_argv(draw):
     name = draw(st.sampled_from(sorted(MAP_PARAMS)))
@@ -32,7 +39,8 @@ def cli_argv(draw):
               "--a": (-2.0, 2.0), "--b": (-1.0, 1.0)}
     for flag in MAP_PARAMS[name]:
         if draw(st.integers(0, 19)):  # now and then a required parameter is missing
-            argv.append(f"{flag}={number(draw, *ranges[flag])}")
+            draw_value = eigenvalue if flag.startswith("--lambda") else number
+            argv.append(f"{flag}={draw_value(draw, *ranges[flag])}")
     argv.append(f"--z={number(draw, -1.5, 1.5)},{number(draw, -1.5, 1.5)}")
     argv += [f"--eps0={number(draw, 1e-4, 0.5)}", f"--decay={number(draw, 0.05, 1.0)}"]
     argv += [f"--kmax={draw(st.integers(2, 6))}", f"--samples={draw(st.integers(1, 40))}"]

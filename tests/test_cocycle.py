@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stableleaf import Mat2, Point2, SplitRng, build_orbit_cocycle, distortion_bounds, make_map, singular_frame
-from stableleaf.cocycle import singular_values
+from stableleaf.cocycle import _contract_angle, singular_values
 from stableleaf.errors import ConformalError, OrbitEscapeError, SingularMatrixError, SingularStepError
 from stableleaf.maps import MapModel
 
@@ -225,6 +225,16 @@ def test_product_underflow_is_a_singular_step():
         build_orbit_cocycle(m, Point2(0.0, 0.0), 3)
 
 
+def test_product_overflow_is_a_singular_step():
+    # the step diag(0.5, 1e200) has finite singular values although its
+    # squared entries overflow; Dphi^2 = diag(0.25, 1e400) overflows itself
+    m = make_map("linear", lambda_s=0.5, lambda_u=1e200)
+    c = build_orbit_cocycle(m, Point2(0.0, 0.0), 1)
+    assert (c.E[1], c.F[1], c.P[0], c.Q[0]) == (0.5, 1e200, 1e200, 2.0)
+    with pytest.raises(SingularStepError, match="order-2 product Dphi\\^2 overflows"):
+        build_orbit_cocycle(m, Point2(0.0, 0.0), 2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 63))
 def test_singular_values_match_numpy(seed):
@@ -233,3 +243,7 @@ def test_singular_values_match_numpy(seed):
     sv = np.linalg.svd(np.array([[m.a11, m.a12], [m.a21, m.a22]]), compute_uv=False)
     assert f == pytest.approx(sv[0], rel=1e-10)
     assert e == pytest.approx(sv[1], rel=1e-8)
+    # scaled by 2^600 the squared entries overflow: E and F scale exactly, the angle stays
+    big = Mat2(*(math.ldexp(v, 600) for v in m))
+    assert singular_values(big) == (math.ldexp(e, 600), math.ldexp(f, 600))
+    assert _contract_angle(*big) == _contract_angle(*m)

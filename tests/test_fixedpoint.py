@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from stableleaf import fixedpoint as fp_mod
-from stableleaf import EpsilonSchedule, Point2, eigen_split, make_map, regular_growth_check, verify_fixed_point_theorem
+from stableleaf import (
+    EpsilonSchedule,
+    Point2,
+    eigen_split,
+    first_tube_exit,
+    make_map,
+    regular_growth_check,
+    verify_fixed_point_theorem,
+)
+from stableleaf.budget import reference_orbit
 from stableleaf.errors import BadParamsError, NotHyperbolicError, SpectralSlackError
 from stableleaf.maps import MapModel
 
@@ -130,7 +139,7 @@ def test_regular_growth_propagates_programming_errors(linear_map, monkeypatch):
 def test_regular_growth_requires_constant_schedule(linear_map):
     fp = eigen_split(linear_map, Point2(0, 0))
     with pytest.raises(BadParamsError):
-        regular_growth_check(linear_map, fp, EpsilonSchedule.from_decay(0.1, 0.5), kmax=6, n=50, seed=1)
+        regular_growth_check(linear_map, fp, EpsilonSchedule(0.1, 0.5), kmax=6, n=50, seed=1)
 
 
 def test_theorem_linear_exact(linear_map):
@@ -143,7 +152,7 @@ def test_theorem_linear_exact(linear_map):
     assert rep.fitted_rate == pytest.approx(math.log(0.5), abs=1e-12)
     assert rep.converged
     assert rep.minidistortion_ok and rep.k0_ok
-    assert rep.uniqueness_on_leaf_exits == 0
+    assert rep.uniqueness.on_leaf_exits == 0
     assert math.isfinite(rep.gamma_required)  # Gamma exists for the hyperbolic saddle
 
 
@@ -180,13 +189,26 @@ def test_theorem_weak_hyperbolicity():
 
 
 def test_theorem_survivors_near_leaf(perturbed_map):
-    # conclusion (4) surrogate: anything surviving every tube test hugs the leaf
+    # conclusion (4) surrogate: a point pushed off the limit leaf along its
+    # normal survives every tube test only while it hugs the leaf
     fp = eigen_split(perturbed_map, Point2(0, 0))
     rep = verify_fixed_point_theorem(perturbed_map, fp, eta=0.05, kmax=12, seed=24)
-    spacing = rep.convergence.limit.t[1] - rep.convergence.limit.t[0]
-    for pr in rep.uniqueness.probes:
-        if pr.exit_step is None:
-            assert pr.distance_to_leaf <= 2.0 * spacing
+    leaf = rep.convergence.limit
+    spacing = leaf.t[1] - leaf.t[0]
+    sched = EpsilonSchedule.constant(0.05)
+    ref = reference_orbit(perturbed_map, fp.p, 12)
+    survivors = exits = 0
+    for idx in range(0, len(leaf.t), 16):
+        nx, ny = -math.sin(leaf.thetas[idx]), math.cos(leaf.thetas[idx])
+        for offset in 10.0 ** np.arange(-9, -1):
+            for side in (1.0, -1.0):
+                p = Point2(leaf.xs[idx] + side * offset * nx, leaf.ys[idx] + side * offset * ny)
+                if first_tube_exit(perturbed_map, ref, p, sched, 12) is None:
+                    survivors += 1
+                    assert np.min(np.hypot(leaf.xs - p.x, leaf.ys - p.y)) <= 2.0 * spacing
+                else:
+                    exits += 1
+    assert survivors > 0 and exits > 0
 
 
 def test_pipeline_stage_labels(perturbed_map):

@@ -30,8 +30,7 @@ def synthetic_budget(k0=2, kmax=8, eps0=1.0, xi_value=0.0):
         fmax=np.ones(n), terms=np.zeros(kmax), xi=np.full(kmax, xi_value),
         gamma_tilde=np.zeros(n), star_terms=np.zeros(kmax),
         star_partial_sums=np.zeros(kmax - 1), k0=k0,
-        gamma_required=0.0, gamma_required_argmax=None,
-        samples={}, accepted_counts={},
+        cocycle=None, samples={}, accepted_counts={},
     )
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,34 @@ def test_cli_underflowing_product_exits_numerical(tmp_path, capsys):
                       "--out-dir", str(tmp_path)])
     assert rc == 3
     assert "order-2 product Dphi^2 underflows to zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lambda_u, kmax, order", [("1e300", 3, 2), ("1e100", 4, 4)])
+def test_cli_overflowing_product_exits_numerical(tmp_path, capsys, lambda_u, kmax, order):
+    # every step diag(0.5, lambda_u) is invertible; the product Dphi^order overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run_command(["budget", "--map", "linear", "--lambda-s", "0.5", f"--lambda-u={lambda_u}",
+                          f"--kmax={kmax}", "--out-dir", str(tmp_path)])
+    assert rc == 3
+    assert f"[stage: budget]: order-{order} product Dphi^{order} overflows" in capsys.readouterr().err
+
+
+LINEAR_SADDLE = ["--map", "linear", "--lambda-s", "0.5", "--lambda-u", "2"]
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (["converge", *LINEAR_SADDLE, "--eps0", "1e300"], "cauchy-iterate"),
+    (["leaf", "--map", "linear", "--lambda-s", "1", "--lambda-u", "1"], "direction-derivative"),
+    (["leaf", *LINEAR_SADDLE, "--samples", "1"], "choose-epsilon"),
+    (["budget", *LINEAR_SADDLE, "--z", "100,100"], "budget"),
+    (["fixedpoint", "--map", "linear", "--lambda-s", "0.5", "--lambda-u", "0.8"], "eigen-split"),
+    (["fixedpoint", "--map", "perturbed", "--lambda-s", "0.5", "--lambda-u", "2", "--c", "0.05",
+      "--samples", "50", "--seed", "1", "--tol", "1e-300"], "cauchy-iterate"),
+])
+def test_cli_failures_name_their_stage(tmp_path, capsys, argv, stage):
+    assert run_command(argv + ["--out-dir", str(tmp_path)]) == 3
+    assert f"numerical failure [stage: {stage}]: " in capsys.readouterr().err
 
 
 def test_cli_epsilon_ladder_with_huge_eps_l(tmp_path, capsys):
