@@ -11,7 +11,6 @@ import math
 from stableleaf import (
     EpsilonSchedule,
     Point2,
-    build_orbit_cocycle,
     cauchy_iterate,
     check_condition_double_star,
     check_condition_star,
@@ -42,8 +41,7 @@ def main():
     print(f"condition (**): Gamma = {dstar.gamma_required:.4f} at (j,k) = "
           f"({dstar.argmax_j},{dstar.argmax_k})")
 
-    coc = build_orbit_cocycle(m, z, kmax)
-    L = direction_field_derivative(m, coc, kmax, 1e-4, budget=b)[0]
+    L = direction_field_derivative(m, b.cocycle, kmax, 1e-4, budget=b)[0]
     eps = choose_epsilon(b, dstar.gamma_required, L, sched)
     print(f"L = {L:.3e}, eps = {eps}")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -131,6 +131,29 @@ class HyperbolicityBudget:
     accepted_counts: dict = field(default_factory=dict)
 
 
+def sampled_cocycles(
+    m: MapModel, z: Point2, sched: EpsilonSchedule, kmax: int, n: int, seed: int
+) -> Iterator[tuple[Point2, OrbitCocycle]]:
+    """Yield (draw, cocycle) for the box draws around z that join N^(1), in draw order.
+
+    A draw's tube level is the order of the deepest neighborhood it lies in.
+    Its cocycle is built at the largest level <= its tube level whose build
+    succeeds: a build that escapes, meets a singular step or a non-finite
+    value is demoted one level, and a draw with no valid level is dropped.
+    The cocycle's kmax is the draw's level.
+    """
+    ref = reference_orbit(m, z, kmax - 1)
+    for d in _box_draws(z, sched.radius(0), n, seed):
+        exit_j = first_tube_exit(m, ref, d, sched, kmax - 1)
+        for level in range(kmax if exit_j is None else exit_j, 0, -1):
+            try:
+                coc = build_orbit_cocycle(m, d, level)
+            except (OrbitEscapeError, SingularStepError, NonFiniteError):
+                continue
+            yield d, coc
+            break
+
+
 def estimate_budget(
     m: MapModel,
     z: Point2,
@@ -142,13 +165,11 @@ def estimate_budget(
     """Estimate all budget sequences over sampled neighborhoods of z.
 
     The reference point itself, which belongs to every neighborhood exactly,
-    joins each level. Orbit escapes of sample points demote the point to the
-    deepest level it reached.
+    joins each level. A sample point joins the levels up to the one
+    ``sampled_cocycles`` gives it.
     """
     if kmax < 2:
         raise BadParamsError(f"kmax must be >= 2, got {kmax}")
-    ref = reference_orbit(m, z, kmax - 1)
-    draws = _box_draws(z, sched.radius(0), n, seed)
 
     km1 = kmax + 1
     p = np.zeros(km1)
@@ -162,10 +183,10 @@ def estimate_budget(
     counts = {k: 0 for k in range(1, km1)}
     samples = {k: [] for k in range(1, km1)}
 
-    def absorb(coc, level: int) -> None:
-        # per-step suprema: x in N^(k) contributes index-k step values, k <= level;
-        # index 0 is contributed by every point with a valid first step.
-        top = min(level, coc.kmax)
+    def absorb(coc) -> None:
+        # per-step suprema: x in N^(k) contributes index-k step values, k <= its
+        # level coc.kmax; index 0 is contributed by every point with a valid first step.
+        top = coc.kmax
         for k in range(0, top + 1):
             if coc.P[k] > p[k]:
                 p[k] = coc.P[k]
@@ -184,30 +205,14 @@ def estimate_budget(
             if d1 + d2 > delta[k]:
                 delta[k] = d1 + d2
 
-    def cocycle_to(pt2: Point2, level: int):
-        lev = level
-        while lev >= 1:
-            try:
-                return build_orbit_cocycle(m, pt2, lev), lev
-            except (OrbitEscapeError, SingularStepError):
-                lev -= 1
-        return None, 0
-
-    for d in draws:
-        exit_j = first_tube_exit(m, ref, d, sched, kmax - 1)
-        level = kmax if exit_j is None else exit_j
-        if level < 1:
-            continue
-        coc, level = cocycle_to(d, level)
-        if coc is None:
-            continue
-        for k in range(1, level + 1):
+    for d, coc in sampled_cocycles(m, z, sched, kmax, n, seed):
+        for k in range(1, coc.kmax + 1):
             counts[k] += 1
             samples[k].append(d)
-        absorb(coc, level)
+        absorb(coc)
 
     center = build_orbit_cocycle(m, z, kmax)
-    absorb(center, kmax)
+    absorb(center)
 
     terms = np.full(kmax, math.inf)
     xi = np.full(kmax, math.inf)

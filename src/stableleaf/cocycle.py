@@ -28,6 +28,9 @@ from .maps import IDENTITY, MapModel, Mat2, Point2
 
 CONFORMAL_TOL = 1e-12  # below this 1 - E/F, the direction equation is round-off
 _SQUARES_SAFE = 2.0 ** 509  # entries up to this keep 8 * entry^2 below the float range
+_NORMAL_MIN = 2.0 ** -1022  # the smallest normal float
+_SQUARES_TINY = 2.0 ** -511  # entries below this square into the subnormal range
+_TINY_SUM = 4.0 * _NORMAL_MIN  # bounds the sum of squares when every entry is below _SQUARES_TINY
 
 
 def singular_values(m: Mat2) -> tuple[float, float]:
@@ -36,10 +39,18 @@ def singular_values(m: Mat2) -> tuple[float, float]:
     Where the squared entries of a finite m overflow, F (and E, where det
     overflows too) comes from m scaled by 2^-ex into [-1, 1], so every result
     the unscaled formula gives finite keeps its bits. A value past the float
-    range is +inf.
+    range is +inf. A nonzero m whose entries are all below 2^-511, whose
+    squares would lose bits as subnormals, is scaled up the same way; every
+    other m keeps its bits.
     """
     a, b, c, d = m
     s = a * a + b * b + c * c + d * d
+    if s <= _TINY_SUM:
+        top = max(abs(a), abs(b), abs(c), abs(d))
+        if 0.0 < top < _SQUARES_TINY:
+            ex = math.frexp(top)[1]
+            e_s, f_s = singular_values([math.ldexp(v, -ex) for v in m])
+            return math.ldexp(e_s, ex), math.ldexp(f_s, ex)
     det = a * d - b * c
     r = math.hypot(a * a + c * c - b * b - d * d, 2.0 * (a * b + c * d))
     f = math.sqrt(0.5 * (s + r))
@@ -91,8 +102,9 @@ class SingularFrame:
 
 def _contract_angle(a: float, b: float, c: float, d: float) -> float:
     """Angle in [0, pi) minimizing ||M v(theta)||; assumes E < F strictly."""
-    if abs(a) > _SQUARES_SAFE or abs(b) > _SQUARES_SAFE or abs(c) > _SQUARES_SAFE or abs(d) > _SQUARES_SAFE:
-        # a power-of-two scale keeps the angle and the squares below finite
+    if (abs(a) > _SQUARES_SAFE or abs(b) > _SQUARES_SAFE or abs(c) > _SQUARES_SAFE or abs(d) > _SQUARES_SAFE
+            or abs(a) < _SQUARES_TINY and abs(b) < _SQUARES_TINY and abs(c) < _SQUARES_TINY and abs(d) < _SQUARES_TINY):
+        # a power-of-two scale keeps the angle, and the squares below finite and normal
         ex = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
         a, b, c, d = (math.ldexp(v, -ex) for v in (a, b, c, d))
     qa = a * b + c * d
@@ -285,5 +297,7 @@ def distortion_bounds(c: OrbitCocycle, k: int) -> tuple[float, float]:
         s1 += t if t == t else 0.0
         s2 += (Ddt[j] / Dd[j]) * fj
     ek, fk = float(c.E[k]), F[k]
-    d1 = (ek / (fk * fk)) * s1
+    f2 = fk * fk
+    # below the normal range F_k^2 loses bits or reads 0: divide by F_k twice
+    d1 = (ek / f2 if f2 >= _NORMAL_MIN else ek / fk / fk) * s1
     return (d1 if d1 == d1 else 0.0), (ek / fk) * s2

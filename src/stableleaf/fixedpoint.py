@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .budget import EpsilonSchedule, check_condition_star, estimate_budget, first_tube_exit, reference_orbit
+from .budget import EpsilonSchedule, check_condition_star, sampled_cocycles
 from .cocycle import build_orbit_cocycle, distortion_bounds
 from .directions import angle_distance
 from .errors import (
@@ -22,7 +23,6 @@ from .errors import (
     NoFixedPointError,
     NonFiniteError,
     NotHyperbolicError,
-    NumericalError,
     SpectralSlackError,
 )
 from .leaf import (
@@ -140,8 +140,10 @@ def eigen_split(m: MapModel, guess: Point2) -> FixedPointData:
 class GrowthReport:
     """Fitted constants of the regular-growth estimates at radius eta.
 
-    K_fit is the smallest K >= 1 making all six families hold over the sample;
-    raw_ok records the K-free middle inequalities of the eigenvalue envelope.
+    K_fit is the smallest K >= 1 making all six families hold over the sample:
+    the fixed point and the box draws of ``budget.sampled_cocycles``, each at
+    its level. raw_ok records the K-free middle inequalities of the eigenvalue
+    envelope.
     """
 
     K_fit: float
@@ -154,7 +156,7 @@ class GrowthReport:
     K_det_grad: float
     raw_ok: bool
     points_used: int
-    points_skipped: int          # sample points whose cocycle failed numerically
+    points_skipped: int          # box draws with no valid cocycle level: n - (points_used - 1)
     kmax: int
     seed: int
 
@@ -181,18 +183,6 @@ def regular_growth_check(
     if not (0.0 <= d < lu - 1.0 and ls + d < 1.0):
         raise BadParamsError(f"spectral slack delta={d} incompatible with |ls|={ls}, |lu|={lu}")
 
-    b = estimate_budget(m, fp.p, sched, kmax, n=n, seed=seed)
-    pts = [fp.p]
-    for k in range(1, kmax + 1):
-        pts.extend(b.samples.get(k, []))
-    # dedupe while keeping deterministic order
-    seen = set()
-    uniq = []
-    for p in pts:
-        if p not in seen:
-            seen.add(p)
-            uniq.append(p)
-
     k_upper_f = 1.0
     k_lower_e = 1.0
     k_sum_f = 1.0
@@ -201,18 +191,11 @@ def regular_growth_check(
     k_d2 = 1.0
     k_det = 1.0
     raw_ok = True
-    used = skipped = 0
-    ref = reference_orbit(m, fp.p, kmax - 1)
-    for p in uniq:
-        exit_j = first_tube_exit(m, ref, p, sched, kmax - 1)
-        level = kmax if exit_j is None else exit_j
-        if level < 1:
-            continue
-        try:
-            coc = build_orbit_cocycle(m, p, level)
-        except NumericalError:
-            skipped += 1
-            continue
+    used = 0
+    draws = sampled_cocycles(m, fp.p, sched, kmax, n, seed)
+    # the fixed point joins every level, as it does in the budget
+    for coc in chain([build_orbit_cocycle(m, fp.p, kmax)], (c for _, c in draws)):
+        level = coc.kmax
         used += 1
         sum_f = 1.0  # F_0
         for j in range(1, level + 1):
@@ -245,7 +228,7 @@ def regular_growth_check(
     return GrowthReport(
         K_fit=k_fit, K_upper_F=k_upper_f, K_lower_E=k_lower_e, K_sum_F=k_sum_f,
         K_tail_product=k_tail, K_sum_H=k_sum_h, K_second_deriv=k_d2, K_det_grad=k_det,
-        raw_ok=raw_ok, points_used=used, points_skipped=skipped, kmax=kmax, seed=seed,
+        raw_ok=raw_ok, points_used=used, points_skipped=n - (used - 1), kmax=kmax, seed=seed,
     )
 
 

@@ -249,7 +249,8 @@ def choose_epsilon(
     the stored order-k0 sample for every computed k >= k0. A sample hull
     without interior contains no square, so it rejects every rung. Budgets
     without stored samples skip the pre-check (the containment proper is
-    re-tested during the Cauchy iteration).
+    re-tested during the Cauchy iteration). NoFeasibleEpsilonError names the
+    first constraint that the first rung fails and the one the last rung fails.
     """
     if b.k0 is None:
         raise NoFeasibleEpsilonError("budget has no k0; hyperbolicity never stabilized")
@@ -259,22 +260,28 @@ def choose_epsilon(
     k0_sample = list(b.samples.get(k0, [])) if b.samples else []
     hull = convex_hull_halfplanes(k0_sample + [b.z]) if k0_sample else None
     zx, zy = b.z
-    eps0 = sched.radius(0)
-    for mexp in range(LADDER_DEPTH + 1):
-        eps = eps0 * 2.0 ** -mexp
+
+    def blocker(eps: float) -> Optional[str]:
+        """The first constraint the rung eps fails, or None."""
         if not eps * gamma < 1.0:
-            continue
+            return "eps*gamma < 1"
         if not (eps * L < 1.0 and math.exp(eps * L) < 2.0):  # exp(1) > 2, and exp cannot overflow
-            continue
+            return "exp(eps*L) < 2"
         if hull is not None:
             r = eps + eps * math.exp(eps * L) * xi_max
             corners = [(zx - r, zy - r), (zx - r, zy + r), (zx + r, zy - r), (zx + r, zy + r)]
             if not hull_contains(hull, corners):
-                continue
-        return eps
+                return f"the hull pre-check (order-{k0} sample size {len(k0_sample)})"
+        return None
+
+    rungs = [sched.radius(0) * 2.0 ** -mexp for mexp in range(LADDER_DEPTH + 1)]
+    for eps in rungs:
+        if blocker(eps) is None:
+            return eps
     raise NoFeasibleEpsilonError(
         f"no feasible eps on the dyadic ladder eps0*2^-m, m <= {LADDER_DEPTH} "
-        f"(gamma={gamma:.3e}, L={L:.3e})"
+        f"(gamma={gamma:.3e}, L={L:.3e}): the first rung eps={rungs[0]:.3e} fails {blocker(rungs[0])}, "
+        f"the last rung eps={rungs[-1]:.3e} fails {blocker(rungs[-1])}"
     )
 
 

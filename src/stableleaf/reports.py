@@ -9,14 +9,11 @@ CSV uses LF line endings, a header row, and the same float format.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from typing import Any
 
 import numpy as np
-
-from .maps import Mat2, Point2
 
 
 def _fmt_float(v: float) -> str:
@@ -27,32 +24,10 @@ def _fmt_float(v: float) -> str:
     return format(v, ".16e")
 
 
-def to_jsonable(obj: Any) -> Any:
-    """Reduce reports, dataclasses, numpy values, and points to plain structures."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (Point2, Mat2)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def _emit(obj: Any, out: list[str]) -> None:
+    """Append the JSON of plain values, dicts, lists, tuples (so points) and numpy values."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -68,7 +43,7 @@ def _emit(obj: Any, out: list[str]) -> None:
     elif isinstance(obj, dict):
         out.append("{")
         first = True
-        for k in sorted(obj):
+        for k in sorted(obj, key=str):
             if not first:
                 out.append(",")
             first = False
@@ -89,7 +64,7 @@ def _emit(obj: Any, out: list[str]) -> None:
 
 def dumps_canonical(obj: Any) -> str:
     out: list[str] = []
-    _emit(to_jsonable(obj), out)
+    _emit(obj, out)
     return "".join(out)
 
 

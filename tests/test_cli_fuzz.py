@@ -25,9 +25,11 @@ def number(draw, lo: float, hi: float) -> str:
 
 
 def eigenvalue(draw, lo: float, hi: float) -> str:
-    """A lambda flag value: one time in ten of magnitude 1e100..1e160, whose squares overflow."""
+    """A lambda flag value: one time in ten of magnitude 1e100..1e160, whose squares
+    overflow, or 1e-160..1e-100, whose squares underflow."""
     if draw(st.integers(0, 9)) == 0:
-        return repr(draw(st.sampled_from((1.0, -1.0))) * 10.0 ** draw(st.floats(100.0, 160.0)))
+        exponent = draw(st.sampled_from((1.0, -1.0))) * draw(st.floats(100.0, 160.0))
+        return repr(draw(st.sampled_from((1.0, -1.0))) * 10.0 ** exponent)
     return number(draw, lo, hi)
 
 

@@ -216,13 +216,16 @@ def test_orbit_escape_and_singular_step(henon_map):
 
 
 def test_product_underflow_is_a_singular_step():
-    # every step is invertible, but the squared entries of Dphi^2 =
-    # diag(1e-260, 4e-260) underflow, so its singular values read 0 and
-    # E_2/F_2 and the distortion bounds would be 0/0
+    # the squared entries of Dphi^2 = diag(1e-260, 4e-260) are far below the
+    # float range, but the product is scaled up and keeps its exact E and F
     m = make_map("linear", lambda_s=1e-130, lambda_u=2e-130)
-    assert build_orbit_cocycle(m, Point2(0.0, 0.0), 1).F[1] == 2e-130
-    with pytest.raises(SingularStepError, match="order-2 product"):
-        build_orbit_cocycle(m, Point2(0.0, 0.0), 3)
+    c = build_orbit_cocycle(m, Point2(0.0, 0.0), 2)
+    assert (c.E[2], c.F[2], c.H[2]) == (1e-130 * 1e-130, 2e-130 * 2e-130, 0.25)
+    assert singular_values((1e-170, 0.0, 0.0, 2e-170)) == (1e-170, 2e-170)
+    # Dphi^2 = diag(1e-400, 1e-400) rounds to the zero matrix itself
+    tiny = make_map("linear", lambda_s=1e-200, lambda_u=1e-200)
+    with pytest.raises(SingularStepError, match="order-2 product Dphi\\^2 underflows to zero"):
+        build_orbit_cocycle(tiny, Point2(0.0, 0.0), 2)
 
 
 def test_product_overflow_is_a_singular_step():
@@ -247,3 +250,7 @@ def test_singular_values_match_numpy(seed):
     big = Mat2(*(math.ldexp(v, 600) for v in m))
     assert singular_values(big) == (math.ldexp(e, 600), math.ldexp(f, 600))
     assert _contract_angle(*big) == _contract_angle(*m)
+    # scaled by 2^-600 the squared entries underflow: the same holds
+    small = Mat2(*(math.ldexp(v, -600) for v in m))
+    assert singular_values(small) == (math.ldexp(e, -600), math.ldexp(f, -600))
+    assert _contract_angle(*small) == _contract_angle(*m)

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from stableleaf import fixedpoint as fp_mod
 from stableleaf import (
     EpsilonSchedule,
     Point2,
@@ -103,35 +102,27 @@ def test_regular_growth_slack_too_small(perturbed_map):
 
 
 def test_regular_growth_counts_skipped_points():
-    # in a box of half-width 0.15 the tube radius 0.1 keeps z_7 inside, but
-    # z_8 = 2 z_7 may leave it: those sample points escape and are skipped
+    # in a box of half-width 0.15 the first image 2y of a draw may leave it:
+    # such draws have no valid cocycle level and are skipped
     m = make_map("linear", lambda_s=0.5, lambda_u=2.0, box=(-0.15, 0.15, -0.15, 0.15))
     fp = dataclasses.replace(eigen_split(m, Point2(0, 0)), delta=0.0)
     rep = regular_growth_check(m, fp, EpsilonSchedule.constant(0.1), kmax=8, n=200, seed=1)
     assert rep.points_skipped > 0
     assert rep.points_used > 0
+    assert rep.points_skipped == 200 - (rep.points_used - 1)
     assert rep.K_upper_F == 1.0
 
 
-def test_regular_growth_propagates_programming_errors(linear_map, monkeypatch):
-    # a TypeError from the map's Jacobian is a bug, not a skipped point
-    broken = {"on": False}
-
+def test_regular_growth_propagates_programming_errors(linear_map):
+    # a TypeError from the map's Jacobian is a bug, not a dropped draw; the
+    # fixed point (0, 0) is an orbit of its own, so only the draws meet it
     def raw_jac(x, y):
-        if broken["on"]:
+        if (x, y) != (0.0, 0.0):
             raise TypeError("bad Jacobian")
         return (0.5, 0.0, 0.0, 2.0)
 
     m = dataclasses.replace(linear_map, raw_jac=raw_jac)
     fp = dataclasses.replace(eigen_split(m, Point2(0, 0)), delta=0.0)
-    real_estimate = fp_mod.estimate_budget
-
-    def estimate_then_break(*args, **kwargs):
-        b = real_estimate(*args, **kwargs)
-        broken["on"] = True
-        return b
-
-    monkeypatch.setattr(fp_mod, "estimate_budget", estimate_then_break)
     with pytest.raises(TypeError, match="bad Jacobian"):
         regular_growth_check(m, fp, EpsilonSchedule.constant(0.1), kmax=6, n=50, seed=1)
 

@@ -245,14 +245,17 @@ def test_cli_overflowing_star_terms_stay_finite(tmp_path):
 
 
 def test_cli_underflowing_product_exits_numerical(tmp_path, capsys):
-    # Dphi^2 at the base point underflows to the zero matrix
+    # Dphi^2 at the base point, of size about 1e-261, keeps its singular values;
+    # Dphi^3, of size about 1e-391, rounds to the zero matrix
     tiny = "5.633351377464542e-131"
-    rc = run_command(["leaf", "--map", "perturbed", f"--lambda-s={tiny}", f"--lambda-u={tiny}", f"--c={tiny}",
-                      "--z=0.021236870351144965,-0.1715702845708269", "--eps0=0.445558497450236",
-                      "--decay=0.7260566776114386", "--kmax=5", "--samples=16", "--seed=2097153",
-                      "--out-dir", str(tmp_path)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run_command(["leaf", "--map", "perturbed", f"--lambda-s={tiny}", f"--lambda-u={tiny}", f"--c={tiny}",
+                          "--z=0.021236870351144965,-0.1715702845708269", "--eps0=0.445558497450236",
+                          "--decay=0.7260566776114386", "--kmax=5", "--samples=16", "--seed=2097153",
+                          "--out-dir", str(tmp_path)])
     assert rc == 3
-    assert "order-2 product Dphi^2 underflows to zero" in capsys.readouterr().err
+    assert "[stage: budget]: order-3 product Dphi^3 underflows to zero" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lambda_u, kmax, order", [("1e300", 3, 2), ("1e100", 4, 4)])
@@ -290,7 +293,19 @@ def test_cli_epsilon_ladder_with_huge_eps_l(tmp_path, capsys):
                       "--decay=0.130614464372712", "--kmax=4", "--samples=39", "--seed=1277108571",
                       "--out-dir", str(tmp_path)])
     assert rc == 3
-    assert "no feasible eps" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "no feasible eps" in err
+    assert "the first rung eps=1.000e+300 fails exp(eps*L) < 2" in err
+
+
+def test_cli_no_feasible_eps_names_the_blocking_constraints(tmp_path, capsys):
+    # one sample and z span a segment, whose hull contains no square: the
+    # hull pre-check rejects every rung that eps*gamma < 1 lets through
+    assert run_command(["leaf", *LINEAR_SADDLE, "--samples", "1", "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "[stage: choose-epsilon]: no feasible eps" in err
+    assert "the first rung eps=1.000e-01 fails eps*gamma < 1" in err
+    assert "the last rung eps=9.095e-14 fails the hull pre-check (order-2 sample size 1)" in err
 
 
 def test_cli_config_unknown_key(tmp_path, capsys):
