@@ -9,6 +9,10 @@ iterates j >= 1 are tested with the Euclidean norm. Draws depend only on
 (seed, n, z, eps_0), never on k, so the accepted set for k+1 is always a
 subset of the accepted set for k.
 
+The draws are processed as numpy arrays, SAMPLE_BLOCK at a time, by
+``sample_sweep``; the scalar code decides every value the array arithmetic
+could round differently (see ``sample_sweep`` and ``_fold_order``).
+
 Budget maxima taken over a finite sample understate the true suprema; every
 downstream assertion that consumes them carries a stated slack factor and
 the condition verdicts are labeled heuristic.
@@ -17,20 +21,30 @@ the condition verdicts are labeled heuristic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .cocycle import OrbitCocycle, build_orbit_cocycle, distortion_bounds, series_term
-from .errors import BadParamsError, DomainError, NonFiniteError, OrbitEscapeError, SingularStepError
-from .maps import MapModel, Point2
+from .cocycle import (
+    OrbitCocycle,
+    build_orbit_cocycle,
+    distortion_bounds,
+    mul_lanes,
+    series_term,
+    singular_values_lanes,
+)
+from .errors import BadParamsError, DomainError, NonFiniteError, OrbitEscapeError
+from .maps import MapModel, Point2, apply_lanes
 from .rng import SplitRng
 
 NEIGHBORHOOD_STREAM = 0  # fixed substream tag for box draws
 SAMPLE_SLACK = 1.05      # stated slack for assertions against sampled maxima
 DEFAULT_SAMPLES = 2000
 LADDER_DEPTH = 40        # the epsilon ladder runs eps0 * 2^-m for m = 0..LADDER_DEPTH
+SAMPLE_BLOCK = 4096      # box draws per array block of sample_sweep; bounds its memory
+RECHECK_REL = 1e-13      # array values this close (relative) to a running maximum are recomputed exactly
 
 
 @dataclass(frozen=True)
@@ -61,6 +75,7 @@ def first_tube_exit(
 
     j=0 uses the sup-norm box of radius eps_0 (the sampler's box); j >= 1 uses
     the Euclidean norm. A domain escape at iterate j counts as an exit at j.
+    This is the one-point reference of ``tube_exits``, which the package uses.
     """
     px, py = float(x[0]), float(x[1])
     rx, ry = ref_orbit[0]
@@ -92,10 +107,46 @@ def reference_orbit(m: MapModel, z: Point2, nsteps: int) -> list[Point2]:
     return pts
 
 
-def _box_draws(z: Point2, eps0: float, n: int, seed: int) -> list[Point2]:
-    rng = SplitRng(seed).substream(NEIGHBORHOOD_STREAM)
-    cx, cy = float(z[0]), float(z[1])
-    return [Point2(*rng.point_in_box(cx, cy, eps0)) for _ in range(n)]
+def _tube_miss(j: int, x: np.ndarray, y: np.ndarray, ref: list[Point2], sched: EpsilonSchedule) -> np.ndarray:
+    """The lanes whose iterate j (x, y) fails first_tube_exit's test at j.
+
+    Where np.hypot and math.hypot could fall on either side of the radius,
+    math.hypot decides.
+    """
+    rx, ry = ref[j]
+    r = sched.radius(j)
+    dx, dy = x - rx, y - ry
+    if j == 0:
+        adx, ady = np.abs(dx), np.abs(dy)
+        return np.where(ady > adx, ady, adx) > r  # as max(adx, ady), also for NaN
+    d = np.hypot(dx, dy)
+    miss = d > r
+    for i in np.flatnonzero(np.abs(d - r) <= 8.0 * math.ulp(r)).tolist():
+        miss[i] = math.hypot(dx[i], dy[i]) > r
+    return miss
+
+
+@np.errstate(all="ignore")
+def tube_exits(
+    m: MapModel, ref_orbit: list[Point2], x, y, sched: EpsilonSchedule, jmax: int
+) -> np.ndarray:
+    """first_tube_exit for every point (x[i], y[i]): its exit index, or -1 where that is None."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    out = np.where(_tube_miss(0, x, y, ref_orbit, sched), 0, -1)
+    lane = np.flatnonzero(out < 0)
+    x, y = x[lane], y[lane]
+    for j in range(1, jmax + 1):
+        # eval_xy's checks: x, y finite (NaN or inf fails the box) and in the domain, image finite
+        at = np.flatnonzero(m.in_domain_lanes(x, y))
+        nx, ny = apply_lanes(m.raw_eval, x[at], y[at], 2)
+        inside = np.isfinite(nx) & np.isfinite(ny)
+        inside[inside] = ~_tube_miss(j, nx[inside], ny[inside], ref_orbit, sched)
+        gone = np.ones(len(lane), dtype=bool)
+        gone[at[inside]] = False
+        out[lane[gone]] = j
+        lane, x, y = lane[~gone], nx[inside], ny[inside]
+    return out
 
 
 @dataclass
@@ -105,7 +156,9 @@ class HyperbolicityBudget:
     Arrays are indexed by k = 0..kmax with identity-cocycle conventions at 0
     (gamma_0 = gamma*_0 = fmax_0 = 1, delta_0 = 0). terms[k] = p_k q_k gamma_{k+1}
     and xi[k] = terms[k]/(1-terms[k]) exist for k = 0..kmax-1 (+inf past 1).
-    cocycle is the order-kmax cocycle at z itself.
+    cocycle is the order-kmax cocycle at z itself. samples[k] holds the
+    sampled draws in N^(k), in draw order, as an array of shape (count, 2);
+    z itself is not among them.
     """
 
     z: Point2
@@ -131,27 +184,214 @@ class HyperbolicityBudget:
     accepted_counts: dict = field(default_factory=dict)
 
 
+class SweepOrder(NamedTuple):
+    """The draws of one block that lie in N^(k), and what they give the budget at order k.
+
+    draw is each lane's index in the draw sequence and (x, y) its point.
+    values lists (budget field, index, array): P, Q and Pt at index k (and
+    at 0 when k = 1), and H, E, F and delta at k. inputs holds the arrays
+    whose bits determine every value of a lane up to order k: the steps
+    Dphi(z_j), Pt_j and grad det(Dphi)(z_j) for j = 0..k.
+    """
+
+    k: int
+    draw: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    values: list
+    inputs: tuple
+
+
+def _point_data(m: MapModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The lanes at orbit points (x, y) that pass build_orbit_cocycle's checks there, and their step values.
+
+    The checks: the point in the domain, Dphi finite and nonsingular
+    (det != 0 and E != 0), the second-derivative data finite. Each callable
+    sees only the lanes that passed the checks before it.
+    """
+    at = np.flatnonzero(m.in_domain_lanes(x, y))
+    s = apply_lanes(m.raw_jac if m.raw_jac is not None else m.fd_jac, x[at], y[at], 4)
+    ok = np.all(np.isfinite(s), axis=0)
+    at, s = at[ok], s[:, ok]
+    e, f = singular_values_lanes(*s)
+    det = s[0] * s[3] - s[1] * s[2]
+    ok = (det != 0.0) & (e != 0.0)
+    at, s, e, f, det = at[ok], s[:, ok], e[ok], f[ok], det[ok]
+    d2 = apply_lanes(m.second_partials, x[at], y[at], 8)
+    ok = np.all(np.isfinite(d2), axis=0)
+    at, s, e, f, det, d2 = at[ok], s[:, ok], e[ok], f[ok], det[ok], d2[:, ok]
+    return at, {
+        "S": s, "P": f, "Q": 1.0 / e, "Pt": 2.0 * np.max(np.abs(d2[:6]), axis=0),
+        "g": d2[6:], "rd": np.hypot(d2[6], d2[7]) / np.abs(det),  # Ddt / Dd
+    }
+
+
+def _delta_lanes(steps: list, F: list, Pt: list, s2: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """distortion_bounds' d1 + d2 at order k = len(F) - 1 for every lane, in its order of operations.
+
+    s2 is the running sum of (Ddt_j / Dd_j) F_j over j < k. The tail products
+    keep the scalar association ((Dphi_{k-1} Dphi_{k-2}) ...) Dphi_{j+1}.
+    """
+    k = len(F) - 1
+    tails = [1.0] * k
+    t = (1.0, 0.0, 0.0, 1.0)
+    for j in range(k - 2, -1, -1):
+        t = mul_lanes(t, steps[j + 1])
+        tails[j] = singular_values_lanes(*t)[1]
+    s1 = 0.0
+    for j in range(k):
+        term = Pt[j] * tails[j] * F[j] * F[j]
+        s1 = s1 + np.where(term == term, term, 0.0)
+    fk = F[k]
+    f2 = fk * fk
+    d1 = np.where(f2 >= np.finfo(float).smallest_normal, e / f2, e / fk / fk) * s1
+    return np.where(d1 == d1, d1, 0.0) + (e / fk) * s2
+
+
+def _block_sweep(
+    m: MapModel, ref: list[Point2], sched: EpsilonSchedule, kmax: int, start: int, xs: np.ndarray, ys: np.ndarray
+) -> Iterator[SweepOrder]:
+    """sample_sweep for the draws (xs, ys), numbered from start."""
+    with np.errstate(all="ignore"):
+        lane = np.flatnonzero(~_tube_miss(0, xs, ys, ref, sched))  # only rounding can fail the box
+        at, pd = _point_data(m, xs[lane], ys[lane])
+        lane = lane[at]
+        x, y = xs[lane], ys[lane]
+        prod = np.repeat([[1.0], [0.0], [0.0], [1.0]], len(lane), axis=1)
+        hist = {"S": [pd["S"]], "F": [np.ones(len(lane))], "Pt": [pd["Pt"]], "g": [pd["g"]]}
+        s2 = np.zeros(len(lane))
+    for k in range(1, kmax + 1):
+        with np.errstate(all="ignore"):
+            # lanes alive here have level >= k - 1; keep those whose iterate k - 1 is in the tube
+            sel = np.arange(len(lane)) if k == 1 else np.flatnonzero(~_tube_miss(k - 1, x, y, ref, sched))
+            nx, ny = apply_lanes(m.raw_eval, x[sel], y[sel], 2)
+            ok = np.isfinite(nx) & np.isfinite(ny)
+            sel, nx, ny = sel[ok], nx[ok], ny[ok]
+            prod = mul_lanes(hist["S"][-1][:, sel], prod[:, sel])
+            e, f = singular_values_lanes(*prod)
+            ok = np.isfinite(f) & (f != 0.0)
+            sel, nx, ny, prod, e, f = sel[ok], nx[ok], ny[ok], prod[:, ok], e[ok], f[ok]
+            at, nd = _point_data(m, nx, ny)
+            if not len(at):
+                return
+            keep = sel[at]
+            lane, x, y, prod, e, f = lane[keep], nx[at], ny[at], prod[:, at], e[at], f[at]
+            s2 = s2[keep] + pd["rd"][keep] * hist["F"][-1][keep]
+            hist = {name: [a[..., keep] for a in arrs] for name, arrs in hist.items()}
+            for name, v in (("S", nd["S"]), ("F", f), ("Pt", nd["Pt"]), ("g", nd["g"])):
+                hist[name].append(v)
+            delta = _delta_lanes(hist["S"], hist["F"], hist["Pt"], s2, e)
+            values = [("p", k, nd["P"]), ("q", k, nd["Q"]), ("pt", k, nd["Pt"]),
+                      ("gamma", k, e / f), ("gamma_star", k, e), ("fmax", k, f), ("delta", k, delta)]
+            if k == 1:
+                values += [("p", 0, pd["P"][keep]), ("q", 0, pd["Q"][keep]), ("pt", 0, pd["Pt"][keep])]
+            pd = nd
+        yield SweepOrder(k, start + lane, xs[lane], ys[lane], values, (hist["S"], hist["Pt"], hist["g"]))
+
+
+def sample_sweep(
+    m: MapModel, z: Point2, sched: EpsilonSchedule, kmax: int, n: int, seed: int
+) -> Iterator[SweepOrder]:
+    """The n box draws around z and their budget values, as arrays, a block at a time and order by order.
+
+    A draw's tube level is the order of the deepest neighborhood it lies in.
+    Its level is the largest level <= its tube level at which
+    build_orbit_cocycle(m, draw, level) succeeds, 0 if there is none. That
+    success is monotone in the level, so whether a draw has level >= k is
+    known at step k: for each block of SAMPLE_BLOCK draws, the SweepOrder of
+    order k holds exactly the draws of level >= k, in draw order, and the
+    arrays of a block shrink to them as k grows.
+
+    Levels, counts and Pt are bit for bit those of the scalar code; the
+    values that pass through hypot (P, Q, E, F, H, delta) can differ from it
+    in the last bits.
+    """
+    ref = reference_orbit(m, z, kmax - 1)  # raises here, before any draw is made
+    rng = SplitRng(seed).substream(NEIGHBORHOOD_STREAM)
+    cx, cy, r0 = float(z[0]), float(z[1]), sched.radius(0)
+
+    def blocks():
+        for start in range(0, n, SAMPLE_BLOCK):
+            xs, ys = rng.points_in_box(cx, cy, r0, min(SAMPLE_BLOCK, n - start))
+            yield from _block_sweep(m, ref, sched, kmax, start, xs, ys)
+
+    return blocks()
+
+
 def sampled_cocycles(
     m: MapModel, z: Point2, sched: EpsilonSchedule, kmax: int, n: int, seed: int
 ) -> Iterator[tuple[Point2, OrbitCocycle]]:
     """Yield (draw, cocycle) for the box draws around z that join N^(1), in draw order.
 
-    A draw's tube level is the order of the deepest neighborhood it lies in.
-    Its cocycle is built at the largest level <= its tube level whose build
-    succeeds: a build that escapes, meets a singular step or a non-finite
-    value is demoted one level, and a draw with no valid level is dropped.
-    The cocycle's kmax is the draw's level.
+    Each cocycle is built once, at the draw's level from ``sample_sweep``.
     """
-    ref = reference_orbit(m, z, kmax - 1)
-    for d in _box_draws(z, sched.radius(0), n, seed):
-        exit_j = first_tube_exit(m, ref, d, sched, kmax - 1)
-        for level in range(kmax if exit_j is None else exit_j, 0, -1):
-            try:
-                coc = build_orbit_cocycle(m, d, level)
-            except (OrbitEscapeError, SingularStepError, NonFiniteError):
-                continue
-            yield d, coc
-            break
+    level = np.zeros(n, dtype=int)
+    xs = np.empty(n)
+    ys = np.empty(n)
+    for order in sample_sweep(m, z, sched, kmax, n, seed):
+        level[order.draw] = order.k
+        xs[order.draw] = order.x
+        ys[order.draw] = order.y
+    for i in np.flatnonzero(level).tolist():
+        d = Point2(float(xs[i]), float(ys[i]))
+        yield d, build_orbit_cocycle(m, d, int(level[i]))
+
+
+def _delta_at(c: OrbitCocycle, k: int) -> float:
+    d1, d2 = distortion_bounds(c, k)
+    return d1 + d2
+
+
+# how the scalar code reads each budget field off a cocycle, at an index
+_SCALAR = {
+    "p": lambda c, i: c.P[i],
+    "q": lambda c, i: c.Q[i],
+    "pt": lambda c, i: c.Pt[i],
+    "gamma": lambda c, i: c.H[i],
+    "gamma_star": lambda c, i: c.E[i],
+    "fmax": lambda c, i: c.F[i],
+    "delta": _delta_at,
+}
+_FLOAT_MAX = sys.float_info.max
+
+
+def _fold_order(m: MapModel, top: dict, order: SweepOrder) -> None:
+    """Raise the budget maxima top[field][index] by one SweepOrder, to the scalar code's values.
+
+    Pt is exact, so its array maximum is taken. For the other fields, every
+    lane whose array value is NaN, or within RECHECK_REL of the larger of the
+    array maximum and the running maximum, is recomputed by
+    build_orbit_cocycle, once per distinct bits of its inputs; no other lane
+    can hold the maximum.
+    """
+    recheck = {}
+    for name, i, v in order.values:
+        if name == "pt":
+            if len(v) and v.max() > top[name][i]:
+                top[name][i] = v.max()
+            continue
+        bar = min(max(float(np.max(v, initial=0.0, where=v == v)), top[name][i]), _FLOAT_MAX)
+        lanes = np.flatnonzero(((v >= bar * (1.0 - RECHECK_REL)) & (v > 0.0)) | (v != v))
+        if len(lanes):
+            recheck[name, i] = lanes
+    if not recheck:
+        return
+    hit = np.zeros(len(order.draw), dtype=bool)
+    for cand in recheck.values():
+        hit[cand] = True
+    lanes = np.flatnonzero(hit)
+    rows = np.vstack([a.reshape(-1, a.shape[-1])[:, lanes] for arrs in order.inputs for a in arrs]).T.copy()
+    key = {}  # lane -> the bytes of its inputs
+    cocycles = {}  # input bytes -> the scalar cocycle of the first lane with them
+    for lane, row in zip(lanes.tolist(), rows):
+        key[lane] = row.tobytes()
+        if key[lane] not in cocycles:
+            cocycles[key[lane]] = build_orbit_cocycle(m, Point2(float(order.x[lane]), float(order.y[lane])), order.k)
+    for (name, i), cand in recheck.items():
+        for k in dict.fromkeys(key[lane] for lane in cand.tolist()):
+            v = _SCALAR[name](cocycles[k], i)
+            if v > top[name][i]:
+                top[name][i] = v
 
 
 def estimate_budget(
@@ -166,53 +406,34 @@ def estimate_budget(
 
     The reference point itself, which belongs to every neighborhood exactly,
     joins each level. A sample point joins the levels up to the one
-    ``sampled_cocycles`` gives it.
+    ``sample_sweep`` gives it. Every maximum is the scalar code's value
+    (see ``_fold_order``), so the budget is bit for bit the one of building
+    each draw's cocycle at its level.
     """
     if kmax < 2:
         raise BadParamsError(f"kmax must be >= 2, got {kmax}")
 
     km1 = kmax + 1
-    p = np.zeros(km1)
-    q = np.zeros(km1)
-    pt = np.zeros(km1)
-    gamma = np.zeros(km1)
-    gamma_star = np.zeros(km1)
-    delta = np.zeros(km1)
-    fmax = np.zeros(km1)
-    gamma[0] = gamma_star[0] = fmax[0] = 1.0
-    counts = {k: 0 for k in range(1, km1)}
-    samples = {k: [] for k in range(1, km1)}
-
-    def absorb(coc) -> None:
-        # per-step suprema: x in N^(k) contributes index-k step values, k <= its
-        # level coc.kmax; index 0 is contributed by every point with a valid first step.
-        top = coc.kmax
-        for k in range(0, top + 1):
-            if coc.P[k] > p[k]:
-                p[k] = coc.P[k]
-            if coc.Q[k] > q[k]:
-                q[k] = coc.Q[k]
-            if coc.Pt[k] > pt[k]:
-                pt[k] = coc.Pt[k]
-        for k in range(1, top + 1):
-            if coc.H[k] > gamma[k]:
-                gamma[k] = coc.H[k]
-            if coc.E[k] > gamma_star[k]:
-                gamma_star[k] = coc.E[k]
-            if coc.F[k] > fmax[k]:
-                fmax[k] = coc.F[k]
-            d1, d2 = distortion_bounds(coc, k)
-            if d1 + d2 > delta[k]:
-                delta[k] = d1 + d2
-
-    for d, coc in sampled_cocycles(m, z, sched, kmax, n, seed):
-        for k in range(1, coc.kmax + 1):
-            counts[k] += 1
-            samples[k].append(d)
-        absorb(coc)
-
+    top = {name: np.zeros(km1) for name in _SCALAR}
+    top["gamma"][0] = top["gamma_star"][0] = top["fmax"][0] = 1.0
+    orders = sample_sweep(m, z, sched, kmax, n, seed)
+    # the centre goes first: a draw's lane is re-checked only where it comes near the maxima so far
     center = build_orbit_cocycle(m, z, kmax)
-    absorb(center)
+    for name, read in _SCALAR.items():
+        for k in range(0 if name in ("p", "q", "pt") else 1, km1):
+            v = read(center, k)
+            if v > top[name][k]:
+                top[name][k] = v
+    counts = {k: 0 for k in range(1, km1)}
+    parts = {k: [] for k in range(1, km1)}
+    for order in orders:
+        counts[order.k] += len(order.draw)
+        parts[order.k].append(np.column_stack([order.x, order.y]))
+        _fold_order(m, top, order)
+    samples = {k: np.concatenate(parts[k]) if parts[k] else np.empty((0, 2)) for k in parts}
+    p, q, pt, gamma, gamma_star, delta, fmax = (
+        top[name] for name in ("p", "q", "pt", "gamma", "gamma_star", "delta", "fmax")
+    )
 
     terms = np.full(kmax, math.inf)
     xi = np.full(kmax, math.inf)
@@ -235,7 +456,8 @@ def estimate_budget(
     for k in range(kmax - 1, -1, -1):
         tail += terms[k]
         tails[k] = tail
-    gamma_tilde = gamma_star + 2.0 * fmax * tails
+    with np.errstate(over="ignore"):  # +inf where it overflows, as the series terms are
+        gamma_tilde = gamma_star + 2.0 * fmax * tails
 
     star_terms = np.zeros(kmax)
     for k in range(kmax):

@@ -31,6 +31,7 @@ _SQUARES_SAFE = 2.0 ** 509  # entries up to this keep 8 * entry^2 below the floa
 _NORMAL_MIN = 2.0 ** -1022  # the smallest normal float
 _SQUARES_TINY = 2.0 ** -511  # entries below this square into the subnormal range
 _TINY_SUM = 4.0 * _NORMAL_MIN  # bounds the sum of squares when every entry is below _SQUARES_TINY
+_LANES_SUM_MAX = 2.0 ** 1021  # below this sum of squares, s + r and det stay finite
 
 
 def singular_values(m: Mat2) -> tuple[float, float]:
@@ -64,6 +65,35 @@ def singular_values(m: Mat2) -> tuple[float, float]:
     if f == 0.0:
         return 0.0, 0.0
     return abs(det) / f, f
+
+
+def singular_values_lanes(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """singular_values of every lane of the entry arrays, as arrays (E, F).
+
+    The same operations as singular_values, with np.hypot, which can differ
+    from math.hypot in the last bit, so E and F can too. A lane whose sum of
+    squares is outside (_TINY_SUM, 2^1021), where singular_values scales or
+    the float range ends, or whose E is below the normal range, where a last
+    bit of F is no longer a relative error, is computed by singular_values.
+    Call it inside np.errstate: lanes may overflow.
+    """
+    s = a * a + b * b + c * c + d * d
+    det = a * d - b * c
+    f = np.sqrt(0.5 * (s + np.hypot(a * a + c * c - b * b - d * d, 2.0 * (a * b + c * d))))
+    e = np.abs(det) / f
+    for i in np.flatnonzero(~((s > _TINY_SUM) & (s < _LANES_SUM_MAX) & (e >= _NORMAL_MIN))).tolist():
+        e[i], f[i] = singular_values((float(a[i]), float(b[i]), float(c[i]), float(d[i])))
+    return e, f
+
+
+def mul_lanes(m: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """The products m o of every lane of two (4, lanes) entry arrays, as Mat2.mul computes them."""
+    return np.array([
+        m[0] * o[0] + m[1] * o[2],
+        m[0] * o[1] + m[1] * o[3],
+        m[2] * o[0] + m[3] * o[2],
+        m[2] * o[1] + m[3] * o[3],
+    ])
 
 
 def series_term(*factors) -> float:

@@ -25,8 +25,8 @@ from .budget import (
     HyperbolicityBudget,
     check_condition_double_star,
     estimate_budget,
-    first_tube_exit,
     reference_orbit,
+    tube_exits,
 )
 from .directions import _signed_gap, contracted_theta_fast, field_lipschitz
 from .errors import (
@@ -366,19 +366,16 @@ def cauchy_iterate(
         bounds[i] = eps * xi_k * egl
 
         leafk = leaves[k]
-        omega = bounds[i]
-        ok = True
-        idxs = set(range(0, len(leafk.t), TUBE_STRIDE)) | {0, len(leafk.t) - 1}
-        for idx in sorted(idxs):
-            fx, fy = -math.sin(leafk.thetas[idx]), math.cos(leafk.thetas[idx])
-            px, py = leafk.xs[idx], leafk.ys[idx]
-            for s in (1.0, -1.0):
-                disp = Point2(px + s * omega * fx, py + s * omega * fy)
-                if first_tube_exit(m, ref, disp, sched, k) is not None:
-                    ok = False
-                    break
-            if not ok:
-                break
+        nodes = sorted(set(range(0, len(leafk.t), TUBE_STRIDE)) | {0, len(leafk.t) - 1})
+        thetas = leafk.thetas[nodes].tolist()
+        fx = np.array([-math.sin(th) for th in thetas])
+        fy = np.array([math.cos(th) for th in thetas])
+        px, py = leafk.xs[nodes], leafk.ys[nodes]
+        sw = np.array([bounds[i], -bounds[i]])[:, None]  # s * omega for s = +1, -1
+        with np.errstate(invalid="ignore", over="ignore"):  # omega may be +inf: inf and nan, as floats give
+            dx, dy = (px + sw * fx).ravel(), (py + sw * fy).ravel()
+        exits = tube_exits(m, ref, dx, dy, sched, k)
+        ok = not np.any(exits >= 0)
         tube_ok.append(ok)
 
     converged = bool(d_k[-1] < tol)
@@ -499,27 +496,15 @@ def uniqueness_probe(
     polyline vertices.
     """
     ref = reference_orbit(m, z, kmax)
-    rng = SplitRng(seed).substream(_PROBE_STREAM)
-    zx, zy = float(z[0]), float(z[1])
-    r0 = sched.radius(0)
+    xs, ys = SplitRng(seed).substream(_PROBE_STREAM).points_in_box(float(z[0]), float(z[1]), sched.radius(0), probes)
     records: list[ProbeRecord] = []
-    survivors = 0
-    for _ in range(probes):
-        p = Point2(*rng.point_in_box(zx, zy, r0))
-        exit_step = first_tube_exit(m, ref, p, sched, kmax)
-        d = float(np.min(np.hypot(leaf.xs - p[0], leaf.ys - p[1])))
-        if exit_step is None:
-            survivors += 1
-        records.append(ProbeRecord(point=p, distance_to_leaf=d, exit_step=exit_step))
-    on_exits = 0
-    checked = 0
-    for idx in range(0, len(leaf.t), 8):
-        checked += 1
-        pt = Point2(float(leaf.xs[idx]), float(leaf.ys[idx]))
-        if first_tube_exit(m, ref, pt, sched, kmax) is not None:
-            on_exits += 1
+    for x, y, e in zip(xs.tolist(), ys.tolist(), tube_exits(m, ref, xs, ys, sched, kmax).tolist()):
+        d = float(np.min(np.hypot(leaf.xs - x, leaf.ys - y)))
+        records.append(ProbeRecord(point=Point2(x, y), distance_to_leaf=d, exit_step=None if e < 0 else e))
+    survivors = sum(r.exit_step is None for r in records)
+    on_leaf = tube_exits(m, ref, leaf.xs[::8], leaf.ys[::8], sched, kmax)
     return UniquenessReport(
-        kmax=kmax, probes=records, on_leaf_checked=checked, on_leaf_exits=on_exits,
+        kmax=kmax, probes=records, on_leaf_checked=len(on_leaf), on_leaf_exits=int(np.sum(on_leaf >= 0)),
         survivors=survivors,
     )
 

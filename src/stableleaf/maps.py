@@ -8,7 +8,9 @@ central finite-difference fallbacks where not. Built-in families:
     henon(a, b):                  (1 - a*x^2 + y, b*x)
 
 Everything is double precision. Models are immutable and all operations are
-pure, so they are safe to share across threads.
+pure, so they are safe to share across threads. The array passes evaluate the
+raw callables on numpy arrays of points through ``apply_lanes``, which falls
+back to one call per point for a callable that accepts only floats.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
+
+import numpy as np
 
 from .errors import BadParamsError, DomainError, NonFiniteError, UnknownMapError
 
@@ -25,6 +29,33 @@ JAC_STEP = 1e-6
 HESS_STEP = 1e-4
 GUARD_MARGIN = 1e-8
 DEFAULT_BOX = (-5.0, 5.0, -5.0, 5.0)  # xlo, xhi, ylo, yhi
+
+
+def apply_lanes(fn: Callable, x: np.ndarray, y: np.ndarray, width: Optional[int] = None) -> np.ndarray:
+    """fn at every lane (x[i], y[i]): shape (width, lanes), or (lanes,) for one value per lane.
+
+    fn is called once on the arrays. A callable that rejects them (TypeError
+    or ValueError), or returns values that do not broadcast to the lanes, is
+    called once per lane with Python floats instead, so it gives the same
+    numbers, more slowly.
+    """
+    res = np.empty((len(x),) if width is None else (width, len(x)))
+    if not len(x):
+        return res
+    try:
+        out = fn(x, y)
+        if width is None:
+            res[...] = out
+            return res
+        if len(out) != width:
+            raise ValueError(f"expected {width} values, got {len(out)}")
+        for i, v in enumerate(out):
+            res[i] = v
+        return res
+    except (TypeError, ValueError):
+        pass
+    per_lane = [fn(a, b) for a, b in zip(x.tolist(), y.tolist())]
+    return np.array(per_lane, dtype=float).reshape(res.shape[::-1]).T
 
 
 class Point2(NamedTuple):
@@ -103,6 +134,14 @@ class MapModel:
             return False
         return True
 
+    def in_domain_lanes(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """in_domain at every lane, as a bool array; the guard sees only the lanes inside the box."""
+        xlo, xhi, ylo, yhi = self.box
+        ok = (xlo <= x) & (x <= xhi) & (ylo <= y) & (y <= yhi)
+        if self.singular_guard is not None:
+            ok[ok] = ~(apply_lanes(self.singular_guard, x[ok], y[ok]) <= self.guard_margin)
+        return ok
+
     def _check_domain(self, x: float, y: float) -> None:
         if not (math.isfinite(x) and math.isfinite(y)):
             raise NonFiniteError(f"non-finite point ({x}, {y})")
@@ -144,13 +183,12 @@ class MapModel:
 
     # -- second derivative ----------------------------------------------------
 
-    def second_derivative_data(self, p: Point2) -> tuple[SecondDeriv, Point2]:
-        """Second-partial tensor and the spatial gradient of det(Dphi) at p."""
-        x, y = p
-        self._check_domain(x, y)
-        h = HESS_STEP * max(1.0, math.hypot(x, y))
+    def second_partials(self, x: float, y: float) -> tuple[float, ...]:
+        """The six entries of the second-partial tensor, then the two of grad det(Dphi), at (x, y); unchecked."""
+        if self.raw_hess is None or self.raw_det_grad is None:
+            h = HESS_STEP * max(1.0, math.hypot(x, y))
         if self.raw_hess is not None:
-            t = SecondDeriv(*self.raw_hess(x, y))
+            t = tuple(self.raw_hess(x, y))
         else:
             f0 = self.raw_eval(x, y)
             fxp = self.raw_eval(x + h, y)
@@ -162,7 +200,7 @@ class MapModel:
             fmp = self.raw_eval(x - h, y + h)
             fmm = self.raw_eval(x - h, y - h)
             ih2 = 1.0 / (h * h)
-            t = SecondDeriv(
+            t = (
                 (fxp[0] - 2 * f0[0] + fxm[0]) * ih2,
                 (fpp[0] - fpm[0] - fmp[0] + fmm[0]) * 0.25 * ih2,
                 (fyp[0] - 2 * f0[0] + fym[0]) * ih2,
@@ -171,7 +209,7 @@ class MapModel:
                 (fyp[1] - 2 * f0[1] + fym[1]) * ih2,
             )
         if self.raw_det_grad is not None:
-            g = self.raw_det_grad(x, y)
+            g = tuple(self.raw_det_grad(x, y))
         else:
             jac = self.raw_jac if self.raw_jac is not None else self.fd_jac
 
@@ -183,9 +221,16 @@ class MapModel:
                 (det_at(x + h, y) - det_at(x - h, y)) * 0.5 / h,
                 (det_at(x, y + h) - det_at(x, y - h)) * 0.5 / h,
             )
-        if not (all(math.isfinite(v) for v in t) and all(math.isfinite(v) for v in g)):
+        return t + g
+
+    def second_derivative_data(self, p: Point2) -> tuple[SecondDeriv, Point2]:
+        """Second-partial tensor and the spatial gradient of det(Dphi) at p."""
+        x, y = p
+        self._check_domain(x, y)
+        v = self.second_partials(x, y)
+        if not all(math.isfinite(c) for c in v):
             raise NonFiniteError(f"second derivative data of '{self.name}' non-finite at ({x}, {y})")
-        return t, Point2(*g)
+        return SecondDeriv(*v[:6]), Point2(*v[6:])
 
 
 # -- built-in families -------------------------------------------------------

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from stableleaf import (
     EpsilonSchedule,
     Point2,
+    SplitRng,
     check_condition_double_star,
     check_condition_star,
     estimate_budget,
     first_tube_exit,
     make_map,
 )
-from stableleaf.budget import INCONCLUSIVE, INFEASIBLE, SUMMABLE_HEURISTIC, reference_orbit
+from stableleaf.budget import INCONCLUSIVE, INFEASIBLE, SUMMABLE_HEURISTIC, reference_orbit, tube_exits
 from stableleaf.errors import BadParamsError, OrbitEscapeError
 from stableleaf.maps import MapModel
 
@@ -54,10 +55,10 @@ def test_sample_determinism(henon_map):
     z = Point2(0.63, 0.19)
     a = estimate_budget(henon_map, z, sched, kmax=3, n=400, seed=42)
     b = estimate_budget(henon_map, z, sched, kmax=3, n=400, seed=42)
-    assert a.samples[3] == b.samples[3]
+    assert np.array_equal(a.samples[3], b.samples[3])
     assert a.accepted_counts == b.accepted_counts
     c = estimate_budget(henon_map, z, sched, kmax=3, n=400, seed=43)
-    assert a.samples[3] != c.samples[3]
+    assert not np.array_equal(a.samples[3], c.samples[3])
 
 
 def test_sample_nesting(linear_map, henon_map):
@@ -65,7 +66,7 @@ def test_sample_nesting(linear_map, henon_map):
     for m, z in ((linear_map, Point2(0, 0)), (henon_map, Point2(0.63, 0.19))):
         b = estimate_budget(m, z, sched, kmax=5, n=600, seed=5)
         for k in range(1, 5):
-            assert set(b.samples[k + 1]) <= set(b.samples[k])
+            assert set(map(tuple, b.samples[k + 1].tolist())) <= set(map(tuple, b.samples[k].tolist()))
             assert b.accepted_counts[k] == len(b.samples[k])
 
 
@@ -74,7 +75,7 @@ def test_linear_acceptance_region_thins(linear_map):
     sched = EpsilonSchedule.constant(0.1)
     k = 5
     b = estimate_budget(linear_map, Point2(0, 0), sched, kmax=k, n=4000, seed=11)
-    ymax = max(abs(p.y) for p in b.samples[k])
+    ymax = float(np.max(np.abs(b.samples[k][:, 1])))
     cap = 0.1 * 2.0 ** -(k - 1)
     assert ymax <= cap
     assert ymax >= 0.8 * cap  # the sample actually fills the thin box
@@ -250,3 +251,40 @@ def test_negative_stable_eigenvalue_linear():
     c = build_orbit_cocycle(m, Point2(0.1, 0.001), 6)
     for k in range(1, 7):
         assert contracted_direction(c, k).theta == 0.0
+
+
+def _hypot_split_pair():
+    """A pair (dx, dy) on which np.hypot and math.hypot round to different floats."""
+    rng = SplitRng(31)
+    dx, dy = rng.points_in_box(0.25, 0.25, 0.25, 20000)
+    for a, b, d in zip(dx.tolist(), dy.tolist(), np.hypot(dx, dy).tolist()):
+        if d != math.hypot(a, b):
+            return a, b
+    raise AssertionError("no pair found")
+
+
+def test_array_tube_test_decides_with_math_hypot(linear_map):
+    # iterate 1 of (2 dx, dy / 2) under (x/2, 2y) is (dx, dy), exactly; radius(1) = decay
+    dx, dy = _hypot_split_pair()
+    ref = reference_orbit(linear_map, Point2(0, 0), 1)
+    x, y = 2.0 * dx, 0.5 * dy
+    radii = (math.hypot(dx, dy), float(np.hypot(dx, dy)))
+    # at one of the radii the bare np.hypot test and the scalar test disagree
+    assert any((float(np.hypot(dx, dy)) > r) != (math.hypot(dx, dy) > r) for r in radii)
+    for r in radii:
+        sched = EpsilonSchedule(1.0, r)
+        scalar = first_tube_exit(linear_map, ref, Point2(x, y), sched, 1)
+        arr = tube_exits(linear_map, ref, np.array([x]), np.array([y]), sched, 1)
+        assert arr.tolist() == [-1 if scalar is None else scalar]
+
+
+def test_array_tube_test_matches_scalar(henon_map):
+    sched = EpsilonSchedule.constant(0.05)
+    z = Point2(0.6313544770895048, 0.18940634312685142)
+    ref = reference_orbit(henon_map, z, 8)
+    xs, ys = SplitRng(5).points_in_box(z.x, z.y, 0.06, 400)  # some draws fail the box at j = 0
+    xs[:3] = (np.nan, np.inf, 10.0)
+    want = [first_tube_exit(henon_map, ref, Point2(x, y), sched, 8) for x, y in zip(xs.tolist(), ys.tolist())]
+    got = tube_exits(henon_map, ref, xs, ys, sched, 8).tolist()
+    assert got == [-1 if w is None else w for w in want]
+    assert {0, 1, -1} <= set(got) and len(set(got)) > 4

@@ -1,11 +1,13 @@
-"""Differential tests of the one sampled-neighborhood pass ``budget.sampled_cocycles``.
+"""Differential tests of the array budget pass ``budget.sample_sweep``.
 
 ``estimate_budget`` (with its ``absorb`` and ``cocycle_to``) and
 ``regular_growth_check`` are kept below, verbatim, as they were before both
 folded ``sampled_cocycles``: the budget demoted a failing draw to its largest
 valid level, and the growth check rebuilt every sampled draw's cocycle at its
 tube level and skipped a draw whose build failed. Every field is compared bit
-for bit (``float.hex``). The documented differences are asserted as such:
+for bit (``float.hex``); the reference ``samples[k]`` is a list of Point2,
+which compares equal to the (count, 2) array the budget now holds. The
+documented differences are asserted as such:
 
 - a non-finite second derivative now demotes a draw, where it aborted the
   budget; the result equals the old budget of the same map with the region
@@ -21,8 +23,15 @@ import math
 import numpy as np
 import pytest
 
+import stableleaf.budget as budget_mod
 from stableleaf import EpsilonSchedule, Point2, eigen_split, estimate_budget, make_map, regular_growth_check
-from stableleaf.budget import DEFAULT_SAMPLES, HyperbolicityBudget, _box_draws, first_tube_exit, reference_orbit
+from stableleaf.budget import (
+    DEFAULT_SAMPLES,
+    NEIGHBORHOOD_STREAM,
+    HyperbolicityBudget,
+    first_tube_exit,
+    reference_orbit,
+)
 from stableleaf.cocycle import build_orbit_cocycle, distortion_bounds, series_term
 from stableleaf.errors import (
     BadParamsError,
@@ -34,9 +43,16 @@ from stableleaf.errors import (
 )
 from stableleaf.fixedpoint import K_FIT_CAP, FixedPointData, GrowthReport
 from stableleaf.maps import MapModel
+from stableleaf.rng import SplitRng
 
 
 # -- reference copies of the replaced loops ------------------------------------
+
+
+def _box_draws(z: Point2, eps0: float, n: int, seed: int) -> list[Point2]:
+    rng = SplitRng(seed).substream(NEIGHBORHOOD_STREAM)
+    cx, cy = float(z[0]), float(z[1])
+    return [Point2(*rng.point_in_box(cx, cy, eps0)) for _ in range(n)]
 
 
 def ref_estimate_budget(
@@ -279,7 +295,34 @@ def _henon_bad_right(part):
     return dataclasses.replace(m, raw_jac=lambda x, y: (math.inf, 1.0, 0.3, 0.0) if x > 0.66 else jac(x, y))
 
 
+def _scalar_only(m):
+    """m with every raw callable and the guard taking floats only: numpy arrays raise TypeError."""
+    def wrap(fn):
+        return None if fn is None else (lambda x, y: fn(math.fsum([x]), math.fsum([y])))
+
+    return dataclasses.replace(
+        m, raw_eval=wrap(m.raw_eval), raw_jac=wrap(m.raw_jac), raw_hess=wrap(m.raw_hess),
+        raw_det_grad=wrap(m.raw_det_grad), singular_guard=wrap(m.singular_guard),
+    )
+
+
+def _no_derivatives(m):
+    # finite differences for the Jacobian, the second partials and grad det
+    return dataclasses.replace(m, raw_jac=None, raw_hess=None, raw_det_grad=None)
+
+
+def _steps_map(jac):
+    """The contraction (x/2, y/2), whose draws stay in every tube, with the given one-step derivatives.
+
+    With entries up to 1e118 away from the centre the order-2 products have
+    squares past the float range and order 3 overflows; with entries near
+    1e-130 the order-2 products have subnormal squares.
+    """
+    return dataclasses.replace(make_map("linear", lambda_s=0.5, lambda_u=0.5), raw_jac=jac)
+
+
 HENON_GUESS = Point2(0.6, 0.2)
+HENON_FP = Point2(0.6313544770895048, 0.18940634312685142)
 
 # name: (map factory, fixed-point guess, delta override, eta, kmax, n, seed)
 CASES = {
@@ -289,6 +332,20 @@ CASES = {
     "henon": (lambda: make_map("henon", a=1.4, b=0.3), HENON_GUESS, None, 0.05, 8, 300, 5),
     "guard-strip": (_guard_strip, Point2(0.0, 0.0), 0.0, 0.1, 8, 200, 1),
     "box-limited": (_box_limited, Point2(0.0, 0.0), 0.0, 0.1, 8, 200, 1),
+}
+
+
+# budget-only inputs, name: (map factory, z, eta, kmax, n, seed)
+ARRAY_CASES = {
+    "henon-scalar-only": (lambda: _scalar_only(make_map("henon", a=1.4, b=0.3)), HENON_FP, 0.05, 8, 300, 5),
+    "henon-no-derivatives": (lambda: _no_derivatives(make_map("henon", a=1.4, b=0.3)), HENON_FP, 0.05, 6, 150, 3),
+    "guard-strip-scalar-only": (lambda: _scalar_only(_guard_strip()), Point2(0.0, 0.0), 0.1, 8, 200, 1),
+    "overflow": (lambda: _steps_map(lambda x, y: (0.5, 0.0, 0.0, 1.0 + 1e120 * x * x)), Point2(0.0, 0.0), 0.1, 6, 200, 1),
+    "subnormal": (lambda: _steps_map(lambda x, y: (1e-130 * (1.0 + x), 0.0, 0.0, 3e-130 * (1.0 + y))),
+                  Point2(0.0, 0.0), 0.1, 2, 200, 2),
+    "one-draw": (lambda: make_map("perturbed", lambda_s=0.5, lambda_u=2.0, c=0.05), Point2(0.01, 0.0), 0.05, 10, 1, 2),
+    "two-blocks": (lambda: make_map("perturbed", lambda_s=0.5, lambda_u=2.0, c=0.05), Point2(0.0, 0.0), 0.05, 6,
+                   budget_mod.SAMPLE_BLOCK + 3, 4),
 }
 
 
@@ -334,6 +391,62 @@ def test_budget_matches_reference(name):
     if name == "box-limited":
         # the budget demoted draws before this change too
         assert new.accepted_counts[1] < n and new.accepted_counts[kmax] > 0
+
+
+def array_case(name):
+    if name in ARRAY_CASES:
+        factory, z, eta, kmax, n, seed = ARRAY_CASES[name]
+        return factory(), z, EpsilonSchedule.constant(eta), kmax, n, seed
+    m, fp, sched, kmax, n, seed = case(name)
+    return m, fp.p, sched, kmax, n, seed
+
+
+@pytest.mark.parametrize(
+    "name, block",
+    [(name, None) for name in ARRAY_CASES] + [(name, 7) for name in list(ARRAY_CASES) + list(CASES)],
+)
+def test_array_budget_matches_reference(name, block, monkeypatch):
+    if block is not None:
+        # 7 divides none of the sample sizes: the last block is partial
+        monkeypatch.setattr(budget_mod, "SAMPLE_BLOCK", block)
+    m, z, sched, kmax, n, seed = array_case(name)
+    if "scalar-only" in name:
+        with pytest.raises(TypeError):  # so the budget calls it once per point
+            m.raw_eval(np.zeros(2), np.zeros(2))
+    new = estimate_budget(m, z, sched, kmax, n=n, seed=seed)
+    with np.errstate(over="ignore"):  # the reference warns where gamma_tilde overflows to +inf
+        ref = ref_estimate_budget(m, z, sched, kmax, n=n, seed=seed)
+    assert bits(new) == bits(ref)
+    if name == "overflow":
+        # Dphi^3 overflows for every draw but those with |x| below about 1e-20
+        assert new.accepted_counts[2] == n and new.accepted_counts[3] == 0
+    if name == "subnormal":
+        assert new.accepted_counts[2] == n and 0.0 < new.fmax[2] < 1e-250
+
+
+def test_tied_lanes_are_rechecked_once_per_order(monkeypatch):
+    # every draw of the linear map has the same steps and products, so each
+    # maximum ties across all lanes; their inputs dedupe to one scalar build
+    m, z, sched, kmax, n, seed = array_case("linear")
+    builds = []
+    real = budget_mod.build_orbit_cocycle
+    monkeypatch.setattr(budget_mod, "build_orbit_cocycle", lambda *a: builds.append(a[2]) or real(*a))
+    b = estimate_budget(m, z, sched, kmax, n=n, seed=seed)
+    assert b.accepted_counts[kmax] > 0
+    # the centre, then at most one re-check per order
+    assert builds[0] == kmax and len(builds) <= kmax + 1
+
+
+def test_growth_check_builds_each_draw_once(monkeypatch):
+    m, fp, sched, kmax, n, seed = case("box-limited")
+    b = estimate_budget(m, fp.p, sched, kmax, n=n, seed=seed)
+    builds = []
+    real = budget_mod.build_orbit_cocycle
+    monkeypatch.setattr(budget_mod, "build_orbit_cocycle", lambda *a: builds.append(a[2]) or real(*a))
+    rep = regular_growth_check(m, fp, sched, kmax, n, seed)
+    assert len(builds) == rep.points_used - 1 == n - rep.points_skipped
+    levels = [k for k in range(1, kmax + 1) for _ in range(b.accepted_counts[k] - b.accepted_counts.get(k + 1, 0))]
+    assert sorted(builds) == sorted(levels)
 
 
 @pytest.mark.parametrize("name", ["linear", "perturbed", "henon", "guard-strip"])

@@ -1,5 +1,7 @@
 import math
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,3 +55,17 @@ def test_uniform_distribution_sane():
     mean = sum(xs) / len(xs)
     assert abs(mean - 0.5) < 0.01
     assert min(xs) < 0.01 and max(xs) > 0.99
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+@pytest.mark.parametrize("sub", [0, 3])
+def test_points_in_box_matches_point_in_box(seed, sub):
+    one = SplitRng(seed).substream(sub)
+    arr = SplitRng(seed).substream(sub)
+    want = [one.point_in_box(0.3, -0.2, 0.05) for _ in range(300)]
+    xs1, ys1 = arr.points_in_box(0.3, -0.2, 0.05, 100)
+    xs2, ys2 = arr.points_in_box(0.3, -0.2, 0.05, 200)
+    got = zip(np.concatenate([xs1, xs2]).tolist(), np.concatenate([ys1, ys2]).tolist())
+    assert [(x.hex(), y.hex()) for x, y in got] == [(x.hex(), y.hex()) for x, y in want]
+    # both generators end in the same state
+    assert one.next_u64() == arr.next_u64()
