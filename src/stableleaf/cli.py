@@ -162,6 +162,7 @@ def _cmd_leaf(ns, out_dir: str) -> int:
 
 
 def _convergence_payload(m, ns, report, c_fit) -> dict:
+    limit = report.limit
     return {
         "map": m.name, "params": m.params, "seed": ns.seed,
         "k0": report.k0, "kmax": report.kmax, "ks": report.ks,
@@ -169,6 +170,10 @@ def _convergence_payload(m, ns, report, c_fit) -> dict:
         "tube_ok": report.tube_ok,
         "restricted": report.restricted,
         "eps_chosen": report.eps_chosen, "L_used": report.L_used,
+        "h": limit.h, "steps_per_cell": limit.steps_per_cell,
+        "integration_error": report.integration_error,
+        "length_neg": limit.length_neg, "length_pos": limit.length_pos,
+        "truncated_neg": limit.truncated_neg, "truncated_pos": limit.truncated_pos,
         "tol": report.tol, "converged": report.converged,
         "C_fit": c_fit,
     }
@@ -205,6 +210,8 @@ def _cmd_fixedpoint(ns, out_dir: str) -> int:
             "star_verdict": report.star_verdict,
             "gamma_required": report.gamma_required,
             "eps": report.eps, "L_used": report.convergence.L_used,
+            "h": report.convergence.limit.h, "steps_per_cell": report.convergence.limit.steps_per_cell,
+            "integration_error": report.convergence.integration_error,
             "conclusion_1_tangency": {
                 "tangency_error_rad": report.tangency_error,
             },

@@ -64,12 +64,13 @@ class NoFeasibleEpsilonError(NumericalError):
 
 
 class NotConvergedError(NumericalError):
-    """Leaf Cauchy iteration did not reach the tolerance; carries the partial report."""
+    """Leaf Cauchy iteration did not converge; the message names each failed condition.
 
-    def __init__(self, kmax: int, last_distance: float, report=None, why: str = ""):
-        why = f": {why}" if why else ""
-        super().__init__(f"leaf distances d_k not below tolerance by k={kmax} (last d_k={last_distance:.3e}){why}")
-        self.kmax = kmax
+    Carries the last leaf distance and the partial report.
+    """
+
+    def __init__(self, message: str, last_distance: float, report=None):
+        super().__init__(message)
         self.last_distance = last_distance
         self.report = report
 

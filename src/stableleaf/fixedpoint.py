@@ -299,8 +299,6 @@ def verify_fixed_point_theorem(
     tangency = angle_distance(th_leaf, th_es)
 
     # (2) side lengths
-    len_neg = float(limit.t[limit.center_index] - limit.t[0])
-    len_pos = float(limit.t[-1] - limit.t[limit.center_index])
     full = (not limit.truncated_neg) and (not limit.truncated_pos)
 
     # (3) least-squares slope of the widest pair's log ratio over n = k0..contraction.n,
@@ -325,7 +323,7 @@ def verify_fixed_point_theorem(
         map_name=m.name, fp=fp, eta=eta, kmax=kmax, seed=seed,
         star_verdict=check_condition_star(b).verdict, gamma_required=gamma,
         eps=eps, converged=conv.converged,
-        tangency_error=tangency, length_pos=len_pos, length_neg=len_neg,
+        tangency_error=tangency, length_pos=limit.length_pos, length_neg=limit.length_neg,
         full_length=full, fitted_rate=rate, rate_deviation=rate_dev,
         convergence=conv, contraction=contraction, uniqueness=uniq,
         minidistortion_ok=_minidistortion_ok(b.cocycle),

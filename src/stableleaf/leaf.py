@@ -3,9 +3,11 @@
 A leaf of order k through z is the integral curve of the unit most-contracted
 direction field of the k-step derivative, parametrized by arclength on a
 uniform t-grid over [-eps, eps]. Integration is classical fixed-step RK4
-(default h = eps/512) with orientation continuity enforced by sign-flipping
-the field against the previous tangent; leaves of consecutive orders are
-compared at matched arclength on a shared grid.
+(default h = eps/128, one step per cell of the default grid) with orientation
+continuity enforced by sign-flipping the field against the previous tangent;
+leaves of consecutive orders are compared at matched arclength on a shared
+grid. The Cauchy iteration integrates the limit leaf once more at half its
+step, and the largest node deviation is its integration error.
 
 budget_to_epsilon and iterate_to_contraction run the pipeline stages in
 order, each through staged(), which names the stage a NumericalError came from.
@@ -42,7 +44,7 @@ from .maps import MapModel, Point2
 from .rng import SplitRng
 
 DEFAULT_GRID = 257
-DEFAULT_STEP_DIV = 512  # default h = eps / 512
+DEFAULT_STEP_DIV = 128  # default h = eps / 128: one RK4 step per cell of the default grid
 TUBE_STRIDE = 4         # tube containment displaces every 4th leaf node (plus the ends)
 CONTRACTION_PAIRS = 64  # leaf point pairs sampled by the contraction check
 CONTRACTION_ORDERS = 10  # the contraction fit runs up to 10 orders past k0
@@ -73,6 +75,21 @@ class LeafCurve:
     truncated_pos: bool
     grid_points: int
 
+    @property
+    def steps_per_cell(self) -> int:
+        """RK4 steps per grid cell: h is snapped to a whole number of them."""
+        return round(self.eps / ((self.grid_points - 1) // 2) / self.h)
+
+    @property
+    def length_neg(self) -> float:
+        """Arclength reached on the negative side; eps unless that side is truncated."""
+        return float(self.t[self.center_index] - self.t[0])
+
+    @property
+    def length_pos(self) -> float:
+        """Arclength reached on the positive side; eps unless that side is truncated."""
+        return float(self.t[-1] - self.t[self.center_index])
+
     def tangent_lipschitz(self) -> float:
         """Max |d theta / d t| over the grid (Lipschitz estimate of the tangent)."""
         if len(self.t) < 2:
@@ -98,32 +115,35 @@ def rk4_streamline(
 
     Returns per-node xs, ys, raw tangent angles, and a truncation flag. The
     field is evaluated with an orientation reference so direction fields
-    defined mod pi stay coherent along the trace.
+    defined mod pi stay coherent along the trace. The tangent recorded at a
+    node is the k1 of the next step: the same point, with the tangent as its
+    own reference. So a cell costs 4 * steps_per_cell field calls, and the
+    trace one more for the first k1.
     """
     h = spacing / steps_per_cell
     xs: list[float] = []
     ys: list[float] = []
     ths: list[float] = []
     x, y = x0, y0
-    ux, uy = ux0, uy0
     sixth = h / 6.0
+    try:
+        tx, ty = fld(x, y, ux0, uy0)
+    except (ConformalError, OrbitEscapeError):
+        return xs, ys, ths, True
     for _ in range(n_cells):
-        for _ in range(steps_per_cell):
-            try:
-                k1x, k1y = fld(x, y, ux, uy)
+        k1x, k1y = tx, ty
+        try:
+            for step in range(steps_per_cell):
+                if step:
+                    k1x, k1y = fld(x, y, k4x, k4y)
                 k2x, k2y = fld(x + 0.5 * h * k1x, y + 0.5 * h * k1y, k1x, k1y)
                 k3x, k3y = fld(x + 0.5 * h * k2x, y + 0.5 * h * k2y, k2x, k2y)
                 k4x, k4y = fld(x + h * k3x, y + h * k3y, k3x, k3y)
-            except (ConformalError, OrbitEscapeError):
-                return xs, ys, ths, True
-            x += sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
-            y += sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
-            ux, uy = k4x, k4y
-        try:
-            tx, ty = fld(x, y, ux, uy)
+                x += sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
+                y += sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
+            tx, ty = fld(x, y, k4x, k4y)
         except (ConformalError, OrbitEscapeError):
             return xs, ys, ths, True
-        ux, uy = tx, ty
         xs.append(x)
         ys.append(y)
         ths.append(math.atan2(ty, tx))
@@ -290,7 +310,11 @@ def choose_epsilon(
 
 @dataclass
 class ConvergenceReport:
-    """Per-order leaf distances against the Gronwall envelope eps*xi_k*e^(L*eps)."""
+    """Per-order leaf distances against the Gronwall envelope eps*xi_k*e^(L*eps).
+
+    integration_error is the step-doubling estimate for the limit leaf: its
+    largest node deviation from the same leaf at half the step.
+    """
 
     k0: int
     kmax: int
@@ -302,6 +326,7 @@ class ConvergenceReport:
     gronwall_bound: np.ndarray
     tube_ok: list[bool]
     restricted: list[bool]
+    integration_error: float
     converged: bool
     limit: LeafCurve
 
@@ -339,9 +364,10 @@ def cauchy_iterate(
     L is the direction-field Lipschitz constant of the Gronwall envelope.
     Tube containment is checked by displacing every TUBE_STRIDE-th grid node
     (plus the endpoints) of the order-k leaf by +/- omega_k along the expanded
-    direction and testing membership in the order-(k+1) orbit tube. Raises
-    NotConvergedError (carrying the partial report) when the last comparison
-    distance is not below tol.
+    direction and testing membership in the order-(k+1) orbit tube. The run
+    converges when the last comparison distance and the integration error
+    are both below tol and the limit leaf reaches eps on both sides; else
+    NotConvergedError names each failed condition and carries the report.
     """
     if b.k0 is None:
         raise NoFeasibleEpsilonError("budget has no k0")
@@ -378,15 +404,32 @@ def cauchy_iterate(
         ok = not np.any(exits >= 0)
         tube_ok.append(ok)
 
-    converged = bool(d_k[-1] < tol)
+    # step doubling: the limit leaf again at half its step; a node the finer
+    # leaf does not reach has no error estimate, so the error is then +inf
+    limit = leaves[kmax]
+    dev, reached = _leaf_distance(limit, integrate_leaf(m, z, kmax, eps, h=limit.h / 2))
+    integration_error = dev if reached == len(limit.t) else math.inf
+
+    failed = []
+    if not d_k[-1] < tol:
+        why = f": order-{kmax - 1}/{kmax} leaves share {shared} of {DEFAULT_GRID} nodes" if shared < 2 else ""
+        failed.append(f"leaf distances d_k not below tolerance by k={kmax} (last d_k={d_k[-1]:.3e}){why}")
+    if not integration_error < tol:
+        short = f" (the half-step leaf reaches {reached} of {len(limit.t)} nodes)" if reached < len(limit.t) else ""
+        failed.append(f"the order-{kmax} leaf's integration error {integration_error:.3e} "
+                      f"at h={limit.h:.3e} is not below tol={tol:.3e}{short}")
+    for side, truncated, length in (("negative", limit.truncated_neg, limit.length_neg),
+                                    ("positive", limit.truncated_pos, limit.length_pos)):
+        if truncated:
+            failed.append(f"the order-{kmax} leaf is truncated on the {side} side at length {length:.6e} "
+                          f"of eps={eps:.6e}")
     report = ConvergenceReport(
         k0=k0, kmax=kmax, eps_chosen=eps, L_used=L, tol=tol,
-        ks=ks, d_k=d_k, gronwall_bound=bounds,
-        tube_ok=tube_ok, restricted=restricted, converged=converged, limit=leaves[kmax],
+        ks=ks, d_k=d_k, gronwall_bound=bounds, tube_ok=tube_ok, restricted=restricted,
+        integration_error=integration_error, converged=not failed, limit=limit,
     )
-    if not converged:
-        why = f"order-{kmax - 1}/{kmax} leaves share {shared} of {DEFAULT_GRID} nodes" if shared < 2 else ""
-        raise NotConvergedError(kmax, float(d_k[-1]), report=report, why=why)
+    if failed:
+        raise NotConvergedError("; ".join(failed), float(d_k[-1]), report=report)
     return report
 
 

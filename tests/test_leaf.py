@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -13,12 +15,70 @@ from stableleaf import (
     contraction_check,
     estimate_budget,
     integrate_leaf,
+    make_map,
     uniqueness_probe,
 )
 from stableleaf.budget import SAMPLE_SLACK, HyperbolicityBudget
-from stableleaf.directions import direction_field_derivative, field_lipschitz
-from stableleaf.errors import BadParamsError, DegenerateLeafError, NoFeasibleEpsilonError, NotConvergedError, NumericalError
-from stableleaf.leaf import convex_hull_halfplanes, hull_contains, rk4_streamline
+from stableleaf.directions import contracted_theta_fast, direction_field_derivative, field_lipschitz
+from stableleaf.errors import (
+    BadParamsError,
+    ConformalError,
+    DegenerateLeafError,
+    NoFeasibleEpsilonError,
+    NotConvergedError,
+    NumericalError,
+    OrbitEscapeError,
+)
+from stableleaf.leaf import _leaf_field, budget_to_epsilon, convex_hull_halfplanes, hull_contains, rk4_streamline
+
+HENON_SADDLE = Point2(0.6313544770895252, 0.18940634312685756)
+
+
+def ref_rk4_streamline(fld, x0, y0, ux0, uy0, n_cells, spacing, steps_per_cell):
+    """The RK4 loop before the node tangent became the next k1, verbatim: the reference."""
+    h = spacing / steps_per_cell
+    xs: list[float] = []
+    ys: list[float] = []
+    ths: list[float] = []
+    x, y = x0, y0
+    ux, uy = ux0, uy0
+    sixth = h / 6.0
+    for _ in range(n_cells):
+        for _ in range(steps_per_cell):
+            try:
+                k1x, k1y = fld(x, y, ux, uy)
+                k2x, k2y = fld(x + 0.5 * h * k1x, y + 0.5 * h * k1y, k1x, k1y)
+                k3x, k3y = fld(x + 0.5 * h * k2x, y + 0.5 * h * k2y, k2x, k2y)
+                k4x, k4y = fld(x + h * k3x, y + h * k3y, k3x, k3y)
+            except (ConformalError, OrbitEscapeError):
+                return xs, ys, ths, True
+            x += sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
+            y += sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
+            ux, uy = k4x, k4y
+        try:
+            tx, ty = fld(x, y, ux, uy)
+        except (ConformalError, OrbitEscapeError):
+            return xs, ys, ths, True
+        ux, uy = tx, ty
+        xs.append(x)
+        ys.append(y)
+        ths.append(math.atan2(ty, tx))
+    return xs, ys, ths, False
+
+
+def stop_beyond(fld, x0, y0, ux, uy, s_stop):
+    """fld, raising OrbitEscapeError at points more than s_stop along (ux, uy) from (x0, y0)."""
+    def stopped(x, y, rux, ruy):
+        if (x - x0) * ux + (y - y0) * uy > s_stop:
+            raise OrbitEscapeError(0, (x, y))
+        return fld(x, y, rux, ruy)
+
+    return stopped
+
+
+def bits(trace):
+    xs, ys, ths, truncated = trace
+    return [v.hex() for v in xs + ys + ths], truncated
 
 
 def synthetic_budget(k0=2, kmax=8, eps0=1.0, xi_value=0.0):
@@ -164,7 +224,7 @@ def test_leaf_arclength_consistency(henon_map):
     # tangent angle continuity: no mod-pi jumps
     assert np.max(np.abs(np.diff(leaf.thetas))) < math.pi / 2
     # tangent at t=0 equals the contracted direction at z
-    from stableleaf.directions import contracted_theta_fast, angle_distance
+    from stableleaf.directions import angle_distance
 
     th0 = contracted_theta_fast(henon_map, z.x, z.y, 8)[0]
     assert angle_distance(leaf.thetas[leaf.center_index], th0) <= 1e-10
@@ -341,3 +401,153 @@ def test_tangent_lipschitz_invariant(perturbed_map):
 def test_leaf_limit_tangency_linear(linear_map):
     b, sched, eps, conv = _linear_pipeline(linear_map)
     assert np.max(np.abs(conv.limit.thetas)) <= 1e-10
+
+
+# -- the RK4 fast path against the reference loop ----------------------------
+
+FIELD_CASES = {  # map, base point, order
+    "henon": (make_map("henon", a=1.4, b=0.3), HENON_SADDLE, 12),
+    "perturbed": (make_map("perturbed", lambda_s=0.5, lambda_u=2.0, c=0.05), Point2(0.0, 0.0), 8),
+}
+
+
+@pytest.mark.parametrize("steps", [1, 2, 4])
+@pytest.mark.parametrize("case", sorted(FIELD_CASES))
+def test_rk4_streamline_matches_reference(case, steps):
+    m, z, k = FIELD_CASES[case]
+    fld = _leaf_field(m, k)
+    th0 = contracted_theta_fast(m, z.x, z.y, k)[0]
+    spacing = 0.0125 / 128
+    for sign in (1.0, -1.0):
+        ux, uy = sign * math.cos(th0), sign * math.sin(th0)
+        args = (z.x, z.y, ux, uy, 24, spacing, steps)
+        full = rk4_streamline(fld, *args)
+        assert not full[3] and len(full[0]) == 24
+        assert bits(full) == bits(ref_rk4_streamline(fld, *args))
+        # a stop early in cell 10 makes one of its stage points fail first
+        nodes = [(x - z.x) * ux + (y - z.y) * uy for x, y in zip(full[0], full[1])]
+        cut = stop_beyond(fld, z.x, z.y, ux, uy, nodes[8] + 0.3 * (nodes[9] - nodes[8]))
+        part = rk4_streamline(cut, *args)
+        assert part[3] and len(part[0]) == 9
+        assert bits(part) == bits(ref_rk4_streamline(cut, *args))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 4])
+def test_rk4_streamline_field_calls(steps):
+    calls = []
+
+    def counted(x, y, rux, ruy):
+        calls.append((x, y))
+        return (1.0, 0.0) if rux >= 0.0 else (-1.0, 0.0)
+
+    xs, _, _, truncated = rk4_streamline(counted, 0.0, 0.0, 1.0, 0.0, 5, 0.125, steps)
+    assert not truncated and len(xs) == 5
+    assert len(calls) == 4 * steps * 5 + 1
+
+
+# sha256 of xs, ys and thetas of each leaf as integrated with h = eps/512, four
+# RK4 steps per cell, before the node tangent became the next step's k1
+OLD_DEFAULT_LEAF_SHA256 = {
+    "henon": "4637b5d0565e79b115437cf246a083368e671cc280b25051cfbd658284de52c6",
+    "perturbed": "6b2d4e793c8d16c0f33a8dccc3feeb80af9fcf2e096d674e6806df72181e5149",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_CASES))
+def test_fine_step_reproduces_the_old_default_leaf(case):
+    m, z, k = FIELD_CASES[case]
+    leaf = integrate_leaf(m, z, k, 0.0125, h=0.0125 / 512)
+    assert leaf.steps_per_cell == 4 and len(leaf.t) == leaf.grid_points
+    digest = hashlib.sha256(leaf.xs.tobytes() + leaf.ys.tobytes() + leaf.thetas.tobytes()).hexdigest()
+    assert digest == OLD_DEFAULT_LEAF_SHA256[case]
+
+
+def test_default_step_is_one_per_cell(henon_map):
+    leaf = integrate_leaf(henon_map, HENON_SADDLE, 12, 0.0125)
+    assert leaf.steps_per_cell == 1 and leaf.h == 0.0125 / 128
+    # an h above the grid spacing is snapped to the spacing
+    assert integrate_leaf(henon_map, HENON_SADDLE, 12, 0.0125, h=0.01).h == leaf.h
+    assert integrate_leaf(henon_map, HENON_SADDLE, 12, 0.0125, h=0.0125 / 300).steps_per_cell == 2
+
+
+# -- the integration error and the convergence conditions ---------------------
+
+
+def test_integration_error_linear_exact(linear_map):
+    # a dyadic eps makes every RK4 increment of the constant field exact
+    z, sched = Point2(0, 0), EpsilonSchedule.constant(0.125)
+    b, _, L, eps = budget_to_epsilon(linear_map, z, sched, 10, 500, 3)
+    conv = cauchy_iterate(linear_map, z, b, sched, eps, 10, 1e-8, L=L)
+    assert eps == 0.03125
+    assert conv.integration_error == 0.0
+    assert np.all(conv.d_k == 0.0)
+
+
+def test_integration_error_alone_blocks_convergence(linear_map):
+    # at eps = 0.025 the leaves of all orders agree exactly, but the half-step
+    # leaf accumulates its arclength with different round-off
+    b, sched, eps, conv = _linear_pipeline(linear_map)
+    assert eps == 0.025 and np.all(conv.d_k == 0.0)
+    assert 0.0 < conv.integration_error < 1e-15
+    with pytest.raises(NotConvergedError) as exc:
+        cauchy_iterate(linear_map, Point2(0, 0), b, sched, eps, 10, conv.integration_error, L=conv.L_used)
+    msg = str(exc.value)
+    assert f"integration error {conv.integration_error:.3e}" in msg
+    assert "d_k" not in msg and "truncated" not in msg
+    assert exc.value.report.integration_error == conv.integration_error
+    assert not exc.value.report.converged
+
+
+def test_integration_error_henon(henon_map):
+    z = HENON_SADDLE
+    sched = EpsilonSchedule.constant(0.05)
+    b, _, L, eps = budget_to_epsilon(henon_map, z, sched, 12, 800, 6)
+    conv = cauchy_iterate(henon_map, z, b, sched, eps, 12, 1e-8, L=L)
+    fine = integrate_leaf(henon_map, z, 12, eps, h=conv.limit.h / 2)
+    assert fine.steps_per_cell == 2 * conv.limit.steps_per_cell
+    expected = np.max(np.hypot(conv.limit.xs - fine.xs, conv.limit.ys - fine.ys))
+    assert conv.integration_error == expected
+    assert 0.0 < conv.integration_error < 1e-14
+
+
+def strip_map(linear_map, x_mid, width):
+    """The linear saddle with a singular strip |x - x_mid| <= width across its stable leaf."""
+    return dataclasses.replace(linear_map, singular_guard=lambda x, y: abs(x - x_mid) - width)
+
+
+def test_truncated_limit_leaf_is_not_converged(linear_map):
+    # the strip crosses the leaf at about eps/2 and truncates every order at
+    # the same node, so consecutive leaves agree exactly over what they share
+    z, sched = Point2(0, 0), EpsilonSchedule.constant(0.1)
+    m = strip_map(linear_map, 0.0125 + 1e-4 / 3, 1e-4)
+    b, _, L, eps = budget_to_epsilon(m, z, sched, 10, 500, 3)
+    assert eps == 0.025  # the strip stays inside the hull of the order-k0 sample
+    with pytest.raises(NotConvergedError) as exc:
+        cauchy_iterate(m, z, b, sched, eps, 10, 1e-8, L=L)
+    rep = exc.value.report
+    assert np.all(rep.d_k == 0.0) and rep.integration_error < 1e-8
+    assert rep.limit.truncated_pos and not rep.limit.truncated_neg
+    assert rep.limit.length_neg == eps and rep.limit.length_pos < 0.5 * eps
+    assert str(exc.value) == (
+        f"the order-10 leaf is truncated on the positive side at length {rep.limit.length_pos:.6e} of eps=2.500000e-02"
+    )
+
+
+def test_half_step_leaf_stopping_short_leaves_the_error_unmeasured(linear_map):
+    # a strip a tenth of a step wide, a quarter step past node 64: the stage
+    # points of h miss it, and those of h/2 stop in it
+    z, sched = Point2(0, 0), EpsilonSchedule.constant(0.1)
+    spacing = 0.025 / 128
+    m = strip_map(linear_map, 64.25 * spacing, 0.05 * spacing)
+    b, _, L, eps = budget_to_epsilon(m, z, sched, 10, 500, 3)
+    assert eps == 0.025
+    with pytest.raises(NotConvergedError) as exc:
+        cauchy_iterate(m, z, b, sched, eps, 10, 1e-8, L=L)
+    rep = exc.value.report
+    assert np.all(rep.d_k == 0.0)
+    assert not rep.limit.truncated_neg and not rep.limit.truncated_pos
+    assert rep.integration_error == math.inf
+    assert str(exc.value) == (
+        "the order-10 leaf's integration error inf at h=1.953e-04 is not below tol=1.000e-08 "
+        "(the half-step leaf reaches 193 of 257 nodes)"
+    )

@@ -102,6 +102,36 @@ def test_cli_converge_happy_path(tmp_path):
     assert leaf_csv.splitlines()[1].endswith(b",-1")  # limit-leaf sentinel
     for key in ("d_k", "gronwall_bound", "eps_chosen", "L_used"):
         assert key in conv
+    eps = conv["eps_chosen"]
+    assert conv["steps_per_cell"] == 1 and conv["h"] == eps / 128
+    assert 0.0 <= conv["integration_error"] < conv["tol"]
+    assert conv["length_neg"] == conv["length_pos"] == eps
+    assert conv["truncated_neg"] is False and conv["truncated_pos"] is False
+
+
+@pytest.mark.parametrize("h, steps", [("0.0125", 1), ("2.44140625e-05", 4)])
+def test_cli_reports_the_step_used(tmp_path, h, steps):
+    # eps is 0.0125 here: an h above the grid spacing eps/128 is snapped to it
+    assert run_command(CONVERGE_ARGS + ["--h", h, "--out-dir", str(tmp_path)]) == 0
+    conv = json.loads((tmp_path / "convergence.json").read_text())
+    assert conv["eps_chosen"] == 0.0125
+    assert conv["steps_per_cell"] == steps and conv["h"] == 0.0125 / 128 / steps
+
+
+def test_cli_integration_error_above_tol_exits_numerical(tmp_path, capsys):
+    # the Henon limit leaf's step-doubling error is about 7e-16
+    args = ["converge", "--map", "henon", "--a", "1.4", "--b", "0.3",
+            "--z", "0.6313544770895252,0.18940634312685756", "--eps0", "0.05",
+            "--kmax", "12", "--samples", "800", "--seed", "6", "--out-dir", str(tmp_path)]
+    assert run_command(args) == 0
+    ie = json.loads((tmp_path / "convergence.json").read_text())["integration_error"]
+    assert 0.0 < ie < 1e-14
+    assert run_command(args + ["--tol", repr(ie / 2)]) == 3
+    err = capsys.readouterr().err
+    assert "[stage: cauchy-iterate]" in err
+    assert f"the order-12 leaf's integration error {ie:.3e} at h=9.766e-05 is not below tol={ie / 2:.3e}" in err
+    conv = json.loads((tmp_path / "convergence.json").read_text())
+    assert conv["converged"] is False and conv["integration_error"] == ie
 
 
 def test_cli_determinism(tmp_path):
@@ -154,7 +184,13 @@ def test_cli_degenerate_leaf_exits_numerical(tmp_path):
     assert res.returncode == 3
     assert "Traceback" not in res.stderr
     assert "order-11/12 leaves share 1 of 257 nodes" in res.stderr
-    assert json.loads((tmp_path / "convergence.json").read_text())["converged"] is False
+    assert "truncated on the negative side at length 0.000000e+00" in res.stderr
+    assert "truncated on the positive side at length 0.000000e+00" in res.stderr
+    conv = json.loads((tmp_path / "convergence.json").read_text())
+    assert conv["converged"] is False
+    assert conv["length_neg"] == conv["length_pos"] == 0.0
+    assert conv["truncated_neg"] is True and conv["truncated_pos"] is True
+    assert conv["integration_error"] == math.inf
 
 
 def test_cli_conformal_base_point_is_not_a_stencil_escape(tmp_path, capsys):
@@ -201,6 +237,8 @@ def test_cli_fixedpoint_subcommand(tmp_path):
     ]
     assert run_command(args) == 0
     rep = json.loads((tmp_path / "fixedpoint.json").read_text())
+    assert rep["steps_per_cell"] == 1 and rep["h"] == rep["eps"] / 128
+    assert 0.0 <= rep["integration_error"] < 1e-8
     assert rep["conclusion_1_tangency"]["tangency_error_rad"] <= 1e-6
     assert rep["conclusion_2_length"]["full_length"] is True
     assert abs(rep["conclusion_3_contraction"]["fitted_rate"] - math.log(0.5)) <= 0.05
