@@ -10,8 +10,9 @@ iterates j >= 1 are tested with the Euclidean norm. Draws depend only on
 subset of the accepted set for k.
 
 The draws are processed as numpy arrays, SAMPLE_BLOCK at a time, by
-``sample_sweep``; the scalar code decides every value the array arithmetic
-could round differently (see ``sample_sweep`` and ``_fold_order``).
+``sample_sweep``. The array arithmetic is the scalar code's, operation for
+operation, with ``cocycle.norm2_lanes`` for its ``norm2``, so every array
+value has the bits of the scalar one.
 
 Budget maxima taken over a finite sample understate the true suprema; every
 downstream assertion that consumes them carries a stated slack factor and
@@ -21,7 +22,6 @@ the condition verdicts are labeled heuristic.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
@@ -32,6 +32,8 @@ from .cocycle import (
     build_orbit_cocycle,
     distortion_bounds,
     mul_lanes,
+    norm2,
+    norm2_lanes,
     series_term,
     singular_values_lanes,
 )
@@ -44,7 +46,6 @@ SAMPLE_SLACK = 1.05      # stated slack for assertions against sampled maxima
 DEFAULT_SAMPLES = 2000
 LADDER_DEPTH = 40        # the epsilon ladder runs eps0 * 2^-m for m = 0..LADDER_DEPTH
 SAMPLE_BLOCK = 4096      # box draws per array block of sample_sweep; bounds its memory
-RECHECK_REL = 1e-13      # array values this close (relative) to a running maximum are recomputed exactly
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ def first_tube_exit(
             return j
         rx, ry = ref_orbit[j]
         dx, dy = px - rx, py - ry
-        if math.hypot(dx, dy) > sched.radius(j):
+        if norm2(dx, dy) > sched.radius(j):
             return j
     return None
 
@@ -108,22 +109,14 @@ def reference_orbit(m: MapModel, z: Point2, nsteps: int) -> list[Point2]:
 
 
 def _tube_miss(j: int, x: np.ndarray, y: np.ndarray, ref: list[Point2], sched: EpsilonSchedule) -> np.ndarray:
-    """The lanes whose iterate j (x, y) fails first_tube_exit's test at j.
-
-    Where np.hypot and math.hypot could fall on either side of the radius,
-    math.hypot decides.
-    """
+    """The lanes whose iterate j (x, y) fails first_tube_exit's test at j."""
     rx, ry = ref[j]
     r = sched.radius(j)
     dx, dy = x - rx, y - ry
     if j == 0:
         adx, ady = np.abs(dx), np.abs(dy)
         return np.where(ady > adx, ady, adx) > r  # as max(adx, ady), also for NaN
-    d = np.hypot(dx, dy)
-    miss = d > r
-    for i in np.flatnonzero(np.abs(d - r) <= 8.0 * math.ulp(r)).tolist():
-        miss[i] = math.hypot(dx[i], dy[i]) > r
-    return miss
+    return norm2_lanes(dx, dy) > r
 
 
 @np.errstate(all="ignore")
@@ -189,9 +182,7 @@ class SweepOrder(NamedTuple):
 
     draw is each lane's index in the draw sequence and (x, y) its point.
     values lists (budget field, index, array): P, Q and Pt at index k (and
-    at 0 when k = 1), and H, E, F and delta at k. inputs holds the arrays
-    whose bits determine every value of a lane up to order k: the steps
-    Dphi(z_j), Pt_j and grad det(Dphi)(z_j) for j = 0..k.
+    at 0 when k = 1), and H, E, F and delta at k.
     """
 
     k: int
@@ -199,7 +190,6 @@ class SweepOrder(NamedTuple):
     x: np.ndarray
     y: np.ndarray
     values: list
-    inputs: tuple
 
 
 def _point_data(m: MapModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -222,7 +212,7 @@ def _point_data(m: MapModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, 
     at, s, e, f, det, d2 = at[ok], s[:, ok], e[ok], f[ok], det[ok], d2[:, ok]
     return at, {
         "S": s, "P": f, "Q": 1.0 / e, "Pt": 2.0 * np.max(np.abs(d2[:6]), axis=0),
-        "g": d2[6:], "rd": np.hypot(d2[6], d2[7]) / np.abs(det),  # Ddt / Dd
+        "rd": norm2_lanes(d2[6], d2[7]) / np.abs(det),  # Ddt / Dd
     }
 
 
@@ -258,7 +248,7 @@ def _block_sweep(
         lane = lane[at]
         x, y = xs[lane], ys[lane]
         prod = np.repeat([[1.0], [0.0], [0.0], [1.0]], len(lane), axis=1)
-        hist = {"S": [pd["S"]], "F": [np.ones(len(lane))], "Pt": [pd["Pt"]], "g": [pd["g"]]}
+        hist = {"S": [pd["S"]], "F": [np.ones(len(lane))], "Pt": [pd["Pt"]]}
         s2 = np.zeros(len(lane))
     for k in range(1, kmax + 1):
         with np.errstate(all="ignore"):
@@ -278,7 +268,7 @@ def _block_sweep(
             lane, x, y, prod, e, f = lane[keep], nx[at], ny[at], prod[:, at], e[at], f[at]
             s2 = s2[keep] + pd["rd"][keep] * hist["F"][-1][keep]
             hist = {name: [a[..., keep] for a in arrs] for name, arrs in hist.items()}
-            for name, v in (("S", nd["S"]), ("F", f), ("Pt", nd["Pt"]), ("g", nd["g"])):
+            for name, v in (("S", nd["S"]), ("F", f), ("Pt", nd["Pt"])):
                 hist[name].append(v)
             delta = _delta_lanes(hist["S"], hist["F"], hist["Pt"], s2, e)
             values = [("p", k, nd["P"]), ("q", k, nd["Q"]), ("pt", k, nd["Pt"]),
@@ -286,7 +276,7 @@ def _block_sweep(
             if k == 1:
                 values += [("p", 0, pd["P"][keep]), ("q", 0, pd["Q"][keep]), ("pt", 0, pd["Pt"][keep])]
             pd = nd
-        yield SweepOrder(k, start + lane, xs[lane], ys[lane], values, (hist["S"], hist["Pt"], hist["g"]))
+        yield SweepOrder(k, start + lane, xs[lane], ys[lane], values)
 
 
 def sample_sweep(
@@ -302,9 +292,7 @@ def sample_sweep(
     order k holds exactly the draws of level >= k, in draw order, and the
     arrays of a block shrink to them as k grows.
 
-    Levels, counts and Pt are bit for bit those of the scalar code; the
-    values that pass through hypot (P, Q, E, F, H, delta) can differ from it
-    in the last bits.
+    Levels, counts and every value are bit for bit those of the scalar code.
     """
     ref = reference_orbit(m, z, kmax - 1)  # raises here, before any draw is made
     rng = SplitRng(seed).substream(NEIGHBORHOOD_STREAM)
@@ -337,63 +325,6 @@ def sampled_cocycles(
         yield d, build_orbit_cocycle(m, d, int(level[i]))
 
 
-def _delta_at(c: OrbitCocycle, k: int) -> float:
-    d1, d2 = distortion_bounds(c, k)
-    return d1 + d2
-
-
-# how the scalar code reads each budget field off a cocycle, at an index
-_SCALAR = {
-    "p": lambda c, i: c.P[i],
-    "q": lambda c, i: c.Q[i],
-    "pt": lambda c, i: c.Pt[i],
-    "gamma": lambda c, i: c.H[i],
-    "gamma_star": lambda c, i: c.E[i],
-    "fmax": lambda c, i: c.F[i],
-    "delta": _delta_at,
-}
-_FLOAT_MAX = sys.float_info.max
-
-
-def _fold_order(m: MapModel, top: dict, order: SweepOrder) -> None:
-    """Raise the budget maxima top[field][index] by one SweepOrder, to the scalar code's values.
-
-    Pt is exact, so its array maximum is taken. For the other fields, every
-    lane whose array value is NaN, or within RECHECK_REL of the larger of the
-    array maximum and the running maximum, is recomputed by
-    build_orbit_cocycle, once per distinct bits of its inputs; no other lane
-    can hold the maximum.
-    """
-    recheck = {}
-    for name, i, v in order.values:
-        if name == "pt":
-            if len(v) and v.max() > top[name][i]:
-                top[name][i] = v.max()
-            continue
-        bar = min(max(float(np.max(v, initial=0.0, where=v == v)), top[name][i]), _FLOAT_MAX)
-        lanes = np.flatnonzero(((v >= bar * (1.0 - RECHECK_REL)) & (v > 0.0)) | (v != v))
-        if len(lanes):
-            recheck[name, i] = lanes
-    if not recheck:
-        return
-    hit = np.zeros(len(order.draw), dtype=bool)
-    for cand in recheck.values():
-        hit[cand] = True
-    lanes = np.flatnonzero(hit)
-    rows = np.vstack([a.reshape(-1, a.shape[-1])[:, lanes] for arrs in order.inputs for a in arrs]).T.copy()
-    key = {}  # lane -> the bytes of its inputs
-    cocycles = {}  # input bytes -> the scalar cocycle of the first lane with them
-    for lane, row in zip(lanes.tolist(), rows):
-        key[lane] = row.tobytes()
-        if key[lane] not in cocycles:
-            cocycles[key[lane]] = build_orbit_cocycle(m, Point2(float(order.x[lane]), float(order.y[lane])), order.k)
-    for (name, i), cand in recheck.items():
-        for k in dict.fromkeys(key[lane] for lane in cand.tolist()):
-            v = _SCALAR[name](cocycles[k], i)
-            if v > top[name][i]:
-                top[name][i] = v
-
-
 def estimate_budget(
     m: MapModel,
     z: Point2,
@@ -406,30 +337,30 @@ def estimate_budget(
 
     The reference point itself, which belongs to every neighborhood exactly,
     joins each level. A sample point joins the levels up to the one
-    ``sample_sweep`` gives it. Every maximum is the scalar code's value
-    (see ``_fold_order``), so the budget is bit for bit the one of building
-    each draw's cocycle at its level.
+    ``sample_sweep`` gives it. The array values are the scalar code's, so
+    the budget is bit for bit the one of building each draw's cocycle at
+    its level; only the centre's cocycle is built.
     """
     if kmax < 2:
         raise BadParamsError(f"kmax must be >= 2, got {kmax}")
 
     km1 = kmax + 1
-    top = {name: np.zeros(km1) for name in _SCALAR}
-    top["gamma"][0] = top["gamma_star"][0] = top["fmax"][0] = 1.0
     orders = sample_sweep(m, z, sched, kmax, n, seed)
-    # the centre goes first: a draw's lane is re-checked only where it comes near the maxima so far
     center = build_orbit_cocycle(m, z, kmax)
-    for name, read in _SCALAR.items():
-        for k in range(0 if name in ("p", "q", "pt") else 1, km1):
-            v = read(center, k)
-            if v > top[name][k]:
-                top[name][k] = v
+    # the maxima start from the centre's values; NaN never raises one, as in the scalar v > top
+    delta = np.array([0.0] + [d1 + d2 for d1, d2 in (distortion_bounds(center, k) for k in range(1, km1))])
+    top = {name: np.where(v > 0.0, v, 0.0) for name, v in (
+        ("p", center.P), ("q", center.Q), ("pt", center.Pt), ("gamma", center.H),
+        ("gamma_star", center.E), ("fmax", center.F), ("delta", delta))}
     counts = {k: 0 for k in range(1, km1)}
     parts = {k: [] for k in range(1, km1)}
     for order in orders:
         counts[order.k] += len(order.draw)
         parts[order.k].append(np.column_stack([order.x, order.y]))
-        _fold_order(m, top, order)
+        for name, i, v in order.values:
+            v = np.max(v, initial=-math.inf, where=v == v)
+            if v > top[name][i]:
+                top[name][i] = v
     samples = {k: np.concatenate(parts[k]) if parts[k] else np.empty((0, 2)) for k in parts}
     p, q, pt, gamma, gamma_star, delta, fmax = (
         top[name] for name in ("p", "q", "pt", "gamma", "gamma_star", "delta", "fmax")

@@ -93,8 +93,8 @@ def _validate(ns) -> None:
         raise ValidationError(f"kmax must be >= 2, got {ns.kmax}")
     if ns.samples < 1:
         raise ValidationError(f"samples must be >= 1, got {ns.samples}")
-    if not (ns.tol > 0.0):
-        raise ValidationError(f"tol must be positive, got {ns.tol}")
+    if not (ns.tol > 0.0 and math.isfinite(ns.tol)):
+        raise ValidationError(f"tol must be positive and finite, got {ns.tol}")
     if ns.h is not None and not (ns.h > 0.0):
         raise ValidationError(f"h must be positive, got {ns.h}")
 

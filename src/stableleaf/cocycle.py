@@ -2,9 +2,15 @@
 
 For a 2x2 matrix M = [[A, B], [C, D]] the squared singular values are the
 roots of lambda^2 - S*lambda + det^2 with S = A^2+B^2+C^2+D^2. We use the
-stable discriminant form R = hypot(B', 2A') where A' = AB + CD and
+stable discriminant form R = norm2(B', 2A') where A' = AB + CD and
 B' = A^2+C^2-B^2-D^2, which satisfies R = F^2 - E^2 exactly (so no negative
 round-off under the square root), and recover E = |det|/F.
+
+Every Euclidean norm whose value the array code of the budget computes too
+goes through norm2 here and norm2_lanes there. Both use only IEEE-exact
+operations (products, sums, sqrt, power-of-two scaling), so a scalar value
+and its array twin have the same bits on every platform, where the hypot
+functions of math and numpy round apart.
 
 Per-step quantities along an orbit z_j = phi^j(z0):
 
@@ -32,6 +38,44 @@ _NORMAL_MIN = 2.0 ** -1022  # the smallest normal float
 _SQUARES_TINY = 2.0 ** -511  # entries below this square into the subnormal range
 _TINY_SUM = 4.0 * _NORMAL_MIN  # bounds the sum of squares when every entry is below _SQUARES_TINY
 _LANES_SUM_MAX = 2.0 ** 1021  # below this sum of squares, s + r and det stay finite
+_NORM2_MIN = 2.0 ** -500  # norm2 squares its arguments unscaled where max(|x|, |y|) is in
+_NORM2_MAX = 2.0 ** 500   # (_NORM2_MIN, _NORM2_MAX): the larger square is then finite and normal
+
+
+def norm2(x: float, y: float) -> float:
+    """sqrt(x^2 + y^2), bit for bit as norm2_lanes computes it.
+
+    Where max(|x|, |y|) is outside (2^-500, 2^500), x and y are scaled by a
+    power of two first, so no square overflows or loses bits as a subnormal;
+    a result past the float range is +inf. 0, +-inf and NaN come out as
+    math.hypot gives them. A normal result is within 1 ulp of math.hypot.
+    """
+    ax, ay = abs(x), abs(y)
+    top = ax if ax > ay else ay
+    if _NORM2_MIN < top < _NORM2_MAX or top == 0.0:
+        return math.sqrt(x * x + y * y)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.hypot(x, y)
+    ex = math.frexp(top)[1]
+    x, y = math.ldexp(x, -ex), math.ldexp(y, -ex)
+    v = math.sqrt(x * x + y * y)
+    # ldexp raises OverflowError where a float product gives +inf
+    return math.ldexp(v, ex - 1) * 2.0 if ex > 0 else math.ldexp(v, ex)
+
+
+def norm2_lanes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """norm2 of every lane of x and y, as an array with the same bits.
+
+    Lanes whose max(|x|, |y|) is NaN, or nonzero and outside (2^-500,
+    2^500), are computed by norm2.
+    """
+    with np.errstate(all="ignore"):
+        out = np.sqrt(x * x + y * y)
+        top = np.maximum(np.abs(x), np.abs(y))
+        odd = np.flatnonzero(~((top > _NORM2_MIN) & (top < _NORM2_MAX) | (top == 0.0)))
+    for i in odd.tolist():
+        out[i] = norm2(float(x[i]), float(y[i]))
+    return out
 
 
 def singular_values(m: Mat2) -> tuple[float, float]:
@@ -53,7 +97,7 @@ def singular_values(m: Mat2) -> tuple[float, float]:
             e_s, f_s = singular_values([math.ldexp(v, -ex) for v in m])
             return math.ldexp(e_s, ex), math.ldexp(f_s, ex)
     det = a * d - b * c
-    r = math.hypot(a * a + c * c - b * b - d * d, 2.0 * (a * b + c * d))
+    r = norm2(a * a + c * c - b * b - d * d, 2.0 * (a * b + c * d))
     f = math.sqrt(0.5 * (s + r))
     if not math.isfinite(f) and all(map(math.isfinite, m)):
         ex = math.frexp(max(map(abs, m)))[1]
@@ -70,18 +114,16 @@ def singular_values(m: Mat2) -> tuple[float, float]:
 def singular_values_lanes(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """singular_values of every lane of the entry arrays, as arrays (E, F).
 
-    The same operations as singular_values, with np.hypot, which can differ
-    from math.hypot in the last bit, so E and F can too. A lane whose sum of
-    squares is outside (_TINY_SUM, 2^1021), where singular_values scales or
-    the float range ends, or whose E is below the normal range, where a last
-    bit of F is no longer a relative error, is computed by singular_values.
-    Call it inside np.errstate: lanes may overflow.
+    The same operations as singular_values, so E and F have its bits. A lane
+    whose sum of squares is outside (_TINY_SUM, 2^1021), where
+    singular_values scales or the float range ends, is computed by
+    singular_values. Call it inside np.errstate: lanes may overflow.
     """
     s = a * a + b * b + c * c + d * d
     det = a * d - b * c
-    f = np.sqrt(0.5 * (s + np.hypot(a * a + c * c - b * b - d * d, 2.0 * (a * b + c * d))))
+    f = np.sqrt(0.5 * (s + norm2_lanes(a * a + c * c - b * b - d * d, 2.0 * (a * b + c * d))))
     e = np.abs(det) / f
-    for i in np.flatnonzero(~((s > _TINY_SUM) & (s < _LANES_SUM_MAX) & (e >= _NORMAL_MIN))).tolist():
+    for i in np.flatnonzero(~((s > _TINY_SUM) & (s < _LANES_SUM_MAX))).tolist():
         e[i], f[i] = singular_values((float(a[i]), float(b[i]), float(c[i]), float(d[i])))
     return e, f
 
@@ -296,7 +338,7 @@ def build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
         Dd[j] = abs(det)
         t, g = m.second_derivative_data(orbit[j])
         Pt[j] = t.norm()
-        Ddt[j] = math.hypot(g[0], g[1])
+        Ddt[j] = norm2(g[0], g[1])
 
     return OrbitCocycle(
         map=m, z0=Point2(*z0), kmax=kmax, orbit=orbit, steps=steps, products=prods,

@@ -45,6 +45,7 @@ from .rng import SplitRng
 
 DEFAULT_GRID = 257
 DEFAULT_STEP_DIV = 128  # default h = eps / 128: one RK4 step per cell of the default grid
+MAX_STEPS_PER_CELL = 64  # an h asking for more RK4 steps per grid cell is refused
 TUBE_STRIDE = 4         # tube containment displaces every 4th leaf node (plus the ends)
 CONTRACTION_PAIRS = 64  # leaf point pairs sampled by the contraction check
 CONTRACTION_ORDERS = 10  # the contraction fit runs up to 10 orders past k0
@@ -161,6 +162,15 @@ def _leaf_field(m: MapModel, k: int) -> FieldFn:
     return fld
 
 
+def _refuse_small_step(h: float, spacing: float, most: int) -> None:
+    """BadParamsError where h asks for more than most RK4 steps per grid cell of width spacing."""
+    if not spacing / h <= most:  # also where spacing / h is inf or NaN
+        raise BadParamsError(
+            f"h={h:.6g} asks for more than {most} RK4 steps per grid cell of width {spacing:.6g}; "
+            f"the smallest h allowed is {spacing / most!r}"
+        )
+
+
 def integrate_leaf(
     m: MapModel,
     z: Point2,
@@ -173,7 +183,8 @@ def integrate_leaf(
 
     grid_points must be odd (a center node plus symmetric sides). h is snapped
     to an integer number of steps per grid cell, at least one, so steps never
-    straddle recording nodes. A ConformalError or OrbitEscapeError at z itself
+    straddle recording nodes; an h below spacing / MAX_STEPS_PER_CELL raises
+    BadParamsError. A ConformalError or OrbitEscapeError at z itself
     propagates; mid-trace failures truncate the corresponding side and set its
     flag.
     """
@@ -186,6 +197,7 @@ def integrate_leaf(
     spacing = eps / n_side
     if h is None:
         h = eps / DEFAULT_STEP_DIV
+    _refuse_small_step(h, spacing, MAX_STEPS_PER_CELL)
     steps_per_cell = max(1, round(spacing / h))
     h_eff = spacing / steps_per_cell
 
@@ -368,6 +380,8 @@ def cauchy_iterate(
     converges when the last comparison distance and the integration error
     are both below tol and the limit leaf reaches eps on both sides; else
     NotConvergedError names each failed condition and carries the report.
+    An h asking for more than MAX_STEPS_PER_CELL / 2 steps per grid cell
+    raises BadParamsError, since the half-step check leaf takes twice as many.
     """
     if b.k0 is None:
         raise NoFeasibleEpsilonError("budget has no k0")
@@ -375,6 +389,8 @@ def cauchy_iterate(
     if kmax <= k0:
         raise BadParamsError(f"kmax={kmax} must exceed k0={k0}")
 
+    if h is not None:
+        _refuse_small_step(h, eps / ((DEFAULT_GRID - 1) // 2), MAX_STEPS_PER_CELL // 2)
     leaves = {k: integrate_leaf(m, z, k, eps, h=h) for k in range(k0, kmax + 1)}
 
     ref = reference_orbit(m, z, kmax - 1)

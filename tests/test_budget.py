@@ -16,6 +16,7 @@ from stableleaf import (
     make_map,
 )
 from stableleaf.budget import INCONCLUSIVE, INFEASIBLE, SUMMABLE_HEURISTIC, reference_orbit, tube_exits
+from stableleaf.cocycle import norm2
 from stableleaf.errors import BadParamsError, OrbitEscapeError
 from stableleaf.maps import MapModel
 
@@ -253,29 +254,29 @@ def test_negative_stable_eigenvalue_linear():
         assert contracted_direction(c, k).theta == 0.0
 
 
-def _hypot_split_pair():
-    """A pair (dx, dy) on which np.hypot and math.hypot round to different floats."""
+def _norm_split_pair():
+    """A pair (dx, dy) on which norm2 and math.hypot round to different floats."""
     rng = SplitRng(31)
     dx, dy = rng.points_in_box(0.25, 0.25, 0.25, 20000)
-    for a, b, d in zip(dx.tolist(), dy.tolist(), np.hypot(dx, dy).tolist()):
-        if d != math.hypot(a, b):
+    for a, b in zip(dx.tolist(), dy.tolist()):
+        if norm2(a, b) != math.hypot(a, b):
             return a, b
     raise AssertionError("no pair found")
 
 
-def test_array_tube_test_decides_with_math_hypot(linear_map):
+def test_array_tube_test_decides_at_the_norm2_boundary(linear_map):
     # iterate 1 of (2 dx, dy / 2) under (x/2, 2y) is (dx, dy), exactly; radius(1) = decay
-    dx, dy = _hypot_split_pair()
     ref = reference_orbit(linear_map, Point2(0, 0), 1)
-    x, y = 2.0 * dx, 0.5 * dy
-    radii = (math.hypot(dx, dy), float(np.hypot(dx, dy)))
-    # at one of the radii the bare np.hypot test and the scalar test disagree
-    assert any((float(np.hypot(dx, dy)) > r) != (math.hypot(dx, dy) > r) for r in radii)
-    for r in radii:
-        sched = EpsilonSchedule(1.0, r)
-        scalar = first_tube_exit(linear_map, ref, Point2(x, y), sched, 1)
-        arr = tube_exits(linear_map, ref, np.array([x]), np.array([y]), sched, 1)
-        assert arr.tolist() == [-1 if scalar is None else scalar]
+    # a pair norm2 and math.hypot split, pairs norm2 scales up, and a subnormal component
+    for dx, dy in (_norm_split_pair(), (3e-160, -4e-160), (1e-300, 3e-301), (0.0, 6e-155), (-2.5e-310, 1e-160)):
+        x, y = 2.0 * dx, 0.5 * dy
+        d = norm2(dx, dy)
+        for r in (math.nextafter(d, 0.0), d, math.nextafter(d, 1.0)):
+            sched = EpsilonSchedule(1.0, r)
+            scalar = first_tube_exit(linear_map, ref, Point2(x, y), sched, 1)
+            arr = tube_exits(linear_map, ref, np.array([x]), np.array([y]), sched, 1)
+            assert scalar == (1 if d > r else None)
+            assert arr.tolist() == [-1 if scalar is None else scalar]
 
 
 def test_array_tube_test_matches_scalar(henon_map):

@@ -321,6 +321,17 @@ def _steps_map(jac):
     return dataclasses.replace(make_map("linear", lambda_s=0.5, lambda_u=0.5), raw_jac=jac)
 
 
+def _nan_delta_map():
+    """A _steps_map whose points right of x = 0 have delta_k = 0 * inf = NaN for k >= 2.
+
+    There Dphi = diag(1, 1e-170), so Dphi^2 = diag(1, 0) after underflow and
+    E_k = 0, while |grad det| / det = 1e330 overflows. Left of it every delta
+    is finite and positive.
+    """
+    m = _steps_map(lambda x, y: (1.0, 0.0, 0.0, 1e-170 if x > 0 else 0.5))
+    return dataclasses.replace(m, raw_det_grad=lambda x, y: (1e160 if x > 0 else 1.0 - x, 0.0))
+
+
 HENON_GUESS = Point2(0.6, 0.2)
 HENON_FP = Point2(0.6313544770895048, 0.18940634312685142)
 
@@ -343,6 +354,7 @@ ARRAY_CASES = {
     "overflow": (lambda: _steps_map(lambda x, y: (0.5, 0.0, 0.0, 1.0 + 1e120 * x * x)), Point2(0.0, 0.0), 0.1, 6, 200, 1),
     "subnormal": (lambda: _steps_map(lambda x, y: (1e-130 * (1.0 + x), 0.0, 0.0, 3e-130 * (1.0 + y))),
                   Point2(0.0, 0.0), 0.1, 2, 200, 2),
+    "nan-delta": (_nan_delta_map, Point2(0.01, 0.0), 0.1, 3, 200, 3),
     "one-draw": (lambda: make_map("perturbed", lambda_s=0.5, lambda_u=2.0, c=0.05), Point2(0.01, 0.0), 0.05, 10, 1, 2),
     "two-blocks": (lambda: make_map("perturbed", lambda_s=0.5, lambda_u=2.0, c=0.05), Point2(0.0, 0.0), 0.05, 6,
                    budget_mod.SAMPLE_BLOCK + 3, 4),
@@ -422,19 +434,22 @@ def test_array_budget_matches_reference(name, block, monkeypatch):
         assert new.accepted_counts[2] == n and new.accepted_counts[3] == 0
     if name == "subnormal":
         assert new.accepted_counts[2] == n and 0.0 < new.fmax[2] < 1e-250
+    if name == "nan-delta":
+        # NaN, the centre's delta among them, raises no maximum; the finite ones do
+        d1, d2 = distortion_bounds(new.cocycle, 3)
+        assert new.accepted_counts[3] == n and math.isnan(d1 + d2) and 0.0 < new.delta[3] < math.inf
 
 
-def test_tied_lanes_are_rechecked_once_per_order(monkeypatch):
-    # every draw of the linear map has the same steps and products, so each
-    # maximum ties across all lanes; their inputs dedupe to one scalar build
-    m, z, sched, kmax, n, seed = array_case("linear")
+@pytest.mark.parametrize("name", ["linear", "henon"])
+def test_budget_builds_only_the_centre(name, monkeypatch):
+    # every array value has the scalar bits, so no draw's cocycle is rebuilt
+    m, z, sched, kmax, n, seed = array_case(name)
     builds = []
     real = budget_mod.build_orbit_cocycle
     monkeypatch.setattr(budget_mod, "build_orbit_cocycle", lambda *a: builds.append(a[2]) or real(*a))
     b = estimate_budget(m, z, sched, kmax, n=n, seed=seed)
     assert b.accepted_counts[kmax] > 0
-    # the centre, then at most one re-check per order
-    assert builds[0] == kmax and len(builds) <= kmax + 1
+    assert builds == [kmax]
 
 
 def test_growth_check_builds_each_draw_once(monkeypatch):

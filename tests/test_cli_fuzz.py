@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 import tempfile
 
 from hypothesis import event, given, settings
@@ -33,6 +34,15 @@ def eigenvalue(draw, lo: float, hi: float) -> str:
     return number(draw, lo, hi)
 
 
+def step(draw, eps0: str) -> str:
+    """An --h flag value: one whose ratio to the grid spacing overflows, a tiny one, inf, or
+    the smallest h integrate_leaf or the step-doubling check allows at eps = eps0, or a float beside it."""
+    spacing = float(eps0) / 128  # the default grid at the top of the epsilon ladder
+    least = draw(st.sampled_from((spacing / 64, spacing / 32)))
+    near = (math.nextafter(least, 0.0), least, math.nextafter(least, math.inf))
+    return repr(draw(st.sampled_from((1e-320, 1e-12, math.inf) + near)))
+
+
 @st.composite
 def cli_argv(draw):
     name = draw(st.sampled_from(sorted(MAP_PARAMS)))
@@ -44,7 +54,10 @@ def cli_argv(draw):
             draw_value = eigenvalue if flag.startswith("--lambda") else number
             argv.append(f"{flag}={draw_value(draw, *ranges[flag])}")
     argv.append(f"--z={number(draw, -1.5, 1.5)},{number(draw, -1.5, 1.5)}")
-    argv += [f"--eps0={number(draw, 1e-4, 0.5)}", f"--decay={number(draw, 0.05, 1.0)}"]
+    eps0 = number(draw, 1e-4, 0.5)
+    argv += [f"--eps0={eps0}", f"--decay={number(draw, 0.05, 1.0)}"]
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(f"--h={step(draw, eps0)}")
     argv += [f"--kmax={draw(st.integers(2, 6))}", f"--samples={draw(st.integers(1, 40))}"]
     argv.append(f"--seed={draw(st.integers(0, 2 ** 32))}")
     return argv
@@ -56,6 +69,6 @@ def test_cli_exit_codes_never_traceback(argv):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out_dir, contextlib.redirect_stderr(err):
         rc = run_command(argv + ["--out-dir", out_dir])
-    event(f"{argv[0]}: exit {rc}")
+    event(f"{argv[0]}{' --h' if any(a.startswith('--h=') for a in argv) else ''}: exit {rc}")
     assert rc in (0, 2, 3), (rc, err.getvalue())
     assert "Traceback" not in err.getvalue()

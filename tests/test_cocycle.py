@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stableleaf import Mat2, Point2, SplitRng, build_orbit_cocycle, distortion_bounds, make_map, singular_frame
-from stableleaf.cocycle import _contract_angle, singular_values
+from stableleaf.cocycle import _contract_angle, norm2, norm2_lanes, singular_values
 from stableleaf.errors import ConformalError, OrbitEscapeError, SingularMatrixError, SingularStepError
 from stableleaf.maps import MapModel
 
@@ -254,3 +255,60 @@ def test_singular_values_match_numpy(seed):
     small = Mat2(*(math.ldexp(v, -600) for v in m))
     assert singular_values(small) == (math.ldexp(e, -600), math.ldexp(f, -600))
     assert _contract_angle(*small) == _contract_angle(*m)
+
+
+def norm2_pairs():
+    """About 10^5 pairs (x, y): every exponent, subnormals, 0, +-inf, NaN, 2^+-500 and the largest float."""
+    rng = np.random.default_rng(12)
+    n = 66_000
+    # exponents -1100..1023: below -1074 ldexp gives 0, below -1022 a subnormal
+    x = np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-1100, 1024, n)) * rng.choice([-1.0, 1.0], n)
+    y = np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-1100, 1024, n)) * rng.choice([-1.0, 1.0], n)
+    # pairs of nearby scales, where neither square is negligible
+    near = x[: n // 2] * np.ldexp(rng.uniform(0.0, 1.0, n // 2), rng.integers(-30, 1, n // 2))
+    tiny = math.ulp(0.0)
+    big = sys.float_info.max
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan, tiny, -tiny, 2 ** -1022, big, -big, 1.0]
+    for e in (-500, 500):
+        edges += [2.0 ** e, math.nextafter(2.0 ** e, 0.0), math.nextafter(2.0 ** e, math.inf), -(2.0 ** e)]
+    ex, ey = (np.array(v) for v in zip(*[(a, b) for a in edges for b in edges]))
+    return np.concatenate([x, x[: n // 2], ex]), np.concatenate([y, near, ey])
+
+
+def same_bits(u, v):
+    return (u == v) & (np.signbit(u) == np.signbit(v)) | (np.isnan(u) & np.isnan(v))
+
+
+def test_norm2_lanes_match_norm2():
+    x, y = norm2_pairs()
+    with np.errstate(all="raise"):  # the lanes compute under their own errstate
+        lanes = norm2_lanes(x, y)
+    scalar = np.array([norm2(a, b) for a, b in zip(x.tolist(), y.tolist())])
+    assert np.all(same_bits(lanes, scalar))
+
+
+def test_norm2_against_math_hypot():
+    x, y = norm2_pairs()
+    got = np.array([norm2(a, b) for a, b in zip(x.tolist(), y.tolist())])
+    want = np.array([math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())])
+    normal = np.isfinite(want) & (want >= 2 ** -1022)
+    assert normal.sum() > 50_000
+    assert np.all(np.abs(got[normal].view(np.int64) - want[normal].view(np.int64)) <= 1)
+    # 0, +-inf and NaN as math.hypot gives them
+    special = ~(np.isfinite(x) & np.isfinite(y)) | (x == 0.0) & (y == 0.0)
+    assert special.sum() > 100
+    assert np.all(same_bits(got[special], want[special]))
+    # past the float range: +inf, not OverflowError
+    big = sys.float_info.max
+    assert norm2(big, big) == math.inf and norm2(-big, big / 2.0) == math.inf
+    assert norm2_lanes(np.array([big]), np.array([big])).tolist() == [math.inf]
+
+
+def test_norm2_of_an_axis_vector_is_exact():
+    # so the linear oracle's R = |B'| stays exact
+    x, _ = norm2_pairs()
+    x = x[np.isfinite(x)]
+    for v in x.tolist():
+        assert norm2(v, 0.0) == norm2(0.0, v) == norm2(-0.0, v) == abs(v)
+    zero = np.zeros(len(x))
+    assert np.array_equal(norm2_lanes(x, zero), np.abs(x)) and np.array_equal(norm2_lanes(zero, x), np.abs(x))

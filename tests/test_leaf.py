@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,14 @@ from stableleaf.errors import (
     NumericalError,
     OrbitEscapeError,
 )
-from stableleaf.leaf import _leaf_field, budget_to_epsilon, convex_hull_halfplanes, hull_contains, rk4_streamline
+from stableleaf.leaf import (
+    MAX_STEPS_PER_CELL,
+    _leaf_field,
+    budget_to_epsilon,
+    convex_hull_halfplanes,
+    hull_contains,
+    rk4_streamline,
+)
 
 HENON_SADDLE = Point2(0.6313544770895252, 0.18940634312685756)
 
@@ -468,6 +476,18 @@ def test_default_step_is_one_per_cell(henon_map):
     # an h above the grid spacing is snapped to the spacing
     assert integrate_leaf(henon_map, HENON_SADDLE, 12, 0.0125, h=0.01).h == leaf.h
     assert integrate_leaf(henon_map, HENON_SADDLE, 12, 0.0125, h=0.0125 / 300).steps_per_cell == 2
+
+
+def test_step_count_per_cell_is_bounded(henon_map):
+    # 9 grid points: 4 cells a side of width eps / 4
+    spacing = 0.0125 / 4
+    least = spacing / MAX_STEPS_PER_CELL
+    leaf = integrate_leaf(henon_map, HENON_SADDLE, 6, 0.0125, h=least, grid_points=9)
+    assert leaf.steps_per_cell == MAX_STEPS_PER_CELL and len(leaf.t) == 9
+    # below it, and where spacing / h overflows, h is refused before any step
+    for h in (math.nextafter(least, 0.0), 1e-12, 1e-320, 5e-324):
+        with pytest.raises(BadParamsError, match=re.escape(f"the smallest h allowed is {least!r}") + "$"):
+            integrate_leaf(henon_map, HENON_SADDLE, 6, 0.0125, h=h, grid_points=9)
 
 
 # -- the integration error and the convergence conditions ---------------------

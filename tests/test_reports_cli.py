@@ -152,6 +152,29 @@ def test_cli_validation_errors(tmp_path, capsys):
     assert "--b" in capsys.readouterr().err
 
 
+def test_cli_rejects_a_non_finite_tol(tmp_path, capsys):
+    # with tol = inf any finite leaf distances would read as converged
+    args = ["converge", "--map", "linear", "--lambda-s", "0.5", "--lambda-u", "2", "--kmax", "4",
+            "--samples", "200", "--out-dir", str(tmp_path)]
+    for tol in ("inf", "nan"):
+        assert run_command(args + ["--tol", tol]) == 2
+        assert f"tol must be positive and finite, got {tol}" in capsys.readouterr().err
+    assert not (tmp_path / "convergence.json").exists()
+
+
+def test_cli_rejects_a_step_below_the_cell_limit(tmp_path, capsys):
+    # eps is 0.0125 here, so the grid spacing is 0.0125 / 128; the limit leaf's
+    # step-doubling check takes twice the steps of h, so h gets half the limit
+    least = 0.0125 / 128 / 32
+    for h in ("1e-320", "1e-12", repr(math.nextafter(least, 0.0))):
+        assert run_command(CONVERGE_ARGS + ["--h", h, "--out-dir", str(tmp_path)]) == 2
+        assert f"asks for more than 32 RK4 steps per grid cell of width 9.76563e-05; " \
+               f"the smallest h allowed is {least!r}" in capsys.readouterr().err
+    assert run_command(CONVERGE_ARGS + ["--h", repr(least), "--out-dir", str(tmp_path)]) == 0
+    conv = json.loads((tmp_path / "convergence.json").read_text())
+    assert conv["steps_per_cell"] == 32 and conv["h"] == least
+
+
 def test_cli_numerical_failure_writes_partial(tmp_path, capsys):
     out = tmp_path / "fail"
     args = [

@@ -4,7 +4,9 @@ The three loops the sweep replaced are kept below, verbatim, as the
 reference: ``contracted_theta_fast`` (leaf tracing), ``_theta_series`` (the
 direction-field stencil, with the ``direction_field_derivative`` that used
 it) and ``build_orbit_cocycle``. The old Jacobian fallback of ``jac_xy`` and
-the old ``pushforward_contraction`` are kept the same way. Every float is
+the old ``pushforward_contraction`` are kept the same way, except that the
+two norms the package now takes with ``norm2`` (R of the singular values and
+Ddt) call it in place of ``math.hypot``. Every float is
 compared bit for bit (``float.hex``), and so are the exception class and the
 escape index. The old loops raised DomainError or NonFiniteError where the
 sweep raises OrbitEscapeError(j); the reference index j is the one the old
@@ -26,6 +28,7 @@ from stableleaf.cocycle import (
     OrbitCocycle,
     _contract_angle,
     build_orbit_cocycle,
+    norm2,
     orbit_sweep,
     singular_values,
 )
@@ -70,7 +73,7 @@ def ref_contracted_theta_fast(m: MapModel, x: float, y: float, k: int) -> tuple[
         )
         x, y = ev(x, y)
     s = a * a + b * b + c * c + d * d
-    r = math.hypot(a * a + c * c - b * b - d * d, 2.0 * (a * b + c * d))
+    r = norm2(a * a + c * c - b * b - d * d, 2.0 * (a * b + c * d))
     f = math.sqrt(0.5 * (s + r))
     e = abs(a * d - b * c) / f if f > 0.0 else 0.0
     if f == 0.0 or 1.0 - e / f < CONFORMAL_TOL:
@@ -194,7 +197,7 @@ def ref_build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
         Dd[j] = abs(det)
         t, g = m.second_derivative_data(orbit[j])
         Pt[j] = t.norm()
-        Ddt[j] = math.hypot(g[0], g[1])
+        Ddt[j] = norm2(g[0], g[1])
 
     return OrbitCocycle(
         map=m, z0=Point2(*z0), kmax=kmax, orbit=orbit, steps=steps, products=prods,
