@@ -182,7 +182,9 @@ class SweepOrder(NamedTuple):
 
     draw is each lane's index in the draw sequence and (x, y) its point.
     values lists (budget field, index, array): P, Q and Pt at index k (and
-    at 0 when k = 1), and H, E, F and delta at k.
+    at 0 when k = 1), and H, E, F and delta = d1 + d2 at k. d1 and d2 are
+    distortion_bounds at order k, and tails[j] is the tail norm F_{j,k} for
+    j < k, as OrbitCocycle.tail_norms(k) gives them.
     """
 
     k: int
@@ -190,6 +192,9 @@ class SweepOrder(NamedTuple):
     x: np.ndarray
     y: np.ndarray
     values: list
+    d1: np.ndarray
+    d2: np.ndarray
+    tails: list
 
 
 def _point_data(m: MapModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -216,11 +221,12 @@ def _point_data(m: MapModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, 
     }
 
 
-def _delta_lanes(steps: list, F: list, Pt: list, s2: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """distortion_bounds' d1 + d2 at order k = len(F) - 1 for every lane, in its order of operations.
+def _delta_lanes(steps: list, F: list, Pt: list, s2: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """distortion_bounds' (d1, d2) and tail_norms at order k = len(F) - 1 for every lane, in their order of operations.
 
     s2 is the running sum of (Ddt_j / Dd_j) F_j over j < k. The tail products
-    keep the scalar association ((Dphi_{k-1} Dphi_{k-2}) ...) Dphi_{j+1}.
+    keep the scalar association ((Dphi_{k-1} Dphi_{k-2}) ...) Dphi_{j+1}; their
+    norms F_{j,k} come back as a list over j < k, with F_{k-1,k} = 1.0.
     """
     k = len(F) - 1
     tails = [1.0] * k
@@ -235,7 +241,7 @@ def _delta_lanes(steps: list, F: list, Pt: list, s2: np.ndarray, e: np.ndarray) 
     fk = F[k]
     f2 = fk * fk
     d1 = np.where(f2 >= np.finfo(float).smallest_normal, e / f2, e / fk / fk) * s1
-    return np.where(d1 == d1, d1, 0.0) + (e / fk) * s2
+    return np.where(d1 == d1, d1, 0.0), (e / fk) * s2, tails
 
 
 def _block_sweep(
@@ -270,13 +276,13 @@ def _block_sweep(
             hist = {name: [a[..., keep] for a in arrs] for name, arrs in hist.items()}
             for name, v in (("S", nd["S"]), ("F", f), ("Pt", nd["Pt"])):
                 hist[name].append(v)
-            delta = _delta_lanes(hist["S"], hist["F"], hist["Pt"], s2, e)
+            d1, d2, tails = _delta_lanes(hist["S"], hist["F"], hist["Pt"], s2, e)
             values = [("p", k, nd["P"]), ("q", k, nd["Q"]), ("pt", k, nd["Pt"]),
-                      ("gamma", k, e / f), ("gamma_star", k, e), ("fmax", k, f), ("delta", k, delta)]
+                      ("gamma", k, e / f), ("gamma_star", k, e), ("fmax", k, f), ("delta", k, d1 + d2)]
             if k == 1:
                 values += [("p", 0, pd["P"][keep]), ("q", 0, pd["Q"][keep]), ("pt", 0, pd["Pt"][keep])]
             pd = nd
-        yield SweepOrder(k, start + lane, xs[lane], ys[lane], values)
+        yield SweepOrder(k, start + lane, xs[lane], ys[lane], values, d1, d2, tails)
 
 
 def sample_sweep(
@@ -304,25 +310,6 @@ def sample_sweep(
             yield from _block_sweep(m, ref, sched, kmax, start, xs, ys)
 
     return blocks()
-
-
-def sampled_cocycles(
-    m: MapModel, z: Point2, sched: EpsilonSchedule, kmax: int, n: int, seed: int
-) -> Iterator[tuple[Point2, OrbitCocycle]]:
-    """Yield (draw, cocycle) for the box draws around z that join N^(1), in draw order.
-
-    Each cocycle is built once, at the draw's level from ``sample_sweep``.
-    """
-    level = np.zeros(n, dtype=int)
-    xs = np.empty(n)
-    ys = np.empty(n)
-    for order in sample_sweep(m, z, sched, kmax, n, seed):
-        level[order.draw] = order.k
-        xs[order.draw] = order.x
-        ys[order.draw] = order.y
-    for i in np.flatnonzero(level).tolist():
-        d = Point2(float(xs[i]), float(ys[i]))
-        yield d, build_orbit_cocycle(m, d, int(level[i]))
 
 
 def estimate_budget(

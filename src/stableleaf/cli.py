@@ -62,15 +62,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(path: str) -> list[str]:
     args: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected key=value, got '{line}'")
-            key, val = (s.strip() for s in line.split("=", 1))
-            args.extend([f"--{key}", val])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: config file is not UTF-8 text ({exc.reason})")
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}:{lineno}: expected key=value, got '{line}'")
+        key, val = (s.strip() for s in line.split("=", 1))
+        args.extend([f"--{key}", val])
     return args
 
 

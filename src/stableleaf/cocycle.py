@@ -24,7 +24,7 @@ and the k-step growth E_k <= F_k (singular values of Dphi^k), H_k = E_k/F_k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,11 +216,9 @@ class OrbitCocycle:
 
     Index conventions: orbit/steps and the per-step arrays run j = 0..kmax
     (steps[j] is Dphi at z_j); products/growth run k = 0..kmax with
-    products[0] = I and E_0 = F_0 = H_0 = 1. Immutable after build except the
-    idempotent tail-norm memo cache.
+    products[0] = I and E_0 = F_0 = H_0 = 1. Immutable after build.
     """
 
-    map: MapModel
     z0: Point2
     kmax: int
     orbit: list[Point2]
@@ -234,12 +232,9 @@ class OrbitCocycle:
     Pt: np.ndarray
     Dd: np.ndarray
     Ddt: np.ndarray
-    _tails: dict = field(default_factory=dict, repr=False)
 
     def tail_norms(self, k: int) -> list[float]:
         """F_{j,k} = ||Dphi^(k-j-1) at z_{j+1}|| for j = 0..k-1 (F_{k-1,k} = 1)."""
-        if k in self._tails:
-            return self._tails[k]
         if not 1 <= k <= self.kmax:
             raise BadParamsError(f"k={k} out of range 1..{self.kmax}")
         out = [0.0] * k
@@ -248,7 +243,6 @@ class OrbitCocycle:
         for j in range(k - 2, -1, -1):
             t = t.mul(self.steps[j + 1])
             out[j] = singular_values(t)[1]
-        self._tails[k] = out
         return out
 
 
@@ -341,7 +335,7 @@ def build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
         Ddt[j] = norm2(g[0], g[1])
 
     return OrbitCocycle(
-        map=m, z0=Point2(*z0), kmax=kmax, orbit=orbit, steps=steps, products=prods,
+        z0=Point2(*z0), kmax=kmax, orbit=orbit, steps=steps, products=prods,
         E=E, F=F, H=H, P=P, Q=Q, Pt=Pt, Dd=Dd, Ddt=Ddt,
     )
 

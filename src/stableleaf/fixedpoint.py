@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .budget import EpsilonSchedule, check_condition_star, sampled_cocycles
-from .cocycle import build_orbit_cocycle, distortion_bounds
+from .budget import EpsilonSchedule, check_condition_star, sample_sweep
+from .cocycle import build_orbit_cocycle, distortion_bounds, series_term
 from .directions import angle_distance
 from .errors import (
     BadParamsError,
@@ -141,9 +140,9 @@ class GrowthReport:
     """Fitted constants of the regular-growth estimates at radius eta.
 
     K_fit is the smallest K >= 1 making all six families hold over the sample:
-    the fixed point and the box draws of ``budget.sampled_cocycles``, each at
-    its level. raw_ok records the K-free middle inequalities of the eigenvalue
-    envelope.
+    the fixed point and the box draws of ``budget.sample_sweep``, each at
+    its level, with the per-order values that sweep computes. raw_ok records
+    the K-free middle inequalities of the eigenvalue envelope.
     """
 
     K_fit: float
@@ -161,6 +160,12 @@ class GrowthReport:
     seed: int
 
 
+def _fold_max(top: float, v, where=True) -> float:
+    """top = max(top, x) over the entries x of v where `where` holds: NaN never wins, as in Python's max."""
+    v = np.asarray(v)
+    return float(np.max(v, initial=top, where=where & (v == v)))
+
+
 def regular_growth_check(
     m: MapModel,
     fp: FixedPointData,
@@ -173,7 +178,9 @@ def regular_growth_check(
 
     Requires a constant schedule. Raises SpectralSlackError when a K-free
     inequality fails (F_j >= (|lu|-d)^j or E_j <= (|ls|+d)^j) or when the
-    fitted K exceeds 1e6.
+    fitted K exceeds 1e6. Only the fixed point's cocycle is built; the
+    draws' values come from ``sample_sweep``, and every fold keeps the
+    order of operations of a per-draw loop over j = 1..level.
     """
     if sched.decay != 1.0:
         raise BadParamsError("regular growth check requires a constant schedule eps_j = eta")
@@ -183,40 +190,46 @@ def regular_growth_check(
     if not (0.0 <= d < lu - 1.0 and ls + d < 1.0):
         raise BadParamsError(f"spectral slack delta={d} incompatible with |ls|={ls}, |lu|={lu}")
 
-    k_upper_f = 1.0
-    k_lower_e = 1.0
-    k_sum_f = 1.0
+    coc = build_orbit_cocycle(m, fp.p, kmax)  # raises where the fixed point's orbit fails
+
+    def orders():
+        # (k, rows, E_k, F_k, H_k, d1, d2, tail norms F_{j,k}); the fixed point joins every level
+        for k in range(1, kmax + 1):
+            d1, d2 = distortion_bounds(coc, k)
+            yield k, 0, coc.E[k], coc.F[k], coc.H[k], d1, d2, coc.tail_norms(k)
+        for o in sample_sweep(m, fp.p, sched, kmax, n, seed):
+            v = {name: a for name, i, a in o.values if i == o.k}
+            yield o.k, o.draw + 1, v["gamma_star"], v["fmax"], v["gamma"], o.d1, o.d2, o.tails
+
+    # row 0 is the fixed point and row 1 + i box draw i; orders past a row's level stay NaN
+    E, F, H, D1, D2 = (np.full((n + 1, kmax + 1), math.nan) for _ in range(5))
+    F[:, 0] = 1.0
+    level = np.zeros(n + 1, dtype=int)
     k_tail = 1.0
-    k_sum_h = 1.0
-    k_d2 = 1.0
-    k_det = 1.0
-    raw_ok = True
-    used = 0
-    draws = sampled_cocycles(m, fp.p, sched, kmax, n, seed)
-    # the fixed point joins every level, as it does in the budget
-    for coc in chain([build_orbit_cocycle(m, fp.p, kmax)], (c for _, c in draws)):
-        level = coc.kmax
-        used += 1
-        sum_f = 1.0  # F_0
-        for j in range(1, level + 1):
-            fj, ej = coc.F[j], coc.E[j]
-            k_upper_f = max(k_upper_f, fj / (lu + d) ** j)
-            k_lower_e = max(k_lower_e, (ls - d) ** j / ej if ej > 0 else math.inf)
-            if fj < (lu - d) ** j or ej > (ls + d) ** j:
-                raw_ok = False
-            k_sum_f = max(k_sum_f, sum_f / fj)
-            sum_f += fj
-            tails = coc.tail_norms(j)
-            for i in range(j):
-                k_tail = max(k_tail, coc.F[i] * tails[i] / fj)
-            d1, d2 = distortion_bounds(coc, j)
-            if ej > 0:
-                k_d2 = max(k_d2, d1 / ej)
-                k_det = max(k_det, d2 / ej)
-        h_tail = 0.0
-        for i in range(level, 0, -1):
-            h_tail += coc.H[i]
-            k_sum_h = max(k_sum_h, h_tail / coc.H[i])
+    with np.errstate(all="ignore"):  # as Python floats: +inf on overflow, NaN for 0/0
+        for k, rows, *vals in orders():
+            level[rows] = k
+            for a, v in zip((E, F, H, D1, D2), vals):
+                a[rows, k] = v
+            for j, t in enumerate(vals[-1]):
+                k_tail = _fold_max(k_tail, F[rows, j] * t / F[rows, k])
+
+        js = np.arange(kmax + 1)
+        on = (js >= 1) & (js <= level[:, None])  # the orders 1..level of each row
+        # x ** j, +inf where float ** overflows (only lu + d and lu - d exceed 1)
+        lu_hi, lu_lo, ls_hi, ls_lo = (
+            np.array([series_term((x, j)) for j in js]) for x in (lu + d, lu - d, ls + d, ls - d))
+        raw_ok = not np.any(on & ((F < lu_lo) | (E > ls_hi)))
+        k_upper_f = _fold_max(1.0, F / lu_hi, on)
+        k_lower_e = _fold_max(1.0, np.where(E > 0, ls_lo / E, math.inf), on)
+        # F_0 + F_1 + ... + F_{j-1}, added in order: accumulate is sequential
+        k_sum_f = _fold_max(1.0, np.cumsum(F, axis=1)[:, :-1] / F[:, 1:], on[:, 1:])
+        # H_level + ... + H_j, added from each row's level down
+        h_tail = np.cumsum(np.where(on, H, 0.0)[:, ::-1], axis=1)[:, ::-1]
+        k_sum_h = _fold_max(1.0, h_tail / H, on)
+        k_d2 = _fold_max(1.0, D1 / E, on & (E > 0))
+        k_det = _fold_max(1.0, D2 / E, on & (E > 0))
+    used = int(np.count_nonzero(level))
 
     k_fit = max(k_upper_f, k_lower_e, k_sum_f, k_tail, k_sum_h, k_d2, k_det)
     if not raw_ok:

@@ -2,12 +2,13 @@
 
 ``estimate_budget`` (with its ``absorb`` and ``cocycle_to``) and
 ``regular_growth_check`` are kept below, verbatim, as they were before both
-folded ``sampled_cocycles``: the budget demoted a failing draw to its largest
-valid level, and the growth check rebuilt every sampled draw's cocycle at its
-tube level and skipped a draw whose build failed. Every field is compared bit
-for bit (``float.hex``); the reference ``samples[k]`` is a list of Point2,
-which compares equal to the (count, 2) array the budget now holds. The
-documented differences are asserted as such:
+read the box draws from one pass, now ``sample_sweep``: the budget demoted a
+failing draw to its largest valid level, and the growth check rebuilt every
+sampled draw's cocycle at its tube level and skipped a draw whose build
+failed. Every field is compared bit for bit (``float.hex``); the reference
+``samples[k]`` is a list of Point2, which compares equal to the (count, 2)
+array the budget now holds. The documented differences are asserted as
+such:
 
 - a non-finite second derivative now demotes a draw, where it aborted the
   budget; the result equals the old budget of the same map with the region
@@ -24,6 +25,7 @@ import numpy as np
 import pytest
 
 import stableleaf.budget as budget_mod
+import stableleaf.fixedpoint as fixedpoint_mod
 from stableleaf import EpsilonSchedule, Point2, eigen_split, estimate_budget, make_map, regular_growth_check
 from stableleaf.budget import (
     DEFAULT_SAMPLES,
@@ -343,7 +345,12 @@ CASES = {
     "henon": (lambda: make_map("henon", a=1.4, b=0.3), HENON_GUESS, None, 0.05, 8, 300, 5),
     "guard-strip": (_guard_strip, Point2(0.0, 0.0), 0.0, 0.1, 8, 200, 1),
     "box-limited": (_box_limited, Point2(0.0, 0.0), 0.0, 0.1, 8, 200, 1),
+    # the one case whose draws have K_tail_product above 1
+    "henon-negative-b": (lambda: make_map("henon", a=1.4, b=-0.3), HENON_GUESS, None, 0.05, 8, 300, 1),
+    "perturbed-two-blocks": (lambda: make_map("perturbed", lambda_s=0.5, lambda_u=2.0, c=0.05),
+                             Point2(0.01, 0.0), 0.02, 0.05, 6, budget_mod.SAMPLE_BLOCK + 3, 4),
 }
+GROWTH_CASES = ["linear", "perturbed", "henon", "guard-strip", "henon-negative-b", "perturbed-two-blocks"]
 
 
 # budget-only inputs, name: (map factory, z, eta, kmax, n, seed)
@@ -452,20 +459,28 @@ def test_budget_builds_only_the_centre(name, monkeypatch):
     assert builds == [kmax]
 
 
-def test_growth_check_builds_each_draw_once(monkeypatch):
+def test_growth_check_builds_only_the_fixed_point(monkeypatch):
+    # every draw's values come from sample_sweep; only the fixed point's cocycle is built
     m, fp, sched, kmax, n, seed = case("box-limited")
     b = estimate_budget(m, fp.p, sched, kmax, n=n, seed=seed)
     builds = []
     real = budget_mod.build_orbit_cocycle
-    monkeypatch.setattr(budget_mod, "build_orbit_cocycle", lambda *a: builds.append(a[2]) or real(*a))
+    for mod in (budget_mod, fixedpoint_mod):
+        monkeypatch.setattr(mod, "build_orbit_cocycle", lambda *a: builds.append(a[2]) or real(*a))
     rep = regular_growth_check(m, fp, sched, kmax, n, seed)
-    assert len(builds) == rep.points_used - 1 == n - rep.points_skipped
-    levels = [k for k in range(1, kmax + 1) for _ in range(b.accepted_counts[k] - b.accepted_counts.get(k + 1, 0))]
-    assert sorted(builds) == sorted(levels)
+    assert builds == [kmax]
+    assert rep.points_used - 1 == n - rep.points_skipped == b.accepted_counts[1]
 
 
-@pytest.mark.parametrize("name", ["linear", "perturbed", "henon", "guard-strip"])
-def test_growth_matches_reference(name):
+@pytest.mark.parametrize(
+    "name, block",
+    [pytest.param(name, None, id=name) for name in GROWTH_CASES]
+    + [pytest.param(name, 7, id=f"{name}-7") for name in GROWTH_CASES],
+)
+def test_growth_matches_reference(name, block, monkeypatch):
+    if block is not None:
+        # the fold indexes draws across blocks: 7 divides none of the sample sizes
+        monkeypatch.setattr(budget_mod, "SAMPLE_BLOCK", block)
     m, fp, sched, kmax, n, seed = case(name)
     new = regular_growth_check(m, fp, sched, kmax, n, seed)
     ref = ref_regular_growth_check(m, fp, sched, kmax, n, seed)
@@ -476,6 +491,8 @@ def test_growth_matches_reference(name):
     assert ref.points_skipped == 0
     assert new.points_skipped == n - (new.points_used - 1)
     assert (new.points_skipped > 0) == (name == "guard-strip")
+    if name == "henon-negative-b":
+        assert new.K_tail_product.hex() == "0x1.a2bb1d345e098p+0"
 
 
 def test_growth_box_limited_demotes_instead_of_skipping():

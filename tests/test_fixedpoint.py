@@ -101,6 +101,16 @@ def test_regular_growth_slack_too_small(perturbed_map):
         regular_growth_check(perturbed_map, fpx, EpsilonSchedule.constant(1.0), kmax=10, n=800, seed=3)
 
 
+def test_regular_growth_envelope_overflow_is_infinite():
+    # (|lu| + delta)^j passes the float range at j = 154 while F_j = 100^j is
+    # finite: the envelope power is +inf there, F_j over it is 0, and the fit
+    # fails on K_lower_E = ((|ls| - delta) / |ls|)^154 instead of overflowing
+    m = make_map("linear", lambda_s=0.01, lambda_u=100.0)
+    fp = dataclasses.replace(eigen_split(m, Point2(0, 0)), delta=0.98)
+    with pytest.raises(SpectralSlackError, match=r"fitted K=9\.180e\+305"):
+        regular_growth_check(m, fp, EpsilonSchedule.constant(0.1), kmax=154, n=20, seed=1)
+
+
 def test_regular_growth_counts_skipped_points():
     # in a box of half-width 0.15 the first image 2y of a draw may leave it:
     # such draws have no valid cocycle level and are skipped

@@ -375,6 +375,15 @@ def test_cli_config_unknown_key(tmp_path, capsys):
     assert run_command(["budget", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
 
 
+def test_cli_config_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"map=linear\nlambda-s=0.5\xff\n")
+    assert run_command(["budget", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {cfg}: config file is not UTF-8 text" in err and "Traceback" not in err
+    assert not (tmp_path / "budget.json").exists()
+
+
 def test_cli_unwritable_out_dir(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")

@@ -200,7 +200,7 @@ def ref_build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
         Ddt[j] = norm2(g[0], g[1])
 
     return OrbitCocycle(
-        map=m, z0=Point2(*z0), kmax=kmax, orbit=orbit, steps=steps, products=prods,
+        z0=Point2(*z0), kmax=kmax, orbit=orbit, steps=steps, products=prods,
         E=E, F=F, H=H, P=P, Q=Q, Pt=Pt, Dd=Dd, Ddt=Ddt,
     )
 
