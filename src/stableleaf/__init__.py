@@ -13,7 +13,7 @@ from .budget import (
     estimate_budget,
     first_tube_exit,
 )
-from .cocycle import OrbitCocycle, SingularFrame, build_orbit_cocycle, distortion_bounds, singular_frame
+from .cocycle import OrbitCocycle, SingularFrame, build_orbit_cocycle, singular_frame
 from .directions import (
     AngleGapRecord,
     DirectionSample,

@@ -30,7 +30,6 @@ import numpy as np
 from .cocycle import (
     OrbitCocycle,
     build_orbit_cocycle,
-    distortion_bounds,
     mul_lanes,
     norm2,
     norm2_lanes,
@@ -178,13 +177,13 @@ class HyperbolicityBudget:
 
 
 class SweepOrder(NamedTuple):
-    """The draws of one block that lie in N^(k), and what they give the budget at order k.
+    """The lanes of one block that lie in N^(k), and what they give the budget at order k.
 
-    draw is each lane's index in the draw sequence and (x, y) its point.
-    values lists (budget field, index, array): P, Q and Pt at index k (and
-    at 0 when k = 1), and H, E, F and delta = d1 + d2 at k. d1 and d2 are
-    distortion_bounds at order k, and tails[j] is the tail norm F_{j,k} for
-    j < k, as OrbitCocycle.tail_norms(k) gives them.
+    draw is each lane's index in the draw sequence, -1 for the centre z, and
+    (x, y) its point. values lists (budget field, index, array): P, Q and Pt
+    at index k (and at 0 when k = 1), and H, E, F and delta = d1 + d2 at k.
+    d1 and d2 are the distortion bounds at order k, and tails[j] is the tail
+    norm F_{j,k} for j < k (see _delta_lanes).
     """
 
     k: int
@@ -222,10 +221,18 @@ def _point_data(m: MapModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _delta_lanes(steps: list, F: list, Pt: list, s2: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """distortion_bounds' (d1, d2) and tail_norms at order k = len(F) - 1 for every lane, in their order of operations.
+    """The right-hand sides of the two distortion inequalities at order k = len(F) - 1, for every lane.
+
+        d1 = (E_k / F_k^2) * sum_{j<k} Pt_j * F_{j,k} * F_j^2
+        d2 = (E_k / F_k)   * sum_{j<k} Dd_j^-1 * Ddt_j * F_j
+
+    with F_0 = 1 and F_{j,k} = ||Dphi^(k-j-1) at z_{j+1}|| the tail-product
+    norms. d1 bounds H_k ||D^2 phi^k|| / ||Dphi^k||; d2 bounds
+    ||D(det Dphi^k)|| / ||Dphi^k||^2. A NaN term of d1, which can only be
+    0 * inf with an exactly zero factor, counts as 0, and so does a NaN d1.
 
     s2 is the running sum of (Ddt_j / Dd_j) F_j over j < k. The tail products
-    keep the scalar association ((Dphi_{k-1} Dphi_{k-2}) ...) Dphi_{j+1}; their
+    keep the association ((Dphi_{k-1} Dphi_{k-2}) ...) Dphi_{j+1}; their
     norms F_{j,k} come back as a list over j < k, with F_{k-1,k} = 1.0.
     """
     k = len(F) - 1
@@ -288,7 +295,7 @@ def _block_sweep(
 def sample_sweep(
     m: MapModel, z: Point2, sched: EpsilonSchedule, kmax: int, n: int, seed: int
 ) -> Iterator[SweepOrder]:
-    """The n box draws around z and their budget values, as arrays, a block at a time and order by order.
+    """z and the n box draws around it, with their budget values, as arrays, a block at a time and order by order.
 
     A draw's tube level is the order of the deepest neighborhood it lies in.
     Its level is the largest level <= its tube level at which
@@ -296,7 +303,10 @@ def sample_sweep(
     success is monotone in the level, so whether a draw has level >= k is
     known at step k: for each block of SAMPLE_BLOCK draws, the SweepOrder of
     order k holds exactly the draws of level >= k, in draw order, and the
-    arrays of a block shrink to them as k grows.
+    arrays of a block shrink to them as k grows. z itself is lane 0 of the
+    first block, numbered draw -1, so n = 0 still sweeps it; its tube level
+    is kmax, and it reaches kmax exactly where build_orbit_cocycle(m, z, kmax)
+    succeeds.
 
     Levels, counts and every value are bit for bit those of the scalar code.
     """
@@ -305,8 +315,10 @@ def sample_sweep(
     cx, cy, r0 = float(z[0]), float(z[1]), sched.radius(0)
 
     def blocks():
-        for start in range(0, n, SAMPLE_BLOCK):
+        for start in range(0, max(n, 1), SAMPLE_BLOCK):
             xs, ys = rng.points_in_box(cx, cy, r0, min(SAMPLE_BLOCK, n - start))
+            if start == 0:  # z is lane 0 of the first block, draw -1
+                xs, ys, start = np.insert(xs, 0, cx), np.insert(ys, 0, cy), -1
             yield from _block_sweep(m, ref, sched, kmax, start, xs, ys)
 
     return blocks()
@@ -322,11 +334,12 @@ def estimate_budget(
 ) -> HyperbolicityBudget:
     """Estimate all budget sequences over sampled neighborhoods of z.
 
-    The reference point itself, which belongs to every neighborhood exactly,
-    joins each level. A sample point joins the levels up to the one
-    ``sample_sweep`` gives it. The array values are the scalar code's, so
-    the budget is bit for bit the one of building each draw's cocycle at
-    its level; only the centre's cocycle is built.
+    Every value comes from ``sample_sweep``. The reference point z (draw
+    -1) belongs to every neighborhood exactly and joins every level's
+    maxima, but not the counts or samples; a sample point joins the levels
+    up to the one ``sample_sweep`` gives it. The budget is bit for bit the
+    one of building each point's cocycle at its level. Only z's cocycle is
+    built, for ``cocycle``; it raises where z's orbit fails.
     """
     if kmax < 2:
         raise BadParamsError(f"kmax must be >= 2, got {kmax}")
@@ -334,24 +347,22 @@ def estimate_budget(
     km1 = kmax + 1
     orders = sample_sweep(m, z, sched, kmax, n, seed)
     center = build_orbit_cocycle(m, z, kmax)
-    # the maxima start from the centre's values; NaN never raises one, as in the scalar v > top
-    delta = np.array([0.0] + [d1 + d2 for d1, d2 in (distortion_bounds(center, k) for k in range(1, km1))])
-    top = {name: np.where(v > 0.0, v, 0.0) for name, v in (
-        ("p", center.P), ("q", center.Q), ("pt", center.Pt), ("gamma", center.H),
-        ("gamma_star", center.E), ("fmax", center.F), ("delta", delta))}
+    names = ("p", "q", "pt", "gamma", "gamma_star", "delta", "fmax")
+    top = {name: np.zeros(km1) for name in names}
+    top["gamma"][0] = top["gamma_star"][0] = top["fmax"][0] = 1.0  # order 0: the identity cocycle
     counts = {k: 0 for k in range(1, km1)}
     parts = {k: [] for k in range(1, km1)}
     for order in orders:
-        counts[order.k] += len(order.draw)
-        parts[order.k].append(np.column_stack([order.x, order.y]))
+        drawn = order.draw >= 0
+        counts[order.k] += int(np.count_nonzero(drawn))
+        parts[order.k].append(np.column_stack([order.x[drawn], order.y[drawn]]))
+        # NaN never raises a maximum, as in the scalar v > top
         for name, i, v in order.values:
             v = np.max(v, initial=-math.inf, where=v == v)
             if v > top[name][i]:
                 top[name][i] = v
     samples = {k: np.concatenate(parts[k]) if parts[k] else np.empty((0, 2)) for k in parts}
-    p, q, pt, gamma, gamma_star, delta, fmax = (
-        top[name] for name in ("p", "q", "pt", "gamma", "gamma_star", "delta", "fmax")
-    )
+    p, q, pt, gamma, gamma_star, delta, fmax = (top[name] for name in names)
 
     terms = np.full(kmax, math.inf)
     xi = np.full(kmax, math.inf)

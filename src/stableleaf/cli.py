@@ -67,6 +67,8 @@ def _load_config(path: str) -> list[str]:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: config file is not UTF-8 text ({exc.reason})")
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read config file ({exc.strerror or exc})")
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BadParamsError, ConformalError, OrbitEscapeError, SingularMatrixError, SingularStepError
 from .errors import DomainError, NonFiniteError
-from .maps import IDENTITY, MapModel, Mat2, Point2
+from .maps import MapModel, Mat2, Point2
 
 CONFORMAL_TOL = 1e-12  # below this 1 - E/F, the direction equation is round-off
 _SQUARES_SAFE = 2.0 ** 509  # entries up to this keep 8 * entry^2 below the float range
@@ -233,18 +233,6 @@ class OrbitCocycle:
     Dd: np.ndarray
     Ddt: np.ndarray
 
-    def tail_norms(self, k: int) -> list[float]:
-        """F_{j,k} = ||Dphi^(k-j-1) at z_{j+1}|| for j = 0..k-1 (F_{k-1,k} = 1)."""
-        if not 1 <= k <= self.kmax:
-            raise BadParamsError(f"k={k} out of range 1..{self.kmax}")
-        out = [0.0] * k
-        t = IDENTITY
-        out[k - 1] = 1.0
-        for j in range(k - 2, -1, -1):
-            t = t.mul(self.steps[j + 1])
-            out[j] = singular_values(t)[1]
-        return out
-
 
 def orbit_sweep(m: MapModel, x: float, y: float, k: int) -> tuple[list, list, list]:
     """(orbit, steps, prods) of the k-step sweep from z_0 = (x, y), as plain tuples.
@@ -339,31 +327,3 @@ def build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
         E=E, F=F, H=H, P=P, Q=Q, Pt=Pt, Dd=Dd, Ddt=Ddt,
     )
 
-
-def distortion_bounds(c: OrbitCocycle, k: int) -> tuple[float, float]:
-    """Right-hand sides of the two distortion inequalities at order k.
-
-        d1_rhs = (E_k / F_k^2) * sum_{j<k} Pt_j * F_{j,k} * F_j^2
-        d2_rhs = (E_k / F_k)   * sum_{j<k} Dd_j^-1 * Ddt_j * F_j
-
-    with F_0 = 1 and F_{j,k} the tail-product norms. d1_rhs bounds
-    H_k ||D^2 phi^k|| / ||Dphi^k||; d2_rhs bounds ||D(det Dphi^k)|| / ||Dphi^k||^2.
-    """
-    if not 1 <= k <= c.kmax:
-        raise BadParamsError(f"k={k} out of range 1..{c.kmax}")
-    tails = c.tail_norms(k)
-    F, Pt, Dd, Ddt = c.F.tolist(), c.Pt.tolist(), c.Dd.tolist(), c.Ddt.tolist()
-    # Python floats overflow to +inf silently; a NaN can only be 0 * inf, a
-    # term with an exactly zero factor, which is 0
-    s1 = 0.0
-    s2 = 0.0
-    for j in range(k):
-        fj = F[j]
-        t = Pt[j] * tails[j] * fj * fj
-        s1 += t if t == t else 0.0
-        s2 += (Ddt[j] / Dd[j]) * fj
-    ek, fk = float(c.E[k]), F[k]
-    f2 = fk * fk
-    # below the normal range F_k^2 loses bits or reads 0: divide by F_k twice
-    d1 = (ek / f2 if f2 >= _NORMAL_MIN else ek / fk / fk) * s1
-    return (d1 if d1 == d1 else 0.0), (ek / fk) * s2

@@ -19,16 +19,10 @@ from .maps import MapModel, Point2
 PI = math.pi
 
 
-@dataclass(frozen=True)
-class DerivativeBoundCoefficients:
-    """Constants of the direction-derivative bound chain, fixed exactly."""
-
-    gap_sq: float = 1597.0        # coefficient of (p q)^2 delta_{k+1}
-    gap_fifth: float = 40.0       # coefficient of (p q)^5 delta_k
-    gap_cubic: float = 40.0       # coefficient of (p q)^3 q^2 p~ gamma*_{k+1}
-
-
-ANGLE_COEFFS = DerivativeBoundCoefficients()
+# constants of the direction-derivative bound chain, fixed exactly
+GAP_SQ = 1597.0     # coefficient of (p q)^2 delta_{k+1}
+GAP_FIFTH = 40.0    # coefficient of (p q)^5 delta_k
+GAP_CUBIC = 40.0    # coefficient of (p q)^3 q^2 p~ gamma*_{k+1}
 
 
 def fold_angle(theta: float) -> float:
@@ -190,15 +184,14 @@ def direction_field_derivative(
 
     l_bound: Optional[float] = None
     if budget is not None:
-        cf = ANGLE_COEFFS
         top = min(k, budget.kmax - 1)
         l_bound = 0.0
         for j in range(1, top + 1):
             pq = series_term(budget.p[j], budget.q[j])
             l_bound += (
-                series_term(cf.gap_sq, pq, pq, budget.delta[j + 1])
-                + series_term(cf.gap_fifth, (pq, 5), budget.delta[j])
-                + series_term(cf.gap_cubic, (pq, 3), (budget.q[j], 2), budget.pt[j], budget.gamma_star[j + 1])
+                series_term(GAP_SQ, pq, pq, budget.delta[j + 1])
+                + series_term(GAP_FIFTH, (pq, 5), budget.delta[j])
+                + series_term(GAP_CUBIC, (pq, 3), (budget.q[j], 2), budget.pt[j], budget.gamma_star[j + 1])
             )
     return l_meas, l_bound
 

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .budget import EpsilonSchedule, check_condition_star, sample_sweep
-from .cocycle import build_orbit_cocycle, distortion_bounds, series_term
+from .cocycle import build_orbit_cocycle, series_term
 from .directions import angle_distance
 from .errors import (
     BadParamsError,
@@ -140,9 +140,10 @@ class GrowthReport:
     """Fitted constants of the regular-growth estimates at radius eta.
 
     K_fit is the smallest K >= 1 making all six families hold over the sample:
-    the fixed point and the box draws of ``budget.sample_sweep``, each at
-    its level, with the per-order values that sweep computes. raw_ok records
-    the K-free middle inequalities of the eigenvalue envelope.
+    the fixed point (draw -1) and the box draws of ``budget.sample_sweep``,
+    each at its level, with the per-order values that sweep computes. raw_ok
+    records the K-free middle inequalities of the eigenvalue envelope.
+    points_used counts the fixed point and the draws with a valid level.
     """
 
     K_fit: float
@@ -178,9 +179,10 @@ def regular_growth_check(
 
     Requires a constant schedule. Raises SpectralSlackError when a K-free
     inequality fails (F_j >= (|lu|-d)^j or E_j <= (|ls|+d)^j) or when the
-    fitted K exceeds 1e6. Only the fixed point's cocycle is built; the
-    draws' values come from ``sample_sweep``, and every fold keeps the
-    order of operations of a per-draw loop over j = 1..level.
+    fitted K exceeds 1e6. Every value, the fixed point's included, comes
+    from ``sample_sweep``, and every fold keeps the order of operations of
+    a per-point loop over j = 1..level. Only the fixed point's cocycle is
+    built, before the sweep, and it raises where that orbit fails.
     """
     if sched.decay != 1.0:
         raise BadParamsError("regular growth check requires a constant schedule eps_j = eta")
@@ -190,28 +192,21 @@ def regular_growth_check(
     if not (0.0 <= d < lu - 1.0 and ls + d < 1.0):
         raise BadParamsError(f"spectral slack delta={d} incompatible with |ls|={ls}, |lu|={lu}")
 
-    coc = build_orbit_cocycle(m, fp.p, kmax)  # raises where the fixed point's orbit fails
+    build_orbit_cocycle(m, fp.p, kmax)  # raises where the fixed point's orbit fails
 
-    def orders():
-        # (k, rows, E_k, F_k, H_k, d1, d2, tail norms F_{j,k}); the fixed point joins every level
-        for k in range(1, kmax + 1):
-            d1, d2 = distortion_bounds(coc, k)
-            yield k, 0, coc.E[k], coc.F[k], coc.H[k], d1, d2, coc.tail_norms(k)
-        for o in sample_sweep(m, fp.p, sched, kmax, n, seed):
-            v = {name: a for name, i, a in o.values if i == o.k}
-            yield o.k, o.draw + 1, v["gamma_star"], v["fmax"], v["gamma"], o.d1, o.d2, o.tails
-
-    # row 0 is the fixed point and row 1 + i box draw i; orders past a row's level stay NaN
+    # row 0 is the fixed point (draw -1) and row 1 + i box draw i; orders past a row's level stay NaN
     E, F, H, D1, D2 = (np.full((n + 1, kmax + 1), math.nan) for _ in range(5))
     F[:, 0] = 1.0
     level = np.zeros(n + 1, dtype=int)
     k_tail = 1.0
     with np.errstate(all="ignore"):  # as Python floats: +inf on overflow, NaN for 0/0
-        for k, rows, *vals in orders():
+        for o in sample_sweep(m, fp.p, sched, kmax, n, seed):
+            k, rows = o.k, o.draw + 1
+            v = {name: a for name, i, a in o.values if i == k}
             level[rows] = k
-            for a, v in zip((E, F, H, D1, D2), vals):
-                a[rows, k] = v
-            for j, t in enumerate(vals[-1]):
+            for a, x in zip((E, F, H, D1, D2), (v["gamma_star"], v["fmax"], v["gamma"], o.d1, o.d2)):
+                a[rows, k] = x
+            for j, t in enumerate(o.tails):
                 k_tail = _fold_max(k_tail, F[rows, j] * t / F[rows, k])
 
         js = np.arange(kmax + 1)

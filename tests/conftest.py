@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from stableleaf import Point2, make_map
+from stableleaf import EpsilonSchedule, Point2, make_map
+from stableleaf.budget import sample_sweep
 
 
 @pytest.fixture
@@ -49,3 +51,17 @@ def orbit_points(m, z, n):
         x, y = m.eval_xy(x, y)
         pts.append(Point2(x, y))
     return pts
+
+
+def centre_lane(m, z, kmax):
+    """The package's own (d1, d2, tail norms F_{j,k}) at z for each order k it reaches.
+
+    They are read from the draw -1 lane of ``sample_sweep`` with no box
+    draws, which the budget and the growth check fold, as {k: (d1, d2, tails)}.
+    """
+    out = {}
+    for o in sample_sweep(m, z, EpsilonSchedule.constant(0.1), kmax, 0, 0):
+        assert o.draw.tolist() == [-1]
+        tails = [float(np.broadcast_to(t, (1,))[0]) for t in o.tails]
+        out[o.k] = (float(o.d1[0]), float(o.d2[0]), tails)
+    return out

@@ -20,7 +20,6 @@ from stableleaf import (
     check_condition_double_star,
     choose_epsilon,
     contraction_check,
-    distortion_bounds,
     eigen_split,
     estimate_budget,
     first_tube_exit,
@@ -35,6 +34,7 @@ from stableleaf.cli import run_command
 from stableleaf.directions import angle_distance, contracted_theta_fast
 from stableleaf.leaf import rk4_streamline
 
+from conftest import centre_lane
 from test_cocycle import fd_det_gradient, fd_second_tensor, probe_bilinear_norm
 
 HENON_SADDLE = Point2(0.6313544770895252, 0.18940634312685756)
@@ -240,8 +240,9 @@ def test_criterion_5_distortion():
         starts.append((z, c))
     slack = 1.001
     for z, c in starts:
+        lane = centre_lane(m, z, 9)
         for k in range(1, 9):
-            d1, d2 = distortion_bounds(c, k)
+            d1, d2, _ = lane[k]
             t = fd_second_tensor(m, z.x, z.y, k, 1e-4)
             lhs1 = c.H[k] * probe_bilinear_norm(t) / c.F[k]
             assert lhs1 <= d1 * slack + 1e-12

@@ -1,6 +1,8 @@
 """Differential tests of the array budget pass ``budget.sample_sweep``.
 
-``estimate_budget`` (with its ``absorb`` and ``cocycle_to``) and
+``tail_norms`` and ``distortion_bounds`` below are the scalar, per-cocycle
+forms of the tail norms and distortion bounds that ``_delta_lanes`` computes
+for every lane. ``estimate_budget`` (with its ``absorb`` and ``cocycle_to``) and
 ``regular_growth_check`` are kept below, verbatim, as they were before both
 read the box draws from one pass, now ``sample_sweep``: the budget demoted a
 failing draw to its largest valid level, and the growth check rebuilt every
@@ -34,7 +36,7 @@ from stableleaf.budget import (
     first_tube_exit,
     reference_orbit,
 )
-from stableleaf.cocycle import build_orbit_cocycle, distortion_bounds, series_term
+from stableleaf.cocycle import _NORMAL_MIN, OrbitCocycle, build_orbit_cocycle, series_term, singular_values
 from stableleaf.errors import (
     BadParamsError,
     NonFiniteError,
@@ -44,11 +46,42 @@ from stableleaf.errors import (
     SpectralSlackError,
 )
 from stableleaf.fixedpoint import K_FIT_CAP, FixedPointData, GrowthReport
-from stableleaf.maps import MapModel
+from stableleaf.maps import IDENTITY, MapModel
 from stableleaf.rng import SplitRng
 
 
 # -- reference copies of the replaced loops ------------------------------------
+
+
+def tail_norms(c: OrbitCocycle, k: int) -> list[float]:
+    """F_{j,k} = ||Dphi^(k-j-1) at z_{j+1}|| for j = 0..k-1 (F_{k-1,k} = 1)."""
+    out = [0.0] * k
+    t = IDENTITY
+    out[k - 1] = 1.0
+    for j in range(k - 2, -1, -1):
+        t = t.mul(c.steps[j + 1])
+        out[j] = singular_values(t)[1]
+    return out
+
+
+def distortion_bounds(c: OrbitCocycle, k: int) -> tuple[float, float]:
+    """Right-hand sides (d1, d2) of the two distortion inequalities at order k, from a cocycle."""
+    tails = tail_norms(c, k)
+    F, Pt, Dd, Ddt = c.F.tolist(), c.Pt.tolist(), c.Dd.tolist(), c.Ddt.tolist()
+    # Python floats overflow to +inf silently; a NaN can only be 0 * inf, a
+    # term with an exactly zero factor, which is 0
+    s1 = 0.0
+    s2 = 0.0
+    for j in range(k):
+        fj = F[j]
+        t = Pt[j] * tails[j] * fj * fj
+        s1 += t if t == t else 0.0
+        s2 += (Ddt[j] / Dd[j]) * fj
+    ek, fk = float(c.E[k]), F[k]
+    f2 = fk * fk
+    # below the normal range F_k^2 loses bits or reads 0: divide by F_k twice
+    d1 = (ek / f2 if f2 >= _NORMAL_MIN else ek / fk / fk) * s1
+    return (d1 if d1 == d1 else 0.0), (ek / fk) * s2
 
 
 def _box_draws(z: Point2, eps0: float, n: int, seed: int) -> list[Point2]:
@@ -242,7 +275,7 @@ def ref_regular_growth_check(
                 raw_ok = False
             k_sum_f = max(k_sum_f, sum_f / fj)
             sum_f += fj
-            tails = coc.tail_norms(j)
+            tails = tail_norms(coc, j)
             for i in range(j):
                 k_tail = max(k_tail, coc.F[i] * tails[i] / fj)
             d1, d2 = distortion_bounds(coc, j)
@@ -447,6 +480,41 @@ def test_array_budget_matches_reference(name, block, monkeypatch):
         assert new.accepted_counts[3] == n and math.isnan(d1 + d2) and 0.0 < new.delta[3] < math.inf
 
 
+# SweepOrder.values names, and the OrbitCocycle field each one reads
+SWEEP_FIELDS = {"p": "P", "q": "Q", "pt": "Pt", "gamma": "H", "gamma_star": "E", "fmax": "F"}
+
+
+@pytest.mark.parametrize(
+    "name, block",
+    [pytest.param(name, None, id=name) for name in CASES] + [pytest.param(name, 7, id=f"{name}-7") for name in CASES],
+)
+def test_sweep_lanes_match_reference(name, block, monkeypatch):
+    # every lane's values, not only their maxima, are those of its cocycle at its level
+    if block is not None:
+        monkeypatch.setattr(budget_mod, "SAMPLE_BLOCK", block)
+    m, fp, sched, kmax, n, seed = case(name)
+    lanes = {}  # draw: (point, {k: values at order k})
+    for o in budget_mod.sample_sweep(m, fp.p, sched, kmax, n, seed):
+        for i, draw in enumerate(o.draw.tolist()):
+            got = {(f, j): v[i] for f, j, v in o.values}
+            got["d1"], got["d2"] = o.d1[i], o.d2[i]
+            got["tails"] = [np.broadcast_to(t, o.draw.shape)[i] for t in o.tails]
+            lanes.setdefault(draw, (Point2(o.x[i], o.y[i]), {}))[1][o.k] = got
+    assert lanes[-1][0] == fp.p and sorted(lanes[-1][1]) == list(range(1, kmax + 1))
+    for point, orders in lanes.values():
+        level = max(orders)
+        assert sorted(orders) == list(range(1, level + 1))
+        coc = build_orbit_cocycle(m, point, level)
+        for k, got in orders.items():
+            d1, d2 = distortion_bounds(coc, k)
+            want = {(f, k): getattr(coc, a)[k] for f, a in SWEEP_FIELDS.items()}
+            if k == 1:
+                want.update({(f, 0): getattr(coc, SWEEP_FIELDS[f])[0] for f in ("p", "q", "pt")})
+            want[("delta", k)] = d1 + d2
+            want["d1"], want["d2"], want["tails"] = d1, d2, tail_norms(coc, k)
+            assert bits(got) == bits(want)
+
+
 @pytest.mark.parametrize("name", ["linear", "henon"])
 def test_budget_builds_only_the_centre(name, monkeypatch):
     # every array value has the scalar bits, so no draw's cocycle is rebuilt
@@ -493,6 +561,39 @@ def test_growth_matches_reference(name, block, monkeypatch):
     assert (new.points_skipped > 0) == (name == "guard-strip")
     if name == "henon-negative-b":
         assert new.K_tail_product.hex() == "0x1.a2bb1d345e098p+0"
+
+
+def _two_row_sweep(f, tails_at_3):
+    """A sample_sweep stand-in for kmax 3 and one draw: the linear (0.5, 2) fixed point and a made-up draw.
+
+    The fixed point (draw -1) has its true values: E_k = 0.5^k, F_k = 2^k and
+    F_{j,k} = 2^(k-j-1). The draw has E_k = 0.5^k, F_k = f[k], d1 = d2 = 0,
+    and the tail norms 1.0, except tails_at_3 at order 3.
+    """
+    def sweep(m, z, sched, kmax, n, seed):
+        for k in range(1, 4):
+            e = np.full(2, 0.5 ** k)
+            fk = np.array([2.0 ** k, f[k]])
+            draw_tails = tails_at_3 if k == 3 else [1.0] * k
+            tails = [np.array([2.0 ** (k - j - 1), t]) for j, t in enumerate(draw_tails)]
+            values = [("gamma", k, e / fk), ("gamma_star", k, e), ("fmax", k, fk)]
+            yield budget_mod.SweepOrder(k, np.array([-1, 0]), np.zeros(2), np.zeros(2), values,
+                                        np.zeros(2), np.zeros(2), tails)
+    return sweep
+
+
+@pytest.mark.parametrize("f, tails_at_3, k_tail", [
+    ([1.0, 2.0, 40.0, 8.0], [1.0, 1.0, 1.0], 5.0),  # i = k - 1: F_2 F_{2,3} / F_3 = 40 / 8
+    ([1.0, 2.0, 4.0, 8.0], [80.0, 2.0, 1.0], 10.0),  # i = 0: F_0 F_{0,3} / F_3 = 80 / 8
+], ids=["last-index", "first-index"])
+def test_growth_tail_product_end_terms(f, tails_at_3, k_tail, monkeypatch):
+    # each run's K_tail_product is set by one end of i = 0..k-1 alone, which no built-in map does
+    m = _linear()
+    fp = eigen_split(m, Point2(0.0, 0.0))
+    monkeypatch.setattr(fixedpoint_mod, "sample_sweep", _two_row_sweep(f, tails_at_3))
+    rep = regular_growth_check(m, fp, EpsilonSchedule.constant(0.05), 3, 1, 1)
+    assert rep.raw_ok and (rep.points_used, rep.points_skipped) == (2, 0)
+    assert rep.K_tail_product == k_tail
 
 
 def test_growth_box_limited_demotes_instead_of_skipping():

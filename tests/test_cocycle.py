@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stableleaf import Mat2, Point2, SplitRng, build_orbit_cocycle, distortion_bounds, make_map, singular_frame
+from stableleaf import Mat2, Point2, SplitRng, build_orbit_cocycle, make_map, singular_frame
 from stableleaf.cocycle import _contract_angle, norm2, norm2_lanes, singular_values
 from stableleaf.errors import ConformalError, OrbitEscapeError, SingularMatrixError, SingularStepError
 from stableleaf.maps import MapModel
 
-from conftest import sweep_min_angle
+from conftest import centre_lane, sweep_min_angle
 
 
 def random_mat(rng, cond_floor=1e-3):
@@ -45,9 +45,10 @@ def test_build_henon_product(henon_map):
 
 def test_tail_norms_empty_product(henon_map, linear_map):
     for m in (henon_map, linear_map):
-        c = build_orbit_cocycle(m, Point2(0.1, 0.05), 5)
+        lane = centre_lane(m, Point2(0.1, 0.05), 5)
+        assert sorted(lane) == [1, 2, 3, 4, 5]
         for k in range(1, 6):
-            assert c.tail_norms(k)[k - 1] == 1.0
+            assert lane[k][2][k - 1] == 1.0
 
 
 def test_singular_frame_examples():
@@ -126,15 +127,16 @@ def test_minidistortion_sandwich(linear_map, henon_map, perturbed_map):
 
 
 def test_distortion_bounds_examples(linear_map, henon_map):
-    c = build_orbit_cocycle(linear_map, Point2(0.4, -0.1), 5)
+    lane = centre_lane(linear_map, Point2(0.4, -0.1), 5)
     for k in range(1, 6):
-        assert distortion_bounds(c, k) == (0.0, 0.0)
+        assert lane[k][:2] == (0.0, 0.0)
 
     ch = build_orbit_cocycle(henon_map, Point2(0, 0), 2)
-    d1_1, _ = distortion_bounds(ch, 1)
+    lane = centre_lane(henon_map, Point2(0, 0), 2)
+    d1_1 = lane[1][0]
     # single-term sum: (E_1/F_1^2) * Pt_0, with F_{0,1} = F_0 = 1
     assert d1_1 == pytest.approx(ch.E[1] / ch.F[1] ** 2 * ch.Pt[0], rel=1e-14)
-    d1_2, d2_2 = distortion_bounds(ch, 2)
+    d1_2, d2_2, _ = lane[2]
     assert d1_2 > 0.0
     assert d2_2 == 0.0  # det of the henon derivative is constant
 
@@ -189,9 +191,10 @@ def test_distortion_inequalities_fd(map_name, henon_map, perturbed_map, linear_m
     m = {"henon": henon_map, "perturbed": perturbed_map, "linear": linear_map}[map_name]
     z = {"henon": Point2(0.2, 0.1), "perturbed": Point2(0.3, -0.01), "linear": Point2(0.5, 0.01)}[map_name]
     c = build_orbit_cocycle(m, z, 8)
+    lane = centre_lane(m, z, 8)
     slack = 1.0 + 1e-3
     for k in range(1, 9):
-        d1, d2 = distortion_bounds(c, k)
+        d1, d2, _ = lane[k]
         t = fd_second_tensor(m, z.x, z.y, k, 1e-4)
         lhs1 = c.H[k] * probe_bilinear_norm(t) / c.F[k]
         assert lhs1 <= d1 * slack + 1e-12

@@ -16,7 +16,7 @@ from stableleaf import (
     make_map,
     pushforward_contraction,
 )
-from stableleaf.directions import ANGLE_COEFFS, contracted_theta_fast
+from stableleaf.directions import GAP_CUBIC, GAP_FIFTH, GAP_SQ, contracted_theta_fast
 from stableleaf.errors import BadParamsError, ConformalError, StencilEscapeError, ValidationError
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +26,7 @@ from test_cocycle import random_mat
 
 
 def test_coefficients_pinned():
-    assert (ANGLE_COEFFS.gap_sq, ANGLE_COEFFS.gap_fifth, ANGLE_COEFFS.gap_cubic) == (1597.0, 40.0, 40.0)
+    assert (GAP_SQ, GAP_FIFTH, GAP_CUBIC) == (1597.0, 40.0, 40.0)
 
 
 def test_fold_and_distance():
@@ -216,12 +216,9 @@ def test_field_derivative_bound_overflow_beside_zero():
 
 def test_k_range_errors_are_bad_params(linear_map):
     import stableleaf.budget as bm
-    from stableleaf import distortion_bounds
 
     c = build_orbit_cocycle(linear_map, Point2(0.1, 0.01), 4)
     calls = [
-        lambda: c.tail_norms(5),
-        lambda: distortion_bounds(c, 0),
         lambda: contracted_direction(c, 5),
         lambda: angle_gap(c, 4),
         lambda: pushforward_contraction(c, 2, 3),

@@ -384,6 +384,20 @@ def test_cli_config_not_utf8(tmp_path, capsys):
     assert not (tmp_path / "budget.json").exists()
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_cli_config_unreadable(tmp_path, capsys, kind):
+    # an input file that cannot be read is bad input (exit 2), not an output failure (exit 3)
+    cfg = tmp_path / "absent.cfg"
+    if kind == "directory":
+        cfg = tmp_path / "cfg.d"
+        cfg.mkdir()
+    out = tmp_path / "out"
+    assert run_command(["budget", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {cfg}: cannot read config file (" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_unwritable_out_dir(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")

@@ -24,7 +24,6 @@ import pytest
 from stableleaf import MapModel, Point2, make_map
 from stableleaf.cocycle import (
     CONFORMAL_TOL,
-    IDENTITY,
     OrbitCocycle,
     _contract_angle,
     build_orbit_cocycle,
@@ -33,7 +32,9 @@ from stableleaf.cocycle import (
     singular_values,
 )
 from stableleaf.directions import (
-    ANGLE_COEFFS,
+    GAP_CUBIC,
+    GAP_FIFTH,
+    GAP_SQ,
     _contracted_theta,
     _signed_gap,
     angle_gap,
@@ -52,7 +53,7 @@ from stableleaf.errors import (
     SingularStepError,
     StencilEscapeError,
 )
-from stableleaf.maps import HESS_STEP, JAC_STEP, Mat2
+from stableleaf.maps import HESS_STEP, IDENTITY, JAC_STEP, Mat2
 
 
 # -- reference copies of the replaced loops ------------------------------------
@@ -132,15 +133,14 @@ def ref_direction_field_derivative(
 
     l_bound: Optional[float] = None
     if budget is not None:
-        cf = ANGLE_COEFFS
         top = min(k, budget.kmax - 1)
         l_bound = 0.0
         for j in range(1, top + 1):
             pq = budget.p[j] * budget.q[j]
             l_bound += (
-                cf.gap_sq * pq * pq * budget.delta[j + 1]
-                + cf.gap_fifth * pq ** 5 * budget.delta[j]
-                + cf.gap_cubic * pq ** 3 * budget.q[j] ** 2 * budget.pt[j] * budget.gamma_star[j + 1]
+                GAP_SQ * pq * pq * budget.delta[j + 1]
+                + GAP_FIFTH * pq ** 5 * budget.delta[j]
+                + GAP_CUBIC * pq ** 3 * budget.q[j] ** 2 * budget.pt[j] * budget.gamma_star[j + 1]
             )
     return l_meas, l_bound
 
