@@ -85,9 +85,12 @@ def _parse_point(text: str) -> Point2:
     if len(parts) != 2:
         raise ValidationError(f"--z expects 'x,y', got '{text}'")
     try:
-        return Point2(float(parts[0]), float(parts[1]))
+        x, y = float(parts[0]), float(parts[1])
     except ValueError:
         raise ValidationError(f"--z expects numbers, got '{text}'")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValidationError(f"--z expects finite numbers, got '{text}'")
+    return Point2(x, y)
 
 
 def _validate(ns) -> None:
@@ -103,6 +106,7 @@ def _validate(ns) -> None:
         raise ValidationError(f"tol must be positive and finite, got {ns.tol}")
     if ns.h is not None and not (ns.h > 0.0):
         raise ValidationError(f"h must be positive, got {ns.h}")
+    _parse_point(ns.z)  # a malformed or non-finite --z fails before the output directory is made
 
 
 def _build_map(ns):

@@ -179,8 +179,11 @@ def _contract_angle(a: float, b: float, c: float, d: float) -> float:
         # a power-of-two scale keeps the angle, and the squares below finite and normal
         ex = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
         a, b, c, d = (math.ldexp(v, -ex) for v in (a, b, c, d))
-    qa = a * b + c * d
-    qb = a * a + c * c - b * b - d * d
+    return _angle_from_sums(a, b, c, d, a * b + c * d, a * a + c * c - b * b - d * d)
+
+
+def _angle_from_sums(a: float, b: float, c: float, d: float, qa: float, qb: float) -> float:
+    """_contract_angle from qa = ab + cd and qb = a^2 + c^2 - b^2 - d^2, for entries it does not scale."""
     th = 0.5 * math.atan2(2.0 * qa, qb)  # the *expanded* stationary branch
     # resolve the branch pair {th, th + pi/2} by evaluating both norms
     ct, st = math.cos(th), math.sin(th)
@@ -270,6 +273,34 @@ def orbit_sweep(m: MapModel, x: float, y: float, k: int) -> tuple[list, list, li
         steps.append(s)
         prods.append((a, b, c, d))
     return orbit, steps, prods
+
+
+def orbit_product(m: MapModel, x: float, y: float, k: int) -> tuple[float, float, float, float]:
+    """orbit_sweep(m, x, y, k)[2][k], Dphi^k at (x, y), built without the lists.
+
+    Finiteness is tested once, at the end: a non-finite step keeps the product
+    non-finite (inf*0 and inf - inf are NaN), and a non-finite point fails the
+    next box test. On any failure, and for an unbounded box, the checked sweep
+    runs instead, so it raises the same OrbitEscapeError(j, z_j), or returns the
+    same product where only the product overflowed from finite steps.
+    """
+    x0, y0 = x, y
+    ev = m.raw_eval
+    jac = m.raw_jac if m.raw_jac is not None else m.fd_jac
+    in_domain = m.in_domain if m.singular_guard is not None else None
+    xlo, xhi, ylo, yhi = m.box
+    if not math.isfinite(xlo + xhi + ylo + yhi):
+        return orbit_sweep(m, x, y, k)[2][k]
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for _ in range(k):
+        if not (in_domain(x, y) if in_domain else xlo <= x <= xhi and ylo <= y <= yhi):
+            return orbit_sweep(m, x0, y0, k)[2][k]
+        j11, j12, j21, j22 = jac(x, y)
+        x, y = ev(x, y)
+        a, b, c, d = j11 * a + j12 * c, j11 * b + j12 * d, j21 * a + j22 * c, j21 * b + j22 * d
+    if not math.isfinite(a + b + c + d + x + y):
+        return orbit_sweep(m, x0, y0, k)[2][k]
+    return a, b, c, d
 
 
 def build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:

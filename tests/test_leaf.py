@@ -470,6 +470,24 @@ def test_fine_step_reproduces_the_old_default_leaf(case):
     assert digest == OLD_DEFAULT_LEAF_SHA256[case]
 
 
+# sha256 of xs, ys and thetas of each leaf as integrated with the default
+# h = eps/128, one RK4 step per cell, before the leaf field took Dphi^k from
+# orbit_product and theta, E and F from one set of sums
+DEFAULT_LEAF_SHA256 = {
+    "henon": "6e320c45b3a6fd9462498858b8317f3972fd57e76bae53e6d555b0ea306458fd",
+    "perturbed": "064e16249f91caa08c3a4c9b1475f52c9f3ceb6dc61020bccd5070668a39d8d0",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_CASES))
+def test_default_step_reproduces_the_pinned_leaf(case):
+    m, z, k = FIELD_CASES[case]
+    leaf = integrate_leaf(m, z, k, 0.0125)
+    assert leaf.h == 0.0125 / 128 and leaf.steps_per_cell == 1 and len(leaf.t) == leaf.grid_points
+    digest = hashlib.sha256(leaf.xs.tobytes() + leaf.ys.tobytes() + leaf.thetas.tobytes()).hexdigest()
+    assert digest == DEFAULT_LEAF_SHA256[case]
+
+
 def test_default_step_is_one_per_cell(henon_map):
     leaf = integrate_leaf(henon_map, HENON_SADDLE, 12, 0.0125)
     assert leaf.steps_per_cell == 1 and leaf.h == 0.0125 / 128

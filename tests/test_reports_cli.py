@@ -398,6 +398,19 @@ def test_cli_config_unreadable(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["budget", "converge", "fixedpoint"])
+@pytest.mark.parametrize("z", ["nan,0", "inf,0", "0,-inf"])
+def test_cli_non_finite_base_point(tmp_path, capsys, command, z):
+    # a non-finite --z is bad input (exit 2), not an orbit that left the domain (exit 3)
+    out = tmp_path / "out"
+    args = [command, "--map", "perturbed", "--lambda-s", "0.5", "--lambda-u", "2", "--c", "0.05",
+            "--kmax", "6", "--samples", "200", "--z", z, "--out-dir", str(out)]
+    assert run_command(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: --z expects finite numbers, got '{z}'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_unwritable_out_dir(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")

@@ -1,5 +1,9 @@
 """Differential tests of the checked k-step sweep ``cocycle.orbit_sweep``.
 
+Its product-only mode ``cocycle.orbit_product`` is tied to ``orbit_sweep``
+itself, and the fused ``directions._contracted_theta`` to ``singular_values``
+plus ``_contract_angle`` on the edges of its window.
+
 The three loops the sweep replaced are kept below, verbatim, as the
 reference: ``contracted_theta_fast`` (leaf tracing), ``_theta_series`` (the
 direction-field stencil, with the ``direction_field_derivative`` that used
@@ -28,6 +32,7 @@ from stableleaf.cocycle import (
     _contract_angle,
     build_orbit_cocycle,
     norm2,
+    orbit_product,
     orbit_sweep,
     singular_values,
 )
@@ -481,6 +486,77 @@ def test_pushforward_matches_reference():
         for k in range(1, 13):
             for j in range(1, k + 1):
                 assert outcome(pushforward_contraction, c, k, j) == outcome(ref_pushforward_contraction, c, k, j)
+
+
+def sweep_product(m, x, y, k):
+    return orbit_sweep(m, x, y, k)[2][k]
+
+
+@pytest.mark.parametrize("name", list(MAPS))
+def test_orbit_product_matches_sweep(name):
+    m = MAPS[name]()
+    for _, p, k in (c for c in CASES if c[0] == name):
+        assert outcome(orbit_product, m, p[0], p[1], k) == outcome(sweep_product, m, p[0], p[1], k), (p, k)
+
+
+def test_orbit_product_overflow_from_finite_steps():
+    # every step is finite; the product, or the sum the end test takes, is not
+    for m, want in ((make_map("linear", lambda_s=0.5, lambda_u=1e200), (0.25, 0.0, 0.0, math.inf)),
+                    (make_map("linear", lambda_s=1.3e154, lambda_u=1.3e154), (1.3e154 ** 2, 0.0, 0.0, 1.3e154 ** 2))):
+        assert sweep_product(m, 0.0, 0.0, 2) == want
+        assert bits(orbit_product(m, 0.0, 0.0, 2)) == bits(want)
+
+
+def test_orbit_product_unbounded_box():
+    # z_1 = (inf, 0) is inside an infinite box and maps back to (0, 0): only
+    # the checked sweep sees the escape at step 0
+    m = MapModel(
+        name="unbounded", params={},
+        raw_eval=lambda x, y: (x * x if abs(x) <= 1e300 else 0.0, 0.5 * y),
+        raw_jac=lambda x, y: (2.0 * x if abs(x) <= 1e300 else 0.0, 0.0, 0.0, 0.5),
+        box=(-math.inf, math.inf, -math.inf, math.inf),
+    )
+    assert outcome(orbit_product, m, 1e200, 0.0, 3) == outcome(sweep_product, m, 1e200, 0.0, 3)
+    assert outcome(orbit_product, m, 1e200, 0.0, 3)[1:3] == (OrbitEscapeError, 0)
+    assert outcome(orbit_product, m, 0.5, 0.1, 5) == outcome(sweep_product, m, 0.5, 0.1, 5)
+
+
+def ref_contracted_theta(p, k, at):
+    """The order-k (theta, E, F) from singular_values and _contract_angle."""
+    e, f = singular_values(p)
+    if f == 0.0 or 1.0 - e / f < CONFORMAL_TOL:
+        raise ConformalError(f"order-{k} product conformal to round-off at {at}")
+    return _contract_angle(*p), e, f
+
+
+def window_edge_products():
+    """Products on and beside 2^-1020 < s < 2^1018, the window of the fused sums."""
+    bases = [(0.75, -0.5, 0.25, 1.0), (1.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0), (0.6, -1.3, 0.25, 0.9),
+             (3.0, -4.0, 4.0, 3.0), (1.0, -1.0, 1.0, 1.0), (-0.3, 0.9, 1e-3, -0.7)]
+    out = []
+    for base in bases:
+        for ex in (-512, -511, -510, -509, 507, 508, 509, 510):
+            m = [math.ldexp(v, ex) for v in base]
+            out.append(tuple(m))
+            for up in (math.inf, 0.0):
+                out.append((math.nextafter(m[0], up),) + tuple(m[1:]))
+    return out
+
+
+def test_fused_theta_matches_reference_on_window_edges():
+    lo, hi = 2.0 ** -1020, 2.0 ** 1018
+    seen = set()
+    for p in window_edge_products():
+        s = sum(v * v for v in p)
+        top = max(map(abs, p))
+        seen.add("s = 2^-1020" if s == lo else "just past 2^-1020" if lo < s < lo * (1 + 2 ** -48) else
+                 "s = 2^1018" if s == hi else "just below 2^1018" if hi * (1 - 2 ** -48) < s < hi else None)
+        seen.add("entry above 2^509" if top > 2.0 ** 509 else "all entries below 2^-511" if top < 2.0 ** -511 else None)
+        want = outcome(ref_contracted_theta, p, 3, (0.0, 0.0))
+        seen.add(("conformal", lo < s < hi) if want[1] is ConformalError else None)
+        assert outcome(_contracted_theta, p, 3, (0.0, 0.0)) == want, p
+    assert seen >= {"s = 2^-1020", "just past 2^-1020", "s = 2^1018", "just below 2^1018", "entry above 2^509",
+                    "all entries below 2^-511", ("conformal", True), ("conformal", False)}
 
 
 def test_sweep_shape_and_escape_point():
