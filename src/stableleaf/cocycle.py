@@ -33,11 +33,8 @@ from .errors import DomainError, NonFiniteError
 from .maps import MapModel, Mat2, Point2
 
 CONFORMAL_TOL = 1e-12  # below this 1 - E/F, the direction equation is round-off
-_SQUARES_SAFE = 2.0 ** 509  # entries up to this keep 8 * entry^2 below the float range
-_NORMAL_MIN = 2.0 ** -1022  # the smallest normal float
-_SQUARES_TINY = 2.0 ** -511  # entries below this square into the subnormal range
-_TINY_SUM = 4.0 * _NORMAL_MIN  # bounds the sum of squares when every entry is below _SQUARES_TINY
-_LANES_SUM_MAX = 2.0 ** 1021  # below this sum of squares, s + r and det stay finite
+_FRAME_MIN = 2.0 ** -1020  # _frame scales m where its sum of squares s is outside (_FRAME_MIN, _FRAME_MAX):
+_FRAME_MAX = 2.0 ** 1018   # inside, no entry exceeds 2^509, s + r and det are finite and s is normal
 _NORM2_MIN = 2.0 ** -500  # norm2 squares its arguments unscaled where max(|x|, |y|) is in
 _NORM2_MAX = 2.0 ** 500   # (_NORM2_MIN, _NORM2_MAX): the larger square is then finite and normal
 
@@ -58,8 +55,11 @@ def norm2(x: float, y: float) -> float:
         return math.hypot(x, y)
     ex = math.frexp(top)[1]
     x, y = math.ldexp(x, -ex), math.ldexp(y, -ex)
-    v = math.sqrt(x * x + y * y)
-    # ldexp raises OverflowError where a float product gives +inf
+    return _scale_back(math.sqrt(x * x + y * y), ex)
+
+
+def _scale_back(v: float, ex: int) -> float:
+    """v * 2^ex, where a result past the float range is +-inf (ldexp would raise OverflowError)."""
     return math.ldexp(v, ex - 1) * 2.0 if ex > 0 else math.ldexp(v, ex)
 
 
@@ -78,58 +78,65 @@ def norm2_lanes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def singular_values(m: Mat2) -> tuple[float, float]:
-    """(E, F) = (min, max) singular value; no conformality check.
+def _frame(a: float, b: float, c: float, d: float) -> tuple[float, float, float]:
+    """(E, F, theta) of m = [[a, b], [c, d]]: its singular values E <= F and the
+    angle in [0, pi) minimizing ||m v(theta)||, which is meaningful where E < F.
 
-    Where the squared entries of a finite m overflow, F (and E, where det
-    overflows too) comes from m scaled by 2^-ex into [-1, 1], so every result
-    the unscaled formula gives finite keeps its bits. A value past the float
-    range is +inf. A nonzero m whose entries are all below 2^-511, whose
-    squares would lose bits as subnormals, is scaled up the same way; every
-    other m keeps its bits.
+    Where the sum of squares s is outside (2^-1020, 2^1018) and the entries
+    are finite and not all zero, the expressions run on m scaled by 2^-ex into
+    [-1, 1] (ex the exponent of its largest entry), which keeps theta; E and F
+    are scaled back, a value past the float range being +inf. Where m was
+    scaled down and its own det is finite, E is |det|/F with that det, as the
+    unscaled expressions give it.
     """
-    a, b, c, d = m
     s = a * a + b * b + c * c + d * d
-    if s <= _TINY_SUM:
+    ex = 0
+    if not _FRAME_MIN < s < _FRAME_MAX and s == s:
         top = max(abs(a), abs(b), abs(c), abs(d))
-        if 0.0 < top < _SQUARES_TINY:
+        if 0.0 < top < math.inf:
+            det = a * d - b * c
             ex = math.frexp(top)[1]
-            e_s, f_s = singular_values([math.ldexp(v, -ex) for v in m])
-            return math.ldexp(e_s, ex), math.ldexp(f_s, ex)
-    det = a * d - b * c
-    r = norm2(a * a + c * c - b * b - d * d, 2.0 * (a * b + c * d))
-    f = math.sqrt(0.5 * (s + r))
-    if not math.isfinite(f) and all(map(math.isfinite, m)):
-        ex = math.frexp(max(map(abs, m)))[1]
-        e_s, f_s = singular_values([math.ldexp(v, -ex) for v in m])
-        # ldexp raises OverflowError where a float product gives +inf
-        f = math.ldexp(f_s, ex - 1) * 2.0
-        if not math.isfinite(det):
-            return math.ldexp(e_s, ex - 1) * 2.0, f
-    if f == 0.0:
-        return 0.0, 0.0
-    return abs(det) / f, f
+            a, b, c, d = math.ldexp(a, -ex), math.ldexp(b, -ex), math.ldexp(c, -ex), math.ldexp(d, -ex)
+            s = a * a + b * b + c * c + d * d
+    qa, qb = a * b + c * d, a * a + c * c - b * b - d * d
+    f = math.sqrt(0.5 * (s + norm2(qb, 2.0 * qa)))
+    e = abs(a * d - b * c) / f if f else 0.0
+    th = 0.5 * math.atan2(2.0 * qa, qb)  # the *expanded* stationary branch
+    # resolve the branch pair {th, th + pi/2} by evaluating both norms; t * t
+    # gives +inf where t ** 2 raises OverflowError
+    ct, st = math.cos(th), math.sin(th)
+    u, v, w, z = a * ct + b * st, c * ct + d * st, b * ct - a * st, d * ct - c * st
+    if w * w + z * z < u * u + v * v:
+        th += 0.5 * math.pi
+    if ex:
+        f = _scale_back(f, ex)
+        e = abs(det) / f if ex > 0 and math.isfinite(det) else _scale_back(e, ex)
+    return e, f, th % math.pi
+
+
+def singular_values(m: Mat2) -> tuple[float, float]:
+    """(E, F) = (min, max) singular value of m, as _frame gives them; no conformality check."""
+    return _frame(*m)[:2]
 
 
 def singular_values_lanes(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """singular_values of every lane of the entry arrays, as arrays (E, F).
 
-    The same operations as singular_values, so E and F have its bits. A lane
-    whose sum of squares is outside (_TINY_SUM, 2^1021), where
-    singular_values scales or the float range ends, is computed by
-    singular_values. Call it inside np.errstate: lanes may overflow.
+    The same operations as _frame, so E and F have its bits. A lane whose
+    sum of squares is outside (2^-1020, 2^1018), where _frame scales, is
+    computed by singular_values. Call it inside np.errstate: lanes may overflow.
     """
     s = a * a + b * b + c * c + d * d
     det = a * d - b * c
     f = np.sqrt(0.5 * (s + norm2_lanes(a * a + c * c - b * b - d * d, 2.0 * (a * b + c * d))))
     e = np.abs(det) / f
-    for i in np.flatnonzero(~((s > _TINY_SUM) & (s < _LANES_SUM_MAX))).tolist():
+    for i in np.flatnonzero(~((s > _FRAME_MIN) & (s < _FRAME_MAX))).tolist():
         e[i], f[i] = singular_values((float(a[i]), float(b[i]), float(c[i]), float(d[i])))
     return e, f
 
 
 def mul_lanes(m: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """The products m o of every lane of two (4, lanes) entry arrays, as Mat2.mul computes them."""
+    """The products m o of every lane of two (4, lanes) entry arrays, (m11 o11 + m12 o21, ...) in row-major order."""
     return np.array([
         m[0] * o[0] + m[1] * o[2],
         m[0] * o[1] + m[1] * o[3],
@@ -172,37 +179,14 @@ class SingularFrame:
     quad: tuple[float, float, float, float]
 
 
-def _contract_angle(a: float, b: float, c: float, d: float) -> float:
-    """Angle in [0, pi) minimizing ||M v(theta)||; assumes E < F strictly."""
-    if (abs(a) > _SQUARES_SAFE or abs(b) > _SQUARES_SAFE or abs(c) > _SQUARES_SAFE or abs(d) > _SQUARES_SAFE
-            or abs(a) < _SQUARES_TINY and abs(b) < _SQUARES_TINY and abs(c) < _SQUARES_TINY and abs(d) < _SQUARES_TINY):
-        # a power-of-two scale keeps the angle, and the squares below finite and normal
-        ex = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
-        a, b, c, d = (math.ldexp(v, -ex) for v in (a, b, c, d))
-    return _angle_from_sums(a, b, c, d, a * b + c * d, a * a + c * c - b * b - d * d)
-
-
-def _angle_from_sums(a: float, b: float, c: float, d: float, qa: float, qb: float) -> float:
-    """_contract_angle from qa = ab + cd and qb = a^2 + c^2 - b^2 - d^2, for entries it does not scale."""
-    th = 0.5 * math.atan2(2.0 * qa, qb)  # the *expanded* stationary branch
-    # resolve the branch pair {th, th + pi/2} by evaluating both norms
-    ct, st = math.cos(th), math.sin(th)
-    n1 = (a * ct + b * st) ** 2 + (c * ct + d * st) ** 2
-    n2 = (-a * st + b * ct) ** 2 + (-c * st + d * ct) ** 2
-    if n2 < n1:
-        th += 0.5 * math.pi
-    return th % math.pi
-
-
 def singular_frame(m: Mat2) -> SingularFrame:
     a, b, c, d = m
     det = a * d - b * c
     if det == 0.0:
         raise SingularMatrixError("matrix is singular; frame undefined")
-    e, f = singular_values(m)
+    e, f, th = _frame(a, b, c, d)
     if 1.0 - e / f < CONFORMAL_TOL:
         raise ConformalError(f"matrix is conformal to round-off (1 - E/F = {1.0 - e / f:.2e})")
-    th = _contract_angle(a, b, c, d)
     return SingularFrame(
         E=e,
         F=f,

@@ -12,13 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .cocycle import CONFORMAL_TOL, _TINY_SUM, OrbitCocycle, _angle_from_sums, _contract_angle, norm2, orbit_product
-from .cocycle import orbit_sweep, series_term, singular_values
+from .cocycle import CONFORMAL_TOL, OrbitCocycle, _frame, orbit_product, orbit_sweep, series_term
 from .errors import BadParamsError, BoundViolationError, ConformalError, OrbitEscapeError, StencilEscapeError
 from .maps import MapModel, Point2
 
 PI = math.pi
-_FUSED_SUM_MAX = 2.0 ** 1018  # below this sum of squares no entry exceeds 2^509 and s + r is finite
 
 
 # constants of the direction-derivative bound chain, fixed exactly
@@ -49,24 +47,11 @@ class DirectionSample:
 
 
 def _contracted_theta(p, k: int, at) -> tuple[float, float, float]:
-    """(theta_contract, E, F) of the order-k product p; ConformalError if E = F to round-off.
-
-    Where 2^-1020 < s < 2^1018 (s the sum of squares), neither singular_values
-    nor _contract_angle scales, so their expressions run here on one set of
-    sums, with the same bits; elsewhere both are called.
-    """
-    a, b, c, d = p
-    s = a * a + b * b + c * c + d * d
-    fused = _TINY_SUM < s < _FUSED_SUM_MAX
-    if fused:
-        qa, qb = a * b + c * d, a * a + c * c - b * b - d * d
-        f = math.sqrt(0.5 * (s + norm2(qb, 2.0 * qa)))
-        e = abs(a * d - b * c) / f
-    else:
-        e, f = singular_values(p)
+    """(theta_contract, E, F) of the order-k product p; ConformalError if E = F to round-off."""
+    e, f, th = _frame(*p)
     if f == 0.0 or 1.0 - e / f < CONFORMAL_TOL:
         raise ConformalError(f"order-{k} product conformal to round-off at {at}")
-    return _angle_from_sums(a, b, c, d, qa, qb) if fused else _contract_angle(a, b, c, d), e, f
+    return th, e, f
 
 
 def contracted_theta_fast(m: MapModel, x: float, y: float, k: int) -> tuple[float, float, float]:
@@ -80,8 +65,7 @@ def contracted_direction(c: OrbitCocycle, k: int) -> DirectionSample:
         raise BadParamsError(f"k={k} out of range 1..{c.kmax}")
     if c.H[k] >= 1.0 - CONFORMAL_TOL:
         raise ConformalError(f"H_{k} = {c.H[k]} too close to 1; direction undefined")
-    a, b, cc, d = c.products[k]
-    th = _contract_angle(a, b, cc, d)
+    th = _frame(*c.products[k])[2]
     return DirectionSample(
         at=c.z0,
         k=k,

@@ -289,8 +289,8 @@ def choose_epsilon(
     k0 = b.k0
     xi_tail = b.xi[k0:] if k0 < len(b.xi) else np.array([0.0])
     xi_max = float(np.max(xi_tail))
-    k0_sample = list(b.samples.get(k0, [])) if b.samples else []
-    hull = convex_hull_halfplanes(k0_sample + [b.z]) if k0_sample else None
+    k0_sample = list(b.samples.get(k0, []))
+    hull = convex_hull_halfplanes(k0_sample + [b.z]) if b.samples else None
     zx, zy = b.z
 
     def blocker(eps: float) -> Optional[str]:

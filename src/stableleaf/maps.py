@@ -74,19 +74,8 @@ class Mat2(NamedTuple):
     def det(self) -> float:
         return self.a11 * self.a22 - self.a12 * self.a21
 
-    def mul(self, o: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a11 * o.a11 + self.a12 * o.a21,
-            self.a11 * o.a12 + self.a12 * o.a22,
-            self.a21 * o.a11 + self.a22 * o.a21,
-            self.a21 * o.a12 + self.a22 * o.a22,
-        )
-
     def apply(self, vx: float, vy: float) -> tuple[float, float]:
         return (self.a11 * vx + self.a12 * vy, self.a21 * vx + self.a22 * vy)
-
-
-IDENTITY = Mat2(1.0, 0.0, 0.0, 1.0)
 
 
 class SecondDeriv(NamedTuple):

@@ -36,7 +36,7 @@ from stableleaf.budget import (
     first_tube_exit,
     reference_orbit,
 )
-from stableleaf.cocycle import _NORMAL_MIN, OrbitCocycle, build_orbit_cocycle, series_term, singular_values
+from stableleaf.cocycle import OrbitCocycle, build_orbit_cocycle, series_term
 from stableleaf.errors import (
     BadParamsError,
     NonFiniteError,
@@ -46,8 +46,10 @@ from stableleaf.errors import (
     SpectralSlackError,
 )
 from stableleaf.fixedpoint import K_FIT_CAP, FixedPointData, GrowthReport
-from stableleaf.maps import IDENTITY, MapModel
+from stableleaf.maps import MapModel
 from stableleaf.rng import SplitRng
+
+from frame_reference import _NORMAL_MIN, IDENTITY, mat_mul, singular_values
 
 
 # -- reference copies of the replaced loops ------------------------------------
@@ -59,7 +61,7 @@ def tail_norms(c: OrbitCocycle, k: int) -> list[float]:
     t = IDENTITY
     out[k - 1] = 1.0
     for j in range(k - 2, -1, -1):
-        t = t.mul(c.steps[j + 1])
+        t = mat_mul(t, c.steps[j + 1])
         out[j] = singular_values(t)[1]
     return out
 

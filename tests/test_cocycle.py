@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stableleaf import Mat2, Point2, SplitRng, build_orbit_cocycle, make_map, singular_frame
-from stableleaf.cocycle import _contract_angle, norm2, norm2_lanes, singular_values
-from stableleaf.errors import ConformalError, OrbitEscapeError, SingularMatrixError, SingularStepError
+from stableleaf.cocycle import _frame, norm2, norm2_lanes, singular_values, singular_values_lanes
+from stableleaf.directions import _contracted_theta
+from stableleaf.errors import ConformalError, NumericalError, OrbitEscapeError, SingularMatrixError, SingularStepError
 from stableleaf.maps import MapModel
 
 from conftest import centre_lane, sweep_min_angle
+import frame_reference
+from frame_reference import errors_against_exact, in_declared_region, mat_mul
 
 
 def random_mat(rng, cond_floor=1e-3):
@@ -40,7 +43,7 @@ def test_build_henon_product(henon_map):
     assert c.products[2] == (0.3, -2.8, 0.0, 0.3)
     # product recursion
     for k in (1, 2):
-        assert c.products[k] == c.steps[k - 1].mul(c.products[k - 1])
+        assert c.products[k] == mat_mul(c.steps[k - 1], c.products[k - 1])
 
 
 def test_tail_norms_empty_product(henon_map, linear_map):
@@ -98,7 +101,7 @@ def test_adjugate_identity(henon_map):
         det = mk.det()
         # inverse entries from the cofactor layout, checked against M * adj = det * I
         adj = Mat2(mk.a22, -mk.a12, -mk.a21, mk.a11)
-        prod = mk.mul(adj)
+        prod = mat_mul(mk, adj)
         assert prod.a11 == pytest.approx(det, rel=1e-10)
         assert prod.a22 == pytest.approx(det, rel=1e-10)
         assert abs(prod.a12) <= 1e-10 * abs(det)
@@ -253,11 +256,11 @@ def test_singular_values_match_numpy(seed):
     # scaled by 2^600 the squared entries overflow: E and F scale exactly, the angle stays
     big = Mat2(*(math.ldexp(v, 600) for v in m))
     assert singular_values(big) == (math.ldexp(e, 600), math.ldexp(f, 600))
-    assert _contract_angle(*big) == _contract_angle(*m)
+    assert _frame(*big)[2] == _frame(*m)[2]
     # scaled by 2^-600 the squared entries underflow: the same holds
     small = Mat2(*(math.ldexp(v, -600) for v in m))
     assert singular_values(small) == (math.ldexp(e, -600), math.ldexp(f, -600))
-    assert _contract_angle(*small) == _contract_angle(*m)
+    assert _frame(*small)[2] == _frame(*m)[2]
 
 
 def norm2_pairs():
@@ -315,3 +318,87 @@ def test_norm2_of_an_axis_vector_is_exact():
         assert norm2(v, 0.0) == norm2(0.0, v) == norm2(-0.0, v) == abs(v)
     zero = np.zeros(len(x))
     assert np.array_equal(norm2_lanes(x, zero), np.abs(x)) and np.array_equal(norm2_lanes(zero, x), np.abs(x))
+
+
+def frame_matrices():
+    """About 1.2 * 10^5 matrices: every exponent, entries of nearby scales, the
+    edges of the _frame window, and +-0, subnormals, +-inf, NaN and the largest
+    float in random places."""
+    rng = np.random.default_rng(13)
+    n = 30_000
+
+    def entries(ex):
+        return np.ldexp(rng.uniform(1.0, 2.0, ex.shape), ex) * rng.choice([-1.0, 1.0], ex.shape)
+
+    spread = entries(rng.integers(-1100, 1024, (n, 4)))
+    near = entries(rng.integers(-1100, 1024, (n, 1)) - rng.integers(0, 4, (n, 4)))
+    # largest entries around 2^-511 and 2^509; half the entries up to 2^-59 smaller
+    edge = rng.choice(np.r_[-516:-504, 505:513], (n, 1))
+    edges = entries(edge - rng.integers(0, 60, (n, 4)) * (rng.random((n, 4)) < 0.5))
+    special = entries(rng.integers(-1100, 1024, (n, 4)))
+    big = sys.float_info.max
+    values = [0.0, -0.0, math.ulp(0.0), -math.ulp(0.0), 2.0 ** -1022, 1e-310, math.inf, -math.inf, math.nan,
+              big, -big, 1.0]
+    hit = rng.random((n, 4)) < 0.35
+    special[hit] = rng.choice(values, hit.sum())
+    return np.concatenate([spread, near, edges, special])
+
+
+def same_float(u, v):
+    return u == v and math.copysign(1.0, u) == math.copysign(1.0, v) or u != u and v != v
+
+
+def test_frame_matches_reference():
+    # _frame against the verbatim singular_values and _contract_angle it
+    # replaced: the same bits, except in the declared region, where those
+    # square the entries into the subnormal range and _frame scales them first
+    region = {"closer": 0, "same": 0, "farther": 0}
+    overflow = 0
+    for m in frame_matrices().tolist():
+        e, f, th = _frame(*m)
+        try:
+            ref_th = frame_reference._contract_angle(*m)
+        except OverflowError:  # its `** 2` raises where _frame's `t * t` gives +inf
+            overflow += 1
+            ref_th = None
+            assert th != th or 0.0 <= th < math.pi, m
+        if in_declared_region(m):
+            assert th == frame_reference._contract_angle(*(math.ldexp(v, 600) for v in m)), m
+            for err, ref_err, ulp in errors_against_exact(m, e, f):
+                assert err <= ref_err + 2 * ulp, m
+                region["closer" if err < ref_err else "same" if err == ref_err else "farther"] += 1
+            continue
+        ref_e, ref_f = frame_reference.singular_values(m)
+        assert same_float(e, ref_e) and same_float(f, ref_f), m
+        assert ref_th is None or same_float(th, ref_th), m
+    assert overflow > 100
+    assert region["closer"] > 500 and region["farther"] < region["closer"] / 10, region
+
+
+def test_frame_keeps_e_bits_the_reference_lost():
+    # det = 1.5 * 2^-1111 underflows to 0 unscaled
+    m = (1.5 * 2.0 ** -511, 0.0, 0.0, 2.0 ** -600)
+    assert frame_reference.singular_values(m)[0] == 0.0
+    assert singular_values(m) == (2.0 ** -600, 1.5 * 2.0 ** -511)
+
+
+def test_singular_values_lanes_match_scalar():
+    mats = frame_matrices()
+    with np.errstate(all="ignore"):
+        e, f = singular_values_lanes(*mats.T.copy())
+    for m, le, lf in zip(mats.tolist(), e.tolist(), f.tolist()):
+        se, sf = singular_values(m)
+        assert same_float(le, se) and same_float(lf, sf), m
+
+
+def test_frame_never_raises_overflow_error():
+    # the old branch resolution squared with `** 2`, which raises OverflowError,
+    # an error no caller catches
+    assert _contracted_theta((0.0, 1e308, 1.0, math.inf), 2, (0.0, 0.0))[0] == 0.375 * math.pi
+    mats = frame_matrices()
+    for m in mats[~np.all(np.isfinite(mats), axis=1) | (np.abs(mats).max(axis=1) > 1e300)].tolist():
+        for fn, args in ((_contracted_theta, (m, 2, (0.0, 0.0))), (singular_frame, (Mat2(*m),))):
+            try:
+                fn(*args)
+            except NumericalError:
+                pass

@@ -14,13 +14,14 @@ from stableleaf import (
     check_condition_double_star,
     choose_epsilon,
     contraction_check,
+    eigen_split,
     estimate_budget,
     integrate_leaf,
     make_map,
     uniqueness_probe,
 )
 from stableleaf.budget import SAMPLE_SLACK, HyperbolicityBudget
-from stableleaf.directions import contracted_theta_fast, direction_field_derivative, field_lipschitz
+from stableleaf.directions import angle_distance, contracted_theta_fast, direction_field_derivative, field_lipschitz
 from stableleaf.errors import (
     BadParamsError,
     ConformalError,
@@ -191,6 +192,16 @@ def test_choose_epsilon_collinear_sample_rejects_every_rung():
         choose_epsilon(b, gamma=0.0, L=0.0, sched=EpsilonSchedule.constant(1.0))
 
 
+def test_choose_epsilon_empty_k0_sample_rejects_every_rung():
+    # a budget that stored samples but none at order k0 has the hull of {z}
+    # alone; only a budget with no stored samples at all skips the pre-check
+    b = synthetic_budget(eps0=1.0)
+    assert choose_epsilon(b, gamma=0.0, L=0.0, sched=EpsilonSchedule.constant(1.0)) == 1.0
+    b.samples = {b.k0: np.empty((0, 2)), b.k0 + 1: np.empty((0, 2))}
+    with pytest.raises(NoFeasibleEpsilonError, match="sample size 0"):
+        choose_epsilon(b, gamma=0.0, L=0.0, sched=EpsilonSchedule.constant(1.0))
+
+
 def test_integrate_leaf_linear_exact(linear_map):
     leaf = integrate_leaf(linear_map, Point2(0.1, 0.0), 4, 0.25)
     assert leaf.t[0] == -0.25 and leaf.t[-1] == 0.25
@@ -232,8 +243,6 @@ def test_leaf_arclength_consistency(henon_map):
     # tangent angle continuity: no mod-pi jumps
     assert np.max(np.abs(np.diff(leaf.thetas))) < math.pi / 2
     # tangent at t=0 equals the contracted direction at z
-    from stableleaf.directions import angle_distance
-
     th0 = contracted_theta_fast(henon_map, z.x, z.y, 8)[0]
     assert angle_distance(leaf.thetas[leaf.center_index], th0) <= 1e-10
 
@@ -486,6 +495,42 @@ def test_default_step_reproduces_the_pinned_leaf(case):
     assert leaf.h == 0.0125 / 128 and leaf.steps_per_cell == 1 and len(leaf.t) == leaf.grid_points
     digest = hashlib.sha256(leaf.xs.tobytes() + leaf.ys.tobytes() + leaf.thetas.tobytes()).hexdigest()
     assert digest == DEFAULT_LEAF_SHA256[case]
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_CASES))
+def test_every_node_tangent_is_the_order_k_field(case):
+    # each recorded tangent is the order-k field at its node, not only the centre's
+    m, z, kmax = FIELD_CASES[case]
+    for k in (2, kmax):
+        leaf = integrate_leaf(m, z, k, 0.0125)
+        assert len(leaf.t) == leaf.grid_points
+        for x, y, th in zip(leaf.xs.tolist(), leaf.ys.tolist(), leaf.thetas.tolist()):
+            assert angle_distance(th, contracted_theta_fast(m, x, y, k)[0]) <= 1e-12, (k, x, y)
+
+
+RING_CASES = {  # map, fixed-point guess, order
+    "henon": (make_map("henon", a=1.4, b=0.3), (0.6, 0.2), 12),
+    "henon-negative-b": (make_map("henon", a=1.4, b=-0.3), (0.6, 0.2), 12),
+    "perturbed": (make_map("perturbed", lambda_s=0.5, lambda_u=2.0, c=0.05), (0.0, 0.0), 12),
+    "perturbed-strong": (make_map("perturbed", lambda_s=0.3, lambda_u=3.0, c=0.2), (0.0, 0.0), 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RING_CASES))
+def test_field_lipschitz_matches_a_ring_slope(case):
+    # an independent slope of the order-k field: the largest angle change per
+    # unit distance over 64 directions on rings of radius 1e-3 and 1e-4; the
+    # measured L/slope is 1.04 to 1.21 on these saddles
+    m, guess, k = RING_CASES[case]
+    p = eigen_split(m, Point2(*guess)).p
+    L = field_lipschitz(m, build_orbit_cocycle(m, p, k), k)
+    th0 = contracted_theta_fast(m, p.x, p.y, k)[0]
+    for r in (1e-3, 1e-4):
+        slope = max(
+            angle_distance(contracted_theta_fast(m, p.x + r * math.cos(a), p.y + r * math.sin(a), k)[0], th0) / r
+            for a in (2.0 * math.pi * i / 64 for i in range(64))
+        )
+        assert 0.9 <= L / slope <= 1.5, (r, L, slope)
 
 
 def test_default_step_is_one_per_cell(henon_map):

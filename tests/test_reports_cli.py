@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stableleaf
+import stableleaf.leaf as leaf_mod
 from stableleaf.cli import run_command
 from stableleaf.leaf import LeafCurve
 from stableleaf.maps import Point2
@@ -197,18 +198,16 @@ def run_python(*argv):
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
 
 
-def test_cli_degenerate_leaf_exits_numerical(tmp_path):
-    # eps0 = 1e300 truncates every leaf to its centre node: no leaf arc is
-    # compared, so the run is not converged and exits 3 without a traceback
-    res = run_python(
-        "-m", "stableleaf", "converge", "--map", "linear", "--lambda-s", "0.5", "--lambda-u", "2",
-        "--eps0", "1e300", "--out-dir", str(tmp_path),
-    )
-    assert res.returncode == 3
-    assert "Traceback" not in res.stderr
-    assert "order-11/12 leaves share 1 of 257 nodes" in res.stderr
-    assert "truncated on the negative side at length 0.000000e+00" in res.stderr
-    assert "truncated on the positive side at length 0.000000e+00" in res.stderr
+def test_cli_degenerate_leaf_exits_numerical(tmp_path, capsys, monkeypatch):
+    # eps = 1e300 truncates every leaf to its centre node: no leaf arc is
+    # compared, so the run is not converged and exits 3 without a traceback.
+    # The hull pre-check lets no such rung through, so eps is set here.
+    monkeypatch.setattr(leaf_mod, "choose_epsilon", lambda *args: 1e300)
+    assert run_command(["converge", *LINEAR_SADDLE, "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "order-11/12 leaves share 1 of 257 nodes" in err
+    assert "truncated on the negative side at length 0.000000e+00" in err
+    assert "truncated on the positive side at length 0.000000e+00" in err
     conv = json.loads((tmp_path / "convergence.json").read_text())
     assert conv["converged"] is False
     assert conv["length_neg"] == conv["length_pos"] == 0.0
@@ -334,13 +333,16 @@ LINEAR_SADDLE = ["--map", "linear", "--lambda-s", "0.5", "--lambda-u", "2"]
 
 
 @pytest.mark.parametrize("argv, stage", [
-    (["converge", *LINEAR_SADDLE, "--eps0", "1e300"], "cauchy-iterate"),
+    (["converge", "--map", "perturbed", "--lambda-s", "0.5", "--lambda-u", "2", "--c", "0.05",
+      "--samples", "50", "--seed", "1", "--tol", "1e-300"], "cauchy-iterate"),
     (["leaf", "--map", "linear", "--lambda-s", "1", "--lambda-u", "1"], "direction-derivative"),
     (["leaf", *LINEAR_SADDLE, "--samples", "1"], "choose-epsilon"),
     (["budget", *LINEAR_SADDLE, "--z", "100,100"], "budget"),
     (["fixedpoint", "--map", "linear", "--lambda-s", "0.5", "--lambda-u", "0.8"], "eigen-split"),
     (["fixedpoint", "--map", "perturbed", "--lambda-s", "0.5", "--lambda-u", "2", "--c", "0.05",
       "--samples", "50", "--seed", "1", "--tol", "1e-300"], "cauchy-iterate"),
+    # no draw lies in the box of radius 1e300: the empty order-k0 sample rejects every rung
+    (["converge", *LINEAR_SADDLE, "--eps0", "1e300"], "choose-epsilon"),
 ])
 def test_cli_failures_name_their_stage(tmp_path, capsys, argv, stage):
     assert run_command(argv + ["--out-dir", str(tmp_path)]) == 3
@@ -367,6 +369,18 @@ def test_cli_no_feasible_eps_names_the_blocking_constraints(tmp_path, capsys):
     assert "[stage: choose-epsilon]: no feasible eps" in err
     assert "the first rung eps=1.000e-01 fails eps*gamma < 1" in err
     assert "the last rung eps=9.095e-14 fails the hull pre-check (order-2 sample size 1)" in err
+
+
+def test_cli_empty_k0_sample_rejects_every_rung(tmp_path, capsys):
+    # no draw of seed 2 reaches k0 = 2: the hull of {z} has no interior, so
+    # the pre-check rejects every rung, as it does for seed 3's one-point sample
+    argv = ["converge", "--map", "perturbed", "--lambda-s", "0.5", "--lambda-u", "2", "--c", "0.05",
+            "--eps0", "0.05", "--kmax", "8", "--samples", "1"]
+    for seed, size in (("2", 0), ("3", 1)):
+        assert run_command(argv + ["--seed", seed, "--out-dir", str(tmp_path / seed)]) == 3
+        err = capsys.readouterr().err
+        assert f"fails the hull pre-check (order-2 sample size {size})" in err, err
+        assert "Traceback" not in err
 
 
 def test_cli_config_unknown_key(tmp_path, capsys):
