@@ -182,8 +182,8 @@ class SweepOrder(NamedTuple):
     draw is each lane's index in the draw sequence, -1 for the centre z, and
     (x, y) its point. values lists (budget field, index, array): P, Q and Pt
     at index k (and at 0 when k = 1), and H, E, F and delta = d1 + d2 at k.
-    d1 and d2 are the distortion bounds at order k, and tails[j] is the tail
-    norm F_{j,k} for j < k (see _delta_lanes).
+    d1 and d2 are the distortion bounds at order k, and tails, a (k, lanes)
+    array, holds in row j the tail norms F_{j,k} for j < k (see _delta_lanes).
     """
 
     k: int
@@ -193,7 +193,7 @@ class SweepOrder(NamedTuple):
     values: list
     d1: np.ndarray
     d2: np.ndarray
-    tails: list
+    tails: np.ndarray
 
 
 def _point_data(m: MapModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -220,7 +220,7 @@ def _point_data(m: MapModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, 
     }
 
 
-def _delta_lanes(steps: list, F: list, Pt: list, s2: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+def _delta_lanes(S: np.ndarray, F: np.ndarray, Pt: np.ndarray, s2: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The right-hand sides of the two distortion inequalities at order k = len(F) - 1, for every lane.
 
         d1 = (E_k / F_k^2) * sum_{j<k} Pt_j * F_{j,k} * F_j^2
@@ -231,20 +231,25 @@ def _delta_lanes(steps: list, F: list, Pt: list, s2: np.ndarray, e: np.ndarray) 
     ||D(det Dphi^k)|| / ||Dphi^k||^2. A NaN term of d1, which can only be
     0 * inf with an exactly zero factor, counts as 0, and so does a NaN d1.
 
-    s2 is the running sum of (Ddt_j / Dd_j) F_j over j < k. The tail products
-    keep the association ((Dphi_{k-1} Dphi_{k-2}) ...) Dphi_{j+1}; their
-    norms F_{j,k} come back as a list over j < k, with F_{k-1,k} = 1.0.
+    S (k+1, 4, lanes), F and Pt (k+1, lanes) stack the steps Dphi_j and the
+    values at j = 0..k; s2 is the running sum of (Ddt_j / Dd_j) F_j over
+    j < k. The tail products keep the association ((Dphi_{k-1} Dphi_{k-2})
+    ...) Dphi_{j+1}, and their norms take one singular_values_lanes call.
+    The norms F_{j,k} come back as a (k, lanes) array, row k - 1 all ones.
     """
-    k = len(F) - 1
-    tails = [1.0] * k
-    t = (1.0, 0.0, 0.0, 1.0)
-    for j in range(k - 2, -1, -1):
-        t = mul_lanes(t, steps[j + 1])
-        tails[j] = singular_values_lanes(*t)[1]
+    k, lanes = F.shape[0] - 1, F.shape[1]
+    tails = np.ones((k, lanes))  # row k - 1 is the empty product's norm
+    if k > 1:
+        chain = np.empty((4, k - 1, lanes))
+        t = (1.0, 0.0, 0.0, 1.0)
+        for j in range(k - 2, -1, -1):
+            chain[:, j] = mul_lanes(t, S[j + 1])
+            t = chain[:, j]
+        tails[:-1] = singular_values_lanes(*chain.reshape(4, -1))[1].reshape(k - 1, lanes)
+    terms = Pt[:k] * tails * F[:k] * F[:k]
     s1 = 0.0
-    for j in range(k):
-        term = Pt[j] * tails[j] * F[j] * F[j]
-        s1 = s1 + np.where(term == term, term, 0.0)
+    for term in np.where(terms == terms, terms, 0.0):  # added in j order, as the scalar sum
+        s1 = s1 + term
     fk = F[k]
     f2 = fk * fk
     d1 = np.where(f2 >= np.finfo(float).smallest_normal, e / f2, e / fk / fk) * s1
@@ -261,7 +266,8 @@ def _block_sweep(
         lane = lane[at]
         x, y = xs[lane], ys[lane]
         prod = np.repeat([[1.0], [0.0], [0.0], [1.0]], len(lane), axis=1)
-        hist = {"S": [pd["S"]], "F": [np.ones(len(lane))], "Pt": [pd["Pt"]]}
+        # the histories of Dphi_j, F_j and Pt_j for j = 0..k, stacked: (k+1, 4, lanes) and (k+1, lanes)
+        S, F, Pt = pd["S"][None], np.ones((1, len(lane))), pd["Pt"][None]
         s2 = np.zeros(len(lane))
     for k in range(1, kmax + 1):
         with np.errstate(all="ignore"):
@@ -270,7 +276,7 @@ def _block_sweep(
             nx, ny = apply_lanes(m.raw_eval, x[sel], y[sel], 2)
             ok = np.isfinite(nx) & np.isfinite(ny)
             sel, nx, ny = sel[ok], nx[ok], ny[ok]
-            prod = mul_lanes(hist["S"][-1][:, sel], prod[:, sel])
+            prod = mul_lanes(S[k - 1][:, sel], prod[:, sel])
             e, f = singular_values_lanes(*prod)
             ok = np.isfinite(f) & (f != 0.0)
             sel, nx, ny, prod, e, f = sel[ok], nx[ok], ny[ok], prod[:, ok], e[ok], f[ok]
@@ -279,15 +285,16 @@ def _block_sweep(
                 return
             keep = sel[at]
             lane, x, y, prod, e, f = lane[keep], nx[at], ny[at], prod[:, at], e[at], f[at]
-            s2 = s2[keep] + pd["rd"][keep] * hist["F"][-1][keep]
-            hist = {name: [a[..., keep] for a in arrs] for name, arrs in hist.items()}
-            for name, v in (("S", nd["S"]), ("F", f), ("Pt", nd["Pt"])):
-                hist[name].append(v)
-            d1, d2, tails = _delta_lanes(hist["S"], hist["F"], hist["Pt"], s2, e)
-            values = [("p", k, nd["P"]), ("q", k, nd["Q"]), ("pt", k, nd["Pt"]),
+            s2 = s2[keep] + pd["rd"][keep] * F[k - 1, keep]
+            # one fancy index per history; the new rows move in, so the histories hold their only copy
+            S = np.concatenate((S[..., keep], nd.pop("S")[None]))
+            F = np.concatenate((F[:, keep], f[None]))
+            Pt = np.concatenate((Pt[:, keep], nd.pop("Pt")[None]))
+            d1, d2, tails = _delta_lanes(S, F, Pt, s2, e)
+            values = [("p", k, nd["P"]), ("q", k, nd["Q"]), ("pt", k, Pt[k]),
                       ("gamma", k, e / f), ("gamma_star", k, e), ("fmax", k, f), ("delta", k, d1 + d2)]
             if k == 1:
-                values += [("p", 0, pd["P"][keep]), ("q", 0, pd["Q"][keep]), ("pt", 0, pd["Pt"][keep])]
+                values += [("p", 0, pd["P"][keep]), ("q", 0, pd["Q"][keep]), ("pt", 0, Pt[0])]
             pd = nd
         yield SweepOrder(k, start + lane, xs[lane], ys[lane], values, d1, d2, tails)
 

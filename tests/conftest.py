@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from stableleaf import EpsilonSchedule, Point2, make_map
@@ -62,6 +61,5 @@ def centre_lane(m, z, kmax):
     out = {}
     for o in sample_sweep(m, z, EpsilonSchedule.constant(0.1), kmax, 0, 0):
         assert o.draw.tolist() == [-1]
-        tails = [float(np.broadcast_to(t, (1,))[0]) for t in o.tails]
-        out[o.k] = (float(o.d1[0]), float(o.d2[0]), tails)
+        out[o.k] = (float(o.d1[0]), float(o.d2[0]), o.tails[:, 0].tolist())
     return out

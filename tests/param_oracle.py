@@ -53,16 +53,20 @@ class StableParameterization:
         wx, wy = self(self.lam * s)
         return float(np.max(np.hypot(px - wx, py - wy)))
 
-    def distance(self, qx, qy):
-        """Euclidean distance from each point (qx[i], qy[i]) to the curve W, by Newton's method in s."""
+    def parameter(self, qx, qy):
+        """The s of the point W(s) nearest to each point (qx[i], qy[i]), by Newton's method in s."""
         qx, qy = np.asarray(qx, dtype=float), np.asarray(qy, dtype=float)
         s = (qx - self.cx[0]) * self.cx[1] + (qy - self.cy[0]) * self.cy[1]
         for _ in range(8):
             (wx, wy), (dx, dy), (ex, ey) = self(s), self(s, 1), self(s, 2)
             rx, ry = wx - qx, wy - qy
             s = s - (rx * dx + ry * dy) / (dx * dx + dy * dy + rx * ex + ry * ey)
-        wx, wy = self(s)
-        return np.hypot(wx - qx, wy - qy)
+        return s
+
+    def distance(self, qx, qy):
+        """Euclidean distance from each point (qx[i], qy[i]) to the curve W."""
+        wx, wy = self(self.parameter(qx, qy))
+        return np.hypot(wx - np.asarray(qx, dtype=float), wy - np.asarray(qy, dtype=float))
 
 
 def henon(a, b):

@@ -369,6 +369,12 @@ def _nan_delta_map():
     return dataclasses.replace(m, raw_det_grad=lambda x, y: (1e160 if x > 0 else 1.0 - x, 0.0))
 
 
+# the "tail-deferred" steps diag(T (1 + 4x), T 2^-10), T = 2^-255: a two-step
+# tail product has F = 2^-510 (1 + 2 x_0)(1 + x_0) and sum of squares s with
+# F^2 <= s <= F^2 (1 + 2^-20), which straddles singular_values_lanes' lower
+# bound 2^-1020, so at order 3 the scalar fallback takes some lanes of the batch
+TAIL_STEP = 2.0 ** -255
+
 HENON_GUESS = Point2(0.6, 0.2)
 HENON_FP = Point2(0.6313544770895048, 0.18940634312685142)
 
@@ -397,6 +403,8 @@ ARRAY_CASES = {
     "subnormal": (lambda: _steps_map(lambda x, y: (1e-130 * (1.0 + x), 0.0, 0.0, 3e-130 * (1.0 + y))),
                   Point2(0.0, 0.0), 0.1, 2, 200, 2),
     "nan-delta": (_nan_delta_map, Point2(0.01, 0.0), 0.1, 3, 200, 3),
+    "tail-deferred": (lambda: _steps_map(lambda x, y: (TAIL_STEP * (1.0 + 4.0 * x), 0.0, 0.0, TAIL_STEP * 2.0 ** -10)),
+                      Point2(0.0, 0.0), 0.1, 3, 200, 1),
     "one-draw": (lambda: make_map("perturbed", lambda_s=0.5, lambda_u=2.0, c=0.05), Point2(0.01, 0.0), 0.05, 10, 1, 2),
     "two-blocks": (lambda: make_map("perturbed", lambda_s=0.5, lambda_u=2.0, c=0.05), Point2(0.0, 0.0), 0.05, 6,
                    budget_mod.SAMPLE_BLOCK + 3, 4),
@@ -455,15 +463,24 @@ def array_case(name):
     return m, fp.p, sched, kmax, n, seed
 
 
+# small cases run one draw per block: one-lane arrays, and a box-limited or
+# guard-strip block whose one draw fails its first step ends at order 1 with zero lanes
+ONE_DRAW_BLOCKS = ["henon", "box-limited", "guard-strip", "overflow", "nan-delta", "tail-deferred"]
+ONE_DRAW_SAMPLES = 30
+
+
 @pytest.mark.parametrize(
     "name, block",
-    [(name, None) for name in ARRAY_CASES] + [(name, 7) for name in list(ARRAY_CASES) + list(CASES)],
+    [(name, None) for name in ARRAY_CASES] + [(name, 7) for name in list(ARRAY_CASES) + list(CASES)]
+    + [(name, 1) for name in ONE_DRAW_BLOCKS],
 )
 def test_array_budget_matches_reference(name, block, monkeypatch):
     if block is not None:
         # 7 divides none of the sample sizes: the last block is partial
         monkeypatch.setattr(budget_mod, "SAMPLE_BLOCK", block)
     m, z, sched, kmax, n, seed = array_case(name)
+    if block == 1:
+        n = ONE_DRAW_SAMPLES
     if "scalar-only" in name:
         with pytest.raises(TypeError):  # so the budget calls it once per point
             m.raw_eval(np.zeros(2), np.zeros(2))
@@ -471,6 +488,8 @@ def test_array_budget_matches_reference(name, block, monkeypatch):
     with np.errstate(over="ignore"):  # the reference warns where gamma_tilde overflows to +inf
         ref = ref_estimate_budget(m, z, sched, kmax, n=n, seed=seed)
     assert bits(new) == bits(ref)
+    if block == 1 and name in ("box-limited", "guard-strip"):
+        assert new.accepted_counts[1] < n and new.accepted_counts[kmax] > 0
     if name == "overflow":
         # Dphi^3 overflows for every draw but those with |x| below about 1e-20
         assert new.accepted_counts[2] == n and new.accepted_counts[3] == 0
@@ -486,23 +505,34 @@ def test_array_budget_matches_reference(name, block, monkeypatch):
 SWEEP_FIELDS = {"p": "P", "q": "Q", "pt": "Pt", "gamma": "H", "gamma_star": "E", "fmax": "F"}
 
 
+# the lane ties run on every CASES input and on the array inputs whose tail norms
+# overflow, underflow, turn d1 into NaN, or straddle the scalar fallback's bound
+LANE_CASES = list(CASES) + ["overflow", "subnormal", "nan-delta", "tail-deferred"]
+
+
 @pytest.mark.parametrize(
     "name, block",
-    [pytest.param(name, None, id=name) for name in CASES] + [pytest.param(name, 7, id=f"{name}-7") for name in CASES],
+    [pytest.param(name, None, id=name) for name in LANE_CASES]
+    + [pytest.param(name, 7, id=f"{name}-7") for name in LANE_CASES],
 )
 def test_sweep_lanes_match_reference(name, block, monkeypatch):
     # every lane's values, not only their maxima, are those of its cocycle at its level
     if block is not None:
         monkeypatch.setattr(budget_mod, "SAMPLE_BLOCK", block)
-    m, fp, sched, kmax, n, seed = case(name)
+    m, z, sched, kmax, n, seed = array_case(name)
     lanes = {}  # draw: (point, {k: values at order k})
-    for o in budget_mod.sample_sweep(m, fp.p, sched, kmax, n, seed):
+    deferred = set()  # orders whose two-step tail norms straddle 2^-510 (for "tail-deferred": s straddles 2^-1020)
+    for o in budget_mod.sample_sweep(m, z, sched, kmax, n, seed):
+        assert o.tails.shape == (o.k, len(o.draw))
+        if o.k >= 3 and np.any(o.tails[:-2] < 2.0 ** -510.25) and np.any(o.tails[:-2] > 2.0 ** -510):
+            deferred.add(o.k)
         for i, draw in enumerate(o.draw.tolist()):
             got = {(f, j): v[i] for f, j, v in o.values}
             got["d1"], got["d2"] = o.d1[i], o.d2[i]
-            got["tails"] = [np.broadcast_to(t, o.draw.shape)[i] for t in o.tails]
+            got["tails"] = o.tails[:, i]
             lanes.setdefault(draw, (Point2(o.x[i], o.y[i]), {}))[1][o.k] = got
-    assert lanes[-1][0] == fp.p and sorted(lanes[-1][1]) == list(range(1, kmax + 1))
+    assert lanes[-1][0] == z and sorted(lanes[-1][1]) == list(range(1, kmax + 1))
+    assert bool(deferred) == (name == "tail-deferred")
     for point, orders in lanes.values():
         level = max(orders)
         assert sorted(orders) == list(range(1, level + 1))
@@ -577,7 +607,7 @@ def _two_row_sweep(f, tails_at_3):
             e = np.full(2, 0.5 ** k)
             fk = np.array([2.0 ** k, f[k]])
             draw_tails = tails_at_3 if k == 3 else [1.0] * k
-            tails = [np.array([2.0 ** (k - j - 1), t]) for j, t in enumerate(draw_tails)]
+            tails = np.array([[2.0 ** (k - j - 1), t] for j, t in enumerate(draw_tails)])
             values = [("gamma", k, e / fk), ("gamma_star", k, e), ("fmax", k, fk)]
             yield budget_mod.SweepOrder(k, np.array([-1, 0]), np.zeros(2), np.zeros(2), values,
                                         np.zeros(2), np.zeros(2), tails)
