@@ -37,7 +37,7 @@ from .leaf import (
     integrate_leaf,
     uniqueness_probe,
 )
-from .maps import MapModel, Mat2, Point2, SecondDeriv, make_map
+from .maps import MapModel, Mat2, Point2, make_map
 from .rng import SplitRng
 
 __version__ = "0.1.0"

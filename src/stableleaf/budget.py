@@ -29,6 +29,7 @@ import numpy as np
 
 from .cocycle import (
     OrbitCocycle,
+    _point_data,
     build_orbit_cocycle,
     mul_lanes,
     norm2,
@@ -196,30 +197,6 @@ class SweepOrder(NamedTuple):
     tails: np.ndarray
 
 
-def _point_data(m: MapModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict]:
-    """The lanes at orbit points (x, y) that pass build_orbit_cocycle's checks there, and their step values.
-
-    The checks: the point in the domain, Dphi finite and nonsingular
-    (det != 0 and E != 0), the second-derivative data finite. Each callable
-    sees only the lanes that passed the checks before it.
-    """
-    at = np.flatnonzero(m.in_domain_lanes(x, y))
-    s = apply_lanes(m.raw_jac if m.raw_jac is not None else m.fd_jac, x[at], y[at], 4)
-    ok = np.all(np.isfinite(s), axis=0)
-    at, s = at[ok], s[:, ok]
-    e, f = singular_values_lanes(*s)
-    det = s[0] * s[3] - s[1] * s[2]
-    ok = (det != 0.0) & (e != 0.0)
-    at, s, e, f, det = at[ok], s[:, ok], e[ok], f[ok], det[ok]
-    d2 = apply_lanes(m.second_partials, x[at], y[at], 8)
-    ok = np.all(np.isfinite(d2), axis=0)
-    at, s, e, f, det, d2 = at[ok], s[:, ok], e[ok], f[ok], det[ok], d2[:, ok]
-    return at, {
-        "S": s, "P": f, "Q": 1.0 / e, "Pt": 2.0 * np.max(np.abs(d2[:6]), axis=0),
-        "rd": norm2_lanes(d2[6], d2[7]) / np.abs(det),  # Ddt / Dd
-    }
-
-
 def _delta_lanes(S: np.ndarray, F: np.ndarray, Pt: np.ndarray, s2: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The right-hand sides of the two distortion inequalities at order k = len(F) - 1, for every lane.
 
@@ -268,7 +245,7 @@ def _block_sweep(
         prod = np.repeat([[1.0], [0.0], [0.0], [1.0]], len(lane), axis=1)
         # the histories of Dphi_j, F_j and Pt_j for j = 0..k, stacked: (k+1, 4, lanes) and (k+1, lanes)
         S, F, Pt = pd["S"][None], np.ones((1, len(lane))), pd["Pt"][None]
-        s2 = np.zeros(len(lane))
+        s2 = pd["Ddt"] / pd["Dd"]  # sum of (Ddt_j / Dd_j) F_j over j < k; at k = 1 the j = 0 term, F_0 = 1
     for k in range(1, kmax + 1):
         with np.errstate(all="ignore"):
             # lanes alive here have level >= k - 1; keep those whose iterate k - 1 is in the tube
@@ -285,7 +262,7 @@ def _block_sweep(
                 return
             keep = sel[at]
             lane, x, y, prod, e, f = lane[keep], nx[at], ny[at], prod[:, at], e[at], f[at]
-            s2 = s2[keep] + pd["rd"][keep] * F[k - 1, keep]
+            s2 = s2[keep]
             # one fancy index per history; the new rows move in, so the histories hold their only copy
             S = np.concatenate((S[..., keep], nd.pop("S")[None]))
             F = np.concatenate((F[:, keep], f[None]))
@@ -295,6 +272,7 @@ def _block_sweep(
                       ("gamma", k, e / f), ("gamma_star", k, e), ("fmax", k, f), ("delta", k, d1 + d2)]
             if k == 1:
                 values += [("p", 0, pd["P"][keep]), ("q", 0, pd["Q"][keep]), ("pt", 0, Pt[0])]
+            s2 += nd["Ddt"] / nd["Dd"] * f  # the term j = k, for order k + 1
             pd = nd
         yield SweepOrder(k, start + lane, xs[lane], ys[lane], values, d1, d2, tails)
 

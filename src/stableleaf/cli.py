@@ -76,6 +76,8 @@ def _load_config(path: str) -> list[str]:
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected key=value, got '{line}'")
         key, val = (s.strip() for s in line.split("=", 1))
+        if key == "config":
+            raise ValidationError(f"{path}:{lineno}: a config file cannot name another config file")
         args.extend([f"--{key}", val])
     return args
 
@@ -260,19 +262,19 @@ _COMMANDS = {
 
 def run_command(argv: list[str]) -> int:
     try:
+        # --config=PATH as --config PATH, so the expansion below reads that form too
+        argv = [t for a in argv for t in (a.split("=", 1) if a.startswith("--config=") else [a])]
         if "--config" in argv:
             i = argv.index("--config")
             if i + 1 >= len(argv):
-                print("error: --config needs a path", file=sys.stderr)
-                return EXIT_VALIDATION
-            cfg_args = _load_config(argv[i + 1])
-            head = argv[:1]
-            rest = argv[1:i] + argv[i + 2:]
-            argv = head + cfg_args + rest
+                raise ValidationError("--config needs a path")
+            argv = argv[:1] + _load_config(argv[i + 1]) + argv[1:i] + argv[i + 2:]
         try:
             ns = build_parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
+        if ns.config is not None:  # a second --config, or an abbreviation, that the expansion did not read
+            raise ValidationError(f"--config {ns.config} not read: give exactly one config file, as --config PATH")
         _validate(ns)
         out_dir = ns.out_dir
         os.makedirs(out_dir, exist_ok=True)

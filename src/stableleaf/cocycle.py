@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BadParamsError, ConformalError, OrbitEscapeError, SingularMatrixError, SingularStepError
 from .errors import DomainError, NonFiniteError
-from .maps import MapModel, Mat2, Point2
+from .maps import MapModel, Mat2, Point2, apply_lanes
 
 CONFORMAL_TOL = 1e-12  # below this 1 - E/F, the direction equation is round-off
 _FRAME_MIN = 2.0 ** -1020  # _frame scales m where its sum of squares s is outside (_FRAME_MIN, _FRAME_MAX):
@@ -70,8 +70,11 @@ def norm2_lanes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     2^500), are computed by norm2.
     """
     with np.errstate(all="ignore"):
-        out = np.sqrt(x * x + y * y)
-        top = np.maximum(np.abs(x), np.abs(y))
+        out = x * x
+        out += y * y
+        np.sqrt(out, out=out)
+        top = np.abs(x)
+        np.maximum(top, np.abs(y), out=top)
         odd = np.flatnonzero(~((top > _NORM2_MIN) & (top < _NORM2_MAX) | (top == 0.0)))
     for i in odd.tolist():
         out[i] = norm2(float(x[i]), float(y[i]))
@@ -122,17 +125,47 @@ def singular_values(m: Mat2) -> tuple[float, float]:
 def singular_values_lanes(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """singular_values of every lane of the entry arrays, as arrays (E, F).
 
-    The same operations as _frame, so E and F have its bits. A lane whose
-    sum of squares is outside (2^-1020, 2^1018), where _frame scales, is
-    computed by singular_values. Call it inside np.errstate: lanes may overflow.
+    The same operations as _frame, so E and F have its bits; det is taken
+    after R and F is finished in place, so few full-size arrays live at once.
+    A lane whose sum of squares is outside (2^-1020, 2^1018), where _frame
+    scales, is computed by singular_values. Call it inside np.errstate: lanes
+    may overflow.
     """
     s = a * a + b * b + c * c + d * d
-    det = a * d - b * c
-    f = np.sqrt(0.5 * (s + norm2_lanes(a * a + c * c - b * b - d * d, 2.0 * (a * b + c * d))))
-    e = np.abs(det) / f
+    f = norm2_lanes(a * a + c * c - b * b - d * d, 2.0 * (a * b + c * d))
+    f += s
+    f *= 0.5
+    e = np.abs(a * d - b * c)
+    e /= np.sqrt(f, out=f)
     for i in np.flatnonzero(~((s > _FRAME_MIN) & (s < _FRAME_MAX))).tolist():
         e[i], f[i] = singular_values((float(a[i]), float(b[i]), float(c[i]), float(d[i])))
     return e, f
+
+
+def _point_data(m: MapModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The lanes whose orbit points (x, y) are valid, with their steps S (4, lanes), P, Q, Pt, Dd and Ddt.
+
+    The one validity rule for an orbit point, which the budget sweep and
+    build_orbit_cocycle share: the point in the domain, Dphi finite and
+    nonsingular (det != 0 and E != 0), the second-derivative data finite.
+    Each callable sees only the lanes that passed the checks before it. Call
+    it inside np.errstate.
+    """
+    at = np.flatnonzero(m.in_domain_lanes(x, y))
+    s = apply_lanes(m.raw_jac if m.raw_jac is not None else m.fd_jac, x[at], y[at], 4)
+    ok = np.all(np.isfinite(s), axis=0)
+    at, s = at[ok], s[:, ok]
+    e, f = singular_values_lanes(*s)
+    det = s[0] * s[3] - s[1] * s[2]
+    ok = (det != 0.0) & (e != 0.0)
+    at, s, e, f, det = at[ok], s[:, ok], e[ok], f[ok], det[ok]
+    d2 = apply_lanes(m.second_partials, x[at], y[at], 8)
+    ok = np.all(np.isfinite(d2), axis=0)
+    at, s, e, f, det, d2 = at[ok], s[:, ok], e[ok], f[ok], det[ok], d2[:, ok]
+    return at, {
+        "S": s, "P": f, "Q": 1.0 / e, "Pt": 2.0 * np.max(np.abs(d2[:6]), axis=0),
+        "Dd": np.abs(det), "Ddt": norm2_lanes(d2[6], d2[7]),
+    }
 
 
 def mul_lanes(m: np.ndarray, o: np.ndarray) -> np.ndarray:
@@ -290,9 +323,12 @@ def orbit_product(m: MapModel, x: float, y: float, k: int) -> tuple[float, float
 def build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
     """Sweep the orbit kmax steps, collecting derivatives and growth quantities.
 
-    Raises OrbitEscapeError(j) if the sweep fails at z_j or z_kmax leaves the
-    domain, and SingularStepError if a product Dphi^k underflows to zero or
-    overflows, or any one-step derivative is singular.
+    E, F and H come from one singular_values_lanes call on the products, the
+    per-step values from one _point_data call on the kmax + 1 orbit points.
+    Raises, in this order: OrbitEscapeError(j) if the sweep fails at z_j or
+    z_kmax leaves the domain; SingularStepError if a product Dphi^k overflows
+    or underflows to zero; at the first orbit index j that _point_data drops,
+    SingularStepError if Dphi(z_j) is singular, else NonFiniteError.
     """
     if kmax < 1:
         raise BadParamsError(f"kmax must be >= 1, got {kmax}")
@@ -302,43 +338,24 @@ def build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
         steps_xy.append(m.jac_xy(*orbit[kmax]))
     except (DomainError, NonFiniteError):
         raise OrbitEscapeError(kmax, orbit[kmax])
-    steps = [Mat2(*s) for s in steps_xy]
-    prods = [Mat2(*p) for p in prods_xy]
 
-    n = kmax + 1
-    E = np.empty(n)
-    F = np.empty(n)
-    H = np.empty(n)
-    P = np.empty(n)
-    Q = np.empty(n)
-    Pt = np.empty(n)
-    Dd = np.empty(n)
-    Ddt = np.empty(n)
-    E[0] = F[0] = H[0] = 1.0
-    for k in range(1, n):
-        e, f = singular_values(prods[k])
-        if not math.isfinite(f):
-            raise SingularStepError(f"order-{k} product Dphi^{k} overflows at {tuple(orbit[0])}")
-        if f == 0.0:
-            raise SingularStepError(f"order-{k} product Dphi^{k} underflows to zero at {tuple(orbit[0])}")
-        E[k], F[k] = e, f
-        H[k] = e / f
-
-    for j in range(n):
-        sj = steps[j]
-        e, f = singular_values(sj)
-        det = sj.det()
-        if det == 0.0 or e == 0.0:
+    with np.errstate(all="ignore"):
+        E, F = singular_values_lanes(*np.array(prods_xy).T)  # row 0, the identity, gives 1, 1
+        at, pd = _point_data(m, *np.array(orbit_xy).T)
+    ok = np.isfinite(F) & (F != 0.0)
+    if not ok.all():
+        k = int(ok.argmin())  # the first failing order
+        how = "overflows" if F[k] else "underflows to zero"
+        raise SingularStepError(f"order-{k} product Dphi^{k} {how} at {tuple(orbit[0])}")
+    if len(at) <= kmax:
+        j = int(np.setdiff1d(np.arange(kmax + 1), at)[0])
+        a, b, c, d = steps_xy[j]
+        if a * d - b * c == 0.0 or singular_values(steps_xy[j])[0] == 0.0:
             raise SingularStepError(f"singular one-step derivative at orbit index {j}")
-        P[j] = f
-        Q[j] = 1.0 / e
-        Dd[j] = abs(det)
-        t, g = m.second_derivative_data(orbit[j])
-        Pt[j] = t.norm()
-        Ddt[j] = norm2(g[0], g[1])
+        raise NonFiniteError(f"second derivative data of '{m.name}' non-finite at {tuple(orbit[j])}")
 
     return OrbitCocycle(
-        z0=Point2(*z0), kmax=kmax, orbit=orbit, steps=steps, products=prods,
-        E=E, F=F, H=H, P=P, Q=Q, Pt=Pt, Dd=Dd, Ddt=Ddt,
+        z0=Point2(*z0), kmax=kmax, orbit=orbit,
+        steps=[Mat2(*s) for s in steps_xy], products=[Mat2(*p) for p in prods_xy],
+        E=E, F=F, H=E / F, P=pd["P"], Q=pd["Q"], Pt=pd["Pt"], Dd=pd["Dd"], Ddt=pd["Ddt"],
     )
-

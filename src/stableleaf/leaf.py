@@ -190,8 +190,8 @@ def integrate_leaf(
     """
     if grid_points < 3 or grid_points % 2 == 0:
         raise BadParamsError(f"grid_points must be odd and >= 3, got {grid_points}")
-    if eps <= 0.0:
-        raise BadParamsError(f"eps must be positive, got {eps}")
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise BadParamsError(f"eps must be positive and finite, got {eps}")
     zx, zy = float(z[0]), float(z[1])
     n_side = (grid_points - 1) // 2
     spacing = eps / n_side

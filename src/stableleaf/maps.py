@@ -71,26 +71,8 @@ class Mat2(NamedTuple):
     a21: float
     a22: float
 
-    def det(self) -> float:
-        return self.a11 * self.a22 - self.a12 * self.a21
-
     def apply(self, vx: float, vy: float) -> tuple[float, float]:
         return (self.a11 * vx + self.a12 * vy, self.a21 * vx + self.a22 * vy)
-
-
-class SecondDeriv(NamedTuple):
-    """All second partials d_j d_l Phi_i, stored once per symmetric pair."""
-
-    t1xx: float
-    t1xy: float
-    t1yy: float
-    t2xx: float
-    t2xy: float
-    t2yy: float
-
-    def norm(self) -> float:
-        """Adopted tensor norm: 2 * max |entry| (upper bound of the bilinear operator norm)."""
-        return 2.0 * max(abs(v) for v in self)
 
 
 @dataclass(frozen=True)
@@ -211,15 +193,6 @@ class MapModel:
                 (det_at(x, y + h) - det_at(x, y - h)) * 0.5 / h,
             )
         return t + g
-
-    def second_derivative_data(self, p: Point2) -> tuple[SecondDeriv, Point2]:
-        """Second-partial tensor and the spatial gradient of det(Dphi) at p."""
-        x, y = p
-        self._check_domain(x, y)
-        v = self.second_partials(x, y)
-        if not all(math.isfinite(c) for c in v):
-            raise NonFiniteError(f"second derivative data of '{self.name}' non-finite at ({x}, {y})")
-        return SecondDeriv(*v[:6]), Point2(*v[6:])
 
 
 # -- built-in families -------------------------------------------------------

@@ -98,7 +98,7 @@ def test_adjugate_identity(henon_map):
     c = build_orbit_cocycle(henon_map, Point2(0.1, 0.0), 6)
     for k in range(1, 7):
         mk = c.products[k]
-        det = mk.det()
+        det = mk.a11 * mk.a22 - mk.a12 * mk.a21
         # inverse entries from the cofactor layout, checked against M * adj = det * I
         adj = Mat2(mk.a22, -mk.a12, -mk.a21, mk.a11)
         prod = mat_mul(mk, adj)
@@ -112,7 +112,8 @@ def test_ef_product_is_det(linear_map, henon_map, perturbed_map):
     for m, z in ((linear_map, Point2(0.2, 0.05)), (henon_map, Point2(0.1, 0.0)), (perturbed_map, Point2(0.02, 0.01))):
         c = build_orbit_cocycle(m, z, 6)
         for k in range(1, 7):
-            assert c.E[k] * c.F[k] == pytest.approx(abs(c.products[k].det()), rel=1e-12)
+            a, b, cc, d = c.products[k]
+            assert c.E[k] * c.F[k] == pytest.approx(abs(a * d - b * cc), rel=1e-12)
             assert 0.0 < c.E[k] <= c.F[k]
             assert c.H[k] <= 1.0
 

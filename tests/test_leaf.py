@@ -217,6 +217,9 @@ def test_integrate_leaf_validation(linear_map):
         integrate_leaf(linear_map, Point2(0, 0), 3, 0.1, grid_points=64)  # even
     with pytest.raises(BadParamsError):
         integrate_leaf(linear_map, Point2(0, 0), 3, -0.1)
+    for eps in (math.nan, math.inf, -math.inf):
+        with pytest.raises(BadParamsError, match="eps must be positive and finite"):
+            integrate_leaf(linear_map, Point2(0, 0), 3, eps)
 
 
 def test_cauchy_validation(linear_map):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from stableleaf import Point2, SplitRng, make_map
 from stableleaf.errors import BadParamsError, DomainError, NonFiniteError, UnknownMapError
-from stableleaf.maps import MapModel, Mat2
+from stableleaf.maps import MapModel
 
 
 def fd_jacobian(m, x, y, h=1e-6):
@@ -49,37 +49,36 @@ def test_fd_matches_analytic_on_random_points(linear_map, perturbed_map, henon_m
 
 
 def test_second_derivative_examples(linear_map, henon_map, perturbed_map):
-    t, g = linear_map.second_derivative_data(Point2(1.7, -0.4))
-    assert all(v == 0.0 for v in t)
-    assert g == (0.0, 0.0)
+    # second_partials: t1xx, t1xy, t1yy, t2xx, t2xy, t2yy, then grad det(Dphi)
+    v = linear_map.second_partials(1.7, -0.4)
+    assert all(c == 0.0 for c in v)
 
-    t, g = henon_map.second_derivative_data(Point2(0.2, 0.1))
-    assert t.t1xx == -2.8
-    assert all(v == 0.0 for v in (t.t1xy, t.t1yy, t.t2xx, t.t2xy, t.t2yy))
-    assert g == (0.0, 0.0)
+    v = henon_map.second_partials(0.2, 0.1)
+    assert v[0] == -2.8
+    assert all(c == 0.0 for c in v[1:])
 
-    t, g = perturbed_map.second_derivative_data(Point2(0, 0))
-    assert t.t1yy == 0.1 and t.t2xx == 0.1
-    assert all(v == 0.0 for v in (t.t1xx, t.t1xy, t.t2xy, t.t2yy))
+    v = perturbed_map.second_partials(0.0, 0.0)
+    assert v[2] == 0.1 and v[3] == 0.1
+    assert all(c == 0.0 for c in (v[0], v[1], v[4], v[5]))
 
 
 def test_fd_second_derivative_oracle(henon_map, perturbed_map):
     # strip the analytic hessian to force the finite-difference path
     for m, p, expect in (
-        (henon_map, Point2(0.3, -0.2), {"t1xx": -2.8}),
-        (perturbed_map, Point2(0.0, 0.0), {"t1yy": 0.1, "t2xx": 0.1}),
+        (henon_map, Point2(0.3, -0.2), {0: -2.8}),
+        (perturbed_map, Point2(0.0, 0.0), {2: 0.1, 3: 0.1}),
     ):
         fd = MapModel(name=m.name, params=m.params, raw_eval=m.raw_eval, raw_jac=m.raw_jac)
-        t, _ = fd.second_derivative_data(p)
-        for name, val in expect.items():
-            assert getattr(t, name) == pytest.approx(val, abs=1e-5)
+        v = fd.second_partials(*p)
+        for i, val in expect.items():
+            assert v[i] == pytest.approx(val, abs=1e-5)
 
 
 def test_henon_constant_determinant(henon_map):
     rng = SplitRng(7)
     for _ in range(200):
-        p = Point2(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        assert Mat2(*henon_map.jac_xy(*p)).det() == pytest.approx(-0.3, rel=1e-15)
+        a, b, c, d = henon_map.jac_xy(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        assert a * d - b * c == pytest.approx(-0.3, rel=1e-15)
 
 
 def test_make_map_validation():

@@ -398,6 +398,36 @@ def test_cli_config_not_utf8(tmp_path, capsys):
     assert not (tmp_path / "budget.json").exists()
 
 
+def test_cli_config_given_twice(tmp_path, capsys):
+    # the second file was silently ignored (its kmax=3 never applied)
+    a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    a.write_text("map=linear\nlambda-s=0.5\nlambda-u=2\nsamples=50\n")
+    b.write_text("kmax=3\n")
+    out = tmp_path / "out"
+    for argv in (["--config", str(a), "--config", str(b)], ["--config", str(a), f"--config={b}"],
+                 [f"--config={a}", "--config", str(b)], ["--config", str(a), "--conf", str(b)]):
+        assert run_command(["budget", *argv, "--out-dir", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert f"error: --config {b} not read: give exactly one config file" in err and "Traceback" not in err
+        assert not out.exists()
+    assert run_command(["budget", "--map", "linear", "--out-dir", str(out), "--config"]) == 2
+    assert "error: --config needs a path" in capsys.readouterr().err
+    assert run_command(["budget", f"--config={a}", "--out-dir", str(out)]) == 0
+    assert json.loads((out / "budget.json").read_text())["samples_requested"] == 50
+
+
+def test_cli_config_names_another_config(tmp_path, capsys):
+    other = tmp_path / "other.cfg"
+    other.write_text("kmax=3\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"map=linear\nlambda-s=0.5\nlambda-u=2\nconfig={other}\n")
+    out = tmp_path / "out"
+    assert run_command(["budget", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {cfg}:4: a config file cannot name another config file" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 def test_cli_config_unreadable(tmp_path, capsys, kind):
     # an input file that cannot be read is bad input (exit 2), not an output failure (exit 3)

@@ -11,7 +11,9 @@ direction-field stencil, with the ``direction_field_derivative`` that used
 it) and ``build_orbit_cocycle``. The old Jacobian fallback of ``jac_xy`` and
 the old ``pushforward_contraction`` are kept the same way, except that the
 two norms the package now takes with ``norm2`` (R of the singular values and
-Ddt) call it in place of ``math.hypot``. Every float is
+Ddt) call it in place of ``math.hypot``, and that ``ref_build_orbit_cocycle``
+reads ``m.second_partials`` and an inline determinant where the deleted
+``second_derivative_data`` and ``Mat2.det`` stood. Every float is
 compared bit for bit (``float.hex``), and so are the exception class and the
 escape index. The old loops raised DomainError or NonFiniteError where the
 sweep raises OrbitEscapeError(j); the reference index j is the one the old
@@ -197,15 +199,17 @@ def ref_build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
     for j in range(n):
         sj = steps[j]
         e, f = singular_values(sj)
-        det = sj.det()
+        det = sj.a11 * sj.a22 - sj.a12 * sj.a21
         if det == 0.0 or e == 0.0:
             raise SingularStepError(f"singular one-step derivative at orbit index {j}")
         P[j] = f
         Q[j] = 1.0 / e
         Dd[j] = abs(det)
-        t, g = m.second_derivative_data(orbit[j])
-        Pt[j] = t.norm()
-        Ddt[j] = norm2(g[0], g[1])
+        v = m.second_partials(*orbit[j])
+        if not all(math.isfinite(c) for c in v):
+            raise NonFiniteError(f"second derivative data of '{m.name}' non-finite at {tuple(orbit[j])}")
+        Pt[j] = 2.0 * max(abs(c) for c in v[:6])
+        Ddt[j] = norm2(v[6], v[7])
 
     return OrbitCocycle(
         z0=Point2(*z0), kmax=kmax, orbit=orbit, steps=steps, products=prods,
@@ -230,7 +234,9 @@ def ref_fd_jac(m: MapModel, x: float, y: float) -> tuple[float, float, float, fl
 
 
 def ref_det_grad(m: MapModel, x: float, y: float) -> tuple[float, float]:
-    """The gradient of det(Dphi) as the old ``second_derivative_data`` took it without raw_det_grad."""
+    """The gradient of det(Dphi) as the old ``second_derivative_data`` took it without raw_det_grad.
+
+    ``second_partials`` returns it as its last two entries."""
     h = HESS_STEP * max(1.0, math.hypot(x, y))
 
     def det_at(px, py):
@@ -316,6 +322,28 @@ def _swap():
     )
 
 
+def _singular_step():
+    # (x + 1/4, x y): det Dphi = x, so Dphi is singular where the orbit meets
+    # x = 0, which it does exactly from a dyadic x_0 = -j/4 at orbit index j
+    return MapModel(
+        name="singular-step", params={},
+        raw_eval=lambda x, y: (x + 0.25, x * y),
+        raw_jac=lambda x, y: (1.0, 0.0, y, x),
+        raw_hess=lambda x, y: (0.0, 0.0, 0.0, 0.0, 1.0, 0.0),
+        raw_det_grad=lambda x, y: (1.0, 0.0),
+    )
+
+
+def _nan_hess():
+    # singular-step with second partials that are infinite on 1/2 <= |x| <= 3/4;
+    # from x_0 = -1 that strip comes first (index 1) and x = 0 later (index 4),
+    # from x_0 = -1/4 the singular step comes first (index 1) and the strip at index 3
+    return dataclasses.replace(
+        _singular_step(), name="nan-hess",
+        raw_hess=lambda x, y: (0.0, 0.0, 0.0, 0.0, 1.0, math.inf if 0.5 <= abs(x) <= 0.75 else 0.0),
+    )
+
+
 MAPS = {
     "linear": lambda: make_map("linear", lambda_s=0.5, lambda_u=2.0),
     "perturbed": lambda: make_map("perturbed", lambda_s=0.5, lambda_u=2.0, c=0.05),
@@ -328,6 +356,8 @@ MAPS = {
     "nan-eval": _nan_eval,
     "inf-jac": _inf_jac,
     "swap": _swap,
+    "singular-step": _singular_step,
+    "nan-hess": _nan_hess,
 }
 
 GRID = [(x, y) for x in (-0.9, -0.3, 0.0, 0.3, 0.63135, 0.9) for y in (-0.4, 0.0, 0.189, 0.4)]
@@ -343,6 +373,8 @@ SPECIAL = {
     "nan-eval": [(1.5, 0.1), (2.5, 0.1), (1.1, 0.1), (0.5, 0.1)],
     "inf-jac": [(0.0, 0.1), (1.0, 0.1), (3.5, 0.1)],
     "swap": [(0.3, 0.2)],
+    "singular-step": [(-0.5, 0.2), (-0.25, 0.1), (-1.0, 0.3)],
+    "nan-hess": [(-1.0, 0.2), (-0.25, 0.1), (0.5, 0.1)],
 }
 
 ORDERS = (1, 2, 3, 5, 8, 12)
@@ -400,6 +432,15 @@ def theta_series(m, x, y, k):
 # -- the kernel against the reference -------------------------------------------
 
 
+def point_failures(m, p, k):
+    """The first orbit index j <= k with a singular step, and the first with non-finite second partials, or None."""
+    orbit, steps, _ = orbit_sweep(m, p[0], p[1], k)
+    steps.append(m.jac_xy(*orbit[k]))
+    singular = [j for j, s in enumerate(steps) if s[0] * s[3] - s[1] * s[2] == 0.0 or singular_values(s)[0] == 0.0]
+    non_finite = [j for j, z in enumerate(orbit) if not all(math.isfinite(v) for v in m.second_partials(*z))]
+    return (singular or [None])[0], (non_finite or [None])[0]
+
+
 def test_cases_cover_every_outcome():
     seen = set()
     for name, p, k in CASES:
@@ -407,8 +448,18 @@ def test_cases_cover_every_outcome():
         esc = escape_before(m, p, k)
         if esc is not None:
             seen.add(("escape", name, "z_0" if esc.step == 0 else "mid-sweep"))
-        elif outcome(ref_build_orbit_cocycle, m, Point2(*p), k)[1:3] == (OrbitEscapeError, k):
+            continue
+        raised = outcome(ref_build_orbit_cocycle, m, Point2(*p), k)[1]
+        if raised is OrbitEscapeError:
             seen.add(("escape", name, "z_k"))
+        elif raised in (SingularStepError, NonFiniteError):
+            singular, non_finite = point_failures(m, p, k)
+            first = min(j for j in (singular, non_finite) if j is not None)
+            assert raised is (SingularStepError if first == singular else NonFiniteError), (name, p, k)
+            where = "z_0" if first == 0 else "mid-orbit"
+            if None not in (singular, non_finite):
+                where = "both, singular first" if singular < non_finite else "both, non-finite first"
+            seen.add((raised.__name__, name, where))
         elif outcome(ref_contracted_theta_fast, m, p[0], p[1], k)[1] is ConformalError:
             seen.add(("conformal", name, "order k"))
         elif outcome(ref_theta_series, m, p[0], p[1], k)[1] is ConformalError:
@@ -422,6 +473,9 @@ def test_cases_cover_every_outcome():
         ("conformal", "conformal", "order k"), ("conformal", "swap", "order k"),
         ("conformal", "swap", "below order k"), ("conformal", "near-conformal", "order k"),
         ("conformal", "near-conformal", "below order k"),
+        ("SingularStepError", "singular-step", "z_0"), ("SingularStepError", "singular-step", "mid-orbit"),
+        ("NonFiniteError", "nan-hess", "z_0"), ("NonFiniteError", "nan-hess", "mid-orbit"),
+        ("SingularStepError", "nan-hess", "both, singular first"), ("NonFiniteError", "nan-hess", "both, non-finite first"),
     } | {("ok", n, None) for n in MAPS if n not in ("conformal", "near-conformal")}
     assert needed <= seen, needed - seen
 
@@ -480,7 +534,7 @@ def test_fd_derivatives_match_reference():
             if m.raw_jac is None:
                 assert bits(m.jac_xy(x, y)) == bits(ref_fd_jac(m, x, y))
             if m.in_domain(x, y):
-                assert bits(tuple(m.second_derivative_data(Point2(x, y))[1])) == bits(ref_det_grad(m, x, y))
+                assert bits(m.second_partials(x, y)[6:]) == bits(ref_det_grad(m, x, y))
 
 
 def test_pushforward_matches_reference():
