@@ -45,7 +45,7 @@ def main():
     eps = choose_epsilon(b, dstar.gamma_required, L, sched)
     print(f"L = {L:.3e}, eps = {eps}")
 
-    conv = cauchy_iterate(m, z, b, sched, eps, kmax, tol=1e-9, L=L)
+    conv = cauchy_iterate(m, b, sched, eps, tol=1e-9, L=L)
     limit = conv.limit
     print(f"max d_k = {conv.d_k.max():.3e} (exact 0); "
           f"max |y| on limit leaf = {abs(limit.ys).max():.3e}")

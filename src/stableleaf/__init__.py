@@ -11,7 +11,6 @@ from .budget import (
     check_condition_double_star,
     check_condition_star,
     estimate_budget,
-    first_tube_exit,
 )
 from .cocycle import OrbitCocycle, SingularFrame, build_orbit_cocycle, singular_frame
 from .directions import (

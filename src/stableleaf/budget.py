@@ -37,7 +37,7 @@ from .cocycle import (
     series_term,
     singular_values_lanes,
 )
-from .errors import BadParamsError, DomainError, NonFiniteError, OrbitEscapeError
+from .errors import BadParamsError, DomainError, NonFiniteError
 from .maps import MapModel, Point2, apply_lanes
 from .rng import SplitRng
 
@@ -93,19 +93,6 @@ def first_tube_exit(
         if norm2(dx, dy) > sched.radius(j):
             return j
     return None
-
-
-def reference_orbit(m: MapModel, z: Point2, nsteps: int) -> list[Point2]:
-    """The orbit z, phi(z), ..., phi^nsteps(z); OrbitEscapeError(j, z_j) if phi fails at z_j."""
-    pts = [Point2(float(z[0]), float(z[1]))]
-    x, y = pts[0]
-    for j in range(nsteps):
-        try:
-            x, y = m.eval_xy(x, y)
-        except (DomainError, NonFiniteError):
-            raise OrbitEscapeError(j, Point2(x, y))
-        pts.append(Point2(x, y))
-    return pts
 
 
 def _tube_miss(j: int, x: np.ndarray, y: np.ndarray, ref: list[Point2], sched: EpsilonSchedule) -> np.ndarray:
@@ -278,33 +265,32 @@ def _block_sweep(
 
 
 def sample_sweep(
-    m: MapModel, z: Point2, sched: EpsilonSchedule, kmax: int, n: int, seed: int
+    m: MapModel, centre: OrbitCocycle, sched: EpsilonSchedule, n: int, seed: int
 ) -> Iterator[SweepOrder]:
     """z and the n box draws around it, with their budget values, as arrays, a block at a time and order by order.
 
-    A draw's tube level is the order of the deepest neighborhood it lies in.
-    Its level is the largest level <= its tube level at which
-    build_orbit_cocycle(m, draw, level) succeeds, 0 if there is none. That
-    success is monotone in the level, so whether a draw has level >= k is
-    known at step k: for each block of SAMPLE_BLOCK draws, the SweepOrder of
-    order k holds exactly the draws of level >= k, in draw order, and the
-    arrays of a block shrink to them as k grows. z itself is lane 0 of the
-    first block, numbered draw -1, so n = 0 still sweeps it; its tube level
-    is kmax, and it reaches kmax exactly where build_orbit_cocycle(m, z, kmax)
-    succeeds.
+    centre is the cocycle at z to order kmax; z, kmax and the tube's
+    reference orbit are its z0, kmax and orbit. A draw's tube level is the
+    order of the deepest neighborhood it lies in. Its level is the largest
+    level <= its tube level at which build_orbit_cocycle(m, draw, level)
+    succeeds, 0 if there is none. That success is monotone in the level, so
+    whether a draw has level >= k is known at step k: for each block of
+    SAMPLE_BLOCK draws, the SweepOrder of order k holds exactly the draws of
+    level >= k, in draw order, and the arrays of a block shrink to them as k
+    grows. z itself is lane 0 of the first block, numbered draw -1, so n = 0
+    still sweeps it; since its cocycle was built, it reaches kmax.
 
     Levels, counts and every value are bit for bit those of the scalar code.
     """
-    ref = reference_orbit(m, z, kmax - 1)  # raises here, before any draw is made
     rng = SplitRng(seed).substream(NEIGHBORHOOD_STREAM)
-    cx, cy, r0 = float(z[0]), float(z[1]), sched.radius(0)
+    (cx, cy), r0 = centre.orbit[0], sched.radius(0)
 
     def blocks():
         for start in range(0, max(n, 1), SAMPLE_BLOCK):
             xs, ys = rng.points_in_box(cx, cy, r0, min(SAMPLE_BLOCK, n - start))
             if start == 0:  # z is lane 0 of the first block, draw -1
                 xs, ys, start = np.insert(xs, 0, cx), np.insert(ys, 0, cy), -1
-            yield from _block_sweep(m, ref, sched, kmax, start, xs, ys)
+            yield from _block_sweep(m, centre.orbit, sched, centre.kmax, start, xs, ys)
 
     return blocks()
 
@@ -324,14 +310,15 @@ def estimate_budget(
     maxima, but not the counts or samples; a sample point joins the levels
     up to the one ``sample_sweep`` gives it. The budget is bit for bit the
     one of building each point's cocycle at its level. Only z's cocycle is
-    built, for ``cocycle``; it raises where z's orbit fails.
+    built, before any draw: it raises where z's orbit fails, and every later
+    stage reads z's orbit from it (``cocycle``).
     """
     if kmax < 2:
         raise BadParamsError(f"kmax must be >= 2, got {kmax}")
 
     km1 = kmax + 1
-    orders = sample_sweep(m, z, sched, kmax, n, seed)
     center = build_orbit_cocycle(m, z, kmax)
+    orders = sample_sweep(m, center, sched, n, seed)
     names = ("p", "q", "pt", "gamma", "gamma_star", "delta", "fmax")
     top = {name: np.zeros(km1) for name in names}
     top["gamma"][0] = top["gamma_star"][0] = top["fmax"][0] = 1.0  # order 0: the identity cocycle

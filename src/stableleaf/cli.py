@@ -195,7 +195,7 @@ def _cmd_converge(ns, out_dir: str) -> int:
     m, z, sched = _inputs(ns)
     b, _, L, eps = budget_to_epsilon(m, z, sched, ns.kmax, ns.samples, ns.seed)
     try:
-        report, contraction = iterate_to_contraction(m, z, b, sched, eps, L, ns.kmax, ns.tol, ns.seed, h=ns.h)
+        report, contraction = iterate_to_contraction(m, b, sched, eps, L, ns.tol, ns.seed, h=ns.h)
     except NotConvergedError as exc:
         if exc.report is not None:
             emit_json(_convergence_payload(m, ns, exc.report, None), os.path.join(out_dir, "convergence.json"))

@@ -147,9 +147,9 @@ def _point_data(m: MapModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, 
 
     The one validity rule for an orbit point, which the budget sweep and
     build_orbit_cocycle share: the point in the domain, Dphi finite and
-    nonsingular (det != 0 and E != 0), the second-derivative data finite.
-    Each callable sees only the lanes that passed the checks before it. Call
-    it inside np.errstate.
+    nonsingular (det finite and nonzero, E != 0), the second-derivative data
+    finite. Each callable sees only the lanes that passed the checks before
+    it. Call it inside np.errstate.
     """
     at = np.flatnonzero(m.in_domain_lanes(x, y))
     s = apply_lanes(m.raw_jac if m.raw_jac is not None else m.fd_jac, x[at], y[at], 4)
@@ -157,7 +157,7 @@ def _point_data(m: MapModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, 
     at, s = at[ok], s[:, ok]
     e, f = singular_values_lanes(*s)
     det = s[0] * s[3] - s[1] * s[2]
-    ok = (det != 0.0) & (e != 0.0)
+    ok = np.isfinite(det) & (det != 0.0) & (e != 0.0)
     at, s, e, f, det = at[ok], s[:, ok], e[ok], f[ok], det[ok]
     d2 = apply_lanes(m.second_partials, x[at], y[at], 8)
     ok = np.all(np.isfinite(d2), axis=0)
@@ -328,7 +328,8 @@ def build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
     Raises, in this order: OrbitEscapeError(j) if the sweep fails at z_j or
     z_kmax leaves the domain; SingularStepError if a product Dphi^k overflows
     or underflows to zero; at the first orbit index j that _point_data drops,
-    SingularStepError if Dphi(z_j) is singular, else NonFiniteError.
+    SingularStepError if Dphi(z_j) is singular, else NonFiniteError, naming
+    det Dphi(z_j) where it overflows and the second derivative data else.
     """
     if kmax < 1:
         raise BadParamsError(f"kmax must be >= 1, got {kmax}")
@@ -350,8 +351,11 @@ def build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
     if len(at) <= kmax:
         j = int(np.setdiff1d(np.arange(kmax + 1), at)[0])
         a, b, c, d = steps_xy[j]
-        if a * d - b * c == 0.0 or singular_values(steps_xy[j])[0] == 0.0:
+        det = a * d - b * c
+        if det == 0.0 or singular_values(steps_xy[j])[0] == 0.0:
             raise SingularStepError(f"singular one-step derivative at orbit index {j}")
+        if not math.isfinite(det):
+            raise NonFiniteError(f"det Dphi of '{m.name}' overflows at orbit index {j}, {tuple(orbit[j])}")
         raise NonFiniteError(f"second derivative data of '{m.name}' non-finite at {tuple(orbit[j])}")
 
     return OrbitCocycle(

@@ -60,12 +60,10 @@ def contracted_theta_fast(m: MapModel, x: float, y: float, k: int) -> tuple[floa
 
 
 def contracted_direction(c: OrbitCocycle, k: int) -> DirectionSample:
-    """Most contracted direction of Dphi^k at the cocycle base point."""
+    """Most contracted direction of Dphi^k at the cocycle base point; ConformalError if E_k = F_k to round-off."""
     if not 1 <= k <= c.kmax:
         raise BadParamsError(f"k={k} out of range 1..{c.kmax}")
-    if c.H[k] >= 1.0 - CONFORMAL_TOL:
-        raise ConformalError(f"H_{k} = {c.H[k]} too close to 1; direction undefined")
-    th = _frame(*c.products[k])[2]
+    th = _contracted_theta(c.products[k], k, tuple(c.z0))[0]
     return DirectionSample(
         at=c.z0,
         k=k,
@@ -136,14 +134,16 @@ def _signed_gap(base: float, other: float) -> float:
 
 
 def direction_field_derivative(
-    m: MapModel, c: OrbitCocycle, k: int, h: float, budget=None
+    m: MapModel, c: OrbitCocycle, k: int, h: Optional[float] = None, budget=None
 ) -> tuple[float, Optional[float]]:
     """Finite-difference estimate of the direction-field Lipschitz constant.
 
     L_measured accumulates the FD gradient norms of theta^(1) and of the
-    inter-order gap fields phi^(j), j < k, on a 4-point stencil around the
-    cocycle base point (the telescoping decomposition of ||D theta^(k)||).
-    L_bound is the per-order series
+    inter-order gap fields phi^(j), j < k, on a 4-point stencil of step h
+    (default 1e-4 * max(1, |z|)) around the cocycle base point z (the
+    telescoping decomposition of ||D theta^(k)||). The angles at z come from
+    the cocycle's own products, so only the four stencil points are swept; a
+    conformal product at z raises as itself. L_bound is the per-order series
 
         sum_{j<=k} 1597 (p_j q_j)^2 d_{j+1} + 40 (p_j q_j)^5 d_j
                    + 40 (p_j q_j)^3 q_j^2 p~_j g*_{j+1}
@@ -153,14 +153,16 @@ def direction_field_derivative(
     """
     if not 1 <= k <= c.kmax:
         raise BadParamsError(f"k={k} out of range 1..{c.kmax}")
+    x0, y0 = c.z0
+    if h is None:
+        h = 1e-4 * max(1.0, math.hypot(x0, y0))
 
     def thetas(x, y):
         # theta_contract of Dphi^j at (x, y) for j = 1..k, from one sweep
         prods = orbit_sweep(m, x, y, k)[2]
         return [_contracted_theta(prods[j], j, (x, y))[0] for j in range(1, k + 1)]
 
-    x0, y0 = c.z0
-    center = thetas(x0, y0)  # a failure at the base point raises as itself
+    center = [contracted_direction(c, j).theta for j in range(1, k + 1)]
     stencil = [(x0 + h, y0), (x0 - h, y0), (x0, y0 + h), (x0, y0 - h)]
     try:
         series = [thetas(sx, sy) for sx, sy in stencil]
@@ -194,8 +196,3 @@ def direction_field_derivative(
             )
     return l_meas, l_bound
 
-
-def field_lipschitz(m: MapModel, c: OrbitCocycle, k: int) -> float:
-    """Measured L of the order-k field at the cocycle base point z, FD step 1e-4*max(1, |z|)."""
-    h = 1e-4 * max(1.0, math.hypot(c.z0[0], c.z0[1]))
-    return direction_field_derivative(m, c, k, h)[0]

@@ -182,7 +182,8 @@ def regular_growth_check(
     fitted K exceeds 1e6. Every value, the fixed point's included, comes
     from ``sample_sweep``, and every fold keeps the order of operations of
     a per-point loop over j = 1..level. Only the fixed point's cocycle is
-    built, before the sweep, and it raises where that orbit fails.
+    built, before the sweep: it raises where that orbit fails, and the sweep
+    reads the fixed point, kmax and the tube's reference orbit from it.
     """
     if sched.decay != 1.0:
         raise BadParamsError("regular growth check requires a constant schedule eps_j = eta")
@@ -192,7 +193,7 @@ def regular_growth_check(
     if not (0.0 <= d < lu - 1.0 and ls + d < 1.0):
         raise BadParamsError(f"spectral slack delta={d} incompatible with |ls|={ls}, |lu|={lu}")
 
-    build_orbit_cocycle(m, fp.p, kmax)  # raises where the fixed point's orbit fails
+    centre = build_orbit_cocycle(m, fp.p, kmax)  # raises where the fixed point's orbit fails
 
     # row 0 is the fixed point (draw -1) and row 1 + i box draw i; orders past a row's level stay NaN
     E, F, H, D1, D2 = (np.full((n + 1, kmax + 1), math.nan) for _ in range(5))
@@ -200,7 +201,7 @@ def regular_growth_check(
     level = np.zeros(n + 1, dtype=int)
     k_tail = 1.0
     with np.errstate(all="ignore"):  # as Python floats: +inf on overflow, NaN for 0/0
-        for o in sample_sweep(m, fp.p, sched, kmax, n, seed):
+        for o in sample_sweep(m, centre, sched, n, seed):
             k, rows = o.k, o.draw + 1
             v = {name: a for name, i, a in o.values if i == k}
             level[rows] = k
@@ -297,9 +298,9 @@ def verify_fixed_point_theorem(
     """
     sched = EpsilonSchedule.constant(eta)
     b, gamma, L, eps = budget_to_epsilon(m, fp.p, sched, kmax, n, seed)
-    conv, contraction = iterate_to_contraction(m, fp.p, b, sched, eps, L, kmax, tol, seed, h=h)
+    conv, contraction = iterate_to_contraction(m, b, sched, eps, L, tol, seed, h=h)
     limit = conv.limit
-    uniq = staged("uniqueness", uniqueness_probe, m, fp.p, sched, limit, kmax, probes=UNIQUENESS_PROBES, seed=seed)
+    uniq = staged("uniqueness", uniqueness_probe, m, b, sched, limit, probes=UNIQUENESS_PROBES, seed=seed)
 
     # (1) tangency at p against the stable eigenvector
     th_leaf = float(limit.thetas[limit.center_index])

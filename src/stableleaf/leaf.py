@@ -27,10 +27,9 @@ from .budget import (
     HyperbolicityBudget,
     check_condition_double_star,
     estimate_budget,
-    reference_orbit,
     tube_exits,
 )
-from .directions import _signed_gap, contracted_theta_fast, field_lipschitz
+from .directions import _signed_gap, contracted_theta_fast, direction_field_derivative
 from .errors import (
     BadParamsError,
     ConformalError,
@@ -279,18 +278,18 @@ def choose_epsilon(
     Constraints: eps * gamma < 1, exp(eps * L) < 2, and the tube pre-check
     that the square of radius eps + omega_k around z stays inside the hull of
     the stored order-k0 sample for every computed k >= k0. A sample hull
-    without interior contains no square, so it rejects every rung. Budgets
-    without stored samples skip the pre-check (the containment proper is
-    re-tested during the Cauchy iteration). NoFeasibleEpsilonError names the
-    first constraint that the first rung fails and the one the last rung fails.
+    without interior contains no square, so it rejects every rung. (The
+    containment proper is re-tested during the Cauchy iteration.)
+    NoFeasibleEpsilonError names the first constraint that the first rung
+    fails and the one the last rung fails.
     """
     if b.k0 is None:
         raise NoFeasibleEpsilonError("budget has no k0; hyperbolicity never stabilized")
     k0 = b.k0
     xi_tail = b.xi[k0:] if k0 < len(b.xi) else np.array([0.0])
     xi_max = float(np.max(xi_tail))
-    k0_sample = list(b.samples.get(k0, []))
-    hull = convex_hull_halfplanes(k0_sample + [b.z]) if b.samples else None
+    k0_sample = list(b.samples[k0])
+    hull = convex_hull_halfplanes(k0_sample + [b.z])
     zx, zy = b.z
 
     def blocker(eps: float) -> Optional[str]:
@@ -299,11 +298,10 @@ def choose_epsilon(
             return "eps*gamma < 1"
         if not (eps * L < 1.0 and math.exp(eps * L) < 2.0):  # exp(1) > 2, and exp cannot overflow
             return "exp(eps*L) < 2"
-        if hull is not None:
-            r = eps + eps * math.exp(eps * L) * xi_max
-            corners = [(zx - r, zy - r), (zx - r, zy + r), (zx + r, zy - r), (zx + r, zy + r)]
-            if not hull_contains(hull, corners):
-                return f"the hull pre-check (order-{k0} sample size {len(k0_sample)})"
+        r = eps + eps * math.exp(eps * L) * xi_max
+        corners = [(zx - r, zy - r), (zx - r, zy + r), (zx + r, zy - r), (zx + r, zy + r)]
+        if not hull_contains(hull, corners):
+            return f"the hull pre-check (order-{k0} sample size {len(k0_sample)})"
         return None
 
     rungs = [sched.radius(0) * 2.0 ** -mexp for mexp in range(LADDER_DEPTH + 1)]
@@ -362,21 +360,20 @@ def _leaf_distance(a: LeafCurve, bcurve: LeafCurve) -> tuple[float, int]:
 
 def cauchy_iterate(
     m: MapModel,
-    z: Point2,
     b: HyperbolicityBudget,
     sched: EpsilonSchedule,
     eps: float,
-    kmax: int,
     tol: float,
     L: float,
     h: Optional[float] = None,
 ) -> ConvergenceReport:
-    """Integrate leaves for k = k0..kmax and verify the Gronwall Cauchy bounds.
+    """Integrate leaves through the budget's z for k = k0..b.kmax and verify the Gronwall Cauchy bounds.
 
-    L is the direction-field Lipschitz constant of the Gronwall envelope.
-    Tube containment is checked by displacing every TUBE_STRIDE-th grid node
-    (plus the endpoints) of the order-k leaf by +/- omega_k along the expanded
-    direction and testing membership in the order-(k+1) orbit tube. The run
+    k0 must be below b.kmax. L is the direction-field Lipschitz constant
+    of the Gronwall envelope. Tube containment is checked by displacing every
+    TUBE_STRIDE-th grid node (plus the endpoints) of the order-k leaf by
+    +/- omega_k along the expanded direction and testing membership in the
+    order-(k+1) tube around the orbit of z that b.cocycle holds. The run
     converges when the last comparison distance and the integration error
     are both below tol and the limit leaf reaches eps on both sides; else
     NotConvergedError names each failed condition and carries the report.
@@ -385,15 +382,14 @@ def cauchy_iterate(
     """
     if b.k0 is None:
         raise NoFeasibleEpsilonError("budget has no k0")
-    k0 = b.k0
-    if kmax <= k0:
+    k0, kmax = b.k0, b.kmax
+    if not k0 < kmax:
         raise BadParamsError(f"kmax={kmax} must exceed k0={k0}")
 
     if h is not None:
         _refuse_small_step(h, eps / ((DEFAULT_GRID - 1) // 2), MAX_STEPS_PER_CELL // 2)
-    leaves = {k: integrate_leaf(m, z, k, eps, h=h) for k in range(k0, kmax + 1)}
+    leaves = {k: integrate_leaf(m, b.z, k, eps, h=h) for k in range(k0, kmax + 1)}
 
-    ref = reference_orbit(m, z, kmax - 1)
     ks = list(range(k0, kmax))
     d_k = np.empty(len(ks))
     bounds = np.empty(len(ks))
@@ -416,14 +412,14 @@ def cauchy_iterate(
         sw = np.array([bounds[i], -bounds[i]])[:, None]  # s * omega for s = +1, -1
         with np.errstate(invalid="ignore", over="ignore"):  # omega may be +inf: inf and nan, as floats give
             dx, dy = (px + sw * fx).ravel(), (py + sw * fy).ravel()
-        exits = tube_exits(m, ref, dx, dy, sched, k)
+        exits = tube_exits(m, b.cocycle.orbit, dx, dy, sched, k)
         ok = not np.any(exits >= 0)
         tube_ok.append(ok)
 
     # step doubling: the limit leaf again at half its step; a node the finer
     # leaf does not reach has no error estimate, so the error is then +inf
     limit = leaves[kmax]
-    dev, reached = _leaf_distance(limit, integrate_leaf(m, z, kmax, eps, h=limit.h / 2))
+    dev, reached = _leaf_distance(limit, integrate_leaf(m, b.z, kmax, eps, h=limit.h / 2))
     integration_error = dev if reached == len(limit.t) else math.inf
 
     failed = []
@@ -540,22 +536,21 @@ class UniquenessReport:
 
 def uniqueness_probe(
     m: MapModel,
-    z: Point2,
+    b: HyperbolicityBudget,
     sched: EpsilonSchedule,
     leaf: LeafCurve,
-    kmax: int,
     probes: int,
     seed: int,
 ) -> UniquenessReport:
-    """Probe points of the eps0 box for their first orbit-tube exit index.
+    """Probe points of the eps0 box around the budget's z for their first exit from the tube around its cocycle's orbit.
 
     Points off the leaf should exit by a finite step (the expanded direction
-    grows); leaf grid points themselves should survive all kmax tests up to
+    grows); leaf grid points themselves should survive all b.kmax tests up to
     integration error. Distances to the leaf are measured against the grid
     polyline vertices.
     """
-    ref = reference_orbit(m, z, kmax)
-    xs, ys = SplitRng(seed).substream(_PROBE_STREAM).points_in_box(float(z[0]), float(z[1]), sched.radius(0), probes)
+    kmax, ref = b.kmax, b.cocycle.orbit
+    xs, ys = SplitRng(seed).substream(_PROBE_STREAM).points_in_box(*ref[0], sched.radius(0), probes)
     records: list[ProbeRecord] = []
     for x, y, e in zip(xs.tolist(), ys.tolist(), tube_exits(m, ref, xs, ys, sched, kmax).tolist()):
         d = float(np.min(np.hypot(leaf.xs - x, leaf.ys - y)))
@@ -590,20 +585,20 @@ def budget_to_epsilon(
     """
     b = staged("budget", estimate_budget, m, z, sched, kmax, n=n, seed=seed)
     gamma = staged("double-star", check_condition_double_star, b, sched).gamma_required
-    L = staged("direction-derivative", field_lipschitz, m, b.cocycle, kmax)
+    L = staged("direction-derivative", direction_field_derivative, m, b.cocycle, b.kmax)[0]
     eps = staged("choose-epsilon", choose_epsilon, b, gamma, L, sched)
     return b, gamma, L, eps
 
 
 def iterate_to_contraction(
-    m: MapModel, z: Point2, b: HyperbolicityBudget, sched: EpsilonSchedule, eps: float, L: float,
-    kmax: int, tol: float, seed: int, h: Optional[float] = None,
+    m: MapModel, b: HyperbolicityBudget, sched: EpsilonSchedule, eps: float, L: float,
+    tol: float, seed: int, h: Optional[float] = None,
 ) -> tuple[ConvergenceReport, ContractionReport]:
-    """Stages Cauchy iteration -> contraction on the limit leaf.
+    """Stages Cauchy iteration -> contraction on the limit leaf, at the budget's z up to its kmax.
 
     The contraction fit runs up to CONTRACTION_ORDERS past k0, at most kmax.
     A NotConvergedError carries the partial ConvergenceReport.
     """
-    conv = staged("cauchy-iterate", cauchy_iterate, m, z, b, sched, eps, kmax, tol, L=L, h=h)
-    n = min(kmax, b.k0 + CONTRACTION_ORDERS)
+    conv = staged("cauchy-iterate", cauchy_iterate, m, b, sched, eps, tol, L=L, h=h)
+    n = min(b.kmax, b.k0 + CONTRACTION_ORDERS)
     return conv, staged("contraction", contraction_check, m, conv.limit, b, n=n, seed=seed)

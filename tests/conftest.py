@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from stableleaf import EpsilonSchedule, Point2, make_map
+from stableleaf import EpsilonSchedule, Point2, build_orbit_cocycle, make_map
 from stableleaf.budget import sample_sweep
+from stableleaf.errors import DomainError, NonFiniteError, OrbitEscapeError
 
 
 @pytest.fixture
@@ -43,11 +44,19 @@ def sweep_min_angle(a11, a12, a21, a22, n_grid=4096):
     return t0 % math.pi
 
 
-def orbit_points(m, z, n):
-    pts = [Point2(*z)]
+def reference_orbit(m, z, nsteps):
+    """The orbit z, phi(z), ..., phi^nsteps(z) from checked eval_xy calls; OrbitEscapeError(j, z_j) if phi fails at z_j.
+
+    The scalar reference of the orbit that build_orbit_cocycle keeps, which
+    the package's tube tests read.
+    """
+    pts = [Point2(float(z[0]), float(z[1]))]
     x, y = pts[0]
-    for _ in range(n):
-        x, y = m.eval_xy(x, y)
+    for j in range(nsteps):
+        try:
+            x, y = m.eval_xy(x, y)
+        except (DomainError, NonFiniteError):
+            raise OrbitEscapeError(j, Point2(x, y))
         pts.append(Point2(x, y))
     return pts
 
@@ -59,7 +68,7 @@ def centre_lane(m, z, kmax):
     draws, which the budget and the growth check fold, as {k: (d1, d2, tails)}.
     """
     out = {}
-    for o in sample_sweep(m, z, EpsilonSchedule.constant(0.1), kmax, 0, 0):
+    for o in sample_sweep(m, build_orbit_cocycle(m, z, kmax), EpsilonSchedule.constant(0.1), 0, 0):
         assert o.draw.tolist() == [-1]
         out[o.k] = (float(o.d1[0]), float(o.d2[0]), o.tails[:, 0].tolist())
     return out

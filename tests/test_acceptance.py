@@ -22,19 +22,18 @@ from stableleaf import (
     contraction_check,
     eigen_split,
     estimate_budget,
-    first_tube_exit,
     integrate_leaf,
     make_map,
     singular_frame,
     uniqueness_probe,
     verify_fixed_point_theorem,
 )
-from stableleaf.budget import SAMPLE_SLACK, reference_orbit
+from stableleaf.budget import SAMPLE_SLACK, first_tube_exit
 from stableleaf.cli import run_command
 from stableleaf.directions import angle_distance, contracted_theta_fast
 from stableleaf.leaf import rk4_streamline
 
-from conftest import centre_lane
+from conftest import centre_lane, reference_orbit
 from test_cocycle import fd_det_gradient, fd_second_tensor, probe_bilinear_norm
 
 HENON_SADDLE = Point2(0.6313544770895252, 0.18940634312685756)
@@ -67,7 +66,7 @@ def linear_pipeline(eta=0.1, kmax=16, n=1000, seed=7, tol=1e-9):
 
     L = direction_field_derivative(m, coc, kmax, 1e-4, budget=b)[0]
     eps = choose_epsilon(b, dstar.gamma_required, L, sched)
-    conv = cauchy_iterate(m, z, b, sched, eps, kmax, tol, L=L)
+    conv = cauchy_iterate(m, b, sched, eps, tol, L=L)
     return m, z, sched, b, eps, conv
 
 
@@ -263,7 +262,7 @@ def test_criterion_6_gronwall():
     coc = build_orbit_cocycle(m, z, kmax)
     L = direction_field_derivative(m, coc, kmax, 1e-4, budget=b)[0]
     eps = choose_epsilon(b, dstar.gamma_required, L, sched)
-    conv = cauchy_iterate(m, z, b, sched, eps, kmax, 1e-6, L=L)
+    conv = cauchy_iterate(m, b, sched, eps, 1e-6, L=L)
     assert conv.ks == list(range(b.k0, kmax))
     assert np.all(conv.d_k <= conv.gronwall_bound * SAMPLE_SLACK)
     # monotone decay and a summable tail: the whole sum stays below 2 d_{k0}
@@ -326,7 +325,7 @@ def test_criterion_9_uniqueness():
         j = first_tube_exit(m, ref, Point2(0.0, delta), sched, kmax)
         expected = math.ceil(math.log2(eta / delta))
         assert j is not None and abs(j - expected) <= 1
-    rep = uniqueness_probe(m, z, sched, conv.limit, kmax, probes=200, seed=9)
+    rep = uniqueness_probe(m, b, sched, conv.limit, probes=200, seed=9)
     assert rep.on_leaf_exits == 0
 
 

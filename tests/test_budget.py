@@ -9,16 +9,18 @@ from stableleaf import (
     EpsilonSchedule,
     Point2,
     SplitRng,
+    build_orbit_cocycle,
     check_condition_double_star,
     check_condition_star,
     estimate_budget,
-    first_tube_exit,
     make_map,
 )
-from stableleaf.budget import INCONCLUSIVE, INFEASIBLE, SUMMABLE_HEURISTIC, reference_orbit, tube_exits
+from stableleaf.budget import INCONCLUSIVE, INFEASIBLE, SUMMABLE_HEURISTIC, first_tube_exit, tube_exits
 from stableleaf.cocycle import norm2
 from stableleaf.errors import BadParamsError, OrbitEscapeError
 from stableleaf.maps import MapModel
+
+from conftest import reference_orbit
 
 
 def rotationlike_map():
@@ -104,16 +106,22 @@ def test_tube_membership_helpers(linear_map):
 
 
 def test_reference_orbit_reports_the_escaping_iterate(linear_map, henon_map):
-    # z itself is outside the box: the orbit fails at step 0, at z
-    with pytest.raises(OrbitEscapeError) as exc:
-        reference_orbit(linear_map, Point2(100.0, 100.0), 3)
-    assert exc.value.step == 0
-    assert exc.value.point == Point2(100.0, 100.0)
-    # (2.5, 0) maps to (-7.75, 0.75), outside the box: step 1
-    with pytest.raises(OrbitEscapeError) as exc:
-        reference_orbit(henon_map, Point2(2.5, 0.0), 3)
-    assert exc.value.step == 1
-    assert exc.value.point == Point2(1.0 - 1.4 * 6.25, 0.75)
+    # the scalar reference and the package's one orbit of z, build_orbit_cocycle,
+    # report the same escape
+    for build in (reference_orbit, build_orbit_cocycle):
+        # z itself is outside the box: the orbit fails at step 0, at z
+        with pytest.raises(OrbitEscapeError) as exc:
+            build(linear_map, Point2(100.0, 100.0), 3)
+        assert exc.value.step == 0
+        assert exc.value.point == Point2(100.0, 100.0)
+        # (2.5, 0) maps to (-7.75, 0.75), outside the box: step 1
+        with pytest.raises(OrbitEscapeError) as exc:
+            build(henon_map, Point2(2.5, 0.0), 3)
+        assert exc.value.step == 1
+        assert exc.value.point == Point2(1.0 - 1.4 * 6.25, 0.75)
+    # on an orbit that stays in the box the two agree bit for bit
+    z = Point2(0.6313544770895252, 0.18940634312685756)
+    assert build_orbit_cocycle(henon_map, z, 12).orbit == reference_orbit(henon_map, z, 12)
 
 
 def test_budget_linear_closed_forms(linear_map):

@@ -34,7 +34,6 @@ from stableleaf.budget import (
     NEIGHBORHOOD_STREAM,
     HyperbolicityBudget,
     first_tube_exit,
-    reference_orbit,
 )
 from stableleaf.cocycle import OrbitCocycle, build_orbit_cocycle, series_term
 from stableleaf.errors import (
@@ -49,6 +48,7 @@ from stableleaf.fixedpoint import K_FIT_CAP, FixedPointData, GrowthReport
 from stableleaf.maps import MapModel
 from stableleaf.rng import SplitRng
 
+from conftest import reference_orbit
 from frame_reference import _NORMAL_MIN, IDENTITY, mat_mul, singular_values
 
 
@@ -522,7 +522,7 @@ def test_sweep_lanes_match_reference(name, block, monkeypatch):
     m, z, sched, kmax, n, seed = array_case(name)
     lanes = {}  # draw: (point, {k: values at order k})
     deferred = set()  # orders whose two-step tail norms straddle 2^-510 (for "tail-deferred": s straddles 2^-1020)
-    for o in budget_mod.sample_sweep(m, z, sched, kmax, n, seed):
+    for o in budget_mod.sample_sweep(m, build_orbit_cocycle(m, z, kmax), sched, n, seed):
         assert o.tails.shape == (o.k, len(o.draw))
         if o.k >= 3 and np.any(o.tails[:-2] < 2.0 ** -510.25) and np.any(o.tails[:-2] > 2.0 ** -510):
             deferred.add(o.k)
@@ -602,7 +602,8 @@ def _two_row_sweep(f, tails_at_3):
     F_{j,k} = 2^(k-j-1). The draw has E_k = 0.5^k, F_k = f[k], d1 = d2 = 0,
     and the tail norms 1.0, except tails_at_3 at order 3.
     """
-    def sweep(m, z, sched, kmax, n, seed):
+    def sweep(m, centre, sched, n, seed):
+        assert centre.kmax == 3
         for k in range(1, 4):
             e = np.full(2, 0.5 ** k)
             fk = np.array([2.0 ** k, f[k]])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,15 +9,15 @@ from stableleaf import (
     EpsilonSchedule,
     Point2,
     eigen_split,
-    first_tube_exit,
     make_map,
     regular_growth_check,
     verify_fixed_point_theorem,
 )
-from stableleaf.budget import reference_orbit
-from stableleaf.errors import BadParamsError, NotHyperbolicError, SpectralSlackError
+from stableleaf.budget import first_tube_exit
+from stableleaf.errors import BadParamsError, NoFixedPointError, NotHyperbolicError, SpectralSlackError
 from stableleaf.maps import MapModel
 
+from conftest import reference_orbit
 from test_budget import rotationlike_map
 
 
@@ -69,6 +70,30 @@ def test_eigen_split_rejects_non_saddle():
     )
     with pytest.raises(NotHyperbolicError):
         eigen_split(shrink, Point2(0.1, 0.1))
+
+
+def _slow_drift():
+    # (x + sign(x) |x|^(1/2000), y/2): the residual |x|^(1/2000) of x is above
+    # 0.7 wherever |x| >= 1e-300, so damped Newton steps lower it without end
+    r = 1.0 / 2000.0
+    return MapModel(
+        name="slow-drift", params={},
+        raw_eval=lambda x, y: (x + math.copysign(abs(x) ** r, x), 0.5 * y),
+        raw_jac=lambda x, y: (1.0 + r * abs(x) ** (r - 1.0), 0.0, 0.0, 0.5),
+    )
+
+
+@pytest.mark.parametrize("m, guess, message", [
+    # Dphi - I = diag(0, 1) everywhere, and (0.5, 0.1) maps to (0.5, 0.2)
+    (make_map("linear", lambda_s=1.0, lambda_u=2.0), (0.5, 0.1), "Newton matrix Dphi - I singular"),
+    # x^2 - 0.7 x + 1 = 0 has no real root: this Henon map has no fixed point,
+    # and no step damped down to 1/1024 lowers the residual
+    (make_map("henon", a=-1.0, b=0.3), (-1.0, -0.5), "Newton stalled at residual 8.776e-01 near "),
+    (_slow_drift(), (0.5, 0.0), "no fixed point to residual 1e-12 near (0.5, 0.0)"),
+], ids=["singular-newton-matrix", "stalled", "residual-above-tolerance"])
+def test_eigen_split_without_a_fixed_point(m, guess, message):
+    with pytest.raises(NoFixedPointError, match=re.escape(message)):
+        eigen_split(m, Point2(*guess))
 
 
 def test_regular_growth_linear_delta_zero(linear_map):

@@ -20,8 +20,8 @@ from stableleaf import (
     make_map,
     uniqueness_probe,
 )
-from stableleaf.budget import SAMPLE_SLACK, HyperbolicityBudget
-from stableleaf.directions import angle_distance, contracted_theta_fast, direction_field_derivative, field_lipschitz
+from stableleaf.budget import LADDER_DEPTH, SAMPLE_SLACK, HyperbolicityBudget
+from stableleaf.directions import angle_distance, contracted_theta_fast, direction_field_derivative
 from stableleaf.errors import (
     BadParamsError,
     ConformalError,
@@ -39,6 +39,8 @@ from stableleaf.leaf import (
     hull_contains,
     rk4_streamline,
 )
+
+from conftest import reference_orbit
 
 HENON_SADDLE = Point2(0.6313544770895252, 0.18940634312685756)
 
@@ -91,7 +93,9 @@ def bits(trace):
 
 
 def synthetic_budget(k0=2, kmax=8, eps0=1.0, xi_value=0.0):
+    """A budget at z = 0 whose samples, the square of half-width 4, hold every rung's square in their hull."""
     n = kmax + 1
+    square = np.array([(-4.0, -4.0), (4.0, -4.0), (4.0, 4.0), (-4.0, 4.0)])
     return HyperbolicityBudget(
         z=Point2(0, 0), kmax=kmax, n=0, seed=0, eps0=eps0,
         p=np.ones(n), q=np.ones(n), pt=np.zeros(n),
@@ -99,7 +103,7 @@ def synthetic_budget(k0=2, kmax=8, eps0=1.0, xi_value=0.0):
         fmax=np.ones(n), terms=np.zeros(kmax), xi=np.full(kmax, xi_value),
         gamma_tilde=np.zeros(n), star_terms=np.zeros(kmax),
         star_partial_sums=np.zeros(kmax - 1), k0=k0,
-        cocycle=None, samples={}, accepted_counts={},
+        cocycle=None, samples={k: square for k in range(1, n)}, accepted_counts={},
     )
 
 
@@ -133,15 +137,14 @@ def test_choose_epsilon_huge_eps_l_is_infeasible():
 
 
 def test_choose_epsilon_hull_precheck_bites(linear_map):
-    # with stored samples the tube pre-check rejects the first Gamma-feasible
-    # rung (the inflated square pokes out of the order-k0 sample hull in y);
-    # stripping the samples skips the pre-check and keeps that rung
+    # the tube pre-check rejects the first Gamma-feasible rung (the inflated
+    # square pokes out of the order-k0 sample hull in y) and keeps the next
     sched = EpsilonSchedule.constant(0.1)
     b = estimate_budget(linear_map, Point2(0, 0), sched, kmax=10, n=1000, seed=3)
     rep = check_condition_double_star(b, sched)
     eps_checked = choose_epsilon(b, rep.gamma_required, 0.0, sched)
-    b.samples = {}
-    eps_unchecked = choose_epsilon(b, rep.gamma_required, 0.0, sched)
+    rungs = [0.1 * 2.0 ** -m for m in range(LADDER_DEPTH + 1)]
+    eps_unchecked = next(eps for eps in rungs if eps * rep.gamma_required < 1.0)
     assert eps_unchecked == 0.05
     assert eps_checked == 0.025
 
@@ -193,8 +196,7 @@ def test_choose_epsilon_collinear_sample_rejects_every_rung():
 
 
 def test_choose_epsilon_empty_k0_sample_rejects_every_rung():
-    # a budget that stored samples but none at order k0 has the hull of {z}
-    # alone; only a budget with no stored samples at all skips the pre-check
+    # a budget whose order-k0 sample is empty has the hull of {z} alone
     b = synthetic_budget(eps0=1.0)
     assert choose_epsilon(b, gamma=0.0, L=0.0, sched=EpsilonSchedule.constant(1.0)) == 1.0
     b.samples = {b.k0: np.empty((0, 2)), b.k0 + 1: np.empty((0, 2))}
@@ -224,9 +226,11 @@ def test_integrate_leaf_validation(linear_map):
 
 def test_cauchy_validation(linear_map):
     sched = EpsilonSchedule.constant(0.1)
-    b = estimate_budget(linear_map, Point2(0, 0), sched, kmax=6, n=50, seed=1)
-    with pytest.raises(BadParamsError):
-        cauchy_iterate(linear_map, Point2(0, 0), b, sched, 0.01, b.k0, 1e-6, L=0.0)
+    # k0 = kmax = 2: no pair of consecutive orders to compare
+    b = estimate_budget(linear_map, Point2(0, 0), sched, kmax=2, n=50, seed=1)
+    assert b.k0 == b.kmax
+    with pytest.raises(BadParamsError, match="kmax=2 must exceed k0=2"):
+        cauchy_iterate(linear_map, b, sched, 0.01, 1e-6, L=0.0)
 
 
 def test_integrate_leaf_truncation(linear_map):
@@ -292,7 +296,7 @@ def _linear_pipeline(linear_map, kmax=10, tol=1e-8):
     coc = build_orbit_cocycle(linear_map, z, kmax)
     L = direction_field_derivative(linear_map, coc, kmax, 1e-4, budget=b)[0]
     eps = choose_epsilon(b, rep.gamma_required, L, sched)
-    conv = cauchy_iterate(linear_map, z, b, sched, eps, kmax, tol, L=L)
+    conv = cauchy_iterate(linear_map, b, sched, eps, tol, L=L)
     return b, sched, eps, conv
 
 
@@ -313,7 +317,7 @@ def test_cauchy_perturbed_gronwall(perturbed_map):
     coc = build_orbit_cocycle(perturbed_map, z, kmax)
     L = direction_field_derivative(perturbed_map, coc, kmax, 1e-4, budget=b)[0]
     eps = choose_epsilon(b, rep.gamma_required, L, sched)
-    conv = cauchy_iterate(perturbed_map, z, b, sched, eps, kmax, 1e-6, L=L)
+    conv = cauchy_iterate(perturbed_map, b, sched, eps, 1e-6, L=L)
     assert np.all(conv.d_k <= conv.gronwall_bound * SAMPLE_SLACK)
     assert np.all(np.diff(conv.d_k) < 0.0)  # strictly decreasing here
     assert all(conv.tube_ok)
@@ -328,7 +332,7 @@ def test_cauchy_henon_converges(henon_map):
     coc = build_orbit_cocycle(henon_map, z, kmax)
     L = direction_field_derivative(henon_map, coc, kmax, 1e-4, budget=b)[0]
     eps = choose_epsilon(b, rep.gamma_required, L, sched)
-    conv = cauchy_iterate(henon_map, z, b, sched, eps, kmax, 1e-8, L=L)
+    conv = cauchy_iterate(henon_map, b, sched, eps, 1e-8, L=L)
     assert conv.converged
     assert np.all(np.diff(conv.d_k) < 0.0)
     assert np.all(conv.d_k <= conv.gronwall_bound * SAMPLE_SLACK)
@@ -338,9 +342,9 @@ def test_cauchy_not_converged_carries_report(henon_map):
     z = Point2(0.6313544770895252, 0.18940634312685756)
     sched = EpsilonSchedule.constant(0.05)
     b = estimate_budget(henon_map, z, sched, kmax=6, n=300, seed=7)
-    L = field_lipschitz(henon_map, build_orbit_cocycle(henon_map, z, 6), 6)
+    L = direction_field_derivative(henon_map, build_orbit_cocycle(henon_map, z, 6), 6)[0]
     with pytest.raises(NotConvergedError) as exc:
-        cauchy_iterate(henon_map, z, b, sched, 0.01, 6, tol=1e-300, L=L)
+        cauchy_iterate(henon_map, b, sched, 0.01, tol=1e-300, L=L)
     err = exc.value
     assert err.report is not None
     assert len(err.report.d_k) == len(err.report.ks)
@@ -352,7 +356,7 @@ def test_cauchy_degenerate_leaves_not_converged(linear_map):
     sched = EpsilonSchedule.constant(0.1)
     b = estimate_budget(linear_map, Point2(0, 0), sched, kmax=6, n=50, seed=1)
     with pytest.raises(NotConvergedError) as exc:
-        cauchy_iterate(linear_map, Point2(0, 0), b, sched, 1e300, 6, 1e-8, L=0.0)
+        cauchy_iterate(linear_map, b, sched, 1e300, 1e-8, L=0.0)
     rep = exc.value.report
     assert len(rep.limit.t) == 1
     assert not rep.converged
@@ -383,7 +387,7 @@ def test_contraction_rejects_deep_n(linear_map):
 
 def test_uniqueness_probe_linear(linear_map):
     b, sched, eps, conv = _linear_pipeline(linear_map, kmax=12)
-    rep = uniqueness_probe(linear_map, Point2(0, 0), sched, conv.limit, 12, probes=150, seed=9)
+    rep = uniqueness_probe(linear_map, b, sched, conv.limit, probes=150, seed=9)
     assert rep.on_leaf_exits == 0
     assert rep.on_leaf_checked > 0
     # every probe that survives must hug the leaf; everything farther must exit
@@ -397,8 +401,7 @@ def test_uniqueness_probe_linear(linear_map):
 def test_uniqueness_probe_henon_off_leaf(henon_map):
     z = Point2(0.6313544770895252, 0.18940634312685756)
     sched = EpsilonSchedule.constant(0.05)
-    from stableleaf.budget import SAMPLE_SLACK, reference_orbit
-    from stableleaf import first_tube_exit
+    from stableleaf.budget import first_tube_exit
 
     ref = reference_orbit(henon_map, z, 12)
     leaf = integrate_leaf(henon_map, z, 10, 0.01)
@@ -526,7 +529,7 @@ def test_field_lipschitz_matches_a_ring_slope(case):
     # measured L/slope is 1.04 to 1.21 on these saddles
     m, guess, k = RING_CASES[case]
     p = eigen_split(m, Point2(*guess)).p
-    L = field_lipschitz(m, build_orbit_cocycle(m, p, k), k)
+    L = direction_field_derivative(m, build_orbit_cocycle(m, p, k), k)[0]
     th0 = contracted_theta_fast(m, p.x, p.y, k)[0]
     for r in (1e-3, 1e-4):
         slope = max(
@@ -563,7 +566,7 @@ def test_integration_error_linear_exact(linear_map):
     # a dyadic eps makes every RK4 increment of the constant field exact
     z, sched = Point2(0, 0), EpsilonSchedule.constant(0.125)
     b, _, L, eps = budget_to_epsilon(linear_map, z, sched, 10, 500, 3)
-    conv = cauchy_iterate(linear_map, z, b, sched, eps, 10, 1e-8, L=L)
+    conv = cauchy_iterate(linear_map, b, sched, eps, 1e-8, L=L)
     assert eps == 0.03125
     assert conv.integration_error == 0.0
     assert np.all(conv.d_k == 0.0)
@@ -576,7 +579,7 @@ def test_integration_error_alone_blocks_convergence(linear_map):
     assert eps == 0.025 and np.all(conv.d_k == 0.0)
     assert 0.0 < conv.integration_error < 1e-15
     with pytest.raises(NotConvergedError) as exc:
-        cauchy_iterate(linear_map, Point2(0, 0), b, sched, eps, 10, conv.integration_error, L=conv.L_used)
+        cauchy_iterate(linear_map, b, sched, eps, conv.integration_error, L=conv.L_used)
     msg = str(exc.value)
     assert f"integration error {conv.integration_error:.3e}" in msg
     assert "d_k" not in msg and "truncated" not in msg
@@ -588,7 +591,7 @@ def test_integration_error_henon(henon_map):
     z = HENON_SADDLE
     sched = EpsilonSchedule.constant(0.05)
     b, _, L, eps = budget_to_epsilon(henon_map, z, sched, 12, 800, 6)
-    conv = cauchy_iterate(henon_map, z, b, sched, eps, 12, 1e-8, L=L)
+    conv = cauchy_iterate(henon_map, b, sched, eps, 1e-8, L=L)
     fine = integrate_leaf(henon_map, z, 12, eps, h=conv.limit.h / 2)
     assert fine.steps_per_cell == 2 * conv.limit.steps_per_cell
     expected = np.max(np.hypot(conv.limit.xs - fine.xs, conv.limit.ys - fine.ys))
@@ -609,7 +612,7 @@ def test_truncated_limit_leaf_is_not_converged(linear_map):
     b, _, L, eps = budget_to_epsilon(m, z, sched, 10, 500, 3)
     assert eps == 0.025  # the strip stays inside the hull of the order-k0 sample
     with pytest.raises(NotConvergedError) as exc:
-        cauchy_iterate(m, z, b, sched, eps, 10, 1e-8, L=L)
+        cauchy_iterate(m, b, sched, eps, 1e-8, L=L)
     rep = exc.value.report
     assert np.all(rep.d_k == 0.0) and rep.integration_error < 1e-8
     assert rep.limit.truncated_pos and not rep.limit.truncated_neg
@@ -628,7 +631,7 @@ def test_half_step_leaf_stopping_short_leaves_the_error_unmeasured(linear_map):
     b, _, L, eps = budget_to_epsilon(m, z, sched, 10, 500, 3)
     assert eps == 0.025
     with pytest.raises(NotConvergedError) as exc:
-        cauchy_iterate(m, z, b, sched, eps, 10, 1e-8, L=L)
+        cauchy_iterate(m, b, sched, eps, 1e-8, L=L)
     rep = exc.value.report
     assert np.all(rep.d_k == 0.0)
     assert not rep.limit.truncated_neg and not rep.limit.truncated_pos

@@ -40,7 +40,7 @@ def run(request):
     z = Point2(float(w.cx[0]), float(w.cy[0]))
     sched = EpsilonSchedule.constant(0.05)
     b, _, L, eps = budget_to_epsilon(m, z, sched, kmax, 800, seed)
-    conv = cauchy_iterate(m, z, b, sched, eps, kmax, 1e-8, L=L)
+    conv = cauchy_iterate(m, b, sched, eps, 1e-8, L=L)
     return m, w, z, conv, b
 
 

@@ -349,6 +349,15 @@ def test_cli_failures_name_their_stage(tmp_path, capsys, argv, stage):
     assert f"numerical failure [stage: {stage}]: " in capsys.readouterr().err
 
 
+def test_cli_fixedpoint_without_a_fixed_point(tmp_path, capsys):
+    # Dphi - I = diag(0, 1) is singular: Newton cannot start, and nothing is written
+    rc = run_command(["fixedpoint", "--map", "linear", "--lambda-s", "1", "--lambda-u", "2", "--z", "0.5,0.1",
+                      "--out-dir", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err == "numerical failure [stage: eigen-split]: Newton matrix Dphi - I singular\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_epsilon_ladder_with_huge_eps_l(tmp_path, capsys):
     # eps0 = 1e300 puts eps * L far past the range of exp on the top rungs
     rc = run_command(["fixedpoint", "--map", "henon", "--a=1.7299327359653565", "--b=0.8238968049670701",

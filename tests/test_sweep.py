@@ -9,11 +9,14 @@ The three loops the sweep replaced are kept below, verbatim, as the
 reference: ``contracted_theta_fast`` (leaf tracing), ``_theta_series`` (the
 direction-field stencil, with the ``direction_field_derivative`` that used
 it) and ``build_orbit_cocycle``. The old Jacobian fallback of ``jac_xy`` and
-the old ``pushforward_contraction`` are kept the same way, except that the
-two norms the package now takes with ``norm2`` (R of the singular values and
-Ddt) call it in place of ``math.hypot``, and that ``ref_build_orbit_cocycle``
+the old ``pushforward_contraction`` are kept the same way, except that Ddt,
+which the package now takes with ``norm2``, calls it in place of
+``math.hypot``; that ``ref_contracted_theta_fast`` takes E and F from the
+reference ``singular_values``, which scales a product whose squares
+overflow, as ``ref_theta_series`` does; and that ``ref_build_orbit_cocycle``
 reads ``m.second_partials`` and an inline determinant where the deleted
-``second_derivative_data`` and ``Mat2.det`` stood. Every float is
+``second_derivative_data`` and ``Mat2.det`` stood, and raises
+NonFiniteError where that determinant overflows. Every float is
 compared bit for bit (``float.hex``), and so are the exception class and the
 escape index. The old loops raised DomainError or NonFiniteError where the
 sweep raises OrbitEscapeError(j); the reference index j is the one the old
@@ -83,10 +86,7 @@ def ref_contracted_theta_fast(m: MapModel, x: float, y: float, k: int) -> tuple[
             j21 * b + j22 * d,
         )
         x, y = ev(x, y)
-    s = a * a + b * b + c * c + d * d
-    r = norm2(a * a + c * c - b * b - d * d, 2.0 * (a * b + c * d))
-    f = math.sqrt(0.5 * (s + r))
-    e = abs(a * d - b * c) / f if f > 0.0 else 0.0
+    e, f = singular_values(Mat2(a, b, c, d))
     if f == 0.0 or 1.0 - e / f < CONFORMAL_TOL:
         raise ConformalError(f"order-{k} product conformal to round-off at ({x}, {y})")
     return _contract_angle(a, b, c, d), e, f
@@ -202,6 +202,8 @@ def ref_build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
         det = sj.a11 * sj.a22 - sj.a12 * sj.a21
         if det == 0.0 or e == 0.0:
             raise SingularStepError(f"singular one-step derivative at orbit index {j}")
+        if not math.isfinite(det):
+            raise NonFiniteError(f"det Dphi of '{m.name}' overflows at orbit index {j}")
         P[j] = f
         Q[j] = 1.0 / e
         Dd[j] = abs(det)
@@ -344,6 +346,19 @@ def _nan_hess():
     )
 
 
+def _det_overflow():
+    # (x + 1/4, y/2) with Dphi = 1e200 [[1, 1], [1, 2]] on the strip 1/2 <= x < 3/4,
+    # whose determinant overflows as inf - inf, and diag(1, 1/2) elsewhere; an
+    # orbit meets the strip at most once, so no product overflows
+    return MapModel(
+        name="det-overflow", params={},
+        raw_eval=lambda x, y: (x + 0.25, 0.5 * y),
+        raw_jac=lambda x, y: (1e200, 1e200, 1e200, 2e200) if 0.5 <= x < 0.75 else (1.0, 0.0, 0.0, 0.5),
+        raw_hess=lambda x, y: (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+        raw_det_grad=lambda x, y: (0.0, 0.0),
+    )
+
+
 MAPS = {
     "linear": lambda: make_map("linear", lambda_s=0.5, lambda_u=2.0),
     "perturbed": lambda: make_map("perturbed", lambda_s=0.5, lambda_u=2.0, c=0.05),
@@ -358,6 +373,7 @@ MAPS = {
     "swap": _swap,
     "singular-step": _singular_step,
     "nan-hess": _nan_hess,
+    "det-overflow": _det_overflow,
 }
 
 GRID = [(x, y) for x in (-0.9, -0.3, 0.0, 0.3, 0.63135, 0.9) for y in (-0.4, 0.0, 0.189, 0.4)]
@@ -375,6 +391,7 @@ SPECIAL = {
     "swap": [(0.3, 0.2)],
     "singular-step": [(-0.5, 0.2), (-0.25, 0.1), (-1.0, 0.3)],
     "nan-hess": [(-1.0, 0.2), (-0.25, 0.1), (0.5, 0.1)],
+    "det-overflow": [(0.5, 0.1), (0.0, 0.1), (-1.0, 0.2)],
 }
 
 ORDERS = (1, 2, 3, 5, 8, 12)
@@ -433,11 +450,12 @@ def theta_series(m, x, y, k):
 
 
 def point_failures(m, p, k):
-    """The first orbit index j <= k with a singular step, and the first with non-finite second partials, or None."""
+    """The first orbit index j <= k with a singular step, and the first with a non-finite det Dphi or second partials, or None."""
     orbit, steps, _ = orbit_sweep(m, p[0], p[1], k)
     steps.append(m.jac_xy(*orbit[k]))
     singular = [j for j, s in enumerate(steps) if s[0] * s[3] - s[1] * s[2] == 0.0 or singular_values(s)[0] == 0.0]
-    non_finite = [j for j, z in enumerate(orbit) if not all(math.isfinite(v) for v in m.second_partials(*z))]
+    non_finite = [j for j, (z, s) in enumerate(zip(orbit, steps)) if not math.isfinite(s[0] * s[3] - s[1] * s[2])
+                  or not all(math.isfinite(v) for v in m.second_partials(*z))]
     return (singular or [None])[0], (non_finite or [None])[0]
 
 
@@ -476,6 +494,7 @@ def test_cases_cover_every_outcome():
         ("SingularStepError", "singular-step", "z_0"), ("SingularStepError", "singular-step", "mid-orbit"),
         ("NonFiniteError", "nan-hess", "z_0"), ("NonFiniteError", "nan-hess", "mid-orbit"),
         ("SingularStepError", "nan-hess", "both, singular first"), ("NonFiniteError", "nan-hess", "both, non-finite first"),
+        ("NonFiniteError", "det-overflow", "z_0"), ("NonFiniteError", "det-overflow", "mid-orbit"),
     } | {("ok", n, None) for n in MAPS if n not in ("conformal", "near-conformal")}
     assert needed <= seen, needed - seen
 
@@ -662,11 +681,3 @@ def test_field_derivative_reports_base_point_failures():
         direction_field_derivative(m, c, 3, 1e-4)
     with pytest.raises(StencilEscapeError):
         ref_direction_field_derivative(m, c, 3, 1e-4)
-
-    # a base point whose own orbit leaves the box at step 1
-    henon = MAPS["henon"]()
-    c = build_orbit_cocycle(henon, Point2(0.1, 0.0), 3)
-    c.z0 = Point2(4.9999999, 0.0)
-    with pytest.raises(OrbitEscapeError) as exc:
-        direction_field_derivative(henon, c, 3, 1e-3)
-    assert exc.value.step == 1
