@@ -54,7 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--h", type=float, default=None, help="leaf integration step override")
+        p.add_argument("--h", type=float, default=None,
+                       help="leaf RK4 step, default eps/16 (8 cells of the grid spacing eps/128); up to the "
+                            "spacing it snaps to whole steps per cell, above it down to spacing*2^m; "
+                            "cubic Hermite output fills the nodes between step ends")
         p.add_argument("--out-dir", default=".")
         p.add_argument("--config", default=None, help="key=value file; keys map 1:1 to flags")
     return ap

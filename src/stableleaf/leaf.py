@@ -3,11 +3,14 @@
 A leaf of order k through z is the integral curve of the unit most-contracted
 direction field of the k-step derivative, parametrized by arclength on a
 uniform t-grid over [-eps, eps]. Integration is classical fixed-step RK4
-(default h = eps/128, one step per cell of the default grid) with orientation
-continuity enforced by sign-flipping the field against the previous tangent;
-leaves of consecutive orders are compared at matched arclength on a shared
-grid. The Cauchy iteration integrates the limit leaf once more at half its
-step, and the largest node deviation is its integration error.
+(default h = eps/16, one step per 8 cells of the default 257-node grid) with
+orientation continuity enforced by sign-flipping the field against the
+previous tangent; cubic Hermite dense output on the step ends' positions and
+tangents fills the nodes between them. Leaves of consecutive orders are
+compared at matched arclength on a shared grid. The Cauchy iteration
+integrates the limit leaf once more at half its step, and the largest
+deviation over all nodes, the Hermite ones included, is its integration
+error.
 
 budget_to_epsilon and iterate_to_contraction run the pipeline stages in
 order, each through staged(), which names the stage a NumericalError came from.
@@ -43,7 +46,7 @@ from .maps import MapModel, Point2
 from .rng import SplitRng
 
 DEFAULT_GRID = 257
-DEFAULT_STEP_DIV = 128  # default h = eps / 128: one RK4 step per cell of the default grid
+DEFAULT_STEP_DIV = 16  # default h = eps / 16: one RK4 step per 8 cells of the default grid
 MAX_STEPS_PER_CELL = 64  # an h asking for more RK4 steps per grid cell is refused
 TUBE_STRIDE = 4         # tube containment displaces every 4th leaf node (plus the ends)
 CONTRACTION_PAIRS = 64  # leaf point pairs sampled by the contraction check
@@ -76,9 +79,10 @@ class LeafCurve:
     grid_points: int
 
     @property
-    def steps_per_cell(self) -> int:
-        """RK4 steps per grid cell: h is snapped to a whole number of them."""
-        return round(self.eps / ((self.grid_points - 1) // 2) / self.h)
+    def steps_per_cell(self) -> float:
+        """RK4 steps per grid cell: a whole number, or 1/c where one step spans c cells."""
+        r = self.eps / ((self.grid_points - 1) // 2) / self.h
+        return float(round(r)) if r > 1.0 else r
 
     @property
     def length_neg(self) -> float:
@@ -109,31 +113,33 @@ def rk4_streamline(
     uy0: float,
     n_cells: int,
     spacing: float,
-    steps_per_cell: int,
+    steps_per_cell: float,
 ) -> tuple[list[float], list[float], list[float], bool]:
     """Trace a unit field one direction for n_cells grid cells of width spacing.
 
+    steps_per_cell is a whole number of RK4 steps per cell, or 1/c for one
+    step across c cells, where c is a power of two that divides n_cells.
     Returns per-node xs, ys, raw tangent angles, and a truncation flag. The
     field is evaluated with an orientation reference so direction fields
-    defined mod pi stay coherent along the trace. The tangent recorded at a
-    node is the k1 of the next step: the same point, with the tangent as its
-    own reference. So a cell costs 4 * steps_per_cell field calls, and the
-    trace one more for the first k1.
+    defined mod pi stay coherent along the trace. (ux0, uy0) is the field at
+    (x0, y0) and the first step's k1. The tangent at a step end is the k1 of
+    the next step: the same point, with the tangent as its own reference. So
+    a step costs 4 field calls. The c - 1 nodes between two step ends take
+    their positions and angles from the cubic Hermite on the positions and
+    tangent vectors at both ends, with no field call. A trace truncated
+    mid-step keeps the nodes up to its last completed step.
     """
+    c = max(1, round(1.0 / steps_per_cell))
+    steps = max(1, round(steps_per_cell))
     h = spacing / steps_per_cell
-    xs: list[float] = []
-    ys: list[float] = []
-    ths: list[float] = []
-    x, y = x0, y0
+    xs, ys, txs, tys = [x0], [y0], [ux0], [uy0]  # the step ends (cell ends where c = 1)
+    x, y, tx, ty = x0, y0, ux0, uy0
     sixth = h / 6.0
-    try:
-        tx, ty = fld(x, y, ux0, uy0)
-    except (ConformalError, OrbitEscapeError):
-        return xs, ys, ths, True
-    for _ in range(n_cells):
+    truncated = False
+    for _ in range(n_cells // c):
         k1x, k1y = tx, ty
         try:
-            for step in range(steps_per_cell):
+            for step in range(steps):
                 if step:
                     k1x, k1y = fld(x, y, k4x, k4y)
                 k2x, k2y = fld(x + 0.5 * h * k1x, y + 0.5 * h * k1y, k1x, k1y)
@@ -143,11 +149,40 @@ def rk4_streamline(
                 y += sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
             tx, ty = fld(x, y, k4x, k4y)
         except (ConformalError, OrbitEscapeError):
-            return xs, ys, ths, True
+            truncated = True
+            break
         xs.append(x)
         ys.append(y)
-        ths.append(math.atan2(ty, tx))
-    return xs, ys, ths, False
+        txs.append(tx)
+        tys.append(ty)
+    if c > 1:
+        xs, ys, txs, tys = _hermite_fill(xs, ys, txs, tys, c, h)
+    ths = [math.atan2(dy, dx) for dx, dy in zip(txs[1:], tys[1:])]
+    return xs[1:], ys[1:], ths, truncated
+
+
+def _hermite_fill(xs, ys, txs, tys, c, h):
+    """The step ends' positions and unit tangents, with c - 1 Hermite nodes inserted in each step.
+
+    On a step of length h from (p0, t0) to (p1, t1), the node at fraction s
+    is p0 + h01 (p1 - p0) + h (h10 t0 + h11 t1), and its tangent is parallel
+    to the Hermite derivative g01 (p1 - p0) + h (g10 t0 + g11 t1) (E. Hairer,
+    S. P. Norsett and G. Wanner, Solving Ordinary Differential Equations I,
+    2nd ed., 1993, sec. II.6). Returns the lists xs, ys, txs, tys; a step
+    end keeps its own tangent, a Hermite node gets that derivative.
+    """
+    s = np.arange(1, c) / c
+    h01, h10, h11 = s * s * (3.0 - 2.0 * s), s * (1.0 - s) * (1.0 - s), s * s * (s - 1.0)
+    g01, g10, g11 = 6.0 * s * (1.0 - s), (1.0 - s) * (1.0 - 3.0 * s), s * (3.0 * s - 2.0)
+    fine = []
+    for p, t in ((xs, txs), (ys, tys)):
+        p, t = np.array(p), np.array(t)
+        p0, dp, t0, t1 = p[:-1, None], np.diff(p)[:, None], t[:-1, None], t[1:, None]
+        fine_p = np.column_stack([p0 + h01 * dp + h * (h10 * t0 + h11 * t1), p[1:]])
+        fine_t = np.column_stack([g01 * dp + h * (g10 * t0 + g11 * t1), t[1:]])
+        fine.append(([p[0]] + fine_p.ravel().tolist(), [t[0]] + fine_t.ravel().tolist()))
+    (xs, txs), (ys, tys) = fine
+    return xs, ys, txs, tys
 
 
 def _leaf_field(m: MapModel, k: int) -> FieldFn:
@@ -170,6 +205,18 @@ def _refuse_small_step(h: float, spacing: float, most: int) -> None:
         )
 
 
+def _snap_step(h: float, spacing: float, n_cells: int) -> float:
+    """RK4 steps per grid cell for h: round(spacing / h), at least one, or 1/c for an h of c cells.
+
+    c is the largest power of two with c * spacing <= h that divides n_cells,
+    so steps end on grid nodes and every side ends on a step.
+    """
+    c = 1
+    while 2 * c * spacing <= h and n_cells % (2 * c) == 0:
+        c *= 2
+    return 1.0 / c if c > 1 else max(1, round(spacing / h))
+
+
 def integrate_leaf(
     m: MapModel,
     z: Point2,
@@ -180,12 +227,16 @@ def integrate_leaf(
 ) -> LeafCurve:
     """Integrate the order-k leaf through z to arclength eps on both sides.
 
-    grid_points must be odd (a center node plus symmetric sides). h is snapped
-    to an integer number of steps per grid cell, at least one, so steps never
-    straddle recording nodes; an h below spacing / MAX_STEPS_PER_CELL raises
-    BadParamsError. A ConformalError or OrbitEscapeError at z itself
-    propagates; mid-trace failures truncate the corresponding side and set its
-    flag.
+    grid_points must be odd (a center node plus symmetric sides). The default
+    h is eps/DEFAULT_STEP_DIV; on the default grid that is one RK4 step per 8
+    cells. h is snapped so that steps end on grid nodes: an h up to the grid
+    spacing to a whole number of steps per cell, a larger one to c cells a
+    step, c the largest power of two that fits in h and divides the cells of
+    a side (see _snap_step). The nodes between step ends come from cubic
+    Hermite dense output (see rk4_streamline). An h below spacing /
+    MAX_STEPS_PER_CELL raises BadParamsError. A ConformalError or
+    OrbitEscapeError at z itself propagates; mid-trace failures truncate the
+    corresponding side at its last completed step and set its flag.
     """
     if grid_points < 3 or grid_points % 2 == 0:
         raise BadParamsError(f"grid_points must be odd and >= 3, got {grid_points}")
@@ -197,7 +248,7 @@ def integrate_leaf(
     if h is None:
         h = eps / DEFAULT_STEP_DIV
     _refuse_small_step(h, spacing, MAX_STEPS_PER_CELL)
-    steps_per_cell = max(1, round(spacing / h))
+    steps_per_cell = _snap_step(h, spacing, n_side)
     h_eff = spacing / steps_per_cell
 
     th0, _, _ = contracted_theta_fast(m, zx, zy, k)  # raises at z itself
@@ -377,6 +428,9 @@ def cauchy_iterate(
     converges when the last comparison distance and the integration error
     are both below tol and the limit leaf reaches eps on both sides; else
     NotConvergedError names each failed condition and carries the report.
+    h defaults to integrate_leaf's eps/DEFAULT_STEP_DIV, and the half-step
+    leaf (at eps/32 by default, 4 cells a step) is compared on every grid
+    node, so the error of the Hermite fill counts in the integration error.
     An h asking for more than MAX_STEPS_PER_CELL / 2 steps per grid cell
     raises BadParamsError, since the half-step check leaf takes twice as many.
     """

@@ -30,6 +30,7 @@ class StableParameterization:
         vals, vecs = np.linalg.eig(a)
         i = int(np.argmin(np.abs(vals)))
         self.lam = float(vals[i].real)
+        self.lam_u = float(vals[1 - i].real)
         v = vecs[:, i].real / math.hypot(*vecs[:, i].real)
         xs, ys = [float(p[0]), float(v[0])], [float(p[1]), float(v[1])]
         t = np.array(hess, dtype=float).reshape(2, 3)

@@ -13,6 +13,7 @@ from stableleaf import (
     regular_growth_check,
     verify_fixed_point_theorem,
 )
+from stableleaf import leaf
 from stableleaf.budget import first_tube_exit
 from stableleaf.errors import BadParamsError, NoFixedPointError, NotHyperbolicError, SpectralSlackError
 from stableleaf.maps import MapModel
@@ -198,6 +199,24 @@ def test_theorem_henon(henon_map):
     assert rep.rate_deviation <= 0.1
     assert rep.full_length
     assert rep.converged
+
+
+def test_theorem_henon_field_calls(henon_map, monkeypatch):
+    # the benchmark's theorem-henon op at seed 2: 11 leaves of 16 RK4 steps a
+    # side (4 field calls a step, one at z) and the half-step leaf, 1,676
+    # calls; at one step per cell it took 13,348
+    calls = []
+    theta = leaf.contracted_theta_fast
+
+    def counted(*args):
+        calls.append(args)
+        return theta(*args)
+
+    monkeypatch.setattr(leaf, "contracted_theta_fast", counted)
+    fp = eigen_split(henon_map, Point2(0.6, 0.2))
+    r = verify_fixed_point_theorem(henon_map, fp, eta=0.05, kmax=12, seed=2, n=2000)
+    assert r.converged
+    assert len(calls) <= 13336 // 4
 
 
 def test_theorem_weak_hyperbolicity():

@@ -77,6 +77,42 @@ def ref_rk4_streamline(fld, x0, y0, ux0, uy0, n_cells, spacing, steps_per_cell):
     return xs, ys, ths, False
 
 
+def ref_hermite_fill(fld, x0, y0, ux0, uy0, coarse, c, h):
+    """Cubic Hermite dense output one node at a time, c nodes a step of length h: the reference fill.
+
+    coarse is a reference trace of the step ends from (x0, y0), whose tangent
+    is (ux0, uy0); each step end's tangent is the field there, oriented by its
+    recorded angle.
+    """
+    xs, ys, ths, truncated = coarse
+    fine = ([], [], [])  # xs, ys, angles
+    px, py, tx, ty = x0, y0, ux0, uy0
+    for qx, qy, th in zip(xs, ys, ths):
+        sx, sy = fld(qx, qy, math.cos(th), math.sin(th))
+        for j in range(1, c):
+            s = j / c
+            h01, h10, h11 = s * s * (3.0 - 2.0 * s), s * (1.0 - s) * (1.0 - s), s * s * (s - 1.0)
+            g01, g10, g11 = 6.0 * s * (1.0 - s), (1.0 - s) * (1.0 - 3.0 * s), s * (3.0 * s - 2.0)
+            fine[0].append(px + h01 * (qx - px) + h * (h10 * tx + h11 * sx))
+            fine[1].append(py + h01 * (qy - py) + h * (h10 * ty + h11 * sy))
+            dx = g01 * (qx - px) + h * (g10 * tx + g11 * sx)
+            dy = g01 * (qy - py) + h * (g10 * ty + g11 * sy)
+            fine[2].append(math.atan2(dy, dx))
+        for out, v in zip(fine, (qx, qy, th)):
+            out.append(v)
+        px, py, tx, ty = qx, qy, sx, sy
+    return fine + (truncated,)
+
+
+def ref_streamline(fld, x0, y0, ux0, uy0, n_cells, spacing, steps_per_cell):
+    """The reference loop at steps_per_cell >= 1; at 1/c, its steps of c cells and the reference fill."""
+    if steps_per_cell >= 1:
+        return ref_rk4_streamline(fld, x0, y0, ux0, uy0, n_cells, spacing, steps_per_cell)
+    c = round(1 / steps_per_cell)
+    coarse = ref_rk4_streamline(fld, x0, y0, ux0, uy0, n_cells // c, c * spacing, 1)
+    return ref_hermite_fill(fld, x0, y0, ux0, uy0, coarse, c, c * spacing)
+
+
 def stop_beyond(fld, x0, y0, ux, uy, s_stop):
     """fld, raising OrbitEscapeError at points more than s_stop along (ux, uy) from (x0, y0)."""
     def stopped(x, y, rux, ruy):
@@ -434,7 +470,7 @@ FIELD_CASES = {  # map, base point, order
 }
 
 
-@pytest.mark.parametrize("steps", [1, 2, 4])
+@pytest.mark.parametrize("steps", [1, 2, 4, 0.25, 0.125])
 @pytest.mark.parametrize("case", sorted(FIELD_CASES))
 def test_rk4_streamline_matches_reference(case, steps):
     m, z, k = FIELD_CASES[case]
@@ -446,26 +482,29 @@ def test_rk4_streamline_matches_reference(case, steps):
         args = (z.x, z.y, ux, uy, 24, spacing, steps)
         full = rk4_streamline(fld, *args)
         assert not full[3] and len(full[0]) == 24
-        assert bits(full) == bits(ref_rk4_streamline(fld, *args))
-        # a stop early in cell 10 makes one of its stage points fail first
+        assert bits(full) == bits(ref_streamline(fld, *args))
+        # a stop early in cell 10 makes one of its stage points fail first; a
+        # side keeps the nodes up to the last step it completed
         nodes = [(x - z.x) * ux + (y - z.y) * uy for x, y in zip(full[0], full[1])]
         cut = stop_beyond(fld, z.x, z.y, ux, uy, nodes[8] + 0.3 * (nodes[9] - nodes[8]))
         part = rk4_streamline(cut, *args)
-        assert part[3] and len(part[0]) == 9
-        assert bits(part) == bits(ref_rk4_streamline(cut, *args))
+        cells_a_step = max(1, round(1 / steps))
+        assert part[3] and len(part[0]) == 9 // cells_a_step * cells_a_step
+        assert bits(part) == bits(ref_streamline(cut, *args))
 
 
-@pytest.mark.parametrize("steps", [1, 2, 4])
+@pytest.mark.parametrize("steps", [1, 2, 4, 0.5, 0.125])
 def test_rk4_streamline_field_calls(steps):
+    # 4 calls a step: the given tangent is the first k1, and the Hermite fill calls nothing
     calls = []
 
     def counted(x, y, rux, ruy):
         calls.append((x, y))
         return (1.0, 0.0) if rux >= 0.0 else (-1.0, 0.0)
 
-    xs, _, _, truncated = rk4_streamline(counted, 0.0, 0.0, 1.0, 0.0, 5, 0.125, steps)
-    assert not truncated and len(xs) == 5
-    assert len(calls) == 4 * steps * 5 + 1
+    xs, _, _, truncated = rk4_streamline(counted, 0.0, 0.0, 1.0, 0.0, 8, 0.125, steps)
+    assert not truncated and xs == [0.125 * (i + 1) for i in range(8)]
+    assert len(calls) == 4 * steps * 8
 
 
 # sha256 of xs, ys and thetas of each leaf as integrated with h = eps/512, four
@@ -485,12 +524,30 @@ def test_fine_step_reproduces_the_old_default_leaf(case):
     assert digest == OLD_DEFAULT_LEAF_SHA256[case]
 
 
-# sha256 of xs, ys and thetas of each leaf as integrated with the default
-# h = eps/128, one RK4 step per cell, before the leaf field took Dphi^k from
-# orbit_product and theta, E and F from one set of sums
-DEFAULT_LEAF_SHA256 = {
+# sha256 of xs, ys and thetas of each leaf as integrated with h = eps/128, one
+# RK4 step per cell, the default before steps spanned 8 cells with Hermite
+# dense output between them (and before the leaf field took Dphi^k from
+# orbit_product and theta, E and F from one set of sums)
+CELL_STEP_LEAF_SHA256 = {
     "henon": "6e320c45b3a6fd9462498858b8317f3972fd57e76bae53e6d555b0ea306458fd",
     "perturbed": "064e16249f91caa08c3a4c9b1475f52c9f3ceb6dc61020bccd5070668a39d8d0",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_CASES))
+def test_cell_step_reproduces_the_former_default_leaf(case):
+    m, z, k = FIELD_CASES[case]
+    leaf = integrate_leaf(m, z, k, 0.0125, h=0.0125 / 128)
+    assert leaf.steps_per_cell == 1 and len(leaf.t) == leaf.grid_points
+    digest = hashlib.sha256(leaf.xs.tobytes() + leaf.ys.tobytes() + leaf.thetas.tobytes()).hexdigest()
+    assert digest == CELL_STEP_LEAF_SHA256[case]
+
+
+# sha256 of xs, ys and thetas of each leaf as integrated with the default
+# h = eps/16, one RK4 step per 8 cells and the Hermite fill between
+DEFAULT_LEAF_SHA256 = {
+    "henon": "fd9441c4d93b1a9ef14c5e5214f05bacc77c51a5def2de4b5e9700853fd78dbe",
+    "perturbed": "2e4c53faad274510edb9d7d41341ec084b755924233d2cb08afa32737340df9e",
 }
 
 
@@ -498,20 +555,42 @@ DEFAULT_LEAF_SHA256 = {
 def test_default_step_reproduces_the_pinned_leaf(case):
     m, z, k = FIELD_CASES[case]
     leaf = integrate_leaf(m, z, k, 0.0125)
-    assert leaf.h == 0.0125 / 128 and leaf.steps_per_cell == 1 and len(leaf.t) == leaf.grid_points
+    assert leaf.h == 0.0125 / 16 and leaf.steps_per_cell == 0.125 and len(leaf.t) == leaf.grid_points
     digest = hashlib.sha256(leaf.xs.tobytes() + leaf.ys.tobytes() + leaf.thetas.tobytes()).hexdigest()
     assert digest == DEFAULT_LEAF_SHA256[case]
 
 
 @pytest.mark.parametrize("case", sorted(FIELD_CASES))
+def test_default_leaf_is_the_reference_steps_and_fill(case):
+    # the default leaf: the reference loop at 8 cells a step, and the reference fill between
+    m, z, k = FIELD_CASES[case]
+    leaf = integrate_leaf(m, z, k, 0.0125)
+    fld = _leaf_field(m, k)
+    th0 = contracted_theta_fast(m, z.x, z.y, k)[0]
+    sides = [ref_streamline(fld, z.x, z.y, sign * math.cos(th0), sign * math.sin(th0), 128, 0.0125 / 128, 0.125)
+             for sign in (-1.0, 1.0)]
+    xs = sides[0][0][::-1] + [z.x] + sides[1][0]
+    ys = sides[0][1][::-1] + [z.y] + sides[1][1]
+    assert [v.hex() for v in xs + ys] == [v.hex() for v in leaf.xs.tolist() + leaf.ys.tolist()]
+
+
+HERMITE_ANGLE = 1e-11     # radians; measured at most 4.0e-12 (henon, k = 12)
+HERMITE_POSITION = 1e-14  # against the h = eps/512 leaf; measured at most 1.4e-15 (henon, k = 12)
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_CASES))
 def test_every_node_tangent_is_the_order_k_field(case):
-    # each recorded tangent is the order-k field at its node, not only the centre's
+    # each step end's tangent is the order-k field at its node, not only the
+    # centre's; the Hermite nodes between step ends are within the stated bounds
     m, z, kmax = FIELD_CASES[case]
     for k in (2, kmax):
         leaf = integrate_leaf(m, z, k, 0.0125)
         assert len(leaf.t) == leaf.grid_points
-        for x, y, th in zip(leaf.xs.tolist(), leaf.ys.tolist(), leaf.thetas.tolist()):
-            assert angle_distance(th, contracted_theta_fast(m, x, y, k)[0]) <= 1e-12, (k, x, y)
+        for i, (x, y, th) in enumerate(zip(leaf.xs.tolist(), leaf.ys.tolist(), leaf.thetas.tolist())):
+            bound = 1e-12 if i % 8 == 0 else HERMITE_ANGLE
+            assert angle_distance(th, contracted_theta_fast(m, x, y, k)[0]) <= bound, (k, i)
+        fine = integrate_leaf(m, z, k, 0.0125, h=0.0125 / 512)
+        assert np.max(np.hypot(leaf.xs - fine.xs, leaf.ys - fine.ys)) <= HERMITE_POSITION, k
 
 
 RING_CASES = {  # map, fixed-point guess, order
@@ -540,10 +619,17 @@ def test_field_lipschitz_matches_a_ring_slope(case):
 
 
 def test_default_step_is_one_per_cell(henon_map):
+    # the default step spans 8 cells of the default grid
+    spacing = 0.0125 / 128
     leaf = integrate_leaf(henon_map, HENON_SADDLE, 12, 0.0125)
-    assert leaf.steps_per_cell == 1 and leaf.h == 0.0125 / 128
-    # an h above the grid spacing is snapped to the spacing
-    assert integrate_leaf(henon_map, HENON_SADDLE, 12, 0.0125, h=0.01).h == leaf.h
+    assert leaf.steps_per_cell == 0.125 and leaf.h == 0.0125 / 16 == 8 * spacing
+    # an h above the spacing is snapped down to spacing * 2^m, 2^m dividing the 128 cells of a side
+    for h, cells in ((0.01, 64), (1.0, 128), (7.9 * spacing, 4), (1.9 * spacing, 1)):
+        snapped = integrate_leaf(henon_map, HENON_SADDLE, 12, 0.0125, h=h)
+        assert snapped.h == cells * spacing and snapped.steps_per_cell == 1 / cells
+        assert len(snapped.t) == snapped.grid_points
+    # 3 cells a side: no power of two above 1 divides them
+    assert integrate_leaf(henon_map, HENON_SADDLE, 12, 0.0125, h=0.0125, grid_points=7).steps_per_cell == 1
     assert integrate_leaf(henon_map, HENON_SADDLE, 12, 0.0125, h=0.0125 / 300).steps_per_cell == 2
 
 
@@ -623,11 +709,12 @@ def test_truncated_limit_leaf_is_not_converged(linear_map):
 
 
 def test_half_step_leaf_stopping_short_leaves_the_error_unmeasured(linear_map):
-    # a strip a tenth of a step wide, a quarter step past node 64: the stage
-    # points of h miss it, and those of h/2 stop in it
+    # a strip a tenth of a cell wide at node 66: the stage points of h = 8
+    # cells (every 4th node) miss it, and those of h/2 (every 2nd) stop in it,
+    # so the half-step leaf keeps its nodes up to its last step end, node 64
     z, sched = Point2(0, 0), EpsilonSchedule.constant(0.1)
     spacing = 0.025 / 128
-    m = strip_map(linear_map, 64.25 * spacing, 0.05 * spacing)
+    m = strip_map(linear_map, 66 * spacing, 0.05 * spacing)
     b, _, L, eps = budget_to_epsilon(m, z, sched, 10, 500, 3)
     assert eps == 0.025
     with pytest.raises(NotConvergedError) as exc:
@@ -637,6 +724,6 @@ def test_half_step_leaf_stopping_short_leaves_the_error_unmeasured(linear_map):
     assert not rep.limit.truncated_neg and not rep.limit.truncated_pos
     assert rep.integration_error == math.inf
     assert str(exc.value) == (
-        "the order-10 leaf's integration error inf at h=1.953e-04 is not below tol=1.000e-08 "
+        "the order-10 leaf's integration error inf at h=1.563e-03 is not below tol=1.000e-08 "
         "(the half-step leaf reaches 193 of 257 nodes)"
     )

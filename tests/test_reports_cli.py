@@ -104,15 +104,16 @@ def test_cli_converge_happy_path(tmp_path):
     for key in ("d_k", "gronwall_bound", "eps_chosen", "L_used"):
         assert key in conv
     eps = conv["eps_chosen"]
-    assert conv["steps_per_cell"] == 1 and conv["h"] == eps / 128
+    assert conv["steps_per_cell"] == 0.125 and conv["h"] == eps / 16
     assert 0.0 <= conv["integration_error"] < conv["tol"]
     assert conv["length_neg"] == conv["length_pos"] == eps
     assert conv["truncated_neg"] is False and conv["truncated_pos"] is False
 
 
-@pytest.mark.parametrize("h, steps", [("0.0125", 1), ("2.44140625e-05", 4)])
+@pytest.mark.parametrize("h, steps", [("0.0125", 1 / 128), ("1.5e-04", 1), ("2.44140625e-05", 4)])
 def test_cli_reports_the_step_used(tmp_path, h, steps):
-    # eps is 0.0125 here: an h above the grid spacing eps/128 is snapped to it
+    # eps is 0.0125 here, so the grid spacing is eps/128: an h above it is
+    # snapped down to spacing * 2^m, 2^m dividing the 128 cells of a side
     assert run_command(CONVERGE_ARGS + ["--h", h, "--out-dir", str(tmp_path)]) == 0
     conv = json.loads((tmp_path / "convergence.json").read_text())
     assert conv["eps_chosen"] == 0.0125
@@ -120,7 +121,7 @@ def test_cli_reports_the_step_used(tmp_path, h, steps):
 
 
 def test_cli_integration_error_above_tol_exits_numerical(tmp_path, capsys):
-    # the Henon limit leaf's step-doubling error is about 7e-16
+    # the Henon limit leaf's step-doubling error is about 1e-15
     args = ["converge", "--map", "henon", "--a", "1.4", "--b", "0.3",
             "--z", "0.6313544770895252,0.18940634312685756", "--eps0", "0.05",
             "--kmax", "12", "--samples", "800", "--seed", "6", "--out-dir", str(tmp_path)]
@@ -130,7 +131,7 @@ def test_cli_integration_error_above_tol_exits_numerical(tmp_path, capsys):
     assert run_command(args + ["--tol", repr(ie / 2)]) == 3
     err = capsys.readouterr().err
     assert "[stage: cauchy-iterate]" in err
-    assert f"the order-12 leaf's integration error {ie:.3e} at h=9.766e-05 is not below tol={ie / 2:.3e}" in err
+    assert f"the order-12 leaf's integration error {ie:.3e} at h=7.813e-04 is not below tol={ie / 2:.3e}" in err
     conv = json.loads((tmp_path / "convergence.json").read_text())
     assert conv["converged"] is False and conv["integration_error"] == ie
 
@@ -259,7 +260,7 @@ def test_cli_fixedpoint_subcommand(tmp_path):
     ]
     assert run_command(args) == 0
     rep = json.loads((tmp_path / "fixedpoint.json").read_text())
-    assert rep["steps_per_cell"] == 1 and rep["h"] == rep["eps"] / 128
+    assert rep["steps_per_cell"] == 0.125 and rep["h"] == rep["eps"] / 16
     assert 0.0 <= rep["integration_error"] < 1e-8
     assert rep["conclusion_1_tangency"]["tangency_error_rad"] <= 1e-6
     assert rep["conclusion_2_length"]["full_length"] is True
