@@ -315,6 +315,8 @@ def estimate_budget(
     """
     if kmax < 2:
         raise BadParamsError(f"kmax must be >= 2, got {kmax}")
+    if n < 0:
+        raise BadParamsError(f"n must be >= 0, got {n}")
 
     km1 = kmax + 1
     center = build_orbit_cocycle(m, z, kmax)

@@ -55,9 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--h", type=float, default=None,
-                       help="leaf RK4 step, default eps/16 (8 cells of the grid spacing eps/128); up to the "
-                            "spacing it snaps to whole steps per cell, above it down to spacing*2^m; "
-                            "cubic Hermite output fills the nodes between step ends")
+                       help="leaf RK4 step, default eps/16 (8 cells of the grid spacing eps/128); "
+                            "N = round(eps/h) steps a side, and dense output at every grid node")
         p.add_argument("--out-dir", default=".")
         p.add_argument("--config", default=None, help="key=value file; keys map 1:1 to flags")
     return ap

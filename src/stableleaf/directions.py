@@ -140,7 +140,8 @@ def direction_field_derivative(
 
     L_measured accumulates the FD gradient norms of theta^(1) and of the
     inter-order gap fields phi^(j), j < k, on a 4-point stencil of step h
-    (default 1e-4 * max(1, |z|)) around the cocycle base point z (the
+    (default 1e-4 * max(1, |z|); a non-positive or NaN h raises
+    BadParamsError) around the cocycle base point z (the
     telescoping decomposition of ||D theta^(k)||). The angles at z come from
     the cocycle's own products, so only the four stencil points are swept; a
     conformal product at z raises as itself. L_bound is the per-order series
@@ -156,6 +157,8 @@ def direction_field_derivative(
     x0, y0 = c.z0
     if h is None:
         h = 1e-4 * max(1.0, math.hypot(x0, y0))
+    if not h > 0.0:  # also NaN
+        raise BadParamsError(f"h must be positive, got {h}")
 
     def thetas(x, y):
         # theta_contract of Dphi^j at (x, y) for j = 1..k, from one sweep

@@ -187,6 +187,8 @@ def regular_growth_check(
     """
     if sched.decay != 1.0:
         raise BadParamsError("regular growth check requires a constant schedule eps_j = eta")
+    if n < 0:
+        raise BadParamsError(f"n must be >= 0, got {n}")
     lu = abs(fp.lambda_u)
     ls = abs(fp.lambda_s)
     d = fp.delta

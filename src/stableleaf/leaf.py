@@ -2,11 +2,12 @@
 
 A leaf of order k through z is the integral curve of the unit most-contracted
 direction field of the k-step derivative, parametrized by arclength on a
-uniform t-grid over [-eps, eps]. Integration is classical fixed-step RK4
-(default h = eps/16, one step per 8 cells of the default 257-node grid) with
-orientation continuity enforced by sign-flipping the field against the
-previous tangent; cubic Hermite dense output on the step ends' positions and
-tangents fills the nodes between them. Leaves of consecutive orders are
+uniform t-grid over [-eps, eps]. Integration is classical fixed-step RK4,
+N = round(eps/h) steps a side (default h = eps/16, so N = 16 on the default
+257-node grid), with orientation continuity enforced by sign-flipping the
+field against the previous tangent; dense output places every grid node,
+from the cubic Hermite on the step ends' positions and tangents, or the step
+end itself where a node falls on one. Leaves of consecutive orders are
 compared at matched arclength on a shared grid. The Cauchy iteration
 integrates the limit leaf once more at half its step, and the largest
 deviation over all nodes, the Hermite ones included, is its integration
@@ -80,9 +81,8 @@ class LeafCurve:
 
     @property
     def steps_per_cell(self) -> float:
-        """RK4 steps per grid cell: a whole number, or 1/c where one step spans c cells."""
-        r = self.eps / ((self.grid_points - 1) // 2) / self.h
-        return float(round(r)) if r > 1.0 else r
+        """RK4 steps per grid cell: N = round(eps / h) steps a side over its cells."""
+        return round(self.eps / self.h) / ((self.grid_points - 1) // 2)
 
     @property
     def length_neg(self) -> float:
@@ -117,36 +117,37 @@ def rk4_streamline(
 ) -> tuple[list[float], list[float], list[float], bool]:
     """Trace a unit field one direction for n_cells grid cells of width spacing.
 
-    steps_per_cell is a whole number of RK4 steps per cell, or 1/c for one
-    step across c cells, where c is a power of two that divides n_cells.
-    Returns per-node xs, ys, raw tangent angles, and a truncation flag. The
-    field is evaluated with an orientation reference so direction fields
-    defined mod pi stay coherent along the trace. (ux0, uy0) is the field at
-    (x0, y0) and the first step's k1. The tangent at a step end is the k1 of
-    the next step: the same point, with the tangent as its own reference. So
-    a step costs 4 field calls. The c - 1 nodes between two step ends take
-    their positions and angles from the cubic Hermite on the positions and
-    tangent vectors at both ends, with no field call. A trace truncated
-    mid-step keeps the nodes up to its last completed step.
+    The trace takes N = round(n_cells * steps_per_cell) RK4 steps, at least
+    one, of length h = spacing / steps_per_cell. Returns per-node xs, ys, raw
+    tangent angles, and a truncation flag. The field is evaluated with an
+    orientation reference so direction fields defined mod pi stay coherent
+    along the trace. (ux0, uy0) is the field at (x0, y0) and the first step's
+    k1. The tangent at a step end is the k1 of the next step: the same point,
+    with the tangent as its own reference. So a step costs 4 field calls.
+
+    Dense output places every grid node, with no field call: node i lies in
+    step i*N // n_cells at fraction s = (i*N mod n_cells) / n_cells. A node
+    at s = 0 is that step end, position and tangent. Elsewhere, on the step
+    from (p0, t0) to (p1, t1), the node is the cubic Hermite
+    p0 + h01 (p1 - p0) + h (h10 t0 + h11 t1), and its tangent is parallel to
+    the Hermite derivative g01 (p1 - p0) + h (g10 t0 + g11 t1) (E. Hairer,
+    S. P. Norsett and G. Wanner, Solving Ordinary Differential Equations I,
+    2nd ed., 1993, sec. II.6). A trace truncated mid-step keeps the nodes up
+    to its last completed step.
     """
-    c = max(1, round(1.0 / steps_per_cell))
-    steps = max(1, round(steps_per_cell))
+    n_steps = max(1, round(n_cells * steps_per_cell))
     h = spacing / steps_per_cell
-    xs, ys, txs, tys = [x0], [y0], [ux0], [uy0]  # the step ends (cell ends where c = 1)
+    xs, ys, txs, tys = [x0], [y0], [ux0], [uy0]  # the step ends
     x, y, tx, ty = x0, y0, ux0, uy0
     sixth = h / 6.0
     truncated = False
-    for _ in range(n_cells // c):
-        k1x, k1y = tx, ty
+    for _ in range(n_steps):
         try:
-            for step in range(steps):
-                if step:
-                    k1x, k1y = fld(x, y, k4x, k4y)
-                k2x, k2y = fld(x + 0.5 * h * k1x, y + 0.5 * h * k1y, k1x, k1y)
-                k3x, k3y = fld(x + 0.5 * h * k2x, y + 0.5 * h * k2y, k2x, k2y)
-                k4x, k4y = fld(x + h * k3x, y + h * k3y, k3x, k3y)
-                x += sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
-                y += sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
+            k2x, k2y = fld(x + 0.5 * h * tx, y + 0.5 * h * ty, tx, ty)
+            k3x, k3y = fld(x + 0.5 * h * k2x, y + 0.5 * h * k2y, k2x, k2y)
+            k4x, k4y = fld(x + h * k3x, y + h * k3y, k3x, k3y)
+            x += sixth * (tx + 2.0 * (k2x + k3x) + k4x)
+            y += sixth * (ty + 2.0 * (k2y + k3y) + k4y)
             tx, ty = fld(x, y, k4x, k4y)
         except (ConformalError, OrbitEscapeError):
             truncated = True
@@ -155,34 +156,20 @@ def rk4_streamline(
         ys.append(y)
         txs.append(tx)
         tys.append(ty)
-    if c > 1:
-        xs, ys, txs, tys = _hermite_fill(xs, ys, txs, tys, c, h)
-    ths = [math.atan2(dy, dx) for dx, dy in zip(txs[1:], tys[1:])]
-    return xs[1:], ys[1:], ths, truncated
 
-
-def _hermite_fill(xs, ys, txs, tys, c, h):
-    """The step ends' positions and unit tangents, with c - 1 Hermite nodes inserted in each step.
-
-    On a step of length h from (p0, t0) to (p1, t1), the node at fraction s
-    is p0 + h01 (p1 - p0) + h (h10 t0 + h11 t1), and its tangent is parallel
-    to the Hermite derivative g01 (p1 - p0) + h (g10 t0 + g11 t1) (E. Hairer,
-    S. P. Norsett and G. Wanner, Solving Ordinary Differential Equations I,
-    2nd ed., 1993, sec. II.6). Returns the lists xs, ys, txs, tys; a step
-    end keeps its own tangent, a Hermite node gets that derivative.
-    """
-    s = np.arange(1, c) / c
+    # the nodes i with i*N <= (steps completed) * n_cells, each in step i*N // n_cells
+    step, r = np.divmod(np.arange(1, (len(xs) - 1) * n_cells // n_steps + 1) * n_steps, n_cells)
+    inner = r > 0
+    s, j = r[inner] / n_cells, step[inner]
     h01, h10, h11 = s * s * (3.0 - 2.0 * s), s * (1.0 - s) * (1.0 - s), s * s * (s - 1.0)
     g01, g10, g11 = 6.0 * s * (1.0 - s), (1.0 - s) * (1.0 - 3.0 * s), s * (3.0 * s - 2.0)
-    fine = []
-    for p, t in ((xs, txs), (ys, tys)):
-        p, t = np.array(p), np.array(t)
-        p0, dp, t0, t1 = p[:-1, None], np.diff(p)[:, None], t[:-1, None], t[1:, None]
-        fine_p = np.column_stack([p0 + h01 * dp + h * (h10 * t0 + h11 * t1), p[1:]])
-        fine_t = np.column_stack([g01 * dp + h * (g10 * t0 + g11 * t1), t[1:]])
-        fine.append(([p[0]] + fine_p.ravel().tolist(), [t[0]] + fine_t.ravel().tolist()))
-    (xs, txs), (ys, tys) = fine
-    return xs, ys, txs, tys
+    p, t = np.array([xs, ys]), np.array([txs, tys])
+    node_p, node_t = p[:, step], t[:, step]
+    dp, t0, t1 = p[:, j + 1] - p[:, j], t[:, j], t[:, j + 1]
+    node_p[:, inner] = p[:, j] + h01 * dp + h * (h10 * t0 + h11 * t1)
+    node_t[:, inner] = g01 * dp + h * (g10 * t0 + g11 * t1)
+    (xs, ys), (txs, tys) = node_p.tolist(), node_t.tolist()
+    return xs, ys, [math.atan2(dy, dx) for dx, dy in zip(txs, tys)], truncated
 
 
 def _leaf_field(m: MapModel, k: int) -> FieldFn:
@@ -197,24 +184,14 @@ def _leaf_field(m: MapModel, k: int) -> FieldFn:
 
 
 def _refuse_small_step(h: float, spacing: float, most: int) -> None:
-    """BadParamsError where h asks for more than most RK4 steps per grid cell of width spacing."""
+    """BadParamsError where h is not positive or asks for more than most RK4 steps per grid cell of width spacing."""
+    if not h > 0.0:  # also NaN
+        raise BadParamsError(f"h must be positive, got {h}")
     if not spacing / h <= most:  # also where spacing / h is inf or NaN
         raise BadParamsError(
             f"h={h:.6g} asks for more than {most} RK4 steps per grid cell of width {spacing:.6g}; "
             f"the smallest h allowed is {spacing / most!r}"
         )
-
-
-def _snap_step(h: float, spacing: float, n_cells: int) -> float:
-    """RK4 steps per grid cell for h: round(spacing / h), at least one, or 1/c for an h of c cells.
-
-    c is the largest power of two with c * spacing <= h that divides n_cells,
-    so steps end on grid nodes and every side ends on a step.
-    """
-    c = 1
-    while 2 * c * spacing <= h and n_cells % (2 * c) == 0:
-        c *= 2
-    return 1.0 / c if c > 1 else max(1, round(spacing / h))
 
 
 def integrate_leaf(
@@ -229,12 +206,10 @@ def integrate_leaf(
 
     grid_points must be odd (a center node plus symmetric sides). The default
     h is eps/DEFAULT_STEP_DIV; on the default grid that is one RK4 step per 8
-    cells. h is snapped so that steps end on grid nodes: an h up to the grid
-    spacing to a whole number of steps per cell, a larger one to c cells a
-    step, c the largest power of two that fits in h and divides the cells of
-    a side (see _snap_step). The nodes between step ends come from cubic
-    Hermite dense output (see rk4_streamline). An h below spacing /
-    MAX_STEPS_PER_CELL raises BadParamsError. A ConformalError or
+    cells. Each side takes N = max(1, round(eps / h)) steps of length eps / N
+    (an h = inf takes one), and dense output places every grid node (see
+    rk4_streamline). An h that is not positive, or below spacing /
+    MAX_STEPS_PER_CELL, raises BadParamsError. A ConformalError or
     OrbitEscapeError at z itself propagates; mid-trace failures truncate the
     corresponding side at its last completed step and set its flag.
     """
@@ -248,7 +223,7 @@ def integrate_leaf(
     if h is None:
         h = eps / DEFAULT_STEP_DIV
     _refuse_small_step(h, spacing, MAX_STEPS_PER_CELL)
-    steps_per_cell = _snap_step(h, spacing, n_side)
+    steps_per_cell = max(1, round(eps / h)) / n_side
     h_eff = spacing / steps_per_cell
 
     th0, _, _ = contracted_theta_fast(m, zx, zy, k)  # raises at z itself
@@ -428,11 +403,12 @@ def cauchy_iterate(
     converges when the last comparison distance and the integration error
     are both below tol and the limit leaf reaches eps on both sides; else
     NotConvergedError names each failed condition and carries the report.
-    h defaults to integrate_leaf's eps/DEFAULT_STEP_DIV, and the half-step
-    leaf (at eps/32 by default, 4 cells a step) is compared on every grid
-    node, so the error of the Hermite fill counts in the integration error.
-    An h asking for more than MAX_STEPS_PER_CELL / 2 steps per grid cell
-    raises BadParamsError, since the half-step check leaf takes twice as many.
+    h defaults to integrate_leaf's eps/DEFAULT_STEP_DIV. The half-step leaf
+    takes exactly twice the limit leaf's N steps a side (eps/32 by default)
+    and is compared on every grid node, so the error of the dense output
+    counts in the integration error. An h that is not positive, or that asks
+    for more than MAX_STEPS_PER_CELL / 2 steps per grid cell, raises
+    BadParamsError, since the half-step check leaf takes twice as many.
     """
     if b.k0 is None:
         raise NoFeasibleEpsilonError("budget has no k0")
@@ -528,8 +504,8 @@ def contraction_check(
     round-off injected along the orbit amplifies in the expanded direction and
     floors the ratios of narrowly separated pairs first.
     """
-    if n > b.kmax:
-        raise BadParamsError(f"n={n} exceeds the budget range kmax={b.kmax}")
+    if not 0 <= n <= b.kmax:
+        raise BadParamsError(f"n={n} is outside the budget range 0..kmax={b.kmax}")
     rng = SplitRng(seed).substream(_PAIR_STREAM)
     npts = len(leaf.t)
     if npts < 2:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,12 @@ def test_schedule_validation():
         EpsilonSchedule(0.1, 0.0)
     with pytest.raises(BadParamsError):
         EpsilonSchedule(-1.0, 0.5)
+
+
+def test_budget_refuses_a_negative_n(linear_map):
+    for n in (-1, -5):
+        with pytest.raises(BadParamsError, match=re.escape(f"n must be >= 0, got {n}") + "$"):
+            estimate_budget(linear_map, Point2(0, 0), EpsilonSchedule.constant(0.1), kmax=4, n=n, seed=1)
 
 
 def test_sample_k1_accepts_all(linear_map):

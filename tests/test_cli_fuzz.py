@@ -35,12 +35,14 @@ def eigenvalue(draw, lo: float, hi: float) -> str:
 
 
 def step(draw, eps0: str) -> str:
-    """An --h flag value: one whose ratio to the grid spacing overflows, a tiny one, inf, or
-    the smallest h integrate_leaf or the step-doubling check allows at eps = eps0, or a float beside it."""
+    """An --h flag value: one whose ratio to the grid spacing overflows, a tiny one, inf, the
+    smallest h integrate_leaf or the step-doubling check allows at eps = eps0, a float beside it,
+    or one between the smallest h and eps0 whose ratio to the spacing is not a power of two."""
     spacing = float(eps0) / 128  # the default grid at the top of the epsilon ladder
     least = draw(st.sampled_from((spacing / 64, spacing / 32)))
     near = (math.nextafter(least, 0.0), least, math.nextafter(least, math.inf))
-    return repr(draw(st.sampled_from((1e-320, 1e-12, math.inf) + near)))
+    ratio = draw(st.floats(1 / 32, 128).filter(lambda r: math.frexp(r)[0] != 0.5))
+    return repr(draw(st.sampled_from((1e-320, 1e-12, math.inf, ratio * spacing) + near)))
 
 
 @st.composite

@@ -169,6 +169,13 @@ def test_regular_growth_requires_constant_schedule(linear_map):
         regular_growth_check(linear_map, fp, EpsilonSchedule(0.1, 0.5), kmax=6, n=50, seed=1)
 
 
+def test_regular_growth_refuses_a_negative_n(linear_map):
+    fp = eigen_split(linear_map, Point2(0, 0))
+    for n in (-1, -5):
+        with pytest.raises(BadParamsError, match=re.escape(f"n must be >= 0, got {n}") + "$"):
+            regular_growth_check(linear_map, fp, EpsilonSchedule.constant(0.1), kmax=6, n=n, seed=1)
+
+
 def test_theorem_linear_exact(linear_map):
     fp = eigen_split(linear_map, Point2(0.2, 0.1))
     rep = verify_fixed_point_theorem(linear_map, fp, eta=0.1, kmax=12, seed=21, n=500)

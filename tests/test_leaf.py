@@ -31,6 +31,7 @@ from stableleaf.errors import (
     NumericalError,
     OrbitEscapeError,
 )
+import stableleaf.leaf as leaf_mod
 from stableleaf.leaf import (
     MAX_STEPS_PER_CELL,
     _leaf_field,
@@ -77,40 +78,45 @@ def ref_rk4_streamline(fld, x0, y0, ux0, uy0, n_cells, spacing, steps_per_cell):
     return xs, ys, ths, False
 
 
-def ref_hermite_fill(fld, x0, y0, ux0, uy0, coarse, c, h):
-    """Cubic Hermite dense output one node at a time, c nodes a step of length h: the reference fill.
+def ref_dense_output(fld, x0, y0, ux0, uy0, ends, n_cells, n_steps, h):
+    """Dense output one grid node at a time: the reference.
 
-    coarse is a reference trace of the step ends from (x0, y0), whose tangent
-    is (ux0, uy0); each step end's tangent is the field there, oriented by its
-    recorded angle.
+    ends is a reference trace of n_steps steps of length h from (x0, y0),
+    whose tangent is (ux0, uy0); each step end's tangent is the field there,
+    oriented by its recorded angle. Node i of n_cells lies in step
+    i * n_steps // n_cells at fraction s = (i * n_steps % n_cells) / n_cells:
+    the step end where s = 0, else the cubic Hermite on the step's two ends.
+    A node past the last step end of a truncated trace is left out.
     """
-    xs, ys, ths, truncated = coarse
+    xs, ys, ths, truncated = ends
+    pts = [(x0, y0, ux0, uy0, math.atan2(uy0, ux0))]
+    pts += [(x, y, *fld(x, y, math.cos(th), math.sin(th)), th) for x, y, th in zip(xs, ys, ths)]
     fine = ([], [], [])  # xs, ys, angles
-    px, py, tx, ty = x0, y0, ux0, uy0
-    for qx, qy, th in zip(xs, ys, ths):
-        sx, sy = fld(qx, qy, math.cos(th), math.sin(th))
-        for j in range(1, c):
-            s = j / c
+    for i in range(1, n_cells + 1):
+        j, r = divmod(i * n_steps, n_cells)
+        if j + (r > 0) >= len(pts):
+            break
+        px, py, tx, ty, th = pts[j]
+        if r > 0:
+            qx, qy, sx, sy, _ = pts[j + 1]
+            s = r / n_cells
             h01, h10, h11 = s * s * (3.0 - 2.0 * s), s * (1.0 - s) * (1.0 - s), s * s * (s - 1.0)
             g01, g10, g11 = 6.0 * s * (1.0 - s), (1.0 - s) * (1.0 - 3.0 * s), s * (3.0 * s - 2.0)
-            fine[0].append(px + h01 * (qx - px) + h * (h10 * tx + h11 * sx))
-            fine[1].append(py + h01 * (qy - py) + h * (h10 * ty + h11 * sy))
             dx = g01 * (qx - px) + h * (g10 * tx + g11 * sx)
             dy = g01 * (qy - py) + h * (g10 * ty + g11 * sy)
-            fine[2].append(math.atan2(dy, dx))
-        for out, v in zip(fine, (qx, qy, th)):
+            px, py, th = (px + h01 * (qx - px) + h * (h10 * tx + h11 * sx),
+                          py + h01 * (qy - py) + h * (h10 * ty + h11 * sy), math.atan2(dy, dx))
+        for out, v in zip(fine, (px, py, th)):
             out.append(v)
-        px, py, tx, ty = qx, qy, sx, sy
     return fine + (truncated,)
 
 
 def ref_streamline(fld, x0, y0, ux0, uy0, n_cells, spacing, steps_per_cell):
-    """The reference loop at steps_per_cell >= 1; at 1/c, its steps of c cells and the reference fill."""
-    if steps_per_cell >= 1:
-        return ref_rk4_streamline(fld, x0, y0, ux0, uy0, n_cells, spacing, steps_per_cell)
-    c = round(1 / steps_per_cell)
-    coarse = ref_rk4_streamline(fld, x0, y0, ux0, uy0, n_cells // c, c * spacing, 1)
-    return ref_hermite_fill(fld, x0, y0, ux0, uy0, coarse, c, c * spacing)
+    """The reference loop's N = round(n_cells * steps_per_cell) steps, and the reference dense output."""
+    n_steps = max(1, round(n_cells * steps_per_cell))
+    h = spacing / steps_per_cell
+    ends = ref_rk4_streamline(fld, x0, y0, ux0, uy0, n_steps, h, 1)
+    return ref_dense_output(fld, x0, y0, ux0, uy0, ends, n_cells, n_steps, h)
 
 
 def stop_beyond(fld, x0, y0, ux, uy, s_stop):
@@ -421,6 +427,13 @@ def test_contraction_rejects_deep_n(linear_map):
         contraction_check(linear_map, conv.limit, b, n=b.kmax + 1, seed=1)
 
 
+def test_contraction_check_refuses_a_negative_n(linear_map):
+    b, sched, eps, conv = _linear_pipeline(linear_map)
+    for n in (-1, -5):
+        with pytest.raises(BadParamsError, match=re.escape(f"n={n} is outside the budget range 0..kmax=10")):
+            contraction_check(linear_map, conv.limit, b, n=n, seed=0)
+
+
 def test_uniqueness_probe_linear(linear_map):
     b, sched, eps, conv = _linear_pipeline(linear_map, kmax=12)
     rep = uniqueness_probe(linear_map, b, sched, conv.limit, probes=150, seed=9)
@@ -505,6 +518,55 @@ def test_rk4_streamline_field_calls(steps):
     xs, _, _, truncated = rk4_streamline(counted, 0.0, 0.0, 1.0, 0.0, 8, 0.125, steps)
     assert not truncated and xs == [0.125 * (i + 1) for i in range(8)]
     assert len(calls) == 4 * steps * 8
+
+
+@pytest.mark.parametrize("n_cells, n_steps", [(128, 9), (128, 83), (128, 300), (3, 1), (3, 2)])
+@pytest.mark.parametrize("case", sorted(FIELD_CASES))
+def test_dense_output_matches_reference(case, n_cells, n_steps):
+    # N steps a side whose ends fall between grid nodes, nodes that fall
+    # between them, and the 7-node grid's 3 cells a side at N = 1 and 2
+    m, z, k = FIELD_CASES[case]
+    fld = _leaf_field(m, k)
+    th0 = contracted_theta_fast(m, z.x, z.y, k)[0]
+    spacing, h = 0.0125 / n_cells, 0.0125 / n_steps
+    for sign in (1.0, -1.0):
+        ux, uy = sign * math.cos(th0), sign * math.sin(th0)
+        args = (z.x, z.y, ux, uy, n_cells, spacing, n_steps / n_cells)
+        full = rk4_streamline(fld, *args)
+        assert not full[3] and len(full[0]) == n_cells
+        assert bits(full) == bits(ref_streamline(fld, *args))
+        # a stop 0.3 into step N//2 + 1 meets its first stage point, so the side
+        # keeps the nodes up to step end N//2, none of the step it left unfinished
+        cut = stop_beyond(fld, z.x, z.y, ux, uy, (n_steps // 2 + 0.3) * h)
+        part = rk4_streamline(cut, *args)
+        assert part[3] and len(part[0]) == n_steps // 2 * n_cells // n_steps
+        assert bits(part) == bits(ref_streamline(cut, *args))
+
+
+@pytest.mark.parametrize("n_steps", [9, 83, 300])
+def test_half_step_leaf_takes_twice_the_steps(monkeypatch, henon_map, n_steps):
+    # one field call at z and 4 a step on each side: the limit leaf takes N
+    # steps a side, and the half-step leaf of its integration error 2N
+    z, sched = HENON_SADDLE, EpsilonSchedule.constant(0.05)
+    b, _, L, eps = budget_to_epsilon(henon_map, z, sched, 12, 800, 6)
+    calls, made = [], []
+
+    def counted(*args):
+        calls.append(args)
+        return contracted_theta_fast(*args)
+
+    def recorded(*args, **kw):
+        before = len(calls)
+        leaf = integrate_leaf(*args, **kw)
+        made.append((round(leaf.eps / leaf.h), len(calls) - before))
+        return leaf
+
+    monkeypatch.setattr(leaf_mod, "contracted_theta_fast", counted)
+    monkeypatch.setattr(leaf_mod, "integrate_leaf", recorded)
+    conv = cauchy_iterate(henon_map, b, sched, eps, 1e-8, L=L, h=eps / n_steps)
+    assert made[-2:] == [(n_steps, 1 + 8 * n_steps), (2 * n_steps, 1 + 16 * n_steps)]
+    assert conv.limit.steps_per_cell == n_steps / 128
+    assert 0.0 < conv.integration_error < 1e-13
 
 
 # sha256 of xs, ys and thetas of each leaf as integrated with h = eps/512, four
@@ -623,14 +685,16 @@ def test_default_step_is_one_per_cell(henon_map):
     spacing = 0.0125 / 128
     leaf = integrate_leaf(henon_map, HENON_SADDLE, 12, 0.0125)
     assert leaf.steps_per_cell == 0.125 and leaf.h == 0.0125 / 16 == 8 * spacing
-    # an h above the spacing is snapped down to spacing * 2^m, 2^m dividing the 128 cells of a side
-    for h, cells in ((0.01, 64), (1.0, 128), (7.9 * spacing, 4), (1.9 * spacing, 1)):
-        snapped = integrate_leaf(henon_map, HENON_SADDLE, 12, 0.0125, h=h)
-        assert snapped.h == cells * spacing and snapped.steps_per_cell == 1 / cells
-        assert len(snapped.t) == snapped.grid_points
-    # 3 cells a side: no power of two above 1 divides them
-    assert integrate_leaf(henon_map, HENON_SADDLE, 12, 0.0125, h=0.0125, grid_points=7).steps_per_cell == 1
-    assert integrate_leaf(henon_map, HENON_SADDLE, 12, 0.0125, h=0.0125 / 300).steps_per_cell == 2
+    # any other h takes N = round(eps / h) steps a side, at least one; a step
+    # need not end on a grid node, nor the grid on a step end
+    for h, n_steps in ((0.01, 1), (0.007, 2), (1.0, 1), (math.inf, 1), (7.9 * spacing, 16), (3 * spacing, 43),
+                       (1.9 * spacing, 67), (1.5e-4, 83), (0.0125 / 300, 300)):
+        leaf = integrate_leaf(henon_map, HENON_SADDLE, 12, 0.0125, h=h)
+        assert leaf.steps_per_cell == n_steps / 128 and leaf.h == spacing / (n_steps / 128)
+        assert round(0.0125 / leaf.h) == n_steps and len(leaf.t) == leaf.grid_points
+    # 3 cells a side: one step a side spans all three
+    leaf = integrate_leaf(henon_map, HENON_SADDLE, 12, 0.0125, h=0.0125, grid_points=7)
+    assert leaf.steps_per_cell == 1 / 3 and round(0.0125 / leaf.h) == 1 and len(leaf.t) == 7
 
 
 def test_step_count_per_cell_is_bounded(henon_map):
@@ -643,6 +707,27 @@ def test_step_count_per_cell_is_bounded(henon_map):
     for h in (math.nextafter(least, 0.0), 1e-12, 1e-320, 5e-324):
         with pytest.raises(BadParamsError, match=re.escape(f"the smallest h allowed is {least!r}") + "$"):
             integrate_leaf(henon_map, HENON_SADDLE, 6, 0.0125, h=h, grid_points=9)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan])
+def test_integrate_leaf_refuses_a_step_that_is_not_positive(henon_map, h):
+    with pytest.raises(BadParamsError, match=re.escape(f"h must be positive, got {h}") + "$"):
+        integrate_leaf(henon_map, HENON_SADDLE, 6, 0.0125, h=h)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan])
+def test_cauchy_iterate_refuses_a_step_that_is_not_positive(linear_map, h):
+    z, sched = Point2(0, 0), EpsilonSchedule.constant(0.1)
+    b, _, L, eps = budget_to_epsilon(linear_map, z, sched, 10, 500, 3)
+    with pytest.raises(BadParamsError, match=re.escape(f"h must be positive, got {h}") + "$"):
+        cauchy_iterate(linear_map, b, sched, eps, 1e-8, L=L, h=h)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan])
+def test_field_derivative_refuses_a_step_that_is_not_positive(henon_map, h):
+    coc = build_orbit_cocycle(henon_map, HENON_SADDLE, 6)
+    with pytest.raises(BadParamsError, match=re.escape(f"h must be positive, got {h}") + "$"):
+        direction_field_derivative(henon_map, coc, 6, h)
 
 
 # -- the integration error and the convergence conditions ---------------------

@@ -110,10 +110,10 @@ def test_cli_converge_happy_path(tmp_path):
     assert conv["truncated_neg"] is False and conv["truncated_pos"] is False
 
 
-@pytest.mark.parametrize("h, steps", [("0.0125", 1 / 128), ("1.5e-04", 1), ("2.44140625e-05", 4)])
+@pytest.mark.parametrize("h, steps", [("0.0125", 1 / 128), ("1.5e-04", 83 / 128), ("2.44140625e-05", 4)])
 def test_cli_reports_the_step_used(tmp_path, h, steps):
-    # eps is 0.0125 here, so the grid spacing is eps/128: an h above it is
-    # snapped down to spacing * 2^m, 2^m dividing the 128 cells of a side
+    # eps is 0.0125 here, so the grid spacing is eps/128: h takes
+    # N = round(eps / h) steps a side over its 128 cells (83 for h = 1.5e-4)
     assert run_command(CONVERGE_ARGS + ["--h", h, "--out-dir", str(tmp_path)]) == 0
     conv = json.loads((tmp_path / "convergence.json").read_text())
     assert conv["eps_chosen"] == 0.0125
