@@ -117,15 +117,10 @@ def tube_exits(
     lane = np.flatnonzero(out < 0)
     x, y = x[lane], y[lane]
     for j in range(1, jmax + 1):
-        # eval_xy's checks: x, y finite (NaN or inf fails the box) and in the domain, image finite
-        at = np.flatnonzero(m.in_domain_lanes(x, y))
-        nx, ny = apply_lanes(m.raw_eval, x[at], y[at], 2)
-        inside = np.isfinite(nx) & np.isfinite(ny)
+        nx, ny, inside = m.eval_lanes(x, y)
         inside[inside] = ~_tube_miss(j, nx[inside], ny[inside], ref_orbit, sched)
-        gone = np.ones(len(lane), dtype=bool)
-        gone[at[inside]] = False
-        out[lane[gone]] = j
-        lane, x, y = lane[~gone], nx[inside], ny[inside]
+        out[lane[~inside]] = j
+        lane, x, y = lane[inside], nx[inside], ny[inside]
     return out
 
 

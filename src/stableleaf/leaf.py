@@ -19,6 +19,7 @@ order, each through staged(), which names the stage a NumericalError came from.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -27,6 +28,7 @@ import numpy as np
 
 from .budget import (
     LADDER_DEPTH,
+    SAMPLE_BLOCK,
     EpsilonSchedule,
     HyperbolicityBudget,
     check_condition_double_star,
@@ -39,6 +41,7 @@ from .errors import (
     ConformalError,
     DegenerateLeafError,
     NoFeasibleEpsilonError,
+    NonFiniteError,
     NotConvergedError,
     NumericalError,
     OrbitEscapeError,
@@ -105,6 +108,25 @@ class LeafCurve:
 FieldFn = Callable[[float, float, float, float], tuple[float, float]]
 
 
+@functools.lru_cache(maxsize=64)
+def _dense_layout(n_steps: int, n_cells: int) -> tuple:
+    """Read-only (step, inner, j, weights) of nodes 1..n_cells of an N = n_steps side.
+
+    Node i lies in step i*N // n_cells; inner marks the nodes inside a step,
+    j holds their steps and the rows of weights their h01, h10, h11, g01,
+    g10 and g11 (see rk4_streamline).
+    """
+    step, r = np.divmod(np.arange(1, n_cells + 1) * n_steps, n_cells)
+    inner = r > 0
+    s, j = r[inner] / n_cells, step[inner]
+    h01, h10, h11 = s * s * (3.0 - 2.0 * s), s * (1.0 - s) * (1.0 - s), s * s * (s - 1.0)
+    g01, g10, g11 = 6.0 * s * (1.0 - s), (1.0 - s) * (1.0 - 3.0 * s), s * (3.0 * s - 2.0)
+    weights = np.array([h01, h10, h11, g01, g10, g11])
+    for a in (step, inner, j, weights):
+        a.flags.writeable = False
+    return step, inner, j, weights
+
+
 def rk4_streamline(
     fld: FieldFn,
     x0: float,
@@ -133,7 +155,8 @@ def rk4_streamline(
     the Hermite derivative g01 (p1 - p0) + h (g10 t0 + g11 t1) (E. Hairer,
     S. P. Norsett and G. Wanner, Solving Ordinary Differential Equations I,
     2nd ed., 1993, sec. II.6). A trace truncated mid-step keeps the nodes up
-    to its last completed step.
+    to its last completed step. _dense_layout caches the layout and weights
+    per (N, n_cells).
     """
     n_steps = max(1, round(n_cells * steps_per_cell))
     h = spacing / steps_per_cell
@@ -157,12 +180,11 @@ def rk4_streamline(
         txs.append(tx)
         tys.append(ty)
 
-    # the nodes i with i*N <= (steps completed) * n_cells, each in step i*N // n_cells
-    step, r = np.divmod(np.arange(1, (len(xs) - 1) * n_cells // n_steps + 1) * n_steps, n_cells)
-    inner = r > 0
-    s, j = r[inner] / n_cells, step[inner]
-    h01, h10, h11 = s * s * (3.0 - 2.0 * s), s * (1.0 - s) * (1.0 - s), s * s * (s - 1.0)
-    g01, g10, g11 = 6.0 * s * (1.0 - s), (1.0 - s) * (1.0 - 3.0 * s), s * (3.0 * s - 2.0)
+    # the nodes i with i*N <= (steps completed) * n_cells, a prefix of the layout
+    step, inner, j, w = _dense_layout(n_steps, n_cells)
+    reached = (len(xs) - 1) * n_cells // n_steps
+    q = np.count_nonzero(inner[:reached])
+    step, inner, j, (h01, h10, h11, g01, g10, g11) = step[:reached], inner[:reached], j[:q], w[:, :q]
     p, t = np.array([xs, ys]), np.array([txs, tys])
     node_p, node_t = p[:, step], t[:, step]
     dp, t0, t1 = p[:, j + 1] - p[:, j], t[:, j], t[:, j + 1]
@@ -263,9 +285,10 @@ def convex_hull_halfplanes(points) -> np.ndarray:
     Andrew's monotone chain (A. M. Andrew, Inf. Proc. Letters 9, 1979), with
     unit outward normals: q is inside iff nx*qx + ny*qy + offset <= 0 on every
     row. A set without interior (fewer than 3 distinct points, or all
-    collinear) has no rows.
+    collinear) has no rows. The points become floats once, so the
+    orientation tests do not run on numpy scalars.
     """
-    pts = sorted(set(map(tuple, points)))
+    pts = sorted(set(map(tuple, np.asarray(points, dtype=float).tolist())))
 
     def turns_left(o, a, p):
         return (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) > 0.0
@@ -399,7 +422,9 @@ def cauchy_iterate(
     of the Gronwall envelope. Tube containment is checked by displacing every
     TUBE_STRIDE-th grid node (plus the endpoints) of the order-k leaf by
     +/- omega_k along the expanded direction and testing membership in the
-    order-(k+1) tube around the orbit of z that b.cocycle holds. The run
+    order-(k+1) tube around the orbit of z that b.cocycle holds. All orders'
+    nodes share one tube_exits pass to step kmax - 1, which runs lane by
+    lane; order k passes where none of its lanes exits by step k. The run
     converges when the last comparison distance and the integration error
     are both below tol and the limit leaf reaches eps on both sides; else
     NotConvergedError names each failed condition and carries the report.
@@ -424,8 +449,8 @@ def cauchy_iterate(
     d_k = np.empty(len(ks))
     bounds = np.empty(len(ks))
     restricted = []
-    tube_ok = []
     egl = math.exp(L * eps)
+    dxs, dys = [], []  # the displaced nodes of every order
     for i, k in enumerate(ks):
         d, shared = _leaf_distance(leaves[k], leaves[k + 1])
         d_k[i] = d
@@ -441,10 +466,11 @@ def cauchy_iterate(
         px, py = leafk.xs[nodes], leafk.ys[nodes]
         sw = np.array([bounds[i], -bounds[i]])[:, None]  # s * omega for s = +1, -1
         with np.errstate(invalid="ignore", over="ignore"):  # omega may be +inf: inf and nan, as floats give
-            dx, dy = (px + sw * fx).ravel(), (py + sw * fy).ravel()
-        exits = tube_exits(m, b.cocycle.orbit, dx, dy, sched, k)
-        ok = not np.any(exits >= 0)
-        tube_ok.append(ok)
+            dxs.append((px + sw * fx).ravel())
+            dys.append((py + sw * fy).ravel())
+    exits = tube_exits(m, b.cocycle.orbit, np.concatenate(dxs), np.concatenate(dys), sched, kmax - 1)
+    per_order = np.split(exits, np.cumsum([len(a) for a in dxs[:-1]]))
+    tube_ok = [not np.any((e >= 0) & (e <= k)) for k, e in zip(ks, per_order)]
 
     # step doubling: the limit leaf again at half its step; a node the finer
     # leaf does not reach has no error estimate, so the error is then +inf
@@ -502,7 +528,9 @@ def contraction_check(
     C_fit is the max over n' >= max(k0, 1) of max_ratio / gamma_tilde. The
     widest pair's ratio sequence is kept separately: rate fits use it because
     round-off injected along the orbit amplifies in the expanded direction and
-    floors the ratios of narrowly separated pairs first.
+    floors the ratios of narrowly separated pairs first. Pairs with coincident
+    ends are skipped. All pair ends step together as lanes under eval_xy's
+    checks; if one fails, eval_xy raises where a pair-by-pair loop would.
     """
     if not 0 <= n <= b.kmax:
         raise BadParamsError(f"n={n} is outside the budget range 0..kmax={b.kmax}")
@@ -510,30 +538,38 @@ def contraction_check(
     npts = len(leaf.t)
     if npts < 2:
         raise DegenerateLeafError("leaf has fewer than 2 grid points")
-    max_ratio = np.zeros(n + 1)
-    widest_ratio = np.zeros(n + 1)
-    widest_d0 = 0.0
-    ev = m.eval_xy
+    ends, d0 = [], []
     for _ in range(CONTRACTION_PAIRS):
         i = rng.randint(npts)
         j = rng.randint(npts)
         while j == i:
             j = rng.randint(npts)
-        ax, ay = leaf.xs[i], leaf.ys[i]
-        bx, by = leaf.xs[j], leaf.ys[j]
-        d0 = math.hypot(ax - bx, ay - by)
-        if d0 == 0.0:
-            continue
-        track = np.empty(n + 1)
-        track[0] = 1.0
-        for step in range(1, n + 1):
-            ax, ay = ev(ax, ay)
-            bx, by = ev(bx, by)
-            track[step] = math.hypot(ax - bx, ay - by) / d0
-        np.maximum(max_ratio, track, out=max_ratio)
-        if d0 > widest_d0:
-            widest_d0 = d0
-            widest_ratio = track
+        d = math.hypot(leaf.xs[i] - leaf.xs[j], leaf.ys[i] - leaf.ys[j])
+        if d != 0.0:
+            ends.append((i, j))
+            d0.append(d)
+    # x[0] holds the first ends, x[1] the second; pairs past a failing one are dropped
+    ends = np.array(ends, dtype=int).reshape(-1, 2).T
+    x, y, d0 = leaf.xs[ends], leaf.ys[ends], np.array(d0)
+    live = len(d0)
+    ratio = np.ones((n + 1, live))
+    failure = None
+    for step in range(1, n + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            fx, fy, ok = m.eval_lanes(x.ravel(), y.ravel())
+        ok = ok.reshape(2, live)
+        bad = np.flatnonzero(~(ok[0] & ok[1]))
+        if len(bad):  # the lowest failing pair, its first end first
+            live, end = int(bad[0]), int(ok[0, bad[0]])
+            failure = (x[end, live], y[end, live])
+        x, y = fx.reshape(2, -1)[:, :live], fy.reshape(2, -1)[:, :live]
+        dist = [math.hypot(a, c) for a, c in zip((x[0] - x[1]).tolist(), (y[0] - y[1]).tolist())]
+        ratio[step, :live] = np.array(dist) / d0[:live]
+    if failure is not None:
+        m.eval_xy(*failure)  # raises
+        raise NonFiniteError(f"map '{m.name}' failed on arrays but not on floats at {failure}")
+    max_ratio = np.max(ratio, axis=1, initial=0.0)
+    widest_ratio = ratio[:, np.argmax(d0)].copy() if live else np.zeros(n + 1)
     gt = b.gamma_tilde[: n + 1].copy()
     start = b.k0 or 1
     cfit = 0.0
@@ -577,16 +613,24 @@ def uniqueness_probe(
     Points off the leaf should exit by a finite step (the expanded direction
     grows); leaf grid points themselves should survive all b.kmax tests up to
     integration error. Distances to the leaf are measured against the grid
-    polyline vertices.
+    polyline vertices, in probe x node blocks of about SAMPLE_BLOCK entries.
+    The probes and every 8th leaf node share one tube_exits pass.
     """
     kmax, ref = b.kmax, b.cocycle.orbit
     xs, ys = SplitRng(seed).substream(_PROBE_STREAM).points_in_box(*ref[0], sched.radius(0), probes)
-    records: list[ProbeRecord] = []
-    for x, y, e in zip(xs.tolist(), ys.tolist(), tube_exits(m, ref, xs, ys, sched, kmax).tolist()):
-        d = float(np.min(np.hypot(leaf.xs - x, leaf.ys - y)))
-        records.append(ProbeRecord(point=Point2(x, y), distance_to_leaf=d, exit_step=None if e < 0 else e))
+    exits = tube_exits(m, ref, np.concatenate([xs, leaf.xs[::8]]), np.concatenate([ys, leaf.ys[::8]]),
+                       sched, kmax)
+    exits, on_leaf = exits[: len(xs)], exits[len(xs):]
+    dist = np.empty(len(xs))
+    rows = max(1, SAMPLE_BLOCK // len(leaf.xs))  # probes per block
+    for lo in range(0, len(xs), rows):
+        dx, dy = leaf.xs - xs[lo:lo + rows, None], leaf.ys - ys[lo:lo + rows, None]
+        dist[lo:lo + rows] = np.hypot(dx, dy, out=dx).min(axis=1)
+    records = [
+        ProbeRecord(point=Point2(x, y), distance_to_leaf=d, exit_step=None if e < 0 else e)
+        for x, y, d, e in zip(xs.tolist(), ys.tolist(), dist.tolist(), exits.tolist())
+    ]
     survivors = sum(r.exit_step is None for r in records)
-    on_leaf = tube_exits(m, ref, leaf.xs[::8], leaf.ys[::8], sched, kmax)
     return UniquenessReport(
         kmax=kmax, probes=records, on_leaf_checked=len(on_leaf), on_leaf_exits=int(np.sum(on_leaf >= 0)),
         survivors=survivors,

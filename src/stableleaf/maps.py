@@ -128,6 +128,20 @@ class MapModel:
             raise NonFiniteError(f"map '{self.name}' returned non-finite value at ({x}, {y})")
         return fx, fy
 
+    def eval_lanes(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """eval_xy at every lane: (fx, fy, ok), where ok marks the lanes eval_xy returns on.
+
+        Those lanes hold the image; the others hold NaN. raw_eval sees only
+        the finite lanes in the domain. Call it inside np.errstate.
+        """
+        ok = np.isfinite(x) & np.isfinite(y)
+        ok[ok] = self.in_domain_lanes(x[ok], y[ok])
+        at = np.flatnonzero(ok)
+        f = np.full((2, len(x)), np.nan)
+        f[:, at] = apply_lanes(self.raw_eval, x[at], y[at], 2)
+        ok[at] = np.isfinite(f[0, at]) & np.isfinite(f[1, at])
+        return f[0], f[1], ok
+
     # -- first derivative ---------------------------------------------------
 
     def fd_jac(self, x: float, y: float) -> tuple[float, float, float, float]:

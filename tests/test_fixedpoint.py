@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -224,6 +225,61 @@ def test_theorem_henon_field_calls(henon_map, monkeypatch):
     r = verify_fixed_point_theorem(henon_map, fp, eta=0.05, kmax=12, seed=2, n=2000)
     assert r.converged
     assert len(calls) <= 13336 // 4
+
+
+def test_theorem_henon_tube_passes(henon_map, monkeypatch):
+    # the benchmark's theorem-henon op at seed 2: one tube_exits pass for the
+    # tube checks of every Cauchy order, one for the uniqueness probes and
+    # the on-leaf points together (12 with a pass per order and per probe set)
+    calls = []
+    tube_exits = leaf.tube_exits
+
+    def counted(*args):
+        calls.append(args[-1])
+        return tube_exits(*args)
+
+    monkeypatch.setattr(leaf, "tube_exits", counted)
+    fp = eigen_split(henon_map, Point2(0.6, 0.2))
+    r = verify_fixed_point_theorem(henon_map, fp, eta=0.05, kmax=12, seed=2, n=2000)
+    assert r.converged
+    assert calls == [11, 12]  # jmax: kmax - 1 for the Cauchy orders, kmax for the probes
+
+
+def report_words(o):
+    """Every field of a report, depth first: names, float.hex of every float, repr of the rest."""
+    if dataclasses.is_dataclass(o):
+        for f in dataclasses.fields(o):
+            yield f.name
+            yield from report_words(getattr(o, f.name))
+    elif isinstance(o, np.ndarray):
+        yield f"array{o.shape}"
+        yield from report_words(o.tolist())
+    elif isinstance(o, (list, tuple)):
+        yield f"[{len(o)}"
+        for v in o:
+            yield from report_words(v)
+    elif isinstance(o, float):
+        yield o.hex()
+    else:
+        assert o is None or isinstance(o, (bool, int, str)), type(o)
+        yield repr(o)
+
+
+# sha256 of report_words of the theorem-henon TheoremReport (eta 0.05, kmax 12,
+# n 2000) at seeds 1-3: every field, the leaf, contraction and probe arrays included
+THEOREM_HENON_REPORT_SHA256 = {
+    1: "4d5a4a214895aa94ed20f5f75cc0c7d1d53e89bf729f96fa55a36caacb9bcfc6",
+    2: "174c6c3da5f2123c3e94afec4ea27d052a4eb1e310480589d4a2809154a4c324",
+    3: "54027bd955babbbae31686a5205ef3a893be4b8e345116138a4464aaae156572",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(THEOREM_HENON_REPORT_SHA256))
+def test_theorem_henon_report_is_pinned(henon_map, seed):
+    fp = eigen_split(henon_map, Point2(0.6, 0.2))
+    r = verify_fixed_point_theorem(henon_map, fp, eta=0.05, kmax=12, seed=seed, n=2000)
+    digest = hashlib.sha256("\n".join(report_words(r)).encode()).hexdigest()
+    assert digest == THEOREM_HENON_REPORT_SHA256[seed]
 
 
 def test_theorem_weak_hyperbolicity():
