@@ -9,10 +9,12 @@ iterates j >= 1 are tested with the Euclidean norm. Draws depend only on
 (seed, n, z, eps_0), never on k, so the accepted set for k+1 is always a
 subset of the accepted set for k.
 
-The draws are processed as numpy arrays, SAMPLE_BLOCK at a time, by
-``sample_sweep``. The array arithmetic is the scalar code's, operation for
-operation, with ``cocycle.norm2_lanes`` for its ``norm2``, so every array
-value has the bits of the scalar one.
+The draws are processed as numpy arrays by ``sample_sweep``: SAMPLE_BLOCK
+at a time through the shallow orders, then, once all blocks together hold
+at most about SAMPLE_BLOCK live draws, pooled, so each deeper order runs
+once for all blocks. The array arithmetic is the scalar code's, operation
+for operation, with ``cocycle.norm2_lanes`` for its ``norm2``, so every
+array value has the bits of the scalar one.
 
 Budget maxima taken over a finite sample understate the true suprema; every
 downstream assertion that consumes them carries a stated slack factor and
@@ -45,7 +47,7 @@ NEIGHBORHOOD_STREAM = 0  # fixed substream tag for box draws
 SAMPLE_SLACK = 1.05      # stated slack for assertions against sampled maxima
 DEFAULT_SAMPLES = 2000
 LADDER_DEPTH = 40        # the epsilon ladder runs eps0 * 2^-m for m = 0..LADDER_DEPTH
-SAMPLE_BLOCK = 4096      # box draws per array block of sample_sweep; bounds its memory
+SAMPLE_BLOCK = 4096      # lanes per array pass of sample_sweep, a block of draws or a chunk of the pool; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,7 @@ class HyperbolicityBudget:
 
 
 class SweepOrder(NamedTuple):
-    """The lanes of one block that lie in N^(k), and what they give the budget at order k.
+    """The lanes of one block, or of one chunk of the pool, that lie in N^(k), and what they give the budget at order k.
 
     draw is each lane's index in the draw sequence, -1 for the centre z, and
     (x, y) its point. values lists (budget field, index, array): P, Q and Pt
@@ -215,79 +217,144 @@ def _delta_lanes(S: np.ndarray, F: np.ndarray, Pt: np.ndarray, s2: np.ndarray, e
     return np.where(d1 == d1, d1, 0.0), (e / fk) * s2, tails
 
 
-def _block_sweep(
-    m: MapModel, ref: list[Point2], sched: EpsilonSchedule, kmax: int, start: int, xs: np.ndarray, ys: np.ndarray
-) -> Iterator[SweepOrder]:
-    """sample_sweep for the draws (xs, ys), numbered from start."""
+class _Lanes(NamedTuple):
+    """The live lanes of a sweep after order k, with what order k + 1 reads of them.
+
+    draw, px and py are each lane's draw number and point; (x, y) is its
+    iterate k and prod its Dphi^k. S (k+1, 4, lanes), F and Pt (k+1, lanes)
+    stack the steps Dphi_j and the values F_j and Pt_j for j = 0..k, and s2
+    is the running sum of _delta_lanes for order k + 1. Every field ends in
+    the lane axis.
+    """
+
+    draw: np.ndarray
+    px: np.ndarray
+    py: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    prod: np.ndarray
+    S: np.ndarray
+    F: np.ndarray
+    Pt: np.ndarray
+    s2: np.ndarray
+
+
+def _draw_lanes(m: MapModel, ref: list[Point2], sched: EpsilonSchedule, start: int, xs: np.ndarray, ys: np.ndarray):
+    """The draws (xs, ys), numbered from start, as the lanes of order 0, and P_0 and Q_0 for order 1."""
     with np.errstate(all="ignore"):
         lane = np.flatnonzero(~_tube_miss(0, xs, ys, ref, sched))  # only rounding can fail the box
         at, pd = _point_data(m, xs[lane], ys[lane])
-        lane = lane[at]
-        x, y = xs[lane], ys[lane]
-        prod = np.repeat([[1.0], [0.0], [0.0], [1.0]], len(lane), axis=1)
-        # the histories of Dphi_j, F_j and Pt_j for j = 0..k, stacked: (k+1, 4, lanes) and (k+1, lanes)
-        S, F, Pt = pd["S"][None], np.ones((1, len(lane))), pd["Pt"][None]
-        s2 = pd["Ddt"] / pd["Dd"]  # sum of (Ddt_j / Dd_j) F_j over j < k; at k = 1 the j = 0 term, F_0 = 1
-    for k in range(1, kmax + 1):
-        with np.errstate(all="ignore"):
-            # lanes alive here have level >= k - 1; keep those whose iterate k - 1 is in the tube
-            sel = np.arange(len(lane)) if k == 1 else np.flatnonzero(~_tube_miss(k - 1, x, y, ref, sched))
-            nx, ny = apply_lanes(m.raw_eval, x[sel], y[sel], 2)
-            ok = np.isfinite(nx) & np.isfinite(ny)
-            sel, nx, ny = sel[ok], nx[ok], ny[ok]
-            prod = mul_lanes(S[k - 1][:, sel], prod[:, sel])
-            e, f = singular_values_lanes(*prod)
-            ok = np.isfinite(f) & (f != 0.0)
-            sel, nx, ny, prod, e, f = sel[ok], nx[ok], ny[ok], prod[:, ok], e[ok], f[ok]
-            at, nd = _point_data(m, nx, ny)
-            if not len(at):
-                return
-            keep = sel[at]
-            lane, x, y, prod, e, f = lane[keep], nx[at], ny[at], prod[:, at], e[at], f[at]
-            s2 = s2[keep]
-            # one fancy index per history; the new rows move in, so the histories hold their only copy
-            S = np.concatenate((S[..., keep], nd.pop("S")[None]))
-            F = np.concatenate((F[:, keep], f[None]))
-            Pt = np.concatenate((Pt[:, keep], nd.pop("Pt")[None]))
-            d1, d2, tails = _delta_lanes(S, F, Pt, s2, e)
-            values = [("p", k, nd["P"]), ("q", k, nd["Q"]), ("pt", k, Pt[k]),
-                      ("gamma", k, e / f), ("gamma_star", k, e), ("fmax", k, f), ("delta", k, d1 + d2)]
-            if k == 1:
-                values += [("p", 0, pd["P"][keep]), ("q", 0, pd["Q"][keep]), ("pt", 0, Pt[0])]
-            s2 += nd["Ddt"] / nd["Dd"] * f  # the term j = k, for order k + 1
-            pd = nd
-        yield SweepOrder(k, start + lane, xs[lane], ys[lane], values, d1, d2, tails)
+        s2 = pd["Ddt"] / pd["Dd"]  # at order 1 the j = 0 term, F_0 = 1
+    lane = lane[at]
+    x, y = xs[lane], ys[lane]
+    prod = np.repeat([[1.0], [0.0], [0.0], [1.0]], len(lane), axis=1)
+    lanes = _Lanes(start + lane, x, y, x, y, prod, pd["S"][None], np.ones((1, len(lane))), pd["Pt"][None], s2)
+    return lanes, (pd["P"], pd["Q"])
+
+
+def _sweep_order(
+    m: MapModel, ref: list[Point2], sched: EpsilonSchedule, k: int, s: _Lanes, pq0=None
+) -> Optional[tuple[_Lanes, SweepOrder]]:
+    """Order k of sample_sweep for the lanes s of order k - 1: the lanes left and their SweepOrder, or None if none is.
+
+    pq0 holds the lanes' P_0 and Q_0 at k = 1.
+    """
+    with np.errstate(all="ignore"):
+        # lanes alive here have level >= k - 1; keep those whose iterate k - 1 is in the tube
+        sel = np.arange(len(s.draw)) if k == 1 else np.flatnonzero(~_tube_miss(k - 1, s.x, s.y, ref, sched))
+        nx, ny = apply_lanes(m.raw_eval, s.x[sel], s.y[sel], 2)
+        ok = np.isfinite(nx) & np.isfinite(ny)
+        sel, nx, ny = sel[ok], nx[ok], ny[ok]
+        prod = mul_lanes(s.S[k - 1][:, sel], s.prod[:, sel])
+        e, f = singular_values_lanes(*prod)
+        ok = np.isfinite(f) & (f != 0.0)
+        sel, nx, ny, prod, e, f = sel[ok], nx[ok], ny[ok], prod[:, ok], e[ok], f[ok]
+        at, nd = _point_data(m, nx, ny)
+        if not len(at):
+            return None
+        keep = sel[at]
+        e, f = e[at], f[at]
+        # one fancy index per history; the new rows move in, so the histories hold their only copy
+        S = np.concatenate((s.S[..., keep], nd.pop("S")[None]))
+        F = np.concatenate((s.F[:, keep], f[None]))
+        Pt = np.concatenate((s.Pt[:, keep], nd.pop("Pt")[None]))
+        s2 = s.s2[keep]
+        d1, d2, tails = _delta_lanes(S, F, Pt, s2, e)
+        values = [("p", k, nd["P"]), ("q", k, nd["Q"]), ("pt", k, Pt[k]),
+                  ("gamma", k, e / f), ("gamma_star", k, e), ("fmax", k, f), ("delta", k, d1 + d2)]
+        if k == 1:
+            values += [("p", 0, pq0[0][keep]), ("q", 0, pq0[1][keep]), ("pt", 0, Pt[0])]
+        s2 += nd["Ddt"] / nd["Dd"] * f  # the term j = k, for order k + 1
+    draw, px, py = s.draw[keep], s.px[keep], s.py[keep]
+    lanes = _Lanes(draw, px, py, nx[at], ny[at], prod[:, at], S, F, Pt, s2)
+    return lanes, SweepOrder(k, draw, px, py, values, d1, d2, tails)
+
+
+def _pool(parts: list[_Lanes]) -> list[_Lanes]:
+    """The lanes of parts, in their order, in chunks of at most SAMPLE_BLOCK lanes."""
+    if len(parts) == 1 and len(parts[0].draw) <= SAMPLE_BLOCK:
+        return parts
+    whole = [np.concatenate(field, axis=-1) for field in zip(*parts)]
+    return [_Lanes(*(a[..., i:i + SAMPLE_BLOCK] for a in whole)) for i in range(0, len(whole[0]), SAMPLE_BLOCK)]
 
 
 def sample_sweep(
     m: MapModel, centre: OrbitCocycle, sched: EpsilonSchedule, n: int, seed: int
 ) -> Iterator[SweepOrder]:
-    """z and the n box draws around it, with their budget values, as arrays, a block at a time and order by order.
+    """z and the n box draws around it, with their budget values, as arrays, order by order.
 
     centre is the cocycle at z to order kmax; z, kmax and the tube's
     reference orbit are its z0, kmax and orbit. A draw's tube level is the
     order of the deepest neighborhood it lies in. Its level is the largest
     level <= its tube level at which build_orbit_cocycle(m, draw, level)
     succeeds, 0 if there is none. That success is monotone in the level, so
-    whether a draw has level >= k is known at step k: for each block of
-    SAMPLE_BLOCK draws, the SweepOrder of order k holds exactly the draws of
-    level >= k, in draw order, and the arrays of a block shrink to them as k
-    grows. z itself is lane 0 of the first block, numbered draw -1, so n = 0
-    still sweeps it; since its cocycle was built, it reaches kmax.
+    whether a draw has level >= k is known at step k, and the SweepOrder of
+    order k holds exactly the draws of level >= k of its block or chunk, in
+    draw order. z itself is lane 0 of the first block, numbered draw -1, so
+    n = 0 still sweeps it; since its cocycle was built, it reaches kmax.
+
+    The draws come in blocks of SAMPLE_BLOCK, each swept depth first to an
+    order k*: the first order at which the first block's live lanes, times
+    the number of blocks, are at most SAMPLE_BLOCK, or kmax if there is
+    none. Then the live lanes of all blocks pool, in draw order, and each
+    order past k* runs once over the pool, in chunks of at most SAMPLE_BLOCK
+    lanes. With one block the pool is that block, and nothing changes.
 
     Levels, counts and every value are bit for bit those of the scalar code.
     """
     rng = SplitRng(seed).substream(NEIGHBORHOOD_STREAM)
     (cx, cy), r0 = centre.orbit[0], sched.radius(0)
+    ref, kmax = centre.orbit, centre.kmax
+    starts = range(0, max(n, 1), SAMPLE_BLOCK)
 
-    def blocks():
-        for start in range(0, max(n, 1), SAMPLE_BLOCK):
+    def sweep():
+        deep, parked = kmax, []  # deep is k*, which the first block sets
+        for start in starts:
             xs, ys = rng.points_in_box(cx, cy, r0, min(SAMPLE_BLOCK, n - start))
             if start == 0:  # z is lane 0 of the first block, draw -1
                 xs, ys, start = np.insert(xs, 0, cx), np.insert(ys, 0, cy), -1
-            yield from _block_sweep(m, centre.orbit, sched, centre.kmax, start, xs, ys)
+            lanes, pq0 = _draw_lanes(m, ref, sched, start, xs, ys)
+            for k in range(1, deep + 1):
+                step = _sweep_order(m, ref, sched, k, lanes, pq0)
+                if step is None:
+                    lanes = None
+                    break
+                lanes, order = step
+                yield order
+                if start < 0 and len(lanes.draw) * len(starts) <= SAMPLE_BLOCK:
+                    deep = k
+                    break
+            if lanes is not None and deep < kmax:
+                parked.append(lanes)
+        for k in range(deep + 1, kmax + 1):
+            chunks, parked = _pool(parked), []
+            for lanes in chunks:
+                step = _sweep_order(m, ref, sched, k, lanes)
+                if step is not None:
+                    parked.append(step[0])
+                    yield step[1]
 
-    return blocks()
+    return sweep()
 
 
 def estimate_budget(

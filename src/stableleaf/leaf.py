@@ -279,16 +279,44 @@ def integrate_leaf(
 # -- epsilon selection --------------------------------------------------------
 
 
+def _inside_octagon(a: np.ndarray) -> np.ndarray:
+    """The rows of the points a (n, 2) strictly inside the polygon of their extreme points.
+
+    The polygon joins, counter-clockwise, the points of least and greatest
+    y, x - y, x and x + y (S. G. Akl and G. T. Toussaint, Inf. Proc. Letters
+    7, 1978). Its vertices are points of a, so a point strictly inside it is
+    no hull vertex. A row counts as inside only where every edge's cross
+    product exceeds 1e-12 times the sum of its two terms' magnitudes, far
+    more than the few ulps rounding can move it, so no hull vertex is dropped.
+    """
+    x, y = a[:, 0], a[:, 1]
+    v = a[[np.argmin(y), np.argmax(x - y), np.argmax(x), np.argmax(x + y),
+           np.argmax(y), np.argmin(x - y), np.argmin(x), np.argmin(x + y)]]
+    e = np.roll(v, -1, axis=0) - v
+    edge = (e[:, 0] != 0.0) | (e[:, 1] != 0.0)  # an extreme point shared by two directions has no edge between
+    v, e = v[edge], e[edge]
+    if len(e) < 3:  # a point or a segment: nothing is inside
+        return np.zeros(len(a), dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or infinite point drops nothing
+        t1 = e[:, 0] * (y[:, None] - v[:, 1])
+        t2 = e[:, 1] * (x[:, None] - v[:, 0])
+        return np.all(t1 - t2 > 1e-12 * (np.abs(t1) + np.abs(t2)), axis=1)
+
+
 def convex_hull_halfplanes(points) -> np.ndarray:
     """Edge half-planes [nx, ny, offset] of the convex hull of 2-D points.
 
     Andrew's monotone chain (A. M. Andrew, Inf. Proc. Letters 9, 1979), with
     unit outward normals: q is inside iff nx*qx + ny*qy + offset <= 0 on every
     row. A set without interior (fewer than 3 distinct points, or all
-    collinear) has no rows. The points become floats once, so the
-    orientation tests do not run on numpy scalars.
+    collinear) has no rows. The points strictly inside the polygon of their
+    extreme points (``_inside_octagon``) are dropped first, and the rest
+    become floats once, so the orientation tests do not run on numpy scalars.
     """
-    pts = sorted(set(map(tuple, np.asarray(points, dtype=float).tolist())))
+    xy = np.asarray(points, dtype=float)
+    if len(xy):
+        xy = xy[~_inside_octagon(xy)]
+    pts = sorted(set(map(tuple, xy.tolist())))
 
     def turns_left(o, a, p):
         return (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) > 0.0
@@ -337,8 +365,8 @@ def choose_epsilon(
     k0 = b.k0
     xi_tail = b.xi[k0:] if k0 < len(b.xi) else np.array([0.0])
     xi_max = float(np.max(xi_tail))
-    k0_sample = list(b.samples[k0])
-    hull = convex_hull_halfplanes(k0_sample + [b.z])
+    k0_sample = np.asarray(b.samples[k0], dtype=float).reshape(-1, 2)
+    hull = convex_hull_halfplanes(np.vstack([k0_sample, [b.z]]))
     zx, zy = b.z
 
     def blocker(eps: float) -> Optional[str]:
@@ -419,10 +447,12 @@ def cauchy_iterate(
     """Integrate leaves through the budget's z for k = k0..b.kmax and verify the Gronwall Cauchy bounds.
 
     k0 must be below b.kmax. L is the direction-field Lipschitz constant
-    of the Gronwall envelope. Tube containment is checked by displacing every
-    TUBE_STRIDE-th grid node (plus the endpoints) of the order-k leaf by
-    +/- omega_k along the expanded direction and testing membership in the
-    order-(k+1) tube around the orbit of z that b.cocycle holds. All orders'
+    of the Gronwall envelope; an L that is negative or NaN, or with
+    exp(L*eps) past the float range, raises BadParamsError. Tube
+    containment is checked by displacing every TUBE_STRIDE-th grid node
+    (plus the endpoints) of the order-k leaf by +/- omega_k along the
+    expanded direction and testing membership in the order-(k+1) tube
+    around the orbit of z that b.cocycle holds. All orders'
     nodes share one tube_exits pass to step kmax - 1, which runs lane by
     lane; order k passes where none of its lanes exits by step k. The run
     converges when the last comparison distance and the integration error
@@ -441,6 +471,12 @@ def cauchy_iterate(
     if not k0 < kmax:
         raise BadParamsError(f"kmax={kmax} must exceed k0={k0}")
 
+    try:
+        egl = math.exp(L * eps)
+    except OverflowError:
+        egl = math.inf
+    if not (L >= 0.0 and egl < math.inf):
+        raise BadParamsError(f"L={L} must be >= 0 with exp(L*eps) finite at eps={eps}")
     if h is not None:
         _refuse_small_step(h, eps / ((DEFAULT_GRID - 1) // 2), MAX_STEPS_PER_CELL // 2)
     leaves = {k: integrate_leaf(m, b.z, k, eps, h=h) for k in range(k0, kmax + 1)}
@@ -449,7 +485,6 @@ def cauchy_iterate(
     d_k = np.empty(len(ks))
     bounds = np.empty(len(ks))
     restricted = []
-    egl = math.exp(L * eps)
     dxs, dys = [], []  # the displaced nodes of every order
     for i, k in enumerate(ks):
         d, shared = _leaf_distance(leaves[k], leaves[k + 1])

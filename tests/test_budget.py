@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from stableleaf import (
     estimate_budget,
     make_map,
 )
+import stableleaf.budget as budget_mod
+import stableleaf.cocycle as cocycle_mod
 from stableleaf.budget import INCONCLUSIVE, INFEASIBLE, SUMMABLE_HEURISTIC, first_tube_exit, tube_exits
 from stableleaf.cocycle import norm2
 from stableleaf.errors import BadParamsError, OrbitEscapeError
@@ -69,6 +72,39 @@ def test_sample_determinism(henon_map):
     assert a.accepted_counts == b.accepted_counts
     c = estimate_budget(henon_map, z, sched, kmax=3, n=400, seed=43)
     assert not np.array_equal(a.samples[3], c.samples[3])
+
+
+def budget_wide(seed):
+    """The budget of the benchmark's budget-wide op: 20,000 draws in 5 blocks, kmax 14."""
+    m = make_map("perturbed", lambda_s=0.5, lambda_u=2.0, c=0.05)
+    return estimate_budget(m, Point2(0.0, 0.0), EpsilonSchedule.constant(0.05), 14, n=20000, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_wide_budget_pools_its_deep_orders(seed, monkeypatch):
+    # a block at a time, every order cost 5 blocks x 14 orders of array passes (72 and 75
+    # _point_data calls); pooled past order 4, about 35. The centre's build makes one.
+    calls = []
+    real = cocycle_mod._point_data
+    counting = lambda *a: calls.append(len(a[1])) or real(*a)
+    for mod in (budget_mod, cocycle_mod):
+        monkeypatch.setattr(mod, "_point_data", counting)
+    b = budget_wide(seed)
+    assert b.accepted_counts[b.kmax] > 0
+    assert len(calls) <= 40
+
+
+def test_wide_budget_memory_stays_bounded():
+    # the pool forms only when few draws are left, so the sweep never holds the state of
+    # all 20,000 draws at once (about 2.9 MB peak; 2.25 MB a block at a time)
+    budget_wide(2)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        budget_wide(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_sample_nesting(linear_map, henon_map):

@@ -468,11 +468,18 @@ def array_case(name):
 ONE_DRAW_BLOCKS = ["henon", "box-limited", "guard-strip", "overflow", "nan-delta", "tail-deferred"]
 ONE_DRAW_SAMPLES = 30
 
+# at 64 draws a block, these inputs pool the live draws of at least 3 blocks
+# before kmax; at 20, henon's pool at its first pooled order spans two
+# chunks, which merge at the next
+POOL_BLOCKS = [(name, 64) for name in ("linear", "perturbed", "henon", "guard-strip", "box-limited",
+                                       "henon-scalar-only", "henon-no-derivatives", "guard-strip-scalar-only")]
+POOL_BLOCKS += [("henon", 20)]
+
 
 @pytest.mark.parametrize(
     "name, block",
     [(name, None) for name in ARRAY_CASES] + [(name, 7) for name in list(ARRAY_CASES) + list(CASES)]
-    + [(name, 1) for name in ONE_DRAW_BLOCKS],
+    + [(name, 1) for name in ONE_DRAW_BLOCKS] + POOL_BLOCKS,
 )
 def test_array_budget_matches_reference(name, block, monkeypatch):
     if block is not None:
@@ -513,7 +520,8 @@ LANE_CASES = list(CASES) + ["overflow", "subnormal", "nan-delta", "tail-deferred
 @pytest.mark.parametrize(
     "name, block",
     [pytest.param(name, None, id=name) for name in LANE_CASES]
-    + [pytest.param(name, 7, id=f"{name}-7") for name in LANE_CASES],
+    + [pytest.param(name, 7, id=f"{name}-7") for name in LANE_CASES]
+    + [pytest.param(name, block, id=f"{name}-{block}") for name, block in POOL_BLOCKS if name in LANE_CASES],
 )
 def test_sweep_lanes_match_reference(name, block, monkeypatch):
     # every lane's values, not only their maxima, are those of its cocycle at its level
@@ -547,6 +555,43 @@ def test_sweep_lanes_match_reference(name, block, monkeypatch):
             assert bits(got) == bits(want)
 
 
+@pytest.mark.parametrize("name, block", [pytest.param(name, block, id=f"{name}-{block}") for name, block in POOL_BLOCKS])
+def test_sweep_pools_the_deep_orders(name, block, monkeypatch):
+    # blocks swept depth first to k*, then each deeper order once over the pool of all blocks
+    monkeypatch.setattr(budget_mod, "SAMPLE_BLOCK", block)
+    m, z, sched, kmax, n, seed = array_case(name)
+    orders = list(budget_mod.sample_sweep(m, build_orbit_cocycle(m, z, kmax), sched, n, seed))
+    blocks = -(-n // block)
+    # z (draw -1) is in block 0, and draw d >= 0 in block d // block
+    spans = [np.unique(np.maximum(o.draw, 0) // block).tolist() for o in orders]
+    first_run = {}  # block 0's live lanes at each of its orders, which come first
+    for o in orders:
+        if o.k in first_run:
+            break
+        first_run[o.k] = len(o.draw)
+    # k*: the first order at which block 0's live lanes times the number of blocks are at most a block
+    deep = min(k for k, lanes in first_run.items() if lanes * blocks <= block)
+    assert deep < kmax and max(first_run) == deep
+    shallow = [(span[0], o.k) for o, span in zip(orders, spans) if o.k <= deep]
+    assert all(len(span) == 1 for o, span in zip(orders, spans) if o.k <= deep)
+    assert [o.k for o in orders[:len(shallow)]] == [k for _, k in shallow] and shallow == sorted(shallow)
+    pooled = orders[len(shallow):]
+    assert [o.k for o in pooled] == sorted(o.k for o in pooled) and pooled[0].k == deep + 1
+    assert all(len(o.draw) <= block for o in pooled)
+    assert max(len(span) for span in spans[len(shallow):]) >= 3
+    if block == 20:
+        chunks = [o.k for o in pooled]
+        assert chunks.count(deep + 1) == 2 and chunks.count(deep + 2) == 1
+    # the SweepOrders of each order come in draw order, and so does each b.samples[k]
+    b = estimate_budget(m, z, sched, kmax, n=n, seed=seed)
+    for k in range(1, kmax + 1):
+        at_k = [o for o in orders if o.k == k]
+        draws = np.concatenate([o.draw for o in at_k])
+        assert np.all(np.diff(draws) > 0)
+        points = np.concatenate([np.column_stack([o.x, o.y])[o.draw >= 0] for o in at_k])
+        assert bits(b.samples[k]) == bits(points)
+
+
 @pytest.mark.parametrize("name", ["linear", "henon"])
 def test_budget_builds_only_the_centre(name, monkeypatch):
     # every array value has the scalar bits, so no draw's cocycle is rebuilt
@@ -575,7 +620,8 @@ def test_growth_check_builds_only_the_fixed_point(monkeypatch):
 @pytest.mark.parametrize(
     "name, block",
     [pytest.param(name, None, id=name) for name in GROWTH_CASES]
-    + [pytest.param(name, 7, id=f"{name}-7") for name in GROWTH_CASES],
+    + [pytest.param(name, 7, id=f"{name}-7") for name in GROWTH_CASES]
+    + [pytest.param(name, block, id=f"{name}-{block}") for name, block in POOL_BLOCKS if name in GROWTH_CASES],
 )
 def test_growth_matches_reference(name, block, monkeypatch):
     if block is not None:

@@ -723,6 +723,16 @@ def test_cauchy_iterate_refuses_a_step_that_is_not_positive(linear_map, h):
         cauchy_iterate(linear_map, b, sched, eps, 1e-8, L=L, h=h)
 
 
+@pytest.mark.parametrize("L", [-1.0, math.nan, 1e6, math.inf], ids=["negative", "nan", "exp-overflows", "inf"])
+def test_cauchy_iterate_refuses_a_bad_lipschitz_constant(linear_map, L):
+    # exp(L * eps) must be a finite float: 1e6 * 0.0125 is far past 709.78, where math.exp overflows
+    z, sched = Point2(0, 0), EpsilonSchedule.constant(0.1)
+    b = estimate_budget(linear_map, z, sched, kmax=10, n=500, seed=3)
+    assert b.k0 < b.kmax
+    with pytest.raises(BadParamsError, match=re.escape(f"L={L} must be >= 0 with exp(L*eps) finite at eps=0.0125") + "$"):
+        cauchy_iterate(linear_map, b, sched, 0.0125, 1e-8, L=L)
+
+
 @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan])
 def test_field_derivative_refuses_a_step_that_is_not_positive(henon_map, h):
     coc = build_orbit_cocycle(henon_map, HENON_SADDLE, 6)

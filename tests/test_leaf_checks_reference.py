@@ -24,6 +24,7 @@ from stableleaf.leaf import (
     LeafCurve,
     ProbeRecord,
     UniquenessReport,
+    _inside_octagon,
     budget_to_epsilon,
     convex_hull_halfplanes,
     integrate_leaf,
@@ -357,3 +358,60 @@ def test_hull_of_numpy_rows_matches_floats_and_the_reference():
         assert bits(convex_hull_halfplanes(rows)) == bits(want)
         assert bits(convex_hull_halfplanes(floats)) == bits(want)
         assert bits(convex_hull_halfplanes(np.array(floats))) == bits(want)
+
+
+def octagon_edge_set():
+    """A regular octagon's vertices, points within 3 ulps of its edges either side, and 40 well inside."""
+    angles = np.arange(8) * (np.pi / 4) + 0.1
+    v = np.column_stack([np.cos(angles), np.sin(angles)])
+    w = np.linspace(0.05, 0.95, 7)[:, None]
+    edge = np.concatenate([v[i] + w * (v[(i + 1) % 8] - v[i]) for i in range(8)])
+    out = [edge]
+    for steps in (1, 3):
+        for towards in (0.0, 10.0):  # toward the centre, and away from it
+            near = edge.copy()
+            for _ in range(steps):
+                near = np.nextafter(near, towards * np.sign(near))
+            out.append(near)
+    rng = np.random.default_rng(3)
+    inner = rng.uniform(-0.5, 0.5, size=(40, 2))
+    return np.concatenate([v] + out + [inner]), len(inner)
+
+
+def test_hull_prefilter_keeps_points_near_the_octagon_edges():
+    # only points well inside the octagon of extreme points are dropped; the ring is the chain's on all points
+    pts, n_inner = octagon_edge_set()
+    inside = _inside_octagon(pts)
+    assert np.count_nonzero(inside) == n_inner and np.all(inside[-n_inner:])
+    assert bits(convex_hull_halfplanes(pts)) == bits(ref_convex_hull_halfplanes(pts.tolist()))
+
+
+def test_hull_prefilter_drops_nothing_on_a_circle():
+    # every point is a hull vertex, and none lies inside the octagon of the 8 extreme ones
+    angles = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, 300)
+    pts = np.column_stack([np.cos(angles), np.sin(angles)])
+    assert not np.any(_inside_octagon(pts))
+    want = ref_convex_hull_halfplanes(pts.tolist())
+    assert len(want) == 300
+    assert bits(convex_hull_halfplanes(pts)) == bits(want)
+
+
+@pytest.mark.parametrize("corners", [
+    [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],              # each corner extreme in several directions
+    [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)],
+    [(0.0, 0.0), (2.0, 0.0)],                          # a segment: no interior, nothing dropped
+    [(0.5, 0.5)],
+], ids=["triangle", "square", "segment", "point"])
+def test_hull_prefilter_with_duplicated_extremes(corners):
+    # extremes that coincide leave zero-length octagon edges, which test nothing
+    corners = np.array(corners)
+    rng = np.random.default_rng(len(corners))
+    mix = rng.dirichlet(np.ones(len(corners)), size=30) * 0.9 + 0.1 / len(corners)
+    pts = np.concatenate([corners, corners, mix @ corners, corners[::-1]])
+    assert not np.any(_inside_octagon(np.repeat(corners, 3, axis=0)))  # each extreme point 3 times, nothing else
+    inside = _inside_octagon(pts)
+    if len(corners) >= 3:
+        assert np.all(inside[2 * len(corners):-len(corners)]) and not np.any(inside[:2 * len(corners)])
+    else:
+        assert not np.any(inside)
+    assert bits(convex_hull_halfplanes(pts)) == bits(ref_convex_hull_halfplanes(pts.tolist()))
