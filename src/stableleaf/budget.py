@@ -168,7 +168,9 @@ class SweepOrder(NamedTuple):
     (x, y) its point. values lists (budget field, index, array): P, Q and Pt
     at index k (and at 0 when k = 1), and H, E, F and delta = d1 + d2 at k.
     d1 and d2 are the distortion bounds at order k, and tails, a (k, lanes)
-    array, holds in row j the tail norms F_{j,k} for j < k (see _delta_lanes).
+    array, holds in row j the norm F_{j,k} of the tail product Dphi_{k-1}
+    ... Dphi_{j+1}, from the lane products of _Lanes; row k - 1, the empty
+    product, is all ones.
     """
 
     k: int
@@ -181,7 +183,7 @@ class SweepOrder(NamedTuple):
     tails: np.ndarray
 
 
-def _delta_lanes(S: np.ndarray, F: np.ndarray, Pt: np.ndarray, s2: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _delta_lanes(tails: np.ndarray, F: np.ndarray, Pt: np.ndarray, s2: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The right-hand sides of the two distortion inequalities at order k = len(F) - 1, for every lane.
 
         d1 = (E_k / F_k^2) * sum_{j<k} Pt_j * F_{j,k} * F_j^2
@@ -192,21 +194,11 @@ def _delta_lanes(S: np.ndarray, F: np.ndarray, Pt: np.ndarray, s2: np.ndarray, e
     ||D(det Dphi^k)|| / ||Dphi^k||^2. A NaN term of d1, which can only be
     0 * inf with an exactly zero factor, counts as 0, and so does a NaN d1.
 
-    S (k+1, 4, lanes), F and Pt (k+1, lanes) stack the steps Dphi_j and the
-    values at j = 0..k; s2 is the running sum of (Ddt_j / Dd_j) F_j over
-    j < k. The tail products keep the association ((Dphi_{k-1} Dphi_{k-2})
-    ...) Dphi_{j+1}, and their norms take one singular_values_lanes call.
-    The norms F_{j,k} come back as a (k, lanes) array, row k - 1 all ones.
+    tails (k, lanes) holds F_{j,k} in row j, as SweepOrder.tails; F and Pt
+    (k+1, lanes) stack the values at j = 0..k; s2 is the running sum of
+    (Ddt_j / Dd_j) F_j over j < k.
     """
-    k, lanes = F.shape[0] - 1, F.shape[1]
-    tails = np.ones((k, lanes))  # row k - 1 is the empty product's norm
-    if k > 1:
-        chain = np.empty((4, k - 1, lanes))
-        t = (1.0, 0.0, 0.0, 1.0)
-        for j in range(k - 2, -1, -1):
-            chain[:, j] = mul_lanes(t, S[j + 1])
-            t = chain[:, j]
-        tails[:-1] = singular_values_lanes(*chain.reshape(4, -1))[1].reshape(k - 1, lanes)
+    k = F.shape[0] - 1
     terms = Pt[:k] * tails * F[:k] * F[:k]
     s1 = 0.0
     for term in np.where(terms == terms, terms, 0.0):  # added in j order, as the scalar sum
@@ -214,17 +206,18 @@ def _delta_lanes(S: np.ndarray, F: np.ndarray, Pt: np.ndarray, s2: np.ndarray, e
     fk = F[k]
     f2 = fk * fk
     d1 = np.where(f2 >= np.finfo(float).smallest_normal, e / f2, e / fk / fk) * s1
-    return np.where(d1 == d1, d1, 0.0), (e / fk) * s2, tails
+    return np.where(d1 == d1, d1, 0.0), (e / fk) * s2
 
 
 class _Lanes(NamedTuple):
     """The live lanes of a sweep after order k, with what order k + 1 reads of them.
 
     draw, px and py are each lane's draw number and point; (x, y) is its
-    iterate k and prod its Dphi^k. S (k+1, 4, lanes), F and Pt (k+1, lanes)
-    stack the steps Dphi_j and the values F_j and Pt_j for j = 0..k, and s2
-    is the running sum of _delta_lanes for order k + 1. Every field ends in
-    the lane axis.
+    iterate k and step its Dphi_k. R (4, k, lanes) holds in row r the product
+    Dphi_{k-1} (... (Dphi_{r+1} Dphi_r)): row 0 is Dphi^k, row j + 1 the tail
+    whose norm is F_{j,k}. F and Pt (k+1, lanes) stack F_j and Pt_j for
+    j = 0..k, and s2 is the running sum of _delta_lanes for order k + 1.
+    Every field ends in the lane axis.
     """
 
     draw: np.ndarray
@@ -232,8 +225,8 @@ class _Lanes(NamedTuple):
     py: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    prod: np.ndarray
-    S: np.ndarray
+    step: np.ndarray
+    R: np.ndarray
     F: np.ndarray
     Pt: np.ndarray
     s2: np.ndarray
@@ -247,8 +240,8 @@ def _draw_lanes(m: MapModel, ref: list[Point2], sched: EpsilonSchedule, start: i
         s2 = pd["Ddt"] / pd["Dd"]  # at order 1 the j = 0 term, F_0 = 1
     lane = lane[at]
     x, y = xs[lane], ys[lane]
-    prod = np.repeat([[1.0], [0.0], [0.0], [1.0]], len(lane), axis=1)
-    lanes = _Lanes(start + lane, x, y, x, y, prod, pd["S"][None], np.ones((1, len(lane))), pd["Pt"][None], s2)
+    lanes = _Lanes(start + lane, x, y, x, y, pd["S"], np.empty((4, 0, len(lane))), np.ones((1, len(lane))),
+                   pd["Pt"][None], s2)
     return lanes, (pd["P"], pd["Q"])
 
 
@@ -257,7 +250,9 @@ def _sweep_order(
 ) -> Optional[tuple[_Lanes, SweepOrder]]:
     """Order k of sample_sweep for the lanes s of order k - 1: the lanes left and their SweepOrder, or None if none is.
 
-    pq0 holds the lanes' P_0 and Q_0 at k = 1.
+    pq0 holds the lanes' P_0 and Q_0 at k = 1. One mul_lanes call extends R,
+    and one singular_values_lanes call on its k rows gives E_k, F_k and every
+    tail norm.
     """
     with np.errstate(all="ignore"):
         # lanes alive here have level >= k - 1; keep those whose iterate k - 1 is in the tube
@@ -265,28 +260,29 @@ def _sweep_order(
         nx, ny = apply_lanes(m.raw_eval, s.x[sel], s.y[sel], 2)
         ok = np.isfinite(nx) & np.isfinite(ny)
         sel, nx, ny = sel[ok], nx[ok], ny[ok]
-        prod = mul_lanes(s.S[k - 1][:, sel], s.prod[:, sel])
-        e, f = singular_values_lanes(*prod)
-        ok = np.isfinite(f) & (f != 0.0)
-        sel, nx, ny, prod, e, f = sel[ok], nx[ok], ny[ok], prod[:, ok], e[ok], f[ok]
-        at, nd = _point_data(m, nx, ny)
+        step = s.step[:, sel]
+        R = np.concatenate((mul_lanes(step, s.R[..., sel]), step[:, None]), axis=1)
+        e, f = (v.reshape(k, len(sel)) for v in singular_values_lanes(*R.reshape(4, k * len(sel))))
+        ok = np.flatnonzero(np.isfinite(f[0]) & (f[0] != 0.0))
+        at, nd = _point_data(m, nx[ok], ny[ok])
         if not len(at):
             return None
+        at = ok[at]  # the lanes of sel that reach order k
         keep = sel[at]
-        e, f = e[at], f[at]
+        tails = np.concatenate((f[1:, at], np.ones((1, len(at)))))  # row k - 1: the empty product
+        e, f = e[0, at], f[0, at]
         # one fancy index per history; the new rows move in, so the histories hold their only copy
-        S = np.concatenate((s.S[..., keep], nd.pop("S")[None]))
         F = np.concatenate((s.F[:, keep], f[None]))
         Pt = np.concatenate((s.Pt[:, keep], nd.pop("Pt")[None]))
         s2 = s.s2[keep]
-        d1, d2, tails = _delta_lanes(S, F, Pt, s2, e)
+        d1, d2 = _delta_lanes(tails, F, Pt, s2, e)
         values = [("p", k, nd["P"]), ("q", k, nd["Q"]), ("pt", k, Pt[k]),
                   ("gamma", k, e / f), ("gamma_star", k, e), ("fmax", k, f), ("delta", k, d1 + d2)]
         if k == 1:
             values += [("p", 0, pq0[0][keep]), ("q", 0, pq0[1][keep]), ("pt", 0, Pt[0])]
         s2 += nd["Ddt"] / nd["Dd"] * f  # the term j = k, for order k + 1
     draw, px, py = s.draw[keep], s.px[keep], s.py[keep]
-    lanes = _Lanes(draw, px, py, nx[at], ny[at], prod[:, at], S, F, Pt, s2)
+    lanes = _Lanes(draw, px, py, nx[at], ny[at], nd.pop("S"), R[..., at], F, Pt, s2)
     return lanes, SweepOrder(k, draw, px, py, values, d1, d2, tails)
 
 
@@ -501,7 +497,8 @@ def check_condition_double_star(b: HyperbolicityBudget, sched: EpsilonSchedule) 
         gamma_required = 0.0
         for k in range(b.k0, b.kmax):
             for j in range(b.k0, k + 1):
-                lhs = b.gamma_tilde[j] + 4.0 * b.fmax[j] * b.terms[k]
+                # Python floats: +inf, not a warning, where lhs / eps_j overflows
+                lhs = float(b.gamma_tilde[j]) + 4.0 * float(b.fmax[j]) * float(b.terms[k])
                 radius = sched.radius(j)
                 ratio = lhs / radius if radius > 0.0 else math.inf
                 if ratio > gamma_required:

@@ -169,7 +169,10 @@ def _point_data(m: MapModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, 
 
 
 def mul_lanes(m: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """The products m o of every lane of two (4, lanes) entry arrays, (m11 o11 + m12 o21, ...) in row-major order."""
+    """The products m o of every lane of two (4, ...) entry arrays, (m11 o11 + m12 o21, ...) in row-major order.
+
+    The lane axes broadcast, as (4, lanes) steps times (4, k, lanes) products.
+    """
     return np.array([
         m[0] * o[0] + m[1] * o[2],
         m[0] * o[1] + m[1] * o[3],

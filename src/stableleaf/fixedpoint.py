@@ -209,8 +209,7 @@ def regular_growth_check(
             level[rows] = k
             for a, x in zip((E, F, H, D1, D2), (v["gamma_star"], v["fmax"], v["gamma"], o.d1, o.d2)):
                 a[rows, k] = x
-            for j, t in enumerate(o.tails):
-                k_tail = _fold_max(k_tail, F[rows, j] * t / F[rows, k])
+            k_tail = _fold_max(k_tail, F[rows, :k].T * o.tails / F[rows, k])  # F_j F_{j,k} / F_k, j < k
 
         js = np.arange(kmax + 1)
         on = (js >= 1) & (js <= level[:, None])  # the orders 1..level of each row

@@ -25,6 +25,7 @@ from stableleaf.errors import BadParamsError, OrbitEscapeError
 from stableleaf.maps import MapModel
 
 from conftest import reference_orbit
+from test_budget_reference import POOL_BLOCKS, array_case
 
 
 def rotationlike_map():
@@ -105,6 +106,37 @@ def test_wide_budget_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("name, block", [pytest.param(name, block, id=f"{name}-{block}") for name, block in POOL_BLOCKS])
+def test_sweep_order_makes_one_product_and_one_norm_call(name, block, monkeypatch):
+    # an order pass extends the lane products with one mul_lanes call and reads E_k, F_k and
+    # every tail norm from one singular_values_lanes call, in the block and the pooled phase
+    monkeypatch.setattr(budget_mod, "SAMPLE_BLOCK", block)
+    calls = []
+    for fn in ("mul_lanes", "singular_values_lanes"):
+        real = getattr(budget_mod, fn)
+        monkeypatch.setattr(budget_mod, fn, lambda *a, fn=fn, real=real: calls.append(fn) or real(*a))
+    passes = []  # (k, pooled, the calls the pass made)
+    real_pass = budget_mod._sweep_order
+
+    def counted(m, ref, sched, k, s, pq0=None):
+        start = len(calls)
+        out = real_pass(m, ref, sched, k, s, pq0)
+        passes.append((k, pq0 is None, sorted(calls[start:])))
+        return out
+
+    monkeypatch.setattr(budget_mod, "_sweep_order", counted)
+    m, z, sched, kmax, n, seed = array_case(name)
+    estimate_budget(m, z, sched, kmax, n=n, seed=seed)
+    assert all(made == ["mul_lanes", "singular_values_lanes"] for _, _, made in passes)
+    assert len(calls) == 2 * len(passes)
+    # the block phase passes P_0 and Q_0 along at every order, the pooled phase never
+    block_ks = {k for k, pooled, _ in passes if not pooled}
+    pooled_ks = {k for k, pooled, _ in passes if pooled}
+    deep = max(block_ks)
+    assert block_ks == set(range(1, deep + 1)) and pooled_ks == set(range(deep + 1, kmax + 1))
+    assert deep < kmax
 
 
 def test_sample_nesting(linear_map, henon_map):

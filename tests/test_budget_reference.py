@@ -1,8 +1,11 @@
 """Differential tests of the array budget pass ``budget.sample_sweep``.
 
 ``tail_norms`` and ``distortion_bounds`` below are the scalar, per-cocycle
-forms of the tail norms and distortion bounds that ``_delta_lanes`` computes
-for every lane. ``estimate_budget`` (with its ``absorb`` and ``cocycle_to``) and
+forms of the tail norms and distortion bounds that ``_sweep_order`` and
+``_delta_lanes`` compute for every lane. ``tail_norms`` builds each tail
+product Dphi_{k-1} ... Dphi_{j+1} by left factors, Dphi_{k-1} (... (Dphi_{j+2}
+Dphi_{j+1})), the association of the sweep's lane products.
+``estimate_budget`` (with its ``absorb`` and ``cocycle_to``) and
 ``regular_growth_check`` are kept below, verbatim, as they were before both
 read the box draws from one pass, now ``sample_sweep``: the budget demoted a
 failing draw to its largest valid level, and the growth check rebuilt every
@@ -49,19 +52,23 @@ from stableleaf.maps import MapModel
 from stableleaf.rng import SplitRng
 
 from conftest import reference_orbit
-from frame_reference import _NORMAL_MIN, IDENTITY, mat_mul, singular_values
+from frame_reference import _NORMAL_MIN, mat_mul, singular_values
 
 
 # -- reference copies of the replaced loops ------------------------------------
 
 
 def tail_norms(c: OrbitCocycle, k: int) -> list[float]:
-    """F_{j,k} = ||Dphi^(k-j-1) at z_{j+1}|| for j = 0..k-1 (F_{k-1,k} = 1)."""
-    out = [0.0] * k
-    t = IDENTITY
-    out[k - 1] = 1.0
-    for j in range(k - 2, -1, -1):
-        t = mat_mul(t, c.steps[j + 1])
+    """F_{j,k} = ||Dphi^(k-j-1) at z_{j+1}|| for j = 0..k-1 (F_{k-1,k} = 1).
+
+    Each tail product is built by left factors from its first step, in the
+    association Dphi_{k-1} (... (Dphi_{j+2} Dphi_{j+1})).
+    """
+    out = [1.0] * k
+    for j in range(k - 1):
+        t = c.steps[j + 1]
+        for i in range(j + 2, k):
+            t = mat_mul(c.steps[i], t)
         out[j] = singular_values(t)[1]
     return out
 

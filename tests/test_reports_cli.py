@@ -237,6 +237,18 @@ def test_cli_converge_never_imports_scipy(tmp_path):
     assert res.stdout.split() == ["0", "False"], res.stderr
 
 
+def test_cli_budget_subnormal_radius_is_infeasible(tmp_path, capsys):
+    # (gamma_tilde_j + 4 Fmax_j p_k q_k gamma_{k+1}) / eps_j overflows at eps0 = 1e-320: the ratio
+    # is +inf without a RuntimeWarning, which the tests turn into an error
+    args = ["budget", "--map", "linear", "--lambda-s", "0.5", "--lambda-u", "2", "--eps0", "1e-320",
+            "--kmax", "3", "--samples", "5", "--out-dir", str(tmp_path)]
+    assert run_command(args) == 0
+    assert capsys.readouterr().err == ""
+    text = (tmp_path / "budget.json").read_text()
+    assert '"gamma_required":Infinity' in text
+    assert json.loads(text)["double_star_verdict"] == "INFEASIBLE"
+
+
 def test_cli_budget_and_leaf_subcommands(tmp_path):
     common = [
         "--map", "linear", "--lambda-s", "0.5", "--lambda-u", "2",
