@@ -452,6 +452,13 @@ class StarReport:
     verdict: str
 
 
+def log_slope(xs, vals) -> float:
+    """Least-squares slope of log(vals) against xs, in Python floats: the fit needs no LAPACK."""
+    xs, ys = [float(x) for x in xs], [math.log(v) for v in vals]
+    xm, ym = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - xm) * (y - ym) for x, y in zip(xs, ys)) / sum((x - xm) ** 2 for x in xs)
+
+
 def check_condition_star(b: HyperbolicityBudget) -> StarReport:
     """Heuristic summability verdict for the four-term budget series.
 
@@ -465,9 +472,7 @@ def check_condition_star(b: HyperbolicityBudget) -> StarReport:
     ratio: Optional[float] = None
     verdict = INCONCLUSIVE
     if len(window) >= 3 and np.all(np.isfinite(window)) and np.all(window > 0.0):
-        ks = np.arange(len(window), dtype=float)
-        slope = np.polyfit(ks, np.log(window), 1)[0]
-        ratio = float(math.exp(slope))
+        ratio = math.exp(log_slope(range(len(window)), window))
         if ratio < 0.95:
             verdict = SUMMABLE_HEURISTIC
     elif len(window) >= 1 and np.all(window == 0.0):

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .budget import EpsilonSchedule, check_condition_star, sample_sweep
+from .budget import EpsilonSchedule, check_condition_star, log_slope, sample_sweep
 from .cocycle import build_orbit_cocycle, series_term
 from .directions import angle_distance
 from .errors import (
@@ -313,20 +313,10 @@ def verify_fixed_point_theorem(
 
     # (3) least-squares slope of the widest pair's log ratio over n = k0..contraction.n,
     # truncated where the sequence stops decreasing (round-off floor)
-    start = b.k0
-    vals = contraction.widest_ratio[start:]
-    top = len(vals)
-    for i in range(1, len(vals)):
-        if not vals[i] < vals[i - 1]:
-            top = i
-            break
-    vals = vals[:top]
-    ns = np.arange(start, start + len(vals), dtype=float)
-    mask = vals > 0.0
-    if np.count_nonzero(mask) >= 2:
-        rate = float(np.polyfit(ns[mask], np.log(vals[mask]), 1)[0])
-    else:
-        rate = math.nan
+    vals = contraction.widest_ratio[b.k0:]
+    top = next((i for i in range(1, len(vals)) if not vals[i] < vals[i - 1]), len(vals))
+    fit = [(n, v) for n, v in enumerate(vals[:top], start=b.k0) if v > 0.0]
+    rate = log_slope(*zip(*fit)) if len(fit) >= 2 else math.nan
     rate_dev = abs(rate - math.log(abs(fp.lambda_s)))
 
     return TheoremReport(

@@ -337,11 +337,16 @@ def convex_hull_halfplanes(points) -> np.ndarray:
     return np.column_stack([n, -np.sum(n * v, axis=1)])
 
 
-def hull_contains(halfplanes: np.ndarray, queries) -> bool:
-    """All queries inside the hull given by its half-planes, to 1e-12; False for an empty hull."""
-    q = np.asarray(queries, dtype=float)
-    side = q[:, :1] * halfplanes[:, 0] + q[:, 1:] * halfplanes[:, 1] + halfplanes[:, 2]
-    return len(halfplanes) > 0 and not np.any(side > 1e-12)
+def _support_radius(halfplanes: np.ndarray, z) -> float:
+    """Half-width of the largest square around z inside the hull to 1e-12; -inf for an empty hull.
+
+    On a row (n, c), the farthest corner z + r*(sign nx, sign ny) is inside where
+    r*(|nx| + |ny|) <= 1e-12 - (n.z + c).
+    """
+    if not len(halfplanes):
+        return -math.inf
+    nx, ny, c = halfplanes.T
+    return float(np.min((1e-12 - (nx * z[0] + ny * z[1] + c)) / (np.abs(nx) + np.abs(ny))))
 
 
 def choose_epsilon(
@@ -354,8 +359,9 @@ def choose_epsilon(
 
     Constraints: eps * gamma < 1, exp(eps * L) < 2, and the tube pre-check
     that the square of radius eps + omega_k around z stays inside the hull of
-    the stored order-k0 sample for every computed k >= k0. A sample hull
-    without interior contains no square, so it rejects every rung. (The
+    the stored order-k0 sample for every computed k >= k0: the radius is at
+    most the hull's ``_support_radius`` about z. A sample hull without
+    interior contains no square, so it rejects every rung. (The
     containment proper is re-tested during the Cauchy iteration.)
     NoFeasibleEpsilonError names the first constraint that the first rung
     fails and the one the last rung fails.
@@ -363,11 +369,9 @@ def choose_epsilon(
     if b.k0 is None:
         raise NoFeasibleEpsilonError("budget has no k0; hyperbolicity never stabilized")
     k0 = b.k0
-    xi_tail = b.xi[k0:] if k0 < len(b.xi) else np.array([0.0])
-    xi_max = float(np.max(xi_tail))
+    xi_max = float(np.max(b.xi[k0:], initial=0.0))
     k0_sample = np.asarray(b.samples[k0], dtype=float).reshape(-1, 2)
-    hull = convex_hull_halfplanes(np.vstack([k0_sample, [b.z]]))
-    zx, zy = b.z
+    r_max = _support_radius(convex_hull_halfplanes(np.vstack([k0_sample, [b.z]])), b.z)
 
     def blocker(eps: float) -> Optional[str]:
         """The first constraint the rung eps fails, or None."""
@@ -375,9 +379,7 @@ def choose_epsilon(
             return "eps*gamma < 1"
         if not (eps * L < 1.0 and math.exp(eps * L) < 2.0):  # exp(1) > 2, and exp cannot overflow
             return "exp(eps*L) < 2"
-        r = eps + eps * math.exp(eps * L) * xi_max
-        corners = [(zx - r, zy - r), (zx - r, zy + r), (zx + r, zy - r), (zx + r, zy + r)]
-        if not hull_contains(hull, corners):
+        if not eps + eps * math.exp(eps * L) * xi_max <= r_max:  # an infinite or NaN radius fails too
             return f"the hull pre-check (order-{k0} sample size {len(k0_sample)})"
         return None
 

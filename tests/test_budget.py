@@ -249,6 +249,20 @@ def test_condition_star_linear(linear_map):
         assert term == pytest.approx(4.0 ** -i, rel=1e-12)
 
 
+def test_log_slope_matches_polyfit():
+    # random log-linear sequences with noise, the shapes the two fits read:
+    # 3 to 12 points at consecutive or gapped abscissae
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        n = int(rng.integers(3, 13))
+        xs = np.arange(n, dtype=float)
+        if rng.random() < 0.5:
+            xs = np.sort(rng.choice(np.arange(30, dtype=float), n, replace=False))
+        slope = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 3.0)
+        vals = np.exp(rng.uniform(-30.0, 30.0) + slope * xs + rng.normal(0.0, 1e-3, n))
+        assert budget_mod.log_slope(xs, vals) == pytest.approx(np.polyfit(xs, np.log(vals), 1)[0], rel=1e-12, abs=0.0)
+
+
 def test_condition_star_rotation_inconclusive():
     m = rotationlike_map()
     sched = EpsilonSchedule.constant(0.1)

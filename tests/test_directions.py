@@ -200,6 +200,16 @@ def test_direction_field_derivative_henon(henon_map):
     assert math.isfinite(l_bound) and l_bound > 0.0
 
 
+def test_direction_field_derivative_holds_at_deep_orders(henon_map):
+    # at the saddle the stencil's L reads 0.7257712685 from k = 24 to 80. An L
+    # built from derivatives of Dphi^j carried along the orbit keeps only
+    # eps * F_j relative accuracy (ROADMAP item 7) and drifts off by k = 48
+    z = Point2(0.6313544770895252, 0.18940634312685756)
+    c = build_orbit_cocycle(henon_map, z, 80)
+    ls = [direction_field_derivative(henon_map, c, k)[0] for k in (24, 40, 64, 80)]
+    assert max(ls) - min(ls) <= 1e-8 * min(ls)
+
+
 def test_field_derivative_bound_overflow_beside_zero():
     # q = 1/E_1 = 5e167 overflows (p q)^5 and (p q)^2, while p~ and delta are 0:
     # each such term is 0, where inf * 0 used to make the bound NaN

@@ -9,7 +9,9 @@ import pytest
 from stableleaf import (
     EpsilonSchedule,
     Point2,
+    check_condition_star,
     eigen_split,
+    estimate_budget,
     make_map,
     regular_growth_check,
     verify_fixed_point_theorem,
@@ -266,11 +268,12 @@ def report_words(o):
 
 
 # sha256 of report_words of the theorem-henon TheoremReport (eta 0.05, kmax 12,
-# n 2000) at seeds 1-3: every field, the leaf, contraction and probe arrays included
+# n 2000) at seeds 1-3: every field, the leaf, contraction and probe arrays included;
+# both rate fits are sums in Python floats, so no LAPACK result enters it
 THEOREM_HENON_REPORT_SHA256 = {
-    1: "4d5a4a214895aa94ed20f5f75cc0c7d1d53e89bf729f96fa55a36caacb9bcfc6",
-    2: "174c6c3da5f2123c3e94afec4ea27d052a4eb1e310480589d4a2809154a4c324",
-    3: "54027bd955babbbae31686a5205ef3a893be4b8e345116138a4464aaae156572",
+    1: "d344c2dc3701243ac8b23bf71c4d9d7c2754f1929155d3fade70cf88c5f9bbbf",
+    2: "37d5ef4004376f6206a421b948755ef6ff4c2c464a8c3ac72ec6f4dc53816533",
+    3: "6d588052506318543107abe5bdb3b0f79aa9dd22827a6648f666d04468353d2a",
 }
 
 
@@ -280,6 +283,20 @@ def test_theorem_henon_report_is_pinned(henon_map, seed):
     r = verify_fixed_point_theorem(henon_map, fp, eta=0.05, kmax=12, seed=seed, n=2000)
     digest = hashlib.sha256("\n".join(report_words(r)).encode()).hexdigest()
     assert digest == THEOREM_HENON_REPORT_SHA256[seed]
+
+
+def test_rate_fits_need_no_lapack(henon_map, monkeypatch):
+    # the contraction rate and the star tail ratio are closed-form sums
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rate fit called LAPACK")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    fp = eigen_split(henon_map, Point2(0.6, 0.2))
+    r = verify_fixed_point_theorem(henon_map, fp, eta=0.05, kmax=12, seed=2, n=2000)
+    assert r.converged and r.rate_deviation <= 0.05
+    b = estimate_budget(henon_map, fp.p, EpsilonSchedule.constant(0.05), 12, n=2000, seed=2)
+    assert 0.0 < check_condition_star(b).tail_ratio < 0.95
 
 
 def test_theorem_weak_hyperbolicity():

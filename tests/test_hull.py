@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stableleaf.leaf import convex_hull_halfplanes, hull_contains
+from stableleaf.leaf import convex_hull_halfplanes
+
+from hull_reference import hull_contains
 
 spatial = pytest.importorskip("scipy.spatial")
 

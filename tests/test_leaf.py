@@ -35,13 +35,14 @@ import stableleaf.leaf as leaf_mod
 from stableleaf.leaf import (
     MAX_STEPS_PER_CELL,
     _leaf_field,
+    _support_radius,
     budget_to_epsilon,
     convex_hull_halfplanes,
-    hull_contains,
     rk4_streamline,
 )
 
 from conftest import reference_orbit
+from hull_reference import hull_contains, square_inside
 
 HENON_SADDLE = Point2(0.6313544770895252, 0.18940634312685756)
 
@@ -178,6 +179,15 @@ def test_choose_epsilon_huge_eps_l_is_infeasible():
         choose_epsilon(b, gamma=0.0, L=1e300, sched=EpsilonSchedule.constant(1.0))
 
 
+@pytest.mark.parametrize("xi_value", [math.inf, math.nan])
+def test_choose_epsilon_unbounded_radius_fails_every_rung(xi_value):
+    # an infinite or NaN xi makes every rung's radius infinite or NaN; the
+    # four-corner test held the infinite square inside this axis-aligned hull
+    b = synthetic_budget(xi_value=xi_value)
+    with pytest.raises(NoFeasibleEpsilonError, match="the first rung .* fails the hull pre-check"):
+        choose_epsilon(b, gamma=0.0, L=0.0, sched=EpsilonSchedule.constant(1.0))
+
+
 def test_choose_epsilon_hull_precheck_bites(linear_map):
     # the tube pre-check rejects the first Gamma-feasible rung (the inflated
     # square pokes out of the order-k0 sample hull in y) and keeps the next
@@ -226,6 +236,37 @@ def test_hull_without_interior_contains_no_square(pts):
     hp = convex_hull_halfplanes(pts)
     assert hp.shape == (0, 3)
     assert not hull_contains(hp, [(0.0, 0.0), (1e-3, 1e-3), (0.0, 1e-3), (1e-3, 0.0)])
+    assert _support_radius(hp, (0.0, 0.0)) == -math.inf
+
+
+def test_support_radius_matches_four_corners():
+    # 10,000 random hulls of 3-12 points and z, at scales 1e-6 to 1e3; every
+    # third on an integer grid, so edges are often axis-aligned. z lies inside,
+    # as the centre of the sampled box does: at most 0.9 of the way from the
+    # centroid to a point. Each hull is asked about squares from none to
+    # twice r_max; rounding may move the verdict only within 1e-9 of r_max
+    rng = np.random.default_rng(7)
+    checked = 0
+    for i in range(10_000):
+        scale = 10.0 ** rng.uniform(-6.0, 3.0)
+        pts = rng.uniform(-1.0, 1.0, size=(rng.integers(3, 13), 2))
+        if i % 3 == 0:
+            pts = np.round(pts * 4.0)
+        pts *= scale
+        mid = pts.mean(axis=0)
+        z = mid + rng.uniform(0.0, 0.9) * (pts[rng.integers(len(pts))] - mid)
+        hp = convex_hull_halfplanes(pts)
+        r_max = _support_radius(hp, z)
+        if not len(hp):  # collinear grid points
+            assert r_max == -math.inf and not square_inside(hp, z, 0.0)
+            continue
+        assert r_max > 0.0
+        for d in rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-12.0, 0.0, 4):
+            r = r_max * (1.0 + d)
+            if abs(r - r_max) > 1e-9 * r_max:
+                assert (r <= r_max) == square_inside(hp, z, r), (pts, z, r, r_max)
+                checked += 1
+    assert checked > 20_000
 
 
 def test_choose_epsilon_collinear_sample_rejects_every_rung():
