@@ -26,9 +26,7 @@ def main():
     eta, kmax = 0.1, 16
     m = make_map("linear", lambda_s=0.5, lambda_u=2.0)
     z = Point2(0.0, 0.0)
-    sched = EpsilonSchedule.constant(eta)
-
-    b = estimate_budget(m, z, sched, kmax, n=1000, seed=7)
+    b = estimate_budget(m, z, EpsilonSchedule.constant(eta), kmax, n=1000, seed=7)
     print(f"k0 = {b.k0} (exact: 2)")
     print(f"xi_1 = {b.xi[1]:.12f} (exact: {1/3:.12f})")
     for k in (2, 4, 8):
@@ -36,16 +34,16 @@ def main():
               f"gamma~_{k} = {b.gamma_tilde[k]:.6f} (limit {(11/3)*2.0**-k:.6f})")
 
     star = check_condition_star(b)
-    dstar = check_condition_double_star(b, sched)
+    dstar = check_condition_double_star(b, b.sched)
     print(f"condition (*): {star.verdict}, tail ratio {star.tail_ratio:.4f} (exact 0.25)")
     print(f"condition (**): Gamma = {dstar.gamma_required:.4f} at (j,k) = "
           f"({dstar.argmax_j},{dstar.argmax_k})")
 
     L = direction_field_derivative(m, b.cocycle, kmax, 1e-4, budget=b)[0]
-    eps = choose_epsilon(b, dstar.gamma_required, L, sched)
+    eps = choose_epsilon(b, dstar.gamma_required, L)
     print(f"L = {L:.3e}, eps = {eps}")
 
-    conv = cauchy_iterate(m, b, sched, eps, tol=1e-9, L=L)
+    conv = cauchy_iterate(m, b, eps, tol=1e-9, L=L)
     limit = conv.limit
     print(f"max d_k = {conv.d_k.max():.3e} (exact 0); "
           f"max |y| on limit leaf = {abs(limit.ys).max():.3e}")

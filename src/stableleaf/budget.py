@@ -135,14 +135,16 @@ class HyperbolicityBudget:
     and xi[k] = terms[k]/(1-terms[k]) exist for k = 0..kmax-1 (+inf past 1).
     cocycle is the order-kmax cocycle at z itself. samples[k] holds the
     sampled draws in N^(k), in draw order, as an array of shape (count, 2);
-    z itself is not among them.
+    z itself is not among them. sched is the schedule the draws were tested
+    against: its radii eps_j define the tubes N^(k) that every later stage
+    (epsilon choice, Cauchy tube test, uniqueness probes) reads.
     """
 
     z: Point2
     kmax: int
     n: int
     seed: int
-    eps0: float
+    sched: EpsilonSchedule
     p: np.ndarray
     q: np.ndarray
     pt: np.ndarray
@@ -432,7 +434,7 @@ def estimate_budget(
     star_partial_sums = np.cumsum(star_terms[1:]) if kmax > 1 else np.zeros(0)
 
     return HyperbolicityBudget(
-        z=Point2(*z), kmax=kmax, n=n, seed=seed, eps0=sched.radius(0),
+        z=Point2(*z), kmax=kmax, n=n, seed=seed, sched=sched,
         p=p, q=q, pt=pt, gamma=gamma, gamma_star=gamma_star, delta=delta,
         fmax=fmax, terms=terms, xi=xi, gamma_tilde=gamma_tilde,
         star_terms=star_terms, star_partial_sums=star_partial_sums,

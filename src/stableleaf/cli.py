@@ -17,7 +17,7 @@ from . import fixedpoint as fp_mod
 from .budget import DEFAULT_SAMPLES, EpsilonSchedule, check_condition_double_star, check_condition_star, estimate_budget
 from .errors import NotConvergedError, NumericalError, ValidationError
 from .leaf import budget_to_epsilon, integrate_leaf, iterate_to_contraction, staged
-from .maps import Point2, make_map
+from .maps import MapModel, Point2, make_map
 from .reports import emit_json, emit_leaf_csv
 
 EXIT_OK = 0
@@ -98,10 +98,9 @@ def _parse_point(text: str) -> Point2:
 
 
 def _validate(ns) -> None:
-    if not (0.0 < ns.decay <= 1.0):
-        raise ValidationError(f"decay must be in (0, 1], got {ns.decay}")
-    if not (ns.eps0 > 0.0 and math.isfinite(ns.eps0)):
-        raise ValidationError(f"eps0 must be positive, got {ns.eps0}")
+    if ns.command == "fixedpoint" and ns.decay != 1.0:
+        raise ValidationError(f"fixedpoint runs at the constant schedule eps_j = eps0: "
+                              f"--decay must be 1, got {ns.decay}")
     if ns.kmax < 2:
         raise ValidationError(f"kmax must be >= 2, got {ns.kmax}")
     if ns.samples < 1:
@@ -110,7 +109,6 @@ def _validate(ns) -> None:
         raise ValidationError(f"tol must be positive and finite, got {ns.tol}")
     if ns.h is not None and not (ns.h > 0.0):
         raise ValidationError(f"h must be positive, got {ns.h}")
-    _parse_point(ns.z)  # a malformed or non-finite --z fails before the output directory is made
 
 
 def _build_map(ns):
@@ -128,11 +126,10 @@ def _inputs(ns):
     return _build_map(ns), _parse_point(ns.z), EpsilonSchedule(ns.eps0, ns.decay)
 
 
-def _cmd_budget(ns, out_dir: str) -> int:
-    m, z, sched = _inputs(ns)
+def _cmd_budget(ns, out_dir: str, m: MapModel, z: Point2, sched: EpsilonSchedule) -> int:
     b = staged("budget", estimate_budget, m, z, sched, ns.kmax, n=ns.samples, seed=ns.seed)
     star = check_condition_star(b)
-    dstar = check_condition_double_star(b, sched)
+    dstar = check_condition_double_star(b, b.sched)
     emit_json(
         {
             "map": m.name,
@@ -158,8 +155,7 @@ def _cmd_budget(ns, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _cmd_leaf(ns, out_dir: str) -> int:
-    m, z, sched = _inputs(ns)
+def _cmd_leaf(ns, out_dir: str, m: MapModel, z: Point2, sched: EpsilonSchedule) -> int:
     _, _, L, eps = budget_to_epsilon(m, z, sched, ns.kmax, ns.samples, ns.seed)
     curve = staged("integrate-leaf", integrate_leaf, m, z, ns.kmax, eps, h=ns.h)
     emit_leaf_csv(curve, os.path.join(out_dir, "leaf.csv"))
@@ -193,11 +189,10 @@ def _convergence_payload(m, ns, report, c_fit) -> dict:
     }
 
 
-def _cmd_converge(ns, out_dir: str) -> int:
-    m, z, sched = _inputs(ns)
+def _cmd_converge(ns, out_dir: str, m: MapModel, z: Point2, sched: EpsilonSchedule) -> int:
     b, _, L, eps = budget_to_epsilon(m, z, sched, ns.kmax, ns.samples, ns.seed)
     try:
-        report, contraction = iterate_to_contraction(m, b, sched, eps, L, ns.tol, ns.seed, h=ns.h)
+        report, contraction = iterate_to_contraction(m, b, eps, L, ns.tol, ns.seed, h=ns.h)
     except NotConvergedError as exc:
         if exc.report is not None:
             emit_json(_convergence_payload(m, ns, exc.report, None), os.path.join(out_dir, "convergence.json"))
@@ -208,11 +203,10 @@ def _cmd_converge(ns, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _cmd_fixedpoint(ns, out_dir: str) -> int:
-    m = _build_map(ns)
-    fp = staged("eigen-split", fp_mod.eigen_split, m, _parse_point(ns.z))
+def _cmd_fixedpoint(ns, out_dir: str, m: MapModel, z: Point2, sched: EpsilonSchedule) -> int:
+    fp = staged("eigen-split", fp_mod.eigen_split, m, z)
     report = fp_mod.verify_fixed_point_theorem(
-        m, fp, eta=ns.eps0, kmax=ns.kmax, seed=ns.seed, n=ns.samples, tol=ns.tol, h=ns.h
+        m, fp, eta=sched.eps0, kmax=ns.kmax, seed=ns.seed, n=ns.samples, tol=ns.tol, h=ns.h
     )
     emit_json(
         {
@@ -278,9 +272,10 @@ def run_command(argv: list[str]) -> int:
         if ns.config is not None:  # a second --config, or an abbreviation, that the expansion did not read
             raise ValidationError(f"--config {ns.config} not read: give exactly one config file, as --config PATH")
         _validate(ns)
+        inputs = _inputs(ns)  # a bad map, --z or schedule fails before the output directory is made
         out_dir = ns.out_dir
         os.makedirs(out_dir, exist_ok=True)
-        return _COMMANDS[ns.command](ns, out_dir)
+        return _COMMANDS[ns.command](ns, out_dir, *inputs)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -244,7 +244,12 @@ def regular_growth_check(
 
 @dataclass
 class TheoremReport:
-    """End-to-end verification record with one block per conclusion."""
+    """End-to-end verification record with one block per conclusion.
+
+    k0_ok holds by construction and is no evidence: estimate_budget sets
+    k0 = last_bad + 2, where last_bad is the last k with terms[k] >= 1/2, so
+    every term from k0 - 1 on is below 1/2.
+    """
 
     map_name: str
     fp: FixedPointData
@@ -297,11 +302,10 @@ def verify_fixed_point_theorem(
 
     A NumericalError propagates with .stage naming the stage that failed.
     """
-    sched = EpsilonSchedule.constant(eta)
-    b, gamma, L, eps = budget_to_epsilon(m, fp.p, sched, kmax, n, seed)
-    conv, contraction = iterate_to_contraction(m, b, sched, eps, L, tol, seed, h=h)
+    b, gamma, L, eps = budget_to_epsilon(m, fp.p, EpsilonSchedule.constant(eta), kmax, n, seed)
+    conv, contraction = iterate_to_contraction(m, b, eps, L, tol, seed, h=h)
     limit = conv.limit
-    uniq = staged("uniqueness", uniqueness_probe, m, b, sched, limit, probes=UNIQUENESS_PROBES, seed=seed)
+    uniq = staged("uniqueness", uniqueness_probe, m, b, limit, probes=UNIQUENESS_PROBES, seed=seed)
 
     # (1) tangency at p against the stable eigenvector
     th_leaf = float(limit.thetas[limit.center_index])

@@ -255,7 +255,7 @@ def integrate_leaf(
     xs_p, ys_p, th_p, trunc_p = rk4_streamline(fld, zx, zy, e0[0], e0[1], n_side, spacing, steps_per_cell)
     xs_n, ys_n, th_n, trunc_n = rk4_streamline(fld, zx, zy, -e0[0], -e0[1], n_side, spacing, steps_per_cell)
 
-    m_neg, m_pos = len(xs_n), len(xs_p)
+    m_neg = len(xs_n)
     xs = list(reversed(xs_n)) + [zx] + xs_p
     ys = list(reversed(ys_n)) + [zy] + ys_p
     raw = list(reversed(th_n)) + [th0] + th_p
@@ -349,13 +349,8 @@ def _support_radius(halfplanes: np.ndarray, z) -> float:
     return float(np.min((1e-12 - (nx * z[0] + ny * z[1] + c)) / (np.abs(nx) + np.abs(ny))))
 
 
-def choose_epsilon(
-    b: HyperbolicityBudget,
-    gamma: float,
-    L: float,
-    sched: EpsilonSchedule,
-) -> float:
-    """Largest dyadic eps = eps0 * 2^-m satisfying the leaf-length constraints.
+def choose_epsilon(b: HyperbolicityBudget, gamma: float, L: float) -> float:
+    """Largest dyadic eps = eps0 * 2^-m, eps0 the budget schedule's, satisfying the leaf-length constraints.
 
     Constraints: eps * gamma < 1, exp(eps * L) < 2, and the tube pre-check
     that the square of radius eps + omega_k around z stays inside the hull of
@@ -383,7 +378,7 @@ def choose_epsilon(
             return f"the hull pre-check (order-{k0} sample size {len(k0_sample)})"
         return None
 
-    rungs = [sched.radius(0) * 2.0 ** -mexp for mexp in range(LADDER_DEPTH + 1)]
+    rungs = [b.sched.radius(0) * 2.0 ** -mexp for mexp in range(LADDER_DEPTH + 1)]
     for eps in rungs:
         if blocker(eps) is None:
             return eps
@@ -440,7 +435,6 @@ def _leaf_distance(a: LeafCurve, bcurve: LeafCurve) -> tuple[float, int]:
 def cauchy_iterate(
     m: MapModel,
     b: HyperbolicityBudget,
-    sched: EpsilonSchedule,
     eps: float,
     tol: float,
     L: float,
@@ -453,8 +447,8 @@ def cauchy_iterate(
     exp(L*eps) past the float range, raises BadParamsError. Tube
     containment is checked by displacing every TUBE_STRIDE-th grid node
     (plus the endpoints) of the order-k leaf by +/- omega_k along the
-    expanded direction and testing membership in the order-(k+1) tube
-    around the orbit of z that b.cocycle holds. All orders'
+    expanded direction and testing membership in the order-(k+1) tube of
+    b.sched around the orbit of z that b.cocycle holds. All orders'
     nodes share one tube_exits pass to step kmax - 1, which runs lane by
     lane; order k passes where none of its lanes exits by step k. The run
     converges when the last comparison distance and the integration error
@@ -505,7 +499,7 @@ def cauchy_iterate(
         with np.errstate(invalid="ignore", over="ignore"):  # omega may be +inf: inf and nan, as floats give
             dxs.append((px + sw * fx).ravel())
             dys.append((py + sw * fy).ravel())
-    exits = tube_exits(m, b.cocycle.orbit, np.concatenate(dxs), np.concatenate(dys), sched, kmax - 1)
+    exits = tube_exits(m, b.cocycle.orbit, np.concatenate(dxs), np.concatenate(dys), b.sched, kmax - 1)
     per_order = np.split(exits, np.cumsum([len(a) for a in dxs[:-1]]))
     tube_ok = [not np.any((e >= 0) & (e <= k)) for k, e in zip(ks, per_order)]
 
@@ -640,12 +634,11 @@ class UniquenessReport:
 def uniqueness_probe(
     m: MapModel,
     b: HyperbolicityBudget,
-    sched: EpsilonSchedule,
     leaf: LeafCurve,
     probes: int,
     seed: int,
 ) -> UniquenessReport:
-    """Probe points of the eps0 box around the budget's z for their first exit from the tube around its cocycle's orbit.
+    """Probe points of the eps0 box around the budget's z for their first exit from its tube around its cocycle's orbit.
 
     Points off the leaf should exit by a finite step (the expanded direction
     grows); leaf grid points themselves should survive all b.kmax tests up to
@@ -654,9 +647,9 @@ def uniqueness_probe(
     The probes and every 8th leaf node share one tube_exits pass.
     """
     kmax, ref = b.kmax, b.cocycle.orbit
-    xs, ys = SplitRng(seed).substream(_PROBE_STREAM).points_in_box(*ref[0], sched.radius(0), probes)
+    xs, ys = SplitRng(seed).substream(_PROBE_STREAM).points_in_box(*ref[0], b.sched.radius(0), probes)
     exits = tube_exits(m, ref, np.concatenate([xs, leaf.xs[::8]]), np.concatenate([ys, leaf.ys[::8]]),
-                       sched, kmax)
+                       b.sched, kmax)
     exits, on_leaf = exits[: len(xs)], exits[len(xs):]
     dist = np.empty(len(xs))
     rows = max(1, SAMPLE_BLOCK // len(leaf.xs))  # probes per block
@@ -695,21 +688,21 @@ def budget_to_epsilon(
     L is measured on the budget's own order-kmax cocycle at z.
     """
     b = staged("budget", estimate_budget, m, z, sched, kmax, n=n, seed=seed)
-    gamma = staged("double-star", check_condition_double_star, b, sched).gamma_required
+    gamma = staged("double-star", check_condition_double_star, b, b.sched).gamma_required
     L = staged("direction-derivative", direction_field_derivative, m, b.cocycle, b.kmax)[0]
-    eps = staged("choose-epsilon", choose_epsilon, b, gamma, L, sched)
+    eps = staged("choose-epsilon", choose_epsilon, b, gamma, L)
     return b, gamma, L, eps
 
 
 def iterate_to_contraction(
-    m: MapModel, b: HyperbolicityBudget, sched: EpsilonSchedule, eps: float, L: float,
-    tol: float, seed: int, h: Optional[float] = None,
+    m: MapModel, b: HyperbolicityBudget, eps: float, L: float, tol: float, seed: int,
+    h: Optional[float] = None,
 ) -> tuple[ConvergenceReport, ContractionReport]:
     """Stages Cauchy iteration -> contraction on the limit leaf, at the budget's z up to its kmax.
 
     The contraction fit runs up to CONTRACTION_ORDERS past k0, at most kmax.
     A NotConvergedError carries the partial ConvergenceReport.
     """
-    conv = staged("cauchy-iterate", cauchy_iterate, m, b, sched, eps, tol, L=L, h=h)
+    conv = staged("cauchy-iterate", cauchy_iterate, m, b, eps, tol, L=L, h=h)
     n = min(b.kmax, b.k0 + CONTRACTION_ORDERS)
     return conv, staged("contraction", contraction_check, m, conv.limit, b, n=n, seed=seed)

@@ -65,8 +65,8 @@ def linear_pipeline(eta=0.1, kmax=16, n=1000, seed=7, tol=1e-9):
     from stableleaf.directions import direction_field_derivative
 
     L = direction_field_derivative(m, coc, kmax, 1e-4, budget=b)[0]
-    eps = choose_epsilon(b, dstar.gamma_required, L, sched)
-    conv = cauchy_iterate(m, b, sched, eps, tol, L=L)
+    eps = choose_epsilon(b, dstar.gamma_required, L)
+    conv = cauchy_iterate(m, b, eps, tol, L=L)
     return m, z, sched, b, eps, conv
 
 
@@ -261,8 +261,8 @@ def test_criterion_6_gronwall():
 
     coc = build_orbit_cocycle(m, z, kmax)
     L = direction_field_derivative(m, coc, kmax, 1e-4, budget=b)[0]
-    eps = choose_epsilon(b, dstar.gamma_required, L, sched)
-    conv = cauchy_iterate(m, b, sched, eps, 1e-6, L=L)
+    eps = choose_epsilon(b, dstar.gamma_required, L)
+    conv = cauchy_iterate(m, b, eps, 1e-6, L=L)
     assert conv.ks == list(range(b.k0, kmax))
     assert np.all(conv.d_k <= conv.gronwall_bound * SAMPLE_SLACK)
     # monotone decay and a summable tail: the whole sum stays below 2 d_{k0}
@@ -325,7 +325,7 @@ def test_criterion_9_uniqueness():
         j = first_tube_exit(m, ref, Point2(0.0, delta), sched, kmax)
         expected = math.ceil(math.log2(eta / delta))
         assert j is not None and abs(j - expected) <= 1
-    rep = uniqueness_probe(m, b, sched, conv.limit, probes=200, seed=9)
+    rep = uniqueness_probe(m, b, conv.limit, probes=200, seed=9)
     assert rep.on_leaf_exits == 0
 
 

@@ -48,7 +48,8 @@ def step(draw, eps0: str) -> str:
 @st.composite
 def cli_argv(draw):
     name = draw(st.sampled_from(sorted(MAP_PARAMS)))
-    argv = [draw(st.sampled_from(("budget", "leaf", "converge", "fixedpoint"))), "--map", name]
+    command = draw(st.sampled_from(("budget", "leaf", "converge", "fixedpoint")))
+    argv = [command, "--map", name]
     ranges = {"--lambda-s": (-1.5, 1.5), "--lambda-u": (-4.0, 4.0), "--c": (-0.5, 0.5),
               "--a": (-2.0, 2.0), "--b": (-1.0, 1.0)}
     for flag in MAP_PARAMS[name]:
@@ -57,7 +58,9 @@ def cli_argv(draw):
             argv.append(f"{flag}={draw_value(draw, *ranges[flag])}")
     argv.append(f"--z={number(draw, -1.5, 1.5)},{number(draw, -1.5, 1.5)}")
     eps0 = number(draw, 1e-4, 0.5)
-    argv += [f"--eps0={eps0}", f"--decay={number(draw, 0.05, 1.0)}"]
+    argv.append(f"--eps0={eps0}")
+    if command != "fixedpoint" or draw(st.integers(0, 9)) == 0:  # fixedpoint refuses a decay other than 1
+        argv.append(f"--decay={number(draw, 0.05, 1.0)}")
     if draw(st.integers(0, 3)) == 0:
         argv.append(f"--h={step(draw, eps0)}")
     argv += [f"--kmax={draw(st.integers(2, 6))}", f"--samples={draw(st.integers(1, 40))}"]

@@ -140,7 +140,7 @@ def synthetic_budget(k0=2, kmax=8, eps0=1.0, xi_value=0.0):
     n = kmax + 1
     square = np.array([(-4.0, -4.0), (4.0, -4.0), (4.0, 4.0), (-4.0, 4.0)])
     return HyperbolicityBudget(
-        z=Point2(0, 0), kmax=kmax, n=0, seed=0, eps0=eps0,
+        z=Point2(0, 0), kmax=kmax, n=0, seed=0, sched=EpsilonSchedule.constant(eps0),
         p=np.ones(n), q=np.ones(n), pt=np.zeros(n),
         gamma=np.ones(n), gamma_star=np.zeros(n), delta=np.zeros(n),
         fmax=np.ones(n), terms=np.zeros(kmax), xi=np.full(kmax, xi_value),
@@ -152,31 +152,28 @@ def synthetic_budget(k0=2, kmax=8, eps0=1.0, xi_value=0.0):
 
 def test_choose_epsilon_gamma_binding():
     b = synthetic_budget(eps0=1.0)
-    sched = EpsilonSchedule.constant(1.0)
-    eps = choose_epsilon(b, gamma=2.0, L=0.0, sched=sched)
+    eps = choose_epsilon(b, gamma=2.0, L=0.0)
     # largest dyadic 2^-m with eps * 2 < 1 strictly
     assert eps == 0.25
 
 
 def test_choose_epsilon_degenerate_constraints():
     b = synthetic_budget(eps0=1.0)
-    sched = EpsilonSchedule.constant(1.0)
-    eps = choose_epsilon(b, gamma=0.0, L=0.0, sched=sched)
+    eps = choose_epsilon(b, gamma=0.0, L=0.0)
     assert eps == 1.0  # ladder top
 
 
 def test_choose_epsilon_infeasible():
     b = synthetic_budget()
-    sched = EpsilonSchedule.constant(1.0)
     with pytest.raises(NoFeasibleEpsilonError):
-        choose_epsilon(b, gamma=math.inf, L=0.0, sched=sched)
+        choose_epsilon(b, gamma=math.inf, L=0.0)
 
 
 def test_choose_epsilon_huge_eps_l_is_infeasible():
     # eps * L = 1e300 at the top rung: exp(eps * L) would overflow
     b = synthetic_budget()
     with pytest.raises(NoFeasibleEpsilonError):
-        choose_epsilon(b, gamma=0.0, L=1e300, sched=EpsilonSchedule.constant(1.0))
+        choose_epsilon(b, gamma=0.0, L=1e300)
 
 
 @pytest.mark.parametrize("xi_value", [math.inf, math.nan])
@@ -185,7 +182,7 @@ def test_choose_epsilon_unbounded_radius_fails_every_rung(xi_value):
     # four-corner test held the infinite square inside this axis-aligned hull
     b = synthetic_budget(xi_value=xi_value)
     with pytest.raises(NoFeasibleEpsilonError, match="the first rung .* fails the hull pre-check"):
-        choose_epsilon(b, gamma=0.0, L=0.0, sched=EpsilonSchedule.constant(1.0))
+        choose_epsilon(b, gamma=0.0, L=0.0)
 
 
 def test_choose_epsilon_hull_precheck_bites(linear_map):
@@ -194,7 +191,7 @@ def test_choose_epsilon_hull_precheck_bites(linear_map):
     sched = EpsilonSchedule.constant(0.1)
     b = estimate_budget(linear_map, Point2(0, 0), sched, kmax=10, n=1000, seed=3)
     rep = check_condition_double_star(b, sched)
-    eps_checked = choose_epsilon(b, rep.gamma_required, 0.0, sched)
+    eps_checked = choose_epsilon(b, rep.gamma_required, 0.0)
     rungs = [0.1 * 2.0 ** -m for m in range(LADDER_DEPTH + 1)]
     eps_unchecked = next(eps for eps in rungs if eps * rep.gamma_required < 1.0)
     assert eps_unchecked == 0.05
@@ -207,7 +204,7 @@ def test_choose_epsilon_linear_reverify(linear_map):
     rep = check_condition_double_star(b, sched)
     coc = build_orbit_cocycle(linear_map, Point2(0, 0), 10)
     L = direction_field_derivative(linear_map, coc, 10, 1e-4, budget=b)[0]
-    eps = choose_epsilon(b, rep.gamma_required, L, sched)
+    eps = choose_epsilon(b, rep.gamma_required, L)
     assert eps > 0.0
     assert eps * rep.gamma_required < 1.0
     assert math.exp(eps * L) < 2.0
@@ -275,16 +272,16 @@ def test_choose_epsilon_collinear_sample_rejects_every_rung():
     b = synthetic_budget(eps0=1.0)
     b.samples = {b.k0: [Point2(-1.0, -1.0), Point2(0.5, 0.5), Point2(1.0, 1.0)]}
     with pytest.raises(NoFeasibleEpsilonError):
-        choose_epsilon(b, gamma=0.0, L=0.0, sched=EpsilonSchedule.constant(1.0))
+        choose_epsilon(b, gamma=0.0, L=0.0)
 
 
 def test_choose_epsilon_empty_k0_sample_rejects_every_rung():
     # a budget whose order-k0 sample is empty has the hull of {z} alone
     b = synthetic_budget(eps0=1.0)
-    assert choose_epsilon(b, gamma=0.0, L=0.0, sched=EpsilonSchedule.constant(1.0)) == 1.0
+    assert choose_epsilon(b, gamma=0.0, L=0.0) == 1.0
     b.samples = {b.k0: np.empty((0, 2)), b.k0 + 1: np.empty((0, 2))}
     with pytest.raises(NoFeasibleEpsilonError, match="sample size 0"):
-        choose_epsilon(b, gamma=0.0, L=0.0, sched=EpsilonSchedule.constant(1.0))
+        choose_epsilon(b, gamma=0.0, L=0.0)
 
 
 def test_integrate_leaf_linear_exact(linear_map):
@@ -313,7 +310,7 @@ def test_cauchy_validation(linear_map):
     b = estimate_budget(linear_map, Point2(0, 0), sched, kmax=2, n=50, seed=1)
     assert b.k0 == b.kmax
     with pytest.raises(BadParamsError, match="kmax=2 must exceed k0=2"):
-        cauchy_iterate(linear_map, b, sched, 0.01, 1e-6, L=0.0)
+        cauchy_iterate(linear_map, b, 0.01, 1e-6, L=0.0)
 
 
 def test_integrate_leaf_truncation(linear_map):
@@ -378,8 +375,8 @@ def _linear_pipeline(linear_map, kmax=10, tol=1e-8):
     rep = check_condition_double_star(b, sched)
     coc = build_orbit_cocycle(linear_map, z, kmax)
     L = direction_field_derivative(linear_map, coc, kmax, 1e-4, budget=b)[0]
-    eps = choose_epsilon(b, rep.gamma_required, L, sched)
-    conv = cauchy_iterate(linear_map, b, sched, eps, tol, L=L)
+    eps = choose_epsilon(b, rep.gamma_required, L)
+    conv = cauchy_iterate(linear_map, b, eps, tol, L=L)
     return b, sched, eps, conv
 
 
@@ -399,8 +396,8 @@ def test_cauchy_perturbed_gronwall(perturbed_map):
     rep = check_condition_double_star(b, sched)
     coc = build_orbit_cocycle(perturbed_map, z, kmax)
     L = direction_field_derivative(perturbed_map, coc, kmax, 1e-4, budget=b)[0]
-    eps = choose_epsilon(b, rep.gamma_required, L, sched)
-    conv = cauchy_iterate(perturbed_map, b, sched, eps, 1e-6, L=L)
+    eps = choose_epsilon(b, rep.gamma_required, L)
+    conv = cauchy_iterate(perturbed_map, b, eps, 1e-6, L=L)
     assert np.all(conv.d_k <= conv.gronwall_bound * SAMPLE_SLACK)
     assert np.all(np.diff(conv.d_k) < 0.0)  # strictly decreasing here
     assert all(conv.tube_ok)
@@ -414,8 +411,8 @@ def test_cauchy_henon_converges(henon_map):
     rep = check_condition_double_star(b, sched)
     coc = build_orbit_cocycle(henon_map, z, kmax)
     L = direction_field_derivative(henon_map, coc, kmax, 1e-4, budget=b)[0]
-    eps = choose_epsilon(b, rep.gamma_required, L, sched)
-    conv = cauchy_iterate(henon_map, b, sched, eps, 1e-8, L=L)
+    eps = choose_epsilon(b, rep.gamma_required, L)
+    conv = cauchy_iterate(henon_map, b, eps, 1e-8, L=L)
     assert conv.converged
     assert np.all(np.diff(conv.d_k) < 0.0)
     assert np.all(conv.d_k <= conv.gronwall_bound * SAMPLE_SLACK)
@@ -427,7 +424,7 @@ def test_cauchy_not_converged_carries_report(henon_map):
     b = estimate_budget(henon_map, z, sched, kmax=6, n=300, seed=7)
     L = direction_field_derivative(henon_map, build_orbit_cocycle(henon_map, z, 6), 6)[0]
     with pytest.raises(NotConvergedError) as exc:
-        cauchy_iterate(henon_map, b, sched, 0.01, tol=1e-300, L=L)
+        cauchy_iterate(henon_map, b, 0.01, tol=1e-300, L=L)
     err = exc.value
     assert err.report is not None
     assert len(err.report.d_k) == len(err.report.ks)
@@ -439,7 +436,7 @@ def test_cauchy_degenerate_leaves_not_converged(linear_map):
     sched = EpsilonSchedule.constant(0.1)
     b = estimate_budget(linear_map, Point2(0, 0), sched, kmax=6, n=50, seed=1)
     with pytest.raises(NotConvergedError) as exc:
-        cauchy_iterate(linear_map, b, sched, 1e300, 1e-8, L=0.0)
+        cauchy_iterate(linear_map, b, 1e300, 1e-8, L=0.0)
     rep = exc.value.report
     assert len(rep.limit.t) == 1
     assert not rep.converged
@@ -477,7 +474,7 @@ def test_contraction_check_refuses_a_negative_n(linear_map):
 
 def test_uniqueness_probe_linear(linear_map):
     b, sched, eps, conv = _linear_pipeline(linear_map, kmax=12)
-    rep = uniqueness_probe(linear_map, b, sched, conv.limit, probes=150, seed=9)
+    rep = uniqueness_probe(linear_map, b, conv.limit, probes=150, seed=9)
     assert rep.on_leaf_exits == 0
     assert rep.on_leaf_checked > 0
     # every probe that survives must hug the leaf; everything farther must exit
@@ -604,7 +601,7 @@ def test_half_step_leaf_takes_twice_the_steps(monkeypatch, henon_map, n_steps):
 
     monkeypatch.setattr(leaf_mod, "contracted_theta_fast", counted)
     monkeypatch.setattr(leaf_mod, "integrate_leaf", recorded)
-    conv = cauchy_iterate(henon_map, b, sched, eps, 1e-8, L=L, h=eps / n_steps)
+    conv = cauchy_iterate(henon_map, b, eps, 1e-8, L=L, h=eps / n_steps)
     assert made[-2:] == [(n_steps, 1 + 8 * n_steps), (2 * n_steps, 1 + 16 * n_steps)]
     assert conv.limit.steps_per_cell == n_steps / 128
     assert 0.0 < conv.integration_error < 1e-13
@@ -761,7 +758,7 @@ def test_cauchy_iterate_refuses_a_step_that_is_not_positive(linear_map, h):
     z, sched = Point2(0, 0), EpsilonSchedule.constant(0.1)
     b, _, L, eps = budget_to_epsilon(linear_map, z, sched, 10, 500, 3)
     with pytest.raises(BadParamsError, match=re.escape(f"h must be positive, got {h}") + "$"):
-        cauchy_iterate(linear_map, b, sched, eps, 1e-8, L=L, h=h)
+        cauchy_iterate(linear_map, b, eps, 1e-8, L=L, h=h)
 
 
 @pytest.mark.parametrize("L", [-1.0, math.nan, 1e6, math.inf], ids=["negative", "nan", "exp-overflows", "inf"])
@@ -771,7 +768,7 @@ def test_cauchy_iterate_refuses_a_bad_lipschitz_constant(linear_map, L):
     b = estimate_budget(linear_map, z, sched, kmax=10, n=500, seed=3)
     assert b.k0 < b.kmax
     with pytest.raises(BadParamsError, match=re.escape(f"L={L} must be >= 0 with exp(L*eps) finite at eps=0.0125") + "$"):
-        cauchy_iterate(linear_map, b, sched, 0.0125, 1e-8, L=L)
+        cauchy_iterate(linear_map, b, 0.0125, 1e-8, L=L)
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan])
@@ -788,7 +785,7 @@ def test_integration_error_linear_exact(linear_map):
     # a dyadic eps makes every RK4 increment of the constant field exact
     z, sched = Point2(0, 0), EpsilonSchedule.constant(0.125)
     b, _, L, eps = budget_to_epsilon(linear_map, z, sched, 10, 500, 3)
-    conv = cauchy_iterate(linear_map, b, sched, eps, 1e-8, L=L)
+    conv = cauchy_iterate(linear_map, b, eps, 1e-8, L=L)
     assert eps == 0.03125
     assert conv.integration_error == 0.0
     assert np.all(conv.d_k == 0.0)
@@ -801,7 +798,7 @@ def test_integration_error_alone_blocks_convergence(linear_map):
     assert eps == 0.025 and np.all(conv.d_k == 0.0)
     assert 0.0 < conv.integration_error < 1e-15
     with pytest.raises(NotConvergedError) as exc:
-        cauchy_iterate(linear_map, b, sched, eps, conv.integration_error, L=conv.L_used)
+        cauchy_iterate(linear_map, b, eps, conv.integration_error, L=conv.L_used)
     msg = str(exc.value)
     assert f"integration error {conv.integration_error:.3e}" in msg
     assert "d_k" not in msg and "truncated" not in msg
@@ -813,7 +810,7 @@ def test_integration_error_henon(henon_map):
     z = HENON_SADDLE
     sched = EpsilonSchedule.constant(0.05)
     b, _, L, eps = budget_to_epsilon(henon_map, z, sched, 12, 800, 6)
-    conv = cauchy_iterate(henon_map, b, sched, eps, 1e-8, L=L)
+    conv = cauchy_iterate(henon_map, b, eps, 1e-8, L=L)
     fine = integrate_leaf(henon_map, z, 12, eps, h=conv.limit.h / 2)
     assert fine.steps_per_cell == 2 * conv.limit.steps_per_cell
     expected = np.max(np.hypot(conv.limit.xs - fine.xs, conv.limit.ys - fine.ys))
@@ -834,7 +831,7 @@ def test_truncated_limit_leaf_is_not_converged(linear_map):
     b, _, L, eps = budget_to_epsilon(m, z, sched, 10, 500, 3)
     assert eps == 0.025  # the strip stays inside the hull of the order-k0 sample
     with pytest.raises(NotConvergedError) as exc:
-        cauchy_iterate(m, b, sched, eps, 1e-8, L=L)
+        cauchy_iterate(m, b, eps, 1e-8, L=L)
     rep = exc.value.report
     assert np.all(rep.d_k == 0.0) and rep.integration_error < 1e-8
     assert rep.limit.truncated_pos and not rep.limit.truncated_neg
@@ -854,7 +851,7 @@ def test_half_step_leaf_stopping_short_leaves_the_error_unmeasured(linear_map):
     b, _, L, eps = budget_to_epsilon(m, z, sched, 10, 500, 3)
     assert eps == 0.025
     with pytest.raises(NotConvergedError) as exc:
-        cauchy_iterate(m, b, sched, eps, 1e-8, L=L)
+        cauchy_iterate(m, b, eps, 1e-8, L=L)
     rep = exc.value.report
     assert np.all(rep.d_k == 0.0)
     assert not rep.limit.truncated_neg and not rep.limit.truncated_pos

@@ -94,9 +94,9 @@ def ref_contraction_check(m, leaf, b, n, seed):
     )
 
 
-def ref_uniqueness_probe(m, b, sched, leaf, probes, seed):
+def ref_uniqueness_probe(m, b, leaf, probes, seed):
     """uniqueness_probe with one distance pass per probe and two tube_exits calls."""
-    kmax, ref = b.kmax, b.cocycle.orbit
+    kmax, ref, sched = b.kmax, b.cocycle.orbit, b.sched
     xs, ys = SplitRng(seed).substream(3).points_in_box(*ref[0], sched.radius(0), probes)
     records = []
     for x, y, e in zip(xs.tolist(), ys.tolist(), tube_exits(m, ref, xs, ys, sched, kmax).tolist()):
@@ -153,7 +153,7 @@ def henon_stages(seed, L=None):
     b, _, L_measured, eps = budget_to_epsilon(m, fp.p, sched, 12, 2000, seed)
     L = L_measured if L is None else L
     try:
-        conv = cauchy_iterate(m, b, sched, eps, 1e-8, L=L)
+        conv = cauchy_iterate(m, b, eps, 1e-8, L=L)
     except NotConvergedError as exc:
         conv = exc.report
     return m, b, sched, eps, L, conv
@@ -185,7 +185,7 @@ def test_tube_checks_match_where_omega_is_infinite():
     # xi_k = inf at every other order: those orders' nodes are displaced to inf or NaN
     m, b, sched, eps, L, _ = henon_stages(2)
     b = dataclasses.replace(b, xi=np.where(np.arange(len(b.xi)) % 2, np.inf, b.xi))
-    conv = cauchy_iterate(m, b, sched, eps, 1e-8, L=L)
+    conv = cauchy_iterate(m, b, eps, 1e-8, L=L)
     want = ref_tube_ok(m, b, sched, eps, L, leaves_of(m, b, eps))
     assert conv.tube_ok == want
     assert want == [k % 2 == 0 for k in range(b.k0, b.kmax)]
@@ -215,7 +215,7 @@ def linear_stages(kmax=12):
     m = make_map("linear", lambda_s=0.5, lambda_u=2.0)
     sched = EpsilonSchedule.constant(0.1)
     b, _, L, eps = budget_to_epsilon(m, Point2(0.0, 0.0), sched, kmax, 500, 1)
-    return m, b, sched, cauchy_iterate(m, b, sched, eps, 1e-8, L=L)
+    return m, b, sched, cauchy_iterate(m, b, eps, 1e-8, L=L)
 
 
 @pytest.mark.parametrize("n", [0, 1, 6, 12])
@@ -313,8 +313,8 @@ def same_uniqueness(got, want):
 @pytest.mark.parametrize("probes", [0, 1, 200])
 def test_uniqueness_matches_the_probe_loop(probes):
     m, b, sched, eps, L, conv = henon_stages(2)
-    got = uniqueness_probe(m, b, sched, conv.limit, probes, 2)
-    same_uniqueness(got, ref_uniqueness_probe(m, b, sched, conv.limit, probes, 2))
+    got = uniqueness_probe(m, b, conv.limit, probes, 2)
+    same_uniqueness(got, ref_uniqueness_probe(m, b, conv.limit, probes, 2))
     if probes == 200:
         assert len({r.exit_step for r in got.probes}) > 4
 
@@ -322,8 +322,8 @@ def test_uniqueness_matches_the_probe_loop(probes):
 def test_uniqueness_on_a_one_node_leaf():
     m, b, sched, conv = linear_stages()
     leaf = hand_leaf([0.0], [0.0])
-    got = uniqueness_probe(m, b, sched, leaf, 50, 7)
-    same_uniqueness(got, ref_uniqueness_probe(m, b, sched, leaf, 50, 7))
+    got = uniqueness_probe(m, b, leaf, 50, 7)
+    same_uniqueness(got, ref_uniqueness_probe(m, b, leaf, 50, 7))
     assert got.on_leaf_checked == 1
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 
 import stableleaf
 import stableleaf.leaf as leaf_mod
+from stableleaf.budget import EpsilonSchedule
 from stableleaf.cli import run_command
-from stableleaf.leaf import LeafCurve
-from stableleaf.maps import Point2
+from stableleaf.fixedpoint import UNIQUENESS_PROBES
+from stableleaf.leaf import LeafCurve, budget_to_epsilon, iterate_to_contraction, uniqueness_probe
+from stableleaf.maps import Point2, make_map
 from stableleaf.reports import dumps_canonical, emit_json, emit_leaf_csv, leaf_csv_lines
 
 
@@ -118,6 +121,28 @@ def test_cli_reports_the_step_used(tmp_path, h, steps):
     conv = json.loads((tmp_path / "convergence.json").read_text())
     assert conv["eps_chosen"] == 0.0125
     assert conv["steps_per_cell"] == steps and conv["h"] == 0.0125 / 128 / steps
+
+
+# sha256 of the converge run's artifacts with CONVERGE_ARGS and --decay 0.9, and of
+# "exit_step distance.hex()" per probe of uniqueness_probe on that run's limit leaf:
+# the tubes of every stage after the budget shrink as 0.05 * 0.9^j, not as eps0
+DECAYING_RUN_SHA256 = {
+    "convergence.json": "88d62e3e016854cbd1a5078223a5da315920209a455f6dde303650ebbe2141ca",
+    "leaf.csv": "1d8208bbde48b6cb84259fc22e7da6e92da81138e5d73cb8ea4e2156e6e261fb",
+    "probes": "7da9cf70220ff0dc65dc638f83c193bc219efcb45a19ac5880c6161a78e6c2c3",
+}
+
+
+def test_decaying_schedule_run_is_pinned(tmp_path):
+    assert run_command(CONVERGE_ARGS + ["--decay", "0.9", "--out-dir", str(tmp_path)]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("convergence.json", "leaf.csv")}
+    m = make_map("perturbed", lambda_s=0.5, lambda_u=2.0, c=0.05)
+    b, _, L, eps = budget_to_epsilon(m, Point2(0.0, 0.0), EpsilonSchedule(0.05, 0.9), 8, 300, 42)
+    conv, _ = iterate_to_contraction(m, b, eps, L, 1e-8, 42)
+    rep = uniqueness_probe(m, b, conv.limit, probes=UNIQUENESS_PROBES, seed=42)
+    words = "\n".join(f"{r.exit_step} {r.distance_to_leaf.hex()}" for r in rep.probes)
+    got["probes"] = hashlib.sha256(words.encode()).hexdigest()
+    assert got == DECAYING_RUN_SHA256
 
 
 def test_cli_integration_error_above_tol_exits_numerical(tmp_path, capsys):
@@ -280,6 +305,21 @@ def test_cli_fixedpoint_subcommand(tmp_path):
     assert rep["conclusion_4_uniqueness"]["on_leaf_exits"] == 0
 
 
+def test_cli_fixedpoint_refuses_a_decaying_schedule(tmp_path, capsys):
+    # the theorem runs at eps_j = eta: a --decay below 1, as a flag or a config
+    # line, is refused before the output directory is made
+    out = tmp_path / "out"
+    args = ["fixedpoint", "--map", "henon", "--a", "1.4", "--b", "0.3", "--z", "0.6,0.2", "--eps0", "0.05",
+            "--kmax", "8", "--samples", "200", "--out-dir", str(out)]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("decay=0.5\n")
+    for extra in (["--decay", "0.5"], ["--config", str(cfg)]):
+        assert run_command(args + extra) == 2
+        err = capsys.readouterr().err
+        assert "--decay must be 1, got 0.5" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 def test_cli_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -375,7 +415,7 @@ def test_cli_epsilon_ladder_with_huge_eps_l(tmp_path, capsys):
     # eps0 = 1e300 puts eps * L far past the range of exp on the top rungs
     rc = run_command(["fixedpoint", "--map", "henon", "--a=1.7299327359653565", "--b=0.8238968049670701",
                       "--z=-0.42226108498514403,0.05374399616018577", "--eps0=1e300",
-                      "--decay=0.130614464372712", "--kmax=4", "--samples=39", "--seed=1277108571",
+                      "--kmax=4", "--samples=39", "--seed=1277108571",
                       "--out-dir", str(tmp_path)])
     assert rc == 3
     err = capsys.readouterr().err
