@@ -34,12 +34,11 @@ from .cocycle import (
     _point_data,
     build_orbit_cocycle,
     mul_lanes,
-    norm2,
     norm2_lanes,
     series_term,
     singular_values_lanes,
 )
-from .errors import BadParamsError, DomainError, NonFiniteError
+from .errors import BadParamsError
 from .maps import MapModel, Point2, apply_lanes
 from .rng import SplitRng
 
@@ -74,31 +73,17 @@ class EpsilonSchedule:
 def first_tube_exit(
     m: MapModel, ref_orbit: list[Point2], x: Point2, sched: EpsilonSchedule, jmax: int
 ) -> Optional[int]:
-    """First iterate j <= jmax violating the tube test, or None.
+    """First iterate j <= jmax violating the tube test, or None: ``tube_exits`` on the one lane x.
 
     j=0 uses the sup-norm box of radius eps_0 (the sampler's box); j >= 1 uses
     the Euclidean norm. A domain escape at iterate j counts as an exit at j.
-    This is the one-point reference of ``tube_exits``, which the package uses.
     """
-    px, py = float(x[0]), float(x[1])
-    rx, ry = ref_orbit[0]
-    if max(abs(px - rx), abs(py - ry)) > sched.radius(0):
-        return 0
-    ev = m.eval_xy
-    for j in range(1, jmax + 1):
-        try:
-            px, py = ev(px, py)
-        except (DomainError, NonFiniteError):
-            return j
-        rx, ry = ref_orbit[j]
-        dx, dy = px - rx, py - ry
-        if norm2(dx, dy) > sched.radius(j):
-            return j
-    return None
+    j = int(tube_exits(m, ref_orbit, [float(x[0])], [float(x[1])], sched, jmax)[0])
+    return None if j < 0 else j
 
 
 def _tube_miss(j: int, x: np.ndarray, y: np.ndarray, ref: list[Point2], sched: EpsilonSchedule) -> np.ndarray:
-    """The lanes whose iterate j (x, y) fails first_tube_exit's test at j."""
+    """The lanes whose iterate j (x, y) fails the tube test at j: the sup-norm box at 0, norm2 after."""
     rx, ry = ref[j]
     r = sched.radius(j)
     dx, dy = x - rx, y - ry
@@ -112,7 +97,10 @@ def _tube_miss(j: int, x: np.ndarray, y: np.ndarray, ref: list[Point2], sched: E
 def tube_exits(
     m: MapModel, ref_orbit: list[Point2], x, y, sched: EpsilonSchedule, jmax: int
 ) -> np.ndarray:
-    """first_tube_exit for every point (x[i], y[i]): its exit index, or -1 where that is None."""
+    """The first iterate j <= jmax at which each point (x[i], y[i]) leaves the tube, or -1 where none does.
+
+    An iterate that leaves the domain or is not finite exits at its j.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = np.where(_tube_miss(0, x, y, ref_orbit, sched), 0, -1)
@@ -163,6 +151,12 @@ class HyperbolicityBudget:
     accepted_counts: dict = field(default_factory=dict)
 
 
+def fold_max(top: float, v, where=True) -> float:
+    """max(top, x) over the entries x of v where `where` holds: NaN never wins, as in Python's max."""
+    v = np.asarray(v)
+    return float(np.max(v, initial=top, where=where & (v == v)))
+
+
 class SweepOrder(NamedTuple):
     """The lanes of one block, or of one chunk of the pool, that lie in N^(k), and what they give the budget at order k.
 
@@ -202,9 +196,7 @@ def _delta_lanes(tails: np.ndarray, F: np.ndarray, Pt: np.ndarray, s2: np.ndarra
     """
     k = F.shape[0] - 1
     terms = Pt[:k] * tails * F[:k] * F[:k]
-    s1 = 0.0
-    for term in np.where(terms == terms, terms, 0.0):  # added in j order, as the scalar sum
-        s1 = s1 + term
+    s1 = np.add.accumulate(np.where(terms == terms, terms, 0.0), axis=0)[-1]  # added in j order, as the scalar sum
     fk = F[k]
     f2 = fk * fk
     d1 = np.where(f2 >= np.finfo(float).smallest_normal, e / f2, e / fk / fk) * s1
@@ -390,11 +382,8 @@ def estimate_budget(
         drawn = order.draw >= 0
         counts[order.k] += int(np.count_nonzero(drawn))
         parts[order.k].append(np.column_stack([order.x[drawn], order.y[drawn]]))
-        # NaN never raises a maximum, as in the scalar v > top
         for name, i, v in order.values:
-            v = np.max(v, initial=-math.inf, where=v == v)
-            if v > top[name][i]:
-                top[name][i] = v
+            top[name][i] = fold_max(top[name][i], v)
     samples = {k: np.concatenate(parts[k]) if parts[k] else np.empty((0, 2)) for k in parts}
     p, q, pt, gamma, gamma_star, delta, fmax = (top[name] for name in names)
 

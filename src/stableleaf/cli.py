@@ -17,18 +17,16 @@ from . import fixedpoint as fp_mod
 from .budget import DEFAULT_SAMPLES, EpsilonSchedule, check_condition_double_star, check_condition_star, estimate_budget
 from .errors import NotConvergedError, NumericalError, ValidationError
 from .leaf import budget_to_epsilon, integrate_leaf, iterate_to_contraction, staged
-from .maps import MapModel, Point2, make_map
+from .maps import BUILTIN_MAPS, MapModel, Point2, make_map
 from .reports import emit_json, emit_leaf_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-_MAP_PARAMS = {
-    "linear": ("lambda_s", "lambda_u"),
-    "perturbed": ("lambda_s", "lambda_u", "c"),
-    "henon": ("a", "b"),
-}
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,12 +39,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("fixedpoint", "run the full fixed-point theorem scenario"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--map", required=True, choices=sorted(_MAP_PARAMS))
-        p.add_argument("--lambda-s", type=float, default=None)
-        p.add_argument("--lambda-u", type=float, default=None)
-        p.add_argument("--c", type=float, default=None)
-        p.add_argument("--a", type=float, default=None)
-        p.add_argument("--b", type=float, default=None)
+        p.add_argument("--map", required=True, choices=sorted(BUILTIN_MAPS))
+        # one flag per parameter of the built-in maps, in table order; _build_map asks for a map's own
+        for key in dict.fromkeys(k for names, _ in BUILTIN_MAPS.values() for k in names):
+            p.add_argument(_flag(key), type=float, default=None)
         p.add_argument("--z", default="0,0", help="base point as x,y")
         p.add_argument("--eps0", type=float, default=0.1)
         p.add_argument("--decay", type=float, default=1.0)
@@ -112,14 +108,11 @@ def _validate(ns) -> None:
 
 
 def _build_map(ns):
-    wanted = _MAP_PARAMS[ns.map]
-    params = {}
-    for key in wanted:
-        val = getattr(ns, key)
-        if val is None:
-            raise ValidationError(f"map '{ns.map}' requires --{key.replace('_', '-')}")
-        params[key] = val
-    return make_map(ns.map, **params)
+    names, _ = BUILTIN_MAPS[ns.map]
+    for key in names:
+        if getattr(ns, key) is None:
+            raise ValidationError(f"map '{ns.map}' requires {_flag(key)}")
+    return make_map(ns.map, **{key: getattr(ns, key) for key in names})
 
 
 def _inputs(ns):
@@ -234,7 +227,7 @@ def _cmd_fixedpoint(ns, out_dir: str, m: MapModel, z: Point2, sched: EpsilonSche
                 "C_fit": report.contraction.C_fit,
             },
             "conclusion_4_uniqueness": {
-                "probes": fp_mod.UNIQUENESS_PROBES,
+                "probes": len(report.uniqueness.probes),
                 "survivors": report.uniqueness.survivors,
                 "on_leaf_exits": report.uniqueness.on_leaf_exits,
             },

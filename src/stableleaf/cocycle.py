@@ -152,7 +152,7 @@ def _point_data(m: MapModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, 
     it. Call it inside np.errstate.
     """
     at = np.flatnonzero(m.in_domain_lanes(x, y))
-    s = apply_lanes(m.raw_jac if m.raw_jac is not None else m.fd_jac, x[at], y[at], 4)
+    s = apply_lanes(m.jac, x[at], y[at], 4)
     ok = np.all(np.isfinite(s), axis=0)
     at, s = at[ok], s[:, ok]
     e, f = singular_values_lanes(*s)
@@ -263,11 +263,11 @@ def orbit_sweep(m: MapModel, x: float, y: float, k: int) -> tuple[list, list, li
     orbit[j] = z_j and prods[j] = Dphi^j(z_0) for j = 0..k (prods[0] = I),
     steps[j] = Dphi(z_j) for j < k. Step j checks z_j with ``m.in_domain`` and
     Dphi(z_j), z_{j+1} for finiteness, raising OrbitEscapeError(j, z_j) on a
-    failure; z_k gets no domain check. m.raw_eval and m.raw_jac (else the
-    central-difference m.fd_jac) are read on every call.
+    failure; z_k gets no domain check. m.raw_eval and m.jac are read on
+    every call.
     """
     ev = m.raw_eval
-    jac = m.raw_jac if m.raw_jac is not None else m.fd_jac
+    jac = m.jac
     in_domain = m.in_domain
     isfinite = math.isfinite
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
@@ -306,7 +306,7 @@ def orbit_product(m: MapModel, x: float, y: float, k: int) -> tuple[float, float
     """
     x0, y0 = x, y
     ev = m.raw_eval
-    jac = m.raw_jac if m.raw_jac is not None else m.fd_jac
+    jac = m.jac
     in_domain = m.in_domain if m.singular_guard is not None else None
     xlo, xhi, ylo, yhi = m.box
     if not math.isfinite(xlo + xhi + ylo + yhi):

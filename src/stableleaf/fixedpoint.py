@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .budget import EpsilonSchedule, check_condition_star, log_slope, sample_sweep
+from .budget import EpsilonSchedule, check_condition_star, fold_max, log_slope, sample_sweep
 from .cocycle import build_orbit_cocycle, series_term
 from .directions import angle_distance
 from .errors import (
@@ -161,12 +161,6 @@ class GrowthReport:
     seed: int
 
 
-def _fold_max(top: float, v, where=True) -> float:
-    """top = max(top, x) over the entries x of v where `where` holds: NaN never wins, as in Python's max."""
-    v = np.asarray(v)
-    return float(np.max(v, initial=top, where=where & (v == v)))
-
-
 def regular_growth_check(
     m: MapModel,
     fp: FixedPointData,
@@ -209,7 +203,7 @@ def regular_growth_check(
             level[rows] = k
             for a, x in zip((E, F, H, D1, D2), (v["gamma_star"], v["fmax"], v["gamma"], o.d1, o.d2)):
                 a[rows, k] = x
-            k_tail = _fold_max(k_tail, F[rows, :k].T * o.tails / F[rows, k])  # F_j F_{j,k} / F_k, j < k
+            k_tail = fold_max(k_tail, F[rows, :k].T * o.tails / F[rows, k])  # F_j F_{j,k} / F_k, j < k
 
         js = np.arange(kmax + 1)
         on = (js >= 1) & (js <= level[:, None])  # the orders 1..level of each row
@@ -217,15 +211,15 @@ def regular_growth_check(
         lu_hi, lu_lo, ls_hi, ls_lo = (
             np.array([series_term((x, j)) for j in js]) for x in (lu + d, lu - d, ls + d, ls - d))
         raw_ok = not np.any(on & ((F < lu_lo) | (E > ls_hi)))
-        k_upper_f = _fold_max(1.0, F / lu_hi, on)
-        k_lower_e = _fold_max(1.0, np.where(E > 0, ls_lo / E, math.inf), on)
+        k_upper_f = fold_max(1.0, F / lu_hi, on)
+        k_lower_e = fold_max(1.0, np.where(E > 0, ls_lo / E, math.inf), on)
         # F_0 + F_1 + ... + F_{j-1}, added in order: accumulate is sequential
-        k_sum_f = _fold_max(1.0, np.cumsum(F, axis=1)[:, :-1] / F[:, 1:], on[:, 1:])
+        k_sum_f = fold_max(1.0, np.cumsum(F, axis=1)[:, :-1] / F[:, 1:], on[:, 1:])
         # H_level + ... + H_j, added from each row's level down
         h_tail = np.cumsum(np.where(on, H, 0.0)[:, ::-1], axis=1)[:, ::-1]
-        k_sum_h = _fold_max(1.0, h_tail / H, on)
-        k_d2 = _fold_max(1.0, D1 / E, on & (E > 0))
-        k_det = _fold_max(1.0, D2 / E, on & (E > 0))
+        k_sum_h = fold_max(1.0, h_tail / H, on)
+        k_d2 = fold_max(1.0, D1 / E, on & (E > 0))
+        k_det = fold_max(1.0, D2 / E, on & (E > 0))
     used = int(np.count_nonzero(level))
 
     k_fit = max(k_upper_f, k_lower_e, k_sum_f, k_tail, k_sum_h, k_d2, k_det)

@@ -159,9 +159,18 @@ class MapModel:
             (fyp[1] - fym[1]) * inv2h,
         )
 
+    @property
+    def jac(self) -> Callable[[float, float], tuple[float, float, float, float]]:
+        """The Jacobian callable every caller reads: raw_jac, else the central-difference fd_jac; unchecked.
+
+        A walk reads it once, from the instance it was given, so a copy made
+        with dataclasses.replace uses its own raw_jac.
+        """
+        return self.raw_jac if self.raw_jac is not None else self.fd_jac
+
     def jac_xy(self, x: float, y: float) -> tuple[float, float, float, float]:
         self._check_domain(x, y)
-        j = self.raw_jac(x, y) if self.raw_jac is not None else self.fd_jac(x, y)
+        j = self.jac(x, y)
         if not all(math.isfinite(v) for v in j):
             raise NonFiniteError(f"Jacobian of '{self.name}' non-finite at ({x}, {y})")
         return j
@@ -196,7 +205,7 @@ class MapModel:
         if self.raw_det_grad is not None:
             g = tuple(self.raw_det_grad(x, y))
         else:
-            jac = self.raw_jac if self.raw_jac is not None else self.fd_jac
+            jac = self.jac
 
             def det_at(px, py):
                 j = jac(px, py)
@@ -225,6 +234,8 @@ def _require(params: dict, *names: str) -> list[float]:
 
 
 def _linear(ls: float, lu: float, box) -> MapModel:
+    if ls == 0.0 or lu == 0.0:
+        raise BadParamsError("linear map must be invertible (nonzero eigenvalues)")
     return MapModel(
         name="linear",
         params={"lambda_s": ls, "lambda_u": lu},
@@ -237,6 +248,8 @@ def _linear(ls: float, lu: float, box) -> MapModel:
 
 
 def _perturbed(ls: float, lu: float, c: float, box) -> MapModel:
+    if ls == 0.0 or lu == 0.0:
+        raise BadParamsError("perturbed map needs nonzero lambda_s, lambda_u")
     return MapModel(
         name="perturbed",
         params={"lambda_s": ls, "lambda_u": lu, "c": c},
@@ -250,6 +263,8 @@ def _perturbed(ls: float, lu: float, c: float, box) -> MapModel:
 
 
 def _henon(a: float, b: float, box) -> MapModel:
+    if b == 0.0:
+        raise BadParamsError("henon map needs b != 0 to be a diffeomorphism")
     return MapModel(
         name="henon",
         params={"a": a, "b": b},
@@ -261,21 +276,18 @@ def _henon(a: float, b: float, box) -> MapModel:
     )
 
 
+# the one table of built-in maps: name -> (its required parameters, in builder order; builder).
+# make_map and the CLI's --map choices, parameter flags and messages all read it.
+BUILTIN_MAPS = {
+    "linear": (("lambda_s", "lambda_u"), _linear),
+    "perturbed": (("lambda_s", "lambda_u", "c"), _perturbed),
+    "henon": (("a", "b"), _henon),
+}
+
+
 def make_map(name: str, box=DEFAULT_BOX, **params) -> MapModel:
     """Build one of the built-in maps; unknown names raise UnknownMapError."""
-    if name == "linear":
-        ls, lu = _require(params, "lambda_s", "lambda_u")
-        if ls == 0.0 or lu == 0.0:
-            raise BadParamsError("linear map must be invertible (nonzero eigenvalues)")
-        return _linear(ls, lu, box)
-    if name == "perturbed":
-        ls, lu, c = _require(params, "lambda_s", "lambda_u", "c")
-        if ls == 0.0 or lu == 0.0:
-            raise BadParamsError("perturbed map needs nonzero lambda_s, lambda_u")
-        return _perturbed(ls, lu, c, box)
-    if name == "henon":
-        a, b = _require(params, "a", "b")
-        if b == 0.0:
-            raise BadParamsError("henon map needs b != 0 to be a diffeomorphism")
-        return _henon(a, b, box)
-    raise UnknownMapError(f"unknown map '{name}' (built-ins: linear, perturbed, henon)")
+    if name not in BUILTIN_MAPS:
+        raise UnknownMapError(f"unknown map '{name}' (built-ins: {', '.join(BUILTIN_MAPS)})")
+    names, build = BUILTIN_MAPS[name]
+    return build(*_require(params, *names), box)

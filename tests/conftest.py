@@ -4,6 +4,7 @@ import pytest
 
 from stableleaf import EpsilonSchedule, Point2, build_orbit_cocycle, make_map
 from stableleaf.budget import sample_sweep
+from stableleaf.cocycle import norm2
 from stableleaf.errors import DomainError, NonFiniteError, OrbitEscapeError
 
 
@@ -59,6 +60,27 @@ def reference_orbit(m, z, nsteps):
             raise OrbitEscapeError(j, Point2(x, y))
         pts.append(Point2(x, y))
     return pts
+
+
+def ref_first_tube_exit(m, ref_orbit, x, sched, jmax):
+    """The scalar reference of budget.tube_exits for one point: first iterate j <= jmax violating the tube test, or None.
+
+    j=0 uses the sup-norm box of radius eps_0 (the sampler's box); j >= 1 uses
+    norm2, the Euclidean norm. A domain escape at iterate j counts as an exit at j.
+    """
+    px, py = float(x[0]), float(x[1])
+    rx, ry = ref_orbit[0]
+    if max(abs(px - rx), abs(py - ry)) > sched.radius(0):
+        return 0
+    for j in range(1, jmax + 1):
+        try:
+            px, py = m.eval_xy(px, py)
+        except (DomainError, NonFiniteError):
+            return j
+        rx, ry = ref_orbit[j]
+        if norm2(px - rx, py - ry) > sched.radius(j):
+            return j
+    return None
 
 
 def centre_lane(m, z, kmax):

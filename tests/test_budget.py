@@ -24,7 +24,7 @@ from stableleaf.cocycle import norm2
 from stableleaf.errors import BadParamsError, OrbitEscapeError
 from stableleaf.maps import MapModel
 
-from conftest import reference_orbit
+from conftest import ref_first_tube_exit, reference_orbit
 from test_budget_reference import POOL_BLOCKS, array_case
 
 
@@ -370,9 +370,10 @@ def test_array_tube_test_decides_at_the_norm2_boundary(linear_map):
         d = norm2(dx, dy)
         for r in (math.nextafter(d, 0.0), d, math.nextafter(d, 1.0)):
             sched = EpsilonSchedule(1.0, r)
-            scalar = first_tube_exit(linear_map, ref, Point2(x, y), sched, 1)
+            scalar = ref_first_tube_exit(linear_map, ref, Point2(x, y), sched, 1)
             arr = tube_exits(linear_map, ref, np.array([x]), np.array([y]), sched, 1)
             assert scalar == (1 if d > r else None)
+            assert first_tube_exit(linear_map, ref, Point2(x, y), sched, 1) == scalar
             assert arr.tolist() == [-1 if scalar is None else scalar]
 
 
@@ -382,7 +383,7 @@ def test_array_tube_test_matches_scalar(henon_map):
     ref = reference_orbit(henon_map, z, 8)
     xs, ys = SplitRng(5).points_in_box(z.x, z.y, 0.06, 400)  # some draws fail the box at j = 0
     xs[:3] = (np.nan, np.inf, 10.0)
-    want = [first_tube_exit(henon_map, ref, Point2(x, y), sched, 8) for x, y in zip(xs.tolist(), ys.tolist())]
+    want = [ref_first_tube_exit(henon_map, ref, Point2(x, y), sched, 8) for x, y in zip(xs.tolist(), ys.tolist())]
     got = tube_exits(henon_map, ref, xs, ys, sched, 8).tolist()
     assert got == [-1 if w is None else w for w in want]
     assert {0, 1, -1} <= set(got) and len(set(got)) > 4

@@ -36,7 +36,6 @@ from stableleaf.budget import (
     DEFAULT_SAMPLES,
     NEIGHBORHOOD_STREAM,
     HyperbolicityBudget,
-    first_tube_exit,
 )
 from stableleaf.cocycle import OrbitCocycle, build_orbit_cocycle, series_term
 from stableleaf.errors import (
@@ -51,7 +50,7 @@ from stableleaf.fixedpoint import K_FIT_CAP, FixedPointData, GrowthReport
 from stableleaf.maps import MapModel
 from stableleaf.rng import SplitRng
 
-from conftest import reference_orbit
+from conftest import ref_first_tube_exit, reference_orbit
 from frame_reference import _NORMAL_MIN, mat_mul, singular_values
 
 
@@ -162,7 +161,7 @@ def ref_estimate_budget(
         return None, 0
 
     for d in draws:
-        exit_j = first_tube_exit(m, ref, d, sched, kmax - 1)
+        exit_j = ref_first_tube_exit(m, ref, d, sched, kmax - 1)
         level = kmax if exit_j is None else exit_j
         if level < 1:
             continue
@@ -265,7 +264,7 @@ def ref_regular_growth_check(
     used = skipped = 0
     ref = reference_orbit(m, fp.p, kmax - 1)
     for p in uniq:
-        exit_j = first_tube_exit(m, ref, p, sched, kmax - 1)
+        exit_j = ref_first_tube_exit(m, ref, p, sched, kmax - 1)
         level = kmax if exit_j is None else exit_j
         if level < 1:
             continue

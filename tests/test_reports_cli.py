@@ -16,9 +16,10 @@ import stableleaf
 import stableleaf.leaf as leaf_mod
 from stableleaf.budget import EpsilonSchedule
 from stableleaf.cli import run_command
+from stableleaf.errors import BadParamsError
 from stableleaf.fixedpoint import UNIQUENESS_PROBES
 from stableleaf.leaf import LeafCurve, budget_to_epsilon, iterate_to_contraction, uniqueness_probe
-from stableleaf.maps import Point2, make_map
+from stableleaf.maps import BUILTIN_MAPS, Point2, make_map
 from stableleaf.reports import dumps_canonical, emit_json, emit_leaf_csv, leaf_csv_lines
 
 
@@ -177,6 +178,28 @@ def test_cli_validation_errors(tmp_path, capsys):
     code = run_command(["converge", "--map", "henon", "--a", "1.4", "--out-dir", str(tmp_path)])
     assert code == 2
     assert "--b" in capsys.readouterr().err
+
+
+# the built-in maps' parameters, written out here apart from maps.BUILTIN_MAPS
+BUILTIN_PARAMS = {"linear": ("lambda_s", "lambda_u"), "perturbed": ("lambda_s", "lambda_u", "c"), "henon": ("a", "b")}
+PARAM_VALUES = {"lambda_s": "0.5", "lambda_u": "2", "c": "0.05", "a": "1.4", "b": "0.3"}
+
+
+def test_each_builtin_map_requires_exactly_its_table_parameters(tmp_path, capsys):
+    assert {name: names for name, (names, _) in BUILTIN_MAPS.items()} == BUILTIN_PARAMS
+    flag = {key: "--" + key.replace("_", "-") for key in PARAM_VALUES}
+    for name, names in BUILTIN_PARAMS.items():
+        given = {key: PARAM_VALUES[key] for key in names}
+        make_map(name, **given)
+        run = ["budget", "--map", name, "--kmax", "2", "--samples", "1", "--out-dir", str(tmp_path / name)]
+        # the map's own flags and no other: the run is accepted
+        assert run_command(run + [t for key in names for t in (flag[key], given[key])]) == 0
+        for key in names:
+            rest = {k: v for k, v in given.items() if k != key}
+            with pytest.raises(BadParamsError, match=f"missing parameter '{key}'"):
+                make_map(name, **rest)
+            assert run_command(run + [t for k in rest for t in (flag[k], rest[k])]) == 2
+            assert f"error: map '{name}' requires {flag[key]}\n" in capsys.readouterr().err
 
 
 def test_cli_rejects_a_non_finite_tol(tmp_path, capsys):
