@@ -2,8 +2,9 @@
 
 Subcommands: budget, leaf, converge, fixedpoint. Exit codes: 0 success,
 2 validation error, 3 numerical failure, which names its pipeline stage (a
-partial report is still written when one exists). All randomness flows from
---seed, so identical invocations produce byte-identical artifacts.
+partial report is still written when one exists), or out of memory. All
+randomness flows from --seed, so identical invocations produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -187,9 +188,8 @@ def _cmd_converge(ns, out_dir: str, m: MapModel, z: Point2, sched: EpsilonSchedu
     try:
         report, contraction = iterate_to_contraction(m, b, eps, L, ns.tol, ns.seed, h=ns.h)
     except NotConvergedError as exc:
-        if exc.report is not None:
-            emit_json(_convergence_payload(m, ns, exc.report, None), os.path.join(out_dir, "convergence.json"))
-            emit_leaf_csv(exc.report.limit, os.path.join(out_dir, "leaf.csv"), k_override=-1)
+        emit_json(_convergence_payload(m, ns, exc.report, None), os.path.join(out_dir, "convergence.json"))
+        emit_leaf_csv(exc.report.limit, os.path.join(out_dir, "leaf.csv"), k_override=-1)
         raise
     emit_json(_convergence_payload(m, ns, report, contraction.C_fit), os.path.join(out_dir, "convergence.json"))
     emit_leaf_csv(report.limit, os.path.join(out_dir, "leaf.csv"), k_override=-1)
@@ -275,6 +275,9 @@ def run_command(argv: list[str]) -> int:
     except NumericalError as exc:
         label = f" [stage: {exc.stage}]" if exc.stage else ""
         print(f"numerical failure{label}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError:
+        print("numerical failure: out of memory; a smaller --kmax or --samples needs less", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

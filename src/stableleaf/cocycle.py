@@ -235,36 +235,31 @@ def singular_frame(m: Mat2) -> SingularFrame:
 
 @dataclass
 class OrbitCocycle:
-    """Orbit points, step derivatives, partial products, and growth scalars.
+    """Orbit points, partial products, growth scalars and the one-step norms P and Q.
 
-    Index conventions: orbit/steps and the per-step arrays run j = 0..kmax
-    (steps[j] is Dphi at z_j); products/growth run k = 0..kmax with
+    Index conventions: orbit, P and Q run j = 0..kmax (P_j = ||Dphi(z_j)||,
+    Q_j = ||Dphi(z_j)^-1||); products/growth run k = 0..kmax with
     products[0] = I and E_0 = F_0 = H_0 = 1. Immutable after build.
     """
 
     z0: Point2
     kmax: int
     orbit: list[Point2]
-    steps: list[Mat2]
     products: list[Mat2]
     E: np.ndarray
     F: np.ndarray
     H: np.ndarray
     P: np.ndarray
     Q: np.ndarray
-    Pt: np.ndarray
-    Dd: np.ndarray
-    Ddt: np.ndarray
 
 
-def orbit_sweep(m: MapModel, x: float, y: float, k: int) -> tuple[list, list, list]:
-    """(orbit, steps, prods) of the k-step sweep from z_0 = (x, y), as plain tuples.
+def orbit_sweep(m: MapModel, x: float, y: float, k: int) -> tuple[list, list]:
+    """(orbit, prods) of the k-step sweep from z_0 = (x, y), as plain tuples.
 
-    orbit[j] = z_j and prods[j] = Dphi^j(z_0) for j = 0..k (prods[0] = I),
-    steps[j] = Dphi(z_j) for j < k. Step j checks z_j with ``m.in_domain`` and
-    Dphi(z_j), z_{j+1} for finiteness, raising OrbitEscapeError(j, z_j) on a
-    failure; z_k gets no domain check. m.raw_eval and m.jac are read on
-    every call.
+    orbit[j] = z_j and prods[j] = Dphi^j(z_0) for j = 0..k (prods[0] = I).
+    Step j checks z_j with ``m.in_domain`` and Dphi(z_j), z_{j+1} for
+    finiteness, raising OrbitEscapeError(j, z_j) on a failure; z_k gets no
+    domain check. m.raw_eval and m.jac are read on every call.
     """
     ev = m.raw_eval
     jac = m.jac
@@ -272,12 +267,11 @@ def orbit_sweep(m: MapModel, x: float, y: float, k: int) -> tuple[list, list, li
     isfinite = math.isfinite
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     orbit = [(x, y)]
-    steps = []
     prods = [(a, b, c, d)]
     for j in range(k):
         if not in_domain(x, y):
             raise OrbitEscapeError(j, Point2(x, y))
-        s = j11, j12, j21, j22 = jac(x, y)
+        j11, j12, j21, j22 = jac(x, y)
         nx, ny = ev(x, y)
         if not (isfinite(j11) and isfinite(j12) and isfinite(j21) and isfinite(j22)
                 and isfinite(nx) and isfinite(ny)):
@@ -290,13 +284,12 @@ def orbit_sweep(m: MapModel, x: float, y: float, k: int) -> tuple[list, list, li
         )
         x, y = nx, ny
         orbit.append((x, y))
-        steps.append(s)
         prods.append((a, b, c, d))
-    return orbit, steps, prods
+    return orbit, prods
 
 
 def orbit_product(m: MapModel, x: float, y: float, k: int) -> tuple[float, float, float, float]:
-    """orbit_sweep(m, x, y, k)[2][k], Dphi^k at (x, y), built without the lists.
+    """orbit_sweep(m, x, y, k)[1][k], Dphi^k at (x, y), built without the lists.
 
     Finiteness is tested once, at the end: a non-finite step keeps the product
     non-finite (inf*0 and inf - inf are NaN), and a non-finite point fails the
@@ -310,21 +303,21 @@ def orbit_product(m: MapModel, x: float, y: float, k: int) -> tuple[float, float
     in_domain = m.in_domain if m.singular_guard is not None else None
     xlo, xhi, ylo, yhi = m.box
     if not math.isfinite(xlo + xhi + ylo + yhi):
-        return orbit_sweep(m, x, y, k)[2][k]
+        return orbit_sweep(m, x, y, k)[1][k]
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     for _ in range(k):
         if not (in_domain(x, y) if in_domain else xlo <= x <= xhi and ylo <= y <= yhi):
-            return orbit_sweep(m, x0, y0, k)[2][k]
+            return orbit_sweep(m, x0, y0, k)[1][k]
         j11, j12, j21, j22 = jac(x, y)
         x, y = ev(x, y)
         a, b, c, d = j11 * a + j12 * c, j11 * b + j12 * d, j21 * a + j22 * c, j21 * b + j22 * d
     if not math.isfinite(a + b + c + d + x + y):
-        return orbit_sweep(m, x0, y0, k)[2][k]
+        return orbit_sweep(m, x0, y0, k)[1][k]
     return a, b, c, d
 
 
 def build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
-    """Sweep the orbit kmax steps, collecting derivatives and growth quantities.
+    """Sweep the orbit kmax steps, collecting the products, their growth and P, Q.
 
     E, F and H come from one singular_values_lanes call on the products, the
     per-step values from one _point_data call on the kmax + 1 orbit points.
@@ -336,10 +329,10 @@ def build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
     """
     if kmax < 1:
         raise BadParamsError(f"kmax must be >= 1, got {kmax}")
-    orbit_xy, steps_xy, prods_xy = orbit_sweep(m, float(z0[0]), float(z0[1]), kmax)
+    orbit_xy, prods_xy = orbit_sweep(m, float(z0[0]), float(z0[1]), kmax)
     orbit = [Point2(*p) for p in orbit_xy]
     try:
-        steps_xy.append(m.jac_xy(*orbit[kmax]))
+        m.jac_xy(*orbit[kmax])
     except (DomainError, NonFiniteError):
         raise OrbitEscapeError(kmax, orbit[kmax])
 
@@ -353,16 +346,15 @@ def build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
         raise SingularStepError(f"order-{k} product Dphi^{k} {how} at {tuple(orbit[0])}")
     if len(at) <= kmax:
         j = int(np.setdiff1d(np.arange(kmax + 1), at)[0])
-        a, b, c, d = steps_xy[j]
+        step = a, b, c, d = m.jac(*orbit[j])
         det = a * d - b * c
-        if det == 0.0 or singular_values(steps_xy[j])[0] == 0.0:
+        if det == 0.0 or singular_values(step)[0] == 0.0:
             raise SingularStepError(f"singular one-step derivative at orbit index {j}")
         if not math.isfinite(det):
             raise NonFiniteError(f"det Dphi of '{m.name}' overflows at orbit index {j}, {tuple(orbit[j])}")
         raise NonFiniteError(f"second derivative data of '{m.name}' non-finite at {tuple(orbit[j])}")
 
     return OrbitCocycle(
-        z0=Point2(*z0), kmax=kmax, orbit=orbit,
-        steps=[Mat2(*s) for s in steps_xy], products=[Mat2(*p) for p in prods_xy],
-        E=E, F=F, H=E / F, P=pd["P"], Q=pd["Q"], Pt=pd["Pt"], Dd=pd["Dd"], Ddt=pd["Ddt"],
+        z0=Point2(*z0), kmax=kmax, orbit=orbit, products=[Mat2(*p) for p in prods_xy],
+        E=E, F=F, H=E / F, P=pd["P"], Q=pd["Q"],
     )

@@ -162,7 +162,7 @@ def direction_field_derivative(
 
     def thetas(x, y):
         # theta_contract of Dphi^j at (x, y) for j = 1..k, from one sweep
-        prods = orbit_sweep(m, x, y, k)[2]
+        prods = orbit_sweep(m, x, y, k)[1]
         return [_contracted_theta(prods[j], j, (x, y))[0] for j in range(1, k + 1)]
 
     center = [contracted_direction(c, j).theta for j in range(1, k + 1)]

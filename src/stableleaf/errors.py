@@ -66,12 +66,11 @@ class NoFeasibleEpsilonError(NumericalError):
 class NotConvergedError(NumericalError):
     """Leaf Cauchy iteration did not converge; the message names each failed condition.
 
-    Carries the last leaf distance and the partial report.
+    report is the ConvergenceReport of the failed run, its last leaf distance d_k[-1] among the rest.
     """
 
-    def __init__(self, message: str, last_distance: float, report=None):
+    def __init__(self, message: str, report):
         super().__init__(message)
-        self.last_distance = last_distance
         self.report = report
 
 

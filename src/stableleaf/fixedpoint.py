@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .budget import EpsilonSchedule, check_condition_star, fold_max, log_slope, sample_sweep
+from .budget import DEFAULT_SAMPLES, EpsilonSchedule, check_condition_star, fold_max, log_slope, sample_sweep
 from .cocycle import build_orbit_cocycle, series_term
 from .directions import angle_distance
 from .errors import (
@@ -288,7 +288,7 @@ def verify_fixed_point_theorem(
     eta: float,
     kmax: int,
     seed: int,
-    n: int = 2000,
+    n: int = DEFAULT_SAMPLES,
     tol: float = 1e-8,
     h: Optional[float] = None,
 ) -> TheoremReport:

@@ -486,8 +486,7 @@ def cauchy_iterate(
         d, shared = _leaf_distance(leaves[k], leaves[k + 1])
         d_k[i] = d
         restricted.append(shared < DEFAULT_GRID)
-        xi_k = float(b.xi[k]) if k < len(b.xi) else math.inf
-        bounds[i] = eps * xi_k * egl
+        bounds[i] = eps * float(b.xi[k]) * egl
 
         leafk = leaves[k]
         nodes = sorted(set(range(0, len(leafk.t), TUBE_STRIDE)) | {0, len(leafk.t) - 1})
@@ -528,7 +527,7 @@ def cauchy_iterate(
         integration_error=integration_error, converged=not failed, limit=limit,
     )
     if failed:
-        raise NotConvergedError("; ".join(failed), float(d_k[-1]), report=report)
+        raise NotConvergedError("; ".join(failed), report)
     return report
 
 

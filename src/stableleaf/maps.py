@@ -233,7 +233,7 @@ def _require(params: dict, *names: str) -> list[float]:
     return vals
 
 
-def _linear(ls: float, lu: float, box) -> MapModel:
+def _linear(ls: float, lu: float) -> MapModel:
     if ls == 0.0 or lu == 0.0:
         raise BadParamsError("linear map must be invertible (nonzero eigenvalues)")
     return MapModel(
@@ -243,11 +243,10 @@ def _linear(ls: float, lu: float, box) -> MapModel:
         raw_jac=lambda x, y: (ls, 0.0, 0.0, lu),
         raw_hess=lambda x, y: (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
         raw_det_grad=lambda x, y: (0.0, 0.0),
-        box=box,
     )
 
 
-def _perturbed(ls: float, lu: float, c: float, box) -> MapModel:
+def _perturbed(ls: float, lu: float, c: float) -> MapModel:
     if ls == 0.0 or lu == 0.0:
         raise BadParamsError("perturbed map needs nonzero lambda_s, lambda_u")
     return MapModel(
@@ -258,11 +257,10 @@ def _perturbed(ls: float, lu: float, c: float, box) -> MapModel:
         raw_hess=lambda x, y: (0.0, 0.0, 2.0 * c, 2.0 * c, 0.0, 0.0),
         # det = ls*lu - 4 c^2 x y
         raw_det_grad=lambda x, y: (-4.0 * c * c * y, -4.0 * c * c * x),
-        box=box,
     )
 
 
-def _henon(a: float, b: float, box) -> MapModel:
+def _henon(a: float, b: float) -> MapModel:
     if b == 0.0:
         raise BadParamsError("henon map needs b != 0 to be a diffeomorphism")
     return MapModel(
@@ -272,7 +270,6 @@ def _henon(a: float, b: float, box) -> MapModel:
         raw_jac=lambda x, y: (-2.0 * a * x, 1.0, b, 0.0),
         raw_hess=lambda x, y: (-2.0 * a, 0.0, 0.0, 0.0, 0.0, 0.0),
         raw_det_grad=lambda x, y: (0.0, 0.0),  # det = -b everywhere
-        box=box,
     )
 
 
@@ -285,9 +282,17 @@ BUILTIN_MAPS = {
 }
 
 
-def make_map(name: str, box=DEFAULT_BOX, **params) -> MapModel:
-    """Build one of the built-in maps; unknown names raise UnknownMapError."""
+def make_map(name: str, **params) -> MapModel:
+    """Build one of the built-in maps from exactly its table's parameters, on DEFAULT_BOX.
+
+    Unknown names raise UnknownMapError; a parameter the map does not take,
+    or a missing or non-finite one, raises BadParamsError.
+    """
     if name not in BUILTIN_MAPS:
         raise UnknownMapError(f"unknown map '{name}' (built-ins: {', '.join(BUILTIN_MAPS)})")
     names, build = BUILTIN_MAPS[name]
-    return build(*_require(params, *names), box)
+    extra = [key for key in params if key not in names]
+    if extra:
+        raise BadParamsError(f"map '{name}' takes no parameter {', '.join(map(repr, extra))} "
+                             f"(its parameters: {', '.join(names)})")
+    return build(*_require(params, *names))

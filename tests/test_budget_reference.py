@@ -2,9 +2,12 @@
 
 ``tail_norms`` and ``distortion_bounds`` below are the scalar, per-cocycle
 forms of the tail norms and distortion bounds that ``_sweep_order`` and
-``_delta_lanes`` compute for every lane. ``tail_norms`` builds each tail
-product Dphi_{k-1} ... Dphi_{j+1} by left factors, Dphi_{k-1} (... (Dphi_{j+2}
-Dphi_{j+1})), the association of the sweep's lane products.
+``_delta_lanes`` compute for every lane. They, ``absorb`` and the growth
+check read the steps and per-step values of ``ref_cocycle``, the scalar
+reference cocycle of ``test_sweep.py``, not the package's. ``tail_norms``
+builds each tail product Dphi_{k-1} ... Dphi_{j+1} by left factors,
+Dphi_{k-1} (... (Dphi_{j+2} Dphi_{j+1})), the association of the sweep's
+lane products.
 ``estimate_budget`` (with its ``absorb`` and ``cocycle_to``) and
 ``regular_growth_check`` are kept below, verbatim, as they were before both
 read the box draws from one pass, now ``sample_sweep``: the budget demoted a
@@ -37,7 +40,8 @@ from stableleaf.budget import (
     NEIGHBORHOOD_STREAM,
     HyperbolicityBudget,
 )
-from stableleaf.cocycle import OrbitCocycle, build_orbit_cocycle, series_term
+from stableleaf.cocycle import build_orbit_cocycle, series_term
+from stableleaf.cocycle import singular_values as package_singular_values
 from stableleaf.errors import (
     BadParamsError,
     NonFiniteError,
@@ -52,12 +56,23 @@ from stableleaf.rng import SplitRng
 
 from conftest import ref_first_tube_exit, reference_orbit
 from frame_reference import _NORMAL_MIN, mat_mul, singular_values
+from test_sweep import RefOrbitCocycle, ref_build_orbit_cocycle
 
 
 # -- reference copies of the replaced loops ------------------------------------
 
 
-def tail_norms(c: OrbitCocycle, k: int) -> list[float]:
+def ref_cocycle(m: MapModel, z: Point2, kmax: int) -> RefOrbitCocycle:
+    """ref_build_orbit_cocycle with E and F from the package's 2x2 frame, whose bits the budget keeps.
+
+    The reference frame rounds apart from it where a product's entries square
+    into the subnormal range (``frame_reference.in_declared_region``), as the
+    order-2 products of the "tail-deferred" case do.
+    """
+    return ref_build_orbit_cocycle(m, z, kmax, frame=package_singular_values)
+
+
+def tail_norms(c: RefOrbitCocycle, k: int) -> list[float]:
     """F_{j,k} = ||Dphi^(k-j-1) at z_{j+1}|| for j = 0..k-1 (F_{k-1,k} = 1).
 
     Each tail product is built by left factors from its first step, in the
@@ -72,7 +87,7 @@ def tail_norms(c: OrbitCocycle, k: int) -> list[float]:
     return out
 
 
-def distortion_bounds(c: OrbitCocycle, k: int) -> tuple[float, float]:
+def distortion_bounds(c: RefOrbitCocycle, k: int) -> tuple[float, float]:
     """Right-hand sides (d1, d2) of the two distortion inequalities at order k, from a cocycle."""
     tails = tail_norms(c, k)
     F, Pt, Dd, Ddt = c.F.tolist(), c.Pt.tolist(), c.Dd.tolist(), c.Ddt.tolist()
@@ -155,7 +170,7 @@ def ref_estimate_budget(
         lev = level
         while lev >= 1:
             try:
-                return build_orbit_cocycle(m, pt2, lev), lev
+                return ref_cocycle(m, pt2, lev), lev
             except (OrbitEscapeError, SingularStepError):
                 lev -= 1
         return None, 0
@@ -173,8 +188,7 @@ def ref_estimate_budget(
             samples[k].append(d)
         absorb(coc, level)
 
-    center = build_orbit_cocycle(m, z, kmax)
-    absorb(center, kmax)
+    absorb(ref_cocycle(m, z, kmax), kmax)
 
     terms = np.full(kmax, math.inf)
     xi = np.full(kmax, math.inf)
@@ -215,7 +229,7 @@ def ref_estimate_budget(
         p=p, q=q, pt=pt, gamma=gamma, gamma_star=gamma_star, delta=delta,
         fmax=fmax, terms=terms, xi=xi, gamma_tilde=gamma_tilde,
         star_terms=star_terms, star_partial_sums=star_partial_sums,
-        k0=k0, cocycle=center, samples=samples, accepted_counts=counts,
+        k0=k0, cocycle=build_orbit_cocycle(m, z, kmax), samples=samples, accepted_counts=counts,
     )
 
 
@@ -269,7 +283,7 @@ def ref_regular_growth_check(
         if level < 1:
             continue
         try:
-            coc = build_orbit_cocycle(m, p, level)
+            coc = ref_cocycle(m, p, level)
         except NumericalError:
             skipped += 1
             continue
@@ -319,7 +333,7 @@ def _linear():
 def _box_limited():
     # in a box of half-width 0.15 a draw's first image 2y may leave the box:
     # such draws have no valid level, and deep draws are demoted
-    return make_map("linear", lambda_s=0.5, lambda_u=2.0, box=(-0.15, 0.15, -0.15, 0.15))
+    return dataclasses.replace(make_map("linear", lambda_s=0.5, lambda_u=2.0), box=(-0.15, 0.15, -0.15, 0.15))
 
 
 def _guard_strip():
@@ -510,11 +524,11 @@ def test_array_budget_matches_reference(name, block, monkeypatch):
         assert new.accepted_counts[2] == n and 0.0 < new.fmax[2] < 1e-250
     if name == "nan-delta":
         # NaN, the centre's delta among them, raises no maximum; the finite ones do
-        d1, d2 = distortion_bounds(new.cocycle, 3)
+        d1, d2 = distortion_bounds(ref_cocycle(m, z, kmax), 3)
         assert new.accepted_counts[3] == n and math.isnan(d1 + d2) and 0.0 < new.delta[3] < math.inf
 
 
-# SweepOrder.values names, and the OrbitCocycle field each one reads
+# SweepOrder.values names, and the reference cocycle field each one reads
 SWEEP_FIELDS = {"p": "P", "q": "Q", "pt": "Pt", "gamma": "H", "gamma_star": "E", "fmax": "F"}
 
 
@@ -550,7 +564,7 @@ def test_sweep_lanes_match_reference(name, block, monkeypatch):
     for point, orders in lanes.values():
         level = max(orders)
         assert sorted(orders) == list(range(1, level + 1))
-        coc = build_orbit_cocycle(m, point, level)
+        coc = ref_cocycle(m, point, level)
         for k, got in orders.items():
             d1, d2 = distortion_bounds(coc, k)
             want = {(f, k): getattr(coc, a)[k] for f, a in SWEEP_FIELDS.items()}

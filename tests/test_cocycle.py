@@ -43,7 +43,7 @@ def test_build_henon_product(henon_map):
     assert c.products[2] == (0.3, -2.8, 0.0, 0.3)
     # product recursion
     for k in (1, 2):
-        assert c.products[k] == mat_mul(c.steps[k - 1], c.products[k - 1])
+        assert c.products[k] == mat_mul(Mat2(*henon_map.jac(*c.orbit[k - 1])), c.products[k - 1])
 
 
 def test_tail_norms_empty_product(henon_map, linear_map):
@@ -138,8 +138,8 @@ def test_distortion_bounds_examples(linear_map, henon_map):
     ch = build_orbit_cocycle(henon_map, Point2(0, 0), 2)
     lane = centre_lane(henon_map, Point2(0, 0), 2)
     d1_1 = lane[1][0]
-    # single-term sum: (E_1/F_1^2) * Pt_0, with F_{0,1} = F_0 = 1
-    assert d1_1 == pytest.approx(ch.E[1] / ch.F[1] ** 2 * ch.Pt[0], rel=1e-14)
+    # single-term sum: (E_1/F_1^2) * Pt_0, with F_{0,1} = F_0 = 1 and Pt_0 = 2 * |d^2 phi_1/dx^2| = 4a
+    assert d1_1 == pytest.approx(ch.E[1] / ch.F[1] ** 2 * 4.0 * 1.4, rel=1e-14)
     d1_2, d2_2, _ = lane[2]
     assert d1_2 > 0.0
     assert d2_2 == 0.0  # det of the henon derivative is constant

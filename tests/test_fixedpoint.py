@@ -143,7 +143,7 @@ def test_regular_growth_envelope_overflow_is_infinite():
 def test_regular_growth_counts_skipped_points():
     # in a box of half-width 0.15 the first image 2y of a draw may leave it:
     # such draws have no valid cocycle level and are skipped
-    m = make_map("linear", lambda_s=0.5, lambda_u=2.0, box=(-0.15, 0.15, -0.15, 0.15))
+    m = dataclasses.replace(make_map("linear", lambda_s=0.5, lambda_u=2.0), box=(-0.15, 0.15, -0.15, 0.15))
     fp = dataclasses.replace(eigen_split(m, Point2(0, 0)), delta=0.0)
     rep = regular_growth_check(m, fp, EpsilonSchedule.constant(0.1), kmax=8, n=200, seed=1)
     assert rep.points_skipped > 0

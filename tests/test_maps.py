@@ -96,6 +96,14 @@ def test_make_map_validation():
     make_map("linear", lambda_s=1.0, lambda_u=2.0)
 
 
+def test_make_map_refuses_parameters_its_map_does_not_take():
+    # a misspelt or foreign parameter is named, not dropped; a different box comes from dataclasses.replace
+    with pytest.raises(BadParamsError, match=r"map 'linear' takes no parameter 'c', 'lamda_u'"):
+        make_map("linear", lambda_s=0.5, lambda_u=2.0, c=0.05, lamda_u=3)
+    with pytest.raises(BadParamsError, match="'box'"):
+        make_map("henon", a=1.4, b=0.3, box=(-1.0, 1.0, -1.0, 1.0))
+
+
 def test_domain_and_guard_errors(henon_map):
     with pytest.raises(DomainError):
         henon_map.eval_xy(6.0, 0.0)

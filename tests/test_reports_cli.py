@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stableleaf
+import stableleaf.cli as cli_mod
 import stableleaf.leaf as leaf_mod
 from stableleaf.budget import EpsilonSchedule
 from stableleaf.cli import run_command
@@ -240,11 +241,11 @@ def test_cli_numerical_failure_writes_partial(tmp_path, capsys):
     assert conv["converged"] is False
 
 
-def run_python(*argv):
-    """Run a fresh interpreter on argv with the tested stableleaf sources on its path."""
+def run_python(*argv, **kwargs):
+    """Run a fresh interpreter on argv with the tested stableleaf sources on its path; kwargs go to subprocess.run."""
     src = str(Path(stableleaf.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, **kwargs)
 
 
 def test_cli_degenerate_leaf_exits_numerical(tmp_path, capsys, monkeypatch):
@@ -403,6 +404,30 @@ def test_cli_overflowing_product_exits_numerical(tmp_path, capsys, lambda_u, kma
                           f"--kmax={kmax}", "--out-dir", str(tmp_path)])
     assert rc == 3
     assert f"[stage: budget]: order-{order} product Dphi^{order} overflows" in capsys.readouterr().err
+
+
+def test_cli_out_of_memory_exits_numerical(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "estimate_budget", out_of_memory)
+    assert run_command(["budget", *LINEAR_SADDLE, "--kmax", "3", "--out-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "numerical failure: out of memory; a smaller --kmax or --samples needs less\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps a process's address space on Linux")
+def test_cli_out_of_memory_under_an_address_space_cap(tmp_path):
+    # z's orbit over 5,000,000 steps outgrows a 600 MB address space, which leaves room for numpy's import;
+    # only the child is capped
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (600_000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    res = run_python("-m", "stableleaf", "budget", *LINEAR_SADDLE, "--kmax", "5000000", "--samples", "10",
+                     "--out-dir", str(tmp_path), preexec_fn=cap)
+    assert res.returncode == 3, res.stderr
+    assert "numerical failure: out of memory" in res.stderr and "Traceback" not in res.stderr
 
 
 LINEAR_SADDLE = ["--map", "linear", "--lambda-s", "0.5", "--lambda-u", "2"]

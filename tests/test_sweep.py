@@ -15,8 +15,11 @@ which the package now takes with ``norm2``, calls it in place of
 reference ``singular_values``, which scales a product whose squares
 overflow, as ``ref_theta_series`` does; and that ``ref_build_orbit_cocycle``
 reads ``m.second_partials`` and an inline determinant where the deleted
-``second_derivative_data`` and ``Mat2.det`` stood, and raises
-NonFiniteError where that determinant overflows. Every float is
+``second_derivative_data`` and ``Mat2.det`` stood, raises NonFiniteError
+where that determinant overflows and SingularStepError where a product
+overflows or underflows to zero, and returns a ``RefOrbitCocycle``: the
+package's fields, and the steps, Pt, Dd and Ddt the old cocycle kept, which
+``cocycle._point_data`` now computes for the budget sweep alone. Every float is
 compared bit for bit (``float.hex``), and so are the exception class and the
 escape index. The old loops raised DomainError or NonFiniteError where the
 sweep raises OrbitEscapeError(j); the reference index j is the one the old
@@ -36,6 +39,7 @@ from stableleaf.cocycle import (
     CONFORMAL_TOL,
     OrbitCocycle,
     _frame,
+    _point_data,
     build_orbit_cocycle,
     norm2,
     orbit_product,
@@ -155,7 +159,22 @@ def ref_direction_field_derivative(
     return l_meas, l_bound
 
 
-def ref_build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
+@dataclasses.dataclass
+class RefOrbitCocycle(OrbitCocycle):
+    """An OrbitCocycle with the old per-step values: steps[j] = Dphi(z_j), Pt_j = ||D^2 phi||, Dd_j = |det Dphi|
+    and Ddt_j = ||D(det Dphi)|| at z_j, for j = 0..kmax."""
+
+    steps: list[Mat2]
+    Pt: np.ndarray
+    Dd: np.ndarray
+    Ddt: np.ndarray
+
+
+def ref_build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int, frame=singular_values) -> RefOrbitCocycle:
+    """The old build_orbit_cocycle, returning every per-step value it kept.
+
+    frame gives (E, F) of each product and step: the reference singular_values by default.
+    """
     if kmax < 1:
         raise IndexError("kmax must be >= 1")
     x, y = float(z0[0]), float(z0[1])
@@ -192,13 +211,15 @@ def ref_build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
     for k in range(1, n):
         acc = mat_mul(steps[k - 1], acc)
         prods.append(acc)
-        e, f = singular_values(acc)
+        e, f = frame(acc)
+        if not (math.isfinite(f) and f != 0.0):
+            raise SingularStepError(f"order-{k} product Dphi^{k} overflows or underflows to zero")
         E[k], F[k] = e, f
-        H[k] = e / f if f > 0 else math.nan
+        H[k] = e / f
 
     for j in range(n):
         sj = steps[j]
-        e, f = singular_values(sj)
+        e, f = frame(sj)
         det = sj.a11 * sj.a22 - sj.a12 * sj.a21
         if det == 0.0 or e == 0.0:
             raise SingularStepError(f"singular one-step derivative at orbit index {j}")
@@ -213,9 +234,9 @@ def ref_build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
         Pt[j] = 2.0 * max(abs(c) for c in v[:6])
         Ddt[j] = norm2(v[6], v[7])
 
-    return OrbitCocycle(
-        z0=Point2(*z0), kmax=kmax, orbit=orbit, steps=steps, products=prods,
-        E=E, F=F, H=H, P=P, Q=Q, Pt=Pt, Dd=Dd, Ddt=Ddt,
+    return RefOrbitCocycle(
+        z0=Point2(*z0), kmax=kmax, orbit=orbit, products=prods,
+        E=E, F=F, H=H, P=P, Q=Q, steps=steps, Pt=Pt, Dd=Dd, Ddt=Ddt,
     )
 
 
@@ -442,7 +463,7 @@ def expected(ref_fn, m, p, k):
 
 def theta_series(m, x, y, k):
     """The stencil's theta series as direction_field_derivative now builds it."""
-    prods = orbit_sweep(m, x, y, k)[2]
+    prods = orbit_sweep(m, x, y, k)[1]
     return [_contracted_theta(prods[j], j, (x, y))[0] for j in range(1, k + 1)]
 
 
@@ -451,8 +472,8 @@ def theta_series(m, x, y, k):
 
 def point_failures(m, p, k):
     """The first orbit index j <= k with a singular step, and the first with a non-finite det Dphi or second partials, or None."""
-    orbit, steps, _ = orbit_sweep(m, p[0], p[1], k)
-    steps.append(m.jac_xy(*orbit[k]))
+    orbit = orbit_sweep(m, p[0], p[1], k)[0]
+    steps = [m.jac(*z) for z in orbit]
     singular = [j for j, s in enumerate(steps) if s[0] * s[3] - s[1] * s[2] == 0.0 or singular_values(s)[0] == 0.0]
     non_finite = [j for j, (z, s) in enumerate(zip(orbit, steps)) if not math.isfinite(s[0] * s[3] - s[1] * s[2])
                   or not all(math.isfinite(v) for v in m.second_partials(*z))]
@@ -521,13 +542,33 @@ def test_orbit_cocycle_matches_reference(name):
     def fields_of(builder):
         def run(m, p, k):
             c = builder(m, Point2(*p), k)
-            types = {type(v) for v in c.orbit} | {type(v) for v in c.steps} | {type(v) for v in c.products}
+            types = {type(v) for v in c.orbit} | {type(v) for v in c.products}
             return [getattr(c, f) for f in fields] + [sorted(t.__name__ for t in types)]
         return run
 
     for _, p, k in (c for c in CASES if c[0] == name):
         want = outcome(fields_of(ref_build_orbit_cocycle), m, p, k)
         assert outcome(fields_of(build_orbit_cocycle), m, p, k) == want, (p, k)
+
+
+@pytest.mark.parametrize("name", list(MAPS))
+def test_point_data_matches_reference(name):
+    # the steps and second-derivative values the budget sweep reads, on z's orbit
+    m = MAPS[name]()
+    tied = 0
+    for _, p, k in (c for c in CASES if c[0] == name):
+        try:
+            ref = ref_build_orbit_cocycle(m, Point2(*p), k)
+        except NumericalError:
+            continue
+        with np.errstate(all="ignore"):
+            at, pd = _point_data(m, *np.array(ref.orbit).T)
+        assert at.tolist() == list(range(k + 1)), (p, k)
+        assert bits([tuple(s) for s in pd["S"].T.tolist()]) == bits([tuple(s) for s in ref.steps]), (p, k)
+        for key in ("P", "Q", "Pt", "Dd", "Ddt"):
+            assert bits(pd[key]) == bits(getattr(ref, key)), (key, p, k)
+        tied += 1
+    assert tied, name
 
 
 def test_field_derivative_matches_reference():
@@ -565,7 +606,7 @@ def test_pushforward_matches_reference():
 
 
 def sweep_product(m, x, y, k):
-    return orbit_sweep(m, x, y, k)[2][k]
+    return orbit_sweep(m, x, y, k)[1][k]
 
 
 @pytest.mark.parametrize("name", list(MAPS))
@@ -648,8 +689,8 @@ def test_fused_theta_matches_reference_on_window_edges():
 
 def test_sweep_shape_and_escape_point():
     m = MAPS["henon"]()
-    orbit, steps, prods = orbit_sweep(m, 0.1, 0.0, 5)
-    assert len(orbit) == 6 and len(steps) == 5 and len(prods) == 6
+    orbit, prods = orbit_sweep(m, 0.1, 0.0, 5)
+    assert len(orbit) == 6 and len(prods) == 6
     assert prods[0] == (1.0, 0.0, 0.0, 1.0)
     with pytest.raises(OrbitEscapeError) as exc:
         orbit_sweep(m, 2.5, 0.0, 5)
