@@ -125,7 +125,7 @@ class HyperbolicityBudget:
     sampled draws in N^(k), in draw order, as an array of shape (count, 2);
     z itself is not among them. sched is the schedule the draws were tested
     against: its radii eps_j define the tubes N^(k) that every later stage
-    (epsilon choice, Cauchy tube test, uniqueness probes) reads.
+    (epsilon choice, Cauchy tube test, uniqueness strip) reads.
     """
 
     z: Point2

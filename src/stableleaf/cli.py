@@ -227,9 +227,10 @@ def _cmd_fixedpoint(ns, out_dir: str, m: MapModel, z: Point2, sched: EpsilonSche
                 "C_fit": report.contraction.C_fit,
             },
             "conclusion_4_uniqueness": {
-                "probes": len(report.uniqueness.probes),
-                "survivors": report.uniqueness.survivors,
                 "on_leaf_exits": report.uniqueness.on_leaf_exits,
+                "strip_width": report.uniqueness.width,
+                "strip_ratio": report.uniqueness.ratio,
+                "outside_band": report.uniqueness.outside_band,
             },
             "minidistortion_ok": report.minidistortion_ok,
             "k0_ok": report.k0_ok,

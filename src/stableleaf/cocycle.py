@@ -259,7 +259,9 @@ def orbit_sweep(m: MapModel, x: float, y: float, k: int) -> tuple[list, list]:
     orbit[j] = z_j and prods[j] = Dphi^j(z_0) for j = 0..k (prods[0] = I).
     Step j checks z_j with ``m.in_domain`` and Dphi(z_j), z_{j+1} for
     finiteness, raising OrbitEscapeError(j, z_j) on a failure; z_k gets no
-    domain check. m.raw_eval and m.jac are read on every call.
+    domain check. The sweep stops after the first product that has a
+    non-finite entry or is the zero matrix: both lists then end at its
+    order. m.raw_eval and m.jac are read on every call.
     """
     ev = m.raw_eval
     jac = m.jac
@@ -285,11 +287,13 @@ def orbit_sweep(m: MapModel, x: float, y: float, k: int) -> tuple[list, list]:
         x, y = nx, ny
         orbit.append((x, y))
         prods.append((a, b, c, d))
+        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d) and (a or b or c or d)):
+            break
     return orbit, prods
 
 
 def orbit_product(m: MapModel, x: float, y: float, k: int) -> tuple[float, float, float, float]:
-    """orbit_sweep(m, x, y, k)[1][k], Dphi^k at (x, y), built without the lists.
+    """orbit_sweep(m, x, y, k)[1][-1], built without the lists: Dphi^k at (x, y), or the failing product before it.
 
     Finiteness is tested once, at the end: a non-finite step keeps the product
     non-finite (inf*0 and inf - inf are NaN), and a non-finite point fails the
@@ -303,16 +307,16 @@ def orbit_product(m: MapModel, x: float, y: float, k: int) -> tuple[float, float
     in_domain = m.in_domain if m.singular_guard is not None else None
     xlo, xhi, ylo, yhi = m.box
     if not math.isfinite(xlo + xhi + ylo + yhi):
-        return orbit_sweep(m, x, y, k)[1][k]
+        return orbit_sweep(m, x, y, k)[1][-1]
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     for _ in range(k):
         if not (in_domain(x, y) if in_domain else xlo <= x <= xhi and ylo <= y <= yhi):
-            return orbit_sweep(m, x0, y0, k)[1][k]
+            return orbit_sweep(m, x0, y0, k)[1][-1]
         j11, j12, j21, j22 = jac(x, y)
         x, y = ev(x, y)
         a, b, c, d = j11 * a + j12 * c, j11 * b + j12 * d, j21 * a + j22 * c, j21 * b + j22 * d
     if not math.isfinite(a + b + c + d + x + y):
-        return orbit_sweep(m, x0, y0, k)[1][k]
+        return orbit_sweep(m, x0, y0, k)[1][-1]
     return a, b, c, d
 
 
@@ -322,8 +326,9 @@ def build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
     E, F and H come from one singular_values_lanes call on the products, the
     per-step values from one _point_data call on the kmax + 1 orbit points.
     Raises, in this order: OrbitEscapeError(j) if the sweep fails at z_j or
-    z_kmax leaves the domain; SingularStepError if a product Dphi^k overflows
-    or underflows to zero; at the first orbit index j that _point_data drops,
+    its last point z_j leaves the domain; SingularStepError if a product
+    Dphi^k overflows or underflows to zero, where the sweep stops (j = k);
+    at the first orbit index j that _point_data drops,
     SingularStepError if Dphi(z_j) is singular, else NonFiniteError, naming
     det Dphi(z_j) where it overflows and the second derivative data else.
     """
@@ -332,9 +337,9 @@ def build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
     orbit_xy, prods_xy = orbit_sweep(m, float(z0[0]), float(z0[1]), kmax)
     orbit = [Point2(*p) for p in orbit_xy]
     try:
-        m.jac_xy(*orbit[kmax])
+        m.jac_xy(*orbit[-1])  # z_kmax, or the point of the failing product the sweep stopped at
     except (DomainError, NonFiniteError):
-        raise OrbitEscapeError(kmax, orbit[kmax])
+        raise OrbitEscapeError(len(orbit) - 1, orbit[-1])
 
     with np.errstate(all="ignore"):
         E, F = singular_values_lanes(*np.array(prods_xy).T)  # row 0, the identity, gives 1, 1

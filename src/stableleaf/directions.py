@@ -14,6 +14,7 @@ from typing import Optional
 
 from .cocycle import CONFORMAL_TOL, OrbitCocycle, _frame, orbit_product, orbit_sweep, series_term
 from .errors import BadParamsError, BoundViolationError, ConformalError, OrbitEscapeError, StencilEscapeError
+from .errors import SingularStepError
 from .maps import MapModel, Point2
 
 PI = math.pi
@@ -163,13 +164,15 @@ def direction_field_derivative(
     def thetas(x, y):
         # theta_contract of Dphi^j at (x, y) for j = 1..k, from one sweep
         prods = orbit_sweep(m, x, y, k)[1]
+        if len(prods) <= k:  # the sweep stopped at a product that overflows or is 0
+            raise SingularStepError(f"order-{len(prods) - 1} product Dphi^{len(prods) - 1} fails at {(x, y)}")
         return [_contracted_theta(prods[j], j, (x, y))[0] for j in range(1, k + 1)]
 
     center = [contracted_direction(c, j).theta for j in range(1, k + 1)]
     stencil = [(x0 + h, y0), (x0 - h, y0), (x0, y0 + h), (x0, y0 - h)]
     try:
         series = [thetas(sx, sy) for sx, sy in stencil]
-    except (OrbitEscapeError, ConformalError) as exc:
+    except (OrbitEscapeError, ConformalError, SingularStepError) as exc:
         raise StencilEscapeError(f"stencil point left the valid region: {exc}") from exc
 
     inv2h = 0.5 / h

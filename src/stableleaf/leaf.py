@@ -28,7 +28,6 @@ import numpy as np
 
 from .budget import (
     LADDER_DEPTH,
-    SAMPLE_BLOCK,
     EpsilonSchedule,
     HyperbolicityBudget,
     check_condition_double_star,
@@ -56,8 +55,9 @@ TUBE_STRIDE = 4         # tube containment displaces every 4th leaf node (plus t
 CONTRACTION_PAIRS = 64  # leaf point pairs sampled by the contraction check
 CONTRACTION_ORDERS = 10  # the contraction fit runs up to 10 orders past k0
 
+STRIP_BAND = (0.25, 2.0)  # the uniqueness strip's width * F_j / eps_j outside this flags order j
+
 _PAIR_STREAM = 2
-_PROBE_STREAM = 3
 
 
 @dataclass
@@ -614,55 +614,47 @@ def contraction_check(
 # -- uniqueness ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeRecord:
-    point: Point2
-    distance_to_leaf: float
-    exit_step: Optional[int]
-
-
 @dataclass
 class UniquenessReport:
-    kmax: int
-    probes: list[ProbeRecord]
-    on_leaf_checked: int
-    on_leaf_exits: int
-    survivors: int
+    """Conclusion (4): the width of the strip around the leaf whose points pass the tube tests.
 
-
-def uniqueness_probe(
-    m: MapModel,
-    b: HyperbolicityBudget,
-    leaf: LeafCurve,
-    probes: int,
-    seed: int,
-) -> UniquenessReport:
-    """Probe points of the eps0 box around the budget's z for their first exit from its tube around its cocycle's orbit.
-
-    Points off the leaf should exit by a finite step (the expanded direction
-    grows); leaf grid points themselves should survive all b.kmax tests up to
-    integration error. Distances to the leaf are measured against the grid
-    polyline vertices, in probe x node blocks of about SAMPLE_BLOCK entries.
-    The probes and every 8th leaf node share one tube_exits pass.
+    on_leaf_exits counts the leaf nodes that leave the tubes by kmax. For
+    j = 0..kmax, width[j] is the largest rung w of the ladder eps0 * 2^-m such
+    that every rung up to w, off every node along the normal on both sides,
+    passes j tests (0 where none does), and ratio[j] = width[j] * F_j / eps_j,
+    near 1 and read up to a factor 2 low. outside_band lists the j whose
+    ratio is outside STRIP_BAND.
     """
-    kmax, ref = b.kmax, b.cocycle.orbit
-    xs, ys = SplitRng(seed).substream(_PROBE_STREAM).points_in_box(*ref[0], b.sched.radius(0), probes)
-    exits = tube_exits(m, ref, np.concatenate([xs, leaf.xs[::8]]), np.concatenate([ys, leaf.ys[::8]]),
-                       b.sched, kmax)
-    exits, on_leaf = exits[: len(xs)], exits[len(xs):]
-    dist = np.empty(len(xs))
-    rows = max(1, SAMPLE_BLOCK // len(leaf.xs))  # probes per block
-    for lo in range(0, len(xs), rows):
-        dx, dy = leaf.xs - xs[lo:lo + rows, None], leaf.ys - ys[lo:lo + rows, None]
-        dist[lo:lo + rows] = np.hypot(dx, dy, out=dx).min(axis=1)
-    records = [
-        ProbeRecord(point=Point2(x, y), distance_to_leaf=d, exit_step=None if e < 0 else e)
-        for x, y, d, e in zip(xs.tolist(), ys.tolist(), dist.tolist(), exits.tolist())
-    ]
-    survivors = sum(r.exit_step is None for r in records)
+
+    on_leaf_exits: int
+    width: np.ndarray
+    ratio: np.ndarray
+    outside_band: list[int]
+
+
+def uniqueness_probe(m: MapModel, b: HyperbolicityBudget, leaf: LeafCurve) -> UniquenessReport:
+    """The strip around the leaf whose points stay in the budget's tubes, from one tube_exits pass to kmax.
+
+    Every 8th leaf node is offset by 0 and by +/- eps0 * 2^-m along its unit
+    normal (-sin theta, cos theta), m = 0..ceil(log2 F_kmax) + 2, so the
+    smallest rung lies below eps0 / F_kmax. A lane passes j tests where it
+    does not exit by step j. See UniquenessReport.
+    """
+    kmax, F = b.kmax, b.cocycle.F
+    rungs = b.sched.radius(0) * 2.0 ** -np.arange(math.ceil(math.log2(F[kmax])) + 3)
+    nx, ny = np.array([(-math.sin(th), math.cos(th)) for th in leaf.thetas[::8].tolist()]).T
+    off = np.concatenate([[0.0], rungs, -rungs])[:, None]
+    exits = tube_exits(m, b.cocycle.orbit, (leaf.xs[::8] + off * nx).ravel(), (leaf.ys[::8] + off * ny).ravel(),
+                       b.sched, kmax).reshape(len(off), len(nx))
+    # per rung, the first exit step over its lanes (kmax + 1 for none), then over it and every smaller
+    # rung: all those lanes pass j tests where that step exceeds j
+    first = np.where(exits[1:] < 0, kmax + 1, exits[1:]).reshape(2, len(rungs), len(nx)).min(axis=(0, 2))
+    reach = np.minimum.accumulate(first[::-1])[::-1]
+    width = np.append(rungs, 0.0)[np.searchsorted(reach, np.arange(kmax + 1), side="right")]
+    ratio = width * F / np.array([b.sched.radius(j) for j in range(kmax + 1)])
     return UniquenessReport(
-        kmax=kmax, probes=records, on_leaf_checked=len(on_leaf), on_leaf_exits=int(np.sum(on_leaf >= 0)),
-        survivors=survivors,
+        on_leaf_exits=int(np.sum(exits[0] >= 0)), width=width, ratio=ratio,
+        outside_band=[j for j, r in enumerate(ratio.tolist()) if not STRIP_BAND[0] <= r <= STRIP_BAND[1]],
     )
 
 

@@ -17,11 +17,10 @@ from stableleaf import (
     verify_fixed_point_theorem,
 )
 from stableleaf import leaf
-from stableleaf.budget import first_tube_exit
 from stableleaf.errors import BadParamsError, NoFixedPointError, NotHyperbolicError, SpectralSlackError
 from stableleaf.maps import MapModel
 
-from conftest import reference_orbit
+from conftest import ref_first_tube_exit, reference_orbit
 from test_budget import rotationlike_map
 
 
@@ -231,8 +230,8 @@ def test_theorem_henon_field_calls(henon_map, monkeypatch):
 
 def test_theorem_henon_tube_passes(henon_map, monkeypatch):
     # the benchmark's theorem-henon op at seed 2: one tube_exits pass for the
-    # tube checks of every Cauchy order, one for the uniqueness probes and
-    # the on-leaf points together (12 with a pass per order and per probe set)
+    # tube checks of every Cauchy order, one for the uniqueness ladder and
+    # the on-leaf points together
     calls = []
     tube_exits = leaf.tube_exits
 
@@ -244,7 +243,7 @@ def test_theorem_henon_tube_passes(henon_map, monkeypatch):
     fp = eigen_split(henon_map, Point2(0.6, 0.2))
     r = verify_fixed_point_theorem(henon_map, fp, eta=0.05, kmax=12, seed=2, n=2000)
     assert r.converged
-    assert calls == [11, 12]  # jmax: kmax - 1 for the Cauchy orders, kmax for the probes
+    assert calls == [11, 12]  # jmax: kmax - 1 for the Cauchy orders, kmax for the ladder
 
 
 def report_words(o):
@@ -268,12 +267,12 @@ def report_words(o):
 
 
 # sha256 of report_words of the theorem-henon TheoremReport (eta 0.05, kmax 12,
-# n 2000) at seeds 1-3: every field, the leaf, contraction and probe arrays included;
+# n 2000) at seeds 1-3: every field, the leaf, contraction and strip arrays included;
 # both rate fits are sums in Python floats, so no LAPACK result enters it
 THEOREM_HENON_REPORT_SHA256 = {
-    1: "d344c2dc3701243ac8b23bf71c4d9d7c2754f1929155d3fade70cf88c5f9bbbf",
-    2: "37d5ef4004376f6206a421b948755ef6ff4c2c464a8c3ac72ec6f4dc53816533",
-    3: "6d588052506318543107abe5bdb3b0f79aa9dd22827a6648f666d04468353d2a",
+    1: "f0eb3514f544a2da577f5792023e16b89a84aefed060c3abdfb92ab3396da97b",
+    2: "1bdf7919413670058f571007cfa67db0b17813ec321cbb5a76158b3b49fdaa05",
+    3: "2dd04ebcc45a0996ac03612f1dab9bc23b68c30c621f4548508975ee706fe7ac",
 }
 
 
@@ -314,26 +313,23 @@ def test_theorem_weak_hyperbolicity():
 
 
 def test_theorem_survivors_near_leaf(perturbed_map):
-    # conclusion (4) surrogate: a point pushed off the limit leaf along its
-    # normal survives every tube test only while it hugs the leaf
+    # conclusion (4): the reported strip width w at kmax is sharp to the ladder's factor 2. Every
+    # 8th leaf node offset by +-w along its normal survives all kmax tube tests; offset by 2w,
+    # some node leaves a tube
     fp = eigen_split(perturbed_map, Point2(0, 0))
     rep = verify_fixed_point_theorem(perturbed_map, fp, eta=0.05, kmax=12, seed=24)
-    leaf = rep.convergence.limit
-    spacing = leaf.t[1] - leaf.t[0]
+    leaf, w = rep.convergence.limit, float(rep.uniqueness.width[12])
     sched = EpsilonSchedule.constant(0.05)
     ref = reference_orbit(perturbed_map, fp.p, 12)
-    survivors = exits = 0
-    for idx in range(0, len(leaf.t), 16):
-        nx, ny = -math.sin(leaf.thetas[idx]), math.cos(leaf.thetas[idx])
-        for offset in 10.0 ** np.arange(-9, -1):
-            for side in (1.0, -1.0):
-                p = Point2(leaf.xs[idx] + side * offset * nx, leaf.ys[idx] + side * offset * ny)
-                if first_tube_exit(perturbed_map, ref, p, sched, 12) is None:
-                    survivors += 1
-                    assert np.min(np.hypot(leaf.xs - p.x, leaf.ys - p.y)) <= 2.0 * spacing
-                else:
-                    exits += 1
-    assert survivors > 0 and exits > 0
+
+    def exits(off):
+        return [ref_first_tube_exit(perturbed_map, ref, (leaf.xs[i] - s * off * math.sin(leaf.thetas[i]),
+                                                         leaf.ys[i] + s * off * math.cos(leaf.thetas[i])), sched, 12)
+                for i in range(0, len(leaf.t), 8) for s in (1.0, -1.0)]
+
+    assert 0.0 < w < 0.05 * 2.0 ** -12
+    assert exits(w) == [None] * 66
+    assert any(e is not None for e in exits(2.0 * w))
 
 
 def test_pipeline_stage_labels(perturbed_map):

@@ -368,9 +368,9 @@ def test_rk4_order_on_circle_field():
     assert 12.0 <= e1 / e2 <= 20.0
 
 
-def _linear_pipeline(linear_map, kmax=10, tol=1e-8):
+def _linear_pipeline(linear_map, kmax=10, tol=1e-8, eta=0.1):
     z = Point2(0, 0)
-    sched = EpsilonSchedule.constant(0.1)
+    sched = EpsilonSchedule.constant(eta)
     b = estimate_budget(linear_map, z, sched, kmax=kmax, n=500, seed=3)
     rep = check_condition_double_star(b, sched)
     coc = build_orbit_cocycle(linear_map, z, kmax)
@@ -472,16 +472,20 @@ def test_contraction_check_refuses_a_negative_n(linear_map):
 
 
 def test_uniqueness_probe_linear(linear_map):
-    b, sched, eps, conv = _linear_pipeline(linear_map, kmax=12)
-    rep = uniqueness_probe(linear_map, b, conv.limit, probes=150, seed=9)
-    assert rep.on_leaf_exits == 0
-    assert rep.on_leaf_checked > 0
-    # every probe that survives must hug the leaf; everything farther must exit
-    for pr in rep.probes:
-        if pr.exit_step is None:
-            assert pr.distance_to_leaf <= 0.1 * 2.0 ** -11
-        if pr.distance_to_leaf > 2e-3:
-            assert pr.exit_step is not None
+    # the (0.5, 2) saddle's strip in closed form: a node x0 of the leaf (the x axis) offset by y along
+    # its normal is at step j >= 1 the point (x0 2^-j, y 2^j), inside the tube of radius eta while
+    # |y| <= sqrt(eta^2 - (x0 2^-j)^2) / 2^j; step 0 is the box |y| <= eta. The ladder's width is the
+    # largest rung eta 2^-m at or below the least of these over the nodes, so within a factor 2 of it
+    for eta, kmax in ((0.1, 12), (0.05, 16), (0.1, 16)):
+        b, sched, eps, conv = _linear_pipeline(linear_map, kmax=kmax, eta=eta)
+        rep = uniqueness_probe(linear_map, b, conv.limit)
+        assert rep.on_leaf_exits == 0 and rep.outside_band == []
+        assert len(rep.width) == len(rep.ratio) == kmax + 1
+        x0 = conv.limit.xs[::8]
+        for j in range(kmax + 1):
+            exact = eta if j == 0 else float(np.min(np.sqrt(eta ** 2 - (x0 * 2.0 ** -j) ** 2))) / 2.0 ** j
+            assert rep.width[j] <= exact < 2.0 * rep.width[j], (eta, kmax, j)
+            assert rep.ratio[j] == rep.width[j] * 2.0 ** j / eta <= 1.0, (eta, kmax, j)
 
 
 def test_uniqueness_probe_henon_off_leaf(henon_map):

@@ -1,6 +1,6 @@
 """The array passes of the checks around the leaves against their scalar references.
 
-Each reference below is the per-order, per-pair, per-probe or numpy-scalar
+Each reference below is the per-order, per-pair, per-lane or numpy-scalar
 loop that the package ran before it took one array pass, moved here with
 its arithmetic unchanged. The package must agree with it bit for bit: the
 same tube verdicts, ratios, distances, exits and half-planes, and the same
@@ -22,7 +22,6 @@ from stableleaf.leaf import (
     TUBE_STRIDE,
     ContractionReport,
     LeafCurve,
-    ProbeRecord,
     UniquenessReport,
     _inside_octagon,
     budget_to_epsilon,
@@ -31,6 +30,8 @@ from stableleaf.leaf import (
 )
 from stableleaf.maps import MapModel
 from stableleaf.rng import SplitRng
+
+from conftest import ref_first_tube_exit
 
 
 def ref_tube_ok(m, b, sched, eps, L, leaves):
@@ -94,19 +95,33 @@ def ref_contraction_check(m, leaf, b, n, seed):
     )
 
 
-def ref_uniqueness_probe(m, b, leaf, probes, seed):
-    """uniqueness_probe with one distance pass per probe and two tube_exits calls."""
-    kmax, ref, sched = b.kmax, b.cocycle.orbit, b.sched
-    xs, ys = SplitRng(seed).substream(3).points_in_box(*ref[0], sched.radius(0), probes)
-    records = []
-    for x, y, e in zip(xs.tolist(), ys.tolist(), tube_exits(m, ref, xs, ys, sched, kmax).tolist()):
-        d = float(np.min(np.hypot(leaf.xs - x, leaf.ys - y)))
-        records.append(ProbeRecord(point=Point2(x, y), distance_to_leaf=d, exit_step=None if e < 0 else e))
-    survivors = sum(r.exit_step is None for r in records)
-    on_leaf = tube_exits(m, ref, leaf.xs[::8], leaf.ys[::8], sched, kmax)
+def ref_uniqueness_probe(m, b, leaf):
+    """uniqueness_probe with one ref_first_tube_exit call per ladder lane and the fold written as loops."""
+    kmax, sched, ref, F = b.kmax, b.sched, b.cocycle.orbit, b.cocycle.F
+    rungs = [sched.radius(0) * 2.0 ** -r for r in range(math.ceil(math.log2(F[kmax])) + 3)]
+
+    def tests_passed(i, off):
+        """kmax + 1 where the lane off node i along its normal stays in every tube, else its exit step."""
+        th = float(leaf.thetas[i])
+        x, y = float(leaf.xs[i]) + off * -math.sin(th), float(leaf.ys[i]) + off * math.cos(th)
+        e = ref_first_tube_exit(m, ref, (x, y), sched, kmax)
+        return kmax + 1 if e is None else e
+
+    nodes = range(0, len(leaf.xs), 8)
+    on_leaf_exits = sum(tests_passed(i, 0.0) <= kmax for i in nodes)
+    first = [min(tests_passed(i, s * r) for s in (1.0, -1.0) for i in nodes) for r in rungs]
+    width = []
+    for j in range(kmax + 1):
+        w = 0.0
+        for r in reversed(range(len(rungs))):  # from the smallest rung up, while every lane passes j tests
+            if first[r] <= j:
+                break
+            w = rungs[r]
+        width.append(w)
+    ratio = [w * float(F[j]) / sched.radius(j) for j, w in enumerate(width)]
     return UniquenessReport(
-        kmax=kmax, probes=records, on_leaf_checked=len(on_leaf), on_leaf_exits=int(np.sum(on_leaf >= 0)),
-        survivors=survivors,
+        on_leaf_exits=on_leaf_exits, width=np.array(width), ratio=np.array(ratio),
+        outside_band=[j for j, q in enumerate(ratio) if not 0.25 <= q <= 2.0],
     )
 
 
@@ -301,30 +316,27 @@ def test_contraction_non_finite_image_raises_as_the_pair_loop():
 
 
 def same_uniqueness(got, want):
-    assert (got.kmax, got.on_leaf_checked, got.on_leaf_exits, got.survivors) == (
-        want.kmax, want.on_leaf_checked, want.on_leaf_exits, want.survivors)
-    assert len(got.probes) == len(want.probes)
-    for g, w in zip(got.probes, want.probes):
-        assert [g.point.x.hex(), g.point.y.hex(), g.distance_to_leaf.hex(), g.exit_step] == [
-            w.point.x.hex(), w.point.y.hex(), w.distance_to_leaf.hex(), w.exit_step]
-        assert type(g.distance_to_leaf) is float and type(g.exit_step) is type(w.exit_step)
+    assert (got.on_leaf_exits, got.outside_band) == (want.on_leaf_exits, want.outside_band)
+    assert type(got.on_leaf_exits) is int and all(type(j) is int for j in got.outside_band)
+    for key in ("width", "ratio"):
+        assert bits(getattr(got, key)) == bits(getattr(want, key)), key
 
 
-@pytest.mark.parametrize("probes", [0, 1, 200])
-def test_uniqueness_matches_the_probe_loop(probes):
-    m, b, sched, eps, L, conv = henon_stages(2)
-    got = uniqueness_probe(m, b, conv.limit, probes, 2)
-    same_uniqueness(got, ref_uniqueness_probe(m, b, conv.limit, probes, 2))
-    if probes == 200:
-        assert len({r.exit_step for r in got.probes}) > 4
+@pytest.mark.parametrize("seed", [0, 1, 2, 200])
+def test_uniqueness_matches_the_probe_loop(seed):
+    m, b, sched, eps, L, conv = henon_stages(seed)
+    got = uniqueness_probe(m, b, conv.limit)
+    same_uniqueness(got, ref_uniqueness_probe(m, b, conv.limit))
+    # the strip narrows with the order, over many rungs
+    assert len(got.width) == b.kmax + 1 and np.all(np.diff(got.width) <= 0.0) and len(set(got.width.tolist())) > 4
 
 
 def test_uniqueness_on_a_one_node_leaf():
     m, b, sched, conv = linear_stages()
     leaf = hand_leaf([0.0], [0.0])
-    got = uniqueness_probe(m, b, leaf, 50, 7)
-    same_uniqueness(got, ref_uniqueness_probe(m, b, leaf, 50, 7))
-    assert got.on_leaf_checked == 1
+    got = uniqueness_probe(m, b, leaf)
+    same_uniqueness(got, ref_uniqueness_probe(m, b, leaf))
+    assert got.on_leaf_exits == 0 and got.width[0] == sched.radius(0)
 
 
 def henon_k0_samples():

@@ -18,7 +18,6 @@ import stableleaf.leaf as leaf_mod
 from stableleaf.budget import EpsilonSchedule
 from stableleaf.cli import run_command
 from stableleaf.errors import BadParamsError
-from stableleaf.fixedpoint import UNIQUENESS_PROBES
 from stableleaf.leaf import LeafCurve, budget_to_epsilon, iterate_to_contraction, uniqueness_probe
 from stableleaf.maps import BUILTIN_MAPS, Point2, make_map
 from stableleaf.reports import dumps_canonical, emit_json, emit_leaf_csv, leaf_csv_lines
@@ -126,12 +125,12 @@ def test_cli_reports_the_step_used(tmp_path, h, steps):
 
 
 # sha256 of the converge run's artifacts with CONVERGE_ARGS and --decay 0.9, and of
-# "exit_step distance.hex()" per probe of uniqueness_probe on that run's limit leaf:
+# the float.hex of uniqueness_probe's strip width on that run's limit leaf, one per line:
 # the tubes of every stage after the budget shrink as 0.05 * 0.9^j, not as eps0
 DECAYING_RUN_SHA256 = {
     "convergence.json": "88d62e3e016854cbd1a5078223a5da315920209a455f6dde303650ebbe2141ca",
     "leaf.csv": "1d8208bbde48b6cb84259fc22e7da6e92da81138e5d73cb8ea4e2156e6e261fb",
-    "probes": "7da9cf70220ff0dc65dc638f83c193bc219efcb45a19ac5880c6161a78e6c2c3",
+    "width": "fb2011e7402e0f9afe284858be8b445cda92282ec24272b6a1d42ea43602d207",
 }
 
 
@@ -141,9 +140,8 @@ def test_decaying_schedule_run_is_pinned(tmp_path):
     m = make_map("perturbed", lambda_s=0.5, lambda_u=2.0, c=0.05)
     b, _, L, eps = budget_to_epsilon(m, Point2(0.0, 0.0), EpsilonSchedule(0.05, 0.9), 8, 300, 42)
     conv, _ = iterate_to_contraction(m, b, eps, L, 1e-8, 42)
-    rep = uniqueness_probe(m, b, conv.limit, probes=UNIQUENESS_PROBES, seed=42)
-    words = "\n".join(f"{r.exit_step} {r.distance_to_leaf.hex()}" for r in rep.probes)
-    got["probes"] = hashlib.sha256(words.encode()).hexdigest()
+    words = "\n".join(w.hex() for w in uniqueness_probe(m, b, conv.limit).width.tolist())
+    got["width"] = hashlib.sha256(words.encode()).hexdigest()
     assert got == DECAYING_RUN_SHA256
 
 
@@ -326,7 +324,9 @@ def test_cli_fixedpoint_subcommand(tmp_path):
     assert rep["conclusion_1_tangency"]["tangency_error_rad"] <= 1e-6
     assert rep["conclusion_2_length"]["full_length"] is True
     assert abs(rep["conclusion_3_contraction"]["fitted_rate"] - math.log(0.5)) <= 0.05
-    assert rep["conclusion_4_uniqueness"]["on_leaf_exits"] == 0
+    uniq = rep["conclusion_4_uniqueness"]
+    assert uniq["on_leaf_exits"] == 0 and uniq["outside_band"] == []
+    assert len(uniq["strip_width"]) == len(uniq["strip_ratio"]) == 9
 
 
 def test_cli_fixedpoint_refuses_a_decaying_schedule(tmp_path, capsys):
@@ -415,19 +415,31 @@ def test_cli_out_of_memory_exits_numerical(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "numerical failure: out of memory; a smaller --kmax or --samples needs less\n"
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps a process's address space on Linux")
-def test_cli_out_of_memory_under_an_address_space_cap(tmp_path):
-    # z's orbit over 5,000,000 steps outgrows a 600 MB address space, which leaves room for numpy's import;
-    # only the child is capped
+def cap_address_space():
+    """preexec_fn of a child capped at a 600 MB address space, which leaves room for numpy's import."""
     import resource
 
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (600_000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]))
+    resource.setrlimit(resource.RLIMIT_AS, (600_000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]))
 
-    res = run_python("-m", "stableleaf", "budget", *LINEAR_SADDLE, "--kmax", "5000000", "--samples", "10",
-                     "--out-dir", str(tmp_path), preexec_fn=cap)
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps a process's address space on Linux")
+def test_cli_out_of_memory_under_an_address_space_cap(tmp_path):
+    # lambda = (1, 1): every product is the identity, so z's orbit runs all 5,000,000 steps and
+    # outgrows the cap; only the child is capped
+    res = run_python("-m", "stableleaf", "budget", "--map", "linear", "--lambda-s", "1", "--lambda-u", "1",
+                     "--kmax", "5000000", "--samples", "10", "--out-dir", str(tmp_path), preexec_fn=cap_address_space)
     assert res.returncode == 3, res.stderr
     assert "numerical failure: out of memory" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps a process's address space on Linux")
+def test_cli_overflowing_product_stops_the_orbit_walk(tmp_path):
+    # Dphi^1024 = diag(2^-1024, 2^1024) overflows: the walk of z's orbit stops there, so a kmax of
+    # 5,000,000 fails at once, also under the cap, where walking on runs out of memory
+    res = run_python("-m", "stableleaf", "budget", *LINEAR_SADDLE, "--kmax", "5000000", "--samples", "10",
+                     "--out-dir", str(tmp_path), preexec_fn=cap_address_space, timeout=10)
+    assert res.returncode == 3, res.stderr
+    assert res.stderr == "numerical failure [stage: budget]: order-1024 product Dphi^1024 overflows at (0.0, 0.0)\n"
 
 
 LINEAR_SADDLE = ["--map", "linear", "--lambda-s", "0.5", "--lambda-u", "2"]

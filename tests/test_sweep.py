@@ -624,6 +624,30 @@ def test_orbit_product_overflow_from_finite_steps():
         assert bits(orbit_product(m, 0.0, 0.0, 2)) == bits(want)
 
 
+def test_sweep_stops_at_a_failing_product():
+    # Dphi^1024 = diag(2^-1024, 2^1024) overflows, and with lambda = 2^-600 Dphi^2 rounds to the zero
+    # matrix: the walk ends at that order, orbit_product returns that product and the cocycle names it
+    for m, k, stop, how in ((make_map("linear", lambda_s=0.5, lambda_u=2.0), 5000, 1024, "overflows"),
+                            (make_map("linear", lambda_s=2.0 ** -600, lambda_u=2.0 ** -600), 5, 2, "underflows")):
+        orbit, prods = orbit_sweep(m, 0.0, 0.0, k)
+        assert len(orbit) == len(prods) == stop + 1
+        assert bits(orbit_sweep(m, 0.0, 0.0, stop - 1)) == bits((orbit[:-1], prods[:-1]))
+        assert bits(orbit_product(m, 0.0, 0.0, k)) == bits(prods[-1])
+        with pytest.raises(SingularStepError, match=f"^order-{stop} product Dphi\\^{stop} {how}"):
+            build_orbit_cocycle(m, Point2(0.0, 0.0), k)
+
+
+def test_stencil_product_overflow_is_a_stencil_escape():
+    # the map halves y, so every stencil point stays in the box, but its Jacobian is diag(1, 2 + 1000 x):
+    # Dphi^1000 = diag(1, 2^1000) at z = (0, 0), while at the stencil point (1e-4, 0) 2.1^j overflows
+    # at j = 957, where that point's walk stops; the angles of the products past it would be NaN
+    m = MapModel(name="steeper-right", params={}, raw_eval=lambda x, y: (x, 0.5 * y),
+                 raw_jac=lambda x, y: (1.0, 0.0, 0.0, 2.0 + 1e3 * x))
+    c = build_orbit_cocycle(m, Point2(0.0, 0.0), 1000)
+    with pytest.raises(StencilEscapeError, match="order-957 product Dphi\\^957 fails at \\(0.0001, 0.0\\)"):
+        direction_field_derivative(m, c, 1000, 1e-4)
+
+
 def test_orbit_product_unbounded_box():
     # z_1 = (inf, 0) is inside an infinite box and maps back to (0, 0): only
     # the checked sweep sees the escape at step 0
