@@ -48,8 +48,13 @@ class DirectionSample:
 
 
 def _contracted_theta(p, k: int, at) -> tuple[float, float, float]:
-    """(theta_contract, E, F) of the order-k product p; ConformalError if E = F to round-off."""
+    """(theta_contract, E, F) of the order-k product p; ConformalError if E = F to round-off.
+
+    SingularStepError where p overflows: F is not finite or E is NaN.
+    """
     e, f, th = _frame(*p)
+    if not (f < math.inf and e == e):
+        raise SingularStepError(f"order-{k} product Dphi^{k} overflows at {at}")
     if f == 0.0 or 1.0 - e / f < CONFORMAL_TOL:
         raise ConformalError(f"order-{k} product conformal to round-off at {at}")
     return th, e, f

@@ -44,6 +44,7 @@ from .errors import (
     NotConvergedError,
     NumericalError,
     OrbitEscapeError,
+    SingularStepError,
 )
 from .maps import MapModel, Point2
 from .rng import SplitRng
@@ -114,7 +115,7 @@ def _dense_layout(n_steps: int, n_cells: int) -> tuple:
 
     Node i lies in step i*N // n_cells; inner marks the nodes inside a step,
     j holds their steps and the rows of weights their h01, h10, h11, g01,
-    g10 and g11 (see rk4_streamline).
+    g10 and g11 (see _place_nodes).
     """
     step, r = np.divmod(np.arange(1, n_cells + 1) * n_steps, n_cells)
     inner = r > 0
@@ -127,43 +128,18 @@ def _dense_layout(n_steps: int, n_cells: int) -> tuple:
     return step, inner, j, weights
 
 
-def rk4_streamline(
-    fld: FieldFn,
-    x0: float,
-    y0: float,
-    ux0: float,
-    uy0: float,
-    n_cells: int,
-    spacing: float,
-    steps_per_cell: float,
-) -> tuple[list[float], list[float], list[float], bool]:
-    """Trace a unit field one direction for n_cells grid cells of width spacing.
+def _rk4_steps(fld: FieldFn, x0: float, y0: float, ux0: float, uy0: float, n_steps: int, h: float) -> tuple:
+    """The step ends (x, y, tx, ty) of n_steps RK4 steps of length h from (x0, y0), and a truncation flag.
 
-    The trace takes N = round(n_cells * steps_per_cell) RK4 steps, at least
-    one, of length h = spacing / steps_per_cell. Returns per-node xs, ys, raw
-    tangent angles, and a truncation flag. The field is evaluated with an
-    orientation reference so direction fields defined mod pi stay coherent
-    along the trace. (ux0, uy0) is the field at (x0, y0) and the first step's
-    k1. The tangent at a step end is the k1 of the next step: the same point,
-    with the tangent as its own reference. So a step costs 4 field calls.
-
-    Dense output places every grid node, with no field call: node i lies in
-    step i*N // n_cells at fraction s = (i*N mod n_cells) / n_cells. A node
-    at s = 0 is that step end, position and tangent. Elsewhere, on the step
-    from (p0, t0) to (p1, t1), the node is the cubic Hermite
-    p0 + h01 (p1 - p0) + h (h10 t0 + h11 t1), and its tangent is parallel to
-    the Hermite derivative g01 (p1 - p0) + h (g10 t0 + g11 t1) (E. Hairer,
-    S. P. Norsett and G. Wanner, Solving Ordinary Differential Equations I,
-    2nd ed., 1993, sec. II.6). A trace truncated mid-step keeps the nodes up
-    to its last completed step. _dense_layout caches the layout and weights
-    per (N, n_cells).
+    (ux0, uy0) is the field at (x0, y0) and the first step's k1. The tangent
+    at a step end is the k1 of the next step: the same point, with the
+    tangent as its own reference. So a step costs 4 field calls. A
+    ConformalError, OrbitEscapeError or SingularStepError ends the trace at
+    its last completed step and sets the flag.
     """
-    n_steps = max(1, round(n_cells * steps_per_cell))
-    h = spacing / steps_per_cell
-    xs, ys, txs, tys = [x0], [y0], [ux0], [uy0]  # the step ends
+    ends = [(x0, y0, ux0, uy0)]
     x, y, tx, ty = x0, y0, ux0, uy0
     sixth = h / 6.0
-    truncated = False
     for _ in range(n_steps):
         try:
             k2x, k2y = fld(x + 0.5 * h * tx, y + 0.5 * h * ty, tx, ty)
@@ -172,25 +148,56 @@ def rk4_streamline(
             x += sixth * (tx + 2.0 * (k2x + k3x) + k4x)
             y += sixth * (ty + 2.0 * (k2y + k3y) + k4y)
             tx, ty = fld(x, y, k4x, k4y)
-        except (ConformalError, OrbitEscapeError):
-            truncated = True
-            break
-        xs.append(x)
-        ys.append(y)
-        txs.append(tx)
-        tys.append(ty)
+        except (ConformalError, OrbitEscapeError, SingularStepError):
+            return ends, True
+        ends.append((x, y, tx, ty))
+    return ends, False
 
-    # the nodes i with i*N <= (steps completed) * n_cells, a prefix of the layout
-    step, inner, j, w = _dense_layout(n_steps, n_cells)
-    reached = (len(xs) - 1) * n_cells // n_steps
-    q = np.count_nonzero(inner[:reached])
-    step, inner, j, (h01, h10, h11, g01, g10, g11) = step[:reached], inner[:reached], j[:q], w[:, :q]
-    p, t = np.array([xs, ys]), np.array([txs, tys])
-    node_p, node_t = p[:, step], t[:, step]
-    dp, t0, t1 = p[:, j + 1] - p[:, j], t[:, j], t[:, j + 1]
-    node_p[:, inner] = p[:, j] + h01 * dp + h * (h10 * t0 + h11 * t1)
-    node_t[:, inner] = g01 * dp + h * (g10 * t0 + g11 * t1)
-    (xs, ys), (txs, tys) = node_p.tolist(), node_t.tolist()
+
+def _place_nodes(sides: list, n_steps: int, n_cells: int, h: float) -> tuple[np.ndarray, list[int]]:
+    """Nodes 1..n_cells of several sides of N = n_steps steps of length h, placed in one array pass.
+
+    sides holds each side's step ends from _rk4_steps. Node i lies in step
+    i*N // n_cells at fraction s = (i*N mod n_cells) / n_cells. A node at
+    s = 0 is that step end, position and tangent. Elsewhere, on the step from
+    (p0, t0) to (p1, t1), the node is the cubic Hermite
+    p0 + h01 (p1 - p0) + h (h10 t0 + h11 t1), and its tangent is parallel to
+    the Hermite derivative g01 (p1 - p0) + h (g10 t0 + g11 t1) (E. Hairer,
+    S. P. Norsett and G. Wanner, Solving Ordinary Differential Equations I,
+    2nd ed., 1993, sec. II.6). The step ends go into one (coord, side, step)
+    array, a truncated side padded with NaN past its last step end, and the
+    rows of _dense_layout run once on all sides. Returns the (coord, side,
+    node) array of x, y, tx and ty, and each side's reached prefix,
+    (steps done) * n_cells // N nodes, none of which reads a padded entry.
+    """
+    step, inner, j, (h01, h10, h11, g01, g10, g11) = _dense_layout(n_steps, n_cells)
+    pad = [(math.nan,) * 4]
+    a = np.array([ends + pad * (n_steps + 1 - len(ends)) for ends in sides]).transpose(2, 0, 1)
+    nodes, a0, a1 = a.take(step, axis=2), a.take(j, axis=2), a.take(j + 1, axis=2)
+    dp, t0, t1 = a1[:2] - a0[:2], a0[2:], a1[2:]
+    nodes[:2, :, inner] = a0[:2] + h01 * dp + h * (h10 * t0 + h11 * t1)
+    nodes[2:, :, inner] = g01 * dp + h * (g10 * t0 + g11 * t1)
+    return nodes, [(len(ends) - 1) * n_cells // n_steps for ends in sides]
+
+
+def rk4_streamline(
+    fld: FieldFn, x0: float, y0: float, ux0: float, uy0: float, n_cells: int, spacing: float, steps_per_cell: float,
+) -> tuple[list[float], list[float], list[float], bool]:
+    """Trace a unit field one direction for n_cells grid cells of width spacing: one side of integrate_leaf.
+
+    The trace takes N = round(n_cells * steps_per_cell) RK4 steps, at least
+    one, of length h = spacing / steps_per_cell (_rk4_steps), and dense
+    output places every grid node with no field call (_place_nodes). Returns
+    per-node xs, ys, raw tangent angles, and a truncation flag; a trace
+    truncated mid-step keeps the nodes up to its last completed step. The
+    field is evaluated with an orientation reference so direction fields
+    defined mod pi stay coherent along the trace.
+    """
+    n_steps = max(1, round(n_cells * steps_per_cell))
+    h = spacing / steps_per_cell
+    ends, truncated = _rk4_steps(fld, x0, y0, ux0, uy0, n_steps, h)
+    nodes, (reached,) = _place_nodes([ends], n_steps, n_cells, h)
+    xs, ys, txs, tys = nodes[:, 0, :reached].tolist()
     return xs, ys, [math.atan2(dy, dx) for dx, dy in zip(txs, tys)], truncated
 
 
@@ -216,6 +223,15 @@ def _refuse_small_step(h: float, spacing: float, most: int) -> None:
         )
 
 
+def _unwrap(th: float, raw: list[float]) -> list[float]:
+    """raw unwrapped mod pi: each angle moved by a multiple of pi to within pi/2 of the result before it, th first."""
+    out = []
+    for r in raw:
+        th += _signed_gap(th, r)
+        out.append(th)
+    return out
+
+
 def integrate_leaf(
     m: MapModel,
     z: Point2,
@@ -229,11 +245,14 @@ def integrate_leaf(
     grid_points must be odd (a center node plus symmetric sides). The default
     h is eps/DEFAULT_STEP_DIV; on the default grid that is one RK4 step per 8
     cells. Each side takes N = max(1, round(eps / h)) steps of length eps / N
-    (an h = inf takes one), and dense output places every grid node (see
-    rk4_streamline). An h that is not positive, or below spacing /
-    MAX_STEPS_PER_CELL, raises BadParamsError. A ConformalError or
-    OrbitEscapeError at z itself propagates; mid-trace failures truncate the
-    corresponding side at its last completed step and set its flag.
+    (an h = inf takes one), and one _place_nodes pass places every grid node
+    of both sides. theta takes math.atan2 of the node tangents, not
+    np.arctan2, whose SIMD loops may round apart from libm, and is unwrapped
+    outward from the center on floats. An h that is not positive, or below
+    spacing / MAX_STEPS_PER_CELL, raises BadParamsError. A ConformalError,
+    OrbitEscapeError or SingularStepError at z itself propagates; mid-trace
+    ones truncate the corresponding side at its last completed step and set
+    its flag.
     """
     if grid_points < 3 or grid_points % 2 == 0:
         raise BadParamsError(f"grid_points must be odd and >= 3, got {grid_points}")
@@ -245,33 +264,25 @@ def integrate_leaf(
     if h is None:
         h = eps / DEFAULT_STEP_DIV
     _refuse_small_step(h, spacing, MAX_STEPS_PER_CELL)
-    steps_per_cell = max(1, round(eps / h)) / n_side
-    h_eff = spacing / steps_per_cell
+    n_steps = max(1, round(eps / h))
+    h_eff = spacing / (n_steps / n_side)
 
     th0, _, _ = contracted_theta_fast(m, zx, zy, k)  # raises at z itself
-    e0 = (math.cos(th0), math.sin(th0))
+    ux, uy = math.cos(th0), math.sin(th0)
     fld = _leaf_field(m, k)
-
-    xs_p, ys_p, th_p, trunc_p = rk4_streamline(fld, zx, zy, e0[0], e0[1], n_side, spacing, steps_per_cell)
-    xs_n, ys_n, th_n, trunc_n = rk4_streamline(fld, zx, zy, -e0[0], -e0[1], n_side, spacing, steps_per_cell)
-
-    m_neg = len(xs_n)
-    xs = list(reversed(xs_n)) + [zx] + xs_p
-    ys = list(reversed(ys_n)) + [zy] + ys_p
-    raw = list(reversed(th_n)) + [th0] + th_p
-    t = spacing * (np.arange(len(xs)) - m_neg)
-
-    thetas = np.empty(len(raw))
-    thetas[m_neg] = th0
-    for i in range(m_neg + 1, len(raw)):
-        thetas[i] = thetas[i - 1] + _signed_gap(thetas[i - 1], raw[i])
-    for i in range(m_neg - 1, -1, -1):
-        thetas[i] = thetas[i + 1] + _signed_gap(thetas[i + 1], raw[i])
+    ends_p, trunc_p = _rk4_steps(fld, zx, zy, ux, uy, n_steps, h_eff)
+    ends_n, trunc_n = _rk4_steps(fld, zx, zy, -ux, -uy, n_steps, h_eff)
+    nodes, (r_p, r_n) = _place_nodes([ends_p, ends_n], n_steps, n_side, h_eff)
+    px, py = nodes[:2]
+    tx, ty = np.concatenate((nodes[2:, 0, :r_p], nodes[2:, 1, :r_n]), axis=1).tolist()  # outward, positive side first
+    raw = [math.atan2(dy, dx) for dx, dy in zip(tx, ty)]
+    thetas = _unwrap(th0, raw[r_p:])[::-1] + [th0] + _unwrap(th0, raw[:r_p])
 
     return LeafCurve(
-        k=k, z0=Point2(zx, zy), eps=eps, h=h_eff,
-        t=t, xs=np.array(xs), ys=np.array(ys), thetas=thetas,
-        center_index=m_neg, truncated_neg=trunc_n, truncated_pos=trunc_p,
+        k=k, z0=Point2(zx, zy), eps=eps, h=h_eff, t=spacing * (np.arange(len(thetas)) - r_n),
+        xs=np.concatenate((px[1, :r_n][::-1], [zx], px[0, :r_p])),
+        ys=np.concatenate((py[1, :r_n][::-1], [zy], py[0, :r_p])), thetas=np.array(thetas),
+        center_index=r_n, truncated_neg=trunc_n, truncated_pos=trunc_p,
         grid_points=grid_points,
     )
 

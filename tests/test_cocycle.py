@@ -394,8 +394,10 @@ def test_singular_values_lanes_match_scalar():
 
 def test_frame_never_raises_overflow_error():
     # the old branch resolution squared with `** 2`, which raises OverflowError,
-    # an error no caller catches
-    assert _contracted_theta((0.0, 1e308, 1.0, math.inf), 2, (0.0, 0.0))[0] == 0.375 * math.pi
+    # an error no caller catches; the leaf field's _contracted_theta refuses F = inf as an overflow
+    assert _frame(0.0, 1e308, 1.0, math.inf)[2] == 0.375 * math.pi
+    with pytest.raises(SingularStepError, match=r"order-2 product Dphi\^2 overflows at \(0\.0, 0\.0\)"):
+        _contracted_theta((0.0, 1e308, 1.0, math.inf), 2, (0.0, 0.0))
     mats = frame_matrices()
     for m in mats[~np.all(np.isfinite(mats), axis=1) | (np.abs(mats).max(axis=1) > 1e300)].tolist():
         for fn, args in ((_contracted_theta, (m, 2, (0.0, 0.0))), (singular_frame, (Mat2(*m),))):

@@ -21,7 +21,7 @@ from stableleaf import (
     uniqueness_probe,
 )
 from stableleaf.budget import LADDER_DEPTH, SAMPLE_SLACK, HyperbolicityBudget
-from stableleaf.directions import angle_distance, contracted_theta_fast, direction_field_derivative
+from stableleaf.directions import _signed_gap, angle_distance, contracted_theta_fast, direction_field_derivative
 from stableleaf.errors import (
     BadParamsError,
     ConformalError,
@@ -30,7 +30,10 @@ from stableleaf.errors import (
     NotConvergedError,
     NumericalError,
     OrbitEscapeError,
+    SingularStepError,
+    StencilEscapeError,
 )
+from stableleaf.maps import MapModel
 import stableleaf.leaf as leaf_mod
 from stableleaf.leaf import (
     MAX_STEPS_PER_CELL,
@@ -118,6 +121,17 @@ def ref_streamline(fld, x0, y0, ux0, uy0, n_cells, spacing, steps_per_cell):
     h = spacing / steps_per_cell
     ends = ref_rk4_streamline(fld, x0, y0, ux0, uy0, n_steps, h, 1)
     return ref_dense_output(fld, x0, y0, ux0, uy0, ends, n_cells, n_steps, h)
+
+
+def ref_unwrap(raw, center):
+    """The unwrap of the raw angles outward from center, over numpy elements, verbatim: the reference."""
+    thetas = np.empty(len(raw))
+    thetas[center] = raw[center]
+    for i in range(center + 1, len(raw)):
+        thetas[i] = thetas[i - 1] + _signed_gap(thetas[i - 1], raw[i])
+    for i in range(center - 1, -1, -1):
+        thetas[i] = thetas[i + 1] + _signed_gap(thetas[i + 1], raw[i])
+    return thetas
 
 
 def stop_beyond(fld, x0, y0, ux, uy, s_stop):
@@ -318,6 +332,46 @@ def test_integrate_leaf_truncation(linear_map):
     leaf = integrate_leaf(linear_map, Point2(4.9, 0.0), 3, 0.5)
     assert leaf.truncated_pos or leaf.truncated_neg
     assert len(leaf.t) < leaf.grid_points
+
+
+def steep_map():
+    """(x, y) -> (x / 2, 2y), whose derivative gains the row (1.5e308, 1.5e308) from x = 0.3 on.
+
+    There F of Dphi is past the float range while every entry is finite.
+    """
+    big = 1.5e308
+    return MapModel(
+        name="steep", params={}, raw_eval=lambda x, y: (0.5 * x, 2.0 * y),
+        raw_jac=lambda x, y: (0.5, 0.0, 0.0, 2.0) if x < 0.3 else (0.5, 0.0, big, big),
+        raw_hess=lambda x, y: (0.0,) * 6, raw_det_grad=lambda x, y: (0.0, 0.0),
+    )
+
+
+def test_an_overflowing_product_at_z_raises():
+    with pytest.raises(SingularStepError, match=r"order-2 product Dphi\^2 overflows at \(0\.0, 0\.0\)"):
+        contracted_theta_fast(make_map("linear", lambda_s=0.5, lambda_u=1e200), 0.0, 0.0, 2)
+    # Dphi^1024 of the (0.5, 2) saddle is the first to overflow
+    with pytest.raises(SingularStepError, match=r"order-1100 product Dphi\^1100 overflows at \(0\.0, 0\.0\)"):
+        integrate_leaf(make_map("linear", lambda_s=0.5, lambda_u=2.0), Point2(0.0, 0.0), 1100, 0.01)
+
+
+def test_an_overflowing_product_mid_trace_truncates_the_side():
+    m = steep_map()
+    with pytest.raises(SingularStepError, match="order-1 product"):
+        _leaf_field(m, 1)(0.4, 0.0, 1.0, 0.0)
+    # steps of eps / 16 = 1/32: the 10th step's k4 lies at x = 0.3125, so 9
+    # steps of the positive side are kept, and their 72 nodes
+    leaf = integrate_leaf(m, Point2(0.0, 0.0), 1, 0.5)
+    assert leaf.truncated_pos and not leaf.truncated_neg
+    assert (leaf.center_index, len(leaf.t), leaf.length_pos) == (128, 201, 0.28125)
+    assert np.all(np.isfinite(leaf.thetas)) and np.all(leaf.thetas == 0.0)
+
+
+def test_an_overflowing_product_on_the_stencil_is_a_stencil_escape():
+    m = steep_map()
+    c = build_orbit_cocycle(m, Point2(0.29995, 0.0), 1)  # the stencil point x + 1e-4 overflows
+    with pytest.raises(StencilEscapeError, match="order-1 product Dphi\\^1 overflows"):
+        direction_field_derivative(m, c, 1)
 
 
 def test_leaf_arclength_consistency(henon_map):
@@ -675,6 +729,37 @@ def test_default_leaf_is_the_reference_steps_and_fill(case):
     xs = sides[0][0][::-1] + [z.x] + sides[1][0]
     ys = sides[0][1][::-1] + [z.y] + sides[1][1]
     assert [v.hex() for v in xs + ys] == [v.hex() for v in leaf.xs.tolist() + leaf.ys.tolist()]
+
+
+LEAF_STEPS = [(n, gp) for n in (1, 16, 83, 256) for gp in (3, 7, 257) if n <= MAX_STEPS_PER_CELL * (gp // 2)]
+
+
+@pytest.mark.parametrize("n_steps, grid_points", LEAF_STEPS)
+@pytest.mark.parametrize("case", sorted(FIELD_CASES))
+def test_integrate_leaf_is_the_reference_sides_and_unwrap(monkeypatch, case, n_steps, grid_points):
+    # both sides' nodes from one array pass and the unwrap on floats, against
+    # ref_streamline on each side and ref_unwrap: both sides full, either one
+    # stopped 0.55 eps out, and both (at N = 1 a stopped side keeps no node)
+    m, z, k = FIELD_CASES[case]
+    eps, n_side = 0.0125, grid_points // 2
+    th0 = contracted_theta_fast(m, z.x, z.y, k)[0]
+    ux, uy = math.cos(th0), math.sin(th0)
+    for cut in ((), (-1.0,), (1.0,), (-1.0, 1.0)):
+        fld = _leaf_field(m, k)
+        for sign in cut:
+            fld = stop_beyond(fld, z.x, z.y, sign * ux, sign * uy, 0.55 * eps)
+        monkeypatch.setattr(leaf_mod, "_leaf_field", lambda *_, f=fld: f)
+        leaf = integrate_leaf(m, z, k, eps, h=math.inf if n_steps == 1 else eps / n_steps, grid_points=grid_points)
+        neg, pos = (ref_streamline(fld, z.x, z.y, sign * ux, sign * uy, n_side, eps / n_side, n_steps / n_side)
+                    for sign in (-1.0, 1.0))
+        assert (leaf.truncated_neg, leaf.truncated_pos) == (neg[3], pos[3]) == (-1.0 in cut, 1.0 in cut)
+        assert len(neg[0]) < n_side if -1.0 in cut else len(neg[0]) == n_side
+        c = len(neg[0])
+        xs, ys, raw = (a[::-1] + [v] + b for a, b, v in zip(neg, pos, (z.x, z.y, th0)))
+        want = [xs, ys, ref_unwrap(raw, c).tolist(), (eps / n_side * (np.arange(len(xs)) - c)).tolist()]
+        got = [a.tolist() for a in (leaf.xs, leaf.ys, leaf.thetas, leaf.t)]
+        assert leaf.center_index == c
+        assert [[v.hex() for v in a] for a in got] == [[v.hex() for v in a] for a in want], cut
 
 
 HERMITE_ANGLE = 1e-11     # radians; measured at most 4.0e-12 (henon, k = 12)
