@@ -48,7 +48,7 @@ def main():
     print(f"max d_k = {conv.d_k.max():.3e} (exact 0); "
           f"max |y| on limit leaf = {abs(limit.ys).max():.3e}")
 
-    cr = contraction_check(m, limit, b, n=12, seed=7)
+    cr = contraction_check(m, limit, b, n=12)
     worst = max(abs(cr.max_ratio[n] - 0.5 ** n) / 0.5 ** n for n in range(13))
     print(f"contraction ratios match 2^-n to rel {worst:.3e}; C_fit = {cr.C_fit:.4f} "
           f"(limit {3/11:.4f})")

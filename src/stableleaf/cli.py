@@ -2,9 +2,9 @@
 
 Subcommands: budget, leaf, converge, fixedpoint. Exit codes: 0 success,
 2 validation error, 3 numerical failure, which names its pipeline stage (a
-partial report is still written when one exists), or out of memory. All
-randomness flows from --seed, so identical invocations produce
-byte-identical artifacts.
+partial report is still written when one exists), or out of memory. --seed
+seeds the budget's draws, the only randomness, so identical invocations
+produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def _convergence_payload(m, ns, report, c_fit) -> dict:
 def _cmd_converge(ns, out_dir: str, m: MapModel, z: Point2, sched: EpsilonSchedule) -> int:
     b, _, L, eps = budget_to_epsilon(m, z, sched, ns.kmax, ns.samples, ns.seed)
     try:
-        report, contraction = iterate_to_contraction(m, b, eps, L, ns.tol, ns.seed, h=ns.h)
+        report, contraction = iterate_to_contraction(m, b, eps, L, ns.tol, h=ns.h)
     except NotConvergedError as exc:
         emit_json(_convergence_payload(m, ns, exc.report, None), os.path.join(out_dir, "convergence.json"))
         emit_leaf_csv(exc.report.limit, os.path.join(out_dir, "leaf.csv"), k_override=-1)

@@ -61,8 +61,16 @@ def _contracted_theta(p, k: int, at) -> tuple[float, float, float]:
 
 
 def contracted_theta_fast(m: MapModel, x: float, y: float, k: int) -> tuple[float, float, float]:
-    """(theta_contract, E_k, F_k) of Dphi^k at (x, y); hot path for leaf tracing."""
-    return _contracted_theta(orbit_product(m, x, y, k), k, (x, y))
+    """(theta_contract, E_k, F_k) of Dphi^k at (x, y); hot path for leaf tracing.
+
+    Where the walk's product overflows, the SingularStepError names the order
+    of the first product that does, which orbit_product returned.
+    """
+    p = orbit_product(m, x, y, k)
+    try:
+        return _contracted_theta(p, k, (x, y))
+    except SingularStepError:  # raise it again for p's own order, which the sweep's product list ends at
+        return _contracted_theta(p, len(orbit_sweep(m, x, y, k)[1]) - 1, (x, y))
 
 
 def contracted_direction(c: OrbitCocycle, k: int) -> DirectionSample:

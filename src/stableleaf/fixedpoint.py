@@ -296,7 +296,7 @@ def verify_fixed_point_theorem(
     A NumericalError propagates with .stage naming the stage that failed.
     """
     b, gamma, L, eps = budget_to_epsilon(m, fp.p, EpsilonSchedule.constant(eta), kmax, n, seed)
-    conv, contraction = iterate_to_contraction(m, b, eps, L, tol, seed, h=h)
+    conv, contraction = iterate_to_contraction(m, b, eps, L, tol, h=h)
     limit = conv.limit
     uniq = staged("uniqueness", uniqueness_probe, m, b, limit)
 

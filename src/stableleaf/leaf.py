@@ -34,6 +34,7 @@ from .budget import (
     estimate_budget,
     tube_exits,
 )
+from .cocycle import norm2_lanes
 from .directions import _signed_gap, contracted_theta_fast, direction_field_derivative
 from .errors import (
     BadParamsError,
@@ -47,18 +48,15 @@ from .errors import (
     SingularStepError,
 )
 from .maps import MapModel, Point2
-from .rng import SplitRng
 
 DEFAULT_GRID = 257
 DEFAULT_STEP_DIV = 16  # default h = eps / 16: one RK4 step per 8 cells of the default grid
 MAX_STEPS_PER_CELL = 64  # an h asking for more RK4 steps per grid cell is refused
 TUBE_STRIDE = 4         # tube containment displaces every 4th leaf node (plus the ends)
-CONTRACTION_PAIRS = 64  # leaf point pairs sampled by the contraction check
+NODE_STRIDE = 8         # contraction and uniqueness read every 8th leaf node (contraction also the last)
 CONTRACTION_ORDERS = 10  # the contraction fit runs up to 10 orders past k0
 
 STRIP_BAND = (0.25, 2.0)  # the uniqueness strip's width * F_j / eps_j outside this flags order j
-
-_PAIR_STREAM = 2
 
 
 @dataclass
@@ -548,11 +546,10 @@ def cauchy_iterate(
 @dataclass
 class ContractionReport:
     n: int
-    max_ratio: np.ndarray        # per order, max over sampled pairs
-    widest_ratio: np.ndarray     # per order, ratio of the widest sampled pair
+    max_ratio: np.ndarray        # per order, max over the node pairs
+    widest_ratio: np.ndarray     # per order, ratio of the widest node pair
     gamma_tilde: np.ndarray      # budget envelope per order
     C_fit: float
-    seed: int
 
 
 def contraction_check(
@@ -560,66 +557,52 @@ def contraction_check(
     leaf: LeafCurve,
     b: HyperbolicityBudget,
     n: int,
-    seed: int,
 ) -> ContractionReport:
-    """Forward-image distance ratios of leaf point pairs against gamma_tilde.
+    """Forward-image distance ratios of pairs of leaf nodes against gamma_tilde.
 
-    For each of CONTRACTION_PAIRS sampled pairs (t1, t2) the ratio
-    |phi^n'(z_t1) - phi^n'(z_t2)| / |z_t1 - z_t2| is recorded for n' = 0..n;
-    C_fit is the max over n' >= max(k0, 1) of max_ratio / gamma_tilde. The
-    widest pair's ratio sequence is kept separately: rate fits use it because
+    The nodes are every NODE_STRIDE-th leaf node plus the last. For every pair
+    (i < j) of them, in node order, the ratio |phi^n'(z_i) - phi^n'(z_j)| /
+    |z_i - z_j| is recorded for n' = 0..n, with distances from norm2_lanes;
+    pairs of coincident nodes are skipped. C_fit is the max over
+    n' >= max(k0, 1) of max_ratio / gamma_tilde. The widest pair's ratio
+    sequence (the first of a tie) is kept separately: rate fits use it because
     round-off injected along the orbit amplifies in the expanded direction and
-    floors the ratios of narrowly separated pairs first. Pairs with coincident
-    ends are skipped. All pair ends step together as lanes under eval_xy's
-    checks; if one fails, eval_xy raises where a pair-by-pair loop would.
+    floors the ratios of narrowly separated pairs first. The nodes step
+    together as lanes; at the first step where one fails, eval_xy raises on
+    the first failing node.
     """
     if not 0 <= n <= b.kmax:
         raise BadParamsError(f"n={n} is outside the budget range 0..kmax={b.kmax}")
-    rng = SplitRng(seed).substream(_PAIR_STREAM)
     npts = len(leaf.t)
     if npts < 2:
         raise DegenerateLeafError("leaf has fewer than 2 grid points")
-    ends, d0 = [], []
-    for _ in range(CONTRACTION_PAIRS):
-        i = rng.randint(npts)
-        j = rng.randint(npts)
-        while j == i:
-            j = rng.randint(npts)
-        d = math.hypot(leaf.xs[i] - leaf.xs[j], leaf.ys[i] - leaf.ys[j])
-        if d != 0.0:
-            ends.append((i, j))
-            d0.append(d)
-    # x[0] holds the first ends, x[1] the second; pairs past a failing one are dropped
-    ends = np.array(ends, dtype=int).reshape(-1, 2).T
-    x, y, d0 = leaf.xs[ends], leaf.ys[ends], np.array(d0)
-    live = len(d0)
-    ratio = np.ones((n + 1, live))
-    failure = None
-    for step in range(1, n + 1):
+    nodes = [*range(0, npts - 1, NODE_STRIDE), npts - 1]
+    x, y = leaf.xs[nodes], leaf.ys[nodes]
+    xs, ys = [x], [y]
+    for _ in range(n):
         with np.errstate(over="ignore", invalid="ignore"):
-            fx, fy, ok = m.eval_lanes(x.ravel(), y.ravel())
-        ok = ok.reshape(2, live)
-        bad = np.flatnonzero(~(ok[0] & ok[1]))
-        if len(bad):  # the lowest failing pair, its first end first
-            live, end = int(bad[0]), int(ok[0, bad[0]])
-            failure = (x[end, live], y[end, live])
-        x, y = fx.reshape(2, -1)[:, :live], fy.reshape(2, -1)[:, :live]
-        dist = [math.hypot(a, c) for a, c in zip((x[0] - x[1]).tolist(), (y[0] - y[1]).tolist())]
-        ratio[step, :live] = np.array(dist) / d0[:live]
-    if failure is not None:
-        m.eval_xy(*failure)  # raises
-        raise NonFiniteError(f"map '{m.name}' failed on arrays but not on floats at {failure}")
+            x, y, ok = m.eval_lanes(x, y)
+        if not ok.all():
+            at = int(np.argmin(ok))
+            failure = (float(xs[-1][at]), float(ys[-1][at]))
+            m.eval_xy(*failure)  # raises
+            raise NonFiniteError(f"map '{m.name}' failed on arrays but not on floats at {failure}")
+        xs.append(x)
+        ys.append(y)
+    i, j = np.triu_indices(len(nodes), 1)
+    xs, ys = np.array(xs), np.array(ys)
+    dist = norm2_lanes((xs[:, i] - xs[:, j]).ravel(), (ys[:, i] - ys[:, j]).ravel()).reshape(n + 1, -1)
+    live = dist[0] != 0.0
+    ratio = dist[:, live] / dist[0, live]
     max_ratio = np.max(ratio, axis=1, initial=0.0)
-    widest_ratio = ratio[:, np.argmax(d0)].copy() if live else np.zeros(n + 1)
+    widest_ratio = ratio[:, np.argmax(dist[0, live])] if ratio.size else np.zeros(n + 1)
     gt = b.gamma_tilde[: n + 1].copy()
     start = b.k0 or 1
     cfit = 0.0
     for order in range(start, n + 1):
         if gt[order] > 0.0:
             cfit = max(cfit, max_ratio[order] / gt[order])
-    return ContractionReport(
-        n=n, max_ratio=max_ratio, widest_ratio=widest_ratio, gamma_tilde=gt, C_fit=cfit, seed=seed,
-    )
+    return ContractionReport(n=n, max_ratio=max_ratio, widest_ratio=widest_ratio, gamma_tilde=gt, C_fit=cfit)
 
 
 # -- uniqueness ---------------------------------------------------------------
@@ -646,16 +629,17 @@ class UniquenessReport:
 def uniqueness_probe(m: MapModel, b: HyperbolicityBudget, leaf: LeafCurve) -> UniquenessReport:
     """The strip around the leaf whose points stay in the budget's tubes, from one tube_exits pass to kmax.
 
-    Every 8th leaf node is offset by 0 and by +/- eps0 * 2^-m along its unit
+    Every NODE_STRIDE-th leaf node is offset by 0 and by +/- eps0 * 2^-m along its unit
     normal (-sin theta, cos theta), m = 0..ceil(log2 F_kmax) + 2, so the
     smallest rung lies below eps0 / F_kmax. A lane passes j tests where it
     does not exit by step j. See UniquenessReport.
     """
     kmax, F = b.kmax, b.cocycle.F
     rungs = b.sched.radius(0) * 2.0 ** -np.arange(math.ceil(math.log2(F[kmax])) + 3)
-    nx, ny = np.array([(-math.sin(th), math.cos(th)) for th in leaf.thetas[::8].tolist()]).T
+    nodes = slice(None, None, NODE_STRIDE)
+    nx, ny = np.array([(-math.sin(th), math.cos(th)) for th in leaf.thetas[nodes].tolist()]).T
     off = np.concatenate([[0.0], rungs, -rungs])[:, None]
-    exits = tube_exits(m, b.cocycle.orbit, (leaf.xs[::8] + off * nx).ravel(), (leaf.ys[::8] + off * ny).ravel(),
+    exits = tube_exits(m, b.cocycle.orbit, (leaf.xs[nodes] + off * nx).ravel(), (leaf.ys[nodes] + off * ny).ravel(),
                        b.sched, kmax).reshape(len(off), len(nx))
     # per rung, the first exit step over its lanes (kmax + 1 for none), then over it and every smaller
     # rung: all those lanes pass j tests where that step exceeds j
@@ -697,8 +681,7 @@ def budget_to_epsilon(
 
 
 def iterate_to_contraction(
-    m: MapModel, b: HyperbolicityBudget, eps: float, L: float, tol: float, seed: int,
-    h: Optional[float] = None,
+    m: MapModel, b: HyperbolicityBudget, eps: float, L: float, tol: float, h: Optional[float] = None,
 ) -> tuple[ConvergenceReport, ContractionReport]:
     """Stages Cauchy iteration -> contraction on the limit leaf, at the budget's z up to its kmax.
 
@@ -707,4 +690,4 @@ def iterate_to_contraction(
     """
     conv = staged("cauchy-iterate", cauchy_iterate, m, b, eps, tol, L=L, h=h)
     n = min(b.kmax, b.k0 + CONTRACTION_ORDERS)
-    return conv, staged("contraction", contraction_check, m, conv.limit, b, n=n, seed=seed)
+    return conv, staged("contraction", contraction_check, m, conv.limit, b, n=n)

@@ -59,10 +59,6 @@ class SplitRng:
         lo_x, hi_x, lo_y, hi_y = cx - r, cx + r, cy - r, cy + r
         return lo_x + (hi_x - lo_x) * u[0::2], lo_y + (hi_y - lo_y) * u[1::2]
 
-    def randint(self, n: int) -> int:
-        """Integer in [0, n) via the multiply-shift reduction."""
-        return (self.next_u64() * n) >> 64
-
     def substream(self, index: int) -> "SplitRng":
         """Independent stream keyed by (current seed, index); does not consume state."""
         return SplitRng(_mix(self._state ^ _mix(index & _MASK)))

@@ -77,7 +77,7 @@ def test_criterion_1_linear_end_to_end():
     limit = conv.limit
     assert np.max(np.abs(limit.ys)) <= 1e-9
     assert abs(limit.thetas[limit.center_index]) <= 1e-10
-    cr = contraction_check(m, limit, b, n=12, seed=7)
+    cr = contraction_check(m, limit, b, n=12)
     for n in range(13):
         assert abs(cr.max_ratio[n] - 0.5 ** n) <= 1e-9 * 0.5 ** n
     elapsed = time.perf_counter() - t0
@@ -183,7 +183,7 @@ def neighborhood_points_near_leaf(m, z, sched, k, want, seed, trans_width):
     npts = len(guide.t)
     while len(pts) < want and tries < 40 * want:
         tries += 1
-        i = rng.randint(npts)
+        i = (rng.next_u64() * npts) >> 64  # an index in [0, npts) by the multiply-shift reduction
         w = rng.uniform(-trans_width, trans_width)
         th = guide.thetas[i]
         p = Point2(guide.xs[i] - w * math.sin(th), guide.ys[i] + w * math.cos(th))

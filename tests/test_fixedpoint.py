@@ -270,9 +270,9 @@ def report_words(o):
 # n 2000) at seeds 1-3: every field, the leaf, contraction and strip arrays included;
 # both rate fits are sums in Python floats, so no LAPACK result enters it
 THEOREM_HENON_REPORT_SHA256 = {
-    1: "f0eb3514f544a2da577f5792023e16b89a84aefed060c3abdfb92ab3396da97b",
-    2: "1bdf7919413670058f571007cfa67db0b17813ec321cbb5a76158b3b49fdaa05",
-    3: "2dd04ebcc45a0996ac03612f1dab9bc23b68c30c621f4548508975ee706fe7ac",
+    1: "44d79243b629b7fff3459c09cfaf34efaf66b74f0b8d4b8a561069139156045d",
+    2: "190a580be39adaf6baae085cd163538e1673aa4a982607eea3aa657563dbc087",
+    3: "ffd1e05f8adf1b4883be409bdba900679dc05a719340b0c5d3b4719cc9d358b2",
 }
 
 
@@ -282,6 +282,18 @@ def test_theorem_henon_report_is_pinned(henon_map, seed):
     r = verify_fixed_point_theorem(henon_map, fp, eta=0.05, kmax=12, seed=seed, n=2000)
     digest = hashlib.sha256("\n".join(report_words(r)).encode()).hexdigest()
     assert digest == THEOREM_HENON_REPORT_SHA256[seed]
+
+
+@pytest.mark.parametrize("div", [8, 4])
+def test_rate_fit_holds_at_coarse_steps(henon_map, div):
+    # theorem-henon chooses eps = 0.0125 at every seed; at h = eps/8 and eps/4 the
+    # leaf's offsets from W^s are larger, and the contraction rate is read from
+    # the leaf's two ends, whose ratios stay above the round-off floor longest
+    fp = eigen_split(henon_map, Point2(0.6, 0.2))
+    for seed in range(1, 21):
+        r = verify_fixed_point_theorem(henon_map, fp, eta=0.05, kmax=12, seed=seed, n=2000, h=0.0125 / div)
+        assert r.eps == 0.0125 and r.convergence.limit.h == r.eps / div
+        assert r.converged and r.rate_deviation <= 0.05, (seed, r.rate_deviation)
 
 
 def test_rate_fits_need_no_lapack(henon_map, monkeypatch):

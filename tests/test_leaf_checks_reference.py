@@ -1,10 +1,12 @@
 """The array passes of the checks around the leaves against their scalar references.
 
-Each reference below is the per-order, per-pair, per-lane or numpy-scalar
-loop that the package ran before it took one array pass, moved here with
-its arithmetic unchanged. The package must agree with it bit for bit: the
+Each reference below is the per-order, per-lane or numpy-scalar loop that
+the package ran before it took one array pass, moved here with its
+arithmetic unchanged; the contraction reference steps one node at a time
+with eval_xy and measures one pair at a time with norm2. The package must
+agree with it bit for bit: the
 same tube verdicts, ratios, distances, exits and half-planes, and the same
-error type and message where a contraction pair leaves the domain.
+error type and message where a contraction node leaves the domain.
 """
 
 import dataclasses
@@ -16,9 +18,9 @@ import pytest
 from stableleaf import EpsilonSchedule, Point2, cauchy_iterate, contraction_check, eigen_split, make_map
 from stableleaf import uniqueness_probe
 from stableleaf.budget import estimate_budget, tube_exits
+from stableleaf.cocycle import norm2
 from stableleaf.errors import DomainError, NonFiniteError, NotConvergedError
 from stableleaf.leaf import (
-    CONTRACTION_PAIRS,
     TUBE_STRIDE,
     ContractionReport,
     LeafCurve,
@@ -29,7 +31,6 @@ from stableleaf.leaf import (
     integrate_leaf,
 )
 from stableleaf.maps import MapModel
-from stableleaf.rng import SplitRng
 
 from conftest import ref_first_tube_exit
 
@@ -56,43 +57,47 @@ def ref_tube_ok(m, b, sched, eps, L, leaves):
     return tube_ok
 
 
-def ref_contraction_check(m, leaf, b, n, seed):
-    """contraction_check stepping one pair at a time with eval_xy."""
-    rng = SplitRng(seed).substream(2)
-    npts = len(leaf.t)
+def contraction_nodes(leaf):
+    """The nodes contraction_check steps: every 8th leaf node, plus the last."""
+    return sorted(set(range(0, len(leaf.t), 8)) | {len(leaf.t) - 1})
+
+
+def ref_node_orbits(m, leaf, n):
+    """Each step's images of the contraction nodes, from eval_xy one node at a time, in node order."""
+    pts = [[(float(leaf.xs[i]), float(leaf.ys[i])) for i in contraction_nodes(leaf)]]
+    for _ in range(n):
+        pts.append([m.eval_xy(x, y) for x, y in pts[-1]])
+    return pts
+
+
+def ref_pair_ratio(pts, a, c):
+    """(d0, ratios) of the a-th and c-th contraction nodes: their distance, by norm2, and its ratio at each step."""
+    d = [norm2(p[a][0] - p[c][0], p[a][1] - p[c][1]) for p in pts]
+    return d[0], (np.array([v / d[0] for v in d]) if d[0] != 0.0 else None)
+
+
+def ref_contraction_check(m, leaf, b, n):
+    """contraction_check stepping one node at a time with eval_xy and measuring one pair at a time."""
+    pts = ref_node_orbits(m, leaf, n)
     max_ratio = np.zeros(n + 1)
     widest_ratio = np.zeros(n + 1)
     widest_d0 = 0.0
-    ev = m.eval_xy
-    for _ in range(CONTRACTION_PAIRS):
-        i = rng.randint(npts)
-        j = rng.randint(npts)
-        while j == i:
-            j = rng.randint(npts)
-        ax, ay = leaf.xs[i], leaf.ys[i]
-        bx, by = leaf.xs[j], leaf.ys[j]
-        d0 = math.hypot(ax - bx, ay - by)
-        if d0 == 0.0:
-            continue
-        track = np.empty(n + 1)
-        track[0] = 1.0
-        for step in range(1, n + 1):
-            ax, ay = ev(ax, ay)
-            bx, by = ev(bx, by)
-            track[step] = math.hypot(ax - bx, ay - by) / d0
-        np.maximum(max_ratio, track, out=max_ratio)
-        if d0 > widest_d0:
-            widest_d0 = d0
-            widest_ratio = track
+    for a in range(len(pts[0])):
+        for c in range(a + 1, len(pts[0])):
+            d0, track = ref_pair_ratio(pts, a, c)
+            if d0 == 0.0:
+                continue
+            np.maximum(max_ratio, track, out=max_ratio)
+            if d0 > widest_d0:
+                widest_d0 = d0
+                widest_ratio = track
     gt = b.gamma_tilde[: n + 1].copy()
     start = b.k0 or 1
     cfit = 0.0
     for order in range(start, n + 1):
         if gt[order] > 0.0:
             cfit = max(cfit, max_ratio[order] / gt[order])
-    return ContractionReport(
-        n=n, max_ratio=max_ratio, widest_ratio=widest_ratio, gamma_tilde=gt, C_fit=cfit, seed=seed,
-    )
+    return ContractionReport(n=n, max_ratio=max_ratio, widest_ratio=widest_ratio, gamma_tilde=gt, C_fit=cfit)
 
 
 def ref_uniqueness_probe(m, b, leaf):
@@ -157,7 +162,7 @@ def same_contraction(got, want):
     assert bits(got.widest_ratio) == bits(want.widest_ratio)
     assert bits(got.gamma_tilde) == bits(want.gamma_tilde)
     assert got.C_fit.hex() == want.C_fit.hex()
-    assert (got.n, got.seed) == (want.n, want.seed)
+    assert got.n == want.n
 
 
 def henon_stages(seed, L=None):
@@ -210,20 +215,24 @@ def test_tube_checks_match_where_omega_is_infinite():
 def test_contraction_matches_the_pair_loop_henon(seed):
     m, b, sched, eps, L, conv = henon_stages(seed)
     n = min(b.kmax, b.k0 + 10)
-    same_contraction(contraction_check(m, conv.limit, b, n, seed), ref_contraction_check(m, conv.limit, b, n, seed))
+    got = contraction_check(m, conv.limit, b, n)
+    same_contraction(got, ref_contraction_check(m, conv.limit, b, n))
+    # the limit leaf is near straight, so its widest pair is its two ends, nodes 0 and 256 (the 33rd node stepped)
+    assert len(conv.limit.t) == 257
+    assert bits(got.widest_ratio) == bits(ref_pair_ratio(ref_node_orbits(m, conv.limit, n), 0, 32)[1])
 
 
 def test_contraction_matches_the_pair_loop_with_a_float_only_map():
-    # math.fabs rejects arrays, so apply_lanes steps each pair end on its own
+    # math.fabs rejects arrays, so apply_lanes steps each node on its own
     m, b, sched, eps, L, conv = henon_stages(2)
     floats_only = dataclasses.replace(
         m, raw_eval=lambda x, y: (1.0 - 1.4 * x * x + y, 0.3 * math.copysign(math.fabs(x), x)))
     with pytest.raises(TypeError):
         floats_only.raw_eval(np.zeros(2), np.zeros(2))
     n = min(b.kmax, b.k0 + 10)
-    got = contraction_check(floats_only, conv.limit, b, n, 2)
-    same_contraction(got, ref_contraction_check(floats_only, conv.limit, b, n, 2))
-    same_contraction(got, contraction_check(m, conv.limit, b, n, 2))
+    got = contraction_check(floats_only, conv.limit, b, n)
+    same_contraction(got, ref_contraction_check(floats_only, conv.limit, b, n))
+    same_contraction(got, contraction_check(m, conv.limit, b, n))
 
 
 def linear_stages(kmax=12):
@@ -236,7 +245,7 @@ def linear_stages(kmax=12):
 @pytest.mark.parametrize("n", [0, 1, 6, 12])
 def test_contraction_matches_the_pair_loop_linear(n):
     m, b, sched, conv = linear_stages()
-    same_contraction(contraction_check(m, conv.limit, b, n, 5), ref_contraction_check(m, conv.limit, b, n, 5))
+    same_contraction(contraction_check(m, conv.limit, b, n), ref_contraction_check(m, conv.limit, b, n))
 
 
 def hand_leaf(xs, ys, k=3):
@@ -251,33 +260,45 @@ def hand_leaf(xs, ys, k=3):
     )
 
 
+def strided_leaf(xs, ys):
+    """A hand_leaf whose nodes 0, 8, 16, ... lie at the given points, straight segments between them."""
+    at = 8 * np.arange(len(xs))
+    grid = np.arange(at[-1] + 1)
+    return hand_leaf(np.interp(grid, at, xs), np.interp(grid, at, ys))
+
+
 def test_contraction_skips_coincident_pairs_as_the_pair_loop():
     m, b, sched, conv = linear_stages()
-    leaf = hand_leaf([0.0, 0.01, 0.01, 0.03], [0.0, 0.02, 0.02, -0.01])
-    rng = SplitRng(4).substream(2)
-    draws = [(rng.randint(4), rng.randint(4)) for _ in range(CONTRACTION_PAIRS)]
-    assert (1, 2) in draws or (2, 1) in draws  # the first draw of a pair is never redrawn, so one is skipped
+    # 27 nodes: node 24 coincides with node 8, and the last, 26, is off the stride and the far end
+    xs, ys = np.linspace(0.0, 0.026, 27), 0.01 * np.sin(np.arange(27.0))
+    xs[24], ys[24] = xs[8], ys[8]
+    xs[26], ys[26] = 0.2, 0.05
+    leaf = hand_leaf(xs, ys)
+    assert contraction_nodes(leaf) == [0, 8, 16, 24, 26]
     for n in (0, 5):
-        same_contraction(contraction_check(m, leaf, b, n, 4), ref_contraction_check(m, leaf, b, n, 4))
+        same_contraction(contraction_check(m, leaf, b, n), ref_contraction_check(m, leaf, b, n))
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_contraction_widest_pair_is_the_first_drawn_of_a_tie(seed):
-    # the corners of a square: both diagonals are the widest pairs, with the
-    # same d0 bits and different images under the Henon map
+@pytest.mark.parametrize("turn", range(4))
+def test_contraction_widest_pair_is_the_first_drawn_of_a_tie(turn):
+    # the corners of a square at nodes 0, 8, 16 and 24: both diagonals are the
+    # widest pairs, with the same d0 bits and different images under the Henon
+    # map; pairs are drawn in node order, so (0, 16) comes before (8, 24)
     m, b, sched, eps, L, conv = henon_stages(2)
-    leaf = hand_leaf([0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 0.5, 0.5])
-    got = contraction_check(m, leaf, b, 3, seed)
-    same_contraction(got, ref_contraction_check(m, leaf, b, 3, seed))
-    other = contraction_check(m, hand_leaf([0.5, 0.0, 0.0, 0.5], [0.0, 0.0, 0.5, 0.5]), b, 3, seed)
-    assert bits(got.widest_ratio) != bits(other.widest_ratio)  # the diagonals' ratios differ
+    corners = np.roll(np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5]]), turn, axis=0)
+    leaf = strided_leaf(*corners.T)
+    got = contraction_check(m, leaf, b, 3)
+    same_contraction(got, ref_contraction_check(m, leaf, b, 3))
+    pts = ref_node_orbits(m, leaf, 3)
+    assert bits(got.widest_ratio) == bits(ref_pair_ratio(pts, 0, 2)[1])
+    assert bits(got.widest_ratio) != bits(ref_pair_ratio(pts, 1, 3)[1])  # the diagonals' ratios differ
 
 
 def test_contraction_with_every_pair_coincident():
     m, b, sched, conv = linear_stages()
-    leaf = hand_leaf([0.2, 0.2, 0.2], [0.1, 0.1, 0.1])
-    got = contraction_check(m, leaf, b, 4, 1)
-    same_contraction(got, ref_contraction_check(m, leaf, b, 4, 1))
+    leaf = hand_leaf([0.2] * 11, [0.1] * 11)
+    got = contraction_check(m, leaf, b, 4)
+    same_contraction(got, ref_contraction_check(m, leaf, b, 4))
     assert got.max_ratio.tolist() == [0.0] * 5
 
 
@@ -291,12 +312,13 @@ def raised(fn, *args):
 def test_contraction_pair_leaving_the_box_raises_as_the_pair_loop(seed):
     # y doubles each step under the linear map, so a node at y leaves the
     # default box (|y| <= 5) at the step where 2^step y first exceeds 5:
-    # different pairs fail at different steps, either end first
+    # the first failure comes at step 2, 3 or 4, with several nodes failing there, either sign first
     m, b, sched, conv = linear_stages()
-    ys = np.linspace(0.2, 4.0, 11) * np.where(np.arange(11) % 2, 1.0, -1.0)
-    leaf = hand_leaf(np.linspace(-0.1, 0.1, 11), ys)
-    got = raised(contraction_check, m, leaf, b, 6, seed)
-    want = raised(ref_contraction_check, m, leaf, b, 6, seed)
+    ys = np.random.default_rng(seed).permutation(np.linspace(0.2, 4.0, 11)) / 2.0 ** (seed % 3)
+    ys *= np.where(np.arange(11) % 2, 1.0, -1.0)
+    leaf = strided_leaf(np.linspace(-0.1, 0.1, 11), ys)
+    got = raised(contraction_check, m, leaf, b, 6)
+    want = raised(ref_contraction_check, m, leaf, b, 6)
     assert got == want
     assert got[0] is DomainError
 
@@ -307,10 +329,10 @@ def test_contraction_non_finite_image_raises_as_the_pair_loop():
         box=(-math.inf, math.inf, -math.inf, math.inf),
     )
     m, b, sched, conv = linear_stages()
-    leaf = hand_leaf(np.linspace(-0.1, 0.1, 9), np.linspace(1e-150, 1.0, 9))
+    leaf = strided_leaf(np.linspace(-0.1, 0.1, 9), np.linspace(1e-150, 1.0, 9))
     with np.errstate(over="ignore"):
-        got = raised(contraction_check, blowup, leaf, b, 4, 3)
-        want = raised(ref_contraction_check, blowup, leaf, b, 4, 3)
+        got = raised(contraction_check, blowup, leaf, b, 4)
+        want = raised(ref_contraction_check, blowup, leaf, b, 4)
     assert got == want
     assert got[0] is NonFiniteError and "returned non-finite value" in got[1]
 

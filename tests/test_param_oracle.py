@@ -113,7 +113,7 @@ def test_contraction_ratios_match_the_manifold(run):
     pair = dataclasses.replace(lim, t=lim.t[ends], xs=lim.xs[ends], ys=lim.ys[ends], thetas=lim.thetas[ends],
                                center_index=0)
     n = min(b.kmax, b.k0 + CONTRACTION_ORDERS)
-    got = contraction_check(m, pair, b, n, seed=1).widest_ratio
+    got = contraction_check(m, pair, b, n).widest_ratio
     s1, s2 = w.parameter(pair.xs, pair.ys)
     exact = exact_ratios(w, s1, s2, n, w.lam)
     bound = RATIO_REL + float_floor(w, pair, exact)

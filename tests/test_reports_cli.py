@@ -139,7 +139,7 @@ def test_decaying_schedule_run_is_pinned(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("convergence.json", "leaf.csv")}
     m = make_map("perturbed", lambda_s=0.5, lambda_u=2.0, c=0.05)
     b, _, L, eps = budget_to_epsilon(m, Point2(0.0, 0.0), EpsilonSchedule(0.05, 0.9), 8, 300, 42)
-    conv, _ = iterate_to_contraction(m, b, eps, L, 1e-8, 42)
+    conv, _ = iterate_to_contraction(m, b, eps, L, 1e-8)
     words = "\n".join(w.hex() for w in uniqueness_probe(m, b, conv.limit).width.tolist())
     got["width"] = hashlib.sha256(words.encode()).hexdigest()
     assert got == DECAYING_RUN_SHA256

@@ -40,15 +40,6 @@ def test_uniform_bounds(seed, lo, width):
         assert lo <= v < hi or math.isclose(v, hi, rel_tol=1e-15)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 64 - 1), st.integers(min_value=1, max_value=1000))
-def test_randint_range(seed, n):
-    r = SplitRng(seed)
-    for _ in range(32):
-        v = r.randint(n)
-        assert 0 <= v < n
-
-
 def test_uniform_distribution_sane():
     r = SplitRng(2)
     xs = [r.uniform() for _ in range(20000)]
