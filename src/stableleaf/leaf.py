@@ -9,9 +9,9 @@ field against the previous tangent; dense output places every grid node,
 from the cubic Hermite on the step ends' positions and tangents, or the step
 end itself where a node falls on one. Leaves of consecutive orders are
 compared at matched arclength on a shared grid. The Cauchy iteration
-integrates the limit leaf once more at half its step, and the largest
-deviation over all nodes, the Hermite ones included, is its integration
-error.
+integrates the last of them once more at half their step, reports that leaf
+as the limit leaf, and takes the largest deviation of the pair over all
+nodes, the Hermite ones included, as the integration error.
 
 budget_to_epsilon and iterate_to_contraction run the pipeline stages in
 order, each through staged(), which names the stage a NumericalError came from.
@@ -405,8 +405,10 @@ def choose_epsilon(b: HyperbolicityBudget, gamma: float, L: float) -> float:
 class ConvergenceReport:
     """Per-order leaf distances against the Gronwall envelope eps*xi_k*e^(L*eps).
 
-    integration_error is the step-doubling estimate for the limit leaf: its
-    largest node deviation from the same leaf at half the step.
+    d_k compares the Cauchy leaves, all at one step h. limit is the order-kmax
+    leaf at h/2, and integration_error is the step-doubling estimate: its
+    largest node deviation from the order-kmax leaf at h. That estimates the
+    Cauchy leaves' error and bounds the limit leaf's from above.
     """
 
     k0: int
@@ -463,12 +465,14 @@ def cauchy_iterate(
     converges when the last comparison distance and the integration error
     are both below tol and the limit leaf reaches eps on both sides; else
     NotConvergedError names each failed condition and carries the report.
-    h defaults to integrate_leaf's eps/DEFAULT_STEP_DIV. The half-step leaf
-    takes exactly twice the limit leaf's N steps a side (eps/32 by default)
-    and is compared on every grid node, so the error of the dense output
-    counts in the integration error. An h that is not positive, or that asks
-    for more than MAX_STEPS_PER_CELL / 2 steps per grid cell, raises
-    BadParamsError, since the half-step check leaf takes twice as many.
+    The Cauchy leaves run at h, default 2 * eps / DEFAULT_STEP_DIV. The
+    limit leaf, the pair's more accurate leaf (local extrapolation; Hairer,
+    Norsett and Wanner, Solving ODEs I, sec. II.4), takes exactly twice their
+    N steps a side, so by default it is integrate_leaf's default leaf; it is
+    compared with the order-kmax leaf on every grid node, so the error of the
+    dense output counts in the integration error. An h that is not positive,
+    or that asks for more than MAX_STEPS_PER_CELL / 2 steps per grid cell,
+    raises BadParamsError, since the limit leaf takes twice as many.
     """
     if b.k0 is None:
         raise NoFeasibleEpsilonError("budget has no k0")
@@ -482,8 +486,9 @@ def cauchy_iterate(
         egl = math.inf
     if not (L >= 0.0 and egl < math.inf):
         raise BadParamsError(f"L={L} must be >= 0 with exp(L*eps) finite at eps={eps}")
-    if h is not None:
-        _refuse_small_step(h, eps / ((DEFAULT_GRID - 1) // 2), MAX_STEPS_PER_CELL // 2)
+    if h is None:
+        h = 2.0 * eps / DEFAULT_STEP_DIV
+    _refuse_small_step(h, eps / ((DEFAULT_GRID - 1) // 2), MAX_STEPS_PER_CELL // 2)
     leaves = {k: integrate_leaf(m, b.z, k, eps, h=h) for k in range(k0, kmax + 1)}
 
     ks = list(range(k0, kmax))
@@ -511,10 +516,10 @@ def cauchy_iterate(
     per_order = np.split(exits, np.cumsum([len(a) for a in dxs[:-1]]))
     tube_ok = [not np.any((e >= 0) & (e <= k)) for k, e in zip(ks, per_order)]
 
-    # step doubling: the limit leaf again at half its step; a node the finer
-    # leaf does not reach has no error estimate, so the error is then +inf
-    limit = leaves[kmax]
-    dev, reached = _leaf_distance(limit, integrate_leaf(m, b.z, kmax, eps, h=limit.h / 2))
+    # step doubling: the order-kmax leaf again at half the step is the limit leaf; a node of it
+    # that the h leaf does not reach has no error estimate, so the error is then +inf
+    limit = integrate_leaf(m, b.z, kmax, eps, h=leaves[kmax].h / 2)
+    dev, reached = _leaf_distance(leaves[kmax], limit)
     integration_error = dev if reached == len(limit.t) else math.inf
 
     failed = []
@@ -522,7 +527,7 @@ def cauchy_iterate(
         why = f": order-{kmax - 1}/{kmax} leaves share {shared} of {DEFAULT_GRID} nodes" if shared < 2 else ""
         failed.append(f"leaf distances d_k not below tolerance by k={kmax} (last d_k={d_k[-1]:.3e}){why}")
     if not integration_error < tol:
-        short = f" (the half-step leaf reaches {reached} of {len(limit.t)} nodes)" if reached < len(limit.t) else ""
+        short = f" (the h leaf reaches {reached} of {len(limit.t)} nodes)" if reached < len(limit.t) else ""
         failed.append(f"the order-{kmax} leaf's integration error {integration_error:.3e} "
                       f"at h={limit.h:.3e} is not below tol={tol:.3e}{short}")
     for side, truncated, length in (("negative", limit.truncated_neg, limit.length_neg),

@@ -211,21 +211,27 @@ def test_theorem_henon(henon_map):
 
 
 def test_theorem_henon_field_calls(henon_map, monkeypatch):
-    # the benchmark's theorem-henon op at seed 2: 11 leaves of 16 RK4 steps a
-    # side (4 field calls a step, one at z) and the half-step leaf, 1,676
-    # calls; at one step per cell it took 13,348
-    calls = []
-    theta = leaf.contracted_theta_fast
+    # the benchmark's theorem-henon op at seed 2: 11 Cauchy leaves of 8 RK4
+    # steps a side (4 field calls a step, one at z) and the limit leaf at half
+    # their step, 11 * 65 + 129 = 844 calls in 12 leaves; with every Cauchy
+    # leaf at the limit leaf's step it took 1,676, and at one step per cell 13,348
+    calls, leaves = [], []
+    theta, integrate = leaf.contracted_theta_fast, leaf.integrate_leaf
 
     def counted(*args):
         calls.append(args)
         return theta(*args)
 
+    def recorded(*args, **kw):
+        leaves.append(args)
+        return integrate(*args, **kw)
+
     monkeypatch.setattr(leaf, "contracted_theta_fast", counted)
+    monkeypatch.setattr(leaf, "integrate_leaf", recorded)
     fp = eigen_split(henon_map, Point2(0.6, 0.2))
     r = verify_fixed_point_theorem(henon_map, fp, eta=0.05, kmax=12, seed=2, n=2000)
     assert r.converged
-    assert len(calls) <= 13336 // 4
+    assert len(calls) == 844 and len(leaves) == 12
 
 
 def test_theorem_henon_tube_passes(henon_map, monkeypatch):
@@ -268,11 +274,13 @@ def report_words(o):
 
 # sha256 of report_words of the theorem-henon TheoremReport (eta 0.05, kmax 12,
 # n 2000) at seeds 1-3: every field, the leaf, contraction and strip arrays included;
-# both rate fits are sums in Python floats, so no LAPACK result enters it
+# both rate fits are sums in Python floats, so no LAPACK result enters it. Only
+# d_k and integration_error moved when the Cauchy leaves went to twice the limit
+# leaf's step
 THEOREM_HENON_REPORT_SHA256 = {
-    1: "44d79243b629b7fff3459c09cfaf34efaf66b74f0b8d4b8a561069139156045d",
-    2: "190a580be39adaf6baae085cd163538e1673aa4a982607eea3aa657563dbc087",
-    3: "ffd1e05f8adf1b4883be409bdba900679dc05a719340b0c5d3b4719cc9d358b2",
+    1: "7ff937cbfdb1aa184e1fcb71c9a790980fd47ef76434e8e9f5d43ac7af6407ac",
+    2: "69b3afc2078bdf7c2183dd7c9602ac9721e4a16a9b050a996c4add82b70bb5bf",
+    3: "168063f9b54adc8b96f40e6a65c09068c211ddb22ad9b5a6bb2af3bef6c7f378",
 }
 
 
@@ -286,12 +294,13 @@ def test_theorem_henon_report_is_pinned(henon_map, seed):
 
 @pytest.mark.parametrize("div", [8, 4])
 def test_rate_fit_holds_at_coarse_steps(henon_map, div):
-    # theorem-henon chooses eps = 0.0125 at every seed; at h = eps/8 and eps/4 the
-    # leaf's offsets from W^s are larger, and the contraction rate is read from
-    # the leaf's two ends, whose ratios stay above the round-off floor longest
+    # theorem-henon chooses eps = 0.0125 at every seed; with limit leaves at
+    # eps/8 and eps/4 (Cauchy steps twice that) the leaf's offsets from W^s are
+    # larger, and the contraction rate is read from the leaf's two ends, whose
+    # ratios stay above the round-off floor longest
     fp = eigen_split(henon_map, Point2(0.6, 0.2))
     for seed in range(1, 21):
-        r = verify_fixed_point_theorem(henon_map, fp, eta=0.05, kmax=12, seed=seed, n=2000, h=0.0125 / div)
+        r = verify_fixed_point_theorem(henon_map, fp, eta=0.05, kmax=12, seed=seed, n=2000, h=2 * 0.0125 / div)
         assert r.eps == 0.0125 and r.convergence.limit.h == r.eps / div
         assert r.converged and r.rate_deviation <= 0.05, (seed, r.rate_deviation)
 

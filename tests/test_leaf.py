@@ -36,6 +36,7 @@ from stableleaf.errors import (
 from stableleaf.maps import MapModel
 import stableleaf.leaf as leaf_mod
 from stableleaf.leaf import (
+    DEFAULT_STEP_DIV,
     MAX_STEPS_PER_CELL,
     _leaf_field,
     _support_radius,
@@ -640,8 +641,9 @@ def test_dense_output_matches_reference(case, n_cells, n_steps):
 
 @pytest.mark.parametrize("n_steps", [9, 83, 300])
 def test_half_step_leaf_takes_twice_the_steps(monkeypatch, henon_map, n_steps):
-    # one field call at z and 4 a step on each side: the limit leaf takes N
-    # steps a side, and the half-step leaf of its integration error 2N
+    # one field call at z and 4 a step on each side: the Cauchy leaves take N
+    # steps a side, and the limit leaf, the half-step leaf of their integration
+    # error, 2N
     z, sched = HENON_SADDLE, EpsilonSchedule.constant(0.05)
     b, _, L, eps = budget_to_epsilon(henon_map, z, sched, 12, 800, 6)
     calls, made = [], []
@@ -660,7 +662,7 @@ def test_half_step_leaf_takes_twice_the_steps(monkeypatch, henon_map, n_steps):
     monkeypatch.setattr(leaf_mod, "integrate_leaf", recorded)
     conv = cauchy_iterate(henon_map, b, eps, 1e-8, L=L, h=eps / n_steps)
     assert made[-2:] == [(n_steps, 1 + 8 * n_steps), (2 * n_steps, 1 + 16 * n_steps)]
-    assert conv.limit.steps_per_cell == n_steps / 128
+    assert conv.limit.steps_per_cell == 2 * n_steps / 128
     assert 0.0 < conv.integration_error < 1e-13
 
 
@@ -895,15 +897,22 @@ def test_integration_error_alone_blocks_convergence(linear_map):
 
 
 def test_integration_error_henon(henon_map):
+    # the default Cauchy step is 2 eps / DEFAULT_STEP_DIV; the limit leaf, at half
+    # of it, is integrate_leaf's default leaf, and the integration error is its
+    # largest node distance from the order-kmax leaf at the Cauchy step
     z = HENON_SADDLE
     sched = EpsilonSchedule.constant(0.05)
     b, _, L, eps = budget_to_epsilon(henon_map, z, sched, 12, 800, 6)
     conv = cauchy_iterate(henon_map, b, eps, 1e-8, L=L)
-    fine = integrate_leaf(henon_map, z, 12, eps, h=conv.limit.h / 2)
-    assert fine.steps_per_cell == 2 * conv.limit.steps_per_cell
-    expected = np.max(np.hypot(conv.limit.xs - fine.xs, conv.limit.ys - fine.ys))
+    default = integrate_leaf(henon_map, z, 12, eps)
+    assert conv.limit.h == default.h == eps / DEFAULT_STEP_DIV
+    for name in ("t", "xs", "ys", "thetas"):
+        assert getattr(conv.limit, name).tobytes() == getattr(default, name).tobytes()
+    coarse = integrate_leaf(henon_map, z, 12, eps, h=2 * conv.limit.h)
+    assert 2 * coarse.steps_per_cell == conv.limit.steps_per_cell
+    expected = np.max(np.hypot(coarse.xs - conv.limit.xs, coarse.ys - conv.limit.ys))
     assert conv.integration_error == expected
-    assert 0.0 < conv.integration_error < 1e-14
+    assert 0.0 < conv.integration_error < 1e-13
 
 
 def strip_map(linear_map, x_mid, width):
@@ -912,10 +921,11 @@ def strip_map(linear_map, x_mid, width):
 
 
 def test_truncated_limit_leaf_is_not_converged(linear_map):
-    # the strip crosses the leaf at about eps/2 and truncates every order at
-    # the same node, so consecutive leaves agree exactly over what they share
+    # the strip crosses the leaf at node 56, where the stage points of h = 16
+    # cells and of h/2 both meet it, so every order and the limit leaf stop at
+    # node 48 and consecutive leaves agree exactly over what they share
     z, sched = Point2(0, 0), EpsilonSchedule.constant(0.1)
-    m = strip_map(linear_map, 0.0125 + 1e-4 / 3, 1e-4)
+    m = strip_map(linear_map, 56 * 0.025 / 128 + 1e-4 / 3, 1e-4)
     b, _, L, eps = budget_to_epsilon(m, z, sched, 10, 500, 3)
     assert eps == 0.025  # the strip stays inside the hull of the order-k0 sample
     with pytest.raises(NotConvergedError) as exc:
@@ -923,28 +933,30 @@ def test_truncated_limit_leaf_is_not_converged(linear_map):
     rep = exc.value.report
     assert np.all(rep.d_k == 0.0) and rep.integration_error < 1e-8
     assert rep.limit.truncated_pos and not rep.limit.truncated_neg
-    assert rep.limit.length_neg == eps and rep.limit.length_pos < 0.5 * eps
+    assert rep.limit.length_neg == eps and rep.limit.length_pos == 48 * (eps / 128)
     assert str(exc.value) == (
         f"the order-10 leaf is truncated on the positive side at length {rep.limit.length_pos:.6e} of eps=2.500000e-02"
     )
 
 
-def test_half_step_leaf_stopping_short_leaves_the_error_unmeasured(linear_map):
-    # a strip a tenth of a cell wide at node 66: the stage points of h = 8
-    # cells (every 4th node) miss it, and those of h/2 (every 2nd) stop in it,
-    # so the half-step leaf keeps its nodes up to its last step end, node 64
+def test_cauchy_step_leaf_stopping_short_leaves_the_error_unmeasured(linear_map):
+    # a strip a tenth of a cell wide at node 80: the Cauchy step h = 16 cells
+    # meets it in its step from node 64, the limit leaf's h/2 = 8 cells in its
+    # step from node 72, so the h leaf misses the limit leaf's nodes 65..72
     z, sched = Point2(0, 0), EpsilonSchedule.constant(0.1)
     spacing = 0.025 / 128
-    m = strip_map(linear_map, 66 * spacing, 0.05 * spacing)
+    m = strip_map(linear_map, 80 * spacing, 0.05 * spacing)
     b, _, L, eps = budget_to_epsilon(m, z, sched, 10, 500, 3)
     assert eps == 0.025
     with pytest.raises(NotConvergedError) as exc:
         cauchy_iterate(m, b, eps, 1e-8, L=L)
     rep = exc.value.report
     assert np.all(rep.d_k == 0.0)
-    assert not rep.limit.truncated_neg and not rep.limit.truncated_pos
+    assert not rep.limit.truncated_neg and rep.limit.truncated_pos
+    assert rep.limit.length_pos == 72 * spacing
     assert rep.integration_error == math.inf
     assert str(exc.value) == (
         "the order-10 leaf's integration error inf at h=1.563e-03 is not below tol=1.000e-08 "
-        "(the half-step leaf reaches 193 of 257 nodes)"
+        "(the h leaf reaches 193 of 201 nodes); "
+        f"the order-10 leaf is truncated on the positive side at length {72 * spacing:.6e} of eps=2.500000e-02"
     )
