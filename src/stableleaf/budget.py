@@ -82,15 +82,14 @@ def first_tube_exit(
     return None if j < 0 else j
 
 
-def _tube_miss(j: int, x: np.ndarray, y: np.ndarray, ref: list[Point2], sched: EpsilonSchedule) -> np.ndarray:
-    """The lanes whose iterate j (x, y) fails the tube test at j: the sup-norm box at 0, norm2 after."""
+def _in_tube(j: int, x: np.ndarray, y: np.ndarray, ref: list[Point2], sched: EpsilonSchedule) -> np.ndarray:
+    """The lanes whose iterate j (x, y) passes the tube test at j: the sup-norm box at 0, norm2 after; NaN fails."""
     rx, ry = ref[j]
     r = sched.radius(j)
     dx, dy = x - rx, y - ry
     if j == 0:
-        adx, ady = np.abs(dx), np.abs(dy)
-        return np.where(ady > adx, ady, adx) > r  # as max(adx, ady), also for NaN
-    return norm2_lanes(dx, dy) > r
+        return np.maximum(np.abs(dx), np.abs(dy)) <= r
+    return norm2_lanes(dx, dy) <= r
 
 
 @np.errstate(all="ignore")
@@ -99,18 +98,21 @@ def tube_exits(
 ) -> np.ndarray:
     """The first iterate j <= jmax at which each point (x[i], y[i]) leaves the tube, or -1 where none does.
 
-    An iterate that leaves the domain or is not finite exits at its j.
+    A point that is not finite exits at 0; an iterate that is not finite, or
+    whose preimage left the domain, exits at its j.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = np.where(_tube_miss(0, x, y, ref_orbit, sched), 0, -1)
-    lane = np.flatnonzero(out < 0)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    ok = _in_tube(0, x, y, ref_orbit, sched)
+    out, lane = np.where(ok, -1, 0), ok.nonzero()[0]
     x, y = x[lane], y[lane]
     for j in range(1, jmax + 1):
-        nx, ny, inside = m.eval_lanes(x, y)
-        inside[inside] = ~_tube_miss(j, nx[inside], ny[inside], ref_orbit, sched)
-        out[lane[~inside]] = j
-        lane, x, y = lane[inside], nx[inside], ny[inside]
+        ok = m.in_domain_lanes(x, y)
+        x, y = apply_lanes(m.raw_eval, x[ok], y[ok], 2)
+        stay = _in_tube(j, x, y, ref_orbit, sched)
+        ok[ok] = stay
+        if not ok.all():
+            out[lane[~ok]] = j
+            lane, x, y = lane[ok], x[stay], y[stay]
     return out
 
 
@@ -161,12 +163,12 @@ class SweepOrder(NamedTuple):
     """The lanes of one block, or of one chunk of the pool, that lie in N^(k), and what they give the budget at order k.
 
     draw is each lane's index in the draw sequence, -1 for the centre z, and
-    (x, y) its point. values lists (budget field, index, array): P, Q and Pt
-    at index k (and at 0 when k = 1), and H, E, F and delta = d1 + d2 at k.
-    d1 and d2 are the distortion bounds at order k, and tails, a (k, lanes)
-    array, holds in row j the norm F_{j,k} of the tail product Dphi_{k-1}
-    ... Dphi_{j+1}, from the lane products of _Lanes; row k - 1, the empty
-    product, is all ones.
+    (x, y) its point. values lists (budget field, index, array over the
+    lanes), which estimate_budget folds as one stack: P, Q and Pt at index k
+    (and at 0 when k = 1), and H, E, F and delta = d1 + d2 at k. d1 and d2
+    are the distortion bounds at order k, and tails (k, lanes) holds in row j
+    the norm F_{j,k} of Dphi_{k-1} ... Dphi_{j+1}, from the products of
+    _Lanes and the step norm they carry; row k - 1, the empty product, is 1.
     """
 
     k: int
@@ -195,23 +197,24 @@ def _delta_lanes(tails: np.ndarray, F: np.ndarray, Pt: np.ndarray, s2: np.ndarra
     (Ddt_j / Dd_j) F_j over j < k.
     """
     k = F.shape[0] - 1
-    terms = Pt[:k] * tails * F[:k] * F[:k]
-    s1 = np.add.accumulate(np.where(terms == terms, terms, 0.0), axis=0)[-1]  # added in j order, as the scalar sum
+    terms = np.fmax(Pt[:k] * tails * F[:k] * F[:k], 0.0)  # NaN to 0; every other term is >= +0
+    s1 = sum(terms[1:], terms[0])  # added in j order, as the scalar sum
     fk = F[k]
     f2 = fk * fk
-    d1 = np.where(f2 >= np.finfo(float).smallest_normal, e / f2, e / fk / fk) * s1
-    return np.where(d1 == d1, d1, 0.0), (e / fk) * s2
+    ef = e / fk
+    d1 = np.where(f2 >= np.finfo(float).smallest_normal, e / f2, ef / fk) * s1
+    return np.fmax(d1, 0.0), ef * s2
 
 
 class _Lanes(NamedTuple):
     """The live lanes of a sweep after order k, with what order k + 1 reads of them.
 
     draw, px and py are each lane's draw number and point; (x, y) is its
-    iterate k and step its Dphi_k. R (4, k, lanes) holds in row r the product
-    Dphi_{k-1} (... (Dphi_{r+1} Dphi_r)): row 0 is Dphi^k, row j + 1 the tail
-    whose norm is F_{j,k}. F and Pt (k+1, lanes) stack F_j and Pt_j for
-    j = 0..k, and s2 is the running sum of _delta_lanes for order k + 1.
-    Every field ends in the lane axis.
+    iterate k, step its Dphi_k, and E <= P step's singular values. R (4, k,
+    lanes) holds in row r the product Dphi_{k-1} (... (Dphi_{r+1} Dphi_r)):
+    row 0 is Dphi^k, row j + 1 the tail whose norm is F_{j,k}. F and Pt (k+1,
+    lanes) stack F_j and Pt_j for j = 0..k, and s2 is the running sum of
+    _delta_lanes for order k + 1. Every field ends in the lane axis.
     """
 
     draw: np.ndarray
@@ -220,6 +223,8 @@ class _Lanes(NamedTuple):
     x: np.ndarray
     y: np.ndarray
     step: np.ndarray
+    E: np.ndarray
+    P: np.ndarray
     R: np.ndarray
     F: np.ndarray
     Pt: np.ndarray
@@ -229,13 +234,13 @@ class _Lanes(NamedTuple):
 def _draw_lanes(m: MapModel, ref: list[Point2], sched: EpsilonSchedule, start: int, xs: np.ndarray, ys: np.ndarray):
     """The draws (xs, ys), numbered from start, as the lanes of order 0, and P_0 and Q_0 for order 1."""
     with np.errstate(all="ignore"):
-        lane = np.flatnonzero(~_tube_miss(0, xs, ys, ref, sched))  # only rounding can fail the box
+        lane = _in_tube(0, xs, ys, ref, sched).nonzero()[0]  # only rounding can fail the box
         at, pd = _point_data(m, xs[lane], ys[lane])
         s2 = pd["Ddt"] / pd["Dd"]  # at order 1 the j = 0 term, F_0 = 1
     lane = lane[at]
     x, y = xs[lane], ys[lane]
-    lanes = _Lanes(start + lane, x, y, x, y, pd["S"], np.empty((4, 0, len(lane))), np.ones((1, len(lane))),
-                   pd["Pt"][None], s2)
+    lanes = _Lanes(start + lane, x, y, x, y, pd["S"], pd["E"], pd["P"], np.empty((4, 0, len(lane))),
+                   np.ones((1, len(lane))), pd["Pt"][None], s2)
     return lanes, (pd["P"], pd["Q"])
 
 
@@ -244,30 +249,32 @@ def _sweep_order(
 ) -> Optional[tuple[_Lanes, SweepOrder]]:
     """Order k of sample_sweep for the lanes s of order k - 1: the lanes left and their SweepOrder, or None if none is.
 
-    pq0 holds the lanes' P_0 and Q_0 at k = 1. One mul_lanes call extends R,
-    and one singular_values_lanes call on its k rows gives E_k, F_k and every
-    tail norm.
+    pq0 holds the lanes' P_0 and Q_0 at k = 1. Each check runs once per lane:
+    the tube at iterate k - 1, then the image and Dphi^k, then the point pass
+    at iterate k on the lanes that passed them. R's last row is the step,
+    whose E and F the lanes carry; at k >= 2 one mul_lanes call makes its
+    other rows and one singular_values_lanes call on them gives the rest.
     """
     with np.errstate(all="ignore"):
         # lanes alive here have level >= k - 1; keep those whose iterate k - 1 is in the tube
-        sel = np.arange(len(s.draw)) if k == 1 else np.flatnonzero(~_tube_miss(k - 1, s.x, s.y, ref, sched))
+        sel = _in_tube(k - 1, s.x, s.y, ref, sched).nonzero()[0] if k > 1 else np.arange(len(s.draw))
         nx, ny = apply_lanes(m.raw_eval, s.x[sel], s.y[sel], 2)
-        ok = np.isfinite(nx) & np.isfinite(ny)
-        sel, nx, ny = sel[ok], nx[ok], ny[ok]
-        step = s.step[:, sel]
-        R = np.concatenate((mul_lanes(step, s.R[..., sel]), step[:, None]), axis=1)
-        e, f = (v.reshape(k, len(sel)) for v in singular_values_lanes(*R.reshape(4, k * len(sel))))
-        ok = np.flatnonzero(np.isfinite(f[0]) & (f[0] != 0.0))
+        R, e, f = s.step.take(sel, axis=1)[:, None], s.E[sel], s.P[None, sel]  # f: the norms of R's rows
+        if k > 1:
+            prods = mul_lanes(R, s.R.take(sel, axis=2))
+            e, fp = (v.reshape(k - 1, -1) for v in singular_values_lanes(prods.reshape(4, -1)))
+            e, f, R = e[0], np.concatenate((fp, f)), np.concatenate((prods, R), axis=1)
+        ok = (np.isfinite(nx) & np.isfinite(ny) & np.isfinite(f[0]) & (f[0] != 0.0)).nonzero()[0]
         at, nd = _point_data(m, nx[ok], ny[ok])
         if not len(at):
             return None
         at = ok[at]  # the lanes of sel that reach order k
         keep = sel[at]
-        tails = np.concatenate((f[1:, at], np.ones((1, len(at)))))  # row k - 1: the empty product
-        e, f = e[0, at], f[0, at]
-        # one fancy index per history; the new rows move in, so the histories hold their only copy
-        F = np.concatenate((s.F[:, keep], f[None]))
-        Pt = np.concatenate((s.Pt[:, keep], nd.pop("Pt")[None]))
+        tails = np.concatenate((f[1:].take(at, axis=1), np.ones((1, len(at)))))  # row k - 1: the empty product
+        e, f = e[at], f[0, at]
+        # one index per history; the new rows move in, so the histories hold their only copy
+        F = np.concatenate((s.F.take(keep, axis=1), f[None]))
+        Pt = np.concatenate((s.Pt.take(keep, axis=1), nd["Pt"][None]))
         s2 = s.s2[keep]
         d1, d2 = _delta_lanes(tails, F, Pt, s2, e)
         values = [("p", k, nd["P"]), ("q", k, nd["Q"]), ("pt", k, Pt[k]),
@@ -276,7 +283,7 @@ def _sweep_order(
             values += [("p", 0, pq0[0][keep]), ("q", 0, pq0[1][keep]), ("pt", 0, Pt[0])]
         s2 += nd["Ddt"] / nd["Dd"] * f  # the term j = k, for order k + 1
     draw, px, py = s.draw[keep], s.px[keep], s.py[keep]
-    lanes = _Lanes(draw, px, py, nx[at], ny[at], nd.pop("S"), R[..., at], F, Pt, s2)
+    lanes = _Lanes(draw, px, py, nx[at], ny[at], nd["S"], nd["E"], nd["P"], R.take(at, axis=2), F, Pt, s2)
     return lanes, SweepOrder(k, draw, px, py, values, d1, d2, tails)
 
 
@@ -373,19 +380,21 @@ def estimate_budget(
     km1 = kmax + 1
     center = build_orbit_cocycle(m, z, kmax)
     orders = sample_sweep(m, center, sched, n, seed)
-    names = ("p", "q", "pt", "gamma", "gamma_star", "delta", "fmax")
-    top = {name: np.zeros(km1) for name in names}
-    top["gamma"][0] = top["gamma_star"][0] = top["fmax"][0] = 1.0  # order 0: the identity cocycle
+    row = {name: i for i, name in enumerate(("p", "q", "pt", "gamma", "gamma_star", "delta", "fmax"))}
+    top = np.zeros((len(row), km1))
+    top[[row["gamma"], row["gamma_star"], row["fmax"]], 0] = 1.0  # order 0: the identity cocycle
     counts = {k: 0 for k in range(1, km1)}
     parts = {k: [] for k in range(1, km1)}
     for order in orders:
-        drawn = order.draw >= 0
-        counts[order.k] += int(np.count_nonzero(drawn))
-        parts[order.k].append(np.column_stack([order.x[drawn], order.y[drawn]]))
-        for name, i, v in order.values:
-            top[name][i] = fold_max(top[name][i], v)
-    samples = {k: np.concatenate(parts[k]) if parts[k] else np.empty((0, 2)) for k in parts}
-    p, q, pt, gamma, gamma_star, delta, fmax = (top[name] for name in names)
+        first = int(order.draw[0] < 0)  # z, draw -1, can only be lane 0
+        counts[order.k] += len(order.draw) - first
+        parts[order.k].append((order.x[first:], order.y[first:]))
+        # one fold per order: fmax skips NaN, so NaN never wins, as in fold_max
+        at = tuple(zip(*((row[name], i) for name, i, _ in order.values)))
+        top[at] = np.fmax(top[at], np.fmax.reduce(np.array([v for _, _, v in order.values]), axis=1))
+    samples = {k: np.column_stack([np.concatenate(c) for c in zip(*parts[k])]) if parts[k] else np.empty((0, 2))
+               for k in parts}
+    p, q, pt, gamma, gamma_star, delta, fmax = top
 
     terms = np.full(kmax, math.inf)
     xi = np.full(kmax, math.inf)

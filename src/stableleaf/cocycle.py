@@ -37,6 +37,7 @@ _FRAME_MIN = 2.0 ** -1020  # _frame scales m where its sum of squares s is outsi
 _FRAME_MAX = 2.0 ** 1018   # inside, no entry exceeds 2^509, s + r and det are finite and s is normal
 _NORM2_MIN = 2.0 ** -500  # norm2 squares its arguments unscaled where max(|x|, |y|) is in
 _NORM2_MAX = 2.0 ** 500   # (_NORM2_MIN, _NORM2_MAX): the larger square is then finite and normal
+_ROW_1, _COL_1, _ROW_2, _COL_2 = np.array([[0, 0, 2, 2], [0, 1, 0, 1], [1, 1, 3, 3], [2, 3, 2, 3]])  # mul_lanes
 
 
 def norm2(x: float, y: float) -> float:
@@ -66,18 +67,19 @@ def _scale_back(v: float, ex: int) -> float:
 def norm2_lanes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """norm2 of every lane of x and y, as an array with the same bits.
 
-    Lanes whose max(|x|, |y|) is NaN, or nonzero and outside (2^-500,
-    2^500), are computed by norm2.
+    A lane whose norm is outside (2^-499, 2^499), or NaN, and whose x or y
+    is nonzero, is computed by norm2. Every other lane has max(|x|, |y|) in
+    (2^-500, 2^500) or is 0, where norm2 squares unscaled.
     """
     with np.errstate(all="ignore"):
         out = x * x
         out += y * y
         np.sqrt(out, out=out)
-        top = np.abs(x)
-        np.maximum(top, np.abs(y), out=top)
-        odd = np.flatnonzero(~((top > _NORM2_MIN) & (top < _NORM2_MAX) | (top == 0.0)))
-    for i in odd.tolist():
-        out[i] = norm2(float(x[i]), float(y[i]))
+    odd = ~((out > 2.0 * _NORM2_MIN) & (out < 0.5 * _NORM2_MAX))
+    if odd.any():
+        odd &= (x != 0.0) | (y != 0.0)
+        for i in odd.nonzero()[0].tolist():
+            out[i] = norm2(float(x[i]), float(y[i]))
     return out
 
 
@@ -122,63 +124,62 @@ def singular_values(m: Mat2) -> tuple[float, float]:
     return _frame(*m)[:2]
 
 
-def singular_values_lanes(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """singular_values of every lane of the entry arrays, as arrays (E, F).
+def singular_values_lanes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """singular_values of every lane of the entry array m (4, lanes), as arrays (E, F).
 
-    The same operations as _frame, so E and F have its bits; det is taken
-    after R and F is finished in place, so few full-size arrays live at once.
-    A lane whose sum of squares is outside (2^-1020, 2^1018), where _frame
-    scales, is computed by singular_values. Call it inside np.errstate: lanes
-    may overflow.
+    The same operations as _frame, on the stacked entries, so E and F have
+    its bits. A lane whose sum of squares is outside (2^-1020, 2^1018), where
+    _frame scales, is computed by singular_values. Call it inside np.errstate.
     """
-    s = a * a + b * b + c * c + d * d
-    f = norm2_lanes(a * a + c * c - b * b - d * d, 2.0 * (a * b + c * d))
+    sq = m * m
+    s = sq[0] + sq[1] + sq[2] + sq[3]
+    r = sq[0] + sq[2] - sq[1] - sq[3]
+    ab, cd = np.multiply(m[0::2], m[1::2], out=sq[:2])  # into the spent squares, as (ad, bc) below
+    f = norm2_lanes(r, 2.0 * (ab + cd))
     f += s
     f *= 0.5
-    e = np.abs(a * d - b * c)
+    ad, bc = np.multiply(m[:2], m[3:1:-1], out=sq[2:])
+    e = np.abs(ad - bc)
     e /= np.sqrt(f, out=f)
-    for i in np.flatnonzero(~((s > _FRAME_MIN) & (s < _FRAME_MAX))).tolist():
-        e[i], f[i] = singular_values((float(a[i]), float(b[i]), float(c[i]), float(d[i])))
+    for i in (~((s > _FRAME_MIN) & (s < _FRAME_MAX))).nonzero()[0].tolist():
+        e[i], f[i] = singular_values(tuple(m[:, i].tolist()))
     return e, f
 
 
 def _point_data(m: MapModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict]:
-    """The lanes whose orbit points (x, y) are valid, with their steps S (4, lanes), P, Q, Pt, Dd and Ddt.
+    """The lanes whose orbit points (x, y) are valid, with their steps S (4, lanes), E, P, Q, Pt, Dd and Ddt.
 
     The one validity rule for an orbit point, which the budget sweep and
     build_orbit_cocycle share: the point in the domain, Dphi finite and
     nonsingular (det finite and nonzero, E != 0), the second-derivative data
-    finite. Each callable sees only the lanes that passed the checks before
-    it. Call it inside np.errstate.
+    finite (a finite det has finite entries). Each callable sees only the
+    lanes that passed the checks before it, and each value is indexed once,
+    at the lanes that pass them all. E <= P are the singular values of S.
+    Call it inside np.errstate.
     """
-    at = np.flatnonzero(m.in_domain_lanes(x, y))
-    s = apply_lanes(m.jac, x[at], y[at], 4)
-    ok = np.all(np.isfinite(s), axis=0)
-    at, s = at[ok], s[:, ok]
-    e, f = singular_values_lanes(*s)
+    at = m.in_domain_lanes(x, y).nonzero()[0]
+    x, y = x[at], y[at]
+    s = apply_lanes(m.jac, x, y, 4)
+    e, f = singular_values_lanes(s)
     det = s[0] * s[3] - s[1] * s[2]
-    ok = np.isfinite(det) & (det != 0.0) & (e != 0.0)
-    at, s, e, f, det = at[ok], s[:, ok], e[ok], f[ok], det[ok]
-    d2 = apply_lanes(m.second_partials, x[at], y[at], 8)
-    ok = np.all(np.isfinite(d2), axis=0)
-    at, s, e, f, det, d2 = at[ok], s[:, ok], e[ok], f[ok], det[ok], d2[:, ok]
-    return at, {
-        "S": s, "P": f, "Q": 1.0 / e, "Pt": 2.0 * np.max(np.abs(d2[:6]), axis=0),
-        "Dd": np.abs(det), "Ddt": norm2_lanes(d2[6], d2[7]),
+    ok = (np.isfinite(det) & (det != 0.0) & (e != 0.0)).nonzero()[0]
+    d2 = apply_lanes(m.second_partials, x[ok], y[ok], 8)
+    fine = np.isfinite(d2).all(axis=0)
+    ok, d2 = ok[fine], d2.compress(fine, axis=1)
+    e = e[ok]
+    return at[ok], {
+        "S": s.take(ok, axis=1), "E": e, "P": f[ok], "Q": 1.0 / e, "Pt": 2.0 * np.abs(d2[:6]).max(axis=0),
+        "Dd": np.abs(det[ok]), "Ddt": norm2_lanes(d2[6], d2[7]),
     }
 
 
 def mul_lanes(m: np.ndarray, o: np.ndarray) -> np.ndarray:
     """The products m o of every lane of two (4, ...) entry arrays, (m11 o11 + m12 o21, ...) in row-major order.
 
-    The lane axes broadcast, as (4, lanes) steps times (4, k, lanes) products.
+    Each is m[_ROW_1] o[_COL_1] + m[_ROW_2] o[_COL_2] on all four entries at
+    once; the lane axes broadcast, as (4, 1, lanes) steps times (4, k, lanes).
     """
-    return np.array([
-        m[0] * o[0] + m[1] * o[2],
-        m[0] * o[1] + m[1] * o[3],
-        m[2] * o[0] + m[3] * o[2],
-        m[2] * o[1] + m[3] * o[3],
-    ])
+    return m.take(_ROW_1, axis=0) * o.take(_COL_1, axis=0) + m.take(_ROW_2, axis=0) * o.take(_COL_2, axis=0)
 
 
 def series_term(*factors) -> float:
@@ -342,7 +343,7 @@ def build_orbit_cocycle(m: MapModel, z0: Point2, kmax: int) -> OrbitCocycle:
         raise OrbitEscapeError(len(orbit) - 1, orbit[-1])
 
     with np.errstate(all="ignore"):
-        E, F = singular_values_lanes(*np.array(prods_xy).T)  # row 0, the identity, gives 1, 1
+        E, F = singular_values_lanes(np.array(prods_xy).T)  # row 0, the identity, gives 1, 1
         at, pd = _point_data(m, *np.array(orbit_xy).T)
     ok = np.isfinite(F) & (F != 0.0)
     if not ok.all():

@@ -66,11 +66,12 @@ def ref_first_tube_exit(m, ref_orbit, x, sched, jmax):
     """The scalar reference of budget.tube_exits for one point: first iterate j <= jmax violating the tube test, or None.
 
     j=0 uses the sup-norm box of radius eps_0 (the sampler's box); j >= 1 uses
-    norm2, the Euclidean norm. A domain escape at iterate j counts as an exit at j.
+    norm2, the Euclidean norm. A domain escape at iterate j counts as an exit at j,
+    and a point that is not finite exits at j = 0.
     """
     px, py = float(x[0]), float(x[1])
     rx, ry = ref_orbit[0]
-    if max(abs(px - rx), abs(py - ry)) > sched.radius(0):
+    if not (math.isfinite(px) and math.isfinite(py)) or max(abs(px - rx), abs(py - ry)) > sched.radius(0):
         return 0
     for j in range(1, jmax + 1):
         try:

@@ -19,13 +19,13 @@ from stableleaf import (
 )
 import stableleaf.budget as budget_mod
 import stableleaf.cocycle as cocycle_mod
-from stableleaf.budget import INCONCLUSIVE, INFEASIBLE, SUMMABLE_HEURISTIC, first_tube_exit, tube_exits
+from stableleaf.budget import INCONCLUSIVE, INFEASIBLE, NEIGHBORHOOD_STREAM, SUMMABLE_HEURISTIC, first_tube_exit, tube_exits
 from stableleaf.cocycle import norm2
 from stableleaf.errors import BadParamsError, OrbitEscapeError
 from stableleaf.maps import MapModel
 
 from conftest import ref_first_tube_exit, reference_orbit
-from test_budget_reference import POOL_BLOCKS, array_case
+from test_budget_reference import POOL_BLOCKS, _scalar_only, array_case
 
 
 def rotationlike_map():
@@ -110,8 +110,9 @@ def test_wide_budget_memory_stays_bounded():
 
 @pytest.mark.parametrize("name, block", [pytest.param(name, block, id=f"{name}-{block}") for name, block in POOL_BLOCKS])
 def test_sweep_order_makes_one_product_and_one_norm_call(name, block, monkeypatch):
-    # an order pass extends the lane products with one mul_lanes call and reads E_k, F_k and
-    # every tail norm from one singular_values_lanes call, in the block and the pooled phase
+    # an order pass k >= 2 extends the lane products with one mul_lanes call and reads E_k, F_k
+    # and the tail norms from one singular_values_lanes call, in the block and the pooled phase;
+    # at k = 1 the product is the step, whose singular values the lanes carry, so it makes neither
     monkeypatch.setattr(budget_mod, "SAMPLE_BLOCK", block)
     calls = []
     for fn in ("mul_lanes", "singular_values_lanes"):
@@ -129,8 +130,8 @@ def test_sweep_order_makes_one_product_and_one_norm_call(name, block, monkeypatc
     monkeypatch.setattr(budget_mod, "_sweep_order", counted)
     m, z, sched, kmax, n, seed = array_case(name)
     estimate_budget(m, z, sched, kmax, n=n, seed=seed)
-    assert all(made == ["mul_lanes", "singular_values_lanes"] for _, _, made in passes)
-    assert len(calls) == 2 * len(passes)
+    assert all(made == ([] if k == 1 else ["mul_lanes", "singular_values_lanes"]) for k, _, made in passes)
+    assert len(calls) == 2 * sum(k > 1 for k, _, _ in passes)
     # the block phase passes P_0 and Q_0 along at every order, the pooled phase never
     block_ks = {k for k, pooled, _ in passes if not pooled}
     pooled_ks = {k for k, pooled, _ in passes if pooled}
@@ -383,7 +384,87 @@ def test_array_tube_test_matches_scalar(henon_map):
     ref = reference_orbit(henon_map, z, 8)
     xs, ys = SplitRng(5).points_in_box(z.x, z.y, 0.06, 400)  # some draws fail the box at j = 0
     xs[:3] = (np.nan, np.inf, 10.0)
+    ys[3] = np.nan
     want = [ref_first_tube_exit(henon_map, ref, Point2(x, y), sched, 8) for x, y in zip(xs.tolist(), ys.tolist())]
     got = tube_exits(henon_map, ref, xs, ys, sched, 8).tolist()
     assert got == [-1 if w is None else w for w in want]
+    assert got[:4] == [0, 0, 0, 0]  # the points that are not finite exit at j = 0, as does the far one
+    assert first_tube_exit(henon_map, ref, Point2(math.nan, z.y), sched, 5) == 0
     assert {0, 1, -1} <= set(got) and len(set(got)) > 4
+
+
+def _lane_contract_map():
+    """A saddle at (0, 0) whose callables fail the test at a point that a check before them drops.
+
+    Its box is -0.3 <= x <= 1 with y unbounded, so a point with y = +inf is in
+    the box; phi gives y = +inf where y > 0.2. The guard |x - 0.15| has margin
+    0.02, and Dphi is singular where x <= -0.1. Every callable requires a
+    finite point in the box; all but the guard require it off the guard's
+    strip, and the second-derivative data a nonsingular Dphi too.
+    """
+    def check(x, y, *rules):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        ok = np.isfinite(x) & np.isfinite(y) & (-0.3 <= x) & (x <= 1.0)
+        for rule in rules:
+            ok &= rule(x)
+        assert np.all(ok), f"called at a dropped point: {x[~ok]}, {y[~ok]}" if x.ndim else (float(x), float(y))
+        return x, y
+
+    def floats(*vs):  # Python floats for float arguments, as the scalar code reads them
+        return tuple(v if np.ndim(v) else float(v) for v in vs)
+
+    guarded = lambda x: np.abs(x - 0.15) > 0.02
+    regular = lambda x: x > -0.1
+
+    def raw_eval(x, y):
+        x, y = check(x, y, guarded)
+        return floats(0.5 * x + y, np.where(y > 0.2, np.inf, 2.0 * y))
+
+    def raw_jac(x, y):
+        x, y = check(x, y, guarded)
+        return floats(0.5, 1.0, 0.0, np.where(regular(x), 2.0, 0.0))
+
+    def raw_hess(x, y):
+        check(x, y, guarded, regular)
+        return (0.0,) * 6
+
+    def raw_det_grad(x, y):
+        check(x, y, guarded, regular)
+        return (0.0, 0.0)
+
+    def singular_guard(x, y):
+        x, y = check(x, y)
+        return floats(np.abs(x - 0.15))[0]
+
+    return MapModel(
+        name="lane-contract", params={}, raw_eval=raw_eval, raw_jac=raw_jac, raw_hess=raw_hess,
+        raw_det_grad=raw_det_grad, singular_guard=singular_guard, box=(-0.3, 1.0, -math.inf, math.inf),
+        guard_margin=0.02,
+    )
+
+
+@pytest.mark.parametrize("scalar", [False, True], ids=["array", "scalar-only"])
+@pytest.mark.parametrize("block", [None, 64])
+def test_callables_see_only_the_lanes_every_earlier_check_passed(scalar, block, monkeypatch):
+    # the sweep and the tube test drop a lane at its first failed check; no callable after
+    # that check sees the lane: outside the box, on the guard's strip, non-finite, singular Dphi
+    if block is not None:
+        monkeypatch.setattr(budget_mod, "SAMPLE_BLOCK", block)
+    m = _lane_contract_map()
+    if scalar:
+        m = _scalar_only(m)
+        with pytest.raises(TypeError):
+            m.raw_eval(np.zeros(2), np.zeros(2))
+    z, sched, n, seed = Point2(0.0, 0.0), EpsilonSchedule.constant(0.5), 400, 3
+    # the draws meet every check: outside the box, on the strip, singular, an image with y = +inf
+    x, y = SplitRng(seed).substream(NEIGHBORHOOD_STREAM).points_in_box(0.0, 0.0, 0.5, n)
+    assert all(np.any(c) for c in (x < -0.3, np.abs(x - 0.15) <= 0.02, (-0.3 <= x) & (x <= -0.1), y > 0.2))
+    b = estimate_budget(m, z, sched, kmax=6, n=n, seed=seed)
+    assert 0 < b.accepted_counts[6] < b.accepted_counts[1] < n
+    ref = build_orbit_cocycle(m, z, 6).orbit
+    xs, ys = SplitRng(seed + 1).points_in_box(0.0, 0.0, 0.6, 300)
+    xs[:4], ys[:4] = (np.nan, 0.0, np.inf, 0.1), (0.0, np.inf, 0.0, np.nan)
+    got = tube_exits(m, ref, xs, ys, sched, 6).tolist()
+    want = [ref_first_tube_exit(m, ref, Point2(px, py), sched, 6) for px, py in zip(xs.tolist(), ys.tolist())]
+    assert got == [-1 if w is None else w for w in want]
+    assert got[:4] == [0, 0, 0, 0] and len(set(got)) >= 4

@@ -386,7 +386,7 @@ def test_frame_keeps_e_bits_the_reference_lost():
 def test_singular_values_lanes_match_scalar():
     mats = frame_matrices()
     with np.errstate(all="ignore"):
-        e, f = singular_values_lanes(*mats.T.copy())
+        e, f = singular_values_lanes(mats.T.copy())
     for m, le, lf in zip(mats.tolist(), e.tolist(), f.tolist()):
         se, sf = singular_values(m)
         assert same_float(le, se) and same_float(lf, sf), m
