@@ -40,7 +40,7 @@ def main():
           f"({dstar.argmax_j},{dstar.argmax_k})")
 
     L = direction_field_derivative(m, b.cocycle, kmax, 1e-4, budget=b)[0]
-    eps = choose_epsilon(b, dstar.gamma_required, L)
+    eps = choose_epsilon(m, b, dstar.gamma_required, L)
     print(f"L = {L:.3e}, eps = {eps}")
 
     conv = cauchy_iterate(m, b, eps, tol=1e-9, L=L)

@@ -123,11 +123,10 @@ class HyperbolicityBudget:
     Arrays are indexed by k = 0..kmax with identity-cocycle conventions at 0
     (gamma_0 = gamma*_0 = fmax_0 = 1, delta_0 = 0). terms[k] = p_k q_k gamma_{k+1}
     and xi[k] = terms[k]/(1-terms[k]) exist for k = 0..kmax-1 (+inf past 1).
-    cocycle is the order-kmax cocycle at z itself. samples[k] holds the
-    sampled draws in N^(k), in draw order, as an array of shape (count, 2);
-    z itself is not among them. sched is the schedule the draws were tested
-    against: its radii eps_j define the tubes N^(k) that every later stage
-    (epsilon choice, Cauchy tube test, uniqueness strip) reads.
+    cocycle is the order-kmax cocycle at z itself. accepted_counts[k] counts
+    the draws in N^(k), z not among them. sched is the schedule the draws
+    were tested against: its radii eps_j define the tubes N^(k) that every
+    later stage (epsilon choice, Cauchy tube test, uniqueness strip) reads.
     """
 
     z: Point2
@@ -149,7 +148,6 @@ class HyperbolicityBudget:
     star_partial_sums: np.ndarray
     k0: Optional[int]
     cocycle: OrbitCocycle = field(repr=False)
-    samples: dict = field(repr=False, default_factory=dict)
     accepted_counts: dict = field(default_factory=dict)
 
 
@@ -366,9 +364,9 @@ def estimate_budget(
 
     Every value comes from ``sample_sweep``. The reference point z (draw
     -1) belongs to every neighborhood exactly and joins every level's
-    maxima, but not the counts or samples; a sample point joins the levels
-    up to the one ``sample_sweep`` gives it. The budget is bit for bit the
-    one of building each point's cocycle at its level. Only z's cocycle is
+    maxima, but not the counts; a sample point joins the levels up to the
+    one ``sample_sweep`` gives it. The budget is bit for bit the one of
+    building each point's cocycle at its level. Only z's cocycle is
     built, before any draw: it raises where z's orbit fails, and every later
     stage reads z's orbit from it (``cocycle``).
     """
@@ -384,16 +382,11 @@ def estimate_budget(
     top = np.zeros((len(row), km1))
     top[[row["gamma"], row["gamma_star"], row["fmax"]], 0] = 1.0  # order 0: the identity cocycle
     counts = {k: 0 for k in range(1, km1)}
-    parts = {k: [] for k in range(1, km1)}
     for order in orders:
-        first = int(order.draw[0] < 0)  # z, draw -1, can only be lane 0
-        counts[order.k] += len(order.draw) - first
-        parts[order.k].append((order.x[first:], order.y[first:]))
+        counts[order.k] += len(order.draw) - int(order.draw[0] < 0)  # z, draw -1, can only be lane 0
         # one fold per order: fmax skips NaN, so NaN never wins, as in fold_max
         at = tuple(zip(*((row[name], i) for name, i, _ in order.values)))
         top[at] = np.fmax(top[at], np.fmax.reduce(np.array([v for _, _, v in order.values]), axis=1))
-    samples = {k: np.column_stack([np.concatenate(c) for c in zip(*parts[k])]) if parts[k] else np.empty((0, 2))
-               for k in parts}
     p, q, pt, gamma, gamma_star, delta, fmax = top
 
     terms = np.full(kmax, math.inf)
@@ -436,7 +429,7 @@ def estimate_budget(
         p=p, q=q, pt=pt, gamma=gamma, gamma_star=gamma_star, delta=delta,
         fmax=fmax, terms=terms, xi=xi, gamma_tilde=gamma_tilde,
         star_terms=star_terms, star_partial_sums=star_partial_sums,
-        k0=k0, cocycle=center, samples=samples, accepted_counts=counts,
+        k0=k0, cocycle=center, accepted_counts=counts,
     )
 
 

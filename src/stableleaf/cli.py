@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps0", type=float, default=0.1)
         p.add_argument("--decay", type=float, default=1.0)
         p.add_argument("--kmax", type=int, default=12)
-        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+        p.add_argument("--samples", dest="n", metavar="SAMPLES", type=int, default=DEFAULT_SAMPLES)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--h", type=float, default=None,
@@ -102,8 +102,8 @@ def _validate(ns) -> None:
                               f"--decay must be 1, got {ns.decay}")
     if ns.kmax < 2:
         raise ValidationError(f"kmax must be >= 2, got {ns.kmax}")
-    if ns.samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {ns.samples}")
+    if ns.n < 0:
+        raise ValidationError(f"samples must be >= 0, got {ns.n}")
     if not (ns.tol > 0.0 and math.isfinite(ns.tol)):
         raise ValidationError(f"tol must be positive and finite, got {ns.tol}")
     if ns.h is not None and not (ns.h > 0.0):
@@ -123,7 +123,7 @@ def _inputs(ns):
 
 
 def _cmd_budget(ns, out_dir: str, m: MapModel, z: Point2, sched: EpsilonSchedule) -> int:
-    b = staged("budget", estimate_budget, m, z, sched, ns.kmax, n=ns.samples, seed=ns.seed)
+    b = staged("budget", estimate_budget, m, z, sched, ns.kmax, n=ns.n, seed=ns.seed)
     star = check_condition_star(b)
     dstar = check_condition_double_star(b, b.sched)
     emit_json(
@@ -152,7 +152,7 @@ def _cmd_budget(ns, out_dir: str, m: MapModel, z: Point2, sched: EpsilonSchedule
 
 
 def _cmd_leaf(ns, out_dir: str, m: MapModel, z: Point2, sched: EpsilonSchedule) -> int:
-    _, _, L, eps = budget_to_epsilon(m, z, sched, ns.kmax, ns.samples, ns.seed)
+    _, _, L, eps = budget_to_epsilon(m, z, sched, ns.kmax, ns.n, ns.seed)
     curve = staged("integrate-leaf", integrate_leaf, m, z, ns.kmax, eps, h=ns.h)
     emit_leaf_csv(curve, os.path.join(out_dir, "leaf.csv"))
     emit_json(
@@ -186,7 +186,7 @@ def _convergence_payload(m, ns, report, c_fit) -> dict:
 
 
 def _cmd_converge(ns, out_dir: str, m: MapModel, z: Point2, sched: EpsilonSchedule) -> int:
-    b, _, L, eps = budget_to_epsilon(m, z, sched, ns.kmax, ns.samples, ns.seed)
+    b, _, L, eps = budget_to_epsilon(m, z, sched, ns.kmax, ns.n, ns.seed)
     try:
         report, contraction = iterate_to_contraction(m, b, eps, L, ns.tol, h=ns.h)
     except NotConvergedError as exc:
@@ -201,7 +201,7 @@ def _cmd_converge(ns, out_dir: str, m: MapModel, z: Point2, sched: EpsilonSchedu
 def _cmd_fixedpoint(ns, out_dir: str, m: MapModel, z: Point2, sched: EpsilonSchedule) -> int:
     fp = staged("eigen-split", fp_mod.eigen_split, m, z)
     report = fp_mod.verify_fixed_point_theorem(
-        m, fp, eta=sched.eps0, kmax=ns.kmax, seed=ns.seed, n=ns.samples, tol=ns.tol, h=ns.h
+        m, fp, eta=sched.eps0, kmax=ns.kmax, seed=ns.seed, n=ns.n, tol=ns.tol, h=ns.h
     )
     emit_json(
         {

@@ -56,6 +56,7 @@ TUBE_STRIDE = 4         # tube containment displaces every 4th leaf node (plus t
 NODE_STRIDE = 8         # contraction and uniqueness read every 8th leaf node (contraction also the last)
 CONTRACTION_ORDERS = 10  # the contraction fit runs up to 10 orders past k0
 
+PRECHECK_GRID = 33      # choose_epsilon's tube pre-check tests a 33 x 33 grid over each rung's square
 STRIP_BAND = (0.25, 2.0)  # the uniqueness strip's width * F_j / eps_j outside this flags order j
 
 
@@ -288,94 +289,25 @@ def integrate_leaf(
 # -- epsilon selection --------------------------------------------------------
 
 
-def _inside_octagon(a: np.ndarray) -> np.ndarray:
-    """The rows of the points a (n, 2) strictly inside the polygon of their extreme points.
-
-    The polygon joins, counter-clockwise, the points of least and greatest
-    y, x - y, x and x + y (S. G. Akl and G. T. Toussaint, Inf. Proc. Letters
-    7, 1978). Its vertices are points of a, so a point strictly inside it is
-    no hull vertex. A row counts as inside only where every edge's cross
-    product exceeds 1e-12 times the sum of its two terms' magnitudes, far
-    more than the few ulps rounding can move it, so no hull vertex is dropped.
-    """
-    x, y = a[:, 0], a[:, 1]
-    v = a[[np.argmin(y), np.argmax(x - y), np.argmax(x), np.argmax(x + y),
-           np.argmax(y), np.argmin(x - y), np.argmin(x), np.argmin(x + y)]]
-    e = np.roll(v, -1, axis=0) - v
-    edge = (e[:, 0] != 0.0) | (e[:, 1] != 0.0)  # an extreme point shared by two directions has no edge between
-    v, e = v[edge], e[edge]
-    if len(e) < 3:  # a point or a segment: nothing is inside
-        return np.zeros(len(a), dtype=bool)
-    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or infinite point drops nothing
-        t1 = e[:, 0] * (y[:, None] - v[:, 1])
-        t2 = e[:, 1] * (x[:, None] - v[:, 0])
-        return np.all(t1 - t2 > 1e-12 * (np.abs(t1) + np.abs(t2)), axis=1)
-
-
-def convex_hull_halfplanes(points) -> np.ndarray:
-    """Edge half-planes [nx, ny, offset] of the convex hull of 2-D points.
-
-    Andrew's monotone chain (A. M. Andrew, Inf. Proc. Letters 9, 1979), with
-    unit outward normals: q is inside iff nx*qx + ny*qy + offset <= 0 on every
-    row. A set without interior (fewer than 3 distinct points, or all
-    collinear) has no rows. The points strictly inside the polygon of their
-    extreme points (``_inside_octagon``) are dropped first, and the rest
-    become floats once, so the orientation tests do not run on numpy scalars.
-    """
-    xy = np.asarray(points, dtype=float)
-    if len(xy):
-        xy = xy[~_inside_octagon(xy)]
-    pts = sorted(set(map(tuple, xy.tolist())))
-
-    def turns_left(o, a, p):
-        return (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) > 0.0
-
-    ring = []  # lower chain, then upper chain: counter-clockwise
-    for seq in (pts, pts[::-1]):
-        chain = []
-        for p in seq:
-            while len(chain) >= 2 and not turns_left(chain[-2], chain[-1], p):
-                chain.pop()
-            chain.append(p)
-        ring += chain[:-1]
-    if len(ring) < 3:
-        return np.empty((0, 3))
-    v = np.array(ring)
-    e = np.roll(v, -1, axis=0) - v
-    n = np.column_stack([e[:, 1], -e[:, 0]]) / np.hypot(e[:, 0], e[:, 1])[:, None]
-    return np.column_stack([n, -np.sum(n * v, axis=1)])
-
-
-def _support_radius(halfplanes: np.ndarray, z) -> float:
-    """Half-width of the largest square around z inside the hull to 1e-12; -inf for an empty hull.
-
-    On a row (n, c), the farthest corner z + r*(sign nx, sign ny) is inside where
-    r*(|nx| + |ny|) <= 1e-12 - (n.z + c).
-    """
-    if not len(halfplanes):
-        return -math.inf
-    nx, ny, c = halfplanes.T
-    return float(np.min((1e-12 - (nx * z[0] + ny * z[1] + c)) / (np.abs(nx) + np.abs(ny))))
-
-
-def choose_epsilon(b: HyperbolicityBudget, gamma: float, L: float) -> float:
+def choose_epsilon(m: MapModel, b: HyperbolicityBudget, gamma: float, L: float) -> float:
     """Largest dyadic eps = eps0 * 2^-m, eps0 the budget schedule's, satisfying the leaf-length constraints.
 
-    Constraints: eps * gamma < 1, exp(eps * L) < 2, and the tube pre-check
-    that the square of radius eps + omega_k around z stays inside the hull of
-    the stored order-k0 sample for every computed k >= k0: the radius is at
-    most the hull's ``_support_radius`` about z. A sample hull without
-    interior contains no square, so it rejects every rung. (The
-    containment proper is re-tested during the Cauchy iteration.)
-    NoFeasibleEpsilonError names the first constraint that the first rung
-    fails and the one the last rung fails.
+    Constraints: eps * gamma < 1, exp(eps * L) < 2, and the tube pre-check:
+    the square of half-width r = eps + eps * exp(eps * L) * xi_max about z,
+    xi_max the largest xi_k for k >= k0, lies in N^(k0), that is, no point of
+    a PRECHECK_GRID x PRECHECK_GRID grid over it, corners and edges included,
+    leaves b.sched's tubes about z's orbit by step k0 - 1 (one tube_exits
+    pass). An infinite or NaN r fails it. (The containment proper is
+    re-tested during the Cauchy iteration.) NoFeasibleEpsilonError names the
+    first constraint that the first rung fails and the one the last rung
+    fails; for the pre-check, the first grid point that exits and its step.
     """
     if b.k0 is None:
         raise NoFeasibleEpsilonError("budget has no k0; hyperbolicity never stabilized")
     k0 = b.k0
     xi_max = float(np.max(b.xi[k0:], initial=0.0))
-    k0_sample = np.asarray(b.samples[k0], dtype=float).reshape(-1, 2)
-    r_max = _support_radius(convex_hull_halfplanes(np.vstack([k0_sample, [b.z]])), b.z)
+    unit = np.linspace(-1.0, 1.0, PRECHECK_GRID)
+    gx, gy = np.tile(unit, PRECHECK_GRID), np.repeat(unit, PRECHECK_GRID)  # row by row, from (-1, -1)
 
     def blocker(eps: float) -> Optional[str]:
         """The first constraint the rung eps fails, or None."""
@@ -383,8 +315,15 @@ def choose_epsilon(b: HyperbolicityBudget, gamma: float, L: float) -> float:
             return "eps*gamma < 1"
         if not (eps * L < 1.0 and math.exp(eps * L) < 2.0):  # exp(1) > 2, and exp cannot overflow
             return "exp(eps*L) < 2"
-        if not eps + eps * math.exp(eps * L) * xi_max <= r_max:  # an infinite or NaN radius fails too
-            return f"the hull pre-check (order-{k0} sample size {len(k0_sample)})"
+        r = eps + eps * math.exp(eps * L) * xi_max
+        if not math.isfinite(r):
+            return f"the tube pre-check (the square's half-width is {r})"
+        x, y = b.z[0] + r * gx, b.z[1] + r * gy
+        exits = tube_exits(m, b.cocycle.orbit, x, y, b.sched, k0 - 1)
+        i = int(np.argmax(exits >= 0))  # the first point that exits, or 0 where none does
+        if exits[i] >= 0:
+            return (f"the tube pre-check (the point ({x[i]:.6g}, {y[i]:.6g}) of the square of half-width "
+                    f"{r:.3e} about z exits at step {exits[i]})")
         return None
 
     rungs = [b.sched.radius(0) * 2.0 ** -mexp for mexp in range(LADDER_DEPTH + 1)]
@@ -681,7 +620,7 @@ def budget_to_epsilon(
     b = staged("budget", estimate_budget, m, z, sched, kmax, n=n, seed=seed)
     gamma = staged("double-star", check_condition_double_star, b, b.sched).gamma_required
     L = staged("direction-derivative", direction_field_derivative, m, b.cocycle, b.kmax)[0]
-    eps = staged("choose-epsilon", choose_epsilon, b, gamma, L)
+    eps = staged("choose-epsilon", choose_epsilon, m, b, gamma, L)
     return b, gamma, L, eps
 
 

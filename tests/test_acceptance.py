@@ -65,7 +65,7 @@ def linear_pipeline(eta=0.1, kmax=16, n=1000, seed=7, tol=1e-9):
     from stableleaf.directions import direction_field_derivative
 
     L = direction_field_derivative(m, coc, kmax, 1e-4, budget=b)[0]
-    eps = choose_epsilon(b, dstar.gamma_required, L)
+    eps = choose_epsilon(m, b, dstar.gamma_required, L)
     conv = cauchy_iterate(m, b, eps, tol, L=L)
     return m, z, sched, b, eps, conv
 
@@ -261,7 +261,7 @@ def test_criterion_6_gronwall():
 
     coc = build_orbit_cocycle(m, z, kmax)
     L = direction_field_derivative(m, coc, kmax, 1e-4, budget=b)[0]
-    eps = choose_epsilon(b, dstar.gamma_required, L)
+    eps = choose_epsilon(m, b, dstar.gamma_required, L)
     conv = cauchy_iterate(m, b, eps, 1e-6, L=L)
     assert conv.ks == list(range(b.k0, kmax))
     assert np.all(conv.d_k <= conv.gronwall_bound * SAMPLE_SLACK)

@@ -25,7 +25,7 @@ from stableleaf.errors import BadParamsError, OrbitEscapeError
 from stableleaf.maps import MapModel
 
 from conftest import ref_first_tube_exit, reference_orbit
-from test_budget_reference import POOL_BLOCKS, _scalar_only, array_case
+from test_budget_reference import POOL_BLOCKS, _scalar_only, array_case, sweep_samples
 
 
 def rotationlike_map():
@@ -61,7 +61,7 @@ def test_sample_k1_accepts_all(linear_map):
     sched = EpsilonSchedule.constant(0.1)
     b = estimate_budget(linear_map, Point2(0, 0), sched, kmax=2, n=500, seed=9)
     assert b.accepted_counts[1] == b.n == 500
-    assert len(b.samples[1]) == 500
+    assert len(sweep_samples(linear_map, Point2(0, 0), sched, 2, 500, 9)[1]) == 500
 
 
 def test_sample_determinism(henon_map):
@@ -69,10 +69,10 @@ def test_sample_determinism(henon_map):
     z = Point2(0.63, 0.19)
     a = estimate_budget(henon_map, z, sched, kmax=3, n=400, seed=42)
     b = estimate_budget(henon_map, z, sched, kmax=3, n=400, seed=42)
-    assert np.array_equal(a.samples[3], b.samples[3])
+    assert np.array_equal(*(sweep_samples(henon_map, z, sched, 3, 400, 42)[3] for _ in range(2)))
     assert a.accepted_counts == b.accepted_counts
-    c = estimate_budget(henon_map, z, sched, kmax=3, n=400, seed=43)
-    assert not np.array_equal(a.samples[3], c.samples[3])
+    assert not np.array_equal(sweep_samples(henon_map, z, sched, 3, 400, 42)[3],
+                              sweep_samples(henon_map, z, sched, 3, 400, 43)[3])
 
 
 def budget_wide(seed):
@@ -144,17 +144,17 @@ def test_sample_nesting(linear_map, henon_map):
     sched = EpsilonSchedule.constant(0.1)
     for m, z in ((linear_map, Point2(0, 0)), (henon_map, Point2(0.63, 0.19))):
         b = estimate_budget(m, z, sched, kmax=5, n=600, seed=5)
+        samples = sweep_samples(m, z, sched, 5, 600, 5)
         for k in range(1, 5):
-            assert set(map(tuple, b.samples[k + 1].tolist())) <= set(map(tuple, b.samples[k].tolist()))
-            assert b.accepted_counts[k] == len(b.samples[k])
+            assert set(map(tuple, samples[k + 1].tolist())) <= set(map(tuple, samples[k].tolist()))
+            assert b.accepted_counts[k] == len(samples[k])
 
 
 def test_linear_acceptance_region_thins(linear_map):
     # exact order-k region for the linear map pinches in y like lu^-(k-1)
     sched = EpsilonSchedule.constant(0.1)
     k = 5
-    b = estimate_budget(linear_map, Point2(0, 0), sched, kmax=k, n=4000, seed=11)
-    ymax = float(np.max(np.abs(b.samples[k][:, 1])))
+    ymax = float(np.max(np.abs(sweep_samples(linear_map, Point2(0, 0), sched, k, 4000, 11)[k][:, 1])))
     cap = 0.1 * 2.0 ** -(k - 1)
     assert ymax <= cap
     assert ymax >= 0.8 * cap  # the sample actually fills the thin box

@@ -13,10 +13,10 @@ lane products.
 read the box draws from one pass, now ``sample_sweep``: the budget demoted a
 failing draw to its largest valid level, and the growth check rebuilt every
 sampled draw's cocycle at its tube level and skipped a draw whose build
-failed. Every field is compared bit for bit (``float.hex``); the reference
-``samples[k]`` is a list of Point2, which compares equal to the (count, 2)
-array the budget now holds. The documented differences are asserted as
-such:
+failed. Every field is compared bit for bit (``float.hex``). The reference
+also returns its ``samples[k]``, a list of Point2 of the draws of level >= k,
+which compares equal to the (count, 2) array of the sweep's order-k lanes
+(``sweep_samples``). The documented differences are asserted as such:
 
 - a non-finite second derivative now demotes a draw, where it aborted the
   budget; the result equals the old budget of the same map with the region
@@ -120,12 +120,13 @@ def ref_estimate_budget(
     kmax: int,
     n: int = DEFAULT_SAMPLES,
     seed: int = 0,
-) -> HyperbolicityBudget:
-    """Estimate all budget sequences over sampled neighborhoods of z.
+) -> tuple[HyperbolicityBudget, dict]:
+    """Estimate all budget sequences over sampled neighborhoods of z; returns the budget and its samples.
 
     The reference point itself, which belongs to every neighborhood exactly,
     joins each level. Orbit escapes of sample points demote the point to the
-    deepest level it reached.
+    deepest level it reached. samples[k] lists the draws of level >= k, in
+    draw order; z is not among them.
     """
     if kmax < 2:
         raise BadParamsError(f"kmax must be >= 2, got {kmax}")
@@ -229,8 +230,8 @@ def ref_estimate_budget(
         p=p, q=q, pt=pt, gamma=gamma, gamma_star=gamma_star, delta=delta,
         fmax=fmax, terms=terms, xi=xi, gamma_tilde=gamma_tilde,
         star_terms=star_terms, star_partial_sums=star_partial_sums,
-        k0=k0, cocycle=build_orbit_cocycle(m, z, kmax), samples=samples, accepted_counts=counts,
-    )
+        k0=k0, cocycle=build_orbit_cocycle(m, z, kmax), accepted_counts=counts,
+    ), samples
 
 
 def ref_regular_growth_check(
@@ -255,10 +256,10 @@ def ref_regular_growth_check(
     if not (0.0 <= d < lu - 1.0 and ls + d < 1.0):
         raise BadParamsError(f"spectral slack delta={d} incompatible with |ls|={ls}, |lu|={lu}")
 
-    b = ref_estimate_budget(m, fp.p, sched, kmax, n=n, seed=seed)
+    b, samples = ref_estimate_budget(m, fp.p, sched, kmax, n=n, seed=seed)
     pts = [fp.p]
     for k in range(1, kmax + 1):
-        pts.extend(b.samples.get(k, []))
+        pts.extend(samples.get(k, []))
     # dedupe while keeping deterministic order
     seen = set()
     uniq = []
@@ -455,6 +456,14 @@ def bits(v):
     return v
 
 
+def sweep_samples(m: MapModel, z: Point2, sched: EpsilonSchedule, kmax: int, n: int, seed: int) -> dict:
+    """The draws of level >= k by k, in sweep order, from the lanes of sample_sweep's SweepOrders; z, draw -1, left out."""
+    parts = {k: [] for k in range(1, kmax + 1)}
+    for o in budget_mod.sample_sweep(m, build_orbit_cocycle(m, z, kmax), sched, n, seed):
+        parts[o.k].append(np.column_stack([o.x, o.y])[o.draw >= 0])
+    return {k: np.concatenate(p) if p else np.empty((0, 2)) for k, p in parts.items()}
+
+
 def growth_bits(rep):
     """bits of a GrowthReport without its point counts, which the tests check apart."""
     out = bits(rep)
@@ -469,7 +478,9 @@ def growth_bits(rep):
 def test_budget_matches_reference(name):
     m, fp, sched, kmax, n, seed = case(name)
     new = estimate_budget(m, fp.p, sched, kmax, n=n, seed=seed)
-    assert bits(new) == bits(ref_estimate_budget(m, fp.p, sched, kmax, n=n, seed=seed))
+    ref, samples = ref_estimate_budget(m, fp.p, sched, kmax, n=n, seed=seed)
+    assert bits(new) == bits(ref)
+    assert bits(sweep_samples(m, fp.p, sched, kmax, n, seed)) == bits(samples)
     if name == "box-limited":
         # the budget demoted draws before this change too
         assert new.accepted_counts[1] < n and new.accepted_counts[kmax] > 0
@@ -513,8 +524,9 @@ def test_array_budget_matches_reference(name, block, monkeypatch):
             m.raw_eval(np.zeros(2), np.zeros(2))
     new = estimate_budget(m, z, sched, kmax, n=n, seed=seed)
     with np.errstate(over="ignore"):  # the reference warns where gamma_tilde overflows to +inf
-        ref = ref_estimate_budget(m, z, sched, kmax, n=n, seed=seed)
+        ref, samples = ref_estimate_budget(m, z, sched, kmax, n=n, seed=seed)
     assert bits(new) == bits(ref)
+    assert bits(sweep_samples(m, z, sched, kmax, n, seed)) == bits(samples)
     if block == 1 and name in ("box-limited", "guard-strip"):
         assert new.accepted_counts[1] < n and new.accepted_counts[kmax] > 0
     if name == "overflow":
@@ -602,14 +614,14 @@ def test_sweep_pools_the_deep_orders(name, block, monkeypatch):
     if block == 20:
         chunks = [o.k for o in pooled]
         assert chunks.count(deep + 1) == 2 and chunks.count(deep + 2) == 1
-    # the SweepOrders of each order come in draw order, and so does each b.samples[k]
-    b = estimate_budget(m, z, sched, kmax, n=n, seed=seed)
+    # the SweepOrders of each order come in draw order, and their points are the reference's samples[k]
+    _, samples = ref_estimate_budget(m, z, sched, kmax, n=n, seed=seed)
     for k in range(1, kmax + 1):
         at_k = [o for o in orders if o.k == k]
         draws = np.concatenate([o.draw for o in at_k])
         assert np.all(np.diff(draws) > 0)
         points = np.concatenate([np.column_stack([o.x, o.y])[o.draw >= 0] for o in at_k])
-        assert bits(b.samples[k]) == bits(points)
+        assert bits(points) == bits(samples[k])
 
 
 @pytest.mark.parametrize("name", ["linear", "henon"])
@@ -716,7 +728,9 @@ def test_infinite_second_derivative_demotes():
         ref_regular_growth_check(hess_map, fp, sched, kmax, n, seed)
     # the old code demoted the same draws when the Jacobian was the bad part
     new = estimate_budget(hess_map, fp.p, sched, kmax, n=n, seed=seed)
-    assert bits(new) == bits(ref_estimate_budget(jac_map, fp.p, sched, kmax, n=n, seed=seed))
+    ref, samples = ref_estimate_budget(jac_map, fp.p, sched, kmax, n=n, seed=seed)
+    assert bits(new) == bits(ref)
+    assert bits(sweep_samples(hess_map, fp.p, sched, kmax, n, seed)) == bits(samples)
     assert 0 < new.accepted_counts[1] < n and new.accepted_counts[kmax] > 0
     rep = regular_growth_check(hess_map, fp, sched, kmax, n, seed)
     assert rep.points_used == 1 + new.accepted_counts[1]

@@ -63,7 +63,7 @@ def cli_argv(draw):
         argv.append(f"--decay={number(draw, 0.05, 1.0)}")
     if draw(st.integers(0, 3)) == 0:
         argv.append(f"--h={step(draw, eps0)}")
-    argv += [f"--kmax={draw(st.integers(2, 6))}", f"--samples={draw(st.integers(1, 40))}"]
+    argv += [f"--kmax={draw(st.integers(2, 6))}", f"--samples={draw(st.integers(0, 40))}"]
     argv.append(f"--seed={draw(st.integers(0, 2 ** 32))}")
     return argv
 

@@ -236,8 +236,9 @@ def test_theorem_henon_field_calls(henon_map, monkeypatch):
 
 def test_theorem_henon_tube_passes(henon_map, monkeypatch):
     # the benchmark's theorem-henon op at seed 2: one tube_exits pass for the
-    # tube checks of every Cauchy order, one for the uniqueness ladder and
-    # the on-leaf points together
+    # pre-check of each rung choose_epsilon tests (0.05 and 0.025 fail it,
+    # 0.0125 passes), one for the tube checks of every Cauchy order, one for
+    # the uniqueness ladder and the on-leaf points together
     calls = []
     tube_exits = leaf.tube_exits
 
@@ -249,7 +250,8 @@ def test_theorem_henon_tube_passes(henon_map, monkeypatch):
     fp = eigen_split(henon_map, Point2(0.6, 0.2))
     r = verify_fixed_point_theorem(henon_map, fp, eta=0.05, kmax=12, seed=2, n=2000)
     assert r.converged
-    assert calls == [11, 12]  # jmax: kmax - 1 for the Cauchy orders, kmax for the ladder
+    assert r.eps == 0.0125
+    assert calls == [1, 1, 1, 11, 12]  # jmax: k0 - 1 for the rungs, kmax - 1 for the Cauchy orders, kmax for the ladder
 
 
 def report_words(o):

@@ -39,14 +39,11 @@ from stableleaf.leaf import (
     DEFAULT_STEP_DIV,
     MAX_STEPS_PER_CELL,
     _leaf_field,
-    _support_radius,
     budget_to_epsilon,
-    convex_hull_halfplanes,
     rk4_streamline,
 )
 
 from conftest import reference_orbit
-from hull_reference import hull_contains, square_inside
 
 HENON_SADDLE = Point2(0.6313544770895252, 0.18940634312685756)
 
@@ -150,10 +147,12 @@ def bits(trace):
     return [v.hex() for v in xs + ys + ths], truncated
 
 
+SHRINK = make_map("linear", lambda_s=0.25, lambda_u=0.5)  # iterate 1 of the unit square about 0 stays in the unit disc
+
+
 def synthetic_budget(k0=2, kmax=8, eps0=1.0, xi_value=0.0):
-    """A budget at z = 0 whose samples, the square of half-width 4, hold every rung's square in their hull."""
+    """A budget at z = 0 on SHRINK's orbit whose tubes, of radius eps0, hold every rung's square where xi = 0."""
     n = kmax + 1
-    square = np.array([(-4.0, -4.0), (4.0, -4.0), (4.0, 4.0), (-4.0, 4.0)])
     return HyperbolicityBudget(
         z=Point2(0, 0), kmax=kmax, n=0, seed=0, sched=EpsilonSchedule.constant(eps0),
         p=np.ones(n), q=np.ones(n), pt=np.zeros(n),
@@ -161,56 +160,98 @@ def synthetic_budget(k0=2, kmax=8, eps0=1.0, xi_value=0.0):
         fmax=np.ones(n), terms=np.zeros(kmax), xi=np.full(kmax, xi_value),
         gamma_tilde=np.zeros(n), star_terms=np.zeros(kmax),
         star_partial_sums=np.zeros(kmax - 1), k0=k0,
-        cocycle=None, samples={k: square for k in range(1, n)}, accepted_counts={},
+        cocycle=build_orbit_cocycle(SHRINK, Point2(0, 0), kmax), accepted_counts={},
     )
 
 
 def test_choose_epsilon_gamma_binding():
     b = synthetic_budget(eps0=1.0)
-    eps = choose_epsilon(b, gamma=2.0, L=0.0)
+    eps = choose_epsilon(SHRINK, b, gamma=2.0, L=0.0)
     # largest dyadic 2^-m with eps * 2 < 1 strictly
     assert eps == 0.25
 
 
 def test_choose_epsilon_degenerate_constraints():
     b = synthetic_budget(eps0=1.0)
-    eps = choose_epsilon(b, gamma=0.0, L=0.0)
-    assert eps == 1.0  # ladder top
+    eps = choose_epsilon(SHRINK, b, gamma=0.0, L=0.0)
+    assert eps == 1.0  # ladder top: the square's corners lie on the sup-norm box of step 0
 
 
 def test_choose_epsilon_infeasible():
     b = synthetic_budget()
     with pytest.raises(NoFeasibleEpsilonError):
-        choose_epsilon(b, gamma=math.inf, L=0.0)
+        choose_epsilon(SHRINK, b, gamma=math.inf, L=0.0)
 
 
 def test_choose_epsilon_huge_eps_l_is_infeasible():
     # eps * L = 1e300 at the top rung: exp(eps * L) would overflow
     b = synthetic_budget()
     with pytest.raises(NoFeasibleEpsilonError):
-        choose_epsilon(b, gamma=0.0, L=1e300)
+        choose_epsilon(SHRINK, b, gamma=0.0, L=1e300)
 
 
 @pytest.mark.parametrize("xi_value", [math.inf, math.nan])
 def test_choose_epsilon_unbounded_radius_fails_every_rung(xi_value):
-    # an infinite or NaN xi makes every rung's radius infinite or NaN; the
-    # four-corner test held the infinite square inside this axis-aligned hull
+    # an infinite or NaN xi makes every rung's radius infinite or NaN, which fails without a tube pass
     b = synthetic_budget(xi_value=xi_value)
-    with pytest.raises(NoFeasibleEpsilonError, match="the first rung .* fails the hull pre-check"):
-        choose_epsilon(b, gamma=0.0, L=0.0)
+    with pytest.raises(NoFeasibleEpsilonError, match="the first rung .* fails the tube pre-check"):
+        choose_epsilon(SHRINK, b, gamma=0.0, L=0.0)
 
 
-def test_choose_epsilon_hull_precheck_bites(linear_map):
+def test_choose_epsilon_tube_precheck_names_the_exit():
+    # xi = 1 doubles each square: at eps = 1 its corner (-2, -2) leaves the step-0 box, and eps = 1/2 fits
+    b = synthetic_budget(xi_value=1.0)
+    assert choose_epsilon(SHRINK, b, gamma=0.0, L=0.0) == 0.5
+    # a tube of radius 2^-50 at step 1 is below every rung's image: the first corner (-eps, -eps) exits there
+    b.sched = EpsilonSchedule(1.0, 2.0 ** -50)
+    with pytest.raises(NoFeasibleEpsilonError) as exc:
+        choose_epsilon(SHRINK, b, gamma=0.0, L=0.0)
+    assert str(exc.value) == (
+        "no feasible eps on the dyadic ladder eps0*2^-m, m <= 40 (gamma=0.000e+00, L=0.000e+00): the first rung "
+        "eps=1.000e+00 fails the tube pre-check (the point (-2, -2) of the square of half-width 2.000e+00 about z "
+        "exits at step 0), the last rung eps=9.095e-13 fails the tube pre-check (the point (-1.81899e-12, "
+        "-1.81899e-12) of the square of half-width 1.819e-12 about z exits at step 1)"
+    )
+
+
+def test_choose_epsilon_tests_the_whole_square():
+    # a singular line x = 1/4 crosses the squares of eps = 1, 1/2 and 1/4, on a grid column of each, but no
+    # corner of them: N^(k0) is not convex, and only eps = 1/8 keeps clear of it
+    m = dataclasses.replace(SHRINK, singular_guard=lambda x, y: abs(x - 0.25) - 1e-3)
+    assert choose_epsilon(m, synthetic_budget(), gamma=0.0, L=0.0) == 0.125
+
+
+def test_choose_epsilon_tube_precheck_bites(linear_map):
     # the tube pre-check rejects the first Gamma-feasible rung (the inflated
-    # square pokes out of the order-k0 sample hull in y) and keeps the next
+    # square pokes out of the tube in y by step k0 - 1) and keeps the next
     sched = EpsilonSchedule.constant(0.1)
     b = estimate_budget(linear_map, Point2(0, 0), sched, kmax=10, n=1000, seed=3)
     rep = check_condition_double_star(b, sched)
-    eps_checked = choose_epsilon(b, rep.gamma_required, 0.0)
+    eps_checked = choose_epsilon(linear_map, b, rep.gamma_required, 0.0)
     rungs = [0.1 * 2.0 ** -m for m in range(LADDER_DEPTH + 1)]
     eps_unchecked = next(eps for eps in rungs if eps * rep.gamma_required < 1.0)
     assert eps_unchecked == 0.05
     assert eps_checked == 0.025
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 20])
+def test_choose_epsilon_needs_no_draws(henon_map, n):
+    # the theorem-henon inputs at seed 2 choose eps = 0.0125 from 0, 1, 5 or 20 draws, as from 2000
+    sched = EpsilonSchedule.constant(0.05)
+    fp = eigen_split(henon_map, Point2(0.6, 0.2))
+    assert budget_to_epsilon(henon_map, fp.p, sched, 12, n, 2)[3] == 0.0125
+
+
+def test_choose_epsilon_square_past_the_domain_edge(linear_map):
+    # z sits on the box's left edge: half of every square lies outside the domain, and its points exit at step 1
+    m = dataclasses.replace(linear_map, box=(0.0, 1.0, -1.0, 1.0))
+    sched = EpsilonSchedule.constant(0.1)
+    b = estimate_budget(m, Point2(0, 0), sched, kmax=10, n=200, seed=2)
+    rep = check_condition_double_star(b, sched)
+    with pytest.raises(NoFeasibleEpsilonError) as exc:
+        choose_epsilon(m, b, rep.gamma_required, 0.0)
+    assert re.search(r"the last rung eps=9\.095e-14 fails the tube pre-check \(the point \(-\S+, -\S+\) of the "
+                     r"square of half-width \S+ about z exits at step 1\)$", str(exc.value)), str(exc.value)
 
 
 def test_choose_epsilon_linear_reverify(linear_map):
@@ -219,84 +260,10 @@ def test_choose_epsilon_linear_reverify(linear_map):
     rep = check_condition_double_star(b, sched)
     coc = build_orbit_cocycle(linear_map, Point2(0, 0), 10)
     L = direction_field_derivative(linear_map, coc, 10, 1e-4, budget=b)[0]
-    eps = choose_epsilon(b, rep.gamma_required, L)
+    eps = choose_epsilon(linear_map, b, rep.gamma_required, L)
     assert eps > 0.0
     assert eps * rep.gamma_required < 1.0
     assert math.exp(eps * L) < 2.0
-
-
-def test_hull_halfplanes_square():
-    pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.5), (0.5, 0.0), (1.0, 1.0)]
-    hp = convex_hull_halfplanes(pts)
-    assert hp.shape == (4, 3)  # the interior, edge and duplicate points add no edge
-    assert np.allclose(np.hypot(hp[:, 0], hp[:, 1]), 1.0)
-    for corner in pts[:4]:
-        assert np.max(hp[:, :2] @ corner + hp[:, 2]) == pytest.approx(0.0, abs=1e-15)
-    assert hull_contains(hp, [(0.5, 0.5), (0.0, 0.0), (1.0, 0.3)])
-    assert not hull_contains(hp, [(0.5, 0.5), (1.0 + 1e-9, 0.5)])
-
-
-@pytest.mark.parametrize("pts", [
-    [],
-    [(0.2, 0.3)],
-    [(0.2, 0.3)] * 4,
-    [(-1.0, -1.0), (1.0, 1.0)],
-    [(-1.0, -1.0), (0.0, 0.0), (1.0, 1.0), (0.5, 0.5), (0.0, 0.0)],
-    [(0.0, 2.0), (0.0, -1.0), (0.0, 0.5)],
-])
-def test_hull_without_interior_contains_no_square(pts):
-    hp = convex_hull_halfplanes(pts)
-    assert hp.shape == (0, 3)
-    assert not hull_contains(hp, [(0.0, 0.0), (1e-3, 1e-3), (0.0, 1e-3), (1e-3, 0.0)])
-    assert _support_radius(hp, (0.0, 0.0)) == -math.inf
-
-
-def test_support_radius_matches_four_corners():
-    # 10,000 random hulls of 3-12 points and z, at scales 1e-6 to 1e3; every
-    # third on an integer grid, so edges are often axis-aligned. z lies inside,
-    # as the centre of the sampled box does: at most 0.9 of the way from the
-    # centroid to a point. Each hull is asked about squares from none to
-    # twice r_max; rounding may move the verdict only within 1e-9 of r_max
-    rng = np.random.default_rng(7)
-    checked = 0
-    for i in range(10_000):
-        scale = 10.0 ** rng.uniform(-6.0, 3.0)
-        pts = rng.uniform(-1.0, 1.0, size=(rng.integers(3, 13), 2))
-        if i % 3 == 0:
-            pts = np.round(pts * 4.0)
-        pts *= scale
-        mid = pts.mean(axis=0)
-        z = mid + rng.uniform(0.0, 0.9) * (pts[rng.integers(len(pts))] - mid)
-        hp = convex_hull_halfplanes(pts)
-        r_max = _support_radius(hp, z)
-        if not len(hp):  # collinear grid points
-            assert r_max == -math.inf and not square_inside(hp, z, 0.0)
-            continue
-        assert r_max > 0.0
-        for d in rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-12.0, 0.0, 4):
-            r = r_max * (1.0 + d)
-            if abs(r - r_max) > 1e-9 * r_max:
-                assert (r <= r_max) == square_inside(hp, z, r), (pts, z, r, r_max)
-                checked += 1
-    assert checked > 20_000
-
-
-def test_choose_epsilon_collinear_sample_rejects_every_rung():
-    # a diagonal sample through z has a bounding box holding every rung's
-    # square, but no interior, so the pre-check must reject all of them
-    b = synthetic_budget(eps0=1.0)
-    b.samples = {b.k0: [Point2(-1.0, -1.0), Point2(0.5, 0.5), Point2(1.0, 1.0)]}
-    with pytest.raises(NoFeasibleEpsilonError):
-        choose_epsilon(b, gamma=0.0, L=0.0)
-
-
-def test_choose_epsilon_empty_k0_sample_rejects_every_rung():
-    # a budget whose order-k0 sample is empty has the hull of {z} alone
-    b = synthetic_budget(eps0=1.0)
-    assert choose_epsilon(b, gamma=0.0, L=0.0) == 1.0
-    b.samples = {b.k0: np.empty((0, 2)), b.k0 + 1: np.empty((0, 2))}
-    with pytest.raises(NoFeasibleEpsilonError, match="sample size 0"):
-        choose_epsilon(b, gamma=0.0, L=0.0)
 
 
 def test_integrate_leaf_linear_exact(linear_map):
@@ -430,7 +397,7 @@ def _linear_pipeline(linear_map, kmax=10, tol=1e-8, eta=0.1):
     rep = check_condition_double_star(b, sched)
     coc = build_orbit_cocycle(linear_map, z, kmax)
     L = direction_field_derivative(linear_map, coc, kmax, 1e-4, budget=b)[0]
-    eps = choose_epsilon(b, rep.gamma_required, L)
+    eps = choose_epsilon(linear_map, b, rep.gamma_required, L)
     conv = cauchy_iterate(linear_map, b, eps, tol, L=L)
     return b, sched, eps, conv
 
@@ -451,7 +418,7 @@ def test_cauchy_perturbed_gronwall(perturbed_map):
     rep = check_condition_double_star(b, sched)
     coc = build_orbit_cocycle(perturbed_map, z, kmax)
     L = direction_field_derivative(perturbed_map, coc, kmax, 1e-4, budget=b)[0]
-    eps = choose_epsilon(b, rep.gamma_required, L)
+    eps = choose_epsilon(perturbed_map, b, rep.gamma_required, L)
     conv = cauchy_iterate(perturbed_map, b, eps, 1e-6, L=L)
     assert np.all(conv.d_k <= conv.gronwall_bound * SAMPLE_SLACK)
     assert np.all(np.diff(conv.d_k) < 0.0)  # strictly decreasing here
@@ -466,7 +433,7 @@ def test_cauchy_henon_converges(henon_map):
     rep = check_condition_double_star(b, sched)
     coc = build_orbit_cocycle(henon_map, z, kmax)
     L = direction_field_derivative(henon_map, coc, kmax, 1e-4, budget=b)[0]
-    eps = choose_epsilon(b, rep.gamma_required, L)
+    eps = choose_epsilon(henon_map, b, rep.gamma_required, L)
     conv = cauchy_iterate(henon_map, b, eps, 1e-8, L=L)
     assert conv.converged
     assert np.all(np.diff(conv.d_k) < 0.0)
@@ -927,7 +894,7 @@ def test_truncated_limit_leaf_is_not_converged(linear_map):
     z, sched = Point2(0, 0), EpsilonSchedule.constant(0.1)
     m = strip_map(linear_map, 56 * 0.025 / 128 + 1e-4 / 3, 1e-4)
     b, _, L, eps = budget_to_epsilon(m, z, sched, 10, 500, 3)
-    assert eps == 0.025  # the strip stays inside the hull of the order-k0 sample
+    assert eps == 0.025  # the strip, 2e-4 wide, falls between two columns of the pre-check grid
     with pytest.raises(NotConvergedError) as exc:
         cauchy_iterate(m, b, eps, 1e-8, L=L)
     rep = exc.value.report

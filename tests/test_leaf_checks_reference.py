@@ -1,12 +1,11 @@
 """The array passes of the checks around the leaves against their scalar references.
 
-Each reference below is the per-order, per-lane or numpy-scalar loop that
-the package ran before it took one array pass, moved here with its
-arithmetic unchanged; the contraction reference steps one node at a time
-with eval_xy and measures one pair at a time with norm2. The package must
-agree with it bit for bit: the
-same tube verdicts, ratios, distances, exits and half-planes, and the same
-error type and message where a contraction node leaves the domain.
+Each reference below is the per-order or per-lane loop that the package
+ran before it took one array pass, moved here with its arithmetic
+unchanged; the contraction reference steps one node at a time with eval_xy
+and measures one pair at a time with norm2. The package must agree with it
+bit for bit: the same tube verdicts, ratios, distances and exits, and the
+same error type and message where a contraction node leaves the domain.
 """
 
 import dataclasses
@@ -17,7 +16,7 @@ import pytest
 
 from stableleaf import EpsilonSchedule, Point2, cauchy_iterate, contraction_check, eigen_split, make_map
 from stableleaf import uniqueness_probe
-from stableleaf.budget import estimate_budget, tube_exits
+from stableleaf.budget import tube_exits
 from stableleaf.cocycle import norm2
 from stableleaf.errors import DomainError, NonFiniteError, NotConvergedError
 from stableleaf.leaf import (
@@ -25,9 +24,7 @@ from stableleaf.leaf import (
     ContractionReport,
     LeafCurve,
     UniquenessReport,
-    _inside_octagon,
     budget_to_epsilon,
-    convex_hull_halfplanes,
     integrate_leaf,
 )
 from stableleaf.maps import MapModel
@@ -128,29 +125,6 @@ def ref_uniqueness_probe(m, b, leaf):
         on_leaf_exits=on_leaf_exits, width=np.array(width), ratio=np.array(ratio),
         outside_band=[j for j, q in enumerate(ratio) if not 0.25 <= q <= 2.0],
     )
-
-
-def ref_convex_hull_halfplanes(points) -> np.ndarray:
-    """convex_hull_halfplanes on the points as given, numpy scalars included."""
-    pts = sorted(set(map(tuple, points)))
-
-    def turns_left(o, a, p):
-        return (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) > 0.0
-
-    ring = []
-    for seq in (pts, pts[::-1]):
-        chain = []
-        for p in seq:
-            while len(chain) >= 2 and not turns_left(chain[-2], chain[-1], p):
-                chain.pop()
-            chain.append(p)
-        ring += chain[:-1]
-    if len(ring) < 3:
-        return np.empty((0, 3))
-    v = np.array(ring)
-    e = np.roll(v, -1, axis=0) - v
-    n = np.column_stack([e[:, 1], -e[:, 0]]) / np.hypot(e[:, 0], e[:, 1])[:, None]
-    return np.column_stack([n, -np.sum(n * v, axis=1)])
 
 
 def bits(a) -> bytes:
@@ -359,93 +333,3 @@ def test_uniqueness_on_a_one_node_leaf():
     got = uniqueness_probe(m, b, leaf)
     same_uniqueness(got, ref_uniqueness_probe(m, b, leaf))
     assert got.on_leaf_exits == 0 and got.width[0] == sched.radius(0)
-
-
-def henon_k0_samples():
-    m = make_map("henon", a=1.4, b=0.3)
-    sched = EpsilonSchedule.constant(0.05)
-    fp = eigen_split(m, Point2(0.6, 0.2))
-    for seed in range(1, 6):
-        b = estimate_budget(m, fp.p, sched, 12, n=2000, seed=seed)
-        yield list(b.samples[b.k0]) + [b.z]
-
-
-def point_sets():
-    rng = np.random.default_rng(11)
-    angles = rng.uniform(0.0, 2.0 * np.pi, 60)
-    line = np.linspace(-1.0, 2.0, 25)
-    yield from henon_k0_samples()
-    yield list(rng.normal(size=(200, 2)))                                   # random
-    yield list(np.column_stack([np.cos(angles), np.sin(angles)]))           # on a circle
-    yield list(np.column_stack([line, 0.5 * line - 0.25]))                  # collinear
-    dup = rng.uniform(-1.0, 1.0, size=(12, 2))
-    yield list(np.concatenate([dup, dup[::-1], dup[:3]]))                   # duplicates
-    yield [np.array([0.1, 0.2])] * 4                                        # one point, repeated
-
-
-def test_hull_of_numpy_rows_matches_floats_and_the_reference():
-    for pts in point_sets():
-        rows = [np.asarray(p, dtype=float) for p in pts]
-        assert isinstance(rows[0][0], np.float64)
-        floats = [tuple(float(v) for v in p) for p in pts]
-        want = ref_convex_hull_halfplanes(rows)
-        assert bits(convex_hull_halfplanes(rows)) == bits(want)
-        assert bits(convex_hull_halfplanes(floats)) == bits(want)
-        assert bits(convex_hull_halfplanes(np.array(floats))) == bits(want)
-
-
-def octagon_edge_set():
-    """A regular octagon's vertices, points within 3 ulps of its edges either side, and 40 well inside."""
-    angles = np.arange(8) * (np.pi / 4) + 0.1
-    v = np.column_stack([np.cos(angles), np.sin(angles)])
-    w = np.linspace(0.05, 0.95, 7)[:, None]
-    edge = np.concatenate([v[i] + w * (v[(i + 1) % 8] - v[i]) for i in range(8)])
-    out = [edge]
-    for steps in (1, 3):
-        for towards in (0.0, 10.0):  # toward the centre, and away from it
-            near = edge.copy()
-            for _ in range(steps):
-                near = np.nextafter(near, towards * np.sign(near))
-            out.append(near)
-    rng = np.random.default_rng(3)
-    inner = rng.uniform(-0.5, 0.5, size=(40, 2))
-    return np.concatenate([v] + out + [inner]), len(inner)
-
-
-def test_hull_prefilter_keeps_points_near_the_octagon_edges():
-    # only points well inside the octagon of extreme points are dropped; the ring is the chain's on all points
-    pts, n_inner = octagon_edge_set()
-    inside = _inside_octagon(pts)
-    assert np.count_nonzero(inside) == n_inner and np.all(inside[-n_inner:])
-    assert bits(convex_hull_halfplanes(pts)) == bits(ref_convex_hull_halfplanes(pts.tolist()))
-
-
-def test_hull_prefilter_drops_nothing_on_a_circle():
-    # every point is a hull vertex, and none lies inside the octagon of the 8 extreme ones
-    angles = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, 300)
-    pts = np.column_stack([np.cos(angles), np.sin(angles)])
-    assert not np.any(_inside_octagon(pts))
-    want = ref_convex_hull_halfplanes(pts.tolist())
-    assert len(want) == 300
-    assert bits(convex_hull_halfplanes(pts)) == bits(want)
-
-
-@pytest.mark.parametrize("corners", [
-    [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],              # each corner extreme in several directions
-    [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)],
-    [(0.0, 0.0), (2.0, 0.0)],                          # a segment: no interior, nothing dropped
-    [(0.5, 0.5)],
-], ids=["triangle", "square", "segment", "point"])
-def test_hull_prefilter_with_duplicated_extremes(corners):
-    # extremes that coincide leave zero-length octagon edges, which test nothing
-    corners = np.array(corners)
-    rng = np.random.default_rng(len(corners))
-    mix = rng.dirichlet(np.ones(len(corners)), size=30) * 0.9 + 0.1 / len(corners)
-    pts = np.concatenate([corners, corners, mix @ corners, corners[::-1]])
-    assert not np.any(_inside_octagon(np.repeat(corners, 3, axis=0)))  # each extreme point 3 times, nothing else
-    inside = _inside_octagon(pts)
-    if len(corners) >= 3:
-        assert np.all(inside[2 * len(corners):-len(corners)]) and not np.any(inside[:2 * len(corners)])
-    else:
-        assert not np.any(inside)
-    assert bits(convex_hull_halfplanes(pts)) == bits(ref_convex_hull_halfplanes(pts.tolist()))

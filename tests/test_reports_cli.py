@@ -212,6 +212,18 @@ def test_cli_rejects_a_non_finite_tol(tmp_path, capsys):
     assert not (tmp_path / "convergence.json").exists()
 
 
+def test_cli_samples_from_zero(tmp_path, capsys):
+    # with no draws the budget's maxima are z's orbit alone, and the theorem still runs; a negative count is refused
+    args = ["fixedpoint", "--map", "henon", "--a", "1.4", "--b", "0.3", "--z", "0.6,0.2", "--eps0", "0.05",
+            "--kmax", "12"]
+    assert run_command(args + ["--samples", "-1", "--out-dir", str(tmp_path / "neg")]) == 2
+    assert "samples must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "neg").exists()
+    assert run_command(args + ["--samples", "0", "--out-dir", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "fixedpoint.json").read_text())
+    assert rep["eps"] == 0.0125 and rep["converged"] is True
+
+
 def test_cli_rejects_a_step_below_the_cell_limit(tmp_path, capsys):
     # eps is 0.0125 here, so the grid spacing is 0.0125 / 128; the limit leaf
     # takes twice the steps of the Cauchy step h, so h gets half the limit
@@ -250,7 +262,7 @@ def run_python(*argv, **kwargs):
 def test_cli_degenerate_leaf_exits_numerical(tmp_path, capsys, monkeypatch):
     # eps = 1e300 truncates every leaf to its centre node: no leaf arc is
     # compared, so the run is not converged and exits 3 without a traceback.
-    # The hull pre-check lets no such rung through, so eps is set here.
+    # No rung of the ladder, which starts at eps0, is that large, so eps is set here.
     monkeypatch.setattr(leaf_mod, "choose_epsilon", lambda *args: 1e300)
     assert run_command(["converge", *LINEAR_SADDLE, "--out-dir", str(tmp_path)]) == 3
     err = capsys.readouterr().err
@@ -450,12 +462,12 @@ LINEAR_SADDLE = ["--map", "linear", "--lambda-s", "0.5", "--lambda-u", "2"]
     (["converge", "--map", "perturbed", "--lambda-s", "0.5", "--lambda-u", "2", "--c", "0.05",
       "--samples", "50", "--seed", "1", "--tol", "1e-300"], "cauchy-iterate"),
     (["leaf", "--map", "linear", "--lambda-s", "1", "--lambda-u", "1"], "direction-derivative"),
-    (["leaf", *LINEAR_SADDLE, "--samples", "1"], "choose-epsilon"),
+    (["leaf", *LINEAR_SADDLE, "--eps0", "1e300"], "choose-epsilon"),
     (["budget", *LINEAR_SADDLE, "--z", "100,100"], "budget"),
     (["fixedpoint", "--map", "linear", "--lambda-s", "0.5", "--lambda-u", "0.8"], "eigen-split"),
     (["fixedpoint", "--map", "perturbed", "--lambda-s", "0.5", "--lambda-u", "2", "--c", "0.05",
       "--samples", "50", "--seed", "1", "--tol", "1e-300"], "cauchy-iterate"),
-    # no draw lies in the box of radius 1e300: the empty order-k0 sample rejects every rung
+    # every rung's square that eps*gamma < 1 lets through leaves the domain box at step 1
     (["converge", *LINEAR_SADDLE, "--eps0", "1e300"], "choose-epsilon"),
 ])
 def test_cli_failures_name_their_stage(tmp_path, capsys, argv, stage):
@@ -484,26 +496,29 @@ def test_cli_epsilon_ladder_with_huge_eps_l(tmp_path, capsys):
     assert "the first rung eps=1.000e+300 fails exp(eps*L) < 2" in err
 
 
-def test_cli_no_feasible_eps_names_the_blocking_constraints(tmp_path, capsys):
-    # one sample and z span a segment, whose hull contains no square: the
-    # hull pre-check rejects every rung that eps*gamma < 1 lets through
-    assert run_command(["leaf", *LINEAR_SADDLE, "--samples", "1", "--out-dir", str(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert "[stage: choose-epsilon]: no feasible eps" in err
-    assert "the first rung eps=1.000e-01 fails eps*gamma < 1" in err
-    assert "the last rung eps=9.095e-14 fails the hull pre-check (order-2 sample size 1)" in err
+def test_cli_tube_precheck_names_the_exiting_point(tmp_path, capsys):
+    # eps0 = 1e300: the rungs that eps*gamma < 1 lets through have squares of half-width 1e288 or more,
+    # whose corner leaves the domain box at step 1
+    assert run_command(["converge", *LINEAR_SADDLE, "--eps0", "1e300", "--out-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure [stage: choose-epsilon]: no feasible eps on the dyadic ladder eps0*2^-m, m <= 40 "
+        "(gamma=1.917e-300, L=0.000e+00): the first rung eps=1.000e+300 fails eps*gamma < 1, the last rung "
+        "eps=9.095e+287 fails the tube pre-check (the point (-9.70128e+287, -9.70128e+287) of the square of "
+        "half-width 9.701e+287 about z exits at step 1)\n"
+    )
+    assert os.listdir(tmp_path) == []
 
 
-def test_cli_empty_k0_sample_rejects_every_rung(tmp_path, capsys):
-    # no draw of seed 2 reaches k0 = 2: the hull of {z} has no interior, so
-    # the pre-check rejects every rung, as it does for seed 3's one-point sample
+def test_cli_one_sample_chooses_eps(tmp_path):
+    # the tube pre-check reads no draws: a run with one draw, or with none that reaches k0 = 2
+    # (perturbed, seed 2), chooses eps and converges
+    assert run_command(["leaf", *LINEAR_SADDLE, "--samples", "1", "--out-dir", str(tmp_path / "leaf")]) == 0
     argv = ["converge", "--map", "perturbed", "--lambda-s", "0.5", "--lambda-u", "2", "--c", "0.05",
             "--eps0", "0.05", "--kmax", "8", "--samples", "1"]
-    for seed, size in (("2", 0), ("3", 1)):
-        assert run_command(argv + ["--seed", seed, "--out-dir", str(tmp_path / seed)]) == 3
-        err = capsys.readouterr().err
-        assert f"fails the hull pre-check (order-2 sample size {size})" in err, err
-        assert "Traceback" not in err
+    for seed in ("2", "3"):
+        assert run_command(argv + ["--seed", seed, "--out-dir", str(tmp_path / seed)]) == 0
+        conv = json.loads((tmp_path / seed / "convergence.json").read_text())
+        assert conv["eps_chosen"] == 0.0125 and conv["converged"] is True
 
 
 def test_cli_config_unknown_key(tmp_path, capsys):
