@@ -160,19 +160,17 @@ def fold_max(top: float, v, where=True) -> float:
 class SweepOrder(NamedTuple):
     """The lanes of one block, or of one chunk of the pool, that lie in N^(k), and what they give the budget at order k.
 
-    draw is each lane's index in the draw sequence, -1 for the centre z, and
-    (x, y) its point. values lists (budget field, index, array over the
-    lanes), which estimate_budget folds as one stack: P, Q and Pt at index k
-    (and at 0 when k = 1), and H, E, F and delta = d1 + d2 at k. d1 and d2
-    are the distortion bounds at order k, and tails (k, lanes) holds in row j
-    the norm F_{j,k} of Dphi_{k-1} ... Dphi_{j+1}, from the products of
-    _Lanes and the step norm they carry; row k - 1, the empty product, is 1.
+    draw is each lane's index in the draw sequence, -1 for the centre z.
+    values lists (budget field, index, array over the lanes), which
+    estimate_budget folds as one stack: P, Q and Pt at index k (and at 0
+    when k = 1), and H, E, F and delta = d1 + d2 at k. d1 and d2 are the
+    distortion bounds at order k, and tails (k, lanes) holds in row j the
+    norm F_{j,k} of Dphi_{k-1} ... Dphi_{j+1}, from the products of _Lanes
+    and the step norm they carry; row k - 1, the empty product, is 1.
     """
 
     k: int
     draw: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
     values: list
     d1: np.ndarray
     d2: np.ndarray
@@ -207,17 +205,16 @@ def _delta_lanes(tails: np.ndarray, F: np.ndarray, Pt: np.ndarray, s2: np.ndarra
 class _Lanes(NamedTuple):
     """The live lanes of a sweep after order k, with what order k + 1 reads of them.
 
-    draw, px and py are each lane's draw number and point; (x, y) is its
-    iterate k, step its Dphi_k, and E <= P step's singular values. R (4, k,
-    lanes) holds in row r the product Dphi_{k-1} (... (Dphi_{r+1} Dphi_r)):
-    row 0 is Dphi^k, row j + 1 the tail whose norm is F_{j,k}. F and Pt (k+1,
-    lanes) stack F_j and Pt_j for j = 0..k, and s2 is the running sum of
-    _delta_lanes for order k + 1. Every field ends in the lane axis.
+    draw is each lane's draw number, (x, y) its iterate k, step its Dphi_k,
+    and E <= P step's singular values: at k = 0, P is P_0 and 1 / E is Q_0.
+    R (4, k, lanes) holds in row r the product Dphi_{k-1} (... (Dphi_{r+1}
+    Dphi_r)): row 0 is Dphi^k, row j + 1 the tail whose norm is F_{j,k}. F
+    and Pt (k+1, lanes) stack F_j and Pt_j for j = 0..k, and s2 is the
+    running sum of _delta_lanes for order k + 1. Every field ends in the
+    lane axis, and order k + 1 reads every one.
     """
 
     draw: np.ndarray
-    px: np.ndarray
-    py: np.ndarray
     x: np.ndarray
     y: np.ndarray
     step: np.ndarray
@@ -230,28 +227,27 @@ class _Lanes(NamedTuple):
 
 
 def _draw_lanes(m: MapModel, ref: list[Point2], sched: EpsilonSchedule, start: int, xs: np.ndarray, ys: np.ndarray):
-    """The draws (xs, ys), numbered from start, as the lanes of order 0, and P_0 and Q_0 for order 1."""
+    """The draws (xs, ys), numbered from start, that pass the box and have a valid point: the lanes of order 0."""
     with np.errstate(all="ignore"):
         lane = _in_tube(0, xs, ys, ref, sched).nonzero()[0]  # only rounding can fail the box
         at, pd = _point_data(m, xs[lane], ys[lane])
         s2 = pd["Ddt"] / pd["Dd"]  # at order 1 the j = 0 term, F_0 = 1
     lane = lane[at]
-    x, y = xs[lane], ys[lane]
-    lanes = _Lanes(start + lane, x, y, x, y, pd["S"], pd["E"], pd["P"], np.empty((4, 0, len(lane))),
-                   np.ones((1, len(lane))), pd["Pt"][None], s2)
-    return lanes, (pd["P"], pd["Q"])
+    return _Lanes(start + lane, xs[lane], ys[lane], pd["S"], pd["E"], pd["P"], np.empty((4, 0, len(lane))),
+                  np.ones((1, len(lane))), pd["Pt"][None], s2)
 
 
 def _sweep_order(
-    m: MapModel, ref: list[Point2], sched: EpsilonSchedule, k: int, s: _Lanes, pq0=None
+    m: MapModel, ref: list[Point2], sched: EpsilonSchedule, k: int, s: _Lanes
 ) -> Optional[tuple[_Lanes, SweepOrder]]:
     """Order k of sample_sweep for the lanes s of order k - 1: the lanes left and their SweepOrder, or None if none is.
 
-    pq0 holds the lanes' P_0 and Q_0 at k = 1. Each check runs once per lane:
-    the tube at iterate k - 1, then the image and Dphi^k, then the point pass
-    at iterate k on the lanes that passed them. R's last row is the step,
-    whose E and F the lanes carry; at k >= 2 one mul_lanes call makes its
-    other rows and one singular_values_lanes call on them gives the rest.
+    Each check runs once per lane: the tube at iterate k - 1, then the image
+    and Dphi^k, then the point pass at iterate k on the lanes that passed
+    them. R's last row is the step, whose E and F the lanes carry; at k >= 2
+    one mul_lanes call makes its other rows and one singular_values_lanes
+    call on them gives the rest. At k = 1, Dphi^1 is the step, so its F and
+    1 / E are also P_0 and Q_0, which order 0 reads.
     """
     with np.errstate(all="ignore"):
         # lanes alive here have level >= k - 1; keep those whose iterate k - 1 is in the tube
@@ -278,11 +274,11 @@ def _sweep_order(
         values = [("p", k, nd["P"]), ("q", k, nd["Q"]), ("pt", k, Pt[k]),
                   ("gamma", k, e / f), ("gamma_star", k, e), ("fmax", k, f), ("delta", k, d1 + d2)]
         if k == 1:
-            values += [("p", 0, pq0[0][keep]), ("q", 0, pq0[1][keep]), ("pt", 0, Pt[0])]
+            values += [("p", 0, f), ("q", 0, 1.0 / e), ("pt", 0, Pt[0])]  # Dphi^1 is the step
         s2 += nd["Ddt"] / nd["Dd"] * f  # the term j = k, for order k + 1
-    draw, px, py = s.draw[keep], s.px[keep], s.py[keep]
-    lanes = _Lanes(draw, px, py, nx[at], ny[at], nd["S"], nd["E"], nd["P"], R.take(at, axis=2), F, Pt, s2)
-    return lanes, SweepOrder(k, draw, px, py, values, d1, d2, tails)
+    draw = s.draw[keep]
+    lanes = _Lanes(draw, nx[at], ny[at], nd["S"], nd["E"], nd["P"], R.take(at, axis=2), F, Pt, s2)
+    return lanes, SweepOrder(k, draw, values, d1, d2, tails)
 
 
 def _pool(parts: list[_Lanes]) -> list[_Lanes]:
@@ -298,15 +294,18 @@ def sample_sweep(
 ) -> Iterator[SweepOrder]:
     """z and the n box draws around it, with their budget values, as arrays, order by order.
 
-    centre is the cocycle at z to order kmax; z, kmax and the tube's
-    reference orbit are its z0, kmax and orbit. A draw's tube level is the
-    order of the deepest neighborhood it lies in. Its level is the largest
-    level <= its tube level at which build_orbit_cocycle(m, draw, level)
-    succeeds, 0 if there is none. That success is monotone in the level, so
-    whether a draw has level >= k is known at step k, and the SweepOrder of
-    order k holds exactly the draws of level >= k of its block or chunk, in
-    draw order. z itself is lane 0 of the first block, numbered draw -1, so
-    n = 0 still sweeps it; since its cocycle was built, it reaches kmax.
+    A generator: each SweepOrder is yielded as soon as it is made. centre
+    is the cocycle at z to order kmax; z, kmax and the tube's reference
+    orbit are its z0, kmax and orbit. A draw is known by its number, its
+    index in the box-draw sequence; no lane keeps its point. A draw's tube
+    level is the order of the deepest neighborhood it lies in. Its level is
+    the largest level <= its tube level at which build_orbit_cocycle(m,
+    draw, level) succeeds, 0 if there is none. That success is monotone in
+    the level, so whether a draw has level >= k is known at step k, and the
+    SweepOrder of order k holds exactly the draws of level >= k of its
+    block or chunk, in draw order. z itself is lane 0 of the first block,
+    numbered draw -1, so n = 0 still sweeps it; since its cocycle was
+    built, it reaches kmax.
 
     The draws come in blocks of SAMPLE_BLOCK, each swept depth first to an
     order k*: the first order at which the first block's live lanes, times
@@ -321,35 +320,31 @@ def sample_sweep(
     (cx, cy), r0 = centre.orbit[0], sched.radius(0)
     ref, kmax = centre.orbit, centre.kmax
     starts = range(0, max(n, 1), SAMPLE_BLOCK)
-
-    def sweep():
-        deep, parked = kmax, []  # deep is k*, which the first block sets
-        for start in starts:
-            xs, ys = rng.points_in_box(cx, cy, r0, min(SAMPLE_BLOCK, n - start))
-            if start == 0:  # z is lane 0 of the first block, draw -1
-                xs, ys, start = np.insert(xs, 0, cx), np.insert(ys, 0, cy), -1
-            lanes, pq0 = _draw_lanes(m, ref, sched, start, xs, ys)
-            for k in range(1, deep + 1):
-                step = _sweep_order(m, ref, sched, k, lanes, pq0)
-                if step is None:
-                    lanes = None
-                    break
-                lanes, order = step
-                yield order
-                if start < 0 and len(lanes.draw) * len(starts) <= SAMPLE_BLOCK:
-                    deep = k
-                    break
-            if lanes is not None and deep < kmax:
-                parked.append(lanes)
-        for k in range(deep + 1, kmax + 1):
-            chunks, parked = _pool(parked), []
-            for lanes in chunks:
-                step = _sweep_order(m, ref, sched, k, lanes)
-                if step is not None:
-                    parked.append(step[0])
-                    yield step[1]
-
-    return sweep()
+    deep, parked = kmax, []  # deep is k*, which the first block sets
+    for start in starts:
+        xs, ys = rng.points_in_box(cx, cy, r0, min(SAMPLE_BLOCK, n - start))
+        if start == 0:  # z is lane 0 of the first block, draw -1
+            xs, ys, start = np.insert(xs, 0, cx), np.insert(ys, 0, cy), -1
+        lanes = _draw_lanes(m, ref, sched, start, xs, ys)
+        for k in range(1, deep + 1):
+            step = _sweep_order(m, ref, sched, k, lanes)
+            if step is None:
+                lanes = None
+                break
+            lanes, order = step
+            yield order
+            if start < 0 and len(lanes.draw) * len(starts) <= SAMPLE_BLOCK:
+                deep = k
+                break
+        if lanes is not None and deep < kmax:
+            parked.append(lanes)
+    for k in range(deep + 1, kmax + 1):
+        chunks, parked = _pool(parked), []
+        for lanes in chunks:
+            step = _sweep_order(m, ref, sched, k, lanes)
+            if step is not None:
+                parked.append(step[0])
+                yield step[1]
 
 
 def estimate_budget(
@@ -387,21 +382,14 @@ def estimate_budget(
         # one fold per order: fmax skips NaN, so NaN never wins, as in fold_max
         at = tuple(zip(*((row[name], i) for name, i, _ in order.values)))
         top[at] = np.fmax(top[at], np.fmax.reduce(np.array([v for _, _, v in order.values]), axis=1))
-    p, q, pt, gamma, gamma_star, delta, fmax = top
+    # the tail reads each maximum once, as Python floats, which run the same IEEE operations
+    p, q, pt, gamma, gamma_star, delta, fmax = top.tolist()
 
-    terms = np.full(kmax, math.inf)
-    xi = np.full(kmax, math.inf)
-    for k in range(kmax):
-        t = series_term(p[k], q[k], gamma[k + 1])
-        terms[k] = t
-        if t < 1.0:
-            xi[k] = t / (1.0 - t)
+    terms = [series_term(p[k], q[k], gamma[k + 1]) for k in range(kmax)]
+    xi = [t / (1.0 - t) if t < 1.0 else math.inf for t in terms]
 
     # k0: first j with p_k q_k gamma_{k+1} < 1/2 for every computed k >= j-1
-    last_bad = -1
-    for k in range(kmax):
-        if not terms[k] < 0.5:
-            last_bad = k
+    last_bad = max((k for k, t in enumerate(terms) if not t < 0.5), default=-1)
     k0 = None if last_bad == kmax - 1 else last_bad + 2
 
     tail = 0.0
@@ -411,24 +399,23 @@ def estimate_budget(
         tail += terms[k]
         tails[k] = tail
     with np.errstate(over="ignore"):  # +inf where it overflows, as the series terms are
-        gamma_tilde = gamma_star + 2.0 * fmax * tails
+        gamma_tilde = top[row["gamma_star"]] + 2.0 * top[row["fmax"]] * tails
 
-    star_terms = np.zeros(kmax)
+    star_terms = []
     for k in range(kmax):
         pq = series_term(p[k], q[k])
-        star_terms[k] = (
+        star_terms.append(
             terms[k]
             + series_term(pt[k], (q[k], 5), (p[k], 3), gamma_star[k + 1])
             + series_term((pq, 5), delta[k])
             + series_term((pq, 2), delta[k + 1])
         )
-    star_partial_sums = np.cumsum(star_terms[1:]) if kmax > 1 else np.zeros(0)
+    star_partial_sums = np.cumsum(star_terms[1:])  # kmax >= 2: never empty
 
     return HyperbolicityBudget(
-        z=Point2(*z), kmax=kmax, n=n, seed=seed, sched=sched,
-        p=p, q=q, pt=pt, gamma=gamma, gamma_star=gamma_star, delta=delta,
-        fmax=fmax, terms=terms, xi=xi, gamma_tilde=gamma_tilde,
-        star_terms=star_terms, star_partial_sums=star_partial_sums,
+        z=Point2(*z), kmax=kmax, n=n, seed=seed, sched=sched, **dict(zip(row, top)),
+        terms=np.array(terms), xi=np.array(xi), gamma_tilde=gamma_tilde,
+        star_terms=np.array(star_terms), star_partial_sums=star_partial_sums,
         k0=k0, cocycle=center, accepted_counts=counts,
     )
 

@@ -69,12 +69,12 @@ def norm2_lanes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     A lane whose norm is outside (2^-499, 2^499), or NaN, and whose x or y
     is nonzero, is computed by norm2. Every other lane has max(|x|, |y|) in
-    (2^-500, 2^500) or is 0, where norm2 squares unscaled.
+    (2^-500, 2^500) or is 0, where norm2 squares unscaled. Call it inside
+    np.errstate, as every lane helper.
     """
-    with np.errstate(all="ignore"):
-        out = x * x
-        out += y * y
-        np.sqrt(out, out=out)
+    out = x * x
+    out += y * y
+    np.sqrt(out, out=out)
     odd = ~((out > 2.0 * _NORM2_MIN) & (out < 0.5 * _NORM2_MAX))
     if odd.any():
         odd &= (x != 0.0) | (y != 0.0)

@@ -97,7 +97,7 @@ def eigen_split(m: MapModel, guess: Point2) -> FixedPointData:
                 damp *= 0.5
                 continue
             nres = math.hypot(gx - nx, gy - ny)
-            if nres < res or res <= NEWTON_TOL:
+            if nres < res:
                 x, y, fx, fy, res = nx, ny, gx, gy, nres
                 break
             damp *= 0.5

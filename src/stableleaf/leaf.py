@@ -513,7 +513,9 @@ def contraction_check(
     round-off injected along the orbit amplifies in the expanded direction and
     floors the ratios of narrowly separated pairs first. The nodes step
     together as lanes; at the first step where one fails, eval_xy raises on
-    the first failing node.
+    the first failing node. The stepping and the distances run in one
+    np.errstate: a difference or a square past the float range is +inf and
+    inf / inf is NaN, as in Python floats, with no warning.
     """
     if not 0 <= n <= b.kmax:
         raise BadParamsError(f"n={n} is outside the budget range 0..kmax={b.kmax}")
@@ -523,21 +525,21 @@ def contraction_check(
     nodes = [*range(0, npts - 1, NODE_STRIDE), npts - 1]
     x, y = leaf.xs[nodes], leaf.ys[nodes]
     xs, ys = [x], [y]
-    for _ in range(n):
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n):
             x, y, ok = m.eval_lanes(x, y)
-        if not ok.all():
-            at = int(np.argmin(ok))
-            failure = (float(xs[-1][at]), float(ys[-1][at]))
-            m.eval_xy(*failure)  # raises
-            raise NonFiniteError(f"map '{m.name}' failed on arrays but not on floats at {failure}")
-        xs.append(x)
-        ys.append(y)
-    i, j = np.triu_indices(len(nodes), 1)
-    xs, ys = np.array(xs), np.array(ys)
-    dist = norm2_lanes((xs[:, i] - xs[:, j]).ravel(), (ys[:, i] - ys[:, j]).ravel()).reshape(n + 1, -1)
-    live = dist[0] != 0.0
-    ratio = dist[:, live] / dist[0, live]
+            if not ok.all():
+                at = int(np.argmin(ok))
+                failure = (float(xs[-1][at]), float(ys[-1][at]))
+                m.eval_xy(*failure)  # raises
+                raise NonFiniteError(f"map '{m.name}' failed on arrays but not on floats at {failure}")
+            xs.append(x)
+            ys.append(y)
+        i, j = np.triu_indices(len(nodes), 1)
+        xs, ys = np.array(xs), np.array(ys)
+        dist = norm2_lanes((xs[:, i] - xs[:, j]).ravel(), (ys[:, i] - ys[:, j]).ravel()).reshape(n + 1, -1)
+        live = dist[0] != 0.0
+        ratio = dist[:, live] / dist[0, live]
     max_ratio = np.max(ratio, axis=1, initial=0.0)
     widest_ratio = ratio[:, np.argmax(dist[0, live])] if ratio.size else np.zeros(n + 1)
     gt = b.gamma_tilde[: n + 1].copy()

@@ -119,20 +119,27 @@ def test_sweep_order_makes_one_product_and_one_norm_call(name, block, monkeypatc
         real = getattr(budget_mod, fn)
         monkeypatch.setattr(budget_mod, fn, lambda *a, fn=fn, real=real: calls.append(fn) or real(*a))
     passes = []  # (k, pooled, the calls the pass made)
-    real_pass = budget_mod._sweep_order
+    chunks = []  # every chunk _pool returned: the lanes of the pooled phase
+    real_pass, real_pool = budget_mod._sweep_order, budget_mod._pool
 
-    def counted(m, ref, sched, k, s, pq0=None):
+    def counted(m, ref, sched, k, s):
         start = len(calls)
-        out = real_pass(m, ref, sched, k, s, pq0)
-        passes.append((k, pq0 is None, sorted(calls[start:])))
+        out = real_pass(m, ref, sched, k, s)
+        passes.append((k, any(s is c for c in chunks), sorted(calls[start:])))
+        return out
+
+    def pool(parts):
+        out = real_pool(parts)
+        chunks.extend(out)
         return out
 
     monkeypatch.setattr(budget_mod, "_sweep_order", counted)
+    monkeypatch.setattr(budget_mod, "_pool", pool)
     m, z, sched, kmax, n, seed = array_case(name)
     estimate_budget(m, z, sched, kmax, n=n, seed=seed)
     assert all(made == ([] if k == 1 else ["mul_lanes", "singular_values_lanes"]) for k, _, made in passes)
     assert len(calls) == 2 * sum(k > 1 for k, _, _ in passes)
-    # the block phase passes P_0 and Q_0 along at every order, the pooled phase never
+    # the block phase sweeps orders 1..k*, the pooled phase, on _pool's chunks, every order past k*
     block_ks = {k for k, pooled, _ in passes if not pooled}
     pooled_ks = {k for k, pooled, _ in passes if pooled}
     deep = max(block_ks)

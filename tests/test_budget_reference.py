@@ -15,8 +15,9 @@ failing draw to its largest valid level, and the growth check rebuilt every
 sampled draw's cocycle at its tube level and skipped a draw whose build
 failed. Every field is compared bit for bit (``float.hex``). The reference
 also returns its ``samples[k]``, a list of Point2 of the draws of level >= k,
-which compares equal to the (count, 2) array of the sweep's order-k lanes
-(``sweep_samples``). The documented differences are asserted as such:
+which compares equal to the (count, 2) array of the points of the sweep's
+order-k lanes, looked up by their draw numbers (``sweep_samples``). The
+documented differences are asserted as such:
 
 - a non-finite second derivative now demotes a draw, where it aborted the
   budget; the result equals the old budget of the same map with the region
@@ -411,8 +412,10 @@ CASES = {
     "henon-negative-b": (lambda: make_map("henon", a=1.4, b=-0.3), HENON_GUESS, None, 0.05, 8, 300, 1),
     "perturbed-two-blocks": (lambda: make_map("perturbed", lambda_s=0.5, lambda_u=2.0, c=0.05),
                              Point2(0.01, 0.0), 0.02, 0.05, 6, budget_mod.SAMPLE_BLOCK + 3, 4),
+    # z alone: the sweep's first block is the one lane of draw -1
+    "no-draws": (lambda: make_map("henon", a=1.4, b=0.3), HENON_GUESS, None, 0.05, 8, 0, 5),
 }
-GROWTH_CASES = ["linear", "perturbed", "henon", "guard-strip", "henon-negative-b", "perturbed-two-blocks"]
+GROWTH_CASES = ["linear", "perturbed", "henon", "guard-strip", "henon-negative-b", "perturbed-two-blocks", "no-draws"]
 
 
 # budget-only inputs, name: (map factory, z, eta, kmax, n, seed)
@@ -456,11 +459,17 @@ def bits(v):
     return v
 
 
+def draw_points(z: Point2, sched: EpsilonSchedule, n: int, seed: int) -> np.ndarray:
+    """The (n + 1, 2) points of the box draws by draw number, z last, so row -1 is draw -1."""
+    return np.array([*_box_draws(z, sched.radius(0), n, seed), (float(z[0]), float(z[1]))])
+
+
 def sweep_samples(m: MapModel, z: Point2, sched: EpsilonSchedule, kmax: int, n: int, seed: int) -> dict:
-    """The draws of level >= k by k, in sweep order, from the lanes of sample_sweep's SweepOrders; z, draw -1, left out."""
+    """The draws of level >= k by k, in sweep order, from the draw numbers of sample_sweep's SweepOrders; z, draw -1, left out."""
     parts = {k: [] for k in range(1, kmax + 1)}
+    points = draw_points(z, sched, n, seed)
     for o in budget_mod.sample_sweep(m, build_orbit_cocycle(m, z, kmax), sched, n, seed):
-        parts[o.k].append(np.column_stack([o.x, o.y])[o.draw >= 0])
+        parts[o.k].append(points[o.draw[o.draw >= 0]])
     return {k: np.concatenate(p) if p else np.empty((0, 2)) for k, p in parts.items()}
 
 
@@ -484,6 +493,8 @@ def test_budget_matches_reference(name):
     if name == "box-limited":
         # the budget demoted draws before this change too
         assert new.accepted_counts[1] < n and new.accepted_counts[kmax] > 0
+    if name == "no-draws":
+        assert new.accepted_counts == {k: 0 for k in range(1, kmax + 1)}
 
 
 def array_case(name):
@@ -561,6 +572,7 @@ def test_sweep_lanes_match_reference(name, block, monkeypatch):
         monkeypatch.setattr(budget_mod, "SAMPLE_BLOCK", block)
     m, z, sched, kmax, n, seed = array_case(name)
     lanes = {}  # draw: (point, {k: values at order k})
+    points = draw_points(z, sched, n, seed)
     deferred = set()  # orders whose two-step tail norms straddle 2^-510 (for "tail-deferred": s straddles 2^-1020)
     for o in budget_mod.sample_sweep(m, build_orbit_cocycle(m, z, kmax), sched, n, seed):
         assert o.tails.shape == (o.k, len(o.draw))
@@ -570,7 +582,7 @@ def test_sweep_lanes_match_reference(name, block, monkeypatch):
             got = {(f, j): v[i] for f, j, v in o.values}
             got["d1"], got["d2"] = o.d1[i], o.d2[i]
             got["tails"] = o.tails[:, i]
-            lanes.setdefault(draw, (Point2(o.x[i], o.y[i]), {}))[1][o.k] = got
+            lanes.setdefault(draw, (Point2(*points[draw]), {}))[1][o.k] = got
     assert lanes[-1][0] == z and sorted(lanes[-1][1]) == list(range(1, kmax + 1))
     assert bool(deferred) == (name == "tail-deferred")
     for point, orders in lanes.values():
@@ -614,14 +626,13 @@ def test_sweep_pools_the_deep_orders(name, block, monkeypatch):
     if block == 20:
         chunks = [o.k for o in pooled]
         assert chunks.count(deep + 1) == 2 and chunks.count(deep + 2) == 1
-    # the SweepOrders of each order come in draw order, and their points are the reference's samples[k]
+    # the SweepOrders of each order come in draw order, and their draws are the reference's samples[k]
     _, samples = ref_estimate_budget(m, z, sched, kmax, n=n, seed=seed)
+    points = draw_points(z, sched, n, seed)
     for k in range(1, kmax + 1):
-        at_k = [o for o in orders if o.k == k]
-        draws = np.concatenate([o.draw for o in at_k])
+        draws = np.concatenate([o.draw for o in orders if o.k == k])
         assert np.all(np.diff(draws) > 0)
-        points = np.concatenate([np.column_stack([o.x, o.y])[o.draw >= 0] for o in at_k])
-        assert bits(points) == bits(samples[k])
+        assert bits(points[draws[draws >= 0]]) == bits(samples[k])
 
 
 @pytest.mark.parametrize("name", ["linear", "henon"])
@@ -671,6 +682,8 @@ def test_growth_matches_reference(name, block, monkeypatch):
     assert (new.points_skipped > 0) == (name == "guard-strip")
     if name == "henon-negative-b":
         assert new.K_tail_product.hex() == "0x1.a2bb1d345e098p+0"
+    if name == "no-draws":
+        assert (new.points_used, new.points_skipped) == (1, 0)
 
 
 def _two_row_sweep(f, tails_at_3):
@@ -688,8 +701,7 @@ def _two_row_sweep(f, tails_at_3):
             draw_tails = tails_at_3 if k == 3 else [1.0] * k
             tails = np.array([[2.0 ** (k - j - 1), t] for j, t in enumerate(draw_tails)])
             values = [("gamma", k, e / fk), ("gamma_star", k, e), ("fmax", k, fk)]
-            yield budget_mod.SweepOrder(k, np.array([-1, 0]), np.zeros(2), np.zeros(2), values,
-                                        np.zeros(2), np.zeros(2), tails)
+            yield budget_mod.SweepOrder(k, np.array([-1, 0]), values, np.zeros(2), np.zeros(2), tails)
     return sweep
 
 

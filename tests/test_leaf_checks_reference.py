@@ -10,6 +10,7 @@ same error type and message where a contraction node leaves the domain.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,20 @@ def test_contraction_with_every_pair_coincident():
     got = contraction_check(m, leaf, b, 4)
     same_contraction(got, ref_contraction_check(m, leaf, b, 4))
     assert got.max_ratio.tolist() == [0.0] * 5
+
+
+@pytest.mark.parametrize("far", [1e200, 1e308])
+def test_contraction_of_far_nodes_warns_nothing(far):
+    # the pair (-far, 0), (far, 0) on a box of +-1.7e308: at 1e200 the distance's
+    # squares overflow, at 1e308 the difference itself does and the first ratio
+    # is inf / inf; the array pass takes them as Python floats do, with no warning
+    m, b, sched, conv = linear_stages()
+    m = dataclasses.replace(m, box=(-1.7e308, 1.7e308, -1.7e308, 1.7e308))
+    leaf = hand_leaf([-far, 0.0, far], [0.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = contraction_check(m, leaf, b, 2)
+    same_contraction(got, ref_contraction_check(m, leaf, b, 2))
 
 
 def raised(fn, *args):
