@@ -53,9 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--h", type=float, default=None,
                        help="RK4 step of the leaf command's leaf, default eps/16 (8 cells of the grid spacing "
-                            "eps/128), and of the Cauchy leaves of converge and fixedpoint, default eps/8, whose "
-                            "reported limit leaf runs at h/2; N = round(eps/h) steps a side, and dense output at "
-                            "every grid node")
+                            "eps/128), and of the order-kmax partner leaf of converge and fixedpoint, default "
+                            "eps/8, whose reported limit leaf runs at h/2 (their Cauchy leaves run at eps/2); "
+                            "N = round(eps/h) steps a side, and dense output at every grid node")
         p.add_argument("--out-dir", default=".")
         p.add_argument("--config", default=None, help="key=value file; keys map 1:1 to flags")
     return ap

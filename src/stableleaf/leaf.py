@@ -8,9 +8,9 @@ N = round(eps/h) steps a side (default h = eps/16, so N = 16 on the default
 field against the previous tangent; dense output places every grid node,
 from the cubic Hermite on the step ends' positions and tangents, or the step
 end itself where a node falls on one. Leaves of consecutive orders are
-compared at matched arclength on a shared grid. The Cauchy iteration
-integrates the last of them once more at half their step, reports that leaf
-as the limit leaf, and takes the largest deviation of the pair over all
+compared at matched arclength on a shared grid, all at eps/2. The Cauchy
+iteration traces the last order again at h and at h/2, reports the h/2 leaf
+as the limit leaf, and takes the largest deviation of that pair over all
 nodes, the Hermite ones included, as the integration error.
 
 budget_to_epsilon and iterate_to_contraction run the pipeline stages in
@@ -344,10 +344,10 @@ def choose_epsilon(m: MapModel, b: HyperbolicityBudget, gamma: float, L: float) 
 class ConvergenceReport:
     """Per-order leaf distances against the Gronwall envelope eps*xi_k*e^(L*eps).
 
-    d_k compares the Cauchy leaves, all at one step h. limit is the order-kmax
-    leaf at h/2, and integration_error is the step-doubling estimate: its
-    largest node deviation from the order-kmax leaf at h. That estimates the
-    Cauchy leaves' error and bounds the limit leaf's from above.
+    d_k compares the Cauchy leaves, all at eps/2. limit is the order-kmax leaf
+    at h/2, and integration_error is the step-doubling estimate: its largest
+    node deviation from the order-kmax partner leaf at h. That estimates the
+    partner's error and bounds the limit leaf's from above.
     """
 
     k0: int
@@ -404,12 +404,16 @@ def cauchy_iterate(
     converges when the last comparison distance and the integration error
     are both below tol and the limit leaf reaches eps on both sides; else
     NotConvergedError names each failed condition and carries the report.
-    The Cauchy leaves run at h, default 2 * eps / DEFAULT_STEP_DIV. The
-    limit leaf, the pair's more accurate leaf (local extrapolation; Hairer,
-    Norsett and Wanner, Solving ODEs I, sec. II.4), takes exactly twice their
-    N steps a side, so by default it is integrate_leaf's default leaf; it is
-    compared with the order-kmax leaf on every grid node, so the error of the
-    dense output counts in the integration error. An h that is not positive,
+    The Cauchy leaves run at eps/2, N = 2 steps a side: consecutive orders
+    carry nearly the same RK4 error, which cancels in d_k. A Cauchy leaf
+    steps over an obstacle narrower than its stage spacing, so only the limit
+    leaf's truncation counts. The step-doubling pair is the order-kmax
+    partner leaf at h, default 2 * eps / DEFAULT_STEP_DIV, and the limit
+    leaf, the pair's more accurate leaf (local extrapolation; Hairer, Norsett
+    and Wanner, Solving ODEs I, sec. II.4), at twice the partner's N steps a
+    side, by default integrate_leaf's default leaf; the pair is compared on
+    every grid node, so the error of the dense output counts in the
+    integration error. An h that is not positive,
     or that asks for more than MAX_STEPS_PER_CELL / 2 steps per grid cell,
     raises BadParamsError, since the limit leaf takes twice as many.
     """
@@ -428,7 +432,7 @@ def cauchy_iterate(
     if h is None:
         h = 2.0 * eps / DEFAULT_STEP_DIV
     _refuse_small_step(h, eps / ((DEFAULT_GRID - 1) // 2), MAX_STEPS_PER_CELL // 2)
-    leaves = {k: integrate_leaf(m, b.z, k, eps, h=h) for k in range(k0, kmax + 1)}
+    leaves = {k: integrate_leaf(m, b.z, k, eps, h=eps / 2) for k in range(k0, kmax + 1)}
 
     ks = list(range(k0, kmax))
     d_k = np.empty(len(ks))
@@ -455,10 +459,11 @@ def cauchy_iterate(
     per_order = np.split(exits, np.cumsum([len(a) for a in dxs[:-1]]))
     tube_ok = [not np.any((e >= 0) & (e <= k)) for k, e in zip(ks, per_order)]
 
-    # step doubling: the order-kmax leaf again at half the step is the limit leaf; a node of it
-    # that the h leaf does not reach has no error estimate, so the error is then +inf
-    limit = integrate_leaf(m, b.z, kmax, eps, h=leaves[kmax].h / 2)
-    dev, reached = _leaf_distance(leaves[kmax], limit)
+    # step doubling: the order-kmax partner leaf at h, and at half its step the limit leaf; a node
+    # of the limit leaf that the partner does not reach has no error estimate, so the error is then +inf
+    partner = integrate_leaf(m, b.z, kmax, eps, h=h)
+    limit = integrate_leaf(m, b.z, kmax, eps, h=partner.h / 2)
+    dev, reached = _leaf_distance(partner, limit)
     integration_error = dev if reached == len(limit.t) else math.inf
 
     failed = []
@@ -506,16 +511,16 @@ def contraction_check(
 
     The nodes are every NODE_STRIDE-th leaf node plus the last. For every pair
     (i < j) of them, in node order, the ratio |phi^n'(z_i) - phi^n'(z_j)| /
-    |z_i - z_j| is recorded for n' = 0..n, with distances from norm2_lanes;
-    pairs of coincident nodes are skipped. C_fit is the max over
-    n' >= max(k0, 1) of max_ratio / gamma_tilde. The widest pair's ratio
-    sequence (the first of a tie) is kept separately: rate fits use it because
-    round-off injected along the orbit amplifies in the expanded direction and
-    floors the ratios of narrowly separated pairs first. The nodes step
-    together as lanes; at the first step where one fails, eval_xy raises on
-    the first failing node. The stepping and the distances run in one
-    np.errstate: a difference or a square past the float range is +inf and
-    inf / inf is NaN, as in Python floats, with no warning.
+    |z_i - z_j| is recorded for n' = 0..n, with distances from norm2_lanes; pairs
+    of coincident nodes, or of nodes whose distance is past the float range, are
+    skipped. C_fit is the max over n' >= max(k0, 1) of max_ratio / gamma_tilde.
+    The widest pair's ratio sequence (the first of a tie) is kept separately:
+    rate fits use it because round-off injected along the orbit amplifies in the
+    expanded direction and floors the ratios of narrowly separated pairs first.
+    The nodes step together as lanes; at the first step where one fails, eval_xy
+    raises on the first failing node. The stepping and the distances run in one
+    np.errstate: a difference or a square past the float range is +inf, as in
+    Python floats, with no warning.
     """
     if not 0 <= n <= b.kmax:
         raise BadParamsError(f"n={n} is outside the budget range 0..kmax={b.kmax}")
@@ -538,7 +543,7 @@ def contraction_check(
         i, j = np.triu_indices(len(nodes), 1)
         xs, ys = np.array(xs), np.array(ys)
         dist = norm2_lanes((xs[:, i] - xs[:, j]).ravel(), (ys[:, i] - ys[:, j]).ravel()).reshape(n + 1, -1)
-        live = dist[0] != 0.0
+        live = (dist[0] != 0.0) & np.isfinite(dist[0])
         ratio = dist[:, live] / dist[0, live]
     max_ratio = np.max(ratio, axis=1, initial=0.0)
     widest_ratio = ratio[:, np.argmax(dist[0, live])] if ratio.size else np.zeros(n + 1)

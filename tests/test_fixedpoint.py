@@ -211,10 +211,10 @@ def test_theorem_henon(henon_map):
 
 
 def test_theorem_henon_field_calls(henon_map, monkeypatch):
-    # the benchmark's theorem-henon op at seed 2: 11 Cauchy leaves of 8 RK4
-    # steps a side (4 field calls a step, one at z) and the limit leaf at half
-    # their step, 11 * 65 + 129 = 844 calls in 12 leaves; with every Cauchy
-    # leaf at the limit leaf's step it took 1,676, and at one step per cell 13,348
+    # the benchmark's theorem-henon op at seed 2: 11 Cauchy leaves of 2 RK4
+    # steps a side at eps/2 (4 field calls a step, one at z), the order-12
+    # partner leaf of 8 steps a side at h = eps/8 and the limit leaf at half
+    # its step, 11 * 17 + 65 + 129 = 381 calls in 13 leaves
     calls, leaves = [], []
     theta, integrate = leaf.contracted_theta_fast, leaf.integrate_leaf
 
@@ -231,7 +231,7 @@ def test_theorem_henon_field_calls(henon_map, monkeypatch):
     fp = eigen_split(henon_map, Point2(0.6, 0.2))
     r = verify_fixed_point_theorem(henon_map, fp, eta=0.05, kmax=12, seed=2, n=2000)
     assert r.converged
-    assert len(calls) == 844 and len(leaves) == 12
+    assert len(calls) == 381 and len(leaves) == 13
 
 
 def test_theorem_henon_tube_passes(henon_map, monkeypatch):
@@ -278,11 +278,11 @@ def report_words(o):
 # n 2000) at seeds 1-3: every field, the leaf, contraction and strip arrays included;
 # both rate fits are sums in Python floats, so no LAPACK result enters it. Only
 # d_k and integration_error moved when the Cauchy leaves went to twice the limit
-# leaf's step
+# leaf's step, and only d_k when they went to eps/2 beside a partner leaf at h
 THEOREM_HENON_REPORT_SHA256 = {
-    1: "7ff937cbfdb1aa184e1fcb71c9a790980fd47ef76434e8e9f5d43ac7af6407ac",
-    2: "69b3afc2078bdf7c2183dd7c9602ac9721e4a16a9b050a996c4add82b70bb5bf",
-    3: "168063f9b54adc8b96f40e6a65c09068c211ddb22ad9b5a6bb2af3bef6c7f378",
+    1: "95bbf5121084ec6eaa198cd18b51e7b54c08de02f5830253c7f94513f006149a",
+    2: "2fd6724438c2b8767c84031fbdc0b89c84dc4bc73c2ed06b0b36b3fc8cc92bec",
+    3: "d577a056ccce44ad6f923557c8b25eb129607f30bc060922a0f627ea884f123d",
 }
 
 
@@ -297,7 +297,7 @@ def test_theorem_henon_report_is_pinned(henon_map, seed):
 @pytest.mark.parametrize("div", [8, 4])
 def test_rate_fit_holds_at_coarse_steps(henon_map, div):
     # theorem-henon chooses eps = 0.0125 at every seed; with limit leaves at
-    # eps/8 and eps/4 (Cauchy steps twice that) the leaf's offsets from W^s are
+    # eps/8 and eps/4 (partner steps h twice that) the leaf's offsets from W^s are
     # larger, and the contraction rate is read from the leaf's two ends, whose
     # ratios stay above the round-off floor longest
     fp = eigen_split(henon_map, Point2(0.6, 0.2))

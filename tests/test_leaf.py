@@ -19,6 +19,7 @@ from stableleaf import (
     integrate_leaf,
     make_map,
     uniqueness_probe,
+    verify_fixed_point_theorem,
 )
 from stableleaf.budget import LADDER_DEPTH, SAMPLE_SLACK, HyperbolicityBudget
 from stableleaf.directions import _signed_gap, angle_distance, contracted_theta_fast, direction_field_derivative
@@ -38,12 +39,14 @@ import stableleaf.leaf as leaf_mod
 from stableleaf.leaf import (
     DEFAULT_STEP_DIV,
     MAX_STEPS_PER_CELL,
+    _leaf_distance,
     _leaf_field,
     budget_to_epsilon,
     rk4_streamline,
 )
 
 from conftest import reference_orbit
+from test_param_oracle import SADDLES
 
 HENON_SADDLE = Point2(0.6313544770895252, 0.18940634312685756)
 
@@ -608,8 +611,8 @@ def test_dense_output_matches_reference(case, n_cells, n_steps):
 
 @pytest.mark.parametrize("n_steps", [9, 83, 300])
 def test_half_step_leaf_takes_twice_the_steps(monkeypatch, henon_map, n_steps):
-    # one field call at z and 4 a step on each side: the Cauchy leaves take N
-    # steps a side, and the limit leaf, the half-step leaf of their integration
+    # one field call at z and 4 a step on each side: the partner leaf at h takes
+    # N steps a side, and the limit leaf, the half-step leaf of its integration
     # error, 2N
     z, sched = HENON_SADDLE, EpsilonSchedule.constant(0.05)
     b, _, L, eps = budget_to_epsilon(henon_map, z, sched, 12, 800, 6)
@@ -864,9 +867,9 @@ def test_integration_error_alone_blocks_convergence(linear_map):
 
 
 def test_integration_error_henon(henon_map):
-    # the default Cauchy step is 2 eps / DEFAULT_STEP_DIV; the limit leaf, at half
-    # of it, is integrate_leaf's default leaf, and the integration error is its
-    # largest node distance from the order-kmax leaf at the Cauchy step
+    # the default partner step h is 2 eps / DEFAULT_STEP_DIV; the limit leaf, at
+    # half of it, is integrate_leaf's default leaf, and the integration error is
+    # its largest node distance from the order-kmax partner leaf at h
     z = HENON_SADDLE
     sched = EpsilonSchedule.constant(0.05)
     b, _, L, eps = budget_to_epsilon(henon_map, z, sched, 12, 800, 6)
@@ -882,34 +885,79 @@ def test_integration_error_henon(henon_map):
     assert 0.0 < conv.integration_error < 1e-13
 
 
+def theorem_henon(henon_map, seed):
+    """The theorem-henon run's TheoremReport (eta 0.05, kmax 12, n 2000) at seed."""
+    fp = eigen_split(henon_map, Point2(0.6, 0.2))
+    return verify_fixed_point_theorem(henon_map, fp, eta=0.05, kmax=12, seed=seed, n=2000)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_coarse_cauchy_leaves_match_the_partner_step(henon_map, seed):
+    # the Cauchy leaves at eps/2 carry nearly the same RK4 error from order to
+    # order, so d_k from them is d_k from leaves at the partner's step eps/8 to
+    # within 2e-3 omega_k
+    conv = theorem_henon(henon_map, seed).convergence
+    eps = conv.eps_chosen
+    fine = [integrate_leaf(henon_map, conv.limit.z0, k, eps, h=eps / 8) for k in range(conv.k0, conv.kmax + 1)]
+    ref = np.array([_leaf_distance(a, c)[0] for a, c in zip(fine, fine[1:])])
+    assert np.all(np.abs(conv.d_k - ref) <= 2e-3 * conv.gronwall_bound)
+
+
+def coarse_verdicts_hold(conv):
+    """converged, every tube test passed and every d_k within 1.05 of its Gronwall radius."""
+    return conv.converged and all(conv.tube_ok) and bool(np.all(conv.d_k <= 1.05 * conv.gronwall_bound))
+
+
+def test_coarse_cauchy_leaves_keep_the_verdicts(henon_map):
+    for seed in range(1, 21):
+        assert coarse_verdicts_hold(theorem_henon(henon_map, seed).convergence), seed
+    for name, (m, w, kmax, seed) in SADDLES.items():
+        b, _, L, eps = budget_to_epsilon(m, Point2(float(w.cx[0]), float(w.cy[0])),
+                                         EpsilonSchedule.constant(0.05), kmax, 800, seed)
+        assert coarse_verdicts_hold(cauchy_iterate(m, b, eps, 1e-8, L=L)), name
+
+
 def strip_map(linear_map, x_mid, width):
     """The linear saddle with a singular strip |x - x_mid| <= width across its stable leaf."""
     return dataclasses.replace(linear_map, singular_guard=lambda x, y: abs(x - x_mid) - width)
 
 
-def test_truncated_limit_leaf_is_not_converged(linear_map):
-    # the strip crosses the leaf at node 56, where the stage points of h = 16
-    # cells and of h/2 both meet it, so every order and the limit leaf stop at
-    # node 48 and consecutive leaves agree exactly over what they share
+def test_truncated_limit_leaf_is_not_converged(monkeypatch, linear_map):
+    # the strip crosses the leaf at node 56. The stage points of the Cauchy
+    # leaves at eps/2, every 32 cells, step over it, so every order reaches eps
+    # and consecutive leaves agree exactly; those of the partner's h = 16 cells
+    # and of h/2 both meet it, so the pair stops at node 48. The limit leaf's
+    # truncation is the check that counts
     z, sched = Point2(0, 0), EpsilonSchedule.constant(0.1)
     m = strip_map(linear_map, 56 * 0.025 / 128 + 1e-4 / 3, 1e-4)
     b, _, L, eps = budget_to_epsilon(m, z, sched, 10, 500, 3)
     assert eps == 0.025  # the strip, 2e-4 wide, falls between two columns of the pre-check grid
+    made = []
+
+    def recorded(*args, **kw):
+        made.append(integrate_leaf(*args, **kw))
+        return made[-1]
+
+    monkeypatch.setattr(leaf_mod, "integrate_leaf", recorded)
     with pytest.raises(NotConvergedError) as exc:
         cauchy_iterate(m, b, eps, 1e-8, L=L)
     rep = exc.value.report
+    *cauchy, partner, limit = made
+    assert limit is rep.limit and len(cauchy) == len(rep.ks) + 1
+    assert not any(c.truncated_neg or c.truncated_pos for c in cauchy)
     assert np.all(rep.d_k == 0.0) and rep.integration_error < 1e-8
-    assert rep.limit.truncated_pos and not rep.limit.truncated_neg
-    assert rep.limit.length_neg == eps and rep.limit.length_pos == 48 * (eps / 128)
+    for pair_leaf in (partner, limit):
+        assert pair_leaf.truncated_pos and not pair_leaf.truncated_neg
+        assert pair_leaf.length_neg == eps and pair_leaf.length_pos == 48 * (eps / 128)
     assert str(exc.value) == (
         f"the order-10 leaf is truncated on the positive side at length {rep.limit.length_pos:.6e} of eps=2.500000e-02"
     )
 
 
 def test_cauchy_step_leaf_stopping_short_leaves_the_error_unmeasured(linear_map):
-    # a strip a tenth of a cell wide at node 80: the Cauchy step h = 16 cells
+    # a strip a tenth of a cell wide at node 80: the partner's step h = 16 cells
     # meets it in its step from node 64, the limit leaf's h/2 = 8 cells in its
-    # step from node 72, so the h leaf misses the limit leaf's nodes 65..72
+    # step from node 72, so the partner misses the limit leaf's nodes 65..72
     z, sched = Point2(0, 0), EpsilonSchedule.constant(0.1)
     spacing = 0.025 / 128
     m = strip_map(linear_map, 80 * spacing, 0.05 * spacing)

@@ -83,7 +83,7 @@ def ref_contraction_check(m, leaf, b, n):
     for a in range(len(pts[0])):
         for c in range(a + 1, len(pts[0])):
             d0, track = ref_pair_ratio(pts, a, c)
-            if d0 == 0.0:
+            if d0 == 0.0 or not math.isfinite(d0):
                 continue
             np.maximum(max_ratio, track, out=max_ratio)
             if d0 > widest_d0:
@@ -280,8 +280,10 @@ def test_contraction_with_every_pair_coincident():
 @pytest.mark.parametrize("far", [1e200, 1e308])
 def test_contraction_of_far_nodes_warns_nothing(far):
     # the pair (-far, 0), (far, 0) on a box of +-1.7e308: at 1e200 the distance's
-    # squares overflow, at 1e308 the difference itself does and the first ratio
-    # is inf / inf; the array pass takes them as Python floats do, with no warning
+    # squares overflow, at 1e308 the difference itself does, so the pair's first
+    # distance is inf and it is skipped, as a coincident pair is, rather than
+    # giving the ratios inf / inf; the array pass takes them as Python floats do,
+    # with no warning
     m, b, sched, conv = linear_stages()
     m = dataclasses.replace(m, box=(-1.7e308, 1.7e308, -1.7e308, 1.7e308))
     leaf = hand_leaf([-far, 0.0, far], [0.0, 0.0, 0.0])
@@ -289,6 +291,7 @@ def test_contraction_of_far_nodes_warns_nothing(far):
         warnings.simplefilter("error")
         got = contraction_check(m, leaf, b, 2)
     same_contraction(got, ref_contraction_check(m, leaf, b, 2))
+    assert not np.isnan(got.max_ratio).any() and not np.isnan(got.widest_ratio).any()
 
 
 def raised(fn, *args):

@@ -116,9 +116,9 @@ def test_cli_converge_happy_path(tmp_path):
 
 @pytest.mark.parametrize("h, steps", [("0.0125", 1 / 128), ("1.5e-04", 83 / 128), ("2.44140625e-05", 4)])
 def test_cli_reports_the_step_used(tmp_path, h, steps):
-    # eps is 0.0125 here, so the grid spacing is eps/128: the Cauchy leaves take
+    # eps is 0.0125 here, so the grid spacing is eps/128: the partner leaf takes
     # N = round(eps / h) steps a side over its 128 cells (83 for h = 1.5e-4), and
-    # the reported limit leaf, at half their step, 2N
+    # the reported limit leaf, at half its step, 2N
     assert run_command(CONVERGE_ARGS + ["--h", h, "--out-dir", str(tmp_path)]) == 0
     conv = json.loads((tmp_path / "convergence.json").read_text())
     assert conv["eps_chosen"] == 0.0125
@@ -129,7 +129,7 @@ def test_cli_reports_the_step_used(tmp_path, h, steps):
 # the float.hex of uniqueness_probe's strip width on that run's limit leaf, one per line:
 # the tubes of every stage after the budget shrink as 0.05 * 0.9^j, not as eps0
 DECAYING_RUN_SHA256 = {
-    "convergence.json": "63be6e22b0da43da62209b776de183a9f0bdb07fbabd058e1044cab5194c2959",
+    "convergence.json": "de662fb829a3e0f5ac6aeae3dc94eb4ade84a5564791b373fc89cc7f23722097",
     "leaf.csv": "1d8208bbde48b6cb84259fc22e7da6e92da81138e5d73cb8ea4e2156e6e261fb",
     "width": "fb2011e7402e0f9afe284858be8b445cda92282ec24272b6a1d42ea43602d207",
 }
@@ -147,7 +147,7 @@ def test_decaying_schedule_run_is_pinned(tmp_path):
 
 
 def test_cli_integration_error_above_tol_exits_numerical(tmp_path, capsys):
-    # the step-doubling error of the Henon Cauchy leaves is about 2e-14
+    # the step-doubling error of the Henon partner leaf is about 2e-14
     args = ["converge", "--map", "henon", "--a", "1.4", "--b", "0.3",
             "--z", "0.6313544770895252,0.18940634312685756", "--eps0", "0.05",
             "--kmax", "12", "--samples", "800", "--seed", "6", "--out-dir", str(tmp_path)]
@@ -226,7 +226,7 @@ def test_cli_samples_from_zero(tmp_path, capsys):
 
 def test_cli_rejects_a_step_below_the_cell_limit(tmp_path, capsys):
     # eps is 0.0125 here, so the grid spacing is 0.0125 / 128; the limit leaf
-    # takes twice the steps of the Cauchy step h, so h gets half the limit
+    # takes twice the steps of the partner step h, so h gets half the limit
     least = 0.0125 / 128 / 32
     for h in ("1e-320", "1e-12", repr(math.nextafter(least, 0.0))):
         assert run_command(CONVERGE_ARGS + ["--h", h, "--out-dir", str(tmp_path)]) == 2
