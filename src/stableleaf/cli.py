@@ -177,7 +177,7 @@ def _convergence_payload(m, ns, report, c_fit) -> dict:
         "restricted": report.restricted,
         "eps_chosen": report.eps_chosen, "L_used": report.L_used,
         "h": limit.h, "steps_per_cell": limit.steps_per_cell,
-        "integration_error": report.integration_error,
+        "integration_error": report.integration_error, "cauchy_step_error": report.cauchy_step_error,
         "length_neg": limit.length_neg, "length_pos": limit.length_pos,
         "truncated_neg": limit.truncated_neg, "truncated_pos": limit.truncated_pos,
         "tol": report.tol, "converged": report.converged,
@@ -215,6 +215,7 @@ def _cmd_fixedpoint(ns, out_dir: str, m: MapModel, z: Point2, sched: EpsilonSche
             "eps": report.eps, "L_used": report.convergence.L_used,
             "h": report.convergence.limit.h, "steps_per_cell": report.convergence.limit.steps_per_cell,
             "integration_error": report.convergence.integration_error,
+            "cauchy_step_error": report.convergence.cauchy_step_error,
             "conclusion_1_tangency": {
                 "tangency_error_rad": report.tangency_error,
             },

@@ -7,11 +7,13 @@ N = round(eps/h) steps a side (default h = eps/16, so N = 16 on the default
 257-node grid), with orientation continuity enforced by sign-flipping the
 field against the previous tangent; dense output places every grid node,
 from the cubic Hermite on the step ends' positions and tangents, or the step
-end itself where a node falls on one. Leaves of consecutive orders are
-compared at matched arclength on a shared grid, all at eps/2. The Cauchy
-iteration traces the last order again at h and at h/2, reports the h/2 leaf
-as the limit leaf, and takes the largest deviation of that pair over all
-nodes, the Hermite ones included, as the integration error.
+end itself where a node falls on one. The Cauchy leaves of every order are
+traced at eps/2 and placed in one node pass (_trace_leaves), with no theta
+list, and consecutive orders are compared at matched arclength on the shared
+grid. The Cauchy iteration traces the last order again at h and at h/2,
+reports the h/2 leaf as the limit leaf, and takes the largest deviation of
+that pair over all nodes, the Hermite ones included, as the integration
+error; the last Cauchy leaf's deviation from the h leaf is its step error.
 
 budget_to_epsilon and iterate_to_contraction run the pipeline stages in
 order, each through staged(), which names the stage a NumericalError came from.
@@ -231,27 +233,18 @@ def _unwrap(th: float, raw: list[float]) -> list[float]:
     return out
 
 
-def integrate_leaf(
-    m: MapModel,
-    z: Point2,
-    k: int,
-    eps: float,
-    h: Optional[float] = None,
-    grid_points: int = DEFAULT_GRID,
-) -> LeafCurve:
-    """Integrate the order-k leaf through z to arclength eps on both sides.
+def _trace_leaves(m: MapModel, z: Point2, ks, eps: float, h: Optional[float], grid_points: int) -> tuple:
+    """The order-k leaves through z for every k in ks, all at one step h, in one node pass.
 
-    grid_points must be odd (a center node plus symmetric sides). The default
-    h is eps/DEFAULT_STEP_DIV; on the default grid that is one RK4 step per 8
-    cells. Each side takes N = max(1, round(eps / h)) steps of length eps / N
-    (an h = inf takes one), and one _place_nodes pass places every grid node
-    of both sides. theta takes math.atan2 of the node tangents, not
-    np.arctan2, whose SIMD loops may round apart from libm, and is unwrapped
-    outward from the center on floats. An h that is not positive, or below
-    spacing / MAX_STEPS_PER_CELL, raises BadParamsError. A ConformalError,
-    OrbitEscapeError or SingularStepError at z itself propagates; mid-trace
-    ones truncate the corresponding side at its last completed step and set
-    its flag.
+    Checks grid_points, eps and h and sets each side's N steps as
+    integrate_leaf says. Order by order, lowest first, theta0 at z (where a
+    ConformalError, OrbitEscapeError or SingularStepError propagates) and then
+    the positive and the negative side's _rk4_steps; one _place_nodes call
+    places every side's nodes. Returns (h_eff, theta0s, grid, reach,
+    truncated): grid is the (coord, order, node) array of x, y, tx and ty over
+    the grid_points nodes, z with tangent (cos theta0, sin theta0) at the
+    centre and NaN past a side's reach, reach the (order, side) array of the
+    nodes each side reached and truncated its flags, positive side first.
     """
     if grid_points < 3 or grid_points % 2 == 0:
         raise BadParamsError(f"grid_points must be odd and >= 3, got {grid_points}")
@@ -266,22 +259,55 @@ def integrate_leaf(
     n_steps = max(1, round(eps / h))
     h_eff = spacing / (n_steps / n_side)
 
-    th0, _, _ = contracted_theta_fast(m, zx, zy, k)  # raises at z itself
-    ux, uy = math.cos(th0), math.sin(th0)
-    fld = _leaf_field(m, k)
-    ends_p, trunc_p = _rk4_steps(fld, zx, zy, ux, uy, n_steps, h_eff)
-    ends_n, trunc_n = _rk4_steps(fld, zx, zy, -ux, -uy, n_steps, h_eff)
-    nodes, (r_p, r_n) = _place_nodes([ends_p, ends_n], n_steps, n_side, h_eff)
-    px, py = nodes[:2]
-    tx, ty = np.concatenate((nodes[2:, 0, :r_p], nodes[2:, 1, :r_n]), axis=1).tolist()  # outward, positive side first
-    raw = [math.atan2(dy, dx) for dx, dy in zip(tx, ty)]
-    thetas = _unwrap(th0, raw[r_p:])[::-1] + [th0] + _unwrap(th0, raw[:r_p])
+    th0s, centre, sides, truncated = [], [], [], []
+    for k in ks:
+        th0, _, _ = contracted_theta_fast(m, zx, zy, k)  # raises at z itself
+        ux, uy = math.cos(th0), math.sin(th0)
+        fld = _leaf_field(m, k)
+        for u in ((ux, uy), (-ux, -uy)):
+            ends, cut = _rk4_steps(fld, zx, zy, *u, n_steps, h_eff)
+            sides.append(ends)
+            truncated.append(cut)
+        th0s.append(th0)
+        centre.append((zx, zy, ux, uy))
+    nodes, reached = _place_nodes(sides, n_steps, n_side, h_eff)
+    grid = np.empty((4, len(th0s), grid_points))
+    grid[:, :, n_side] = np.array(centre).T
+    grid[:, :, n_side + 1:] = nodes[:, 0::2]
+    grid[:, :, :n_side] = nodes[:, 1::2, ::-1]
+    return h_eff, th0s, grid, np.array(reached).reshape(-1, 2), np.array(truncated).reshape(-1, 2)
 
+
+def integrate_leaf(
+    m: MapModel,
+    z: Point2,
+    k: int,
+    eps: float,
+    h: Optional[float] = None,
+    grid_points: int = DEFAULT_GRID,
+) -> LeafCurve:
+    """Integrate the order-k leaf through z to arclength eps on both sides.
+
+    grid_points must be odd (a center node plus symmetric sides). The default
+    h is eps/DEFAULT_STEP_DIV; on the default grid that is one RK4 step per 8
+    cells. Each side takes N = max(1, round(eps / h)) steps of length eps / N
+    (an h = inf takes one), and one _place_nodes pass places every grid node
+    of both sides (_trace_leaves for the one order k). theta takes math.atan2
+    of the node tangents, not np.arctan2, whose SIMD loops may round apart
+    from libm, and is unwrapped outward from the center on floats. An h that
+    is not positive, or below spacing / MAX_STEPS_PER_CELL, raises
+    BadParamsError. A ConformalError, OrbitEscapeError or SingularStepError at
+    z itself propagates; mid-trace ones truncate the corresponding side at its
+    last completed step and set its flag.
+    """
+    h_eff, (th0,), grid, reach, truncated = _trace_leaves(m, z, [k], eps, h, grid_points)
+    (r_p, r_n), (trunc_p, trunc_n), c = reach[0].tolist(), truncated[0].tolist(), (grid_points - 1) // 2
+    xs, ys, tx, ty = grid[:, 0, c - r_n:c + r_p + 1]
+    raw = [math.atan2(dy, dx) for dx, dy in zip(tx.tolist(), ty.tolist())]
+    thetas = _unwrap(th0, raw[:r_n][::-1])[::-1] + [th0] + _unwrap(th0, raw[r_n + 1:])  # outward from the centre
     return LeafCurve(
-        k=k, z0=Point2(zx, zy), eps=eps, h=h_eff, t=spacing * (np.arange(len(thetas)) - r_n),
-        xs=np.concatenate((px[1, :r_n][::-1], [zx], px[0, :r_p])),
-        ys=np.concatenate((py[1, :r_n][::-1], [zy], py[0, :r_p])), thetas=np.array(thetas),
-        center_index=r_n, truncated_neg=trunc_n, truncated_pos=trunc_p,
+        k=k, z0=Point2(float(z[0]), float(z[1])), eps=eps, h=h_eff, t=eps / c * (np.arange(len(thetas)) - r_n),
+        xs=xs, ys=ys, thetas=np.array(thetas), center_index=r_n, truncated_neg=trunc_n, truncated_pos=trunc_p,
         grid_points=grid_points,
     )
 
@@ -347,7 +373,10 @@ class ConvergenceReport:
     d_k compares the Cauchy leaves, all at eps/2. limit is the order-kmax leaf
     at h/2, and integration_error is the step-doubling estimate: its largest
     node deviation from the order-kmax partner leaf at h. That estimates the
-    partner's error and bounds the limit leaf's from above.
+    partner's error and bounds the limit leaf's from above. cauchy_step_error
+    is the order-kmax Cauchy leaf's largest node deviation from the partner,
+    the RK4 error that d_k relies on cancelling between orders; no verdict
+    reads it.
     """
 
     k0: int
@@ -361,25 +390,9 @@ class ConvergenceReport:
     tube_ok: list[bool]
     restricted: list[bool]
     integration_error: float
+    cauchy_step_error: float
     converged: bool
     limit: LeafCurve
-
-
-def _leaf_distance(a: LeafCurve, bcurve: LeafCurve) -> tuple[float, int]:
-    """Max pointwise distance at matched t over the common grid range, and its node count.
-
-    Fewer than 2 common nodes span no arc, so the distance is +inf.
-    """
-    lo = -min(a.center_index, bcurve.center_index)
-    hi = min(len(a.t) - a.center_index, len(bcurve.t) - bcurve.center_index)
-    ia, ib = a.center_index, bcurve.center_index
-    sl_a = slice(ia + lo, ia + hi)
-    sl_b = slice(ib + lo, ib + hi)
-    dx = a.xs[sl_a] - bcurve.xs[sl_b]
-    dy = a.ys[sl_a] - bcurve.ys[sl_b]
-    if hi - lo < 2:
-        return math.inf, hi - lo
-    return float(np.max(np.hypot(dx, dy))), hi - lo
 
 
 def cauchy_iterate(
@@ -394,13 +407,17 @@ def cauchy_iterate(
 
     k0 must be below b.kmax. L is the direction-field Lipschitz constant
     of the Gronwall envelope; an L that is negative or NaN, or with
-    exp(L*eps) past the float range, raises BadParamsError. Tube
-    containment is checked by displacing every TUBE_STRIDE-th grid node
-    (plus the endpoints) of the order-k leaf by +/- omega_k along the
-    expanded direction and testing membership in the order-(k+1) tube of
+    exp(L*eps) past the float range, raises BadParamsError. The Cauchy
+    leaves are one _trace_leaves call, and their checks are array passes
+    over its (coord, order, node) array. Tube containment is checked by
+    displacing every TUBE_STRIDE-th node from the order-k leaf's first (plus
+    its last) by +/- omega_k along the unit normal of its tangent, the
+    expanded direction, and testing membership in the order-(k+1) tube of
     b.sched around the orbit of z that b.cocycle holds. All orders'
     nodes share one tube_exits pass to step kmax - 1, which runs lane by
-    lane; order k passes where none of its lanes exits by step k. The run
+    lane; order k passes where none of its lanes exits by step k. d_k, the
+    step error and the integration error come from one distance pass over
+    every leaf's nodes on the grid, each leaf against the next. The run
     converges when the last comparison distance and the integration error
     are both below tol and the limit leaf reaches eps on both sides; else
     NotConvergedError names each failed condition and carries the report.
@@ -431,39 +448,42 @@ def cauchy_iterate(
         raise BadParamsError(f"L={L} must be >= 0 with exp(L*eps) finite at eps={eps}")
     if h is None:
         h = 2.0 * eps / DEFAULT_STEP_DIV
-    _refuse_small_step(h, eps / ((DEFAULT_GRID - 1) // 2), MAX_STEPS_PER_CELL // 2)
-    leaves = {k: integrate_leaf(m, b.z, k, eps, h=eps / 2) for k in range(k0, kmax + 1)}
-
+    c = (DEFAULT_GRID - 1) // 2  # the centre node
+    _refuse_small_step(h, eps / c, MAX_STEPS_PER_CELL // 2)
+    _, _, grid, reach, _ = _trace_leaves(m, b.z, range(k0, kmax + 1), eps, eps / 2, DEFAULT_GRID)
     ks = list(range(k0, kmax))
-    d_k = np.empty(len(ks))
-    bounds = np.empty(len(ks))
-    restricted = []
-    dxs, dys = [], []  # the displaced nodes of every order
-    for i, k in enumerate(ks):
-        d, shared = _leaf_distance(leaves[k], leaves[k + 1])
-        d_k[i] = d
-        restricted.append(shared < DEFAULT_GRID)
-        bounds[i] = eps * float(b.xi[k]) * egl
+    bounds = np.array([eps * float(b.xi[k]) * egl for k in ks])
 
-        leafk = leaves[k]
-        nodes = sorted(set(range(0, len(leafk.t), TUBE_STRIDE)) | {0, len(leafk.t) - 1})
-        thetas = leafk.thetas[nodes].tolist()
-        fx = np.array([-math.sin(th) for th in thetas])
-        fy = np.array([math.cos(th) for th in thetas])
-        px, py = leafk.xs[nodes], leafk.ys[nodes]
-        sw = np.array([bounds[i], -bounds[i]])[:, None]  # s * omega for s = +1, -1
-        with np.errstate(invalid="ignore", over="ignore"):  # omega may be +inf: inf and nan, as floats give
-            dxs.append((px + sw * fx).ravel())
-            dys.append((py + sw * fy).ravel())
-    exits = tube_exits(m, b.cocycle.orbit, np.concatenate(dxs), np.concatenate(dys), b.sched, kmax - 1)
-    per_order = np.split(exits, np.cumsum([len(a) for a in dxs[:-1]]))
-    tube_ok = [not np.any((e >= 0) & (e <= k)) for k, e in zip(ks, per_order)]
+    # the tube nodes of order k: every TUBE_STRIDE-th node from its leaf's first, and its last, each
+    # displaced by +/- omega_k along the unit normal of its tangent
+    j, pos, neg = np.arange(-c, c + 1), reach[:-1, :1], reach[:-1, 1:]
+    order, node = np.nonzero(((j + neg) % TUBE_STRIDE == 0) & (j >= -neg) & (j <= pos) | (j == pos))
+    px, py, tx, ty = grid[:, order, node]
+    sw = np.array([1.0, -1.0])[:, None] * bounds[order]  # s * omega for s = +1, -1
+    with np.errstate(invalid="ignore", over="ignore"):  # omega may be +inf: inf and nan, as floats give
+        norm = np.hypot(tx, ty)
+        dx, dy = (px - sw * (ty / norm)).ravel(), (py + sw * (tx / norm)).ravel()
+    exits = tube_exits(m, b.cocycle.orbit, dx, dy, b.sched, kmax - 1).reshape(2, -1)
+    out = np.any((exits >= 0) & (exits <= np.array(ks)[order]), axis=0)
+    tube_ok = (np.bincount(order[out], minlength=len(ks)) == 0).tolist()
 
-    # step doubling: the order-kmax partner leaf at h, and at half its step the limit leaf; a node
-    # of the limit leaf that the partner does not reach has no error estimate, so the error is then +inf
+    # step doubling: the order-kmax partner leaf at h, and at half its step the limit leaf
     partner = integrate_leaf(m, b.z, kmax, eps, h=h)
     limit = integrate_leaf(m, b.z, kmax, eps, h=partner.h / 2)
-    dev, reached = _leaf_distance(partner, limit)
+
+    # every leaf's positions on the grid, NaN past its reach: the Cauchy leaves, then the partner and the
+    # limit leaf. Rows i and i + 1 share the nodes where neither is NaN; fewer than 2 span no arc, so
+    # their distance is +inf, and a node of the limit leaf that the partner does not reach has no error
+    # estimate, so the integration error is then +inf
+    xy = np.full((2, len(ks) + 3, DEFAULT_GRID), math.nan)
+    xy[:, :-2] = grid[:2]
+    for row, curve in ((-2, partner), (-1, limit)):
+        xy[:, row, c - curve.center_index:c - curve.center_index + len(curve.t)] = curve.xs, curve.ys
+    dist = np.hypot(*np.diff(xy, axis=1))
+    shared = np.count_nonzero(~np.isnan(dist), axis=1)
+    dist = np.where(shared < 2, math.inf, np.fmax.reduce(dist, axis=1))
+    d_k, restricted, (cauchy_step_error, dev) = dist[:-2], (shared[:-2] < DEFAULT_GRID).tolist(), dist[-2:].tolist()
+    shared, reached = shared[[-3, -1]].tolist()
     integration_error = dev if reached == len(limit.t) else math.inf
 
     failed = []
@@ -482,7 +502,7 @@ def cauchy_iterate(
     report = ConvergenceReport(
         k0=k0, kmax=kmax, eps_chosen=eps, L_used=L, tol=tol,
         ks=ks, d_k=d_k, gronwall_bound=bounds, tube_ok=tube_ok, restricted=restricted,
-        integration_error=integration_error, converged=not failed, limit=limit,
+        integration_error=integration_error, cauchy_step_error=cauchy_step_error, converged=not failed, limit=limit,
     )
     if failed:
         raise NotConvergedError("; ".join(failed), report)

@@ -212,9 +212,10 @@ def test_theorem_henon(henon_map):
 
 def test_theorem_henon_field_calls(henon_map, monkeypatch):
     # the benchmark's theorem-henon op at seed 2: 11 Cauchy leaves of 2 RK4
-    # steps a side at eps/2 (4 field calls a step, one at z), the order-12
-    # partner leaf of 8 steps a side at h = eps/8 and the limit leaf at half
-    # its step, 11 * 17 + 65 + 129 = 381 calls in 13 leaves
+    # steps a side at eps/2 (4 field calls a step, one at z), traced in one
+    # node pass with no integrate_leaf call, then the order-12 partner leaf of
+    # 8 steps a side at h = eps/8 and the limit leaf at half its step, the
+    # only 2 integrate_leaf calls: 11 * 17 + 65 + 129 = 381 calls
     calls, leaves = [], []
     theta, integrate = leaf.contracted_theta_fast, leaf.integrate_leaf
 
@@ -231,7 +232,7 @@ def test_theorem_henon_field_calls(henon_map, monkeypatch):
     fp = eigen_split(henon_map, Point2(0.6, 0.2))
     r = verify_fixed_point_theorem(henon_map, fp, eta=0.05, kmax=12, seed=2, n=2000)
     assert r.converged
-    assert len(calls) == 381 and len(leaves) == 13
+    assert len(calls) == 381 and len(leaves) == 2
 
 
 def test_theorem_henon_tube_passes(henon_map, monkeypatch):
@@ -278,11 +279,12 @@ def report_words(o):
 # n 2000) at seeds 1-3: every field, the leaf, contraction and strip arrays included;
 # both rate fits are sums in Python floats, so no LAPACK result enters it. Only
 # d_k and integration_error moved when the Cauchy leaves went to twice the limit
-# leaf's step, and only d_k when they went to eps/2 beside a partner leaf at h
+# leaf's step, and only d_k when they went to eps/2 beside a partner leaf at h;
+# the Cauchy leaves' one node pass moved no field and added cauchy_step_error
 THEOREM_HENON_REPORT_SHA256 = {
-    1: "95bbf5121084ec6eaa198cd18b51e7b54c08de02f5830253c7f94513f006149a",
-    2: "2fd6724438c2b8767c84031fbdc0b89c84dc4bc73c2ed06b0b36b3fc8cc92bec",
-    3: "d577a056ccce44ad6f923557c8b25eb129607f30bc060922a0f627ea884f123d",
+    1: "2839915f0e60f6ad2c00fa39094420a0964964883bf311ca898d6d07fe8d272b",
+    2: "ce3281ec450a40a39daac9157cf986b8b7a13a2345bca026737fc8a96422548a",
+    3: "9bb8106e006015be318a4e528490e012b5b9798563dd00c430012e9e7f71e54e",
 }
 
 

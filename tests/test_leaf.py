@@ -39,13 +39,13 @@ import stableleaf.leaf as leaf_mod
 from stableleaf.leaf import (
     DEFAULT_STEP_DIV,
     MAX_STEPS_PER_CELL,
-    _leaf_distance,
     _leaf_field,
     budget_to_epsilon,
     rk4_streamline,
 )
 
 from conftest import reference_orbit
+from test_leaf_checks_reference import leaf_distance
 from test_param_oracle import SADDLES
 
 HENON_SADDLE = Point2(0.6313544770895252, 0.18940634312685756)
@@ -899,7 +899,7 @@ def test_coarse_cauchy_leaves_match_the_partner_step(henon_map, seed):
     conv = theorem_henon(henon_map, seed).convergence
     eps = conv.eps_chosen
     fine = [integrate_leaf(henon_map, conv.limit.z0, k, eps, h=eps / 8) for k in range(conv.k0, conv.kmax + 1)]
-    ref = np.array([_leaf_distance(a, c)[0] for a, c in zip(fine, fine[1:])])
+    ref = np.array([leaf_distance(a, c)[0] for a, c in zip(fine, fine[1:])])
     assert np.all(np.abs(conv.d_k - ref) <= 2e-3 * conv.gronwall_bound)
 
 
@@ -932,23 +932,32 @@ def test_truncated_limit_leaf_is_not_converged(monkeypatch, linear_map):
     m = strip_map(linear_map, 56 * 0.025 / 128 + 1e-4 / 3, 1e-4)
     b, _, L, eps = budget_to_epsilon(m, z, sched, 10, 500, 3)
     assert eps == 0.025  # the strip, 2e-4 wide, falls between two columns of the pre-check grid
-    made = []
+    made, cut = [], []
+    rk4_steps = leaf_mod._rk4_steps
 
     def recorded(*args, **kw):
         made.append(integrate_leaf(*args, **kw))
         return made[-1]
 
+    def flagged(*args):
+        ends, truncated = rk4_steps(*args)
+        cut.append(truncated)
+        return ends, truncated
+
     monkeypatch.setattr(leaf_mod, "integrate_leaf", recorded)
+    monkeypatch.setattr(leaf_mod, "_rk4_steps", flagged)
     with pytest.raises(NotConvergedError) as exc:
         cauchy_iterate(m, b, eps, 1e-8, L=L)
     rep = exc.value.report
-    *cauchy, partner, limit = made
-    assert limit is rep.limit and len(cauchy) == len(rep.ks) + 1
-    assert not any(c.truncated_neg or c.truncated_pos for c in cauchy)
+    partner, limit = made
+    cauchy = cut[:-4]  # the sides of the Cauchy leaves, then the partner's and the limit leaf's
+    assert limit is rep.limit and len(cauchy) == 2 * (len(rep.ks) + 1)
+    assert not any(cauchy) and not any(rep.restricted)
     assert np.all(rep.d_k == 0.0) and rep.integration_error < 1e-8
     for pair_leaf in (partner, limit):
         assert pair_leaf.truncated_pos and not pair_leaf.truncated_neg
         assert pair_leaf.length_neg == eps and pair_leaf.length_pos == 48 * (eps / 128)
+    assert cut[-4:] == [True, False, True, False]
     assert str(exc.value) == (
         f"the order-10 leaf is truncated on the positive side at length {rep.limit.length_pos:.6e} of eps=2.500000e-02"
     )

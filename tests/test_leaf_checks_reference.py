@@ -3,9 +3,10 @@
 Each reference below is the per-order or per-lane loop that the package
 ran before it took one array pass, moved here with its arithmetic
 unchanged; the contraction reference steps one node at a time with eval_xy
-and measures one pair at a time with norm2. The package must agree with it
-bit for bit: the same tube verdicts, ratios, distances and exits, and the
-same error type and message where a contraction node leaves the domain.
+and measures one pair at a time with norm2, and the Cauchy reference traces
+one LeafCurve per order. The package must agree with it bit for bit: the
+same tube verdicts, ratios, distances and exits, and the same error type
+and message where a contraction node leaves the domain.
 """
 
 import dataclasses
@@ -21,6 +22,8 @@ from stableleaf.budget import tube_exits
 from stableleaf.cocycle import norm2
 from stableleaf.errors import DomainError, NonFiniteError, NotConvergedError
 from stableleaf.leaf import (
+    DEFAULT_GRID,
+    DEFAULT_STEP_DIV,
     TUBE_STRIDE,
     ContractionReport,
     LeafCurve,
@@ -31,6 +34,7 @@ from stableleaf.leaf import (
 from stableleaf.maps import MapModel
 
 from conftest import ref_first_tube_exit
+from test_param_oracle import SADDLES
 
 
 def ref_tube_ok(m, b, sched, eps, L, leaves):
@@ -53,6 +57,77 @@ def ref_tube_ok(m, b, sched, eps, L, leaves):
         ok = not np.any(exits >= 0)
         tube_ok.append(ok)
     return tube_ok
+
+
+def leaf_distance(a, bcurve):
+    """Max pointwise distance at matched t over the common grid range, and its node count.
+
+    Fewer than 2 common nodes span no arc, so the distance is +inf.
+    """
+    lo = -min(a.center_index, bcurve.center_index)
+    hi = min(len(a.t) - a.center_index, len(bcurve.t) - bcurve.center_index)
+    ia, ib = a.center_index, bcurve.center_index
+    sl_a = slice(ia + lo, ia + hi)
+    sl_b = slice(ib + lo, ib + hi)
+    dx = a.xs[sl_a] - bcurve.xs[sl_b]
+    dy = a.ys[sl_a] - bcurve.ys[sl_b]
+    if hi - lo < 2:
+        return math.inf, hi - lo
+    return float(np.max(np.hypot(dx, dy))), hi - lo
+
+
+def ref_cauchy_checks(m, b, eps, L):
+    """cauchy_iterate's leaf checks with one LeafCurve per order: (d_k, restricted, tube_ok, step error, error).
+
+    The Cauchy leaves are integrate_leaf calls at eps/2, consecutive ones are
+    compared by leaf_distance, and each order's tube nodes move along the
+    normal (-sin theta, cos theta) of the leaf's unwrapped theta, all orders'
+    nodes in one tube_exits call to step kmax - 1. The order-kmax Cauchy leaf
+    is compared with the partner leaf at the default h, and the partner with
+    the limit leaf at h/2.
+    """
+    k0, kmax = b.k0, b.kmax
+    egl = math.exp(L * eps)
+    leaves = {k: integrate_leaf(m, b.z, k, eps, h=eps / 2) for k in range(k0, kmax + 1)}
+
+    ks = list(range(k0, kmax))
+    d_k = np.empty(len(ks))
+    bounds = np.empty(len(ks))
+    restricted = []
+    dxs, dys = [], []  # the displaced nodes of every order
+    for i, k in enumerate(ks):
+        d, shared = leaf_distance(leaves[k], leaves[k + 1])
+        d_k[i] = d
+        restricted.append(shared < DEFAULT_GRID)
+        bounds[i] = eps * float(b.xi[k]) * egl
+
+        leafk = leaves[k]
+        nodes = sorted(set(range(0, len(leafk.t), TUBE_STRIDE)) | {0, len(leafk.t) - 1})
+        thetas = leafk.thetas[nodes].tolist()
+        fx = np.array([-math.sin(th) for th in thetas])
+        fy = np.array([math.cos(th) for th in thetas])
+        px, py = leafk.xs[nodes], leafk.ys[nodes]
+        sw = np.array([bounds[i], -bounds[i]])[:, None]  # s * omega for s = +1, -1
+        with np.errstate(invalid="ignore", over="ignore"):  # omega may be +inf: inf and nan, as floats give
+            dxs.append((px + sw * fx).ravel())
+            dys.append((py + sw * fy).ravel())
+    exits = tube_exits(m, b.cocycle.orbit, np.concatenate(dxs), np.concatenate(dys), b.sched, kmax - 1)
+    per_order = np.split(exits, np.cumsum([len(a) for a in dxs[:-1]]))
+    tube_ok = [not np.any((e >= 0) & (e <= k)) for k, e in zip(ks, per_order)]
+
+    partner = integrate_leaf(m, b.z, kmax, eps, h=2.0 * eps / DEFAULT_STEP_DIV)
+    limit = integrate_leaf(m, b.z, kmax, eps, h=partner.h / 2)
+    dev, reached = leaf_distance(partner, limit)
+    return d_k, restricted, tube_ok, leaf_distance(leaves[kmax], partner)[0], dev if reached == len(limit.t) else math.inf
+
+
+def same_cauchy_checks(conv, want):
+    d_k, restricted, tube_ok, step_error, error = want
+    assert bits(conv.d_k) == bits(d_k)
+    assert (conv.restricted, conv.tube_ok) == (restricted, tube_ok)
+    assert all(type(v) is bool for v in conv.restricted + conv.tube_ok)
+    assert type(conv.cauchy_step_error) is float and conv.cauchy_step_error.hex() == step_error.hex()
+    assert type(conv.integration_error) is float and conv.integration_error.hex() == error.hex()
 
 
 def contraction_nodes(leaf):
@@ -174,6 +249,7 @@ def test_tube_checks_match_where_some_orders_fail(L, failing):
     want = ref_tube_ok(m, b, sched, eps, L, leaves_of(m, b, eps))
     assert conv.tube_ok == want
     assert want == [False] * failing + [True] * (10 - failing)
+    same_cauchy_checks(conv, ref_cauchy_checks(m, b, eps, L))
 
 
 def test_tube_checks_match_where_omega_is_infinite():
@@ -184,6 +260,58 @@ def test_tube_checks_match_where_omega_is_infinite():
     want = ref_tube_ok(m, b, sched, eps, L, leaves_of(m, b, eps))
     assert conv.tube_ok == want
     assert want == [k % 2 == 0 for k in range(b.k0, b.kmax)]
+    same_cauchy_checks(conv, ref_cauchy_checks(m, b, eps, L))
+
+
+def cauchy_report(m, b, eps, L):
+    try:
+        return cauchy_iterate(m, b, eps, 1e-8, L=L)
+    except NotConvergedError as exc:
+        return exc.report
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_cauchy_checks_match_the_leaf_by_leaf_loop(seed):
+    m, b, sched, eps, L, conv = henon_stages(seed)
+    want = ref_cauchy_checks(m, b, eps, L)
+    same_cauchy_checks(conv, want)
+    assert all(want[2]) and not any(want[1]) and 1e-12 < want[3] < 1e-11
+
+
+@pytest.mark.parametrize("name", sorted(SADDLES))
+def test_cauchy_checks_match_the_leaf_by_leaf_loop_on_the_oracle_saddles(name):
+    m, w, kmax, seed = SADDLES[name]
+    b, _, L, eps = budget_to_epsilon(m, Point2(float(w.cx[0]), float(w.cy[0])),
+                                     EpsilonSchedule.constant(0.05), kmax, 800, seed)
+    same_cauchy_checks(cauchy_iterate(m, b, eps, 1e-8, L=L), ref_cauchy_checks(m, b, eps, L))
+
+
+# singular strips across the linear saddle's stable leaf, the x axis, whose
+# field at x is singular for order k where some x / 2^j, j < k, lies in a strip.
+# The Cauchy leaves at eps/2 = 64 cells (eps = 0.025) have their stage points
+# at 32, 64, 96 and 128 cells: (a) strips at +2 and -0.5 cells meet the first
+# step's from order 5 on the positive side and from order 7 on the negative
+# one, so orders 7-10 reach z alone and the pairs from (6, 7) on share fewer
+# than 2 nodes (d_k = inf); (b) a strip at 6 cells meets the second step's
+# from order 5 on, so those orders stop at 64 cells on the positive side
+STRIPS = {"first-steps": (2.0, -0.5), "second-step": (6.0,)}
+
+
+@pytest.mark.parametrize("case", sorted(STRIPS))
+def test_cauchy_checks_match_the_leaf_by_leaf_loop_where_cauchy_sides_truncate(case):
+    linear = make_map("linear", lambda_s=0.5, lambda_u=2.0)
+    b, _, L, eps = budget_to_epsilon(linear, Point2(0.0, 0.0), EpsilonSchedule.constant(0.1), 10, 500, 3)
+    assert eps == 0.025 and b.k0 == 2
+    mids = [c * eps / 128 for c in STRIPS[case]]
+    m = dataclasses.replace(linear, singular_guard=lambda x, y: min(abs(x - c) for c in mids) - 1e-3 * eps / 128)
+    conv = cauchy_report(m, b, eps, L)
+    want = ref_cauchy_checks(m, b, eps, L)
+    same_cauchy_checks(conv, want)
+    if case == "first-steps":
+        assert np.isfinite(conv.d_k[:4]).all() and conv.d_k[4:].tolist() == [math.inf] * 4
+    else:
+        assert np.isfinite(conv.d_k).all()
+    assert conv.restricted == [False] * 2 + [True] * 6
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -129,7 +129,7 @@ def test_cli_reports_the_step_used(tmp_path, h, steps):
 # the float.hex of uniqueness_probe's strip width on that run's limit leaf, one per line:
 # the tubes of every stage after the budget shrink as 0.05 * 0.9^j, not as eps0
 DECAYING_RUN_SHA256 = {
-    "convergence.json": "de662fb829a3e0f5ac6aeae3dc94eb4ade84a5564791b373fc89cc7f23722097",
+    "convergence.json": "2c7e12f44b09b4dae8889bb978c7dcfe75fda614dc8dbc2b21f264918c8f4da3",
     "leaf.csv": "1d8208bbde48b6cb84259fc22e7da6e92da81138e5d73cb8ea4e2156e6e261fb",
     "width": "fb2011e7402e0f9afe284858be8b445cda92282ec24272b6a1d42ea43602d207",
 }
