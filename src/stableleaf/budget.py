@@ -47,6 +47,7 @@ SAMPLE_SLACK = 1.05      # stated slack for assertions against sampled maxima
 DEFAULT_SAMPLES = 2000
 LADDER_DEPTH = 40        # the epsilon ladder runs eps0 * 2^-m for m = 0..LADDER_DEPTH
 SAMPLE_BLOCK = 4096      # lanes per array pass of sample_sweep, a block of draws or a chunk of the pool; bounds its memory
+_NORMAL_MIN = 2.0 ** -1022  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ class SweepOrder(NamedTuple):
 
     draw is each lane's index in the draw sequence, -1 for the centre z.
     values lists (budget field, index, array over the lanes), which
-    estimate_budget folds as one stack: P, Q and Pt at index k (and at 0
+    estimate_budget folds, one maximum per array: P, Q and Pt at index k (and at 0
     when k = 1), and H, E, F and delta = d1 + d2 at k. d1 and d2 are the
     distortion bounds at order k, and tails (k, lanes) holds in row j the
     norm F_{j,k} of Dphi_{k-1} ... Dphi_{j+1}, from the products of _Lanes
@@ -198,14 +199,14 @@ def _delta_lanes(tails: np.ndarray, F: np.ndarray, Pt: np.ndarray, s2: np.ndarra
     fk = F[k]
     f2 = fk * fk
     ef = e / fk
-    d1 = np.where(f2 >= np.finfo(float).smallest_normal, e / f2, ef / fk) * s1
+    d1 = np.where(f2 >= _NORMAL_MIN, e / f2, ef / fk) * s1
     return np.fmax(d1, 0.0), ef * s2
 
 
 class _Lanes(NamedTuple):
     """The live lanes of a sweep after order k, with what order k + 1 reads of them.
 
-    draw is each lane's draw number, (x, y) its iterate k, step its Dphi_k,
+    draw is each lane's draw number, xy (2, lanes) its iterate k, step its Dphi_k,
     and E <= P step's singular values: at k = 0, P is P_0 and 1 / E is Q_0.
     R (4, k, lanes) holds in row r the product Dphi_{k-1} (... (Dphi_{r+1}
     Dphi_r)): row 0 is Dphi^k, row j + 1 the tail whose norm is F_{j,k}. F
@@ -215,8 +216,7 @@ class _Lanes(NamedTuple):
     """
 
     draw: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
+    xy: np.ndarray
     step: np.ndarray
     E: np.ndarray
     P: np.ndarray
@@ -233,7 +233,7 @@ def _draw_lanes(m: MapModel, ref: list[Point2], sched: EpsilonSchedule, start: i
         at, pd = _point_data(m, xs[lane], ys[lane])
         s2 = pd["Ddt"] / pd["Dd"]  # at order 1 the j = 0 term, F_0 = 1
     lane = lane[at]
-    return _Lanes(start + lane, xs[lane], ys[lane], pd["S"], pd["E"], pd["P"], np.empty((4, 0, len(lane))),
+    return _Lanes(start + lane, np.array((xs[lane], ys[lane])), pd["S"], pd["E"], pd["P"], np.empty((4, 0, len(lane))),
                   np.ones((1, len(lane))), pd["Pt"][None], s2)
 
 
@@ -251,21 +251,21 @@ def _sweep_order(
     """
     with np.errstate(all="ignore"):
         # lanes alive here have level >= k - 1; keep those whose iterate k - 1 is in the tube
-        sel = _in_tube(k - 1, s.x, s.y, ref, sched).nonzero()[0] if k > 1 else np.arange(len(s.draw))
-        nx, ny = apply_lanes(m.raw_eval, s.x[sel], s.y[sel], 2)
-        R, e, f = s.step.take(sel, axis=1)[:, None], s.E[sel], s.P[None, sel]  # f: the norms of R's rows
+        sel = _in_tube(k - 1, *s.xy, ref, sched).nonzero()[0] if k > 1 else np.arange(len(s.draw))
+        nxy = apply_lanes(m.raw_eval, *s.xy.take(sel, axis=1), 2)
+        R, e, f = s.step.take(sel, axis=1)[:, None], s.E[sel], s.P[sel][None]  # f: the norms of R's rows
         if k > 1:
             prods = mul_lanes(R, s.R.take(sel, axis=2))
             e, fp = (v.reshape(k - 1, -1) for v in singular_values_lanes(prods.reshape(4, -1)))
             e, f, R = e[0], np.concatenate((fp, f)), np.concatenate((prods, R), axis=1)
-        ok = (np.isfinite(nx) & np.isfinite(ny) & np.isfinite(f[0]) & (f[0] != 0.0)).nonzero()[0]
-        at, nd = _point_data(m, nx[ok], ny[ok])
+        ok = (np.isfinite(nxy[0]) & np.isfinite(nxy[1]) & np.isfinite(f[0]) & (f[0] != 0.0)).nonzero()[0]
+        at, nd = _point_data(m, *nxy.take(ok, axis=1))
         if not len(at):
             return None
         at = ok[at]  # the lanes of sel that reach order k
         keep = sel[at]
-        tails = np.concatenate((f[1:].take(at, axis=1), np.ones((1, len(at)))))  # row k - 1: the empty product
-        e, f = e[at], f[0, at]
+        e, f = e[at], f.take(at, axis=1)
+        tails, f = np.concatenate((f[1:], np.ones((1, len(at))))), f[0]  # tails row k - 1: the empty product
         # one index per history; the new rows move in, so the histories hold their only copy
         F = np.concatenate((s.F.take(keep, axis=1), f[None]))
         Pt = np.concatenate((s.Pt.take(keep, axis=1), nd["Pt"][None]))
@@ -277,7 +277,7 @@ def _sweep_order(
             values += [("p", 0, f), ("q", 0, 1.0 / e), ("pt", 0, Pt[0])]  # Dphi^1 is the step
         s2 += nd["Ddt"] / nd["Dd"] * f  # the term j = k, for order k + 1
     draw = s.draw[keep]
-    lanes = _Lanes(draw, nx[at], ny[at], nd["S"], nd["E"], nd["P"], R.take(at, axis=2), F, Pt, s2)
+    lanes = _Lanes(draw, nxy.take(at, axis=1), nd["S"], nd["E"], nd["P"], R.take(at, axis=2), F, Pt, s2)
     return lanes, SweepOrder(k, draw, values, d1, d2, tails)
 
 
@@ -379,9 +379,10 @@ def estimate_budget(
     counts = {k: 0 for k in range(1, km1)}
     for order in orders:
         counts[order.k] += len(order.draw) - int(order.draw[0] < 0)  # z, draw -1, can only be lane 0
-        # one fold per order: fmax skips NaN, so NaN never wins, as in fold_max
+        # one fold per order, a maximum per array (a stacked copy of wide arrays costs more): fmax skips NaN, so NaN
+        # never wins, as in fold_max
         at = tuple(zip(*((row[name], i) for name, i, _ in order.values)))
-        top[at] = np.fmax(top[at], np.fmax.reduce(np.array([v for _, _, v in order.values]), axis=1))
+        top[at] = np.fmax(top[at], [np.fmax.reduce(v) for _, _, v in order.values])
     # the tail reads each maximum once, as Python floats, which run the same IEEE operations
     p, q, pt, gamma, gamma_star, delta, fmax = top.tolist()
 

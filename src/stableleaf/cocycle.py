@@ -67,19 +67,27 @@ def _scale_back(v: float, ex: int) -> float:
 def norm2_lanes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """norm2 of every lane of x and y, as an array with the same bits.
 
-    A lane whose norm is outside (2^-499, 2^499), or NaN, and whose x or y
-    is nonzero, is computed by norm2. Every other lane has max(|x|, |y|) in
-    (2^-500, 2^500) or is 0, where norm2 squares unscaled. Call it inside
+    Every lane is squared unscaled, which is norm2 where max(|x|, |y|) is in
+    (2^-500, 2^500) or is 0. Reductions check all lanes at once: where the
+    smallest and largest norm are in (2^-499, 2^499), leaving out exact
+    zeros when every lane with a nonzero x or y has a nonzero norm, that
+    holds on every lane. Else a lane whose norm is outside that range, or
+    NaN, and whose x or y is nonzero, is computed by norm2. Call it inside
     np.errstate, as every lane helper.
     """
     out = x * x
     out += y * y
     np.sqrt(out, out=out)
-    odd = ~((out > 2.0 * _NORM2_MIN) & (out < 0.5 * _NORM2_MAX))
-    if odd.any():
-        odd &= (x != 0.0) | (y != 0.0)
-        for i in odd.nonzero()[0].tolist():
-            out[i] = norm2(float(x[i]), float(y[i]))
+    lo, hi = 2.0 * _NORM2_MIN, 0.5 * _NORM2_MAX
+    bottom, top = out.min(initial=math.inf), out.max(initial=0.0)
+    if bottom == 0.0 and np.count_nonzero(out) == np.count_nonzero(np.logical_or(x, y)):
+        bottom = out.min(initial=math.inf, where=out != 0.0) if top else math.inf  # each 0 is a lane of x = y = 0
+    if bottom > lo and top < hi:
+        return out
+    odd = ~((out > lo) & (out < hi))
+    odd &= (x != 0.0) | (y != 0.0)
+    for i in odd.nonzero()[0].tolist():
+        out[i] = norm2(float(x[i]), float(y[i]))
     return out
 
 
@@ -128,8 +136,9 @@ def singular_values_lanes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """singular_values of every lane of the entry array m (4, lanes), as arrays (E, F).
 
     The same operations as _frame, on the stacked entries, so E and F have
-    its bits. A lane whose sum of squares is outside (2^-1020, 2^1018), where
-    _frame scales, is computed by singular_values. Call it inside np.errstate.
+    its bits. A lane whose sum of squares s is outside (2^-1020, 2^1018),
+    where _frame scales, is computed by singular_values; two reductions over
+    s find whether there is one. Call it inside np.errstate.
     """
     sq = m * m
     s = sq[0] + sq[1] + sq[2] + sq[3]
@@ -141,8 +150,9 @@ def singular_values_lanes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ad, bc = np.multiply(m[:2], m[3:1:-1], out=sq[2:])
     e = np.abs(ad - bc)
     e /= np.sqrt(f, out=f)
-    for i in (~((s > _FRAME_MIN) & (s < _FRAME_MAX))).nonzero()[0].tolist():
-        e[i], f[i] = singular_values(tuple(m[:, i].tolist()))
+    if not (s.min(initial=math.inf) > _FRAME_MIN and s.max(initial=0.0) < _FRAME_MAX):
+        for i in (~((s > _FRAME_MIN) & (s < _FRAME_MAX))).nonzero()[0].tolist():
+            e[i], f[i] = singular_values(tuple(m[:, i].tolist()))
     return e, f
 
 
@@ -153,9 +163,10 @@ def _point_data(m: MapModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, 
     build_orbit_cocycle share: the point in the domain, Dphi finite and
     nonsingular (det finite and nonzero, E != 0), the second-derivative data
     finite (a finite det has finite entries). Each callable sees only the
-    lanes that passed the checks before it, and each value is indexed once,
-    at the lanes that pass them all. E <= P are the singular values of S.
-    Call it inside np.errstate.
+    lanes that passed the checks before it. Pt and Ddt are taken on every
+    lane that reaches the second partials, and each value is then indexed
+    once, at the lanes that pass every check. E <= P are the singular values
+    of S. Call it inside np.errstate.
     """
     at = m.in_domain_lanes(x, y).nonzero()[0]
     x, y = x[at], y[at]
@@ -164,12 +175,13 @@ def _point_data(m: MapModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, 
     det = s[0] * s[3] - s[1] * s[2]
     ok = (np.isfinite(det) & (det != 0.0) & (e != 0.0)).nonzero()[0]
     d2 = apply_lanes(m.second_partials, x[ok], y[ok], 8)
-    fine = np.isfinite(d2).all(axis=0)
-    ok, d2 = ok[fine], d2.compress(fine, axis=1)
+    pt = np.abs(d2[:6], out=d2[:6]).max(axis=0)  # the largest |entry|: NaN or inf where an entry is
+    fine = (np.isfinite(pt) & np.isfinite(d2[6]) & np.isfinite(d2[7])).nonzero()[0]
+    ok = ok[fine]
     e = e[ok]
     return at[ok], {
-        "S": s.take(ok, axis=1), "E": e, "P": f[ok], "Q": 1.0 / e, "Pt": 2.0 * np.abs(d2[:6]).max(axis=0),
-        "Dd": np.abs(det[ok]), "Ddt": norm2_lanes(d2[6], d2[7]),
+        "S": s.take(ok, axis=1), "E": e, "P": f[ok], "Q": 1.0 / e, "Pt": 2.0 * pt[fine],
+        "Dd": np.abs(det[ok]), "Ddt": norm2_lanes(d2[6], d2[7])[fine],
     }
 
 

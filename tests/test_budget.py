@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import tracemalloc
@@ -79,6 +80,23 @@ def budget_wide(seed):
     """The budget of the benchmark's budget-wide op: 20,000 draws in 5 blocks, kmax 14."""
     m = make_map("perturbed", lambda_s=0.5, lambda_u=2.0, c=0.05)
     return estimate_budget(m, Point2(0.0, 0.0), EpsilonSchedule.constant(0.05), 14, n=20000, seed=seed)
+
+
+# sha256 of the seven maxima p, q, pt, gamma, gamma_star, delta and fmax (their bytes, in that
+# order) followed by repr(sorted(accepted_counts.items())), of the budget-wide budget at the
+# real block width: 5 blocks of 4096 draws, pooled past order 4
+WIDE_BUDGET_SHA256 = {
+    2: "90fd0d73a6ffd161cd43941313c22f1b5c7f0c3ffd4a8488693d302fadf39864",
+    3: "2b1e0611feeb8c4a904769d8d9de7bf03c771ff846bd4d7336184ef7fb9bfd17",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(WIDE_BUDGET_SHA256))
+def test_wide_budget_keeps_its_bits(seed):
+    b = budget_wide(seed)
+    maxima = b"".join(getattr(b, f).tobytes() for f in ("p", "q", "pt", "gamma", "gamma_star", "delta", "fmax"))
+    digest = hashlib.sha256(maxima + repr(sorted(b.accepted_counts.items())).encode()).hexdigest()
+    assert digest == WIDE_BUDGET_SHA256[seed]
 
 
 @pytest.mark.parametrize("seed", [2, 3])

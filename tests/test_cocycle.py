@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stableleaf import Mat2, Point2, SplitRng, build_orbit_cocycle, make_map, singular_frame
+import stableleaf.cocycle as cocycle_mod
 from stableleaf.cocycle import _frame, norm2, norm2_lanes, singular_values, singular_values_lanes
 from stableleaf.directions import _contracted_theta
 from stableleaf.errors import ConformalError, NumericalError, OrbitEscapeError, SingularMatrixError, SingularStepError
@@ -392,6 +393,68 @@ def test_singular_values_lanes_match_scalar():
     for m, le, lf in zip(mats.tolist(), e.tolist(), f.tolist()):
         se, sf = singular_values(m)
         assert same_float(le, se) and same_float(lf, sf), m
+
+
+# the lane kernels check their range with reductions and take the per-lane path only where
+# one lane is out of it; these batches reach each branch at every width
+BRANCH_WIDTHS = [0, 1, 2, 4097]
+ODD_VALUES = [2.0 ** 499, 2.0 ** -499, 2.0 ** 500, 2.0 ** -500, 2.0 ** -1020, 2.0 ** 1018, 5e-324,
+              math.inf, -math.inf, math.nan]
+BRANCH_CASES = ["in-range", "zeros", "some-zeros", "some-zeros-odd"] + [f"odd-{v!r}" for v in ODD_VALUES]
+BRANCH_PARAMS = [(case, width) for case in BRANCH_CASES for width in BRANCH_WIDTHS if width or "odd" not in case]
+
+
+def branch_batch(case, width, rows):
+    """rows x width entries for a branch case.
+
+    In range; all +-0; every third lane +-0; every third lane +-0 and one odd
+    lane of 2^-1020, whose squares underflow to 0; or in range but for one
+    odd lane of v. The odd lane is (v, 0) for rows = 2, a norm2 argument
+    pair, and v times the in-range entries for rows = 4, a matrix. The
+    in-range matrices include (1, 2^-27, 2^-27, 2^-27), whose sum of squares
+    rounds differently where the squares are not added in row order.
+    """
+    rng = np.random.default_rng(width)
+    base = rng.uniform(0.5, 2.0, (rows, width)) * rng.choice([-1.0, 1.0], (rows, width))
+    if rows == 4 and width:
+        base[:, 0] = (1.0, 2.0 ** -27, 2.0 ** -27, 2.0 ** -27)
+    out = np.where(base < 0.0, -0.0, 0.0) if case == "zeros" else base.copy()
+    if case.startswith("some-zeros"):
+        out[:, ::3] = np.where(base[:, ::3] < 0.0, -0.0, 0.0)
+    if "odd" in case:
+        v = 2.0 ** -1020 if case == "some-zeros-odd" else ODD_VALUES[BRANCH_CASES.index(case) - 4]
+        out[:, width // 2] = (v, 0.0) if rows == 2 else v * base[:, width // 2]
+    return out
+
+
+@pytest.mark.parametrize("case, width", BRANCH_PARAMS)
+def test_norm2_lanes_branches_match_norm2(case, width, monkeypatch):
+    x, y = branch_batch(case, width, 2)
+    want = np.array([norm2(a, b) for a, b in zip(x.tolist(), y.tolist())])
+    calls = []
+    monkeypatch.setattr(cocycle_mod, "norm2", lambda a, b: calls.append((a, b)) or norm2(a, b))
+    with np.errstate(all="ignore"):
+        got = norm2_lanes(x, y)
+    assert got.shape == (width,) and np.all(same_bits(got, want))
+    # only an odd lane takes the per-lane path; exact zeros and in-range lanes never do
+    assert len(calls) == int("odd" in case)
+
+
+@pytest.mark.parametrize("case, width", BRANCH_PARAMS)
+def test_singular_values_lanes_branches_match_scalar(case, width, monkeypatch):
+    m = branch_batch(case, width, 4)
+    want = np.array([singular_values(tuple(c)) for c in m.T.tolist()]).reshape(width, 2).T
+    calls = []
+    monkeypatch.setattr(cocycle_mod, "singular_values", lambda c: calls.append(c) or singular_values(c))
+    with np.errstate(all="ignore"):
+        e, f = singular_values_lanes(m)
+    assert e.shape == f.shape == (width,) and np.all(same_bits(e, want[0])) and np.all(same_bits(f, want[1]))
+    # an in-range batch takes no per-lane path; a zero matrix, whose sum of squares is 0, does
+    zero_lanes = np.count_nonzero(~m.any(axis=0))
+    if case in ("in-range", "zeros", "some-zeros"):
+        assert len(calls) == zero_lanes
+    else:
+        assert zero_lanes <= len(calls) <= zero_lanes + 1
 
 
 def test_frame_never_raises_overflow_error():

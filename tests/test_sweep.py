@@ -571,6 +571,40 @@ def test_point_data_matches_reference(name):
     assert tied, name
 
 
+def _second_partial(j, x):
+    """Entry j of the probe map's second-derivative data: NaN at x = 10 + j, +-inf at x = 10.5 + j."""
+    return np.where(x == 10.0 + j, math.nan, np.where(x == 10.5 + j, (-1.0) ** j * math.inf, 0.5 * j + 0.25 * x))
+
+
+PROBE = MapModel(
+    name="second-partial-probe",
+    params={},
+    raw_eval=lambda x, y: (x, y),
+    raw_jac=lambda x, y: (x, y, 1.0, 1.0),  # det = x - y
+    raw_hess=lambda x, y: tuple(_second_partial(j, x) for j in range(6)),
+    raw_det_grad=lambda x, y: (_second_partial(6, x), _second_partial(7, x)),
+    box=(-1e308, 1e308, -1e308, 1e308),
+)
+
+
+def test_point_data_drops_each_failing_lane_as_alone():
+    # valid lanes mixed with lanes that fail the domain (outside the box, NaN), the det check
+    # (det = 0, det = +inf) and the second-derivative rule in one entry each, NaN or +-inf
+    valid = [(0.5, 0.25), (1.5, -0.75), (3.0, 2.0), (-2.0, 0.125)]
+    failing = [(1.5e308, 0.0), (math.nan, 0.0), (0.75, 0.75), (1e308, -1e308)]
+    failing += [(x + j, 0.1) for j in range(8) for x in (10.0, 10.5)]
+    lanes = [p for pair in zip(failing, valid * 5) for p in pair]
+    xs, ys = np.array(lanes).T
+    with np.errstate(all="ignore"):
+        at, pd = _point_data(PROBE, xs, ys)
+        alone = [_point_data(PROBE, xs[i:i + 1], ys[i:i + 1]) for i in range(len(lanes))]
+    assert at.tolist() == [i for i, p in enumerate(lanes) if p in valid]
+    assert at.tolist() == [i for i, (a, _) in enumerate(alone) if len(a)]
+    for key, v in pd.items():
+        want = np.concatenate([d[key] for a, d in alone if len(a)], axis=-1)
+        assert v.shape == want.shape and v.tobytes() == want.tobytes(), key
+
+
 def test_field_derivative_matches_reference():
     for name in ("linear", "perturbed", "henon", "guarded", "no-raw-jac"):
         m = MAPS[name]()
