@@ -48,6 +48,7 @@ DEFAULT_SAMPLES = 2000
 LADDER_DEPTH = 40        # the epsilon ladder runs eps0 * 2^-m for m = 0..LADDER_DEPTH
 SAMPLE_BLOCK = 4096      # lanes per array pass of sample_sweep, a block of draws or a chunk of the pool; bounds its memory
 _NORMAL_MIN = 2.0 ** -1022  # the smallest normal float
+VALUE_ROWS = ("p", "q", "pt", "gamma", "gamma_star", "fmax", "delta")  # the budget fields of SweepOrder.values
 
 
 @dataclass(frozen=True)
@@ -162,17 +163,18 @@ class SweepOrder(NamedTuple):
     """The lanes of one block, or of one chunk of the pool, that lie in N^(k), and what they give the budget at order k.
 
     draw is each lane's index in the draw sequence, -1 for the centre z.
-    values lists (budget field, index, array over the lanes), which
-    estimate_budget folds, one maximum per array: P, Q and Pt at index k (and at 0
-    when k = 1), and H, E, F and delta = d1 + d2 at k. d1 and d2 are the
-    distortion bounds at order k, and tails (k, lanes) holds in row j the
-    norm F_{j,k} of Dphi_{k-1} ... Dphi_{j+1}, from the products of _Lanes
-    and the step norm they carry; row k - 1, the empty product, is 1.
+    values (7, lanes) holds in row r the budget field VALUE_ROWS[r] at index
+    k: P, Q, Pt, H, E, F and delta = d1 + d2; at k = 1 three more rows hold
+    P, Q and Pt at index 0. estimate_budget folds it with one reduction
+    along the lanes. d1 and d2 are the distortion bounds at order k, and
+    tails (k, lanes) holds in row j the norm F_{j,k} of Dphi_{k-1} ...
+    Dphi_{j+1}, from the products of _Lanes and the step norm they carry;
+    row k - 1, the empty product, is 1.
     """
 
     k: int
     draw: np.ndarray
-    values: list
+    values: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
     tails: np.ndarray
@@ -271,10 +273,13 @@ def _sweep_order(
         Pt = np.concatenate((s.Pt.take(keep, axis=1), nd["Pt"][None]))
         s2 = s.s2[keep]
         d1, d2 = _delta_lanes(tails, F, Pt, s2, e)
-        values = [("p", k, nd["P"]), ("q", k, nd["Q"]), ("pt", k, Pt[k]),
-                  ("gamma", k, e / f), ("gamma_star", k, e), ("fmax", k, f), ("delta", k, d1 + d2)]
-        if k == 1:
-            values += [("p", 0, f), ("q", 0, 1.0 / e), ("pt", 0, Pt[0])]  # Dphi^1 is the step
+        values = np.empty((10 if k == 1 else 7, len(at)))  # written in place: the fold reads it whole
+        values[0], values[1], values[2], values[4], values[5] = nd["P"], nd["Q"], Pt[k], e, f
+        np.divide(e, f, out=values[3])
+        np.add(d1, d2, out=values[6])
+        if k == 1:  # Dphi^1 is the step: P_0, Q_0 and Pt_0
+            values[7], values[9] = f, Pt[0]
+            np.divide(1.0, e, out=values[8])
         s2 += nd["Ddt"] / nd["Dd"] * f  # the term j = k, for order k + 1
     draw = s.draw[keep]
     lanes = _Lanes(draw, nxy.take(at, axis=1), nd["S"], nd["E"], nd["P"], R.take(at, axis=2), F, Pt, s2)
@@ -373,18 +378,18 @@ def estimate_budget(
     km1 = kmax + 1
     center = build_orbit_cocycle(m, z, kmax)
     orders = sample_sweep(m, center, sched, n, seed)
-    row = {name: i for i, name in enumerate(("p", "q", "pt", "gamma", "gamma_star", "delta", "fmax"))}
-    top = np.zeros((len(row), km1))
-    top[[row["gamma"], row["gamma_star"], row["fmax"]], 0] = 1.0  # order 0: the identity cocycle
+    top = np.zeros((len(VALUE_ROWS), km1))  # row r is VALUE_ROWS[r]
+    top[3:6, 0] = 1.0  # order 0: the identity cocycle, whose H, E and F are 1
     counts = {k: 0 for k in range(1, km1)}
     for order in orders:
         counts[order.k] += len(order.draw) - int(order.draw[0] < 0)  # z, draw -1, can only be lane 0
-        # one fold per order, a maximum per array (a stacked copy of wide arrays costs more): fmax skips NaN, so NaN
-        # never wins, as in fold_max
-        at = tuple(zip(*((row[name], i) for name, i, _ in order.values)))
-        top[at] = np.fmax(top[at], [np.fmax.reduce(v) for _, _, v in order.values])
+        # one fold per order: fmax skips NaN, so NaN never wins, as in fold_max
+        k, mx = order.k, np.fmax.reduce(order.values, axis=1)
+        top[:, k] = np.fmax(top[:, k], mx[:7])
+        if k == 1:
+            top[:3, 0] = np.fmax(top[:3, 0], mx[7:])
     # the tail reads each maximum once, as Python floats, which run the same IEEE operations
-    p, q, pt, gamma, gamma_star, delta, fmax = top.tolist()
+    p, q, pt, gamma, gamma_star, fmax, delta = top.tolist()
 
     terms = [series_term(p[k], q[k], gamma[k + 1]) for k in range(kmax)]
     xi = [t / (1.0 - t) if t < 1.0 else math.inf for t in terms]
@@ -400,7 +405,7 @@ def estimate_budget(
         tail += terms[k]
         tails[k] = tail
     with np.errstate(over="ignore"):  # +inf where it overflows, as the series terms are
-        gamma_tilde = top[row["gamma_star"]] + 2.0 * top[row["fmax"]] * tails
+        gamma_tilde = top[4] + 2.0 * top[5] * tails  # gamma_star + 2 fmax tails, on the arrays
 
     star_terms = []
     for k in range(kmax):
@@ -414,7 +419,7 @@ def estimate_budget(
     star_partial_sums = np.cumsum(star_terms[1:])  # kmax >= 2: never empty
 
     return HyperbolicityBudget(
-        z=Point2(*z), kmax=kmax, n=n, seed=seed, sched=sched, **dict(zip(row, top)),
+        z=Point2(*z), kmax=kmax, n=n, seed=seed, sched=sched, **dict(zip(VALUE_ROWS, top)),
         terms=np.array(terms), xi=np.array(xi), gamma_tilde=gamma_tilde,
         star_terms=np.array(star_terms), star_partial_sums=star_partial_sums,
         k0=k0, cocycle=center, accepted_counts=counts,

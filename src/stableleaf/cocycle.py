@@ -68,21 +68,17 @@ def norm2_lanes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """norm2 of every lane of x and y, as an array with the same bits.
 
     Every lane is squared unscaled, which is norm2 where max(|x|, |y|) is in
-    (2^-500, 2^500) or is 0. Reductions check all lanes at once: where the
-    smallest and largest norm are in (2^-499, 2^499), leaving out exact
-    zeros when every lane with a nonzero x or y has a nonzero norm, that
-    holds on every lane. Else a lane whose norm is outside that range, or
-    NaN, and whose x or y is nonzero, is computed by norm2. Call it inside
+    (2^-500, 2^500) or is 0. Two reductions check all lanes at once: where
+    the smallest and largest norm are in (2^-499, 2^499), that holds on
+    every lane. Else a lane whose norm is outside that range, or NaN, and
+    whose x or y is nonzero, is computed by norm2. Call it inside
     np.errstate, as every lane helper.
     """
     out = x * x
     out += y * y
     np.sqrt(out, out=out)
     lo, hi = 2.0 * _NORM2_MIN, 0.5 * _NORM2_MAX
-    bottom, top = out.min(initial=math.inf), out.max(initial=0.0)
-    if bottom == 0.0 and np.count_nonzero(out) == np.count_nonzero(np.logical_or(x, y)):
-        bottom = out.min(initial=math.inf, where=out != 0.0) if top else math.inf  # each 0 is a lane of x = y = 0
-    if bottom > lo and top < hi:
+    if out.min(initial=math.inf) > lo and out.max(initial=0.0) < hi:
         return out
     odd = ~((out > lo) & (out < hi))
     odd &= (x != 0.0) | (y != 0.0)

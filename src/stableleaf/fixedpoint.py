@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .budget import DEFAULT_SAMPLES, EpsilonSchedule, check_condition_star, fold_max, log_slope, sample_sweep
+from .budget import DEFAULT_SAMPLES, VALUE_ROWS, EpsilonSchedule, check_condition_star, fold_max, log_slope, sample_sweep
 from .cocycle import build_orbit_cocycle, series_term
 from .directions import angle_distance
 from .errors import (
@@ -198,7 +198,7 @@ def regular_growth_check(
     with np.errstate(all="ignore"):  # as Python floats: +inf on overflow, NaN for 0/0
         for o in sample_sweep(m, centre, sched, n, seed):
             k, rows = o.k, o.draw + 1
-            v = {name: a for name, i, a in o.values if i == k}
+            v = dict(zip(VALUE_ROWS, o.values))
             level[rows] = k
             for a, x in zip((E, F, H, D1, D2), (v["gamma_star"], v["fmax"], v["gamma"], o.d1, o.d2)):
                 a[rows, k] = x

@@ -579,7 +579,8 @@ def test_sweep_lanes_match_reference(name, block, monkeypatch):
         if o.k >= 3 and np.any(o.tails[:-2] < 2.0 ** -510.25) and np.any(o.tails[:-2] > 2.0 ** -510):
             deferred.add(o.k)
         for i, draw in enumerate(o.draw.tolist()):
-            got = {(f, j): v[i] for f, j, v in o.values}
+            keys = [(f, o.k) for f in budget_mod.VALUE_ROWS] + [(f, 0) for f in ("p", "q", "pt")] * (o.k == 1)
+            got = {key: v[i] for key, v in zip(keys, o.values, strict=True)}
             got["d1"], got["d2"] = o.d1[i], o.d2[i]
             got["tails"] = o.tails[:, i]
             lanes.setdefault(draw, (Point2(*points[draw]), {}))[1][o.k] = got
@@ -700,7 +701,8 @@ def _two_row_sweep(f, tails_at_3):
             fk = np.array([2.0 ** k, f[k]])
             draw_tails = tails_at_3 if k == 3 else [1.0] * k
             tails = np.array([[2.0 ** (k - j - 1), t] for j, t in enumerate(draw_tails)])
-            values = [("gamma", k, e / fk), ("gamma_star", k, e), ("fmax", k, fk)]
+            rows = {"gamma": e / fk, "gamma_star": e, "fmax": fk}
+            values = np.array([rows.get(name, np.zeros(2)) for name in budget_mod.VALUE_ROWS])
             yield budget_mod.SweepOrder(k, np.array([-1, 0]), values, np.zeros(2), np.zeros(2), tails)
     return sweep
 
