@@ -58,8 +58,6 @@ def _eigenvector(j11, j12, j21, j22, lam) -> tuple[float, float]:
     v2 = (lam - j22, j21)
     v = v1 if math.hypot(*v1) >= math.hypot(*v2) else v2
     nrm = math.hypot(*v)
-    if nrm == 0.0:
-        v, nrm = (1.0, 0.0), 1.0
     vx, vy = v[0] / nrm, v[1] / nrm
     if vx < 0.0 or (vx == 0.0 and vy < 0.0):
         vx, vy = -vx, -vy
@@ -259,11 +257,11 @@ class TheoremReport:
     full_length: bool
     fitted_rate: float           # (3) log-linear contraction rate
     rate_deviation: float        #     |fitted_rate - ln|lambda_s||
-    convergence: ConvergenceReport = None
-    contraction: ContractionReport = None
-    uniqueness: UniquenessReport = None  # (4)
-    minidistortion_ok: bool = True
-    k0_ok: bool = True
+    convergence: ConvergenceReport
+    contraction: ContractionReport
+    uniqueness: UniquenessReport  # (4)
+    minidistortion_ok: bool
+    k0_ok: bool
 
 
 def _minidistortion_ok(coc) -> bool:

@@ -8,12 +8,12 @@ N = round(eps/h) steps a side (default h = eps/16, so N = 16 on the default
 field against the previous tangent; dense output places every grid node,
 from the cubic Hermite on the step ends' positions and tangents, or the step
 end itself where a node falls on one. The Cauchy leaves of every order are
-traced at eps/2 and placed in one node pass (_trace_leaves), with no theta
-list, and consecutive orders are compared at matched arclength on the shared
-grid. The Cauchy iteration traces the last order again at h and at h/2,
-reports the h/2 leaf as the limit leaf, and takes the largest deviation of
-that pair over all nodes, the Hermite ones included, as the integration
-error; the last Cauchy leaf's deviation from the h leaf is its step error.
+traced at eps/2 from the angles at z in the budget's cocycle, in one node
+pass (_trace_leaves), and consecutive orders are compared at matched
+arclength on the shared grid. The Cauchy iteration traces the last order
+again at h, a grid row, and at h/2, the reported limit leaf, and takes the
+pair's largest deviation over all nodes as the integration error; the last
+Cauchy leaf's deviation from the h leaf is its step error.
 
 budget_to_epsilon and iterate_to_contraction run the pipeline stages in
 order, each through staged(), which names the stage a NumericalError came from.
@@ -37,7 +37,7 @@ from .budget import (
     tube_exits,
 )
 from .cocycle import norm2_lanes
-from .directions import _signed_gap, contracted_theta_fast, direction_field_derivative
+from .directions import _signed_gap, contracted_direction, contracted_theta_fast, direction_field_derivative
 from .errors import (
     BadParamsError,
     ConformalError,
@@ -233,18 +233,17 @@ def _unwrap(th: float, raw: list[float]) -> list[float]:
     return out
 
 
-def _trace_leaves(m: MapModel, z: Point2, ks, eps: float, h: Optional[float], grid_points: int) -> tuple:
-    """The order-k leaves through z for every k in ks, all at one step h, in one node pass.
+def _trace_leaves(m: MapModel, z: Point2, leaves, eps: float, h: Optional[float], grid_points: int) -> tuple:
+    """The order-k leaf through z for each (k, theta0) of leaves, all at one step h, in one node pass.
 
     Checks grid_points, eps and h and sets each side's N steps as
-    integrate_leaf says. Order by order, lowest first, theta0 at z (where a
-    ConformalError, OrbitEscapeError or SingularStepError propagates) and then
-    the positive and the negative side's _rk4_steps; one _place_nodes call
-    places every side's nodes. Returns (h_eff, theta0s, grid, reach,
-    truncated): grid is the (coord, order, node) array of x, y, tx and ty over
-    the grid_points nodes, z with tangent (cos theta0, sin theta0) at the
-    centre and NaN past a side's reach, reach the (order, side) array of the
-    nodes each side reached and truncated its flags, positive side first.
+    integrate_leaf says. Leaf by leaf, the positive and the negative side's
+    _rk4_steps run from z along +/- (cos theta0, sin theta0); one _place_nodes
+    call places every side's nodes. Returns (h_eff, grid, reach, truncated):
+    grid is the (coord, leaf, node) array of x, y, tx and ty over the
+    grid_points nodes, z with tangent (cos theta0, sin theta0) at the centre
+    and NaN past a side's reach, reach the (leaf, side) array of the nodes
+    each side reached and truncated its flags, positive side first.
     """
     if grid_points < 3 or grid_points % 2 == 0:
         raise BadParamsError(f"grid_points must be odd and >= 3, got {grid_points}")
@@ -259,23 +258,21 @@ def _trace_leaves(m: MapModel, z: Point2, ks, eps: float, h: Optional[float], gr
     n_steps = max(1, round(eps / h))
     h_eff = spacing / (n_steps / n_side)
 
-    th0s, centre, sides, truncated = [], [], [], []
-    for k in ks:
-        th0, _, _ = contracted_theta_fast(m, zx, zy, k)  # raises at z itself
+    centre, sides, truncated = [], [], []
+    for k, th0 in leaves:
         ux, uy = math.cos(th0), math.sin(th0)
         fld = _leaf_field(m, k)
         for u in ((ux, uy), (-ux, -uy)):
             ends, cut = _rk4_steps(fld, zx, zy, *u, n_steps, h_eff)
             sides.append(ends)
             truncated.append(cut)
-        th0s.append(th0)
         centre.append((zx, zy, ux, uy))
     nodes, reached = _place_nodes(sides, n_steps, n_side, h_eff)
-    grid = np.empty((4, len(th0s), grid_points))
+    grid = np.empty((4, len(centre), grid_points))
     grid[:, :, n_side] = np.array(centre).T
     grid[:, :, n_side + 1:] = nodes[:, 0::2]
     grid[:, :, :n_side] = nodes[:, 1::2, ::-1]
-    return h_eff, th0s, grid, np.array(reached).reshape(-1, 2), np.array(truncated).reshape(-1, 2)
+    return h_eff, grid, np.array(reached).reshape(-1, 2), np.array(truncated).reshape(-1, 2)
 
 
 def integrate_leaf(
@@ -292,15 +289,17 @@ def integrate_leaf(
     h is eps/DEFAULT_STEP_DIV; on the default grid that is one RK4 step per 8
     cells. Each side takes N = max(1, round(eps / h)) steps of length eps / N
     (an h = inf takes one), and one _place_nodes pass places every grid node
-    of both sides (_trace_leaves for the one order k). theta takes math.atan2
-    of the node tangents, not np.arctan2, whose SIMD loops may round apart
-    from libm, and is unwrapped outward from the center on floats. An h that
-    is not positive, or below spacing / MAX_STEPS_PER_CELL, raises
-    BadParamsError. A ConformalError, OrbitEscapeError or SingularStepError at
-    z itself propagates; mid-trace ones truncate the corresponding side at its
+    of both sides (_trace_leaves for the one order k, from theta0 at z by one
+    contracted_theta_fast walk). theta takes math.atan2 of the node tangents,
+    not np.arctan2, whose SIMD loops may round apart from libm, and is
+    unwrapped outward from the center on floats. A ConformalError,
+    OrbitEscapeError or SingularStepError at z itself propagates first; then
+    an h that is not positive, or below spacing / MAX_STEPS_PER_CELL, raises
+    BadParamsError. Mid-trace errors truncate the corresponding side at its
     last completed step and set its flag.
     """
-    h_eff, (th0,), grid, reach, truncated = _trace_leaves(m, z, [k], eps, h, grid_points)
+    th0 = contracted_theta_fast(m, float(z[0]), float(z[1]), k)[0]  # raises at z itself
+    h_eff, grid, reach, truncated = _trace_leaves(m, z, [(k, th0)], eps, h, grid_points)
     (r_p, r_n), (trunc_p, trunc_n), c = reach[0].tolist(), truncated[0].tolist(), (grid_points - 1) // 2
     xs, ys, tx, ty = grid[:, 0, c - r_n:c + r_p + 1]
     raw = [math.atan2(dy, dx) for dx, dy in zip(tx.tolist(), ty.tolist())]
@@ -408,8 +407,9 @@ def cauchy_iterate(
     k0 must be below b.kmax. L is the direction-field Lipschitz constant
     of the Gronwall envelope; an L that is negative or NaN, or with
     exp(L*eps) past the float range, raises BadParamsError. The Cauchy
-    leaves are one _trace_leaves call, and their checks are array passes
-    over its (coord, order, node) array. Tube containment is checked by
+    leaves are one _trace_leaves call from the angles contracted_direction
+    reads in b.cocycle, and their checks are array passes over its (coord,
+    order, node) array. Tube containment is checked by
     displacing every TUBE_STRIDE-th node from the order-k leaf's first (plus
     its last) by +/- omega_k along the unit normal of its tangent, the
     expanded direction, and testing membership in the order-(k+1) tube of
@@ -425,14 +425,14 @@ def cauchy_iterate(
     carry nearly the same RK4 error, which cancels in d_k. A Cauchy leaf
     steps over an obstacle narrower than its stage spacing, so only the limit
     leaf's truncation counts. The step-doubling pair is the order-kmax
-    partner leaf at h, default 2 * eps / DEFAULT_STEP_DIV, and the limit
-    leaf, the pair's more accurate leaf (local extrapolation; Hairer, Norsett
-    and Wanner, Solving ODEs I, sec. II.4), at twice the partner's N steps a
-    side, by default integrate_leaf's default leaf; the pair is compared on
-    every grid node, so the error of the dense output counts in the
-    integration error. An h that is not positive,
-    or that asks for more than MAX_STEPS_PER_CELL / 2 steps per grid cell,
-    raises BadParamsError, since the limit leaf takes twice as many.
+    partner leaf at h, default 2 * eps / DEFAULT_STEP_DIV, a _trace_leaves
+    row, and the limit leaf, the pair's more accurate leaf (local
+    extrapolation; Hairer, Norsett and Wanner, Solving ODEs I, sec. II.4),
+    at twice the partner's N steps a side, by default integrate_leaf's
+    default leaf; the pair is compared on every grid node, so the error of
+    the dense output counts in the integration error. An h that is not
+    positive, or that asks for more than MAX_STEPS_PER_CELL / 2 steps per
+    grid cell, raises BadParamsError, since the limit leaf takes twice as many.
     """
     if b.k0 is None:
         raise NoFeasibleEpsilonError("budget has no k0")
@@ -450,7 +450,8 @@ def cauchy_iterate(
         h = 2.0 * eps / DEFAULT_STEP_DIV
     c = (DEFAULT_GRID - 1) // 2  # the centre node
     _refuse_small_step(h, eps / c, MAX_STEPS_PER_CELL // 2)
-    _, _, grid, reach, _ = _trace_leaves(m, b.z, range(k0, kmax + 1), eps, eps / 2, DEFAULT_GRID)
+    leaves = [(k, contracted_direction(b.cocycle, k).theta) for k in range(k0, kmax + 1)]
+    _, grid, reach, _ = _trace_leaves(m, b.z, leaves, eps, eps / 2, DEFAULT_GRID)
     ks = list(range(k0, kmax))
     bounds = np.array([eps * float(b.xi[k]) * egl for k in ks])
 
@@ -467,18 +468,17 @@ def cauchy_iterate(
     out = np.any((exits >= 0) & (exits <= np.array(ks)[order]), axis=0)
     tube_ok = (np.bincount(order[out], minlength=len(ks)) == 0).tolist()
 
-    # step doubling: the order-kmax partner leaf at h, and at half its step the limit leaf
-    partner = integrate_leaf(m, b.z, kmax, eps, h=h)
-    limit = integrate_leaf(m, b.z, kmax, eps, h=partner.h / 2)
+    # step doubling: the order-kmax partner leaf at h, a grid row, and at half its step the limit leaf
+    h_eff, partner, _, _ = _trace_leaves(m, b.z, leaves[-1:], eps, h, DEFAULT_GRID)
+    limit = integrate_leaf(m, b.z, kmax, eps, h=h_eff / 2)
 
     # every leaf's positions on the grid, NaN past its reach: the Cauchy leaves, then the partner and the
     # limit leaf. Rows i and i + 1 share the nodes where neither is NaN; fewer than 2 span no arc, so
     # their distance is +inf, and a node of the limit leaf that the partner does not reach has no error
     # estimate, so the integration error is then +inf
     xy = np.full((2, len(ks) + 3, DEFAULT_GRID), math.nan)
-    xy[:, :-2] = grid[:2]
-    for row, curve in ((-2, partner), (-1, limit)):
-        xy[:, row, c - curve.center_index:c - curve.center_index + len(curve.t)] = curve.xs, curve.ys
+    xy[:, :-2], xy[:, -2] = grid[:2], partner[:2, 0]
+    xy[:, -1, c - limit.center_index:c - limit.center_index + len(limit.t)] = limit.xs, limit.ys
     dist = np.hypot(*np.diff(xy, axis=1))
     shared = np.count_nonzero(~np.isnan(dist), axis=1)
     dist = np.where(shared < 2, math.inf, np.fmax.reduce(dist, axis=1))

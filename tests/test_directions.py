@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,10 +13,12 @@ from stableleaf import (
     build_orbit_cocycle,
     contracted_direction,
     direction_field_derivative,
+    eigen_split,
     fold_angle,
     make_map,
     pushforward_contraction,
 )
+from stableleaf import cocycle
 from stableleaf.directions import GAP_CUBIC, GAP_FIFTH, GAP_SQ, contracted_theta_fast
 from stableleaf.errors import BadParamsError, ConformalError, StencilEscapeError, ValidationError
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 
 from conftest import sweep_min_angle
 from test_cocycle import random_mat
+from test_param_oracle import SADDLES
 
 
 def test_coefficients_pinned():
@@ -60,6 +64,31 @@ def test_contracted_direction_examples(linear_map, henon_map):
 
     th, e, f = contracted_theta_fast(henon_map, 0.0, 0.0, 1)
     assert (th, e, f) == pytest.approx((0.0, 0.3, 1.0), abs=1e-12)
+
+
+def test_cocycle_angle_is_the_walk_angle(henon_map, monkeypatch):
+    # the leaves of cauchy_iterate start along contracted_direction(b.cocycle, k)
+    # and integrate_leaf's along contracted_theta_fast at z: the cocycle's
+    # products and orbit_product's are the same operations on the same orbit,
+    # so both angles agree to the bit at every order. The guarded map takes
+    # orbit_product's in_domain branch, the unbounded one its orbit_sweep fallback
+    guard_calls, swept = [], []
+    guarded = dataclasses.replace(henon_map, singular_guard=lambda x, y: guard_calls.append(x) or x + 3.0)
+    unbounded = dataclasses.replace(henon_map, box=(-math.inf, math.inf, -math.inf, math.inf))
+    saddle = eigen_split(henon_map, Point2(0.6, 0.2)).p
+    cases = [(m, Point2(float(w.cx[0]), float(w.cy[0])), kmax) for m, w, kmax, _ in SADDLES.values()]
+    cases += [(m, saddle, 12) for m in (henon_map, guarded, unbounded)]
+    sweep = cocycle.orbit_sweep
+    monkeypatch.setattr(cocycle, "orbit_sweep", lambda m, *args: swept.append(m) or sweep(m, *args))
+    for m, z, kmax in cases:
+        c = build_orbit_cocycle(m, z, kmax)
+        guard_calls.clear()
+        swept.clear()
+        for k in range(1, kmax + 1):
+            theta = contracted_direction(c, k).theta
+            assert theta.hex() == contracted_theta_fast(m, z.x, z.y, k)[0].hex(), (m.name, z, k)
+        assert len(swept) == (kmax if m is unbounded else 0)
+        assert len(guard_calls) == (kmax * (kmax + 1) // 2 if m is guarded else 0)
 
 
 def test_direction_matches_sweep_oracle():

@@ -16,7 +16,7 @@ from stableleaf import (
     regular_growth_check,
     verify_fixed_point_theorem,
 )
-from stableleaf import leaf
+from stableleaf import cocycle, directions, leaf
 from stableleaf.errors import BadParamsError, NoFixedPointError, NotHyperbolicError, SpectralSlackError
 from stableleaf.maps import MapModel
 
@@ -212,10 +212,11 @@ def test_theorem_henon(henon_map):
 
 def test_theorem_henon_field_calls(henon_map, monkeypatch):
     # the benchmark's theorem-henon op at seed 2: 11 Cauchy leaves of 2 RK4
-    # steps a side at eps/2 (4 field calls a step, one at z), traced in one
-    # node pass with no integrate_leaf call, then the order-12 partner leaf of
-    # 8 steps a side at h = eps/8 and the limit leaf at half its step, the
-    # only 2 integrate_leaf calls: 11 * 17 + 65 + 129 = 381 calls
+    # steps a side at eps/2 (4 field calls a step) and the order-12 partner
+    # leaf of 8 steps a side at h = eps/8, all from the angles at z in the
+    # budget's cocycle, with no integrate_leaf call, then the limit leaf at
+    # half the partner's step, the only integrate_leaf call, which takes one
+    # more call at z: 11 * 16 + 64 + 129 = 369 calls
     calls, leaves = [], []
     theta, integrate = leaf.contracted_theta_fast, leaf.integrate_leaf
 
@@ -232,7 +233,30 @@ def test_theorem_henon_field_calls(henon_map, monkeypatch):
     fp = eigen_split(henon_map, Point2(0.6, 0.2))
     r = verify_fixed_point_theorem(henon_map, fp, eta=0.05, kmax=12, seed=2, n=2000)
     assert r.converged
-    assert len(calls) == 381 and len(leaves) == 2
+    assert len(calls) == 369 and len(leaves) == 1
+
+
+def test_theorem_henon_walks_z_orbit_once(henon_map, monkeypatch):
+    # the benchmark's theorem-henon op at seed 2: build_orbit_cocycle sweeps z's
+    # orbit once for the budget, and every Cauchy leaf and the partner leaf take
+    # theta0 from its products; only the limit leaf's integrate_leaf walks z's
+    # orbit again, with one orbit_product
+    fp = eigen_split(henon_map, Point2(0.6, 0.2))
+    walks = {"orbit_sweep": 0, "orbit_product": 0}
+
+    def at_z(name, fn):
+        def counted(m, x, y, k):
+            walks[name] += (x, y) == tuple(fp.p)
+            return fn(m, x, y, k)
+        return counted
+
+    for name in walks:
+        counted = at_z(name, getattr(cocycle, name))
+        for mod in (cocycle, directions):
+            monkeypatch.setattr(mod, name, counted)
+    r = verify_fixed_point_theorem(henon_map, fp, eta=0.05, kmax=12, seed=2, n=2000)
+    assert r.converged
+    assert walks == {"orbit_sweep": 1, "orbit_product": 1}
 
 
 def test_theorem_henon_tube_passes(henon_map, monkeypatch):

@@ -324,6 +324,9 @@ def test_an_overflowing_product_at_z_raises():
     # Dphi^1024 of the (0.5, 2) saddle is the first to overflow, and the error names it as build_orbit_cocycle does
     with pytest.raises(SingularStepError, match=r"order-1024 product Dphi\^1024 overflows at \(0\.0, 0\.0\)"):
         integrate_leaf(make_map("linear", lambda_s=0.5, lambda_u=2.0), Point2(0.0, 0.0), 1100, 0.01)
+    # the walk at z comes before the checks of the arguments
+    with pytest.raises(SingularStepError, match=r"order-1024 product"):
+        integrate_leaf(make_map("linear", lambda_s=0.5, lambda_u=2.0), Point2(0.0, 0.0), 1100, -0.01)
 
 
 def test_an_overflowing_product_mid_trace_truncates_the_side():
@@ -611,27 +614,30 @@ def test_dense_output_matches_reference(case, n_cells, n_steps):
 
 @pytest.mark.parametrize("n_steps", [9, 83, 300])
 def test_half_step_leaf_takes_twice_the_steps(monkeypatch, henon_map, n_steps):
-    # one field call at z and 4 a step on each side: the partner leaf at h takes
-    # N steps a side, and the limit leaf, the half-step leaf of its integration
-    # error, 2N
+    # 4 field calls a step on each side: the Cauchy leaves at eps/2 take 2
+    # steps a side, the partner leaf at h N and the limit leaf, the half-step
+    # leaf of its integration error, 2N. Only the limit leaf's integrate_leaf
+    # makes one more call, for theta0 at z
     z, sched = HENON_SADDLE, EpsilonSchedule.constant(0.05)
     b, _, L, eps = budget_to_epsilon(henon_map, z, sched, 12, 800, 6)
     calls, made = [], []
+    trace = leaf_mod._trace_leaves
 
     def counted(*args):
         calls.append(args)
         return contracted_theta_fast(*args)
 
-    def recorded(*args, **kw):
+    def traced(m, z, leaves, eps, h, grid_points):
         before = len(calls)
-        leaf = integrate_leaf(*args, **kw)
-        made.append((round(leaf.eps / leaf.h), len(calls) - before))
-        return leaf
+        out = trace(m, z, leaves, eps, h, grid_points)
+        made.append((round(eps / out[0]), len(calls) - before))
+        return out
 
     monkeypatch.setattr(leaf_mod, "contracted_theta_fast", counted)
-    monkeypatch.setattr(leaf_mod, "integrate_leaf", recorded)
+    monkeypatch.setattr(leaf_mod, "_trace_leaves", traced)
     conv = cauchy_iterate(henon_map, b, eps, 1e-8, L=L, h=eps / n_steps)
-    assert made[-2:] == [(n_steps, 1 + 8 * n_steps), (2 * n_steps, 1 + 16 * n_steps)]
+    assert made == [(2, 16 * (len(conv.ks) + 1)), (n_steps, 8 * n_steps), (2 * n_steps, 16 * n_steps)]
+    assert len(calls) == sum(c for _, c in made) + 1
     assert conv.limit.steps_per_cell == 2 * n_steps / 128
     assert 0.0 < conv.integration_error < 1e-13
 
@@ -932,31 +938,34 @@ def test_truncated_limit_leaf_is_not_converged(monkeypatch, linear_map):
     m = strip_map(linear_map, 56 * 0.025 / 128 + 1e-4 / 3, 1e-4)
     b, _, L, eps = budget_to_epsilon(m, z, sched, 10, 500, 3)
     assert eps == 0.025  # the strip, 2e-4 wide, falls between two columns of the pre-check grid
-    made, cut = [], []
-    rk4_steps = leaf_mod._rk4_steps
+    traced, cut = [], []
+    trace, rk4_steps = leaf_mod._trace_leaves, leaf_mod._rk4_steps
 
-    def recorded(*args, **kw):
-        made.append(integrate_leaf(*args, **kw))
-        return made[-1]
+    def recorded(*args):
+        traced.append(trace(*args))
+        return traced[-1]
 
     def flagged(*args):
         ends, truncated = rk4_steps(*args)
         cut.append(truncated)
         return ends, truncated
 
-    monkeypatch.setattr(leaf_mod, "integrate_leaf", recorded)
+    monkeypatch.setattr(leaf_mod, "_trace_leaves", recorded)
     monkeypatch.setattr(leaf_mod, "_rk4_steps", flagged)
     with pytest.raises(NotConvergedError) as exc:
         cauchy_iterate(m, b, eps, 1e-8, L=L)
     rep = exc.value.report
-    partner, limit = made
+    (_, grid, _, _), (_, partner, reach, truncated), _ = traced
+    limit = rep.limit
     cauchy = cut[:-4]  # the sides of the Cauchy leaves, then the partner's and the limit leaf's
-    assert limit is rep.limit and len(cauchy) == 2 * (len(rep.ks) + 1)
+    assert len(grid[0]) == len(rep.ks) + 1 and len(cauchy) == 2 * (len(rep.ks) + 1)
     assert not any(cauchy) and not any(rep.restricted)
     assert np.all(rep.d_k == 0.0) and rep.integration_error < 1e-8
-    for pair_leaf in (partner, limit):
-        assert pair_leaf.truncated_pos and not pair_leaf.truncated_neg
-        assert pair_leaf.length_neg == eps and pair_leaf.length_pos == 48 * (eps / 128)
+    # the partner's grid row reaches node 48 of 128 on the positive side and eps on the negative one
+    assert reach.tolist() == [[48, 128]] and truncated.tolist() == [[True, False]]
+    assert np.count_nonzero(~np.isnan(partner[0, 0])) == 1 + 48 + 128
+    assert limit.truncated_pos and not limit.truncated_neg
+    assert limit.length_neg == eps and limit.length_pos == 48 * (eps / 128)
     assert cut[-4:] == [True, False, True, False]
     assert str(exc.value) == (
         f"the order-10 leaf is truncated on the positive side at length {rep.limit.length_pos:.6e} of eps=2.500000e-02"
