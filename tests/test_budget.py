@@ -26,6 +26,7 @@ from stableleaf.errors import BadParamsError, OrbitEscapeError
 from stableleaf.maps import MapModel
 
 from conftest import ref_first_tube_exit, reference_orbit
+from golden import assert_golden
 from test_budget_reference import POOL_BLOCKS, _scalar_only, array_case, sweep_samples
 
 
@@ -97,6 +98,13 @@ def test_wide_budget_keeps_its_bits(seed):
     maxima = b"".join(getattr(b, f).tobytes() for f in ("p", "q", "pt", "gamma", "gamma_star", "delta", "fmax"))
     digest = hashlib.sha256(maxima + repr(sorted(b.accepted_counts.items())).encode()).hexdigest()
     assert digest == WIDE_BUDGET_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(WIDE_BUDGET_SHA256))
+def test_wide_budget_matches_its_golden_words(seed):
+    b = budget_wide(seed)
+    maxima = {f: getattr(b, f) for f in ("p", "q", "pt", "gamma", "gamma_star", "delta", "fmax")}
+    assert_golden(f"wide_budget_seed{seed}", {**maxima, "accepted_counts": b.accepted_counts})
 
 
 @pytest.mark.parametrize("seed", [2, 3])

@@ -21,6 +21,7 @@ from stableleaf.errors import BadParamsError, NoFixedPointError, NotHyperbolicEr
 from stableleaf.maps import MapModel
 
 from conftest import ref_first_tube_exit, reference_orbit
+from golden import assert_golden, report_words
 from test_budget import rotationlike_map
 
 
@@ -279,26 +280,6 @@ def test_theorem_henon_tube_passes(henon_map, monkeypatch):
     assert calls == [1, 1, 1, 11, 12]  # jmax: k0 - 1 for the rungs, kmax - 1 for the Cauchy orders, kmax for the ladder
 
 
-def report_words(o):
-    """Every field of a report, depth first: names, float.hex of every float, repr of the rest."""
-    if dataclasses.is_dataclass(o):
-        for f in dataclasses.fields(o):
-            yield f.name
-            yield from report_words(getattr(o, f.name))
-    elif isinstance(o, np.ndarray):
-        yield f"array{o.shape}"
-        yield from report_words(o.tolist())
-    elif isinstance(o, (list, tuple)):
-        yield f"[{len(o)}"
-        for v in o:
-            yield from report_words(v)
-    elif isinstance(o, float):
-        yield o.hex()
-    else:
-        assert o is None or isinstance(o, (bool, int, str)), type(o)
-        yield repr(o)
-
-
 # sha256 of report_words of the theorem-henon TheoremReport (eta 0.05, kmax 12,
 # n 2000) at seeds 1-3: every field, the leaf, contraction and strip arrays included;
 # both rate fits are sums in Python floats, so no LAPACK result enters it. Only
@@ -318,6 +299,12 @@ def test_theorem_henon_report_is_pinned(henon_map, seed):
     r = verify_fixed_point_theorem(henon_map, fp, eta=0.05, kmax=12, seed=seed, n=2000)
     digest = hashlib.sha256("\n".join(report_words(r)).encode()).hexdigest()
     assert digest == THEOREM_HENON_REPORT_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(THEOREM_HENON_REPORT_SHA256))
+def test_theorem_henon_report_matches_its_golden_words(henon_map, seed):
+    fp = eigen_split(henon_map, Point2(0.6, 0.2))
+    assert_golden(f"theorem_henon_seed{seed}", verify_fixed_point_theorem(henon_map, fp, eta=0.05, kmax=12, seed=seed, n=2000))
 
 
 @pytest.mark.parametrize("div", [8, 4])

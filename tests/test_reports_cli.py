@@ -22,6 +22,8 @@ from stableleaf.leaf import LeafCurve, budget_to_epsilon, iterate_to_contraction
 from stableleaf.maps import BUILTIN_MAPS, Point2, make_map
 from stableleaf.reports import dumps_canonical, emit_json, emit_leaf_csv, leaf_csv_lines
 
+from golden import assert_golden, csv_columns
+
 
 def tiny_leaf(k=3):
     t = np.array([-0.1, 0.0, 0.1])
@@ -135,15 +137,29 @@ DECAYING_RUN_SHA256 = {
 }
 
 
-def test_decaying_schedule_run_is_pinned(tmp_path):
-    assert run_command(CONVERGE_ARGS + ["--decay", "0.9", "--out-dir", str(tmp_path)]) == 0
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("convergence.json", "leaf.csv")}
+def decaying_run(out_dir):
+    """The bytes of the converge run's artifacts with CONVERGE_ARGS and --decay 0.9, and the strip widths on its limit leaf."""
+    assert run_command(CONVERGE_ARGS + ["--decay", "0.9", "--out-dir", str(out_dir)]) == 0
+    artifacts = {name: (out_dir / name).read_bytes() for name in ("convergence.json", "leaf.csv")}
     m = make_map("perturbed", lambda_s=0.5, lambda_u=2.0, c=0.05)
     b, _, L, eps = budget_to_epsilon(m, Point2(0.0, 0.0), EpsilonSchedule(0.05, 0.9), 8, 300, 42)
     conv, _ = iterate_to_contraction(m, b, eps, L, 1e-8)
-    words = "\n".join(w.hex() for w in uniqueness_probe(m, b, conv.limit).width.tolist())
+    return artifacts, uniqueness_probe(m, b, conv.limit).width.tolist()
+
+
+def test_decaying_schedule_run_is_pinned(tmp_path):
+    artifacts, width = decaying_run(tmp_path)
+    got = {name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()}
+    words = "\n".join(w.hex() for w in width)
     got["width"] = hashlib.sha256(words.encode()).hexdigest()
     assert got == DECAYING_RUN_SHA256
+
+
+def test_decaying_schedule_run_matches_its_golden_words(tmp_path):
+    artifacts, width = decaying_run(tmp_path)
+    assert_golden("decaying_run_convergence", json.loads(artifacts["convergence.json"]))
+    assert_golden("decaying_run_leaf", csv_columns(artifacts["leaf.csv"].decode()))
+    assert_golden("decaying_run_width", width)
 
 
 def test_cli_integration_error_above_tol_exits_numerical(tmp_path, capsys):
