@@ -15,7 +15,6 @@ from .budget import (
 from .cocycle import OrbitCocycle, SingularFrame, build_orbit_cocycle, singular_frame
 from .directions import (
     AngleGapRecord,
-    DirectionSample,
     angle_distance,
     angle_gap,
     contracted_direction,

@@ -125,13 +125,13 @@ class HyperbolicityBudget:
     Arrays are indexed by k = 0..kmax with identity-cocycle conventions at 0
     (gamma_0 = gamma*_0 = fmax_0 = 1, delta_0 = 0). terms[k] = p_k q_k gamma_{k+1}
     and xi[k] = terms[k]/(1-terms[k]) exist for k = 0..kmax-1 (+inf past 1).
-    cocycle is the order-kmax cocycle at z itself. accepted_counts[k] counts
+    cocycle is the order-kmax cocycle at z itself, and the budget's one copy
+    of z (cocycle.z0) and of z's orbit. accepted_counts[k] counts
     the draws in N^(k), z not among them. sched is the schedule the draws
     were tested against: its radii eps_j define the tubes N^(k) that every
     later stage (epsilon choice, Cauchy tube test, uniqueness strip) reads.
     """
 
-    z: Point2
     kmax: int
     n: int
     seed: int
@@ -419,7 +419,7 @@ def estimate_budget(
     star_partial_sums = np.cumsum(star_terms[1:])  # kmax >= 2: never empty
 
     return HyperbolicityBudget(
-        z=Point2(*z), kmax=kmax, n=n, seed=seed, sched=sched, **dict(zip(VALUE_ROWS, top)),
+        kmax=kmax, n=n, seed=seed, sched=sched, **dict(zip(VALUE_ROWS, top)),
         terms=np.array(terms), xi=np.array(xi), gamma_tilde=gamma_tilde,
         star_terms=np.array(star_terms), star_partial_sums=star_partial_sums,
         k0=k0, cocycle=center, accepted_counts=counts,
@@ -433,7 +433,6 @@ INFEASIBLE = "INFEASIBLE"
 
 @dataclass(frozen=True)
 class StarReport:
-    terms: np.ndarray
     tail_ratio: Optional[float]
     verdict: str
 
@@ -464,7 +463,7 @@ def check_condition_star(b: HyperbolicityBudget) -> StarReport:
     elif len(window) >= 1 and np.all(window == 0.0):
         ratio = 0.0
         verdict = SUMMABLE_HEURISTIC
-    return StarReport(terms=terms, tail_ratio=ratio, verdict=verdict)
+    return StarReport(tail_ratio=ratio, verdict=verdict)
 
 
 @dataclass(frozen=True)

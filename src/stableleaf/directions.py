@@ -15,7 +15,7 @@ from typing import Optional
 from .cocycle import CONFORMAL_TOL, OrbitCocycle, _frame, orbit_product, orbit_sweep, series_term
 from .errors import BadParamsError, BoundViolationError, ConformalError, OrbitEscapeError, StencilEscapeError
 from .errors import SingularStepError
-from .maps import MapModel, Point2
+from .maps import MapModel
 
 PI = math.pi
 
@@ -36,15 +36,6 @@ def angle_distance(a: float, b: float) -> float:
     """Mod-pi distance between direction angles, in [0, pi/2]."""
     d = abs(fold_angle(a) - fold_angle(b))
     return min(d, PI - d)
-
-
-@dataclass(frozen=True)
-class DirectionSample:
-    at: Point2
-    k: int
-    theta: float
-    e: tuple[float, float]
-    f: tuple[float, float]
 
 
 def _contracted_theta(p, k: int, at) -> tuple[float, float, float]:
@@ -73,18 +64,12 @@ def contracted_theta_fast(m: MapModel, x: float, y: float, k: int) -> tuple[floa
         return _contracted_theta(p, len(orbit_sweep(m, x, y, k)[1]) - 1, (x, y))
 
 
-def contracted_direction(c: OrbitCocycle, k: int) -> DirectionSample:
-    """Most contracted direction of Dphi^k at the cocycle base point; ConformalError if E_k = F_k to round-off."""
+def contracted_direction(c: OrbitCocycle, k: int) -> float:
+    """Angle theta in [0, pi) of e^(k) = (cos theta, sin theta), the most contracted direction of Dphi^k at the
+    cocycle base point; ConformalError if E_k = F_k to round-off."""
     if not 1 <= k <= c.kmax:
         raise BadParamsError(f"k={k} out of range 1..{c.kmax}")
-    th = _contracted_theta(c.products[k], k, tuple(c.z0))[0]
-    return DirectionSample(
-        at=c.z0,
-        k=k,
-        theta=th,
-        e=(math.cos(th), math.sin(th)),
-        f=(-math.sin(th), math.cos(th)),
-    )
+    return _contracted_theta(c.products[k], k, tuple(c.z0))[0]
 
 
 @dataclass(frozen=True)
@@ -103,9 +88,7 @@ def angle_gap(c: OrbitCocycle, k: int, budget=None) -> AngleGapRecord:
     """
     if not 1 <= k <= c.kmax - 1:
         raise BadParamsError(f"k={k} needs orders k and k+1 within 1..{c.kmax}")
-    th_k = contracted_direction(c, k).theta
-    th_k1 = contracted_direction(c, k + 1).theta
-    phi = angle_distance(th_k, th_k1)
+    phi = angle_distance(contracted_direction(c, k), contracted_direction(c, k + 1))
     pqh = c.P[k] * c.Q[k] * c.H[k + 1]
     bound = pqh / (1.0 - pqh) if pqh < 1.0 else math.inf
     if budget is not None and k < len(budget.xi) and math.isfinite(budget.xi[k]):
@@ -123,7 +106,7 @@ def pushforward_contraction(c: OrbitCocycle, k: int, j: int) -> tuple[float, flo
     """
     if not 1 <= j <= k <= c.kmax:
         raise BadParamsError(f"need 1 <= j <= k <= kmax, got j={j}, k={k}")
-    thetas = [contracted_direction(c, i).theta for i in range(j, k + 1)]
+    thetas = [contracted_direction(c, i) for i in range(j, k + 1)]
     vx, vy = c.products[j].apply(math.cos(thetas[-1]), math.sin(thetas[-1]))
     norm = math.hypot(vx, vy)
     gaps = 0.0
@@ -181,7 +164,7 @@ def direction_field_derivative(
             raise SingularStepError(f"order-{len(prods) - 1} product Dphi^{len(prods) - 1} fails at {(x, y)}")
         return [_contracted_theta(prods[j], j, (x, y))[0] for j in range(1, k + 1)]
 
-    center = [contracted_direction(c, j).theta for j in range(1, k + 1)]
+    center = [contracted_direction(c, j) for j in range(1, k + 1)]
     stencil = [(x0 + h, y0), (x0 - h, y0), (x0, y0 + h), (x0, y0 - h)]
     try:
         series = [thetas(sx, sy) for sx, sy in stencil]

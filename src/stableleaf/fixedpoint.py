@@ -235,14 +235,13 @@ def regular_growth_check(
 
 @dataclass
 class TheoremReport:
-    """End-to-end verification record with one block per conclusion.
+    """End-to-end verification record with one block per conclusion; the caller names the map.
 
     k0_ok holds by construction and is no evidence: estimate_budget sets
     k0 = last_bad + 2, where last_bad is the last k with terms[k] >= 1/2, so
     every term from k0 - 1 on is below 1/2.
     """
 
-    map_name: str
     fp: FixedPointData
     eta: float
     kmax: int
@@ -306,7 +305,7 @@ def verify_fixed_point_theorem(
     # (2) side lengths
     full = (not limit.truncated_neg) and (not limit.truncated_pos)
 
-    # (3) least-squares slope of the widest pair's log ratio over n = k0..contraction.n,
+    # (3) least-squares slope of the widest pair's log ratio over the contraction's orders n >= k0,
     # truncated where the sequence stops decreasing (round-off floor)
     vals = contraction.widest_ratio[b.k0:]
     top = next((i for i in range(1, len(vals)) if not vals[i] < vals[i - 1]), len(vals))
@@ -315,7 +314,7 @@ def verify_fixed_point_theorem(
     rate_dev = abs(rate - math.log(abs(fp.lambda_s)))
 
     return TheoremReport(
-        map_name=m.name, fp=fp, eta=eta, kmax=kmax, seed=seed,
+        fp=fp, eta=eta, kmax=kmax, seed=seed,
         star_verdict=check_condition_star(b).verdict, gamma_required=gamma,
         eps=eps, converged=conv.converged,
         tangency_error=tangency, length_pos=limit.length_pos, length_neg=limit.length_neg,

@@ -66,13 +66,13 @@ STRIP_BAND = (0.25, 2.0)  # the uniqueness strip's width * F_j / eps_j outside t
 class LeafCurve:
     """Arclength samples (t, p, theta) of one finite-time leaf.
 
-    t runs ascending over the untruncated range; the node at center_index
-    is exactly z0. theta is the tangent angle unwrapped mod pi from the
+    t runs ascending over the untruncated range; the node at center_index,
+    (xs[center_index], ys[center_index]), is exactly the point z the leaf was
+    traced through. theta is the tangent angle unwrapped mod pi from the
     center outward, so adjacent samples never jump by more than pi/2.
     """
 
     k: int
-    z0: Point2
     eps: float
     h: float
     t: np.ndarray
@@ -305,7 +305,7 @@ def integrate_leaf(
     raw = [math.atan2(dy, dx) for dx, dy in zip(tx.tolist(), ty.tolist())]
     thetas = _unwrap(th0, raw[:r_n][::-1])[::-1] + [th0] + _unwrap(th0, raw[r_n + 1:])  # outward from the centre
     return LeafCurve(
-        k=k, z0=Point2(float(z[0]), float(z[1])), eps=eps, h=h_eff, t=eps / c * (np.arange(len(thetas)) - r_n),
+        k=k, eps=eps, h=h_eff, t=eps / c * (np.arange(len(thetas)) - r_n),
         xs=xs, ys=ys, thetas=np.array(thetas), center_index=r_n, truncated_neg=trunc_n, truncated_pos=trunc_p,
         grid_points=grid_points,
     )
@@ -343,7 +343,7 @@ def choose_epsilon(m: MapModel, b: HyperbolicityBudget, gamma: float, L: float) 
         r = eps + eps * math.exp(eps * L) * xi_max
         if not math.isfinite(r):
             return f"the tube pre-check (the square's half-width is {r})"
-        x, y = b.z[0] + r * gx, b.z[1] + r * gy
+        x, y = b.cocycle.z0[0] + r * gx, b.cocycle.z0[1] + r * gy
         exits = tube_exits(m, b.cocycle.orbit, x, y, b.sched, k0 - 1)
         i = int(np.argmax(exits >= 0))  # the first point that exits, or 0 where none does
         if exits[i] >= 0:
@@ -450,8 +450,9 @@ def cauchy_iterate(
         h = 2.0 * eps / DEFAULT_STEP_DIV
     c = (DEFAULT_GRID - 1) // 2  # the centre node
     _refuse_small_step(h, eps / c, MAX_STEPS_PER_CELL // 2)
-    leaves = [(k, contracted_direction(b.cocycle, k).theta) for k in range(k0, kmax + 1)]
-    _, grid, reach, _ = _trace_leaves(m, b.z, leaves, eps, eps / 2, DEFAULT_GRID)
+    z = b.cocycle.z0
+    leaves = [(k, contracted_direction(b.cocycle, k)) for k in range(k0, kmax + 1)]
+    _, grid, reach, _ = _trace_leaves(m, z, leaves, eps, eps / 2, DEFAULT_GRID)
     ks = list(range(k0, kmax))
     bounds = np.array([eps * float(b.xi[k]) * egl for k in ks])
 
@@ -469,8 +470,8 @@ def cauchy_iterate(
     tube_ok = (np.bincount(order[out], minlength=len(ks)) == 0).tolist()
 
     # step doubling: the order-kmax partner leaf at h, a grid row, and at half its step the limit leaf
-    h_eff, partner, _, _ = _trace_leaves(m, b.z, leaves[-1:], eps, h, DEFAULT_GRID)
-    limit = integrate_leaf(m, b.z, kmax, eps, h=h_eff / 2)
+    h_eff, partner, _, _ = _trace_leaves(m, z, leaves[-1:], eps, h, DEFAULT_GRID)
+    limit = integrate_leaf(m, z, kmax, eps, h=h_eff / 2)
 
     # every leaf's positions on the grid, NaN past its reach: the Cauchy leaves, then the partner and the
     # limit leaf. Rows i and i + 1 share the nodes where neither is NaN; fewer than 2 span no arc, so
@@ -514,10 +515,10 @@ def cauchy_iterate(
 
 @dataclass
 class ContractionReport:
-    n: int
+    """Forward-image distance ratios along the limit leaf for orders 0..n; the envelope is the budget's gamma_tilde."""
+
     max_ratio: np.ndarray        # per order, max over the node pairs
     widest_ratio: np.ndarray     # per order, ratio of the widest node pair
-    gamma_tilde: np.ndarray      # budget envelope per order
     C_fit: float
 
 
@@ -527,7 +528,7 @@ def contraction_check(
     b: HyperbolicityBudget,
     n: int,
 ) -> ContractionReport:
-    """Forward-image distance ratios of pairs of leaf nodes against gamma_tilde.
+    """Forward-image distance ratios of pairs of leaf nodes against the budget's gamma_tilde.
 
     The nodes are every NODE_STRIDE-th leaf node plus the last. For every pair
     (i < j) of them, in node order, the ratio |phi^n'(z_i) - phi^n'(z_j)| /
@@ -567,13 +568,11 @@ def contraction_check(
         ratio = dist[:, live] / dist[0, live]
     max_ratio = np.max(ratio, axis=1, initial=0.0)
     widest_ratio = ratio[:, np.argmax(dist[0, live])] if ratio.size else np.zeros(n + 1)
-    gt = b.gamma_tilde[: n + 1].copy()
-    start = b.k0 or 1
     cfit = 0.0
-    for order in range(start, n + 1):
-        if gt[order] > 0.0:
-            cfit = max(cfit, max_ratio[order] / gt[order])
-    return ContractionReport(n=n, max_ratio=max_ratio, widest_ratio=widest_ratio, gamma_tilde=gt, C_fit=cfit)
+    for order in range(b.k0 or 1, n + 1):
+        if b.gamma_tilde[order] > 0.0:
+            cfit = max(cfit, max_ratio[order] / b.gamma_tilde[order])
+    return ContractionReport(max_ratio=max_ratio, widest_ratio=widest_ratio, C_fit=cfit)
 
 
 # -- uniqueness ---------------------------------------------------------------

@@ -227,7 +227,7 @@ def ref_estimate_budget(
     star_partial_sums = np.cumsum(star_terms[1:]) if kmax > 1 else np.zeros(0)
 
     return HyperbolicityBudget(
-        z=Point2(*z), kmax=kmax, n=n, seed=seed, sched=sched,
+        kmax=kmax, n=n, seed=seed, sched=sched,
         p=p, q=q, pt=pt, gamma=gamma, gamma_star=gamma_star, delta=delta,
         fmax=fmax, terms=terms, xi=xi, gamma_tilde=gamma_tilde,
         star_terms=star_terms, star_partial_sums=star_partial_sums,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stableleaf import (
+    EpsilonSchedule,
     Mat2,
     Point2,
     SplitRng,
@@ -14,6 +15,7 @@ from stableleaf import (
     contracted_direction,
     direction_field_derivative,
     eigen_split,
+    estimate_budget,
     fold_angle,
     make_map,
     pushforward_contraction,
@@ -52,14 +54,12 @@ def test_distance_properties(a, b):
 def test_contracted_direction_examples(linear_map, henon_map):
     c = build_orbit_cocycle(linear_map, Point2(0.2, 0.01), 4)
     for k in range(1, 5):
-        ds = contracted_direction(c, k)
-        assert ds.theta == 0.0
-        assert ds.e == (1.0, 0.0)
-        assert abs(ds.e[0] * ds.f[0] + ds.e[1] * ds.f[1]) <= 1e-15
+        th = contracted_direction(c, k)
+        assert th == 0.0
+        assert (math.cos(th), math.sin(th)) == (1.0, 0.0)
 
     ch = build_orbit_cocycle(henon_map, Point2(0, 0), 1)
-    d1 = contracted_direction(ch, 1)
-    assert d1.theta == pytest.approx(0.0, abs=1e-12)
+    assert contracted_direction(ch, 1) == pytest.approx(0.0, abs=1e-12)
     assert ch.E[1] == pytest.approx(0.3, rel=1e-14)
 
     th, e, f = contracted_theta_fast(henon_map, 0.0, 0.0, 1)
@@ -85,7 +85,7 @@ def test_cocycle_angle_is_the_walk_angle(henon_map, monkeypatch):
         guard_calls.clear()
         swept.clear()
         for k in range(1, kmax + 1):
-            theta = contracted_direction(c, k).theta
+            theta = contracted_direction(c, k)
             assert theta.hex() == contracted_theta_fast(m, z.x, z.y, k)[0].hex(), (m.name, z, k)
         assert len(swept) == (kmax if m is unbounded else 0)
         assert len(guard_calls) == (kmax * (kmax + 1) // 2 if m is guarded else 0)
@@ -152,6 +152,20 @@ def test_angle_gap_linear(linear_map):
         assert rec.xi == rec.bound  # no budget supplied
 
 
+def test_angle_gap_reads_the_budget_xi(perturbed_map):
+    # xi is the budget's xi_k where that is finite, and the pointwise bound where it is +inf
+    # or k is past the budget's orders 0..kmax - 1
+    b = estimate_budget(perturbed_map, Point2(0.0, 0.0), EpsilonSchedule.constant(0.05), kmax=4, n=200, seed=1)
+    c = build_orbit_cocycle(perturbed_map, Point2(0.0, 0.0), 6)
+    for k in range(1, 4):
+        rec = angle_gap(c, k, budget=b)
+        assert rec.xi == b.xi[k] != rec.bound
+        assert angle_gap(c, k, budget=dataclasses.replace(b, xi=np.full(4, math.inf))).xi == rec.bound
+    for k in (4, 5):
+        rec = angle_gap(c, k, budget=b)
+        assert rec.xi == rec.bound
+
+
 def test_angle_gap_henon_bound(henon_map):
     c = build_orbit_cocycle(henon_map, Point2(0, 0), 5)
     rec = angle_gap(c, 3)
@@ -177,8 +191,8 @@ def test_half_inequality_and_cauchy_schwarz(linear_map, perturbed_map):
     for m, z in ((linear_map, Point2(0.1, 0.002)), (perturbed_map, Point2(0.02, -0.002))):
         c = build_orbit_cocycle(m, z, 10)
         for k in range(2, 9):  # k >= k0 = 2 for both maps
-            e_k = contracted_direction(c, k).e
-            vx, vy = c.products[k + 1].apply(e_k[0], e_k[1])
+            th = contracted_direction(c, k)
+            vx, vy = c.products[k + 1].apply(math.cos(th), math.sin(th))
             pushed = math.hypot(vx, vy)
             pqh = c.P[k] * c.Q[k] * c.H[k + 1]
             assert pushed / c.F[k + 1] <= pqh * (1 + 1e-9)

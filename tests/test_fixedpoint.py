@@ -9,6 +9,7 @@ import pytest
 from stableleaf import (
     EpsilonSchedule,
     Point2,
+    build_orbit_cocycle,
     check_condition_star,
     eigen_split,
     estimate_budget,
@@ -18,6 +19,7 @@ from stableleaf import (
 )
 from stableleaf import cocycle, directions, leaf
 from stableleaf.errors import BadParamsError, NoFixedPointError, NotHyperbolicError, SpectralSlackError
+from stableleaf.fixedpoint import _minidistortion_ok
 from stableleaf.maps import MapModel
 
 from conftest import ref_first_tube_exit, reference_orbit
@@ -74,6 +76,28 @@ def test_eigen_split_rejects_non_saddle():
     )
     with pytest.raises(NotHyperbolicError):
         eigen_split(shrink, Point2(0.1, 0.1))
+
+
+def test_eigen_split_rejects_a_real_eigenvalue_at_the_unit_circle():
+    # |lambda_u| - 1 = 1e-10 is inside UNIT_CIRCLE_TOL: without that refusal (0.5, 1 + 1e-10) passes as a saddle
+    m = make_map("linear", lambda_s=0.5, lambda_u=1.0 + 1e-10)
+    with pytest.raises(NotHyperbolicError, match="within 1e-09 of the unit circle"):
+        eigen_split(m, Point2(0.01, 0.01))
+
+
+def test_eigen_split_rejects_a_complex_pair_off_the_unit_circle():
+    # 0.5 times a rotation: a focus whose eigenvalues have modulus 0.5, no stable line
+    c, s = 0.5 * math.cos(0.4), 0.5 * math.sin(0.4)
+    focus = MapModel(
+        name="focus",
+        params={},
+        raw_eval=lambda x, y: (c * x - s * y, s * x + c * y),
+        raw_jac=lambda x, y: (c, -s, s, c),
+        raw_hess=lambda x, y: (0.0,) * 6,
+        raw_det_grad=lambda x, y: (0.0, 0.0),
+    )
+    with pytest.raises(NotHyperbolicError, match="complex eigenvalue pair"):
+        eigen_split(focus, Point2(0.01, 0.01))
 
 
 def _slow_drift():
@@ -280,16 +304,29 @@ def test_theorem_henon_tube_passes(henon_map, monkeypatch):
     assert calls == [1, 1, 1, 11, 12]  # jmax: k0 - 1 for the rungs, kmax - 1 for the Cauchy orders, kmax for the ladder
 
 
+def test_minidistortion_fails_where_a_ratio_leaves_its_band(linear_map):
+    # at the (0.5, 2) saddle P_k = Q_k = 2: E and F ratios must lie in [1/2, 2], H ratios in [1/4, 4]
+    c = build_orbit_cocycle(linear_map, Point2(0.0, 0.0), 4)
+    assert _minidistortion_ok(c)
+    E, H = c.E.copy(), c.H.copy()
+    E[2] = 3.0 * E[1]
+    H[2] = 5.0 * H[1]
+    assert not _minidistortion_ok(dataclasses.replace(c, E=E))
+    assert not _minidistortion_ok(dataclasses.replace(c, H=H))
+
+
 # sha256 of report_words of the theorem-henon TheoremReport (eta 0.05, kmax 12,
 # n 2000) at seeds 1-3: every field, the leaf, contraction and strip arrays included;
 # both rate fits are sums in Python floats, so no LAPACK result enters it. Only
 # d_k and integration_error moved when the Cauchy leaves went to twice the limit
 # leaf's step, and only d_k when they went to eps/2 beside a partner leaf at h;
-# the Cauchy leaves' one node pass moved no field and added cauchy_step_error
+# the Cauchy leaves' one node pass moved no field and added cauchy_step_error.
+# tests/golden/theorem_henon_seed*.txt hold the words; removing the report's copies
+# (map_name, contraction.n and .gamma_tilde, the limit leaf's z0) deleted 24 of them
 THEOREM_HENON_REPORT_SHA256 = {
-    1: "2839915f0e60f6ad2c00fa39094420a0964964883bf311ca898d6d07fe8d272b",
-    2: "ce3281ec450a40a39daac9157cf986b8b7a13a2345bca026737fc8a96422548a",
-    3: "9bb8106e006015be318a4e528490e012b5b9798563dd00c430012e9e7f71e54e",
+    1: "f9a4b01c412f596af93e3adec4f403722bdd112906c447b7dc4333e1fd853e7e",
+    2: "c7b2eb3fda69cd8f71893c6673fb4950d02d29939dec60c0c8f56458fda237d7",
+    3: "e547f450e18531cb9dce077b97609f10b168e6ea79f520447cf647e72c9f8a6f",
 }
 
 

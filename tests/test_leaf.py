@@ -157,7 +157,7 @@ def synthetic_budget(k0=2, kmax=8, eps0=1.0, xi_value=0.0):
     """A budget at z = 0 on SHRINK's orbit whose tubes, of radius eps0, hold every rung's square where xi = 0."""
     n = kmax + 1
     return HyperbolicityBudget(
-        z=Point2(0, 0), kmax=kmax, n=0, seed=0, sched=EpsilonSchedule.constant(eps0),
+        kmax=kmax, n=0, seed=0, sched=EpsilonSchedule.constant(eps0),
         p=np.ones(n), q=np.ones(n), pt=np.zeros(n),
         gamma=np.ones(n), gamma_star=np.zeros(n), delta=np.zeros(n),
         fmax=np.ones(n), terms=np.zeros(kmax), xi=np.full(kmax, xi_value),
@@ -902,9 +902,9 @@ def test_coarse_cauchy_leaves_match_the_partner_step(henon_map, seed):
     # the Cauchy leaves at eps/2 carry nearly the same RK4 error from order to
     # order, so d_k from them is d_k from leaves at the partner's step eps/8 to
     # within 2e-3 omega_k
-    conv = theorem_henon(henon_map, seed).convergence
-    eps = conv.eps_chosen
-    fine = [integrate_leaf(henon_map, conv.limit.z0, k, eps, h=eps / 8) for k in range(conv.k0, conv.kmax + 1)]
+    r = theorem_henon(henon_map, seed)
+    conv, eps = r.convergence, r.convergence.eps_chosen
+    fine = [integrate_leaf(henon_map, r.fp.p, k, eps, h=eps / 8) for k in range(conv.k0, conv.kmax + 1)]
     ref = np.array([leaf_distance(a, c)[0] for a, c in zip(fine, fine[1:])])
     assert np.all(np.abs(conv.d_k - ref) <= 2e-3 * conv.gronwall_bound)
 

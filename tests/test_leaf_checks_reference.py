@@ -88,7 +88,7 @@ def ref_cauchy_checks(m, b, eps, L):
     """
     k0, kmax = b.k0, b.kmax
     egl = math.exp(L * eps)
-    leaves = {k: integrate_leaf(m, b.z, k, eps, h=eps / 2) for k in range(k0, kmax + 1)}
+    leaves = {k: integrate_leaf(m, b.cocycle.z0, k, eps, h=eps / 2) for k in range(k0, kmax + 1)}
 
     ks = list(range(k0, kmax))
     d_k = np.empty(len(ks))
@@ -115,8 +115,8 @@ def ref_cauchy_checks(m, b, eps, L):
     per_order = np.split(exits, np.cumsum([len(a) for a in dxs[:-1]]))
     tube_ok = [not np.any((e >= 0) & (e <= k)) for k, e in zip(ks, per_order)]
 
-    partner = integrate_leaf(m, b.z, kmax, eps, h=2.0 * eps / DEFAULT_STEP_DIV)
-    limit = integrate_leaf(m, b.z, kmax, eps, h=partner.h / 2)
+    partner = integrate_leaf(m, b.cocycle.z0, kmax, eps, h=2.0 * eps / DEFAULT_STEP_DIV)
+    limit = integrate_leaf(m, b.cocycle.z0, kmax, eps, h=partner.h / 2)
     dev, reached = leaf_distance(partner, limit)
     return d_k, restricted, tube_ok, leaf_distance(leaves[kmax], partner)[0], dev if reached == len(limit.t) else math.inf
 
@@ -170,7 +170,7 @@ def ref_contraction_check(m, leaf, b, n):
     for order in range(start, n + 1):
         if gt[order] > 0.0:
             cfit = max(cfit, max_ratio[order] / gt[order])
-    return ContractionReport(n=n, max_ratio=max_ratio, widest_ratio=widest_ratio, gamma_tilde=gt, C_fit=cfit)
+    return ContractionReport(max_ratio=max_ratio, widest_ratio=widest_ratio, C_fit=cfit)
 
 
 def ref_uniqueness_probe(m, b, leaf):
@@ -210,9 +210,7 @@ def bits(a) -> bytes:
 def same_contraction(got, want):
     assert bits(got.max_ratio) == bits(want.max_ratio)
     assert bits(got.widest_ratio) == bits(want.widest_ratio)
-    assert bits(got.gamma_tilde) == bits(want.gamma_tilde)
     assert got.C_fit.hex() == want.C_fit.hex()
-    assert got.n == want.n
 
 
 def henon_stages(seed, L=None):
@@ -230,7 +228,7 @@ def henon_stages(seed, L=None):
 
 
 def leaves_of(m, b, eps):
-    return {k: integrate_leaf(m, b.z, k, eps) for k in range(b.k0, b.kmax)}
+    return {k: integrate_leaf(m, b.cocycle.z0, k, eps) for k in range(b.k0, b.kmax)}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -357,7 +355,7 @@ def hand_leaf(xs, ys, k=3):
     c = len(xs) // 2
     t = 0.01 * (np.arange(len(xs)) - c)
     return LeafCurve(
-        k=k, z0=Point2(xs[c], ys[c]), eps=0.01 * max(c, 1), h=0.01, t=t, xs=xs, ys=ys,
+        k=k, eps=0.01 * max(c, 1), h=0.01, t=t, xs=xs, ys=ys,
         thetas=np.zeros(len(xs)), center_index=c, truncated_neg=False, truncated_pos=False,
         grid_points=len(xs),
     )

@@ -28,7 +28,7 @@ from golden import assert_golden, csv_columns
 def tiny_leaf(k=3):
     t = np.array([-0.1, 0.0, 0.1])
     return LeafCurve(
-        k=k, z0=Point2(0.0, 0.0), eps=0.1, h=0.1 / 512,
+        k=k, eps=0.1, h=0.1 / 512,
         t=t, xs=t.copy(), ys=np.zeros(3), thetas=np.zeros(3),
         center_index=1, truncated_neg=False, truncated_pos=False, grid_points=3,
     )

@@ -283,8 +283,8 @@ def ref_det_grad(m: MapModel, x: float, y: float) -> tuple[float, float]:
 def ref_pushforward_contraction(c: OrbitCocycle, k: int, j: int) -> tuple[float, float]:
     if not 1 <= j <= k <= c.kmax:
         raise IndexError(f"need 1 <= j <= k <= kmax, got j={j}, k={k}")
-    e = contracted_direction(c, k).e
-    vx, vy = c.products[j].apply(e[0], e[1])
+    th = contracted_direction(c, k)
+    vx, vy = c.products[j].apply(math.cos(th), math.sin(th))
     norm = math.hypot(vx, vy)
     gaps = 0.0
     for i in range(j, k):
