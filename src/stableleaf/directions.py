@@ -65,8 +65,10 @@ def contracted_theta_fast(m: MapModel, x: float, y: float, k: int) -> tuple[floa
 
 
 def contracted_direction(c: OrbitCocycle, k: int) -> float:
-    """Angle theta in [0, pi) of e^(k) = (cos theta, sin theta), the most contracted direction of Dphi^k at the
-    cocycle base point; ConformalError if E_k = F_k to round-off."""
+    """The angle theta of e^(k) = (cos theta, sin theta), most contracted by Dphi^k at the cocycle base point.
+
+    theta lies in [0, pi); ConformalError if E_k = F_k to round-off.
+    """
     if not 1 <= k <= c.kmax:
         raise BadParamsError(f"k={k} out of range 1..{c.kmax}")
     return _contracted_theta(c.products[k], k, tuple(c.z0))[0]

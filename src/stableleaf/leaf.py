@@ -66,10 +66,9 @@ STRIP_BAND = (0.25, 2.0)  # the uniqueness strip's width * F_j / eps_j outside t
 class LeafCurve:
     """Arclength samples (t, p, theta) of one finite-time leaf.
 
-    t runs ascending over the untruncated range; the node at center_index,
-    (xs[center_index], ys[center_index]), is exactly the point z the leaf was
-    traced through. theta is the tangent angle unwrapped mod pi from the
-    center outward, so adjacent samples never jump by more than pi/2.
+    t runs ascending over the untruncated range; the node at center_index is
+    exactly the point z traced through. theta is the tangent angle unwrapped
+    mod pi from the center outward, so adjacent samples never jump by more than pi/2.
     """
 
     k: int

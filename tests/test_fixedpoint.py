@@ -321,8 +321,7 @@ def test_minidistortion_fails_where_a_ratio_leaves_its_band(linear_map):
 # d_k and integration_error moved when the Cauchy leaves went to twice the limit
 # leaf's step, and only d_k when they went to eps/2 beside a partner leaf at h;
 # the Cauchy leaves' one node pass moved no field and added cauchy_step_error.
-# tests/golden/theorem_henon_seed*.txt hold the words; removing the report's copies
-# (map_name, contraction.n and .gamma_tilde, the limit leaf's z0) deleted 24 of them
+# tests/golden/theorem_henon_seed*.txt hold the words themselves
 THEOREM_HENON_REPORT_SHA256 = {
     1: "f9a4b01c412f596af93e3adec4f403722bdd112906c447b7dc4333e1fd853e7e",
     2: "c7b2eb3fda69cd8f71893c6673fb4950d02d29939dec60c0c8f56458fda237d7",

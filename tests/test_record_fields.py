@@ -15,7 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stableleaf"
 READERS = ("src", "scripts", "perfbench")
 
-# the paper checks that item 3 of ROADMAP.md wires into the run report; it removes this list
+# paper-check records that only the tests build today: item 3 of ROADMAP.md wires them into
+# the run report or removes them, and removes this list with them
 UNWIRED_PAPER_CHECKS = {"SingularFrame", "AngleGapRecord", "GrowthReport"}
 
 
