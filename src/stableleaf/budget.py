@@ -208,35 +208,54 @@ def _delta_lanes(tails: np.ndarray, F: np.ndarray, Pt: np.ndarray, s2: np.ndarra
 class _Lanes(NamedTuple):
     """The live lanes of a sweep after order k, with what order k + 1 reads of them.
 
-    draw is each lane's draw number, xy (2, lanes) its iterate k, step its Dphi_k,
-    and E <= P step's singular values: at k = 0, P is P_0 and 1 / E is Q_0.
-    R (4, k, lanes) holds in row r the product Dphi_{k-1} (... (Dphi_{r+1}
-    Dphi_r)): row 0 is Dphi^k, row j + 1 the tail whose norm is F_{j,k}. F
-    and Pt (k+1, lanes) stack F_j and Pt_j for j = 0..k, and s2 is the
-    running sum of _delta_lanes for order k + 1. Every field ends in the
-    lane axis, and order k + 1 reads every one.
+    draw is each lane's draw number. The rows of a (11 + 6k, lanes), in store
+    unless parked, hold step, Dphi_k, and its singular values E <= P (at k = 0
+    P_0 and 1 / Q_0); xy, the iterate k; s2, the running sum of _delta_lanes;
+    F_j and Pt_j, j = 0..k, in turn; and R (4, k, lanes), in row r Dphi_{k-1}
+    (... (Dphi_{r+1} Dphi_r)): row 0 is Dphi^k, row j + 1 the tail of F_{j,k}.
     """
 
     draw: np.ndarray
-    xy: np.ndarray
-    step: np.ndarray
-    E: np.ndarray
-    P: np.ndarray
-    R: np.ndarray
-    F: np.ndarray
-    Pt: np.ndarray
-    s2: np.ndarray
+    a: np.ndarray
+    store: "_Store"
 
 
-def _draw_lanes(m: MapModel, ref: list[Point2], sched: EpsilonSchedule, start: int, xs: np.ndarray, ys: np.ndarray):
-    """The draws (xs, ys), numbered from start, that pass the box and have a valid point: the lanes of order 0."""
+def _rows(a: np.ndarray) -> tuple:
+    """The views step, E, P, xy, s2, F, Pt and R of the lane state a of _Lanes."""
+    k = (len(a) - 11) // 6
+    return a[:4], a[4], a[5], a[6:8], a[8], a[9:11 + 2 * k:2], a[10:11 + 2 * k:2], a[11 + 2 * k:].reshape(4, k, a.shape[1])
+
+
+class _Store:
+    """One sweep's lane states, in one flat buffer that every block and the pooled phase reuse.
+
+    rows(rows, n) is room for n lanes at the end that top, the room handed out before, leaves free,
+    so that no pass overwrites its input; where that is short, in a new buffer at least twice as long.
+    """
+
+    def __init__(self, floats: int):
+        self.top, self.back = np.empty(0), False
+        self._grow(floats)
+
+    def _grow(self, floats: int):
+        self.buf = np.empty(floats)
+
+    def rows(self, rows: int, n: int) -> np.ndarray:
+        size, self.back = rows * n, not self.back
+        if len(self.top) + size > len(self.buf):
+            self._grow(max(2 * len(self.buf), len(self.top) + size))
+        self.top = self.buf[len(self.buf) - size:] if self.back else self.buf[:size]
+        return self.top
+
+
+def _draw_lanes(m: MapModel, ref: list[Point2], sched: EpsilonSchedule, start: int, xs: np.ndarray, ys: np.ndarray, store):
+    """The draws (xs, ys), numbered from start, that pass the box and have a valid point: the lanes of order 0, in store."""
     with np.errstate(all="ignore"):
         lane = _in_tube(0, xs, ys, ref, sched).nonzero()[0]  # only rounding can fail the box
-        at, pd = _point_data(m, xs[lane], ys[lane])
-        s2 = pd["Ddt"] / pd["Dd"]  # at order 1 the j = 0 term, F_0 = 1
-    lane = lane[at]
-    return _Lanes(start + lane, np.array((xs[lane], ys[lane])), pd["S"], pd["E"], pd["P"], np.empty((4, 0, len(lane))),
-                  np.ones((1, len(lane))), pd["Pt"][None], s2)
+        at, pd = _point_data(m, xs[lane], ys[lane], store.rows(11, len(lane)))  # S, E and P: rows 0 to 5
+        lane, a = lane[at], store.top[:11 * len(at)].reshape(11, len(at))
+        a[6], a[7], a[8], a[9], a[10] = xs[lane], ys[lane], pd["Ddt"] / pd["Dd"], 1.0, pd["Pt"]  # xy, s2, F_0, Pt_0
+    return _Lanes(start + lane, a, store)
 
 
 def _sweep_order(
@@ -249,49 +268,52 @@ def _sweep_order(
     them. R's last row is the step, whose E and F the lanes carry; at k >= 2
     one mul_lanes call makes its other rows and one singular_values_lanes
     call on them gives the rest. At k = 1, Dphi^1 is the step, so its F and
-    1 / E are also P_0 and Q_0, which order 0 reads.
+    1 / E are also P_0 and Q_0, which order 0 reads. The new state goes into
+    s.store, where _point_data writes its S, E and P.
     """
     with np.errstate(all="ignore"):
+        step, E, P, xy, _, _, _, R = _rows(s.a)
         # lanes alive here have level >= k - 1; keep those whose iterate k - 1 is in the tube
-        sel = _in_tube(k - 1, *s.xy, ref, sched).nonzero()[0] if k > 1 else np.arange(len(s.draw))
-        nxy = apply_lanes(m.raw_eval, *s.xy.take(sel, axis=1), 2)
-        R, e, f = s.step.take(sel, axis=1)[:, None], s.E[sel], s.P[sel][None]  # f: the norms of R's rows
+        sel = _in_tube(k - 1, *xy, ref, sched).nonzero()[0] if k > 1 else np.arange(len(s.draw))
+        nxy = apply_lanes(m.raw_eval, *xy.take(sel, axis=1), 2)
+        e, fk = E, P  # fk, the norm of Dphi^k: at k = 1, the step's, and sel is every lane
         if k > 1:
-            prods = mul_lanes(R, s.R.take(sel, axis=2))
+            prods = mul_lanes(step.take(sel, axis=1)[:, None], R.take(sel, axis=2))
             e, fp = (v.reshape(k - 1, -1) for v in singular_values_lanes(prods.reshape(4, -1)))
-            e, f, R = e[0], np.concatenate((fp, f)), np.concatenate((prods, R), axis=1)
-        ok = (np.isfinite(nxy[0]) & np.isfinite(nxy[1]) & np.isfinite(f[0]) & (f[0] != 0.0)).nonzero()[0]
-        at, nd = _point_data(m, *nxy.take(ok, axis=1))
+            e, fk = e[0], fp[0]
+        ok = (np.isfinite(nxy[0]) & np.isfinite(nxy[1]) & np.isfinite(fk) & (fk != 0.0)).nonzero()[0]
+        at, nd = _point_data(m, *nxy.take(ok, axis=1), s.store.rows(11 + 6 * k, len(ok)))
         if not len(at):
             return None
         at = ok[at]  # the lanes of sel that reach order k
-        keep = sel[at]
-        e, f = e[at], f.take(at, axis=1)
-        tails, f = np.concatenate((f[1:], np.ones((1, len(at))))), f[0]  # tails row k - 1: the empty product
-        # one index per history; the new rows move in, so the histories hold their only copy
-        F = np.concatenate((s.F.take(keep, axis=1), f[None]))
-        Pt = np.concatenate((s.Pt.take(keep, axis=1), nd["Pt"][None]))
-        s2 = s.s2[keep]
-        d1, d2 = _delta_lanes(tails, F, Pt, s2, e)
+        keep, e, tails = sel[at], e[at], np.ones((k, len(at)))  # tails row k - 1: the empty product
+        a = s.store.top[:(11 + 6 * k) * len(at)].reshape(11 + 6 * k, len(at))
+        _, _, _, xy_, s2_, F_, Pt_, R_ = _rows(a)
+        moves = [(nxy, at, xy_), (s.a[8:9 + 2 * k], keep, a[8:9 + 2 * k]), (fk, at, F_[k]), (step, keep, R_[:, k - 1])]
+        if k > 1:
+            moves += [(prods, at, R_[:, :k - 1]), (fp[1:], at, tails[:k - 2]), (P, keep, tails[k - 2])]
+        for v, i, out in moves:  # one take per value, s2 and the F, Pt history as one; clip: no index check
+            v.take(i, axis=-1, out=out, mode="clip")
+        Pt_[k] = nd["Pt"]
+        d1, d2 = _delta_lanes(tails, F_, Pt_, s2_, e)
         values = np.empty((10 if k == 1 else 7, len(at)))  # written in place: the fold reads it whole
-        values[0], values[1], values[2], values[4], values[5] = nd["P"], nd["Q"], Pt[k], e, f
-        np.divide(e, f, out=values[3])
+        values[0], values[1], values[2], values[4], values[5] = nd["P"], nd["Q"], Pt_[k], e, F_[k]
+        np.divide(e, F_[k], out=values[3])
         np.add(d1, d2, out=values[6])
         if k == 1:  # Dphi^1 is the step: P_0, Q_0 and Pt_0
-            values[7], values[9] = f, Pt[0]
+            values[7], values[9] = F_[k], Pt_[0]
             np.divide(1.0, e, out=values[8])
-        s2 += nd["Ddt"] / nd["Dd"] * f  # the term j = k, for order k + 1
+        s2_ += nd["Ddt"] / nd["Dd"] * F_[k]  # the term j = k, for order k + 1
     draw = s.draw[keep]
-    lanes = _Lanes(draw, nxy.take(at, axis=1), nd["S"], nd["E"], nd["P"], R.take(at, axis=2), F, Pt, s2)
-    return lanes, SweepOrder(k, draw, values, d1, d2, tails)
+    return _Lanes(draw, a, s.store), SweepOrder(k, draw, values, d1, d2, tails)
 
 
 def _pool(parts: list[_Lanes]) -> list[_Lanes]:
-    """The lanes of parts, in their order, in chunks of at most SAMPLE_BLOCK lanes."""
+    """The lanes of parts, in their order, in chunks of at most SAMPLE_BLOCK lanes; one such part is its own chunk."""
     if len(parts) == 1 and len(parts[0].draw) <= SAMPLE_BLOCK:
         return parts
-    whole = [np.concatenate(field, axis=-1) for field in zip(*parts)]
-    return [_Lanes(*(a[..., i:i + SAMPLE_BLOCK] for a in whole)) for i in range(0, len(whole[0]), SAMPLE_BLOCK)]
+    draw, a = (np.concatenate(f, axis=-1) for f in zip(*(p[:2] for p in parts)))
+    return [_Lanes(draw[i:i + SAMPLE_BLOCK], a[:, i:i + SAMPLE_BLOCK], parts[0].store) for i in range(0, len(draw), SAMPLE_BLOCK)]
 
 
 def sample_sweep(
@@ -317,7 +339,9 @@ def sample_sweep(
     the number of blocks, are at most SAMPLE_BLOCK, or kmax if there is
     none. Then the live lanes of all blocks pool, in draw order, and each
     order past k* runs once over the pool, in chunks of at most SAMPLE_BLOCK
-    lanes. With one block the pool is that block, and nothing changes.
+    lanes. With one block the pool is that block, and nothing changes. The
+    lane states live in one _Store; lanes that wait while other passes write
+    it are copied out of it, and no yielded array views it.
 
     Levels, counts and every value are bit for bit those of the scalar code.
     """
@@ -325,30 +349,29 @@ def sample_sweep(
     (cx, cy), r0 = centre.orbit[0], sched.radius(0)
     ref, kmax = centre.orbit, centre.kmax
     starts = range(0, max(n, 1), SAMPLE_BLOCK)
+    store = _Store(2 * 17 * (min(SAMPLE_BLOCK, n) + 1))  # two order-1 states of the first block
     deep, parked = kmax, []  # deep is k*, which the first block sets
     for start in starts:
         xs, ys = rng.points_in_box(cx, cy, r0, min(SAMPLE_BLOCK, n - start))
         if start == 0:  # z is lane 0 of the first block, draw -1
             xs, ys, start = np.insert(xs, 0, cx), np.insert(ys, 0, cy), -1
-        lanes = _draw_lanes(m, ref, sched, start, xs, ys)
+        lanes = _draw_lanes(m, ref, sched, start, xs, ys, store)
         for k in range(1, deep + 1):
-            step = _sweep_order(m, ref, sched, k, lanes)
-            if step is None:
-                lanes = None
+            lanes, order = _sweep_order(m, ref, sched, k, lanes) or (None, None)
+            if lanes is None:
                 break
-            lanes, order = step
             yield order
             if start < 0 and len(lanes.draw) * len(starts) <= SAMPLE_BLOCK:
                 deep = k
                 break
-        if lanes is not None and deep < kmax:
-            parked.append(lanes)
+        if lanes is not None and deep < kmax:  # copied out of the store where a later block writes it
+            parked.append(lanes._replace(a=lanes.a.copy()) if max(start, 0) + SAMPLE_BLOCK < n else lanes)
     for k in range(deep + 1, kmax + 1):
         chunks, parked = _pool(parked), []
-        for lanes in chunks:
+        for lanes in chunks:  # with more than one chunk, each chunk's new lanes are copied out of the store
             step = _sweep_order(m, ref, sched, k, lanes)
             if step is not None:
-                parked.append(step[0])
+                parked.append(step[0]._replace(a=step[0].a.copy()) if len(chunks) > 1 else step[0])
                 yield step[1]
 
 

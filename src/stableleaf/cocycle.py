@@ -152,7 +152,7 @@ def singular_values_lanes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, f
 
 
-def _point_data(m: MapModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict]:
+def _point_data(m: MapModel, x: np.ndarray, y: np.ndarray, out: np.ndarray = None) -> tuple[np.ndarray, dict]:
     """The lanes whose orbit points (x, y) are valid, with their steps S (4, lanes), E, P, Q, Pt, Dd and Ddt.
 
     The one validity rule for an orbit point, which the budget sweep and
@@ -162,7 +162,7 @@ def _point_data(m: MapModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, 
     lanes that passed the checks before it. Pt and Ddt are taken on every
     lane that reaches the second partials, and each value is then indexed
     once, at the lanes that pass every check. E <= P are the singular values
-    of S. Call it inside np.errstate.
+    of S; S, E, P fill the front of out if given. Call it inside np.errstate.
     """
     at = m.in_domain_lanes(x, y).nonzero()[0]
     x, y = x[at], y[at]
@@ -174,9 +174,11 @@ def _point_data(m: MapModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, 
     pt = np.abs(d2[:6], out=d2[:6]).max(axis=0)  # the largest |entry|: NaN or inf where an entry is
     fine = (np.isfinite(pt) & np.isfinite(d2[6]) & np.isfinite(d2[7])).nonzero()[0]
     ok = ok[fine]
-    e = e[ok]
+    sep = np.empty((6, len(ok))) if out is None else out[:6 * len(ok)].reshape(6, len(ok))
+    for v, row in ((s, sep[:4]), (e, sep[4]), (f, sep[5])):
+        v.take(ok, axis=-1, out=row, mode="clip")  # clip: every index is valid, and raise would buffer row
     return at[ok], {
-        "S": s.take(ok, axis=1), "E": e, "P": f[ok], "Q": 1.0 / e, "Pt": 2.0 * pt[fine],
+        "S": sep[:4], "E": sep[4], "P": sep[5], "Q": 1.0 / sep[4], "Pt": 2.0 * pt[fine],
         "Dd": np.abs(det[ok]), "Ddt": norm2_lanes(d2[6], d2[7])[fine],
     }
 
@@ -185,9 +187,10 @@ def mul_lanes(m: np.ndarray, o: np.ndarray) -> np.ndarray:
     """The products m o of every lane of two (4, ...) entry arrays, (m11 o11 + m12 o21, ...) in row-major order.
 
     Each is m[_ROW_1] o[_COL_1] + m[_ROW_2] o[_COL_2] on all four entries at
-    once; the lane axes broadcast, as (4, 1, lanes) steps times (4, k, lanes).
+    once; the lane axes broadcast into o's, as (4, 1, lanes) steps times (4, k, lanes).
     """
-    return m.take(_ROW_1, axis=0) * o.take(_COL_1, axis=0) + m.take(_ROW_2, axis=0) * o.take(_COL_2, axis=0)
+    out, t = m.take(_ROW_1, axis=0) * o.take(_COL_1, axis=0), o.take(_COL_2, axis=0)  # two temporaries of o's size
+    return np.add(out, np.multiply(t, m.take(_ROW_2, axis=0), out=t), out=out)
 
 
 def series_term(*factors) -> float:

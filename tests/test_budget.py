@@ -28,6 +28,7 @@ from stableleaf.maps import MapModel
 from conftest import ref_first_tube_exit, reference_orbit
 from golden import assert_golden
 from test_budget_reference import POOL_BLOCKS, _scalar_only, array_case, sweep_samples
+from test_cocycle import same_bits
 
 
 def rotationlike_map():
@@ -123,7 +124,7 @@ def test_wide_budget_pools_its_deep_orders(seed, monkeypatch):
 
 def test_wide_budget_memory_stays_bounded():
     # the pool forms only when few draws are left, so the sweep never holds the state of
-    # all 20,000 draws at once (about 2.9 MB peak; 2.25 MB a block at a time)
+    # all 20,000 draws at once (about 2.7 MB peak, 1.1 MB of it the lane store)
     budget_wide(2)  # imports and caches outside the measurement
     tracemalloc.start()
     try:
@@ -132,6 +133,51 @@ def test_wide_budget_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+SWEEP_ARRAYS = ("draw", "values", "d1", "d2", "tails")  # the arrays of a SweepOrder
+
+
+@pytest.mark.parametrize("name, block", [pytest.param("budget-wide", None, id="budget-wide")]
+                         + [pytest.param(name, block, id=f"{name}-{block}") for name, block in POOL_BLOCKS])
+def test_no_yielded_order_views_the_lane_store(name, block, monkeypatch):
+    # the passes write every lane state into one store, and regular_growth_check and the tests
+    # keep orders past the next pass, so every yielded array is its own: what was yielded
+    # still holds its bits once the sweep has ended, and no two yielded arrays share memory
+    if name == "budget-wide":
+        m, z, sched, kmax, n, seed = (make_map("perturbed", lambda_s=0.5, lambda_u=2.0, c=0.05), Point2(0.0, 0.0),
+                                      EpsilonSchedule.constant(0.05), 14, 20000, 2)
+    else:
+        monkeypatch.setattr(budget_mod, "SAMPLE_BLOCK", block)
+        m, z, sched, kmax, n, seed = array_case(name)
+    kept, copies = [], []
+    for o in budget_mod.sample_sweep(m, build_orbit_cocycle(m, z, kmax), sched, n, seed):
+        kept.append(o)
+        copies.append(o._replace(**{f: getattr(o, f).copy() for f in SWEEP_ARRAYS}))
+    assert len({o.k for o in kept}) == kmax
+    for o, c in zip(kept, copies, strict=True):
+        for f in SWEEP_ARRAYS:
+            got, want = getattr(o, f), getattr(c, f)
+            assert got.shape == want.shape and np.all(same_bits(got, want)), (o.k, f)
+    arrays = [getattr(o, f) for o in kept for f in SWEEP_ARRAYS]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+
+def test_sweep_allocates_its_lane_store_a_few_times(monkeypatch):
+    # one store serves every block and the pooled phase; a state that outgrows it moves to a
+    # store at least twice as long, so where no draw leaves the tube it grows a few times, not
+    # at every order
+    sizes = []
+    real = budget_mod._Store._grow
+    monkeypatch.setattr(budget_mod._Store, "_grow", lambda store, floats: sizes.append(floats) or real(store, floats))
+    budget_wide(2)  # 5 blocks and the pool
+    assert len(sizes) == 1
+    sizes.clear()
+    # the all-stay run of the CLI: linear (0.5, 0.8) at its defaults, z = (0, 0), eta 0.1, seed 0
+    m = make_map("linear", lambda_s=0.5, lambda_u=0.8)
+    b = estimate_budget(m, Point2(0.0, 0.0), EpsilonSchedule.constant(0.1), 10, n=10000, seed=0)
+    assert b.accepted_counts == {k: 10000 for k in range(1, 11)}  # 3 blocks, each swept to kmax, none pooled
+    assert 1 < len(sizes) <= 4 and all(b >= 2 * a for a, b in zip(sizes, sizes[1:]))
 
 
 @pytest.mark.parametrize("name, block", [pytest.param(name, block, id=f"{name}-{block}") for name, block in POOL_BLOCKS])

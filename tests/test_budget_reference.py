@@ -432,6 +432,9 @@ ARRAY_CASES = {
     "one-draw": (lambda: make_map("perturbed", lambda_s=0.5, lambda_u=2.0, c=0.05), Point2(0.01, 0.0), 0.05, 10, 1, 2),
     "two-blocks": (lambda: make_map("perturbed", lambda_s=0.5, lambda_u=2.0, c=0.05), Point2(0.0, 0.0), 0.05, 6,
                    budget_mod.SAMPLE_BLOCK + 3, 4),
+    # both eigenvalues contract, so no draw leaves the tube: every lane reaches kmax, nothing pools,
+    # and the lane state outgrows the sweep's first store, which grows
+    "all-stay": (lambda: make_map("linear", lambda_s=0.5, lambda_u=0.8), Point2(0.0, 0.0), 0.1, 8, 300, 1),
 }
 
 
